@@ -13,9 +13,19 @@ The pairing is the modified Tate pairing
 
     e(P, Q) = f_{q,P}(phi(Q)) ^ ((p^2 - 1) / q),
 
-where phi(x, y) = (-x, i*y) is a distortion map into E(F_{p^2}) \ E(F_p).
-Using phi on the second argument makes the pairing symmetric and
-non-degenerate on G x G, in particular e(P, P) != 1.
+where phi(x, y) = (-x, i*y) is a distortion map: it sends every point
+of E(F_p) with y != 0 to a point of E(F_{p^2}) outside E(F_p).  Using phi
+on the second argument makes the pairing symmetric and non-degenerate on
+G x G, in particular e(P, P) != 1.
+
+Following Barreto-Kim-Lynn-Scott (CRYPTO 2002), the final exponent is
+split as (p - 1) * h.  The (p - 1) part is one conjugation and one F_p
+inversion, and it maps every F_p^* factor of f to 1.  The Miller loop may
+therefore skip vertical lines (denominator elimination) and scale each
+line by an F_p^* factor, which lets it keep T in Jacobian coordinates and
+invert nothing; each step uses one slope for both its line and its point
+update.  Scalar multiplication also runs in Jacobian coordinates, with a
+single inversion at the end.
 
 Parameter sizes here are deliberately small.  Nothing in this module is
 safe for production use.
@@ -166,12 +176,15 @@ def _require_on_curve(params: GroupParams, point: GElem) -> None:
         raise MalformedElementError(f"point {point!r} is not on the curve")
 
 
-def _add_raw(p: int, a: GElem, b: GElem) -> GElem:
-    """Chord-and-tangent addition without validation."""
+def point_add(params: GroupParams, a: GElem, b: GElem) -> GElem:
+    """Group law on E(F_p), by chord and tangent."""
+    _require_on_curve(params, a)
+    _require_on_curve(params, b)
     if a.is_identity():
         return b
     if b.is_identity():
         return a
+    p = params.p
     if a.x == b.x:
         if (a.y + b.y) % p == 0:
             return INFINITY
@@ -179,15 +192,7 @@ def _add_raw(p: int, a: GElem, b: GElem) -> GElem:
     else:
         lam = (b.y - a.y) * pow(b.x - a.x, -1, p) % p
     x3 = (lam * lam - a.x - b.x) % p
-    y3 = (lam * (a.x - x3) - a.y) % p
-    return GElem(x3, y3)
-
-
-def point_add(params: GroupParams, a: GElem, b: GElem) -> GElem:
-    """Group law on E(F_p)."""
-    _require_on_curve(params, a)
-    _require_on_curve(params, b)
-    return _add_raw(params.p, a, b)
+    return GElem(x3, (lam * (a.x - x3) - a.y) % p)
 
 
 def point_negate(params: GroupParams, point: GElem) -> GElem:
@@ -198,23 +203,64 @@ def point_negate(params: GroupParams, point: GElem) -> GElem:
     return GElem(point.x, (-point.y) % params.p)
 
 
+# Jacobian coordinates: (X, Y, Z) stands for the affine (X/Z^2, Y/Z^3), and
+# Z = 0 for the identity.  Formulas for a = 1, b = 0 after Hankerson-Menezes-
+# Vanstone, Guide to Elliptic Curve Cryptography, section 3.2.
+
+
+def _jac_double(p: int, X: int, Y: int, Z: int):
+    """2T; a 2-torsion T (Y = 0) or the identity (Z = 0) gives Z = 0."""
+    YY = Y * Y % p
+    S = 4 * X * YY % p
+    ZZ = Z * Z % p
+    M = (3 * X * X + ZZ * ZZ) % p
+    X3 = (M * M - 2 * S) % p
+    return X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p
+
+
+def _jac_add_affine(p: int, X: int, Y: int, Z: int, x2: int, y2: int):
+    """T + (x2, y2) for a finite affine second point (mixed addition)."""
+    if Z == 0:
+        return x2, y2, 1
+    ZZ = Z * Z % p
+    H = (x2 * ZZ - X) % p
+    R = (y2 * ZZ * Z - Y) % p
+    if H == 0 and R == 0:
+        # T equals the affine point; T = -(x2, y2) falls through to Z = 0
+        return _jac_double(p, x2, y2, 1)
+    HH = H * H % p
+    HHH = H * HH % p
+    V = X * HH % p
+    X3 = (R * R - HHH - 2 * V) % p
+    return X3, (R * (V - X3) - Y * HHH) % p, Z * H % p
+
+
 def scalar_exp(params: GroupParams, point: GElem, n: int) -> GElem:
-    """n-fold group operation by double-and-add; negative n negates first."""
+    """n-fold group operation; negative n negates first.
+
+    Left-to-right double-and-add in Jacobian coordinates, adding the
+    affine base with mixed formulas, so the only inversion is the one that
+    maps the result back to affine.  Every point of E(F_p) is accepted,
+    including 2-torsion and points outside the order-q subgroup.
+    """
     _require_on_curve(params, point)
     n = int(n)
-    if n < 0:
-        point = GElem(point.x, (-point.y) % params.p) if not point.is_identity() else INFINITY
-        n = -n
-    result = INFINITY
-    acc = point
+    if n == 0 or point.is_identity():
+        return INFINITY
     p = params.p
-    while n:
-        if n & 1:
-            result = _add_raw(p, result, acc)
-        n >>= 1
-        if n:
-            acc = _add_raw(p, acc, acc)
-    return result
+    x, y = point.x, point.y
+    if n < 0:
+        y, n = (-y) % p, -n
+    X, Y, Z = x, y, 1
+    for bit in bin(n)[3:]:
+        X, Y, Z = _jac_double(p, X, Y, Z)
+        if bit == "1":
+            X, Y, Z = _jac_add_affine(p, X, Y, Z, x, y)
+    if Z == 0:
+        return INFINITY
+    z_inv = pow(Z, -1, p)
+    zz_inv = z_inv * z_inv % p
+    return GElem(X * zz_inv % p, Y * zz_inv * z_inv % p)
 
 
 def in_subgroup(params: GroupParams, point: GElem) -> bool:
@@ -266,27 +312,62 @@ def distort(params: GroupParams, point: GElem):
     return ((-point.x) % params.p, 0), (0, point.y)
 
 
-def _line_value(p, a, b, xq, yq):
-    """Line through points a, b of E(F_p), evaluated at (-xq, i*yq).
+def _miller_double(p, fa, fb, X, Y, Z, xq, yq):
+    """f * l_{T,T}(phi(Q)) and 2T, for T = (X, Y, Z) with Y, Z != 0.
 
-    Vertical lines (and lines through the identity) take values in F_p^*
-    because the distorted x-coordinate is in F_p; the final exponentiation
-    (p^2 - 1)/q = (p - 1) * h kills every F_p^* factor, so those cases
-    contribute 1.  The evaluation point is never on a line through two
-    F_p-rational points, so the returned value is never zero.
+    The tangent slope at T is M / Z3, with M = 3X^2 + Z^4 and Z3 = 2YZ.
+    Its line y - y_T - lam * (x - x_T) at phi(Q) = (-xq, i*yq), scaled by
+    the F_p factor Z3 * Z^2, is (M * (xq*Z^2 + X) - 2Y^2) + i*(yq*Z3*Z^2).
+    The same M, Y^2 and Z^2 give 2T, by the formulas of _jac_double.
     """
-    if a.is_identity() or b.is_identity():
-        return 1, 0
-    if a.x == b.x:
-        if a is not b and (a.y + b.y) % p == 0:
-            return 1, 0
-        if a.y == 0:
-            return 1, 0
-        lam = (3 * a.x * a.x + 1) * pow(2 * a.y, -1, p) % p
-    else:
-        lam = (b.y - a.y) * pow(b.x - a.x, -1, p) % p
-    # i*yq - y_a - lam * (-xq - x_a)  =  (lam*(xq + x_a) - y_a)  +  i*yq
-    return (lam * (xq + a.x) - a.y) % p, yq
+    YY = Y * Y % p
+    ZZ = Z * Z % p
+    M = (3 * X * X + ZZ * ZZ) % p
+    Z3 = 2 * Y * Z % p
+    la = (M * (xq * ZZ + X) - 2 * YY) % p
+    lb = yq * Z3 * ZZ % p
+    S = 4 * X * YY % p
+    X3 = (M * M - 2 * S) % p
+    return (
+        (fa * la - fb * lb) % p,
+        (fa * lb + fb * la) % p,
+        X3,
+        (M * (S - X3) - 8 * YY * YY) % p,
+        Z3,
+    )
+
+
+def _miller_add(p, fa, fb, X, Y, Z, px, py, xq, yq):
+    """f * l_{T,P}(phi(Q)) and T + P, for a finite T and affine P.
+
+    The chord slope is R / Z3, with R = py*Z^3 - Y, H = px*Z^2 - X and
+    Z3 = Z*H.  The line through P, scaled by Z3, is
+    (R * (xq + px) - py*Z3) + i*(yq*Z3); R and H also give T + P, by the
+    formulas of _jac_add_affine.  T = P takes the tangent instead (T is a
+    double, so P is not of order 2 then).  T = -P gives a vertical line,
+    which is left out, and the identity.
+    """
+    ZZ = Z * Z % p
+    H = (px * ZZ - X) % p
+    R = (py * ZZ * Z - Y) % p
+    if H == 0:
+        if R == 0:
+            return _miller_double(p, fa, fb, px, py, 1, xq, yq)
+        return fa, fb, X, Y, 0
+    Z3 = Z * H % p
+    la = (R * (xq + px) - py * Z3) % p
+    lb = yq * Z3 % p
+    HH = H * H % p
+    HHH = H * HH % p
+    V = X * HH % p
+    X3 = (R * R - HHH - 2 * V) % p
+    return (
+        (fa * la - fb * lb) % p,
+        (fa * lb + fb * la) % p,
+        X3,
+        (R * (V - X3) - Y * HHH) % p,
+        Z3,
+    )
 
 
 def pairing(params: GroupParams, left: GElem, right: GElem) -> GTElem:
@@ -294,26 +375,48 @@ def pairing(params: GroupParams, left: GElem, right: GElem) -> GTElem:
 
     Symmetric and bilinear on the order-q subgroup, with e(P, P) != 1 for
     P != identity.  By convention any identity argument gives 1.
+
+    The Miller loop runs over the bits of q with T in Jacobian
+    coordinates, so it inverts nothing: each step derives one slope, as a
+    numerator over T's new Z, and uses it for both its line and its point
+    update.  Each line is scaled by a factor in F_p^*.  The loop omits
+    vertical lines, whose values at phi(Q) lie in F_p, and the steps while
+    T is the identity, which only a P outside the subgroup reaches before
+    the loop ends.  The final exponent splits as (p^2 - 1)/q = (p - 1) * h.
+    The Frobenius map is conjugation for p = 3 (mod 4), so
+    f^(p-1) = conj(f)/f = conj(f)^2 / N(f): one F_p inversion, which sends
+    every F_p^* factor to 1 and so makes the scaling and the omissions
+    exact.  A power by the small cofactor h remains.  If Q = (0, 0) a line
+    can vanish at phi(Q); f is then 0, and so is the result.
     """
     _require_on_curve(params, left)
     _require_on_curve(params, right)
     p, q = params.p, params.q
     if left.is_identity() or right.is_identity():
         return GTElem(1, 0, p)
+    px, py = left.x, left.y
     xq, yq = right.x, right.y
     fa, fb = 1, 0
-    t = left
+    X, Y, Z = px, py, 1
     # Miller loop over the bits of q below the leading one.
     for bit in bin(q)[3:]:
-        la, lb = _line_value(p, t, t, xq, yq)
         fa, fb = _fp2_sqr(p, fa, fb)
-        fa, fb = _fp2_mul(p, fa, fb, la, lb)
-        t = _add_raw(p, t, t)
+        if Z == 0 or Y == 0:
+            # T is the identity, or of order 2 with a vertical tangent
+            Z = 0
+        else:
+            fa, fb, X, Y, Z = _miller_double(p, fa, fb, X, Y, Z, xq, yq)
         if bit == "1":
-            la, lb = _line_value(p, t, left, xq, yq)
-            fa, fb = _fp2_mul(p, fa, fb, la, lb)
-            t = _add_raw(p, t, left)
-    fa, fb = _fp2_pow(p, fa, fb, (p * p - 1) // q)
+            if Z == 0:
+                X, Y, Z = px, py, 1
+            else:
+                fa, fb, X, Y, Z = _miller_add(p, fa, fb, X, Y, Z, px, py, xq, yq)
+    if fa == 0 and fb == 0:
+        return GTElem(0, 0, p)
+    # f^(p-1) = conj(f)^2 / N(f), then the power by h
+    n_inv = pow(fa * fa + fb * fb, -1, p)
+    ua, ub = (fa - fb) * (fa + fb) * n_inv % p, -2 * fa * fb * n_inv % p
+    fa, fb = _fp2_pow(p, ua, ub, params.h)
     return GTElem(fa, fb, p)
 
 

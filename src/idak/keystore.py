@@ -14,7 +14,7 @@ from idak.bilinear import (
     encode_group_params,
     encode_point,
     hash_to_group,
-    scalar_exp,
+    in_subgroup,
 )
 from idak.errors import KeystoreError, MalformedElementError
 from idak.protocol import FlowMessage, IdentityKey, SessionKey
@@ -112,7 +112,7 @@ def load_identity(path, group) -> IdentityKey:
         raise KeystoreError("identity payload names nobody")
     if g_id != hash_to_group(group, ident):
         raise KeystoreError("identity key does not belong to these parameters")
-    if d_id.is_identity() or not scalar_exp(group, d_id, group.q).is_identity():
+    if d_id.is_identity() or not in_subgroup(group, d_id):
         raise KeystoreError("identity key point is outside the subgroup")
     return IdentityKey(identity=ident, g_id=g_id, d_id=d_id)
 

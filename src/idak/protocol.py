@@ -238,7 +238,7 @@ def validate_flow_point(params: SystemParams, point: GElem) -> None:
         raise InvalidFlowError("flow point is not on the curve")
     if point.is_identity():
         raise InvalidFlowError("flow point is the identity")
-    if not scalar_exp(params.group, point, params.group.q).is_identity():
+    if not in_subgroup(params.group, point):
         raise InvalidFlowError("flow point is outside the order-q subgroup")
 
 

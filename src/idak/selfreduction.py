@@ -16,6 +16,7 @@ from idak.bilinear import (
     gt_exp,
     gt_inv,
     gt_mul,
+    in_subgroup,
     is_on_curve,
     pairing,
     point_add,
@@ -56,7 +57,7 @@ def validate_instance(params, inst):
     for point in inst.points():
         if not is_on_curve(params, point):
             raise ValueError("instance point is not on the curve")
-        if not scalar_exp(params, point, params.q).is_identity():
+        if not in_subgroup(params, point):
             raise ValueError("instance point is outside the subgroup")
 
 
