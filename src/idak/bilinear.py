@@ -180,11 +180,15 @@ def point_add(params: GroupParams, a: GElem, b: GElem) -> GElem:
     """Group law on E(F_p), by chord and tangent."""
     _require_on_curve(params, a)
     _require_on_curve(params, b)
+    return _affine_add(params.p, a, b)
+
+
+def _affine_add(p: int, a: GElem, b: GElem) -> GElem:
+    """point_add without its checks, for points already known on the curve."""
     if a.is_identity():
         return b
     if b.is_identity():
         return a
-    p = params.p
     if a.x == b.x:
         if (a.y + b.y) % p == 0:
             return INFINITY
@@ -235,6 +239,15 @@ def _jac_add_affine(p: int, X: int, Y: int, Z: int, x2: int, y2: int):
     return X3, (R * (V - X3) - Y * HHH) % p, Z * H % p
 
 
+def _jac_to_affine(p: int, X: int, Y: int, Z: int) -> GElem:
+    """The affine point for (X, Y, Z), at the cost of one inversion."""
+    if Z == 0:
+        return INFINITY
+    z_inv = pow(Z, -1, p)
+    zz_inv = z_inv * z_inv % p
+    return GElem(X * zz_inv % p, Y * zz_inv * z_inv % p)
+
+
 def scalar_exp(params: GroupParams, point: GElem, n: int) -> GElem:
     """n-fold group operation; negative n negates first.
 
@@ -256,11 +269,7 @@ def scalar_exp(params: GroupParams, point: GElem, n: int) -> GElem:
         X, Y, Z = _jac_double(p, X, Y, Z)
         if bit == "1":
             X, Y, Z = _jac_add_affine(p, X, Y, Z, x, y)
-    if Z == 0:
-        return INFINITY
-    z_inv = pow(Z, -1, p)
-    zz_inv = z_inv * z_inv % p
-    return GElem(X * zz_inv % p, Y * zz_inv * z_inv % p)
+    return _jac_to_affine(p, X, Y, Z)
 
 
 def in_subgroup(params: GroupParams, point: GElem) -> bool:
@@ -588,6 +597,10 @@ def decode_group_params(data: bytes) -> GroupParams:
     if offset != len(data):
         raise MalformedElementError("trailing bytes in params encoding")
     p, q, h = values
+    # instance_generate never exceeds these, and primality tests on larger
+    # values would let a crafted file stall the caller
+    if q.bit_length() > 512 or h > 2 * COFACTOR_CANDIDATE_BOUND:
+        raise MalformedElementError("group parameters exceed the supported sizes")
     if p != h * q - 1 or p % 4 != 3 or h % 2 != 0 or h % q == 0:
         raise MalformedElementError("inconsistent group parameters")
     if not (is_probable_prime(p) and is_probable_prime(q)):

@@ -5,23 +5,40 @@ Given an oracle that sometimes answers e(g, g)^(xyz) on input
 the oracle only ever sees instances uniform over G^3, and a correct
 answer can be unblinded with pairings alone.  Majority voting over many
 blinded calls turns an unreliable oracle into a reliable solver.
+
+Everything that depends only on the instance is prepared once and cached
+for the most recent instance: its validation, a fixed-base window table
+for g, and the products of every subset of the seven cross pairings that
+unblinding needs.  Each round then costs one table walk per blinded
+point and one multi-exponentiation in GT, and no pairing.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 
 from idak.bilinear import (
+    INFINITY,
     GElem,
+    GTElem,
+    _affine_add,
+    _fp2_inv,
+    _fp2_mul,
+    _fp2_sqr,
+    _jac_add_affine,
+    _jac_to_affine,
+    _require_on_curve,
     gt_exp,
-    gt_inv,
     gt_mul,
     in_subgroup,
     is_on_curve,
     pairing,
-    point_add,
     scalar_exp,
 )
+
+# Fixed-base windows of WINDOW_BITS bits: HMV, Guide to ECC, section 3.3.
+WINDOW_BITS = 4
 
 
 @dataclass(frozen=True)
@@ -77,16 +94,66 @@ def make_instance(params, g, rng):
     return inst, truth
 
 
-def randomize(params, inst, rng):
-    """Blind a challenge so its exponents become uniform over Z_q^3."""
+@functools.lru_cache(maxsize=1)
+def _prepared(params, inst):
+    """Validate the instance once and build its two tables.
+
+    The first is g's window table: row i holds [j * 16^i]g for j < 16, as
+    an (x, y) pair or None for the identity.  The second holds, at each
+    7-bit index, the product of the inverses of the cross pairings
+    e(x,y), e(x,z), e(y,z), e(x,g), e(y,g), e(z,g), e(g,g) whose bits are
+    set, read from the top bit down.  A failed validation raises, so it is
+    never cached.
+    """
     validate_instance(params, inst)
+    p = params.p
+    windows = []
+    base = inst.g
+    for _ in range(-(-params.q.bit_length() // WINDOW_BITS)):
+        row = [INFINITY]
+        for _ in range((1 << WINDOW_BITS) - 1):
+            row.append(_affine_add(p, row[-1], base))
+        windows.append(tuple(None if e.is_identity() else (e.x, e.y) for e in row))
+        base = _affine_add(p, row[-1], base)
+    g, xp, yp, zp = inst.points()
+    crosses = [
+        pairing(params, left, right)
+        for left, right in ((xp, yp), (xp, zp), (yp, zp), (xp, g), (yp, g), (zp, g), (g, g))
+    ]
+    inverses = [_fp2_inv(p, z.a, z.b) for z in reversed(crosses)]
+    products = [(1, 0)]
+    for mask in range(1, 1 << len(inverses)):
+        low = (mask & -mask).bit_length() - 1
+        products.append(_fp2_mul(p, *products[mask & (mask - 1)], *inverses[low]))
+    return tuple(windows), tuple(products)
+
+
+def _shifted(p, windows, point, n):
+    """point + [n]g for 0 <= n < q, by mixed additions of window entries."""
+    X, Y, Z = (0, 1, 0) if point.is_identity() else (point.x, point.y, 1)
+    for row in windows:
+        entry = row[n & ((1 << WINDOW_BITS) - 1)]
+        if entry is not None:
+            X, Y, Z = _jac_add_affine(p, X, Y, Z, *entry)
+        n >>= WINDOW_BITS
+    return _jac_to_affine(p, X, Y, Z)
+
+
+def randomize(params, inst, rng):
+    """Blind a challenge so its exponents become uniform over Z_q^3.
+
+    Each blinded point is the instance point plus [shift]g, read off the
+    instance's cached window table: one mixed addition per window, no
+    doublings and one inversion.
+    """
+    windows, _ = _prepared(params, inst)
     q = params.q
     shift = Blinding(rng.randrange(q), rng.randrange(q), rng.randrange(q))
     blinded = CbdhInstance(
         inst.g,
-        point_add(params, inst.x_point, scalar_exp(params, inst.g, shift.a)),
-        point_add(params, inst.y_point, scalar_exp(params, inst.g, shift.b)),
-        point_add(params, inst.z_point, scalar_exp(params, inst.g, shift.c)),
+        _shifted(params.p, windows, inst.x_point, shift.a),
+        _shifted(params.p, windows, inst.y_point, shift.b),
+        _shifted(params.p, windows, inst.z_point, shift.c),
     )
     return blinded, shift
 
@@ -96,18 +163,24 @@ def correct(params, w, inst, shift):
 
     The blinded answer is e(g,g) raised to (x+a)(y+b)(z+c); every cross
     term is a pairing of known points, so no exponent is ever needed.
+    Their inverses, raised to c, b, a, bc, ac, ab and abc, multiply into
+    w in one Straus-Shamir multi-exponentiation: a single squaring chain
+    over the bits of q that, at each bit, multiplies in the cached
+    product selected by the seven exponent bits.
     """
-    q = params.q
-    g, xp, yp, zp = inst.points()
-    a, b, c = shift.a, shift.b, shift.c
-    surplus = gt_exp(pairing(params, xp, yp), c)
-    surplus = gt_mul(surplus, gt_exp(pairing(params, xp, zp), b))
-    surplus = gt_mul(surplus, gt_exp(pairing(params, yp, zp), a))
-    surplus = gt_mul(surplus, gt_exp(pairing(params, xp, g), b * c % q))
-    surplus = gt_mul(surplus, gt_exp(pairing(params, yp, g), a * c % q))
-    surplus = gt_mul(surplus, gt_exp(pairing(params, zp, g), a * b % q))
-    surplus = gt_mul(surplus, gt_exp(pairing(params, g, g), a * b * c % q))
-    return gt_mul(w, gt_inv(surplus))
+    _, products = _prepared(params, inst)
+    p, q = params.p, params.q
+    a, b, c = shift.a % q, shift.b % q, shift.c % q
+    exponents = (c, b, a, b * c % q, a * c % q, a * b % q, a * b * c % q)
+    width = q.bit_length()
+    fa, fb = 1, 0
+    # each column holds one bit of every exponent, in the tables' order
+    for column in zip(*(format(e, f"0{width}b") for e in exponents)):
+        fa, fb = _fp2_sqr(p, fa, fb)
+        index = int("".join(column), 2)
+        if index:
+            fa, fb = _fp2_mul(p, fa, fb, *products[index])
+    return gt_mul(w, GTElem(fa, fb, p))
 
 
 def amplify(params, oracle, inst, rounds, rng):
@@ -139,14 +212,15 @@ def solve_dlog(params, base, target):
 def _baby_table(params, base):
     m = math.isqrt(params.q - 1) + 1
     table = {}
-    step = GElem(None, None)
+    step = INFINITY
     for j in range(m):
         table.setdefault(step, j)
-        step = point_add(params, step, base)
+        step = _affine_add(params.p, step, base)
     return table
 
 
 def _dlog_from_table(params, base, table, target):
+    _require_on_curve(params, target)
     m = math.isqrt(params.q - 1) + 1
     stride = scalar_exp(params, base, -m)
     gamma = target
@@ -154,7 +228,7 @@ def _dlog_from_table(params, base, table, target):
         j = table.get(gamma)
         if j is not None:
             return (i * m + j) % params.q
-        gamma = point_add(params, gamma, stride)
+        gamma = _affine_add(params.p, gamma, stride)
     raise ValueError("target is outside the subgroup generated by base")
 
 

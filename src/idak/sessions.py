@@ -95,6 +95,7 @@ class World:
         self.rng = rng if rng is not None else random.Random()
         self.principals: dict[str, IdentityKey] = {}
         self.oracles: list[SessionOracle] = []
+        self._last_index: dict[tuple[str, str], int] = {}
         self.corrupted_at: dict[str, int] = {}
         self.extracted: set[str] = set()
         self.clock = 0
@@ -110,7 +111,8 @@ class World:
         """Fresh oracle for owner talking to peer; the world assigns the index."""
         self.add_principal(owner)
         self.add_principal(peer)
-        index = 1 + sum(1 for o in self.oracles if (o.owner, o.peer) == (owner, peer))
+        index = self._last_index.get((owner, peer), 0) + 1
+        self._last_index[owner, peer] = index
         oracle = SessionOracle(owner=owner, peer=peer, index=index)
         self.oracles.append(oracle)
         return oracle

@@ -1,10 +1,12 @@
 """Core group and pairing tests, checked against brute-force oracles."""
 
 import random
+import time
 
 import pytest
 
 from idak.bilinear import (
+    COFACTOR_CANDIDATE_BOUND,
     GElem,
     GTElem,
     GroupParams,
@@ -394,6 +396,48 @@ def test_params_encoding_rejects_garbage():
     bad = bytes([0x01]) + b"\x00\x01\x2a" + b"\x00\x01\x0b" + b"\x00\x01\x04"
     with pytest.raises(MalformedElementError):
         decode_group_params(bad)
+
+
+def free_of_small_factors(*values):
+    return all(v % d for v in values for d in range(3, 38, 2))
+
+
+def oversized_q():
+    """p = 4q - 1 with a 32761-bit q; both pass trial division."""
+    q = (1 << 32760) + 1
+    while not free_of_small_factors(q, 4 * q - 1):
+        q += 2
+    return GroupParams(p=4 * q - 1, q=q, h=4, k_bits=q.bit_length())
+
+
+def oversized_h():
+    """q = 11 with a 32760-bit cofactor, consistent and trial-division clean."""
+    h = 1 << 32760
+    while not (h % 11 and free_of_small_factors(11 * h - 1)):
+        h += 4
+    return GroupParams(p=11 * h - 1, q=11, h=h, k_bits=4)
+
+
+@pytest.mark.parametrize("make", [oversized_q, oversized_h])
+def test_params_decoding_rejects_oversized_values_quickly(make):
+    # Miller-Rabin on a 32k-bit p takes minutes; the size bound comes first
+    blob = encode_group_params(make())
+    start = time.perf_counter()
+    with pytest.raises(MalformedElementError, match="supported sizes"):
+        decode_group_params(blob)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_params_decoding_accepts_the_largest_generated_sizes():
+    gp = instance_generate(512, "ceiling")
+    assert gp.q.bit_length() == 512
+    assert decode_group_params(encode_group_params(gp)) == gp
+    # the largest cofactor instance_generate can reach, with q = 11
+    h = 2 * COFACTOR_CANDIDATE_BOUND
+    while h % 11 == 0 or not is_probable_prime(11 * h - 1):
+        h -= 4
+    at_bound = GroupParams(p=11 * h - 1, q=11, h=h, k_bits=4)
+    assert decode_group_params(encode_group_params(at_bound)) == at_bound
 
 
 def test_is_on_curve_bounds():

@@ -1,11 +1,19 @@
 """Command-line tests: exit codes, file round trips, report formats."""
 
 import json
+import time
 
 import pytest
 
 from idak import keystore
-from idak.bilinear import GElem, encode_point, hash_to_group, scalar_exp
+from idak.bilinear import (
+    GElem,
+    GroupParams,
+    encode_group_params,
+    encode_point,
+    hash_to_group,
+    scalar_exp,
+)
 from idak.cli import main
 from idak.protocol import FlowMessage, IdentityKey, encode_flow
 from idak.sessions import run_scenario
@@ -120,6 +128,23 @@ def test_verify_key_rejects_forgeries(keyring, tmp_path, capsys):
     assert main(["verify-key", str(path), "--params", keyring["params"],
                  "--master", keyring["master"]]) == 1
     assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def test_oversized_params_file_is_a_quick_data_error(keyring, tmp_path, capsys):
+    # consistent p = 4q - 1 of 32k bits, past trial division: without the
+    # size bound, primality testing it would stall for minutes
+    q = (1 << 32760) + 1
+    while not all(v % d for v in (q, 4 * q - 1) for d in range(3, 38, 2)):
+        q += 2
+    path = tmp_path / "huge.params"
+    keystore.write_entry(
+        path, "params", encode_group_params(GroupParams(4 * q - 1, q, 4, q.bit_length()))
+    )
+    start = time.perf_counter()
+    assert main(["extract", "alice", "--params", str(path), "--master", keyring["master"],
+                 "--out", str(tmp_path / "alice.key"), "--quiet"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "supported sizes" in capsys.readouterr().err
 
 
 def test_missing_file_is_a_data_error(keyring, tmp_path):

@@ -1,18 +1,25 @@
 """Self-reduction tests: blinding, correction, voting, mock oracle."""
 
+import collections
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from idak import selfreduction
 from idak.bilinear import (
     GElem,
     gt_exp,
+    gt_inv,
+    gt_mul,
     hash_to_group,
     instance_generate,
     pairing,
     point_add,
     scalar_exp,
 )
+from idak.errors import MalformedElementError
 from idak.selfreduction import (
     Blinding,
     CbdhInstance,
@@ -27,6 +34,18 @@ from idak.selfreduction import (
 
 GP = instance_generate(4, "0")  # p=43, q=11
 GEN = hash_to_group(GP, "reduction-generator")
+
+# Curves for the table-driven paths: q=5 puts the identity inside g's
+# window table, and 10 bits leave the top window partly empty.
+CURVES = [
+    (params, hash_to_group(params, "reduction-generator"))
+    for params in (
+        instance_generate(3, "0"),  # q=5
+        GP,
+        instance_generate(10, "tables"),  # q=787
+        instance_generate(16, "tables"),  # q=48809
+    )
+]
 
 
 def dlog(params, base, target):
@@ -248,3 +267,170 @@ def test_oracle_accuracy_tracks_delta():
     expected = 0.7 + 0.3 / GP.q
     assert abs(hits / trials - expected) < 0.06
     assert oracle.queries == trials
+
+
+# ---------------------------------------------------------------------------
+# per-instance tables against direct evaluation
+# ---------------------------------------------------------------------------
+
+
+def reference_randomize(params, inst, rng):
+    """Blinding by one scalar_exp and one point_add per point."""
+    validate_instance(params, inst)
+    q = params.q
+    shift = Blinding(rng.randrange(q), rng.randrange(q), rng.randrange(q))
+    blinded = CbdhInstance(
+        inst.g,
+        point_add(params, inst.x_point, scalar_exp(params, inst.g, shift.a)),
+        point_add(params, inst.y_point, scalar_exp(params, inst.g, shift.b)),
+        point_add(params, inst.z_point, scalar_exp(params, inst.g, shift.c)),
+    )
+    return blinded, shift
+
+
+def reference_correct(params, w, inst, shift):
+    """Unblinding by seven pairings, seven gt_exp and six gt_mul."""
+    q = params.q
+    g, xp, yp, zp = inst.points()
+    a, b, c = shift.a, shift.b, shift.c
+    surplus = gt_exp(pairing(params, xp, yp), c)
+    surplus = gt_mul(surplus, gt_exp(pairing(params, xp, zp), b))
+    surplus = gt_mul(surplus, gt_exp(pairing(params, yp, zp), a))
+    surplus = gt_mul(surplus, gt_exp(pairing(params, xp, g), b * c % q))
+    surplus = gt_mul(surplus, gt_exp(pairing(params, yp, g), a * c % q))
+    surplus = gt_mul(surplus, gt_exp(pairing(params, zp, g), a * b % q))
+    surplus = gt_mul(surplus, gt_exp(pairing(params, g, g), a * b * c % q))
+    return gt_mul(w, gt_inv(surplus))
+
+
+def reference_votes(params, oracle, inst, rounds, rng):
+    """amplify's per-round loop on the reference blinding and unblinding."""
+    seeds = [rng.getrandbits(64) for _ in range(rounds)]
+    votes = collections.Counter()
+    for seed in seeds:
+        blinded, shift = reference_randomize(params, inst, random.Random(seed))
+        votes[reference_correct(params, oracle(blinded), inst, shift)] += 1
+    return votes
+
+
+def exponent(q):
+    """Exponents in [0, q), with 0 and q-1 drawn often."""
+    return st.one_of(st.just(0), st.just(q - 1), st.integers(0, q - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_correct_matches_reference(data):
+    params, g = data.draw(st.sampled_from(CURVES))
+    q = params.q
+    # a zero exponent makes that component the identity
+    x, y, z, r = (data.draw(exponent(q)) for _ in range(4))
+    inst = CbdhInstance(
+        g, scalar_exp(params, g, x), scalar_exp(params, g, y), scalar_exp(params, g, z)
+    )
+    # shifts outside [0, q) are accepted as their residues
+    shifts = st.one_of(exponent(q), st.integers(-3 * q, 3 * q))
+    shift = Blinding(data.draw(shifts), data.draw(shifts), data.draw(shifts))
+    w = gt_exp(pairing(params, g, g), r)
+    assert correct(params, w, inst, shift) == reference_correct(params, w, inst, shift)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_randomize_matches_reference(data):
+    params, g = data.draw(st.sampled_from(CURVES))
+    q = params.q
+    x, y, z = (data.draw(exponent(q)) for _ in range(3))
+    inst = CbdhInstance(
+        g, scalar_exp(params, g, x), scalar_exp(params, g, y), scalar_exp(params, g, z)
+    )
+    seed = data.draw(st.integers(0, 2**32))
+    assert randomize(params, inst, random.Random(seed)) == reference_randomize(
+        params, inst, random.Random(seed)
+    )
+
+
+@pytest.mark.parametrize("curve", range(len(CURVES)))
+def test_amplify_matches_reference_votes(curve, monkeypatch):
+    params, g = CURVES[curve]
+    real_correct = selfreduction.correct
+    seen = []
+
+    def recording_correct(*args):
+        seen.append(real_correct(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(selfreduction, "correct", recording_correct)
+    for seed in range(3):
+        inst, _ = make_instance(params, g, random.Random(f"inst:{seed}"))
+        seen.clear()
+        winner = amplify(
+            params, MockCbdhOracle(params, g, 0.4, random.Random(seed)), inst, 25,
+            random.Random(seed),
+        )
+        votes = reference_votes(
+            params, MockCbdhOracle(params, g, 0.4, random.Random(seed)), inst, 25,
+            random.Random(seed),
+        )
+        assert collections.Counter(seen) == votes
+        assert winner == max(votes, key=votes.get)  # first maximum, as in amplify
+
+
+def test_tables_follow_the_instance():
+    rng = random.Random(43)
+    cases = []
+    for params, g in (CURVES[1], CURVES[1], CURVES[2]):
+        inst, truth = make_instance(params, g, rng)
+        cases.append((params, inst, truth))
+    for _ in range(3):
+        blinded = [randomize(params, inst, rng) for params, inst, _ in cases]
+        for (params, inst, truth), (query, shift) in zip(cases, blinded):
+            assert correct(params, truth_for(params, query), inst, shift) == truth
+
+
+def test_amplify_validates_once_per_instance(monkeypatch):
+    calls = []
+
+    def counting_validate(params, inst):
+        calls.append(inst)
+        validate_instance(params, inst)
+
+    monkeypatch.setattr(selfreduction, "validate_instance", counting_validate)
+    selfreduction._prepared.cache_clear()
+    inst, truth = make_instance(GP, GEN, random.Random(47))
+    oracle = MockCbdhOracle(GP, GEN, 1.0, random.Random(0))
+    assert amplify(GP, oracle, inst, 31, random.Random(1)) == truth
+    assert calls == [inst]
+
+
+def test_amplify_rejects_invalid_instance_before_any_query():
+    rogue = CbdhInstance(GEN, GElem(0, 0), GEN, GEN)
+    oracle = MockCbdhOracle(GP, GEN, 1.0, random.Random(0))
+    with pytest.raises(ValueError):
+        amplify(GP, oracle, rogue, 5, random.Random(0))
+    assert oracle.queries == 0
+
+
+def test_invalid_instance_is_rejected_on_every_call():
+    good, truth = make_instance(GP, GEN, random.Random(53))
+    for bad in (
+        CbdhInstance(GEN, GElem(0, 0), GEN, GEN),
+        CbdhInstance(GEN, GEN, GElem(1, 1), GEN),
+        CbdhInstance(GElem(None, None), GEN, GEN, GEN),
+    ):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                randomize(GP, bad, random.Random(0))
+            with pytest.raises(ValueError):
+                correct(GP, truth, bad, Blinding(1, 2, 3))
+        # a valid instance in between leaves the rejection in place
+        randomize(GP, good, random.Random(0))
+        with pytest.raises(ValueError):
+            correct(GP, truth, bad, Blinding(1, 2, 3))
+
+
+def test_solve_dlog_rejects_off_curve_points():
+    with pytest.raises(MalformedElementError):
+        solve_dlog(GP, GEN, GElem(1, 1))
+    with pytest.raises(MalformedElementError):
+        solve_dlog(GP, GElem(1, 1), GEN)
