@@ -565,19 +565,38 @@ def decode_gt(params: GroupParams, data: bytes) -> GTElem:
     return GTElem(a, b, params.p)
 
 
-def _len_prefixed(value: int) -> bytes:
-    raw = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
-    return len(raw).to_bytes(2, "big") + raw
+def sized(blob: bytes) -> bytes:
+    """The field framed for the wire: a 2-byte big-endian length, then blob."""
+    if len(blob) > 0xFFFF:
+        raise MalformedElementError("field too long to frame")
+    return len(blob).to_bytes(2, "big") + blob
+
+
+def take_sized(data: bytes, offset: int):
+    """Read the framed field at offset; returns (field, next offset)."""
+    start = offset + 2
+    # a cut length prefix still puts the end past the data
+    end = start + int.from_bytes(data[offset:start], "big")
+    if end > len(data):
+        raise MalformedElementError("truncated field")
+    return data[start:end], end
+
+
+def take_point(params: GroupParams, data: bytes, offset: int):
+    """Read the encoded point at offset; returns (point, next offset)."""
+    if data[offset : offset + 1] == b"\x00":
+        return INFINITY, offset + 1
+    end = offset + 1 + 2 * coord_size(params)
+    # decode_point rejects a cut encoding by its length
+    return decode_point(params, data[offset:end]), end
 
 
 def encode_group_params(params: GroupParams) -> bytes:
     """version || p || q || h, each big-endian with a 2-byte length prefix."""
-    return (
-        bytes([PARAMS_ENCODING_VERSION])
-        + _len_prefixed(params.p)
-        + _len_prefixed(params.q)
-        + _len_prefixed(params.h)
-    )
+    out = bytes([PARAMS_ENCODING_VERSION])
+    for value in (params.p, params.q, params.h):
+        out += sized(value.to_bytes((value.bit_length() + 7) // 8 or 1, "big"))
+    return out
 
 
 def decode_group_params(data: bytes) -> GroupParams:
@@ -586,14 +605,8 @@ def decode_group_params(data: bytes) -> GroupParams:
     values = []
     offset = 1
     for _ in range(3):
-        if offset + 2 > len(data):
-            raise MalformedElementError("truncated params encoding")
-        length = int.from_bytes(data[offset : offset + 2], "big")
-        offset += 2
-        if offset + length > len(data):
-            raise MalformedElementError("truncated params encoding")
-        values.append(int.from_bytes(data[offset : offset + length], "big"))
-        offset += length
+        field, offset = take_sized(data, offset)
+        values.append(int.from_bytes(field, "big"))
     if offset != len(data):
         raise MalformedElementError("trailing bytes in params encoding")
     p, q, h = values

@@ -29,7 +29,6 @@ from idak.errors import (
     ScenarioError,
 )
 from idak.protocol import (
-    DEFAULT_KDF_TAG,
     GENERATOR_ID,
     MasterSecret,
     PiVariant,
@@ -45,7 +44,6 @@ from idak.protocol import (
     pfs_verify_extra,
     session_key,
     setup,
-    validate_flow_point,
 )
 from idak.selfreduction import MockCbdhOracle, amplify, make_instance
 from idak.sessions import MODES, run_scenario
@@ -67,8 +65,6 @@ EXPECTED_COSTS = {
     "c1-pre": (1, 1.0, 2, 0),
     "c2-pre": (1, 0.5, 1, 1),
 }
-
-BENCH_ORDER = ("c1-nopre", "c2-nopre", "c1-pre", "c2-pre")
 
 PI_CHOICES = tuple(variant.value for variant in PiVariant)
 STRATEGY_CHOICES = tuple(EXPECTED_COSTS)
@@ -107,30 +103,12 @@ def _system_params(args):
         group=group,
         g=hash_to_group(group, GENERATOR_ID),
         pi_variant=PiVariant(args.pi),
-        kdf_tag=DEFAULT_KDF_TAG,
     )
 
 
 def _fail(label, detail):
     print(f"error: {label}: {detail}", file=sys.stderr)
     return EXIT_DATA
-
-
-def _read_flow(params, path):
-    """Decode a wire flow, separating framing errors from point rejection."""
-    data = Path(path).read_bytes()
-    role, ident, msg, extra = decode_flow(params, data)
-    try:
-        validate_flow_point(params, msg.r)
-        if extra is not None:
-            validate_flow_point(params, extra)
-    except InvalidFlowError as exc:
-        raise _RejectedPoint(str(exc)) from exc
-    return role, ident, msg, extra
-
-
-class _RejectedPoint(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +176,11 @@ def cmd_respond(args):
     params = _system_params(args)
     own = keystore.load_identity(args.key, params.group)
     try:
-        role, peer_ident, peer_msg, peer_extra = _read_flow(params, args.flow_in)
+        role, peer_ident, peer_msg, peer_extra = decode_flow(
+            params, Path(args.flow_in).read_bytes()
+        )
     except InvalidFlowError as exc:
         return _fail("invalid-flow", exc)
-    except _RejectedPoint as exc:
-        return _fail("rejected-point", exc)
     if role != "initiator":
         return _fail("invalid-flow", "expected an initiator flow")
     if peer_extra is not None:
@@ -247,11 +225,11 @@ def cmd_finalize(args):
     own = keystore.load_identity(args.key, params.group)
     peer_id, x, own_msg = keystore.load_state(args.state, params.group)
     try:
-        role, sender_ident, peer_msg, extra = _read_flow(params, args.flow_in)
+        role, sender_ident, peer_msg, extra = decode_flow(
+            params, Path(args.flow_in).read_bytes()
+        )
     except InvalidFlowError as exc:
         return _fail("invalid-flow", exc)
-    except _RejectedPoint as exc:
-        return _fail("rejected-point", exc)
     if role != "responder":
         return _fail("invalid-flow", "expected a responder flow")
     if sender_ident != peer_id:
@@ -263,10 +241,11 @@ def cmd_finalize(args):
         return _fail("invalid-flow", "flow carries no extra point; responder ran without --pfs")
     if not args.pfs and extra is not None:
         return _fail("invalid-flow", "flow carries an extra point; rerun with --pfs")
-    if args.pfs and not pfs_verify_extra(params, own, peer_id, peer_msg, extra):
-        return _fail("invalid-flow", "extra point fails the pairing check")
     strategy = parse_strategy(args.strategy)
     try:
+        # pfs_verify_extra and derive are the checks of the received points
+        if args.pfs and not pfs_verify_extra(params, own, peer_id, peer_msg, extra):
+            return _fail("invalid-flow", "extra point fails the pairing check")
         sk, counts = derive(
             params, own, x, own_msg, peer_id, peer_msg, "initiator", strategy
         )
@@ -292,7 +271,7 @@ def cmd_bench(args):
     bob = extract(params, msk, "bench-responder")
     rows = []
     mismatches = []
-    for label in BENCH_ORDER:
+    for label in EXPECTED_COSTS:
         strategy = parse_strategy(label)
         counts, times = None, []
         for _ in range(args.trials):
@@ -507,9 +486,6 @@ def main(argv=None) -> int:
         print(f"error: scenario: {exc}", file=sys.stderr)
         return EXIT_DATA
     except IdakError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

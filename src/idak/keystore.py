@@ -8,13 +8,14 @@ produce byte-identical files.
 
 from idak.bilinear import (
     GroupParams,
-    coord_size,
     decode_group_params,
-    decode_point,
     encode_group_params,
     encode_point,
     hash_to_group,
     in_subgroup,
+    sized,
+    take_point,
+    take_sized,
 )
 from idak.errors import KeystoreError, MalformedElementError
 from idak.protocol import FlowMessage, IdentityKey, SessionKey
@@ -91,7 +92,7 @@ def load_master(path, group) -> int:
 
 def save_identity(path, group, key):
     body = (
-        _sized(key.identity)
+        _framed(key.identity)
         + encode_point(group, key.g_id)
         + encode_point(group, key.d_id)
     )
@@ -101,10 +102,10 @@ def save_identity(path, group, key):
 def load_identity(path, group) -> IdentityKey:
     _, payload = read_entry(path, "identity")
     try:
-        ident, offset = _take_sized(payload, 0)
-        g_id, offset = _take_point(group, payload, offset)
-        d_id, offset = _take_point(group, payload, offset)
-    except (MalformedElementError, IndexError) as exc:
+        ident, offset = take_sized(payload, 0)
+        g_id, offset = take_point(group, payload, offset)
+        d_id, offset = take_point(group, payload, offset)
+    except MalformedElementError as exc:
         raise KeystoreError(f"bad identity payload: {exc}") from exc
     if offset != len(payload):
         raise KeystoreError("identity payload has trailing bytes")
@@ -135,7 +136,7 @@ def save_state(path, group, peer_id, x, msg):
     if not 1 <= x < group.q:
         raise KeystoreError("ephemeral out of range")
     body = (
-        _sized(peer_id)
+        _framed(peer_id)
         + x.to_bytes(_scalar_size(group), "big")
         + encode_point(group, msg.r)
     )
@@ -145,11 +146,11 @@ def save_state(path, group, peer_id, x, msg):
 def load_state(path, group):
     _, payload = read_entry(path, "state")
     try:
-        peer_id, offset = _take_sized(payload, 0)
+        peer_id, offset = take_sized(payload, 0)
         size = _scalar_size(group)
         x = int.from_bytes(payload[offset : offset + size], "big")
-        r, end = _take_point(group, payload, offset + size)
-    except (MalformedElementError, IndexError) as exc:
+        r, end = take_point(group, payload, offset + size)
+    except MalformedElementError as exc:
         raise KeystoreError(f"bad state payload: {exc}") from exc
     if end != len(payload) or not peer_id or not 1 <= x < group.q:
         raise KeystoreError("state payload is inconsistent")
@@ -165,26 +166,9 @@ def _scalar_size(group):
     return (group.q.bit_length() + 7) // 8
 
 
-def _sized(blob):
-    if len(blob) > 0xFFFF:
-        raise KeystoreError("field too long to frame")
-    return len(blob).to_bytes(2, "big") + blob
-
-
-def _take_sized(data, offset):
-    if offset + 2 > len(data):
-        raise KeystoreError("truncated length prefix")
-    size = int.from_bytes(data[offset : offset + 2], "big")
-    end = offset + 2 + size
-    if end > len(data):
-        raise KeystoreError("truncated field")
-    return data[offset + 2 : end], end
-
-
-def _take_point(group, data, offset):
-    if data[offset : offset + 1] == b"\x00":
-        return decode_point(group, b"\x00"), offset + 1
-    size = 1 + 2 * coord_size(group)
-    if offset + size > len(data):
-        raise KeystoreError("truncated point")
-    return decode_point(group, data[offset : offset + size]), offset + size
+def _framed(blob):
+    """sized(blob), raising this module's KeystoreError for an oversized field."""
+    try:
+        return sized(blob)
+    except MalformedElementError as exc:
+        raise KeystoreError(str(exc)) from exc

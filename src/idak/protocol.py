@@ -34,17 +34,20 @@ from .bilinear import (
     GTElem,
     GroupParams,
     _as_identity_bytes,
-    decode_point,
     encode_gt,
     encode_point,
     gt_exp,
     hash_to_group,
     in_subgroup,
+    instance_generate,
     is_on_curve,
     pairing,
     point_add,
     random_scalar,
     scalar_exp,
+    sized,
+    take_point,
+    take_sized,
 )
 from .errors import (
     DegenerateExponentError,
@@ -81,7 +84,6 @@ class SystemParams:
     group: GroupParams
     g: GElem
     pi_variant: PiVariant
-    kdf_tag: bytes
 
 
 @dataclass(frozen=True)
@@ -159,11 +161,8 @@ def setup(
     k_bits: int,
     seed=None,
     pi_variant: PiVariant = PiVariant.HASH_HALF,
-    kdf_tag: bytes = DEFAULT_KDF_TAG,
 ) -> tuple[SystemParams, MasterSecret]:
     """Generate public parameters and the authority's master secret."""
-    from .bilinear import instance_generate
-
     group = instance_generate(k_bits, seed)
     g = hash_to_group(group, GENERATOR_ID)
     if seed is None:
@@ -172,7 +171,7 @@ def setup(
         seed_bytes = seed if isinstance(seed, bytes) else str(seed).encode("utf-8")
         alpha_rng = random.Random(b"idak-master:" + seed_bytes)
     alpha = random_scalar(group, alpha_rng)
-    params = SystemParams(group=group, g=g, pi_variant=pi_variant, kdf_tag=kdf_tag)
+    params = SystemParams(group=group, g=g, pi_variant=pi_variant)
     return params, MasterSecret(alpha=alpha)
 
 
@@ -329,7 +328,7 @@ def session_key(
 ) -> SessionKey:
     """Bind the GT secret to identities and transcript, KDF to 32 bytes."""
     material = (
-        params.kdf_tag
+        DEFAULT_KDF_TAG
         + encode_gt(params.group, sk.value)
         + _as_identity_bytes(id_a)
         + _as_identity_bytes(id_b)
@@ -437,8 +436,7 @@ def encode_flow(
     ident = _as_identity_bytes(sender_id)
     if len(ident) > 0xFFFF:
         raise InvalidFlowError("identity too long for the wire format")
-    out = bytes([FLOW_VERSION, ROLE_BYTES[role]])
-    out += len(ident).to_bytes(2, "big") + ident
+    out = bytes([FLOW_VERSION, ROLE_BYTES[role]]) + sized(ident)
     out += encode_point(params.group, msg.r)
     if extra is None:
         out += b"\x00"
@@ -453,18 +451,15 @@ def decode_flow(params: SystemParams, data: bytes):
         if data[0] != FLOW_VERSION:
             raise InvalidFlowError(f"unsupported flow version {data[0]}")
         role = {v: k for k, v in ROLE_BYTES.items()}[data[1]]
-        id_len = int.from_bytes(data[2:4], "big")
-        offset = 4
-        ident = data[offset : offset + id_len]
-        if len(ident) != id_len or not ident:
-            raise InvalidFlowError("truncated identity")
-        offset += id_len
-        point, offset = _take_point(params.group, data, offset)
+        ident, offset = take_sized(data, 2)
+        if not ident:
+            raise InvalidFlowError("empty identity")
+        point, offset = take_point(params.group, data, offset)
         presence = data[offset]
         offset += 1
         extra = None
         if presence == 0x01:
-            extra, offset = _take_point(params.group, data, offset)
+            extra, offset = take_point(params.group, data, offset)
         elif presence != 0x00:
             raise InvalidFlowError("bad presence byte")
         if offset != len(data):
@@ -472,11 +467,3 @@ def decode_flow(params: SystemParams, data: bytes):
         return role, ident, FlowMessage(r=point), extra
     except (IndexError, KeyError, MalformedElementError) as exc:
         raise InvalidFlowError(f"malformed flow: {exc}") from exc
-
-
-def _take_point(group: GroupParams, data: bytes, offset: int):
-    if data[offset] == 0x00:
-        return decode_point(group, b"\x00"), offset + 1
-    width = 1 + 2 * ((group.p.bit_length() + 7) // 8)
-    point = decode_point(group, data[offset : offset + width])
-    return point, offset + width

@@ -205,24 +205,24 @@ def amplify(params, oracle, inst, rounds, rng):
 
 def solve_dlog(params, base, target):
     """Baby-step giant-step discrete log in the order-q subgroup."""
-    table = _baby_table(params, base)
-    return _dlog_from_table(params, base, table, target)
+    return _dlog_from_table(params, _baby_table(params, base), target)
 
 
 def _baby_table(params, base):
+    """The baby steps [j]base for j < m, and the giant stride [-m]base."""
     m = math.isqrt(params.q - 1) + 1
     table = {}
     step = INFINITY
     for j in range(m):
         table.setdefault(step, j)
         step = _affine_add(params.p, step, base)
-    return table
+    return table, scalar_exp(params, base, -m)
 
 
-def _dlog_from_table(params, base, table, target):
+def _dlog_from_table(params, baby, target):
     _require_on_curve(params, target)
+    table, stride = baby
     m = math.isqrt(params.q - 1) + 1
-    stride = scalar_exp(params, base, -m)
     gamma = target
     for i in range(m + 1):
         j = table.get(gamma)
@@ -255,6 +255,6 @@ class MockCbdhOracle:
         self.queries += 1
         params = self.params
         if self.rng.random() < self.delta:
-            z = _dlog_from_table(params, self.g, self._table, inst.z_point)
+            z = _dlog_from_table(params, self._table, inst.z_point)
             return gt_exp(pairing(params, inst.x_point, inst.y_point), z)
         return gt_exp(self._base_gt, self.rng.randrange(params.q))

@@ -25,7 +25,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .bilinear import decode_point, encode_point, gt_exp, pairing, random_scalar
+from .bilinear import decode_point, encode_point, gt_exp, pairing
 from .errors import (
     InvalidFlowError,
     MalformedElementError,
@@ -96,6 +96,8 @@ class World:
         self.principals: dict[str, IdentityKey] = {}
         self.oracles: list[SessionOracle] = []
         self._last_index: dict[tuple[str, str], int] = {}
+        # completed oracles by binding; matching oracles share one entry
+        self._by_binding: dict[tuple, list[SessionOracle]] = {}
         self.corrupted_at: dict[str, int] = {}
         self.extracted: set[str] = set()
         self.clock = 0
@@ -140,19 +142,24 @@ class World:
             oracle.transcript.append(("out", oracle.own_msg))
             return oracle.own_msg
 
-        msg_in = self._coerce_flow(oracle, flow)
-        if not oracle.transcript:
-            oracle.role = "responder"
-            oracle.ephemeral, oracle.own_msg = initiate(self.params, own_key, self.rng)
-            shared = self._derive_or_abort(oracle, own_key, msg_in)
-            oracle.transcript.append(("in", msg_in))
+        try:
+            msg_in = self._coerce_flow(flow)
+            if not oracle.transcript:
+                oracle.role = "responder"
+                oracle.ephemeral, oracle.own_msg = initiate(self.params, own_key, self.rng)
+            shared, _ = derive(
+                self.params, own_key, oracle.ephemeral, oracle.own_msg,
+                oracle.peer, msg_in, oracle.role,
+            )
+        except InvalidFlowError:
+            oracle.aborted = True
+            raise
+        oracle.transcript.append(("in", msg_in))
+        if oracle.role == "responder":
             oracle.transcript.append(("out", oracle.own_msg))
             self._complete(oracle, shared, init_msg=msg_in, resp_msg=oracle.own_msg)
             return oracle.own_msg
-
         # an initiator with its flow out is the only remaining live state
-        shared = self._derive_or_abort(oracle, own_key, msg_in)
-        oracle.transcript.append(("in", msg_in))
         self._complete(oracle, shared, init_msg=oracle.own_msg, resp_msg=msg_in)
         return None
 
@@ -180,14 +187,14 @@ class World:
         return extract(self.params, self.msk, identity).d_id
 
     def matching(self, first: SessionOracle, second: SessionOracle) -> bool:
-        """Complementary roles, swapped endpoints, equal ordered transcripts."""
-        if not (first.completed and second.completed):
-            return False
-        if first.role == second.role:
-            return False
-        if first.owner != second.peer or first.peer != second.owner:
-            return False
-        return self._canonical(first) == self._canonical(second)
+        """Both completed, complementary roles, and equal bindings: the same
+        endpoints in the same roles and the same ordered transcript."""
+        return (
+            first.completed
+            and second.completed
+            and first.role != second.role
+            and first.binding == second.binding
+        )
 
     def fresh(self, oracle: SessionOracle) -> bool:
         """Whether a test query on this oracle would be meaningful."""
@@ -202,8 +209,8 @@ class World:
                     return False
         if oracle.revealed:
             return False
-        for other in self.oracles:
-            if other is not oracle and other.revealed and self.matching(oracle, other):
+        for other in self._by_binding[oracle.binding]:
+            if other.revealed and self.matching(oracle, other):
                 return False
         return True
 
@@ -227,36 +234,15 @@ class World:
 
     # -- internals ----------------------------------------------------------
 
-    def _coerce_flow(self, oracle: SessionOracle, flow) -> FlowMessage:
+    def _coerce_flow(self, flow) -> FlowMessage:
+        """Decode and check a received flow before the responder draws y."""
         if isinstance(flow, (bytes, bytearray)):
             try:
                 flow = FlowMessage(r=decode_point(self.params.group, bytes(flow)))
             except MalformedElementError as exc:
-                oracle.aborted = True
                 raise InvalidFlowError(f"malformed flow point: {exc}") from exc
-        try:
-            validate_flow_point(self.params, flow.r)
-        except InvalidFlowError:
-            oracle.aborted = True
-            raise
+        validate_flow_point(self.params, flow.r)
         return flow
-
-    def _derive_or_abort(self, oracle, own_key, msg_in) -> SharedSecret:
-        role = oracle.role
-        try:
-            shared, _ = derive(
-                self.params,
-                own_key,
-                oracle.ephemeral,
-                oracle.own_msg,
-                oracle.peer,
-                msg_in,
-                role,
-            )
-            return shared
-        except InvalidFlowError:
-            oracle.aborted = True
-            raise
 
     def _complete(self, oracle, shared, init_msg, resp_msg):
         if oracle.role == "initiator":
@@ -269,15 +255,7 @@ class World:
         )
         oracle.completed = True
         oracle.completed_at = self.clock
-
-    def _canonical(self, oracle: SessionOracle):
-        flows = []
-        for direction, msg in oracle.transcript:
-            initiator_sent = (direction == "out") == (oracle.role == "initiator")
-            flows.append((initiator_sent, encode_point(self.params.group, msg.r)))
-        # order as (initiator flow, responder flow)
-        flows.sort(key=lambda item: not item[0])
-        return tuple(flows)
+        self._by_binding.setdefault(oracle.binding, []).append(oracle)
 
 
 def make_world(

@@ -32,6 +32,9 @@ from idak.bilinear import (
     point_negate,
     random_scalar,
     scalar_exp,
+    sized,
+    take_point,
+    take_sized,
 )
 from idak.errors import (
     HashToGroupError,
@@ -365,6 +368,26 @@ def test_point_encoding_rejects_garbage():
     # valid length, off curve
     with pytest.raises(MalformedElementError):
         decode_point(GP, b"\x04\x01\x01")
+
+
+def test_framed_field_and_point_readers():
+    point = scalar_exp(GP, GEN, 3)
+    data = b"\xff" + sized(b"abc") + sized(b"") + encode_point(GP, point) + b"\x00"
+    field, offset = take_sized(data, 1)
+    assert (field, offset) == (b"abc", 6)
+    assert take_sized(data, offset) == (b"", 8)
+    end = 8 + len(encode_point(GP, point))
+    assert take_point(GP, data, 8) == (point, end)
+    assert take_point(GP, data, end) == (INFINITY, end + 1)
+    assert len(sized(bytes(0xFFFF))) == 0x10001
+    with pytest.raises(MalformedElementError):
+        sized(bytes(0x10000))
+    for cut in (b"", b"\x00", b"\x00\x04abc"):
+        with pytest.raises(MalformedElementError):
+            take_sized(cut, 0)
+    for cut in (b"", b"\x04", encode_point(GP, point)[:-1]):
+        with pytest.raises(MalformedElementError):
+            take_point(GP, cut, 0)
 
 
 def test_gt_encoding_round_trip():

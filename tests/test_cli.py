@@ -7,6 +7,7 @@ import pytest
 
 from idak import keystore
 from idak.bilinear import (
+    INFINITY,
     GElem,
     GroupParams,
     encode_group_params,
@@ -227,30 +228,85 @@ def test_malformed_flow_is_invalid(keyring, tmp_path, capsys):
     assert "invalid-flow" in capsys.readouterr().err
 
 
-def test_rogue_point_is_rejected(keyring, tmp_path, capsys):
-    group = keystore.load_group(keyring["params"])
-    rogue = None
+def _bad_points(group):
+    """A curve point outside the order-q subgroup, and the identity."""
     for x in range(group.p):
         t = (x * x * x + x) % group.p
         if t and pow(t, (group.p - 1) // 2, group.p) == 1:
             point = GElem(x, pow(t, (group.p + 1) // 4, group.p))
             if not scalar_exp(group, point, group.q).is_identity():
-                rogue = point
-                break
+                return {"rogue": point, "identity": INFINITY}
+    raise AssertionError("no rogue point")
+
+
+def _hostile_flow(keyring, tmp_path, role, sender, r=None, extra=None):
+    """A wire flow with the given points, honest ones where none is given."""
     from idak.cli import _system_params  # reuse the exact CLI construction
 
     class Args:
         params = keyring["params"]
         pi = "hash-half"
 
-    wire = encode_flow(_system_params(Args), "initiator", b"mallory",
-                       FlowMessage(r=rogue))
-    bad = tmp_path / "rogue.flow"
-    bad.write_bytes(wire)
-    assert main(["respond", "--params", keyring["params"], "--key", keyring["bob"],
-                 "--flow-in", str(bad), "--flow-out", str(tmp_path / "b.flow"),
-                 "--key-out", str(tmp_path / "b.session"), "--quiet"]) == 1
-    assert "rejected-point" in capsys.readouterr().err
+    params = _system_params(Args)
+    if r is None:
+        r = hash_to_group(params.group, "honest")
+    wire = encode_flow(params, role, sender, FlowMessage(r=r), extra)
+    path = tmp_path / "hostile.flow"
+    path.write_bytes(wire)
+    return str(path)
+
+
+def _respond(keyring, tmp_path, flow, *flags):
+    return main(["respond", "--params", keyring["params"], "--key", keyring["bob"],
+                 "--flow-in", flow, "--flow-out", str(tmp_path / "b.flow"),
+                 "--key-out", str(tmp_path / "b.session"), "--quiet", *flags])
+
+
+def _finalize(keyring, tmp_path, flow, *flags):
+    state = str(tmp_path / "a.state")
+    assert main(["initiate", "--params", keyring["params"], "--key", keyring["alice"],
+                 "--peer", "bob", "--flow-out", str(tmp_path / "a.flow"),
+                 "--state-out", state, "--seed", "h", "--quiet"]) == 0
+    return main(["finalize", "--params", keyring["params"], "--key", keyring["alice"],
+                 "--state", state, "--flow-in", flow,
+                 "--key-out", str(tmp_path / "a.session"), "--quiet", *flags])
+
+
+@pytest.mark.parametrize("kind", ["rogue", "identity"])
+@pytest.mark.parametrize("command, pfs, field", [
+    ("respond", False, "r"),
+    ("finalize", False, "r"),
+    ("finalize", True, "r"),
+    ("finalize", True, "extra"),
+], ids=["respond-r", "finalize-r", "finalize-pfs-r", "finalize-pfs-extra"])
+def test_rogue_point_is_rejected(keyring, tmp_path, capsys, command, pfs, field, kind):
+    group = keystore.load_group(keyring["params"])
+    bad = _bad_points(group)[kind]
+    if command == "respond":
+        flow = _hostile_flow(keyring, tmp_path, "initiator", b"alice", r=bad)
+        code = _respond(keyring, tmp_path, flow)
+    else:
+        honest_extra = hash_to_group(group, "extra") if pfs else None
+        points = {"r": bad, "extra": honest_extra} if field == "r" else {"extra": bad}
+        flow = _hostile_flow(keyring, tmp_path, "responder", b"bob", **points)
+        code = _finalize(keyring, tmp_path, flow, *(["--pfs"] if pfs else []))
+    assert code == 1
+    assert "error: rejected-point: " in capsys.readouterr().err
+    assert not (tmp_path / "b.session").exists()
+    assert not (tmp_path / "a.session").exists()
+
+
+def test_framing_faults_are_reported_before_point_checks(keyring, tmp_path, capsys):
+    # decoding and role checks run before any subgroup check of a point
+    bad = _bad_points(keystore.load_group(keyring["params"]))["rogue"]
+    flow = _hostile_flow(keyring, tmp_path, "initiator", b"alice", extra=bad)
+    assert _respond(keyring, tmp_path, flow) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid-flow: initiator flows carry no extra point\n"
+    )
+    flow = _hostile_flow(keyring, tmp_path, "initiator", b"bob", r=bad)
+    assert _finalize(keyring, tmp_path, flow) == 1
+    assert capsys.readouterr().err == "error: invalid-flow: expected a responder flow\n"
 
 
 def test_swapped_role_flows_are_rejected(keyring, tmp_path, capsys):

@@ -3,11 +3,26 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idak import keystore
-from idak.bilinear import instance_generate
-from idak.errors import KeystoreError
-from idak.protocol import FlowMessage, SessionKey, extract, initiate, setup
+from idak.bilinear import (
+    decode_group_params,
+    encode_group_params,
+    hash_to_group,
+    instance_generate,
+)
+from idak.errors import InvalidFlowError, KeystoreError, MalformedElementError
+from idak.protocol import (
+    FlowMessage,
+    SessionKey,
+    decode_flow,
+    encode_flow,
+    extract,
+    initiate,
+    setup,
+)
 
 PARAMS, MSK = setup(8, "keystore")
 GROUP = PARAMS.group
@@ -164,3 +179,99 @@ def test_fuzzed_round_trips(tmp_path):
         key = extract(PARAMS, MSK, f"principal-{rng.randrange(1 << 30)}")
         keystore.save_identity(path, GROUP, key)
         assert keystore.load_identity(path, GROUP) == key
+
+
+# ---------------------------------------------------------------------------
+# hostile payloads: every reader of framed fields and points
+# ---------------------------------------------------------------------------
+
+
+FORMAT_NAMES = ["flow", "flow-extra", "identity", "state", "params"]
+
+
+@pytest.fixture(scope="module")
+def formats(tmp_path_factory):
+    """name -> (valid blob, decode, encode, the only error decode may raise)."""
+    path = tmp_path_factory.mktemp("hostile") / "entry.key"
+
+    def loaded(kind, load):
+        def decode(blob):
+            keystore.write_entry(path, kind, blob)
+            return load(path, GROUP)
+
+        return decode
+
+    def saved(kind, save):
+        def encode(*value):
+            save(path, GROUP, *value)
+            return keystore.read_entry(path, kind)[1]
+
+        return encode
+
+    alice = extract(PARAMS, MSK, "alice")
+    _, msg = initiate(PARAMS, alice, random.Random(3))
+    extra = hash_to_group(GROUP, "bob")
+    save_identity = saved("identity", keystore.save_identity)
+    save_state = saved("state", keystore.save_state)
+    flow = (
+        lambda blob: decode_flow(PARAMS, blob),
+        lambda value: encode_flow(PARAMS, *value),
+        InvalidFlowError,
+    )
+    return {
+        "flow": (encode_flow(PARAMS, "initiator", b"alice", msg), *flow),
+        "flow-extra": (encode_flow(PARAMS, "responder", b"alice", msg, extra), *flow),
+        "identity": (
+            save_identity(alice),
+            loaded("identity", keystore.load_identity),
+            save_identity,
+            KeystoreError,
+        ),
+        "state": (
+            save_state(b"bob", 5, msg),
+            loaded("state", keystore.load_state),
+            lambda value: save_state(*value),
+            KeystoreError,
+        ),
+        "params": (
+            encode_group_params(GROUP),
+            decode_group_params,
+            encode_group_params,
+            MalformedElementError,
+        ),
+    }
+
+
+def _decodes_canonically_or_fails_typed(fmt, data):
+    _, decode, encode, error = fmt
+    try:
+        value = decode(data)
+    except error:
+        return
+    assert encode(value) == data
+
+
+@pytest.mark.parametrize("name", FORMAT_NAMES)
+def test_every_prefix_and_byte_change_decodes_or_fails_typed(formats, name):
+    blob = formats[name][0]
+    variants = [blob[:cut] for cut in range(len(blob))]
+    variants += [
+        blob[:i] + bytes([value]) + blob[i + 1 :]
+        for i in range(len(blob))
+        for value in range(256)
+        if value != blob[i]
+    ]
+    for data in variants:
+        _decodes_canonically_or_fails_typed(formats[name], data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(FORMAT_NAMES),
+    cut=st.tuples(st.integers(0, 64), st.integers(0, 64)),
+    junk=st.binary(max_size=24),
+)
+def test_spliced_payloads_decode_or_fail_typed(formats, name, cut, junk):
+    blob = formats[name][0]
+    start, end = sorted(cut)
+    _decodes_canonically_or_fails_typed(formats[name], blob[:start] + junk + blob[end:])

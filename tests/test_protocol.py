@@ -450,6 +450,9 @@ def test_flow_wire_rejects_garbage():
         decode_flow(PARAMS, blob[:-1])
     with pytest.raises(InvalidFlowError):
         decode_flow(PARAMS, blob + b"\x00")
+    # a well-framed flow that names nobody
+    with pytest.raises(InvalidFlowError, match="empty identity"):
+        decode_flow(PARAMS, blob[:2] + b"\x00\x00" + blob[4 + len(b"alice") :])
 
 
 def test_parse_strategy():

@@ -5,6 +5,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idak
 from idak.bilinear import GElem, encode_point, scalar_exp
@@ -20,6 +22,7 @@ from idak.errors import (
 from idak.sessions import World, make_world, run_scenario
 
 SCENARIO_DIR = Path(idak.__file__).parent / "scenarios"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def make_basic_world(seed="w", mode="br", k_bits=16):
@@ -331,9 +334,106 @@ def test_world_rejects_unknown_mode():
         make_world(seed="x", mode="strong")
 
 
+# reference partnering: BR matching as a comparison of ordered transcripts,
+# the test oracle for World's matching and fresh by binding
+
+
+def reference_canonical(world, oracle):
+    flows = []
+    for direction, msg in oracle.transcript:
+        initiator_sent = (direction == "out") == (oracle.role == "initiator")
+        flows.append((initiator_sent, encode_point(world.params.group, msg.r)))
+    # order as (initiator flow, responder flow)
+    flows.sort(key=lambda item: not item[0])
+    return tuple(flows)
+
+
+def reference_matching(world, first, second):
+    if not (first.completed and second.completed):
+        return False
+    if first.role == second.role:
+        return False
+    if first.owner != second.peer or first.peer != second.owner:
+        return False
+    return reference_canonical(world, first) == reference_canonical(world, second)
+
+
+def reference_fresh(world, oracle):
+    for identity in (oracle.owner, oracle.peer):
+        if identity in world.extracted:
+            return False
+        when = world.corrupted_at.get(identity)
+        if when is not None and (world.mode == "br" or when < oracle.completed_at):
+            return False
+    if oracle.revealed:
+        return False
+    return not any(
+        other is not oracle and other.revealed and reference_matching(world, oracle, other)
+        for other in world.oracles
+    )
+
+
+PEOPLE = ("alice", "bob", "carol")
+STEPS = st.one_of(
+    st.tuples(st.just("relay"), st.sampled_from(PEOPLE), st.sampled_from(PEOPLE)),
+    st.tuples(st.just("open"), st.sampled_from(PEOPLE), st.sampled_from(PEOPLE)),
+    # answer an open initiator from any responder, then maybe deliver
+    st.tuples(st.just("answer"), st.integers(0, 7), st.sampled_from(PEOPLE),
+              st.sampled_from(PEOPLE), st.booleans()),
+    st.tuples(st.just("reveal"), st.integers(0, 31)),
+    st.tuples(st.just("corrupt"), st.sampled_from(PEOPLE)),
+    st.tuples(st.just("extract"), st.sampled_from(PEOPLE)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(["br", "wpfsbr"]), steps=st.lists(STEPS, max_size=14))
+def test_binding_partners_match_the_transcript_reference(mode, steps):
+    world = make_world(k_bits=16, seed="partners", mode=mode, principals=PEOPLE)
+    opened = []
+    for step in steps:
+        try:
+            if step[0] == "relay":
+                honest_pair(world, step[1], step[2])
+            elif step[0] == "open":
+                oracle = world.new_oracle(step[1], step[2])
+                opened.append((oracle, world.send(oracle, None)))
+            elif step[0] == "answer" and opened:
+                initiator, flow = opened[step[1] % len(opened)]
+                responder = world.new_oracle(step[2], step[3])
+                reply = world.send(responder, flow)
+                if step[4] and not (initiator.completed or initiator.aborted):
+                    world.send(initiator, reply)
+            elif step[0] == "reveal" and world.oracles:
+                oracle = world.oracles[step[1] % len(world.oracles)]
+                if oracle.completed:
+                    world.reveal(oracle)
+            elif step[0] == "corrupt":
+                world.corrupt(step[1])
+            elif step[0] == "extract":
+                world.extract_query(step[1])
+        except InvalidFlowError:
+            pass  # a vanishing exponent aborts one oracle, as documented
+        for oracle in world.oracles:
+            if oracle.completed:
+                assert world.fresh(oracle) == reference_fresh(world, oracle)
+    for first in world.oracles:
+        for second in world.oracles:
+            assert world.matching(first, second) == reference_matching(world, first, second)
+
+
 # ---------------------------------------------------------------------------
 # scenario runner
 # ---------------------------------------------------------------------------
+
+
+def test_readme_scenario_example_passes():
+    text = README.read_text()
+    block = text[text.index('```\n{"config"') + 4 :]
+    lines = block[: block.index("```")].splitlines()
+    assert any(line.startswith('{"assert"') for line in lines)
+    report = run_scenario(lines)
+    assert report["ok"], report["failures"]
 
 
 @pytest.mark.parametrize(
