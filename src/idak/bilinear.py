@@ -25,7 +25,10 @@ therefore skip vertical lines (denominator elimination) and scale each
 line by an F_p^* factor, which lets it keep T in Jacobian coordinates and
 invert nothing; each step uses one slope for both its line and its point
 update.  Scalar multiplication also runs in Jacobian coordinates, with a
-single inversion at the end.
+single inversion at the end.  Points used again and again (a party's
+own hashed identity and identity key, a peer's hashed identity) are
+multiplied by a fixed-base comb whose table is built on first use and
+kept in a bounded cache; hashed identities are cached the same way.
 
 Parameter sizes here are deliberately small.  Nothing in this module is
 safe for production use.
@@ -33,6 +36,7 @@ safe for production use.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -52,6 +56,13 @@ COFACTOR_CANDIDATE_BOUND = 1 << 20
 HASH_COUNTER_BOUND = 1 << 16
 
 MILLER_RABIN_ROUNDS = 40
+
+# Below this bound, Miller-Rabin to every base in _SMALL_PRIMES decides
+# primality exactly (Sorenson-Webster 2015: the 13 primes 2..41).
+MILLER_RABIN_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
+
+# Teeth of the fixed-base comb: Lim-Lee, HMV Guide to ECC, Algorithm 3.44.
+COMB_TEETH = 4
 
 
 @dataclass(frozen=True)
@@ -95,11 +106,12 @@ class GTElem:
 # primality and parameter generation
 # ---------------------------------------------------------------------------
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
-    """Miller-Rabin with `rounds` bases drawn deterministically from n."""
+    """Miller-Rabin: exact below MILLER_RABIN_EXACT_BOUND, else `rounds`
+    bases drawn deterministically from n."""
     if n < 2:
         return False
     for sp in _SMALL_PRIMES:
@@ -110,10 +122,13 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    # Bases keyed to the candidate keep repeated checks reproducible.
-    base_rng = random.Random(n)
-    for _ in range(rounds):
-        a = base_rng.randrange(2, n - 1)
+    if n < MILLER_RABIN_EXACT_BOUND:
+        bases = _SMALL_PRIMES
+    else:
+        # Bases keyed to the candidate keep repeated checks reproducible.
+        base_rng = random.Random(n)
+        bases = (base_rng.randrange(2, n - 1) for _ in range(rounds))
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -279,6 +294,57 @@ def in_subgroup(params: GroupParams, point: GElem) -> bool:
     return scalar_exp(params, point, params.q).is_identity()
 
 
+@functools.lru_cache(maxsize=128)
+def _comb_table(params: GroupParams, point: GElem):
+    """The comb's 2^COMB_TEETH entries for a finite point.
+
+    Entry i is the sum of [2^(j*d)]point over the bits j set in i, with
+    d = ceil(|q| / COMB_TEETH), as an (x, y) pair or None for the identity.
+    Built on first use, so an off-curve point raises and is never cached.
+    """
+    _require_on_curve(params, point)
+    p = params.p
+    d = -(-params.q.bit_length() // COMB_TEETH)
+    teeth = [point]
+    X, Y, Z = point.x, point.y, 1
+    for _ in range(COMB_TEETH - 1):
+        for _ in range(d):
+            X, Y, Z = _jac_double(p, X, Y, Z)
+        teeth.append(_jac_to_affine(p, X, Y, Z))
+    entries = [INFINITY]
+    for i in range(1, 1 << COMB_TEETH):
+        low = (i & -i).bit_length() - 1
+        entries.append(_affine_add(p, entries[i & (i - 1)], teeth[low]))
+    return d, tuple(None if e.is_identity() else (e.x, e.y) for e in entries)
+
+
+def fixed_base_exp(params: GroupParams, point: GElem, n: int) -> GElem:
+    """scalar_exp for a long-lived point, by a cached Lim-Lee comb.
+
+    The exponent's bits form COMB_TEETH rows of d bits; each of the d
+    columns costs one doubling and one mixed addition of a table entry.
+    The point's table is built on its first use, at about the cost of one
+    scalar_exp, and kept in a bounded cache.  Exponents outside
+    [0, 2^|q|) and the identity go to scalar_exp, so the result is the
+    same for every input.
+    """
+    n = int(n)
+    if point.is_identity() or not 0 <= n < 1 << params.q.bit_length():
+        return scalar_exp(params, point, n)
+    d, table = _comb_table(params, point)
+    p = params.p
+    rows = [format((n >> (j * d)) & ((1 << d) - 1), f"0{d}b") for j in range(COMB_TEETH)]
+    X, Y, Z = 0, 1, 0
+    # each column holds one bit of every row, the highest tooth first
+    for column in zip(*reversed(rows)):
+        if Z:
+            X, Y, Z = _jac_double(p, X, Y, Z)
+        entry = table[int("".join(column), 2)]
+        if entry is not None:
+            X, Y, Z = _jac_add_affine(p, X, Y, Z, *entry)
+    return _jac_to_affine(p, X, Y, Z)
+
+
 # ---------------------------------------------------------------------------
 # F_{p^2} helpers on bare (a, b) pairs, a + b*i with i^2 = -1
 # ---------------------------------------------------------------------------
@@ -383,7 +449,9 @@ def pairing(params: GroupParams, left: GElem, right: GElem) -> GTElem:
     """Modified Tate pairing e(P, Q) = f_{q,P}(phi(Q)) ^ ((p^2-1)/q).
 
     Symmetric and bilinear on the order-q subgroup, with e(P, P) != 1 for
-    P != identity.  By convention any identity argument gives 1.
+    P != identity.  By convention any identity argument gives 1.  It checks
+    neither argument's subgroup; checked_pairing also reports whether the
+    left argument is in the subgroup, at no extra cost.
 
     The Miller loop runs over the bits of q with T in Jacobian
     coordinates, so it inverts nothing: each step derives one slope, as a
@@ -398,11 +466,26 @@ def pairing(params: GroupParams, left: GElem, right: GElem) -> GTElem:
     exact.  A power by the small cofactor h remains.  If Q = (0, 0) a line
     can vanish at phi(Q); f is then 0, and so is the result.
     """
+    return checked_pairing(params, left, right)[0]
+
+
+def checked_pairing(params: GroupParams, left: GElem, right: GElem):
+    """(pairing(left, right), whether left lies in the order-q subgroup).
+
+    The Miller loop's T starts at left and, after the bits of q, ends at
+    [q]left, so the loop itself is the subgroup check of its left
+    argument: left is in the subgroup exactly when T ends at the identity.
+    A protocol pairing a received point therefore passes it on the left.
+    Only an identity right argument, which skips the loop, costs a
+    separate check.
+    """
     _require_on_curve(params, left)
     _require_on_curve(params, right)
     p, q = params.p, params.q
-    if left.is_identity() or right.is_identity():
-        return GTElem(1, 0, p)
+    if left.is_identity():
+        return GTElem(1, 0, p), True
+    if right.is_identity():
+        return GTElem(1, 0, p), in_subgroup(params, left)
     px, py = left.x, left.y
     xq, yq = right.x, right.y
     fa, fb = 1, 0
@@ -420,13 +503,14 @@ def pairing(params: GroupParams, left: GElem, right: GElem) -> GTElem:
                 X, Y, Z = px, py, 1
             else:
                 fa, fb, X, Y, Z = _miller_add(p, fa, fb, X, Y, Z, px, py, xq, yq)
+    # T = [q]left now
     if fa == 0 and fb == 0:
-        return GTElem(0, 0, p)
+        return GTElem(0, 0, p), Z == 0
     # f^(p-1) = conj(f)^2 / N(f), then the power by h
     n_inv = pow(fa * fa + fb * fb, -1, p)
     ua, ub = (fa - fb) * (fa + fb) * n_inv % p, -2 * fa * fb * n_inv % p
     fa, fb = _fp2_pow(p, ua, ub, params.h)
-    return GTElem(fa, fb, p)
+    return GTElem(fa, fb, p), Z == 0
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +562,15 @@ def hash_to_group(params: GroupParams, identity) -> GElem:
 
     Try-and-increment: x = SHA-256(tag || id || counter) mod p until
     x^3 + x is a square, take y = (x^3+x)^((p+1)/4), then clear the
-    cofactor.  Results landing on the identity are skipped.
+    cofactor.  Results landing on the identity are skipped.  Results are
+    cached per (params, identity bytes), so a str identity and its UTF-8
+    bytes share an entry.
     """
-    ident = _as_identity_bytes(identity)
+    return _hash_to_group(params, _as_identity_bytes(identity))
+
+
+@functools.lru_cache(maxsize=1024)
+def _hash_to_group(params: GroupParams, ident: bytes) -> GElem:
     p, h = params.p, params.h
     qr_exp = (p - 1) // 2
     sqrt_exp = (p + 1) // 4

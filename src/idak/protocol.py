@@ -23,6 +23,7 @@ and hashes an ephemeral Diffie-Hellman value into the session key.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import random
 from dataclasses import dataclass
@@ -34,8 +35,10 @@ from .bilinear import (
     GTElem,
     GroupParams,
     _as_identity_bytes,
+    checked_pairing,
     encode_gt,
     encode_point,
+    fixed_base_exp,
     gt_exp,
     hash_to_group,
     in_subgroup,
@@ -51,6 +54,7 @@ from .bilinear import (
 )
 from .errors import (
     DegenerateExponentError,
+    IdakError,
     InvalidEphemeralError,
     InvalidFlowError,
     MalformedElementError,
@@ -228,17 +232,38 @@ def initiate(params: SystemParams, own: IdentityKey, rng: random.Random):
     The responder's flow is computed the same way, so both roles use this.
     """
     x = random_scalar(params.group, rng)
-    return x, FlowMessage(r=scalar_exp(params.group, own.g_id, x))
+    return x, FlowMessage(r=fixed_base_exp(params.group, own.g_id, x))
 
 
-def validate_flow_point(params: SystemParams, point: GElem) -> None:
-    """Reject flows outside the proper subgroup before they reach a key."""
+def _check_flow_form(params: SystemParams, point: GElem) -> None:
+    """The checks of a received point that come before its subgroup check."""
     if not is_on_curve(params.group, point):
         raise InvalidFlowError("flow point is not on the curve")
     if point.is_identity():
         raise InvalidFlowError("flow point is the identity")
-    if not in_subgroup(params.group, point):
+
+
+def validate_flow_point(params: SystemParams, point: GElem) -> None:
+    """Reject flows outside the proper subgroup before they reach a key."""
+    _check_flow_form(params, point)
+    _require_in_subgroup(in_subgroup(params.group, point))
+
+
+def _require_in_subgroup(in_group: bool) -> None:
+    if not in_group:
         raise InvalidFlowError("flow point is outside the order-q subgroup")
+
+
+@contextlib.contextmanager
+def _reported_after_subgroup_check(params: SystemParams, point: GElem):
+    """Report an outside-subgroup point before any typed fault raised in
+    the block, which ends in the pairing that checks the point's subgroup,
+    as when the subgroup check came first."""
+    try:
+        yield
+    except IdakError:
+        validate_flow_point(params, point)
+        raise
 
 
 def derive(
@@ -258,6 +283,12 @@ def derive(
     done ahead of time.  A combined exponent that vanishes mod q is
     rejected: the responder drops the session and an initiator is
     expected to retry with a fresh ephemeral.
+
+    The received point is checked for the curve and the identity up
+    front; its subgroup check is the pairing itself, which takes the blend
+    g_peer^s_peer * R_peer, in the subgroup exactly when R_peer is, as its
+    left argument (see checked_pairing).  Faults found before the pairing
+    are still reported after an outside-subgroup point.
     """
     if role not in ROLE_BYTES:
         raise ValueError(f"unknown role {role!r}")
@@ -266,55 +297,55 @@ def derive(
     group = params.group
     if not 1 <= own_x < group.q:
         raise InvalidEphemeralError("ephemeral exponent out of range")
-    validate_flow_point(params, peer_msg.r)
-    if not is_on_curve(group, own_msg.r) or own_msg.r.is_identity():
-        raise InvalidFlowError("own flow point is invalid")
+    _check_flow_form(params, peer_msg.r)
+    with _reported_after_subgroup_check(params, peer_msg.r):
+        if not is_on_curve(group, own_msg.r) or own_msg.r.is_identity():
+            raise InvalidFlowError("own flow point is invalid")
 
-    # the initiator's flow is the first pi argument for s_init
-    if role == "initiator":
-        r_init, r_resp = own_msg.r, peer_msg.r
-    else:
-        r_init, r_resp = peer_msg.r, own_msg.r
-    s_init = pi_value(params, r_init, r_resp)
-    s_resp = pi_value(params, r_resp, r_init)
-    own_s, peer_s = (s_init, s_resp) if role == "initiator" else (s_resp, s_init)
+        # the initiator's flow is the first pi argument for s_init
+        if role == "initiator":
+            r_init, r_resp = own_msg.r, peer_msg.r
+        else:
+            r_init, r_resp = peer_msg.r, own_msg.r
+        s_init = pi_value(params, r_init, r_resp)
+        s_resp = pi_value(params, r_resp, r_init)
+        own_s, peer_s = (s_init, s_resp) if role == "initiator" else (s_resp, s_init)
 
-    own_exp = (own_x + own_s) % group.q
-    if own_exp == 0:
-        raise DegenerateExponentError("own combined exponent vanished mod q")
+        own_exp = (own_x + own_s) % group.q
+        if own_exp == 0:
+            raise DegenerateExponentError("own combined exponent vanished mod q")
 
-    peer_g = hash_to_group(group, peer_id)
-    counts = OpCounts()
-    # blend of the peer's long-term point and flow: g_peer^s_peer * R_peer
-    blended_peer = point_add(group, scalar_exp(group, peer_g, peer_s), peer_msg.r)
-    counts.exp_g += 0.5
-    counts.mul_g += 1
-    if blended_peer.is_identity():
-        raise DegenerateExponentError("peer combined exponent vanished mod q")
+        peer_g = hash_to_group(group, peer_id)
+        counts = OpCounts()
+        # blend of the peer's long-term point and flow: g_peer^s_peer * R_peer
+        blended_peer = point_add(group, fixed_base_exp(group, peer_g, peer_s), peer_msg.r)
+        counts.exp_g += 0.5
+        counts.mul_g += 1
+        if blended_peer.is_identity():
+            raise DegenerateExponentError("peer combined exponent vanished mod q")
 
-    if not strategy.precomputed:
-        # online cost of having produced the own flow g_id^own_x
-        counts.exp_g += 1.0
+        if not strategy.precomputed:
+            # online cost of having produced the own flow g_id^own_x
+            counts.exp_g += 1.0
 
-    if strategy.choice == 1:
-        if strategy.precomputed:
+        if strategy.choice == 2:
+            own_point = own.d_id
+        elif strategy.precomputed:
             # d_id^own_x is assumed done offline alongside the flow
-            offline_part = scalar_exp(group, own.d_id, own_x)
-            online_part = scalar_exp(group, own.d_id, own_s)
+            offline_part = fixed_base_exp(group, own.d_id, own_x)
+            online_part = fixed_base_exp(group, own.d_id, own_s)
             counts.exp_g += 0.5
             own_point = point_add(group, offline_part, online_part)
             counts.mul_g += 1
         else:
-            own_point = scalar_exp(group, own.d_id, own_exp)
+            own_point = fixed_base_exp(group, own.d_id, own_exp)
             counts.exp_g += 1.0
-        shared = pairing(group, own_point, blended_peer)
+        shared, in_group = checked_pairing(group, blended_peer, own_point)
         counts.pairings += 1
-    else:
-        base = pairing(group, blended_peer, own.d_id)
-        counts.pairings += 1
-        shared = gt_exp(base, own_exp)
+    _require_in_subgroup(in_group)
+    if strategy.choice == 2:
+        shared = gt_exp(shared, own_exp)
         counts.exp_gt += 1
-
     return SharedSecret(value=shared), counts
 
 
@@ -346,8 +377,8 @@ def session_key(
 def pfs_respond(params: SystemParams, own: IdentityKey, peer_id, rng: random.Random):
     """Responder flow plus the extra element g_peer^y under the same y."""
     y = random_scalar(params.group, rng)
-    msg = FlowMessage(r=scalar_exp(params.group, own.g_id, y))
-    extra = scalar_exp(params.group, hash_to_group(params.group, peer_id), y)
+    msg = FlowMessage(r=fixed_base_exp(params.group, own.g_id, y))
+    extra = fixed_base_exp(params.group, hash_to_group(params.group, peer_id), y)
     return y, msg, extra
 
 
@@ -360,13 +391,20 @@ def pfs_verify_extra(
 ) -> bool:
     """Initiator-side check that the extra element reuses the flow's y.
 
-    e(extra, g_peer) = e(g_own^y, g_peer) must equal e(g_own, R_peer).
+    e(extra, g_peer) = e(g_own^y, g_peer) must equal e(R_peer, g_own).
+    Each received point is the left argument of its pairing, which is its
+    subgroup check (see checked_pairing); R_peer is checked in full before
+    extra is looked at.
     """
-    validate_flow_point(params, peer_msg.r)
-    validate_flow_point(params, extra)
-    peer_g = hash_to_group(params.group, peer_id)
-    left = pairing(params.group, extra, peer_g)
-    right = pairing(params.group, own.g_id, peer_msg.r)
+    group = params.group
+    _check_flow_form(params, peer_msg.r)
+    right, in_group = checked_pairing(group, peer_msg.r, own.g_id)
+    _require_in_subgroup(in_group)
+    _check_flow_form(params, extra)
+    with _reported_after_subgroup_check(params, extra):
+        peer_g = hash_to_group(group, peer_id)
+        left, in_group = checked_pairing(group, extra, peer_g)
+    _require_in_subgroup(in_group)
     return left == right
 
 

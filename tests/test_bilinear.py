@@ -5,10 +5,11 @@ import time
 
 import pytest
 
+from idak import bilinear
 from idak.bilinear import (
     COFACTOR_CANDIDATE_BOUND,
+    MILLER_RABIN_EXACT_BOUND,
     GElem,
-    GTElem,
     GroupParams,
     INFINITY,
     decode_group_params,
@@ -18,6 +19,7 @@ from idak.bilinear import (
     encode_group_params,
     encode_gt,
     encode_point,
+    fixed_base_exp,
     gt_exp,
     gt_inv,
     gt_mul,
@@ -36,11 +38,7 @@ from idak.bilinear import (
     take_point,
     take_sized,
 )
-from idak.errors import (
-    HashToGroupError,
-    InvalidIdentityError,
-    MalformedElementError,
-)
+from idak.errors import InvalidIdentityError, MalformedElementError
 
 # Desk-scale parameters used throughout: p = 43 = 4 * 11 - 1.
 GP = instance_generate(4, "0")
@@ -125,6 +123,33 @@ def test_point_count_is_p_plus_one():
 def test_is_probable_prime_matches_naive():
     for n in range(2, 2000):
         assert is_probable_prime(n) == naive_prime(n), n
+
+
+def test_is_probable_prime_is_exact_below_the_bound():
+    limit = 10**5
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\x00\x00"
+    for d in range(2, int(limit**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytearray(len(range(d * d, limit, d)))
+    # no random rounds below the bound: the 13 prime bases 2..41 decide
+    for n in range(limit):
+        assert is_probable_prime(n, rounds=0) == bool(sieve[n]), n
+    # strong pseudoprimes to the bases 2..7, 2..31 and 2..37
+    assert 151 * 751 * 28351 == 3215031751
+    assert 149491 * 747451 * 34233211 == 3825123056546413051
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_probable_prime(n, rounds=0), n
+        assert not is_probable_prime(n), n
+    assert is_probable_prime(2**61 - 1, rounds=0)
+    # the bound is the least strong pseudoprime to all 13 bases, so from it
+    # on the seeded random rounds decide
+    assert MILLER_RABIN_EXACT_BOUND == 1287836182261 * 2575672364521
+    assert not is_probable_prime(MILLER_RABIN_EXACT_BOUND)
+    assert is_probable_prime(MILLER_RABIN_EXACT_BOUND, rounds=0)
+    assert is_probable_prime(2**89 - 1)
+    assert not is_probable_prime((2**61 - 1) * (2**31 - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +338,37 @@ def test_hash_to_group_rejects_empty():
         hash_to_group(GP, "")
     with pytest.raises(InvalidIdentityError):
         hash_to_group(GP, b"")
+
+
+def test_hash_to_group_cache_is_keyed_by_params_and_identity_bytes():
+    first = instance_generate(16, "hash-cache-a")
+    second = instance_generate(16, "hash-cache-b")
+    a = hash_to_group(first, "carol")
+    b = hash_to_group(second, "carol")
+    assert a != b
+    assert in_subgroup(first, a) and in_subgroup(second, b)
+    # a str identity and its UTF-8 bytes share one cache entry
+    assert hash_to_group(first, b"carol") is a
+    with pytest.raises(InvalidIdentityError):
+        hash_to_group(first, "")
+
+
+def test_evicted_hash_and_comb_entries_are_rebuilt_the_same():
+    gp = instance_generate(16, "eviction")
+    point = hash_to_group(gp, "dave")
+    base = scalar_exp(gp, point, 5)
+    expected = fixed_base_exp(gp, base, 12345)
+    hashes, combs = bilinear._hash_to_group, bilinear._comb_table
+    for i in range(hashes.cache_info().maxsize):
+        hash_to_group(gp, f"filler-{i}")
+    for i in range(combs.cache_info().maxsize):
+        fixed_base_exp(gp, scalar_exp(gp, point, 100 + i), 3)
+    misses = hashes.cache_info().misses, combs.cache_info().misses
+    assert hash_to_group(gp, "dave") == point
+    assert fixed_base_exp(gp, base, 12345) == expected == scalar_exp(gp, base, 12345)
+    # both were rebuilt, not read back
+    assert (hashes.cache_info().misses, combs.cache_info().misses) == (
+        misses[0] + 1, misses[1] + 1)
 
 
 def test_hash_to_group_many_identities():

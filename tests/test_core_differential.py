@@ -19,7 +19,10 @@ from idak.bilinear import (
     GElem,
     GTElem,
     INFINITY,
+    checked_pairing,
+    fixed_base_exp,
     hash_to_group,
+    in_subgroup,
     instance_generate,
     pairing,
     point_add,
@@ -209,6 +212,45 @@ def test_scalar_exp_matches_reference_on_every_point(k_bits, seed, data):
         assert scalar_exp(params, point, n) == ref_scalar_exp(params, point, n), (point, n)
 
 
+def comb_scalars(params):
+    """0, 1, q - 1, q, 2^|q| - 1, the comb's whole range, negatives and
+    values from 2^|q| up, which go to scalar_exp."""
+    q = params.q
+    top = 1 << q.bit_length()
+    return st.one_of(
+        st.sampled_from([0, 1, q - 1, q, top - 1, top, -1, -q]),
+        st.integers(0, top - 1),
+        st.integers(top, 1 << 80),
+        st.integers(-(1 << 80), -1),
+    )
+
+
+@pytest.mark.parametrize("k_bits,seed", FULL_CURVES + WIDE_CURVES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fixed_base_exp_matches_scalar_exp_on_every_point(k_bits, seed, data):
+    # every point, not only the subgroup: the comb must also be right for
+    # the identity, (0, 0) and points whose higher teeth are the identity
+    params, points = curve(k_bits, seed)
+    n = data.draw(comb_scalars(params))
+    for point in points:
+        assert fixed_base_exp(params, point, n) == scalar_exp(params, point, n), (point, n)
+
+
+@pytest.mark.parametrize("k_bits,seed", FULL_CURVES)
+def test_checked_pairing_flags_the_left_subgroup_on_every_pair(k_bits, seed):
+    params, points = curve(k_bits, seed)
+    flagged = set()
+    for left in points:
+        in_group = in_subgroup(params, left)
+        flagged.add(in_group)
+        for right in points:
+            value, flag = checked_pairing(params, left, right)
+            assert flag == in_group, (left, right)
+            assert value == pairing(params, left, right), (left, right)
+    assert flagged == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # protocol-sized curves
 # ---------------------------------------------------------------------------
@@ -226,3 +268,22 @@ def test_random_subgroup_pairs_match_reference(k_bits, pairs):
         for n in (random_scalar(params, rng), -random_scalar(params, rng),
                   params.q, 3 * params.q + 1, rng.getrandbits(2 * k_bits + 8)):
             assert scalar_exp(params, a, n) == ref_scalar_exp(params, a, n)
+
+
+@pytest.mark.parametrize("k_bits", [16, 32, 128])
+def test_fixed_base_exp_and_checked_pairing_at_protocol_sizes(k_bits):
+    params = instance_generate(k_bits, f"differential-{k_bits}")
+    rng = random.Random(k_bits)
+    gen = hash_to_group(params, "differential")
+    q = params.q
+    top = 1 << q.bit_length()
+    for _ in range(3):
+        a = scalar_exp(params, gen, random_scalar(params, rng))
+        b = scalar_exp(params, gen, random_scalar(params, rng))
+        for n in (0, 1, q - 1, q, top - 1, top, -q, random_scalar(params, rng),
+                  rng.getrandbits(k_bits // 2), rng.getrandbits(2 * k_bits + 8)):
+            assert fixed_base_exp(params, a, n) == ref_scalar_exp(params, a, n), n
+        assert checked_pairing(params, a, b) == (ref_pairing(params, a, b), True)
+        # adding the 2-torsion point puts the left point outside the subgroup
+        outside = point_add(params, a, GElem(0, 0))
+        assert checked_pairing(params, outside, b) == (pairing(params, outside, b), False)

@@ -15,7 +15,6 @@ from idak.bilinear import (
 )
 from idak.errors import InvalidFlowError, KeystoreError, MalformedElementError
 from idak.protocol import (
-    FlowMessage,
     SessionKey,
     decode_flow,
     encode_flow,

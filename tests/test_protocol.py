@@ -8,7 +8,6 @@ from idak.bilinear import (
     GElem,
     INFINITY,
     gt_exp,
-    hash_to_group,
     in_subgroup,
     pairing,
     point_add,
@@ -18,6 +17,7 @@ from idak.errors import (
     DegenerateExponentError,
     InvalidEphemeralError,
     InvalidFlowError,
+    InvalidIdentityError,
 )
 from idak.protocol import (
     DeriveStrategy,
@@ -297,6 +297,80 @@ def test_degenerate_exponent_rejected():
     assert hits > 0, "tiny group should hit the degenerate case"
 
 
+# Rejection of received points.  The subgroup check of a received point is
+# the pairing it takes part in, so the tests below pin that every schedule
+# still rejects a point outside the subgroup with the same message, and that
+# faults found before that pairing do not hide such a point.  At k = 16 a
+# combined exponent vanishes once in tens of thousands of draws, so only the
+# engineered cases below reach one.
+
+P16, MSK16 = setup(16, "rejection")
+G16 = P16.group
+ALICE16 = extract(P16, MSK16, "alice")
+BOB16 = extract(P16, MSK16, "bob")
+OUTSIDE = "flow point is outside the order-q subgroup"
+
+
+def _rogue(group):
+    """The first curve point by x outside the order-q subgroup."""
+    for x in range(group.p):
+        t = (x * x * x + x) % group.p
+        if t and pow(t, (group.p - 1) // 2, group.p) == 1:
+            point = GElem(x, pow(t, (group.p + 1) // 4, group.p))
+            if not in_subgroup(group, point):
+                return point
+    raise AssertionError("no point outside the subgroup")
+
+
+ROGUE16 = _rogue(G16)
+OFF_CURVE16 = GElem(ROGUE16.x, (ROGUE16.y + 1) % G16.p)
+
+
+@pytest.mark.parametrize("role", ["initiator", "responder"])
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.label())
+def test_every_schedule_rejects_a_point_outside_the_subgroup(strategy, role):
+    x, msg = initiate(P16, ALICE16, random.Random(31))
+    with pytest.raises(InvalidFlowError, match=f"^{OUTSIDE}$"):
+        derive(P16, ALICE16, x, msg, "bob", FlowMessage(ROGUE16), role, strategy)
+    # the identity and off-curve points keep their own, earlier messages
+    with pytest.raises(InvalidFlowError, match="^flow point is the identity$"):
+        derive(P16, ALICE16, x, msg, "bob", FlowMessage(INFINITY), role, strategy)
+    with pytest.raises(InvalidFlowError, match="^flow point is not on the curve$"):
+        derive(P16, ALICE16, x, msg, "bob", FlowMessage(OFF_CURVE16), role, strategy)
+
+
+def _vanishing_x(own_r, peer_r):
+    """The own ephemeral whose combined exponent x + s_own is 0 mod q; in
+    either role s_own = pi(own flow, peer flow)."""
+    return -pi_value(P16, own_r, peer_r) % G16.q
+
+
+@pytest.mark.parametrize("role", ["initiator", "responder"])
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.label())
+def test_a_point_outside_the_subgroup_outranks_later_faults(strategy, role):
+    rng = random.Random(32)
+    x, msg = initiate(P16, ALICE16, rng)
+    _, honest = initiate(P16, BOB16, rng)
+    faults = {
+        # (own x, own flow, peer id) -> the error an honest peer point gets
+        "vanishing exponent": (
+            lambda peer: (_vanishing_x(msg.r, peer), msg, "bob"),
+            DegenerateExponentError,
+        ),
+        "own flow off the curve": (
+            lambda peer: (x, FlowMessage(OFF_CURVE16), "bob"), InvalidFlowError),
+        "empty peer identity": (lambda peer: (x, msg, ""), InvalidIdentityError),
+    }
+    for name, (inputs, honest_error) in faults.items():
+        own_x, own_msg, peer_id = inputs(honest.r)
+        with pytest.raises(honest_error):
+            derive(P16, ALICE16, own_x, own_msg, peer_id, honest, role, strategy)
+        own_x, own_msg, peer_id = inputs(ROGUE16)
+        with pytest.raises(InvalidFlowError, match=f"^{OUTSIDE}$"):
+            derive(P16, ALICE16, own_x, own_msg, peer_id, FlowMessage(ROGUE16), role,
+                   strategy)
+
+
 # ---------------------------------------------------------------------------
 # session key derivation
 # ---------------------------------------------------------------------------
@@ -361,6 +435,28 @@ def test_pfs_verify_rejects_mismatched_extra():
     if wrong.is_identity() or wrong == extra:
         wrong = scalar_exp(GP, extra, 3)
     assert not pfs_verify_extra(PARAMS, ALICE, "bob", msg, wrong)
+
+
+def test_pfs_verify_reports_a_bad_flow_point_before_a_bad_extra():
+    _, msg, extra = pfs_respond(P16, BOB16, "alice", random.Random(33))
+    assert pfs_verify_extra(P16, ALICE16, "bob", msg, extra)
+    bad = {
+        "not on the curve": OFF_CURVE16,
+        "the identity": INFINITY,
+        "outside the order-q subgroup": ROGUE16,
+    }
+    for r_fault, r_point in bad.items():
+        for extra_point in [extra, *bad.values()]:
+            with pytest.raises(InvalidFlowError, match=f"^flow point is {r_fault}$"):
+                pfs_verify_extra(P16, ALICE16, "bob", FlowMessage(r_point), extra_point)
+    for extra_fault, extra_point in bad.items():
+        with pytest.raises(InvalidFlowError, match=f"^flow point is {extra_fault}$"):
+            pfs_verify_extra(P16, ALICE16, "bob", msg, extra_point)
+    # as for derive, an empty peer identity does not hide a bad extra
+    with pytest.raises(InvalidIdentityError):
+        pfs_verify_extra(P16, ALICE16, "", msg, extra)
+    with pytest.raises(InvalidFlowError, match=f"^{OUTSIDE}$"):
+        pfs_verify_extra(P16, ALICE16, "", msg, ROGUE16)
 
 
 def test_pfs_key_differs_from_base_key():

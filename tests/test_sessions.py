@@ -19,7 +19,7 @@ from idak.errors import (
     StaleOracleError,
     TestRefusedError,
 )
-from idak.sessions import World, make_world, run_scenario
+from idak.sessions import make_world, run_scenario
 
 SCENARIO_DIR = Path(idak.__file__).parent / "scenarios"
 README = Path(__file__).resolve().parents[1] / "README.md"
