@@ -4,121 +4,4 @@ Everything here is research code built on small, brute-forceable curves.
 It exists to study the protocol and its security game, not to protect data.
 """
 
-from idak.bilinear import (
-    GElem,
-    GroupParams,
-    GTElem,
-    INFINITY,
-    decode_group_params,
-    decode_gt,
-    decode_point,
-    encode_group_params,
-    encode_gt,
-    encode_point,
-    gt_exp,
-    gt_inv,
-    gt_mul,
-    gt_one,
-    hash_to_group,
-    instance_generate,
-    pairing,
-    point_add,
-    point_negate,
-    random_scalar,
-    scalar_exp,
-)
-from idak.errors import IdakError
-from idak.protocol import (
-    DeriveStrategy,
-    FlowMessage,
-    IdentityKey,
-    MasterSecret,
-    OpCounts,
-    PiVariant,
-    SessionKey,
-    SharedSecret,
-    SystemParams,
-    decode_flow,
-    derive,
-    encode_flow,
-    extract,
-    initiate,
-    master_compromise_compute,
-    pfs_respond,
-    pfs_session_key,
-    pfs_verify_extra,
-    session_key,
-    setup,
-)
-from idak.selfreduction import (
-    Blinding,
-    CbdhInstance,
-    MockCbdhOracle,
-    amplify,
-    correct,
-    make_instance,
-    randomize,
-    solve_dlog,
-    validate_instance,
-)
-from idak.sessions import World, make_world, run_scenario
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "GElem",
-    "GroupParams",
-    "GTElem",
-    "INFINITY",
-    "IdakError",
-    "Blinding",
-    "CbdhInstance",
-    "DeriveStrategy",
-    "FlowMessage",
-    "IdentityKey",
-    "MasterSecret",
-    "MockCbdhOracle",
-    "OpCounts",
-    "PiVariant",
-    "SessionKey",
-    "SharedSecret",
-    "SystemParams",
-    "World",
-    "amplify",
-    "correct",
-    "decode_flow",
-    "decode_group_params",
-    "decode_gt",
-    "decode_point",
-    "derive",
-    "encode_flow",
-    "encode_group_params",
-    "encode_gt",
-    "encode_point",
-    "extract",
-    "gt_exp",
-    "gt_inv",
-    "gt_mul",
-    "gt_one",
-    "hash_to_group",
-    "initiate",
-    "instance_generate",
-    "make_instance",
-    "make_world",
-    "master_compromise_compute",
-    "pairing",
-    "pfs_respond",
-    "pfs_session_key",
-    "pfs_verify_extra",
-    "point_add",
-    "point_negate",
-    "randomize",
-    "random_scalar",
-    "run_scenario",
-    "scalar_exp",
-    "session_key",
-    "setup",
-    "solve_dlog",
-    "validate_instance",
-    "__version__",
-]

@@ -29,6 +29,7 @@ from idak.errors import (
     ScenarioError,
 )
 from idak.protocol import (
+    EXPECTED_COSTS,
     GENERATOR_ID,
     MasterSecret,
     PiVariant,
@@ -42,6 +43,7 @@ from idak.protocol import (
     pfs_respond,
     pfs_session_key,
     pfs_verify_extra,
+    seeded_rng,
     session_key,
     setup,
 )
@@ -56,15 +58,6 @@ EXIT_ASSERT = 3
 BANNER = (
     "note: parameters this small are for protocol study only and offer no security"
 )
-
-# expected online cost of each derivation strategy:
-# (pairings, exp_g, mul_g, exp_gt), pi-length exponents weighted 0.5
-EXPECTED_COSTS = {
-    "c1-nopre": (1, 2.5, 1, 0),
-    "c2-nopre": (1, 1.5, 1, 1),
-    "c1-pre": (1, 1.0, 2, 0),
-    "c2-pre": (1, 0.5, 1, 1),
-}
 
 PI_CHOICES = tuple(variant.value for variant in PiVariant)
 STRATEGY_CHOICES = tuple(EXPECTED_COSTS)
@@ -84,12 +77,6 @@ def _identity(text):
     if not text:
         raise argparse.ArgumentTypeError("identity must not be empty")
     return text
-
-
-def _rng(seed, label):
-    if seed is None:
-        return random.Random()
-    return random.Random(f"idak-cli-{label}:{seed}".encode("utf-8"))
 
 
 def _emit(args, report):
@@ -165,7 +152,7 @@ def cmd_verify_key(args):
 def cmd_initiate(args):
     params = _system_params(args)
     own = keystore.load_identity(args.key, params.group)
-    x, msg = initiate(params, own, _rng(args.seed, "initiate"))
+    x, msg = initiate(params, own, seeded_rng("idak-cli-initiate", args.seed))
     Path(args.flow_out).write_bytes(encode_flow(params, "initiator", own.identity, msg))
     keystore.save_state(args.state_out, params.group, args.peer.encode("utf-8"), x, msg)
     _emit(args, {"flow": args.flow_out, "state": args.state_out})
@@ -185,7 +172,7 @@ def cmd_respond(args):
         return _fail("invalid-flow", "expected an initiator flow")
     if peer_extra is not None:
         return _fail("invalid-flow", "initiator flows carry no extra point")
-    rng = _rng(args.seed, "respond")
+    rng = seeded_rng("idak-cli-respond", args.seed)
     if args.pfs:
         y, msg, extra = pfs_respond(params, own, peer_ident, rng)
     else:
@@ -265,7 +252,7 @@ def cmd_finalize(args):
 
 def cmd_bench(args):
     params = _system_params(args)
-    rng = _rng(args.seed or "bench", "bench")
+    rng = seeded_rng("idak-cli-bench", args.seed or "bench")
     msk = MasterSecret(alpha=1 + rng.randrange(params.group.q - 1))
     alice = extract(params, msk, "bench-initiator")
     bob = extract(params, msk, "bench-responder")
@@ -317,7 +304,10 @@ def bundled_scenarios():
 def _scenario_lines(name):
     path = Path(name)
     if path.exists():
-        return path.read_text().splitlines()
+        try:
+            return path.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{name} is not UTF-8 text: {exc}") from exc
     stem = name if name.endswith(".jsonl") else f"{name}.jsonl"
     resource = resources.files("idak") / "scenarios" / stem
     if resource.is_file():
@@ -349,7 +339,7 @@ def cmd_scenario(args):
 def cmd_reduce(args):
     group = instance_generate(args.k_bits, args.seed)
     g = hash_to_group(group, GENERATOR_ID)
-    rng = _rng(args.seed, "reduce")
+    rng = seeded_rng("idak-cli-reduce", args.seed)
     oracle = MockCbdhOracle(group, g, args.delta, random.Random(rng.getrandbits(64)))
     successes = 0
     for _ in range(args.trials):

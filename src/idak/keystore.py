@@ -36,8 +36,13 @@ def write_entry(path, kind, payload):
 
 def read_entry(path, expect_kind=None):
     """Load one armored entry, checking the kind when asked to."""
-    with open(path, "r", encoding="ascii") as handle:
-        lines = [line.strip() for line in handle.read().splitlines()]
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise KeystoreError("key file is not ASCII text") from exc
+    lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]
     if len(lines) != 2:
         raise KeystoreError("key file must be a header line plus a payload line")

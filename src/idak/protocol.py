@@ -156,6 +156,24 @@ class OpCounts:
     exp_gt: int = 0
 
 
+# expected online cost of each derivation strategy:
+# (pairings, exp_g, mul_g, exp_gt), pi-length exponents weighted 0.5
+EXPECTED_COSTS = {
+    "c1-nopre": (1, 2.5, 1, 0),
+    "c2-nopre": (1, 1.5, 1, 1),
+    "c1-pre": (1, 1.0, 2, 0),
+    "c2-pre": (1, 0.5, 1, 1),
+}
+
+
+def seeded_rng(label: str, seed) -> random.Random:
+    """The stream named label under seed, or an OS-seeded one when seed is None."""
+    if seed is None:
+        return random.Random()
+    seed_bytes = seed if isinstance(seed, bytes) else str(seed).encode("utf-8")
+    return random.Random(label.encode("utf-8") + b":" + seed_bytes)
+
+
 # ---------------------------------------------------------------------------
 # authority operations
 # ---------------------------------------------------------------------------
@@ -169,12 +187,7 @@ def setup(
     """Generate public parameters and the authority's master secret."""
     group = instance_generate(k_bits, seed)
     g = hash_to_group(group, GENERATOR_ID)
-    if seed is None:
-        alpha_rng = random.Random()
-    else:
-        seed_bytes = seed if isinstance(seed, bytes) else str(seed).encode("utf-8")
-        alpha_rng = random.Random(b"idak-master:" + seed_bytes)
-    alpha = random_scalar(group, alpha_rng)
+    alpha = random_scalar(group, seeded_rng("idak-master", seed))
     params = SystemParams(group=group, g=g, pi_variant=pi_variant)
     return params, MasterSecret(alpha=alpha)
 

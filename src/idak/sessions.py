@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from .bilinear import decode_point, encode_point, gt_exp, pairing
 from .errors import (
+    IdakError,
     InvalidFlowError,
     MalformedElementError,
     NoKeyError,
@@ -47,6 +48,7 @@ from .protocol import (
     derive,
     extract,
     initiate,
+    seeded_rng,
     session_key,
     setup,
     validate_flow_point,
@@ -235,7 +237,16 @@ class World:
     # -- internals ----------------------------------------------------------
 
     def _coerce_flow(self, flow) -> FlowMessage:
-        """Decode and check a received flow before the responder draws y."""
+        """Decode and check a received flow before the responder draws y.
+
+        derive's pairing checks the subgroup too, but this check runs first
+        for two reasons.  A rejected flow then draws nothing from self.rng,
+        so every later draw, and every scenario replay, stays the same.  And
+        rejection stays cheap: left to derive, a rogue flow would first pay
+        for the responder's initiate and most of derive, and keeping the rng
+        untouched would take a getstate() on every responder activation,
+        about as dear as the k=16 check itself.
+        """
         if isinstance(flow, (bytes, bytearray)):
             try:
                 flow = FlowMessage(r=decode_point(self.params.group, bytes(flow)))
@@ -267,12 +278,7 @@ def make_world(
 ) -> World:
     """Convenience constructor wiring setup() into a deterministic world."""
     params, msk = setup(k_bits, seed, pi_variant)
-    if seed is None:
-        rng = random.Random()
-    else:
-        seed_bytes = seed if isinstance(seed, bytes) else str(seed).encode("utf-8")
-        rng = random.Random(b"idak-world:" + seed_bytes)
-    world = World(params, msk, mode=mode, rng=rng)
+    world = World(params, msk, mode=mode, rng=seeded_rng("idak-world", seed))
     for identity in principals:
         world.add_principal(identity)
     return world
@@ -310,13 +316,16 @@ class _ScenarioState:
     def ensure_world(self):
         if self.world is None:
             cfg = self.defaults
-            self.world = make_world(
-                k_bits=cfg.get("k_bits", 16),
-                seed=cfg.get("seed", "scenario"),
-                mode=cfg.get("mode", "br"),
-                pi_variant=PiVariant(cfg.get("pi", "hash-half")),
-                principals=cfg.get("principals", ()),
-            )
+            try:
+                self.world = make_world(
+                    k_bits=cfg.get("k_bits", 16),
+                    seed=cfg.get("seed", "scenario"),
+                    mode=cfg.get("mode", "br"),
+                    pi_variant=PiVariant(cfg.get("pi", "hash-half")),
+                    principals=cfg.get("principals", ()),
+                )
+            except (ValueError, IdakError) as exc:
+                raise ScenarioError(f"bad config: {exc}") from exc
         return self.world
 
     def oracle(self, label: str) -> SessionOracle:
@@ -343,12 +352,14 @@ def run_scenario(lines, k_bits: int = 16, seed="scenario", mode: str = "br") -> 
             continue
         try:
             entry = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ScenarioError(f"line {number}: bad JSON: {exc}") from exc
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"line {number}: not a JSON object")
         if "config" in entry:
             if state.world is not None:
                 raise ScenarioError(f"line {number}: config after queries")
-            state.defaults.update(entry["config"])
+            state.defaults.update(_config(entry["config"], number))
             continue
         if "q" in entry:
             report["queries"] += 1
@@ -367,6 +378,35 @@ def run_scenario(lines, k_bits: int = 16, seed="scenario", mode: str = "br") -> 
     }
     report["ok"] = not report["failures"]
     return report
+
+
+_REQUIRED = object()
+
+# the JSON type of each config key the world is built from
+_CONFIG_TYPES = {"k_bits": int, "seed": (str, int), "mode": str, "pi": str, "principals": list}
+
+
+def _field(entry: dict, name: str, kind, number: int, default=_REQUIRED):
+    """entry[name] if it has the JSON type kind; default if it is absent."""
+    if name not in entry:
+        if default is _REQUIRED:
+            raise ScenarioError(f"line {number}: missing field {name!r}")
+        return default
+    value = entry[name]
+    # JSON true and false are not numbers, though Python's bool is an int
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ScenarioError(f"line {number}: field {name!r} has the wrong JSON type")
+    return value
+
+
+def _config(config, number: int) -> dict:
+    if not isinstance(config, dict):
+        raise ScenarioError(f"line {number}: config is not a JSON object")
+    for name, kind in _CONFIG_TYPES.items():
+        _field(config, name, kind, number, default=None)
+    if not all(isinstance(name, str) for name in config.get("principals", ())):
+        raise ScenarioError(f"line {number}: principals must be strings")
+    return config
 
 
 def _resolve_flow(state: _ScenarioState, raw):
@@ -389,31 +429,34 @@ def _resolve_flow(state: _ScenarioState, raw):
 
 def _run_query(state: _ScenarioState, entry: dict, number: int, report: dict):
     world = state.ensure_world()
-    expect_error = entry.get("expect_error")
+    expect_error = _field(entry, "expect_error", (str, type(None)), number, default=None)
     record = {"line": number, "q": entry["q"], "ok": True, "result": None}
     try:
         kind = entry["q"]
         if kind == "send":
-            label = entry["oracle"]
+            label = _field(entry, "oracle", str, number)
             if label not in state.oracles:
-                state.oracles[label] = world.new_oracle(entry["i"], entry["j"])
+                state.oracles[label] = world.new_oracle(
+                    _field(entry, "i", str, number), _field(entry, "j", str, number)
+                )
             oracle = state.oracles[label]
             out = world.send(oracle, _resolve_flow(state, entry.get("x")))
             if out is not None:
                 state.outputs[label] = out
                 record["result"] = encode_point(world.params.group, out.r).hex()
         elif kind == "reveal":
-            key = world.reveal(state.oracle(entry["oracle"]))
+            key = world.reveal(state.oracle(_field(entry, "oracle", str, number)))
             record["result"] = key.key.hex()
         elif kind == "corrupt":
-            point = world.corrupt(entry["i"])
+            point = world.corrupt(_field(entry, "i", str, number))
             record["result"] = encode_point(world.params.group, point).hex()
         elif kind == "extract":
-            point = world.extract_query(entry["id"])
+            point = world.extract_query(_field(entry, "id", str, number))
             record["result"] = encode_point(world.params.group, point).hex()
         elif kind == "test":
-            key = world.test(state.oracle(entry["oracle"]), entry["coin"])
-            state.test_results[entry["oracle"]] = key
+            label = _field(entry, "oracle", str, number)
+            key = world.test(state.oracle(label), _field(entry, "coin", int, number))
+            state.test_results[label] = key
             record["result"] = key.key.hex()
         else:
             raise ScenarioError(f"line {number}: unknown query {kind!r}")
@@ -439,30 +482,31 @@ def _run_assert(state: _ScenarioState, entry: dict, number: int, report: dict):
     world = state.ensure_world()
     kind = entry["assert"]
     record = {"line": number, "assert": kind, "ok": True}
+
+    def oracle(name):
+        return state.oracle(_field(entry, name, str, number))
+
+    expect = _field(entry, "expect", bool, number, default=True)
     try:
         if kind in ("keys-equal", "keys-differ"):
-            key_a = state.oracle(entry["a"]).key
-            key_b = state.oracle(entry["b"]).key
+            key_a = oracle("a").key
+            key_b = oracle("b").key
             if key_a is None or key_b is None:
                 raise ScenarioError(f"line {number}: oracle without key")
             holds = (key_a == key_b) == (kind == "keys-equal")
         elif kind == "matching":
-            holds = world.matching(
-                state.oracle(entry["a"]), state.oracle(entry["b"])
-            ) == entry.get("expect", True)
+            holds = world.matching(oracle("a"), oracle("b")) == expect
         elif kind == "fresh":
-            holds = world.fresh(state.oracle(entry["oracle"])) == entry.get(
-                "expect", True
-            )
+            holds = world.fresh(oracle("oracle")) == expect
         elif kind == "completed":
-            holds = state.oracle(entry["oracle"]).completed == entry.get("expect", True)
-        elif kind == "test-real-key":
-            oracle = state.oracle(entry["oracle"])
-            holds = state.test_results.get(entry["oracle"]) == oracle.key
-        elif kind == "test-random-key":
-            oracle = state.oracle(entry["oracle"])
-            result = state.test_results.get(entry["oracle"])
-            holds = result is not None and result != oracle.key
+            holds = oracle("oracle").completed == expect
+        elif kind in ("test-real-key", "test-random-key"):
+            label = _field(entry, "oracle", str, number)
+            key, result = state.oracle(label).key, state.test_results.get(label)
+            if kind == "test-real-key":
+                holds = result == key
+            else:
+                holds = result is not None and result != key
         else:
             raise ScenarioError(f"line {number}: unknown assertion {kind!r}")
     except ScenarioError:

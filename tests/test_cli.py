@@ -153,6 +153,21 @@ def test_missing_file_is_a_data_error(keyring, tmp_path):
                  keyring["params"], "--master", keyring["master"], "--quiet"]) == 1
 
 
+@pytest.mark.parametrize("data, argv", [
+    (b"\xff", lambda k, bad, out: ["extract", "alice", "--params", bad,
+                                   "--master", k["master"], "--out", out]),
+    (b"idak keystore v1 kind=identity\n\xff\xfe\n",
+     lambda k, bad, out: ["initiate", "--params", k["params"], "--key", bad, "--peer", "bob",
+                          "--flow-out", out, "--state-out", out]),
+    (b'{"q": "send"}\xff\n', lambda k, bad, out: ["scenario", bad]),
+], ids=["params", "identity", "scenario"])
+def test_undecodable_input_file_is_a_data_error(keyring, tmp_path, capsys, data, argv):
+    bad = tmp_path / "bad"
+    bad.write_bytes(data)
+    assert main([*argv(keyring, str(bad), str(tmp_path / "out")), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # the exchange
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idak import keystore
@@ -69,6 +69,36 @@ def test_entry_rejects_malformed_files(tmp_path, text):
     path.write_text(text)
     with pytest.raises(KeystoreError):
         keystore.read_entry(path)
+
+
+HEADERS = [f"{keystore.HEADER_MAGIC} kind={kind}\n".encode() for kind in keystore.KINDS]
+
+
+@pytest.fixture(scope="module")
+def entry_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("bytes") / "entry.key"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=80),
+        st.tuples(st.sampled_from(HEADERS), st.binary(max_size=80)).map(b"".join),
+    )
+)
+@example(data=b"\xff")
+@example(data=b"idak keystore v1 kind=identity\n\xff\xfe\n")
+def test_arbitrary_file_bytes_load_or_fail_typed(entry_path, data):
+    entry_path.write_bytes(data)
+    for load in (
+        keystore.read_entry,
+        keystore.load_group,
+        lambda path: keystore.load_identity(path, GROUP),
+    ):
+        try:
+            load(entry_path)
+        except KeystoreError:
+            pass
 
 
 def test_writes_are_reproducible(tmp_path):

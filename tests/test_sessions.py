@@ -110,33 +110,35 @@ def test_stale_oracle_rejections():
         world.send(c, None)  # re-activating a waiting initiator
 
 
-def test_malformed_flow_aborts_oracle():
+REJECTED_FLOWS = {
+    "malformed": lambda group: b"\xde\xad\xbe\xef",
+    "out-of-subgroup": lambda group: encode_point(group, find_rogue_point(group)),
+    "identity": lambda group: b"\x00",
+}
+
+
+@pytest.mark.parametrize("flow", list(REJECTED_FLOWS))
+@pytest.mark.parametrize("role", ["responder", "initiator"])
+def test_rejected_flow_aborts_oracle_and_draws_nothing(role, flow):
     world = make_basic_world()
-    b = world.new_oracle("bob", "alice")
+    if role == "responder":
+        oracle = world.new_oracle("bob", "alice")
+    else:
+        oracle = world.new_oracle("alice", "bob")
+        world.send(oracle, None)
+    before = (oracle.role, oracle.ephemeral, oracle.own_msg)
+    rng_state = world.rng.getstate()
     with pytest.raises(InvalidFlowError):
-        world.send(b, b"\xde\xad\xbe\xef")
-    assert b.aborted and not b.completed
+        world.send(oracle, REJECTED_FLOWS[flow](world.params.group))
+    # the flow is checked before a responder draws y: a rejection consumes
+    # no rng state, and a rejected responder never takes a role
+    assert world.rng.getstate() == rng_state
+    assert (oracle.role, oracle.ephemeral, oracle.own_msg) == before
+    assert oracle.aborted and not oracle.completed
     with pytest.raises(StaleOracleError):
-        world.send(b, b"\x00")
+        world.send(oracle, b"\x00")
     with pytest.raises(NoKeyError):
-        world.reveal(b)
-
-
-def test_out_of_subgroup_flow_rejected():
-    world = make_basic_world()
-    rogue = find_rogue_point(world.params.group)
-    b = world.new_oracle("bob", "alice")
-    with pytest.raises(InvalidFlowError):
-        world.send(b, encode_point(world.params.group, rogue))
-    assert b.aborted
-
-
-def test_identity_flow_rejected():
-    world = make_basic_world()
-    b = world.new_oracle("bob", "alice")
-    with pytest.raises(InvalidFlowError):
-        world.send(b, b"\x00")
-    assert b.aborted
+        world.reveal(oracle)
 
 
 def test_reveal_semantics():
@@ -472,14 +474,100 @@ def test_scenario_collects_failed_expectations():
 
 
 def test_scenario_rejects_bad_files():
-    with pytest.raises(ScenarioError):
-        run_scenario(["not json"])
-    with pytest.raises(ScenarioError):
-        run_scenario(['{"q": "reveal", "oracle": "nope"}'])
-    with pytest.raises(ScenarioError):
-        run_scenario(['{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": "@B.out"}'])
-    with pytest.raises(ScenarioError):
-        run_scenario(['{"note": "neither query nor assertion"}'])
+    for line in [
+        "not json",
+        '{"q": "reveal", "oracle": "nope"}',
+        '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": "@B.out"}',
+        '{"note": "neither query nor assertion"}',
+        "5",
+        '["q"]',
+        '{"config": 5}',
+        '{"config": {"k_bits": 99999}}',
+        '{"config": {"k_bits": "16"}}',
+        '{"config": {"mode": "zz"}}',
+        '{"config": {"pi": "zz"}}',
+        '{"config": {"principals": ["alice", 5]}}',
+        '{"q": "send"}',
+        '{"q": "send", "oracle": "A", "i": ["x"], "j": "b", "x": null}',
+        '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": 5}',
+        '{"q": "corrupt", "i": null}',
+        '{"q": "test", "oracle": "A", "coin": true}',
+        '{"assert": "fresh"}',
+        '{"assert": "completed", "oracle": "A", "expect": "yes"}',
+        "[" * 10**5,
+    ]:
+        with pytest.raises(ScenarioError):
+            run_scenario([line])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+FUZZED_SCRIPT = [
+    {"config": {"k_bits": 16, "seed": "fuzz", "mode": "br", "pi": "hash-half",
+                "principals": ["alice", "bob"]}},
+    {"q": "send", "oracle": "A1", "i": "alice", "j": "bob", "x": None},
+    {"q": "send", "oracle": "B1", "i": "bob", "j": "alice", "x": "@A1.out"},
+    {"q": "send", "oracle": "A1", "x": "@B1.out"},
+    {"q": "test", "oracle": "A1", "coin": 0},
+    {"q": "reveal", "oracle": "B1", "expect_error": None},
+    {"q": "corrupt", "i": "alice"},
+    {"q": "extract", "id": "carol"},
+    {"assert": "keys-equal", "a": "A1", "b": "B1"},
+    {"assert": "fresh", "oracle": "A1", "expect": False},
+    {"assert": "test-random-key", "oracle": "A1"},
+]
+
+# the JSON type each field must have
+FIELD_TYPES = {
+    "config": dict, "k_bits": int, "seed": (str, int), "mode": str, "pi": str, "principals": list,
+    "q": str, "assert": str, "oracle": str, "i": str, "j": str, "id": str, "a": str,
+    "b": str, "x": (str, type(None)), "coin": int, "expect_error": (str, type(None)),
+    "expect": bool,
+}
+
+
+def _has_type(value, name):
+    kind = FIELD_TYPES[name]
+    if isinstance(value, bool) and kind is not bool:
+        return False
+    if name == "principals" and isinstance(value, list):
+        return all(isinstance(item, str) for item in value)
+    return isinstance(value, kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), value=JSON_VALUES)
+def test_scenario_fields_of_any_json_value_fail_only_as_scenario_errors(data, value):
+    script = json.loads(json.dumps(FUZZED_SCRIPT))
+    number = data.draw(st.integers(0, len(script) - 1))
+    entry = script[number]
+    if "config" in entry and data.draw(st.booleans()):
+        entry = entry["config"]
+    name = data.draw(st.sampled_from(sorted(entry)))
+    entry[name] = value
+    try:
+        report = run_scenario([json.dumps(line) for line in script])
+    except ScenarioError:
+        return
+    assert _has_type(value, name), f"{name}={value!r} ran as {report['failures']}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=JSON_VALUES, number=st.integers(0, len(FUZZED_SCRIPT)))
+def test_scenario_lines_of_any_json_value_fail_only_as_scenario_errors(value, number):
+    lines = [json.dumps(line) for line in FUZZED_SCRIPT]
+    lines.insert(number, json.dumps(value))
+    try:
+        run_scenario(lines)
+    except ScenarioError:
+        return
+    assert isinstance(value, dict)
 
 
 def test_scenario_mode_flag_defaults():
