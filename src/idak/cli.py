@@ -375,7 +375,11 @@ def build_parser():
 
     with_params = argparse.ArgumentParser(add_help=False)
     with_params.add_argument("--params", required=True, help="parameters file")
-    with_params.add_argument(
+    # only derive reads the variant; the other commands keep the default
+    with_params.set_defaults(pi=PiVariant.HASH_HALF.value)
+
+    with_pi = argparse.ArgumentParser(add_help=False)
+    with_pi.add_argument(
         "--pi", choices=PI_CHOICES, default=PiVariant.HASH_HALF.value,
         help="flow-compression variant",
     )
@@ -418,7 +422,7 @@ def build_parser():
     p.set_defaults(func=cmd_initiate)
 
     p = sub.add_parser(
-        "respond", parents=[common, with_params, exchange],
+        "respond", parents=[common, with_params, with_pi, exchange],
         help="answer a flow and derive the key",
     )
     p.add_argument("--key", required=True, help="own identity key file")
@@ -429,7 +433,7 @@ def build_parser():
     p.set_defaults(func=cmd_respond)
 
     p = sub.add_parser(
-        "finalize", parents=[common, with_params, exchange],
+        "finalize", parents=[common, with_params, with_pi, exchange],
         help="absorb the reply and derive the key",
     )
     p.add_argument("--key", required=True, help="own identity key file")
@@ -439,7 +443,7 @@ def build_parser():
     p.set_defaults(func=cmd_finalize)
 
     p = sub.add_parser(
-        "bench", parents=[common, with_params],
+        "bench", parents=[common, with_params, with_pi],
         help="measure derivation cost per strategy",
     )
     p.add_argument("--trials", type=int, default=5, help="timed runs per strategy")

@@ -6,6 +6,8 @@ values, so a file round-trips exactly and two runs with the same seed
 produce byte-identical files.
 """
 
+import os
+
 from idak.bilinear import (
     GroupParams,
     decode_group_params,
@@ -26,12 +28,28 @@ SESSION_KEY_SIZE = 32
 
 
 def write_entry(path, kind, payload):
-    """Store one armored entry, overwriting whatever the path held."""
+    """Store one armored entry, replacing whatever the path held.
+
+    The entry is written to a fresh file beside the target, which then
+    replaces the target in one rename, so a write that fails midway leaves
+    the old file as it was.  Every kind but params holds a secret or a
+    session and is created with mode 0600; params files get the mode the
+    umask gives.
+    """
     if kind not in KINDS:
         raise KeystoreError(f"unknown entry kind {kind!r}")
-    text = f"{HEADER_MAGIC} kind={kind}\n{payload.hex()}\n"
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(text)
+    data = f"{HEADER_MAGIC} kind={kind}\n{payload.hex()}\n".encode("ascii")
+    path = os.fspath(path)
+    temp = f"{path}.{os.urandom(6).hex()}.tmp"
+    mode = 0o666 if kind == "params" else 0o600
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def read_entry(path, expect_kind=None):

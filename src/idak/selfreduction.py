@@ -7,10 +7,12 @@ answer can be unblinded with pairings alone.  Majority voting over many
 blinded calls turns an unreliable oracle into a reliable solver.
 
 Everything that depends only on the instance is prepared once and cached
-for the most recent instance: its validation, a fixed-base window table
-for g, and the products of every subset of the seven cross pairings that
-unblinding needs.  Each round then costs one table walk per blinded
-point and one multi-exponentiation in GT, and no pairing.
+for the most recent instance: its validation, g's fixed-base window
+table (built by bilinear and cached there per base point, so instances
+that share g share it), and the products of every subset of the seven
+cross pairings that unblinding needs.  Each round then costs one table
+walk per blinded point and one multi-exponentiation in GT, and no
+pairing.
 """
 
 import functools
@@ -26,9 +28,10 @@ from idak.bilinear import (
     _fp2_inv,
     _fp2_mul,
     _fp2_sqr,
-    _jac_add_affine,
-    _jac_to_affine,
     _require_on_curve,
+    _window_table,
+    _window_walk,
+    fixed_base_exp,
     gt_exp,
     gt_mul,
     in_subgroup,
@@ -36,9 +39,6 @@ from idak.bilinear import (
     pairing,
     scalar_exp,
 )
-
-# Fixed-base windows of WINDOW_BITS bits: HMV, Guide to ECC, section 3.3.
-WINDOW_BITS = 4
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,9 @@ def make_instance(params, g, rng):
     z = 1 + rng.randrange(q - 1)
     inst = CbdhInstance(
         g,
-        scalar_exp(params, g, x),
-        scalar_exp(params, g, y),
-        scalar_exp(params, g, z),
+        fixed_base_exp(params, g, x),
+        fixed_base_exp(params, g, y),
+        fixed_base_exp(params, g, z),
     )
     truth = gt_exp(pairing(params, g, g), x * y * z % q)
     return inst, truth
@@ -96,25 +96,16 @@ def make_instance(params, g, rng):
 
 @functools.lru_cache(maxsize=1)
 def _prepared(params, inst):
-    """Validate the instance once and build its two tables.
+    """Validate the instance once and return its two tables.
 
-    The first is g's window table: row i holds [j * 16^i]g for j < 16, as
-    an (x, y) pair or None for the identity.  The second holds, at each
-    7-bit index, the product of the inverses of the cross pairings
-    e(x,y), e(x,z), e(y,z), e(x,g), e(y,g), e(z,g), e(g,g) whose bits are
-    set, read from the top bit down.  A failed validation raises, so it is
-    never cached.
+    The first is g's window table, from bilinear's cache of them.  The
+    second holds, at each 7-bit index, the product of the inverses of the
+    cross pairings e(x,y), e(x,z), e(y,z), e(x,g), e(y,g), e(z,g), e(g,g)
+    whose bits are set, read from the top bit down.  A failed validation
+    raises, so it is never cached.
     """
     validate_instance(params, inst)
     p = params.p
-    windows = []
-    base = inst.g
-    for _ in range(-(-params.q.bit_length() // WINDOW_BITS)):
-        row = [INFINITY]
-        for _ in range((1 << WINDOW_BITS) - 1):
-            row.append(_affine_add(p, row[-1], base))
-        windows.append(tuple(None if e.is_identity() else (e.x, e.y) for e in row))
-        base = _affine_add(p, row[-1], base)
     g, xp, yp, zp = inst.points()
     crosses = [
         pairing(params, left, right)
@@ -125,35 +116,25 @@ def _prepared(params, inst):
     for mask in range(1, 1 << len(inverses)):
         low = (mask & -mask).bit_length() - 1
         products.append(_fp2_mul(p, *products[mask & (mask - 1)], *inverses[low]))
-    return tuple(windows), tuple(products)
-
-
-def _shifted(p, windows, point, n):
-    """point + [n]g for 0 <= n < q, by mixed additions of window entries."""
-    X, Y, Z = (0, 1, 0) if point.is_identity() else (point.x, point.y, 1)
-    for row in windows:
-        entry = row[n & ((1 << WINDOW_BITS) - 1)]
-        if entry is not None:
-            X, Y, Z = _jac_add_affine(p, X, Y, Z, *entry)
-        n >>= WINDOW_BITS
-    return _jac_to_affine(p, X, Y, Z)
+    return _window_table(params, g), tuple(products)
 
 
 def randomize(params, inst, rng):
     """Blind a challenge so its exponents become uniform over Z_q^3.
 
-    Each blinded point is the instance point plus [shift]g, read off the
-    instance's cached window table: one mixed addition per window, no
-    doublings and one inversion.
+    Each blinded point is the instance point plus [shift]g: a walk of
+    g's cached window table that starts at the instance point, so it
+    costs one mixed addition per 4-bit digit of the shift, no doubling,
+    and one inversion.
     """
-    windows, _ = _prepared(params, inst)
-    q = params.q
+    table, _ = _prepared(params, inst)
+    p, q = params.p, params.q
     shift = Blinding(rng.randrange(q), rng.randrange(q), rng.randrange(q))
     blinded = CbdhInstance(
         inst.g,
-        _shifted(params.p, windows, inst.x_point, shift.a),
-        _shifted(params.p, windows, inst.y_point, shift.b),
-        _shifted(params.p, windows, inst.z_point, shift.c),
+        _window_walk(p, table, inst.x_point, shift.a),
+        _window_walk(p, table, inst.y_point, shift.b),
+        _window_walk(p, table, inst.z_point, shift.c),
     )
     return blinded, shift
 

@@ -399,6 +399,14 @@ def _field(entry: dict, name: str, kind, number: int, default=_REQUIRED):
     return value
 
 
+def _name(entry: dict, name: str, number: int) -> str:
+    """The principal named by entry[name], which must be a non-empty string."""
+    value = _field(entry, name, str, number)
+    if not value:
+        raise ScenarioError(f"line {number}: field {name!r} names nobody")
+    return value
+
+
 def _config(config, number: int) -> dict:
     if not isinstance(config, dict):
         raise ScenarioError(f"line {number}: config is not a JSON object")
@@ -437,7 +445,7 @@ def _run_query(state: _ScenarioState, entry: dict, number: int, report: dict):
             label = _field(entry, "oracle", str, number)
             if label not in state.oracles:
                 state.oracles[label] = world.new_oracle(
-                    _field(entry, "i", str, number), _field(entry, "j", str, number)
+                    _name(entry, "i", number), _name(entry, "j", number)
                 )
             oracle = state.oracles[label]
             out = world.send(oracle, _resolve_flow(state, entry.get("x")))
@@ -451,11 +459,14 @@ def _run_query(state: _ScenarioState, entry: dict, number: int, report: dict):
             point = world.corrupt(_field(entry, "i", str, number))
             record["result"] = encode_point(world.params.group, point).hex()
         elif kind == "extract":
-            point = world.extract_query(_field(entry, "id", str, number))
+            point = world.extract_query(_name(entry, "id", number))
             record["result"] = encode_point(world.params.group, point).hex()
         elif kind == "test":
             label = _field(entry, "oracle", str, number)
-            key = world.test(state.oracle(label), _field(entry, "coin", int, number))
+            coin = _field(entry, "coin", int, number)
+            if coin not in (0, 1):
+                raise ScenarioError(f"line {number}: coin must be 0 or 1")
+            key = world.test(state.oracle(label), coin)
             state.test_results[label] = key
             record["result"] = key.key.hex()
         else:

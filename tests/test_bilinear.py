@@ -353,21 +353,21 @@ def test_hash_to_group_cache_is_keyed_by_params_and_identity_bytes():
         hash_to_group(first, "")
 
 
-def test_evicted_hash_and_comb_entries_are_rebuilt_the_same():
+def test_evicted_hash_and_window_table_entries_are_rebuilt_the_same():
     gp = instance_generate(16, "eviction")
     point = hash_to_group(gp, "dave")
     base = scalar_exp(gp, point, 5)
     expected = fixed_base_exp(gp, base, 12345)
-    hashes, combs = bilinear._hash_to_group, bilinear._comb_table
+    hashes, tables = bilinear._hash_to_group, bilinear._window_table
     for i in range(hashes.cache_info().maxsize):
         hash_to_group(gp, f"filler-{i}")
-    for i in range(combs.cache_info().maxsize):
+    for i in range(tables.cache_info().maxsize):
         fixed_base_exp(gp, scalar_exp(gp, point, 100 + i), 3)
-    misses = hashes.cache_info().misses, combs.cache_info().misses
+    misses = hashes.cache_info().misses, tables.cache_info().misses
     assert hash_to_group(gp, "dave") == point
     assert fixed_base_exp(gp, base, 12345) == expected == scalar_exp(gp, base, 12345)
     # both were rebuilt, not read back
-    assert (hashes.cache_info().misses, combs.cache_info().misses) == (
+    assert (hashes.cache_info().misses, tables.cache_info().misses) == (
         misses[0] + 1, misses[1] + 1)
 
 

@@ -40,7 +40,7 @@ def keyring(tmp_path_factory):
 
 
 def exchange(keyring, tmp_path, *, seed_a="a", seed_b="b", pfs=False,
-             responder="bob", strategy="c1-nopre", tag=""):
+             responder="bob", strategy="c1-nopre", pi=None, tag=""):
     """Drive initiate/respond/finalize, returning the two key file paths."""
     flow_a = str(tmp_path / f"a{tag}.flow")
     flow_b = str(tmp_path / f"b{tag}.flow")
@@ -51,13 +51,12 @@ def exchange(keyring, tmp_path, *, seed_a="a", seed_b="b", pfs=False,
     assert main(["initiate", *base, "--key", keyring["alice"], "--peer", "bob",
                  "--flow-out", flow_a, "--state-out", state, "--seed", seed_a,
                  "--quiet"]) == 0
-    pfs_flag = ["--pfs"] if pfs else []
+    flags = ["--strategy", strategy] + (["--pfs"] if pfs else []) + (["--pi", pi] if pi else [])
     assert main(["respond", *base, "--key", keyring[responder], "--flow-in", flow_a,
                  "--flow-out", flow_b, "--key-out", key_b, "--seed", seed_b,
-                 "--strategy", strategy, *pfs_flag, "--quiet"]) == 0
+                 *flags, "--quiet"]) == 0
     code = main(["finalize", *base, "--key", keyring["alice"], "--state", state,
-                 "--flow-in", flow_b, "--key-out", key_a, "--strategy", strategy,
-                 *pfs_flag, "--quiet"])
+                 "--flow-in", flow_b, "--key-out", key_a, *flags, "--quiet"])
     return code, key_a, key_b
 
 
@@ -216,6 +215,32 @@ def test_pfs_round_trip_differs_from_base(keyring, tmp_path):
     assert code == 0
     assert keystore.load_session(pfs_a) == keystore.load_session(pfs_b)
     assert keystore.load_session(pfs_a) != keystore.load_session(base_a)
+
+
+def test_pi_variant_round_trip_differs_from_default(keyring, tmp_path):
+    code, base_a, _ = exchange(keyring, tmp_path, seed_a="v1", seed_b="v2", tag="base")
+    assert code == 0
+    code, xor_a, xor_b = exchange(keyring, tmp_path, seed_a="v1", seed_b="v2",
+                                  pi="xor-half", tag="xor")
+    assert code == 0
+    assert keystore.load_session(xor_a) == keystore.load_session(xor_b)
+    assert keystore.load_session(xor_a) != keystore.load_session(base_a)
+
+
+@pytest.mark.parametrize("command", ["extract", "verify-key", "initiate"])
+def test_pi_is_refused_where_it_changes_nothing(keyring, tmp_path, command):
+    argv = {
+        "extract": ["extract", "dora", "--master", keyring["master"],
+                    "--out", str(tmp_path / "dora.key")],
+        "verify-key": ["verify-key", keyring["alice"], "--master", keyring["master"]],
+        "initiate": ["initiate", "--key", keyring["alice"], "--peer", "bob",
+                     "--flow-out", str(tmp_path / "a.flow"),
+                     "--state-out", str(tmp_path / "a.state")],
+    }[command]
+    assert main([*argv, "--params", keyring["params"], "--quiet"]) == 0
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--params", keyring["params"], "--pi", "xor-half", "--quiet"])
+    assert info.value.code == 2
 
 
 def test_mixed_pfs_flags_are_rejected(keyring, tmp_path, capsys):

@@ -212,9 +212,9 @@ def test_scalar_exp_matches_reference_on_every_point(k_bits, seed, data):
         assert scalar_exp(params, point, n) == ref_scalar_exp(params, point, n), (point, n)
 
 
-def comb_scalars(params):
-    """0, 1, q - 1, q, 2^|q| - 1, the comb's whole range, negatives and
-    values from 2^|q| up, which go to scalar_exp."""
+def window_scalars(params):
+    """0, 1, q - 1, q, 2^|q| - 1, the window table's whole range, negatives
+    and values from 2^|q| up, which go to scalar_exp."""
     q = params.q
     top = 1 << q.bit_length()
     return st.one_of(
@@ -229,10 +229,11 @@ def comb_scalars(params):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_fixed_base_exp_matches_scalar_exp_on_every_point(k_bits, seed, data):
-    # every point, not only the subgroup: the comb must also be right for
-    # the identity, (0, 0) and points whose higher teeth are the identity
+    # every point, not only the subgroup: the window table must also be
+    # right for the identity, (0, 0) and points whose higher rows hold the
+    # identity
     params, points = curve(k_bits, seed)
-    n = data.draw(comb_scalars(params))
+    n = data.draw(window_scalars(params))
     for point in points:
         assert fixed_base_exp(params, point, n) == scalar_exp(params, point, n), (point, n)
 

@@ -1,6 +1,8 @@
 """Key file armoring tests: round trips, tamper rejection, determinism."""
 
+import os
 import random
+import stat
 
 import pytest
 from hypothesis import example, given, settings
@@ -107,6 +109,64 @@ def test_writes_are_reproducible(tmp_path):
     keystore.save_group(first, GROUP)
     keystore.save_group(second, GROUP)
     assert first.read_bytes() == second.read_bytes()  # no timestamps, no noise
+
+
+class _FailingFile:
+    """A file whose write stores half the data, then fails."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, data):
+        self.handle.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("step", ["write", "replace"])
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, step):
+    path = tmp_path / "bob.session"
+    keystore.save_session(path, SessionKey(key=bytes(32)))
+    before = path.read_bytes()
+    if step == "write":
+        fdopen = os.fdopen
+        monkeypatch.setattr(keystore.os, "fdopen", lambda *a: _FailingFile(fdopen(*a)))
+    else:
+        def refuse(*_):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(keystore.os, "replace", refuse)
+    with pytest.raises(OSError):
+        keystore.save_session(path, SessionKey(key=bytes(range(32))))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["bob.session"]
+
+
+def test_secret_files_are_private_and_params_follow_the_umask(tmp_path):
+    own = extract(PARAMS, MSK, "alice")
+    x, msg = initiate(PARAMS, own, random.Random(7))
+    probe = tmp_path / "probe"
+    probe.write_bytes(b"")
+    # an existing looser file is replaced, not reused
+    (tmp_path / "session.key").write_bytes(b"")
+    os.chmod(tmp_path / "session.key", 0o644)
+    keystore.save_group(tmp_path / "params.key", GROUP)
+    keystore.save_master(tmp_path / "master.key", GROUP, MSK.alpha)
+    keystore.save_identity(tmp_path / "identity.key", GROUP, own)
+    keystore.save_state(tmp_path / "state.key", GROUP, b"bob", x, msg)
+    keystore.save_session(tmp_path / "session.key", SessionKey(key=bytes(32)))
+
+    def mode(name):
+        return stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+
+    assert mode("params.key") == mode("probe")
+    for name in ("master.key", "identity.key", "state.key", "session.key"):
+        assert mode(name) == 0o600, name
 
 
 # ---------------------------------------------------------------------------

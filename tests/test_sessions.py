@@ -474,7 +474,7 @@ def test_scenario_collects_failed_expectations():
 
 
 def test_scenario_rejects_bad_files():
-    for line in [
+    for script in [
         "not json",
         '{"q": "reveal", "oracle": "nope"}',
         '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": "@B.out"}',
@@ -491,13 +491,20 @@ def test_scenario_rejects_bad_files():
         '{"q": "send", "oracle": "A", "i": ["x"], "j": "b", "x": null}',
         '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": 5}',
         '{"q": "corrupt", "i": null}',
+        # an oracle A exists, so only the coin can be at fault
+        '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": null}\n'
         '{"q": "test", "oracle": "A", "coin": true}',
+        '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": null}\n'
+        '{"q": "test", "oracle": "A", "coin": 2}',
+        '{"q": "send", "oracle": "A", "i": "", "j": "b", "x": null}',
+        '{"q": "send", "oracle": "A", "i": "a", "j": "", "x": null}',
+        '{"q": "extract", "id": ""}',
         '{"assert": "fresh"}',
         '{"assert": "completed", "oracle": "A", "expect": "yes"}',
         "[" * 10**5,
     ]:
         with pytest.raises(ScenarioError):
-            run_scenario([line])
+            run_scenario(script.split("\n"))
 
 
 JSON_VALUES = st.recursive(
