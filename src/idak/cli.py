@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 data error, 2 usage error, 3 assertion failure.
 
 import argparse
 import dataclasses
+import functools
 import json
 import random
 import statistics
@@ -62,15 +63,42 @@ BANNER = (
 PI_CHOICES = tuple(variant.value for variant in PiVariant)
 STRATEGY_CHOICES = tuple(EXPECTED_COSTS)
 
+# what a degenerate exponent leaves each deriving side to do
+DEGENERATE_ADVICE = {
+    "responder": "responder rejects this session",
+    "initiator": "rerun initiate with a fresh seed",
+}
 
-def _k_bits(text):
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
-    if not 3 <= value <= 512:
-        raise argparse.ArgumentTypeError("k_bits must lie in [3, 512]")
-    return value
+
+class Refusal(IdakError):
+    """Input the command refuses; main prints `error: LABEL: DETAIL`, exit 1."""
+
+    def __init__(self, label, detail):
+        super().__init__(f"{label}: {detail}")
+
+
+def _in_range(kind, name, low, high=None):
+    """An argparse type: text read by kind, refused outside [low, high]."""
+    noun = "an integer" if kind is int else "a number"
+    bounds = f"lie in [{low}, {high}]" if high is not None else f"be at least {low}"
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {noun}") from exc
+        # written so that nan, which fails every comparison, is refused
+        if not (low <= value and (high is None or value <= high)):
+            raise argparse.ArgumentTypeError(f"{name} must {bounds}")
+        return value
+
+    return parse
+
+
+_k_bits = _in_range(int, "k_bits", 3, 512)
+_trials = _in_range(int, "trials", 1)
+_n = _in_range(int, "n", 1)
+_delta = _in_range(float, "delta", 0, 1)
 
 
 def _identity(text):
@@ -93,9 +121,44 @@ def _system_params(args):
     )
 
 
-def _fail(label, detail):
-    print(f"error: {label}: {detail}", file=sys.stderr)
-    return EXIT_DATA
+def _read_flow(args, params, role):
+    """The peer's flow file decoded, refused unless its sender has this role."""
+    try:
+        sender_role, *flow = decode_flow(params, Path(args.flow_in).read_bytes())
+    except InvalidFlowError as exc:
+        raise Refusal("invalid-flow", exc) from exc
+    if sender_role != role:
+        article = "an" if role == "initiator" else "a"
+        raise Refusal("invalid-flow", f"expected {article} {role} flow")
+    return flow
+
+
+def _derive_key(args, params, own, role, secret, own_msg, peer_id, peer_msg, extra=None):
+    """One side's session key and derive's counts, or a refusal.
+
+    secret is this side's ephemeral exponent and extra the received extra
+    point (finalize --pfs only), checked before derive runs.  With --pfs
+    the key also hashes g_initiator^(x*y): the responder raises the
+    initiator's flow point to y, the initiator raises extra to x.
+    """
+    try:
+        # pfs_verify_extra and derive are the checks of the received points
+        if extra is not None and not pfs_verify_extra(params, own, peer_id, peer_msg, extra):
+            raise Refusal("invalid-flow", "extra point fails the pairing check")
+        sk, counts = derive(
+            params, own, secret, own_msg, peer_id, peer_msg, role, parse_strategy(args.strategy)
+        )
+    except DegenerateExponentError as exc:
+        raise Refusal("degenerate-exponent", f"{exc}; {DEGENERATE_ADVICE[role]}") from exc
+    except InvalidFlowError as exc:
+        raise Refusal("rejected-point", exc) from exc
+    if args.pfs:
+        dh = scalar_exp(params.group, peer_msg.r if role == "responder" else extra, secret)
+        return pfs_session_key(params, sk, dh), counts
+    # the plain key hashes the initiator's identity and flow first
+    sides = ((own.identity, own_msg), (peer_id, peer_msg))
+    (id_a, msg_a), (id_b, msg_b) = sides if role == "initiator" else sides[::-1]
+    return session_key(params, sk, id_a, id_b, msg_a, msg_b), counts
 
 
 # ---------------------------------------------------------------------------
@@ -162,48 +225,20 @@ def cmd_initiate(args):
 def cmd_respond(args):
     params = _system_params(args)
     own = keystore.load_identity(args.key, params.group)
-    try:
-        role, peer_ident, peer_msg, peer_extra = decode_flow(
-            params, Path(args.flow_in).read_bytes()
-        )
-    except InvalidFlowError as exc:
-        return _fail("invalid-flow", exc)
-    if role != "initiator":
-        return _fail("invalid-flow", "expected an initiator flow")
+    peer_ident, peer_msg, peer_extra = _read_flow(args, params, "initiator")
     if peer_extra is not None:
-        return _fail("invalid-flow", "initiator flows carry no extra point")
+        raise Refusal("invalid-flow", "initiator flows carry no extra point")
     rng = seeded_rng("idak-cli-respond", args.seed)
     if args.pfs:
         y, msg, extra = pfs_respond(params, own, peer_ident, rng)
     else:
         y, msg = initiate(params, own, rng)
         extra = None
-    strategy = parse_strategy(args.strategy)
-    try:
-        sk, counts = derive(
-            params, own, y, msg, peer_ident, peer_msg, "responder", strategy
-        )
-    except DegenerateExponentError as exc:
-        return _fail("degenerate-exponent", f"{exc}; responder rejects this session")
-    except InvalidFlowError as exc:
-        return _fail("rejected-point", exc)
-    if args.pfs:
-        dh = scalar_exp(params.group, peer_msg.r, y)
-        key = pfs_session_key(params, sk, dh)
-    else:
-        key = session_key(params, sk, peer_ident, own.identity, peer_msg, msg)
-    Path(args.flow_out).write_bytes(
-        encode_flow(params, "responder", own.identity, msg, extra)
-    )
+    key, counts = _derive_key(args, params, own, "responder", y, msg, peer_ident, peer_msg)
+    Path(args.flow_out).write_bytes(encode_flow(params, "responder", own.identity, msg, extra))
     keystore.save_session(args.key_out, key)
-    _emit(
-        args,
-        {
-            "flow": args.flow_out,
-            "key": args.key_out,
-            "counts": dataclasses.asdict(counts),
-        },
-    )
+    report = {"flow": args.flow_out, "key": args.key_out, "counts": dataclasses.asdict(counts)}
+    _emit(args, report)
     return EXIT_OK
 
 
@@ -211,40 +246,17 @@ def cmd_finalize(args):
     params = _system_params(args)
     own = keystore.load_identity(args.key, params.group)
     peer_id, x, own_msg = keystore.load_state(args.state, params.group)
-    try:
-        role, sender_ident, peer_msg, extra = decode_flow(
-            params, Path(args.flow_in).read_bytes()
-        )
-    except InvalidFlowError as exc:
-        return _fail("invalid-flow", exc)
-    if role != "responder":
-        return _fail("invalid-flow", "expected a responder flow")
+    sender_ident, peer_msg, extra = _read_flow(args, params, "responder")
     if sender_ident != peer_id:
-        return _fail(
+        raise Refusal(
             "invalid-flow",
             f"flow names {sender_ident!r}, session was opened with {peer_id!r}",
         )
     if args.pfs and extra is None:
-        return _fail("invalid-flow", "flow carries no extra point; responder ran without --pfs")
+        raise Refusal("invalid-flow", "flow carries no extra point; responder ran without --pfs")
     if not args.pfs and extra is not None:
-        return _fail("invalid-flow", "flow carries an extra point; rerun with --pfs")
-    strategy = parse_strategy(args.strategy)
-    try:
-        # pfs_verify_extra and derive are the checks of the received points
-        if args.pfs and not pfs_verify_extra(params, own, peer_id, peer_msg, extra):
-            return _fail("invalid-flow", "extra point fails the pairing check")
-        sk, counts = derive(
-            params, own, x, own_msg, peer_id, peer_msg, "initiator", strategy
-        )
-    except DegenerateExponentError as exc:
-        return _fail("degenerate-exponent", f"{exc}; rerun initiate with a fresh seed")
-    except InvalidFlowError as exc:
-        return _fail("rejected-point", exc)
-    if args.pfs:
-        dh = scalar_exp(params.group, extra, x)
-        key = pfs_session_key(params, sk, dh)
-    else:
-        key = session_key(params, sk, own.identity, peer_id, own_msg, peer_msg)
+        raise Refusal("invalid-flow", "flow carries an extra point; rerun with --pfs")
+    key, counts = _derive_key(args, params, own, "initiator", x, own_msg, peer_id, peer_msg, extra)
     keystore.save_session(args.key_out, key)
     _emit(args, {"key": args.key_out, "counts": dataclasses.asdict(counts)})
     return EXIT_OK
@@ -364,7 +376,9 @@ def cmd_reduce(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process and reused by every main call."""
     parser = argparse.ArgumentParser(
         prog="idak",
         description="identity-based authenticated key agreement over a toy pairing",
@@ -397,13 +411,11 @@ def build_parser():
     p.add_argument("--k-bits", type=_k_bits, required=True, help="subgroup order size in bits")
     p.add_argument("--seed", default=None, help="deterministic generation seed")
     p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(func=cmd_setup)
 
     p = sub.add_parser("extract", parents=[common, with_params], help="issue an identity key")
     p.add_argument("identity", type=_identity, help="principal name")
     p.add_argument("--master", required=True, help="master key file")
     p.add_argument("--out", required=True, help="identity key file to write")
-    p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser(
         "verify-key", parents=[common, with_params],
@@ -411,7 +423,6 @@ def build_parser():
     )
     p.add_argument("key_file", help="identity key file")
     p.add_argument("--master", required=True, help="master key file")
-    p.set_defaults(func=cmd_verify_key)
 
     p = sub.add_parser("initiate", parents=[common, with_params], help="open a session")
     p.add_argument("--key", required=True, help="own identity key file")
@@ -419,7 +430,6 @@ def build_parser():
     p.add_argument("--flow-out", required=True, help="flow file to write")
     p.add_argument("--state-out", required=True, help="pending-session file to write")
     p.add_argument("--seed", default=None, help="ephemeral seed")
-    p.set_defaults(func=cmd_initiate)
 
     p = sub.add_parser(
         "respond", parents=[common, with_params, with_pi, exchange],
@@ -430,7 +440,6 @@ def build_parser():
     p.add_argument("--flow-out", required=True, help="reply flow file to write")
     p.add_argument("--key-out", required=True, help="session key file to write")
     p.add_argument("--seed", default=None, help="ephemeral seed")
-    p.set_defaults(func=cmd_respond)
 
     p = sub.add_parser(
         "finalize", parents=[common, with_params, with_pi, exchange],
@@ -440,49 +449,45 @@ def build_parser():
     p.add_argument("--state", required=True, help="pending-session file from initiate")
     p.add_argument("--flow-in", required=True, help="responder flow file")
     p.add_argument("--key-out", required=True, help="session key file to write")
-    p.set_defaults(func=cmd_finalize)
 
     p = sub.add_parser(
         "bench", parents=[common, with_params, with_pi],
         help="measure derivation cost per strategy",
     )
-    p.add_argument("--trials", type=int, default=5, help="timed runs per strategy")
+    p.add_argument("--trials", type=_trials, default=5, help="timed runs per strategy")
     p.add_argument("--seed", default=None, help="session seed")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("scenario", parents=[common], help="run a query script")
     p.add_argument("file", nargs="?", help="scenario file or bundled name")
     p.add_argument("--list", action="store_true", help="list bundled scenarios")
-    p.add_argument("--seed", default="scenario", help="world seed")
-    p.add_argument("--mode", choices=MODES, default="br", help="freshness mode")
-    p.add_argument("--k-bits", type=_k_bits, default=16, help="parameter size")
-    p.set_defaults(func=cmd_scenario)
+    # each of these wins over the file's config line, which wins over the default
+    p.add_argument("--seed", default=None, help="world seed (default: scenario)")
+    p.add_argument("--mode", choices=MODES, default=None, help="freshness mode (default: br)")
+    p.add_argument("--k-bits", type=_k_bits, default=None, help="parameter size (default: 16)")
 
     p = sub.add_parser(
         "reduce", parents=[common],
         help="amplify a faulty oracle over blinded instances",
     )
-    p.add_argument("--delta", type=float, default=1.0, help="oracle reliability")
-    p.add_argument("--n", type=int, default=1, help="blinded queries per instance")
-    p.add_argument("--trials", type=int, default=10, help="instances to solve")
+    p.add_argument("--delta", type=_delta, default=1.0, help="oracle reliability")
+    p.add_argument("--n", type=_n, default=1, help="blinded queries per instance")
+    p.add_argument("--trials", type=_trials, default=10, help="instances to solve")
     p.add_argument("--k-bits", type=_k_bits, default=16, help="parameter size")
     p.add_argument("--seed", default="reduce", help="experiment seed")
-    p.set_defaults(func=cmd_reduce)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up at call time, so a rebinding of cmd_NAME in this module runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except ScenarioError as exc:
         print(f"error: scenario: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except IdakError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (IdakError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

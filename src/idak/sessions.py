@@ -306,8 +306,9 @@ def _error_name(exc: Exception) -> str:
 
 
 class _ScenarioState:
-    def __init__(self, defaults: dict):
-        self.defaults = defaults
+    def __init__(self, overrides: dict):
+        self.config: dict = {}  # what the file's config lines set
+        self.overrides = overrides  # the caller's values, which win over config
         self.world: World | None = None
         self.oracles: dict[str, SessionOracle] = {}
         self.outputs: dict[str, FlowMessage] = {}
@@ -315,7 +316,7 @@ class _ScenarioState:
 
     def ensure_world(self):
         if self.world is None:
-            cfg = self.defaults
+            cfg = {**self.config, **self.overrides}
             try:
                 self.world = make_world(
                     k_bits=cfg.get("k_bits", 16),
@@ -334,17 +335,20 @@ class _ScenarioState:
         return self.oracles[label]
 
 
-def run_scenario(lines, k_bits: int = 16, seed="scenario", mode: str = "br") -> dict:
+def run_scenario(lines, k_bits: int | None = None, seed=None, mode: str | None = None) -> dict:
     """Execute a JSON-lines scenario and return a replayable report.
 
     Each line is a query {"q": ...}, an {"assert": ...}, or a leading
-    {"config": ...} overriding the defaults.  Flow arguments are null for
+    {"config": ...} overriding the defaults (k_bits 16, seed "scenario",
+    mode "br").  k_bits, seed and mode, when not None, win over both the
+    config line and the defaults.  Flow arguments are null for
     an initiator activation, "@LABEL.out" for another oracle's emitted
     flow, or hex bytes of a point encoding.  Queries may carry
     "expect_error" naming the error they must fail with.  Failed
     expectations and assertions are collected, not raised.
     """
-    state = _ScenarioState({"k_bits": k_bits, "seed": seed, "mode": mode})
+    given = {"k_bits": k_bits, "seed": seed, "mode": mode}
+    state = _ScenarioState({name: value for name, value in given.items() if value is not None})
     report = {"failures": [], "log": [], "queries": 0, "assertions": 0}
     for number, raw in enumerate(lines, start=1):
         raw = raw.strip()
@@ -359,7 +363,7 @@ def run_scenario(lines, k_bits: int = 16, seed="scenario", mode: str = "br") -> 
         if "config" in entry:
             if state.world is not None:
                 raise ScenarioError(f"line {number}: config after queries")
-            state.defaults.update(_config(entry["config"], number))
+            state.config.update(_config(entry["config"], number))
             continue
         if "q" in entry:
             report["queries"] += 1

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from idak import keystore
+from idak import cli, keystore
 from idak.bilinear import (
     INFINITY,
     GElem,
@@ -449,3 +449,60 @@ def test_quiet_silences_reports(keyring, capsys):
     assert main(["bench", "--params", keyring["params"], "--trials", "1",
                  "--seed", "t", "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_repeated_main_calls_reuse_one_parser(keyring, tmp_path, capsys):
+    code, pfs_a, pfs_b = exchange(keyring, tmp_path, pfs=True, tag="pfs")
+    assert code == 0
+    with pytest.raises(SystemExit) as info:
+        main(["respond", "--params", keyring["params"], "--strategy", "c9"])
+    assert info.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    code, plain_a, plain_b = exchange(keyring, tmp_path, tag="plain")
+    assert code == 0
+    assert keystore.load_session(pfs_a) == keystore.load_session(pfs_b)
+    assert keystore.load_session(plain_a) == keystore.load_session(plain_b)
+    assert keystore.load_session(pfs_a) != keystore.load_session(plain_a)
+    assert cli.build_parser.cache_info().misses == 1  # built once in this process
+
+
+def test_main_runs_the_command_bound_at_call_time(keyring, tmp_path, monkeypatch):
+    # a wrapper bound over cmd_respond after the parser is built is what runs
+    code, *_ = exchange(keyring, tmp_path, tag="before")
+    assert code == 0
+    original, seen = cli.cmd_respond, []
+
+    def wrapper(args):
+        seen.append(args.command)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_respond", wrapper)
+    code, key_a, key_b = exchange(keyring, tmp_path, tag="after")
+    assert code == 0 and seen == ["respond"]
+    assert keystore.load_session(key_a) == keystore.load_session(key_b)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--trials", "0"],
+    ["reduce", "--trials", "-1"],
+    ["reduce", "--n", "0"],
+    ["reduce", "--delta", "2"],
+    ["reduce", "--delta", "-0.5"],
+    ["reduce", "--delta", "nan"],
+    ["reduce", "--delta", "x"],
+    ["bench", "--trials", "0"],
+    ["bench", "--trials", "-2"],
+], ids=lambda argv: " ".join(argv))
+def test_out_of_range_numbers_are_usage_errors(keyring, capsys, argv):
+    if argv[0] == "bench":
+        argv = [*argv, "--params", keyring["params"]]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}: " in err and "Traceback" not in err

@@ -14,8 +14,9 @@ import pytest
 
 from idak.cli import _scenario_lines, bundled_scenarios, main
 
-# A bundled scenario's config line overrides the --k-bits and --mode
-# flags, so each run rewrites both in that line and passes the same flags.
+# Each report is pinned two ways: with k_bits and mode rewritten in the
+# scenario's config line, and as the bundled file ships (its config line
+# sets k_bits 16 and its own mode) with --k-bits and --mode, which win.
 SCENARIO_DIGESTS = {
     # (scenario, k_bits, mode): (exit code, sha256 of the JSON report)
     ("br_corrupt_after.jsonl", 16, "br"): (
@@ -121,6 +122,13 @@ def test_scenario_report_is_byte_identical(tmp_path, capsys, name, k_bits, mode)
     script = tmp_path / name
     script.write_text(_with_config(name, k_bits, mode))
     code = main(["scenario", str(script), "--k-bits", str(k_bits), "--mode", mode])
+    out = capsys.readouterr().out
+    assert (code, _sha256(out.encode())) == SCENARIO_DIGESTS[name, k_bits, mode]
+
+
+@pytest.mark.parametrize("name, k_bits, mode", sorted(SCENARIO_DIGESTS))
+def test_scenario_flags_win_over_the_config_line(capsys, name, k_bits, mode):
+    code = main(["scenario", name, "--k-bits", str(k_bits), "--mode", mode])
     out = capsys.readouterr().out
     assert (code, _sha256(out.encode())) == SCENARIO_DIGESTS[name, k_bits, mode]
 
