@@ -41,6 +41,10 @@ class NoKeyError(IdakError):
     """Reveal was asked of an oracle that holds no session key."""
 
 
+class NoFlowError(IdakError):
+    """A scenario referred to the flow of an oracle that emitted none."""
+
+
 class NoSuchPrincipalError(IdakError):
     """A query referenced a principal the world does not know."""
 

@@ -13,6 +13,12 @@ that share g share it), and the products of every subset of the seven
 cross pairings that unblinding needs.  Each round then costs one table
 walk per blinded point and one multi-exponentiation in GT, and no
 pairing.
+
+The mock oracle that stands in for the adversary answers with a
+baby-step giant-step discrete log (Shanks 1971).  Its table holds the m
+baby steps [j]g, m = isqrt(q - 1) + 1, keyed by x-coordinate so that
+each entry also stands for [-j]g; a giant step then covers 2m + 1
+residues, and a walk takes at most about sqrt(q)/2 of them.
 """
 
 import functools
@@ -21,7 +27,6 @@ import random
 from dataclasses import dataclass
 
 from idak.bilinear import (
-    INFINITY,
     GElem,
     GTElem,
     _affine_add,
@@ -190,35 +195,82 @@ def solve_dlog(params, base, target):
 
 
 def _baby_table(params, base):
-    """The baby steps [j]base for j < m, and the giant stride [-m]base."""
+    """The baby steps keyed by x, and the giant stride [-(2m+1)]base.
+
+    For m = isqrt(q - 1) + 1 the dict maps the x-coordinate of [j]base,
+    for 1 <= j <= m, to (j, y).  [j]base and [-j]base share that x and
+    differ in y, so one entry answers both, which holds only if base has
+    order q: the identity or a base outside the order-q subgroup raises
+    ValueError.
+    """
+    _require_on_curve(params, base)
+    if base.is_identity() or not in_subgroup(params, base):
+        raise ValueError("base must generate the order-q subgroup")
+    p = params.p
     m = math.isqrt(params.q - 1) + 1
-    table = {}
-    step = INFINITY
-    for j in range(m):
-        table.setdefault(step, j)
-        step = _affine_add(params.p, step, base)
-    return table, scalar_exp(params, base, -m)
+    bx, by = base.x, base.y
+    double = _affine_add(p, base, base)
+    x, y = double.x, double.y
+    table = {bx: (1, by), x: (2, y)}
+    # for 2 < j <= m < q - 1, [j-1]base is neither base nor -base, so
+    # each further step is a chord
+    for j in range(3, m + 1):
+        x, y = _chord(p, x, y, bx, by)
+        table.setdefault(x, (j, y))
+    return table, scalar_exp(params, base, -(2 * m + 1))
+
+
+def _chord(p, x1, y1, x2, y2):
+    """The affine sum of two points with distinct x, as bare ints."""
+    lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
 
 
 def _dlog_from_table(params, baby, target):
+    """Walk target - [i(2m+1)]base until it lands within m of the identity.
+
+    Each giant step is one chord addition on bare ints, with one
+    inversion; a step whose x equals the stride's (a doubling or a
+    cancellation), or an identity stride, goes through _affine_add.
+    """
     _require_on_curve(params, target)
     table, stride = baby
-    m = math.isqrt(params.q - 1) + 1
-    gamma = target
-    for i in range(m + 1):
-        j = table.get(gamma)
-        if j is not None:
-            return (i * m + j) % params.q
-        gamma = _affine_add(params.p, gamma, stride)
+    p, q = params.p, params.q
+    width = 2 * (math.isqrt(q - 1) + 1) + 1
+    sx, sy = stride.x, stride.y
+    x, y = target.x, target.y
+    # giant step i covers the residues i*width - m .. i*width + m
+    for i in range(q // width + 1):
+        if x is None:
+            return i * width
+        hit = table.get(x)
+        if hit is not None:
+            j, yj = hit
+            return (i * width + (j if y == yj else -j)) % q
+        if sx is None or x == sx:
+            gamma = _affine_add(p, GElem(x, y), stride)
+            x, y = gamma.x, gamma.y
+        else:  # _chord, inlined in this hot loop
+            lam = (sy - y) * pow(sx - x, -1, p) % p
+            x3 = (lam * lam - x - sx) % p
+            x, y = x3, (lam * (x - x3) - y) % p
     raise ValueError("target is outside the subgroup generated by base")
 
 
 class MockCbdhOracle:
     """Stand-in adversary answering correctly with probability delta.
 
-    Correct answers come from a brute-force discrete log of the third
-    component, so this only works on the small curves used in tests.
-    Wrong answers are uniform over the target group.
+    Correct answers come from a baby-step giant-step discrete log of the
+    third component, so this only works on the small curves used in
+    tests.  Construction checks that g generates the order-q subgroup and
+    builds the x-keyed table of m = isqrt(q - 1) + 1 baby steps: m chord
+    additions, one subgroup check and one scalar multiplication for the
+    stride [-(2m+1)]g.  Each correct answer then walks at most
+    q // (2m+1) + 1 giant steps, about sqrt(q)/4 on average, each one
+    dict lookup and one chord addition with one inversion on bare ints,
+    and pays one pairing and one exponentiation in GT.  Wrong answers are
+    uniform over the target group.
     """
 
     def __init__(self, params, g, delta, rng):

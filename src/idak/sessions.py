@@ -30,6 +30,7 @@ from .errors import (
     IdakError,
     InvalidFlowError,
     MalformedElementError,
+    NoFlowError,
     NoKeyError,
     NoSuchPrincipalError,
     NotTestableError,
@@ -292,6 +293,7 @@ _ERROR_NAMES = {
     InvalidFlowError: "invalid-flow",
     StaleOracleError: "stale-oracle",
     NoKeyError: "no-key",
+    NoFlowError: "no-flow",
     NoSuchPrincipalError: "no-such-principal",
     NotTestableError: "not-testable",
     TestRefusedError: "test-refused",
@@ -345,7 +347,10 @@ def run_scenario(lines, k_bits: int | None = None, seed=None, mode: str | None =
     an initiator activation, "@LABEL.out" for another oracle's emitted
     flow, or hex bytes of a point encoding.  Queries may carry
     "expect_error" naming the error they must fail with.  Failed
-    expectations and assertions are collected, not raised.
+    expectations and assertions are collected, not raised: a
+    back-reference to an oracle that emitted no flow fails its query
+    ("no-flow") without sending it, and keys-equal or keys-differ on an
+    oracle without a key fails the assertion ("no-key").
     """
     given = {"k_bits": k_bits, "seed": seed, "mode": mode}
     state = _ScenarioState({name: value for name, value in given.items() if value is not None})
@@ -428,9 +433,11 @@ def _resolve_flow(state: _ScenarioState, raw):
         label, _, field_name = raw[1:].partition(".")
         if field_name != "out":
             raise ScenarioError(f"unsupported back-reference {raw!r}")
-        if label not in state.outputs:
-            raise ScenarioError(f"back-reference to {label!r} before any output")
-        return state.outputs[label]
+        if label in state.outputs:
+            return state.outputs[label]
+        if label in state.oracles:
+            raise NoFlowError(f"oracle {label!r} has emitted no flow")
+        raise ScenarioError(f"back-reference to {label!r}, which no query has defined")
     if isinstance(raw, str):
         try:
             return bytes.fromhex(raw)
@@ -507,7 +514,7 @@ def _run_assert(state: _ScenarioState, entry: dict, number: int, report: dict):
             key_a = oracle("a").key
             key_b = oracle("b").key
             if key_a is None or key_b is None:
-                raise ScenarioError(f"line {number}: oracle without key")
+                raise NoKeyError("oracle without key")
             holds = (key_a == key_b) == (kind == "keys-equal")
         elif kind == "matching":
             holds = world.matching(oracle("a"), oracle("b")) == expect

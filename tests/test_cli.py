@@ -417,6 +417,18 @@ def test_scenario_failure_exits_three(tmp_path, capsys):
     assert "scenario line 3" in capsys.readouterr().err
 
 
+def test_scenario_at_three_bits_reports_its_failed_lines(capsys):
+    # at q=5 the responder's combined exponent vanishes on line 5, so the
+    # initiator's back-reference to its flow on line 6 fails as a query
+    assert main(["scenario", "honest_run", "--k-bits", "3"]) == 3
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["params"]["q"] == 5 and not report["ok"]
+    assert {"line": 6, "q": "send", "ok": False, "result": None, "error": "no-flow"} in report["log"]
+    assert "error: scenario line 6: unexpected error no-flow" in captured.err
+    assert "back-reference" not in captured.err
+
+
 def test_scenario_missing_file(capsys):
     assert main(["scenario", "no_such_scenario", "--quiet"]) == 1
 

@@ -1,6 +1,8 @@
 """Self-reduction tests: blinding, correction, voting, mock oracle."""
 
 import collections
+import functools
+import math
 import random
 
 import pytest
@@ -226,12 +228,6 @@ def test_amplify_rejects_nonpositive_rounds():
 # ---------------------------------------------------------------------------
 
 
-def test_solve_dlog_matches_brute_force():
-    for k in range(GP.q):
-        target = scalar_exp(GP, GEN, k)
-        assert solve_dlog(GP, GEN, target) == k
-
-
 def test_solve_dlog_on_larger_subgroup():
     params = instance_generate(16, "dlog")
     base = hash_to_group(params, "dlog-base")
@@ -245,6 +241,90 @@ def test_solve_dlog_rejects_foreign_points():
     rogue = GElem(0, 0)  # order 2, not a power of GEN
     with pytest.raises(ValueError):
         solve_dlog(GP, GEN, rogue)
+
+
+# ---------------------------------------------------------------------------
+# discrete log against brute force
+# ---------------------------------------------------------------------------
+
+
+def multiples(params, g):
+    """[k]g for every k in [0, q), by repeated addition."""
+    points = [GElem(None, None)]
+    for _ in range(params.q - 1):
+        points.append(point_add(params, points[-1], g))
+    return points
+
+
+def giant_width(params):
+    """The residues one giant step covers: 2m + 1 for m = isqrt(q - 1) + 1."""
+    return 2 * (math.isqrt(params.q - 1) + 1) + 1
+
+
+Q7 = instance_generate(3, 0)  # q=7 makes the giant stride [-7]g the identity
+SMALL_CURVES = [(params, g) for params, g in CURVES if params.q <= 787] + [
+    (Q7, hash_to_group(Q7, "reduction-generator"))
+]
+
+
+def test_solve_dlog_matches_brute_force():
+    # every exponent on each small curve, k=0 being the identity target;
+    # at q=5 and q=7, 2m+1 > q, so [j]g and [-j]g for j <= m share an x
+    for params, g in SMALL_CURVES:
+        for k, target in enumerate(multiples(params, g)):
+            assert solve_dlog(params, g, target) == k
+
+
+@pytest.mark.parametrize("params,g", CURVES[2:])
+def test_giant_walk_through_the_stride_x(params, g, monkeypatch):
+    # a target equal to the stride doubles on its first giant step; a
+    # target [(i+1)(2m+1)]g cancels the stride on step i and lands on
+    # the identity, each through _affine_add
+    q, width = params.q, giant_width(params)
+    baby = selfreduction._baby_table(params, g)
+    fallbacks = []
+
+    def counting_add(p, a, b):
+        fallbacks.append((a, b))
+        return point_add(params, a, b)
+
+    monkeypatch.setattr(selfreduction, "_affine_add", counting_add)
+    for k in (q - width, width, 2 * width):
+        fallbacks.clear()
+        target = scalar_exp(params, g, k)
+        assert selfreduction._dlog_from_table(params, baby, target) == k
+        assert len(fallbacks) == 1
+
+
+BIG_PARAMS, BIG_G = CURVES[3]  # q=48809
+BIG_WIDTH = giant_width(BIG_PARAMS)
+# giant-step centres i(2m+1) (the identity at i=0), the seams i(2m+1) + m
+# between them, their negatives, and one either side of each
+BIG_EDGES = sorted(
+    {(sign * (i * BIG_WIDTH + offset) + d) % BIG_PARAMS.q
+     for i in range(3) for offset in (0, BIG_WIDTH // 2) for sign in (1, -1) for d in (-1, 0, 1)}
+)
+
+
+@functools.cache
+def big_multiples():
+    return multiples(BIG_PARAMS, BIG_G)
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.one_of(st.integers(0, BIG_PARAMS.q - 1), st.sampled_from(BIG_EDGES)))
+def test_solve_dlog_matches_brute_force_at_q48809(k):
+    assert solve_dlog(BIG_PARAMS, BIG_G, big_multiples()[k]) == k
+
+
+def test_baby_table_rejects_a_base_outside_the_subgroup():
+    two_torsion = GElem(0, 0)
+    rng = random.Random(0)
+    for bad in (GElem(None, None), two_torsion, point_add(GP, GEN, two_torsion)):
+        with pytest.raises(ValueError):
+            solve_dlog(GP, bad, GEN)
+        with pytest.raises(ValueError):
+            MockCbdhOracle(GP, bad, 0.5, rng)
 
 
 def test_oracle_delta_validation():

@@ -507,6 +507,37 @@ def test_scenario_rejects_bad_files():
             run_scenario(script.split("\n"))
 
 
+NO_FLOW_SCRIPT = [
+    {"config": {"k_bits": 16, "seed": "no-flow", "principals": ["alice", "bob"]}},
+    {"q": "send", "oracle": "A1", "i": "alice", "j": "bob", "x": None},
+    {"q": "send", "oracle": "B1", "i": "bob", "j": "alice", "x": "00",
+     "expect_error": "invalid-flow"},
+    {"q": "send", "oracle": "A1", "x": "@B1.out"},
+    {"q": "send", "oracle": "B2", "i": "bob", "j": "alice", "x": "@A1.out"},
+    {"q": "send", "oracle": "A1", "x": "@B2.out"},
+    {"assert": "keys-equal", "a": "A1", "b": "B2"},
+    {"assert": "keys-equal", "a": "A1", "b": "B1"},
+    {"assert": "keys-differ", "a": "B1", "b": "A1"},
+]
+
+
+def test_back_reference_to_an_oracle_without_a_flow_fails_its_query():
+    report = run_scenario([json.dumps(line) for line in NO_FLOW_SCRIPT])
+    by_line = {record["line"]: record for record in report["log"]}
+    assert by_line[4] == {"line": 4, "q": "send", "ok": False, "result": None, "error": "no-flow"}
+    # the failed query was not sent, so A1 still completes with B2 on line 6
+    assert by_line[6]["ok"] and by_line[7]["ok"]
+    assert by_line[8]["error"] == by_line[9]["error"] == "no-key"
+    assert [failure["line"] for failure in report["failures"]] == [4, 8, 9]
+    assert "no-flow" in report["failures"][0]["reason"]
+
+
+def test_no_flow_can_be_the_expected_error():
+    script = json.loads(json.dumps(NO_FLOW_SCRIPT[:7]))
+    script[3]["expect_error"] = "no-flow"
+    assert run_scenario([json.dumps(line) for line in script])["ok"]
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: (
