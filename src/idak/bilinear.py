@@ -708,10 +708,11 @@ def decode_group_params(data: bytes) -> GroupParams:
     if offset != len(data):
         raise MalformedElementError("trailing bytes in params encoding")
     p, q, h = values
-    # instance_generate never exceeds these, and primality tests on larger
-    # values would let a crafted file stall the caller
-    if q.bit_length() > 512 or h > 2 * COFACTOR_CANDIDATE_BOUND:
-        raise MalformedElementError("group parameters exceed the supported sizes")
+    # instance_generate never leaves these bounds.  Primality tests on larger
+    # values would let a crafted file stall the caller, and a 2-bit q gives
+    # distinct identities the same public point.
+    if not 3 <= q.bit_length() <= 512 or h > 2 * COFACTOR_CANDIDATE_BOUND:
+        raise MalformedElementError("group parameters lie outside the supported sizes")
     if p != h * q - 1 or p % 4 != 3 or h % 2 != 0 or h % q == 0:
         raise MalformedElementError("inconsistent group parameters")
     if not (is_probable_prime(p) and is_probable_prime(q)):

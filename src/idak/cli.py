@@ -16,13 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from idak import keystore
-from idak.bilinear import (
-    encode_point,
-    hash_to_group,
-    instance_generate,
-    scalar_exp,
-    pairing,
-)
+from idak.bilinear import encode_point, instance_generate, pairing, scalar_exp
 from idak.errors import (
     DegenerateExponentError,
     IdakError,
@@ -31,15 +25,14 @@ from idak.errors import (
 )
 from idak.protocol import (
     EXPECTED_COSTS,
-    GENERATOR_ID,
     MasterSecret,
     PiVariant,
-    SystemParams,
     decode_flow,
     derive,
     encode_flow,
     extract,
     initiate,
+    initiator_first,
     parse_strategy,
     pfs_respond,
     pfs_session_key,
@@ -47,6 +40,7 @@ from idak.protocol import (
     seeded_rng,
     session_key,
     setup,
+    system_params,
 )
 from idak.selfreduction import MockCbdhOracle, amplify, make_instance
 from idak.sessions import MODES, run_scenario
@@ -113,12 +107,7 @@ def _emit(args, report):
 
 
 def _system_params(args):
-    group = keystore.load_group(args.params)
-    return SystemParams(
-        group=group,
-        g=hash_to_group(group, GENERATOR_ID),
-        pi_variant=PiVariant(args.pi),
-    )
+    return system_params(keystore.load_group(args.params), PiVariant(args.pi))
 
 
 def _read_flow(args, params, role):
@@ -155,10 +144,8 @@ def _derive_key(args, params, own, role, secret, own_msg, peer_id, peer_msg, ext
     if args.pfs:
         dh = scalar_exp(params.group, peer_msg.r if role == "responder" else extra, secret)
         return pfs_session_key(params, sk, dh), counts
-    # the plain key hashes the initiator's identity and flow first
-    sides = ((own.identity, own_msg), (peer_id, peer_msg))
-    (id_a, msg_a), (id_b, msg_b) = sides if role == "initiator" else sides[::-1]
-    return session_key(params, sk, id_a, id_b, msg_a, msg_b), counts
+    binding = initiator_first(own.identity, own_msg, peer_id, peer_msg, role)
+    return session_key(params, sk, *binding), counts
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +337,7 @@ def cmd_scenario(args):
 
 def cmd_reduce(args):
     group = instance_generate(args.k_bits, args.seed)
-    g = hash_to_group(group, GENERATOR_ID)
+    g = system_params(group).g
     rng = seeded_rng("idak-cli-reduce", args.seed)
     oracle = MockCbdhOracle(group, g, args.delta, random.Random(rng.getrandbits(64)))
     successes = 0

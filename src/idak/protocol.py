@@ -179,6 +179,11 @@ def seeded_rng(label: str, seed) -> random.Random:
 # ---------------------------------------------------------------------------
 
 
+def system_params(group: GroupParams, pi_variant: PiVariant = PiVariant.HASH_HALF) -> SystemParams:
+    """Public parameters over group, with the base point g = H(GENERATOR_ID)."""
+    return SystemParams(group, hash_to_group(group, GENERATOR_ID), pi_variant)
+
+
 def setup(
     k_bits: int,
     seed=None,
@@ -186,9 +191,8 @@ def setup(
 ) -> tuple[SystemParams, MasterSecret]:
     """Generate public parameters and the authority's master secret."""
     group = instance_generate(k_bits, seed)
-    g = hash_to_group(group, GENERATOR_ID)
+    params = system_params(group, pi_variant)
     alpha = random_scalar(group, seeded_rng("idak-master", seed))
-    params = SystemParams(group=group, g=g, pi_variant=pi_variant)
     return params, MasterSecret(alpha=alpha)
 
 
@@ -232,6 +236,12 @@ def pi_value(params: SystemParams, first: GElem, second: GElem) -> int:
         material = TAG_PI + encode_point(group, first) + encode_point(group, second)
     digest = hashlib.sha256(material).digest()
     return _nonzero(int.from_bytes(digest, "big") % (1 << half_bits))
+
+
+def _blend(params: SystemParams, g_id: GElem, r: GElem, r_other: GElem) -> GElem:
+    """g_id^pi(R, R') * R, a side's blend of long-term point and flow R."""
+    s = pi_value(params, r, r_other)
+    return point_add(params.group, fixed_base_exp(params.group, g_id, s), r)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +312,9 @@ def derive(
     g_peer^s_peer * R_peer, in the subgroup exactly when R_peer is, as its
     left argument (see checked_pairing).  Faults found before the pairing
     are still reported after an outside-subgroup point.
+
+    s_own = pi(R_own, R_peer) and s_peer = pi(R_peer, R_own) in either role,
+    so the result does not depend on role, which is only checked.
     """
     if role not in ROLE_BYTES:
         raise ValueError(f"unknown role {role!r}")
@@ -315,23 +328,13 @@ def derive(
         if not is_on_curve(group, own_msg.r) or own_msg.r.is_identity():
             raise InvalidFlowError("own flow point is invalid")
 
-        # the initiator's flow is the first pi argument for s_init
-        if role == "initiator":
-            r_init, r_resp = own_msg.r, peer_msg.r
-        else:
-            r_init, r_resp = peer_msg.r, own_msg.r
-        s_init = pi_value(params, r_init, r_resp)
-        s_resp = pi_value(params, r_resp, r_init)
-        own_s, peer_s = (s_init, s_resp) if role == "initiator" else (s_resp, s_init)
-
+        own_s = pi_value(params, own_msg.r, peer_msg.r)
         own_exp = (own_x + own_s) % group.q
         if own_exp == 0:
             raise DegenerateExponentError("own combined exponent vanished mod q")
 
-        peer_g = hash_to_group(group, peer_id)
         counts = OpCounts()
-        # blend of the peer's long-term point and flow: g_peer^s_peer * R_peer
-        blended_peer = point_add(group, fixed_base_exp(group, peer_g, peer_s), peer_msg.r)
+        blended_peer = _blend(params, hash_to_group(group, peer_id), peer_msg.r, own_msg.r)
         counts.exp_g += 0.5
         counts.mul_g += 1
         if blended_peer.is_identity():
@@ -382,6 +385,14 @@ def session_key(
     return SessionKey(key=hashlib.sha256(material).digest())
 
 
+def initiator_first(own_id, own_msg: FlowMessage, peer_id, peer_msg: FlowMessage, role: Role):
+    """One side's view of an exchange as (id_A, id_B, R_A, R_B), the
+    initiator first: the binding that session_key hashes in that order."""
+    if role == "initiator":
+        return own_id, peer_id, own_msg, peer_msg
+    return peer_id, own_id, peer_msg, own_msg
+
+
 # ---------------------------------------------------------------------------
 # forward-secrecy hardened variant
 # ---------------------------------------------------------------------------
@@ -389,8 +400,7 @@ def session_key(
 
 def pfs_respond(params: SystemParams, own: IdentityKey, peer_id, rng: random.Random):
     """Responder flow plus the extra element g_peer^y under the same y."""
-    y = random_scalar(params.group, rng)
-    msg = FlowMessage(r=fixed_base_exp(params.group, own.g_id, y))
+    y, msg = initiate(params, own, rng)
     extra = fixed_base_exp(params.group, hash_to_group(params.group, peer_id), y)
     return y, msg, extra
 
@@ -462,12 +472,8 @@ def master_compromise_compute(
         raise InvalidEphemeralError("alpha out of range")
     validate_flow_point(params, r_a.r)
     validate_flow_point(params, r_b.r)
-    s_a = pi_value(params, r_a.r, r_b.r)
-    s_b = pi_value(params, r_b.r, r_a.r)
-    g_a = hash_to_group(group, id_a)
-    g_b = hash_to_group(group, id_b)
-    blended_a = point_add(group, scalar_exp(group, g_a, s_a), r_a.r)
-    blended_b = point_add(group, scalar_exp(group, g_b, s_b), r_b.r)
+    blended_a = _blend(params, hash_to_group(group, id_a), r_a.r, r_b.r)
+    blended_b = _blend(params, hash_to_group(group, id_b), r_b.r, r_a.r)
     return SharedSecret(value=gt_exp(pairing(group, blended_a, blended_b), alpha))
 
 

@@ -49,6 +49,7 @@ from .protocol import (
     derive,
     extract,
     initiate,
+    initiator_first,
     seeded_rng,
     session_key,
     setup,
@@ -158,13 +159,18 @@ class World:
             oracle.aborted = True
             raise
         oracle.transcript.append(("in", msg_in))
-        if oracle.role == "responder":
-            oracle.transcript.append(("out", oracle.own_msg))
-            self._complete(oracle, shared, init_msg=msg_in, resp_msg=oracle.own_msg)
-            return oracle.own_msg
-        # an initiator with its flow out is the only remaining live state
-        self._complete(oracle, shared, init_msg=oracle.own_msg, resp_msg=msg_in)
-        return None
+        # a responder answers as it completes; an initiator completes silently
+        reply = oracle.own_msg if oracle.role == "responder" else None
+        if reply is not None:
+            oracle.transcript.append(("out", reply))
+        oracle.binding = initiator_first(
+            oracle.owner, oracle.own_msg, oracle.peer, msg_in, oracle.role
+        )
+        oracle.key = session_key(self.params, shared, *oracle.binding)
+        oracle.completed = True
+        oracle.completed_at = self.clock
+        self._by_binding.setdefault(oracle.binding, []).append(oracle)
+        return reply
 
     def reveal(self, oracle: SessionOracle) -> SessionKey:
         self.clock += 1
@@ -230,10 +236,7 @@ class World:
         group = self.params.group
         exponent = rng.randrange(group.q)
         element = gt_exp(pairing(group, self.params.g, self.params.g), exponent)
-        init_id, resp_id, init_msg, resp_msg = oracle.binding
-        return session_key(
-            self.params, SharedSecret(element), init_id, resp_id, init_msg, resp_msg
-        )
+        return session_key(self.params, SharedSecret(element), *oracle.binding)
 
     # -- internals ----------------------------------------------------------
 
@@ -255,19 +258,6 @@ class World:
                 raise InvalidFlowError(f"malformed flow point: {exc}") from exc
         validate_flow_point(self.params, flow.r)
         return flow
-
-    def _complete(self, oracle, shared, init_msg, resp_msg):
-        if oracle.role == "initiator":
-            init_id, resp_id = oracle.owner, oracle.peer
-        else:
-            init_id, resp_id = oracle.peer, oracle.owner
-        oracle.binding = (init_id, resp_id, init_msg, resp_msg)
-        oracle.key = session_key(
-            self.params, shared, init_id, resp_id, init_msg, resp_msg
-        )
-        oracle.completed = True
-        oracle.completed_at = self.clock
-        self._by_binding.setdefault(oracle.binding, []).append(oracle)
 
 
 def make_world(
@@ -525,10 +515,8 @@ def _run_assert(state: _ScenarioState, entry: dict, number: int, report: dict):
         elif kind in ("test-real-key", "test-random-key"):
             label = _field(entry, "oracle", str, number)
             key, result = state.oracle(label).key, state.test_results.get(label)
-            if kind == "test-real-key":
-                holds = result == key
-            else:
-                holds = result is not None and result != key
+            # both need a test query that answered; None == None proves nothing
+            holds = result is not None and (result == key) == (kind == "test-real-key")
         else:
             raise ScenarioError(f"line {number}: unknown assertion {kind!r}")
     except ScenarioError:

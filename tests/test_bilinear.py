@@ -497,7 +497,12 @@ def oversized_h():
     return GroupParams(p=11 * h - 1, q=11, h=h, k_bits=4)
 
 
-@pytest.mark.parametrize("make", [oversized_q, oversized_h])
+def undersized_q():
+    """p = 11, q = 3, h = 4: consistent and prime, but q has only 2 bits."""
+    return GroupParams(p=11, q=3, h=4, k_bits=2)
+
+
+@pytest.mark.parametrize("make", [oversized_q, oversized_h, undersized_q])
 def test_params_decoding_rejects_oversized_values_quickly(make):
     # Miller-Rabin on a 32k-bit p takes minutes; the size bound comes first
     blob = encode_group_params(make())

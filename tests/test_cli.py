@@ -147,6 +147,17 @@ def test_oversized_params_file_is_a_quick_data_error(keyring, tmp_path, capsys):
     assert "supported sizes" in capsys.readouterr().err
 
 
+def test_two_bit_params_file_is_a_data_error(keyring, tmp_path, capsys):
+    # p = 11, q = 3 is consistent and prime, but so small that alice and
+    # bob would hash to the same public point
+    path = tmp_path / "tiny.params"
+    keystore.write_entry(path, "params", encode_group_params(GroupParams(11, 3, 4, 2)))
+    assert main(["extract", "alice", "--params", str(path), "--master", keyring["master"],
+                 "--out", str(tmp_path / "alice.key"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad parameter payload: ") and "supported sizes" in err
+
+
 def test_missing_file_is_a_data_error(keyring, tmp_path):
     assert main(["verify-key", str(tmp_path / "nope.key"), "--params",
                  keyring["params"], "--master", keyring["master"], "--quiet"]) == 1
@@ -427,6 +438,10 @@ def test_scenario_at_three_bits_reports_its_failed_lines(capsys):
     assert {"line": 6, "q": "send", "ok": False, "result": None, "error": "no-flow"} in report["log"]
     assert "error: scenario line 6: unexpected error no-flow" in captured.err
     assert "back-reference" not in captured.err
+    # the coin-1 test on line 14 found no completed oracle, so line 15's
+    # test-real-key has no answer to compare with the missing key
+    assert {"line": 15, "assert": "test-real-key", "ok": False} in report["log"]
+    assert "error: scenario line 15: assertion test-real-key failed" in captured.err
 
 
 def test_scenario_missing_file(capsys):

@@ -198,16 +198,22 @@ def test_initiate_deterministic_under_seed():
     assert a == b
 
 
-def test_derive_matches_exponent_arithmetic_oracle():
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=DeriveStrategy.label)
+@pytest.mark.parametrize("pi", PiVariant, ids=lambda pi: pi.value)
+def test_derive_matches_exponent_arithmetic_oracle(pi, strategy):
+    params, msk = setup(4, "0", pi_variant=pi)
+    alice = extract(params, msk, "alice")
+    bob = extract(params, msk, "bob")
+    group = params.group
     rng = random.Random(1234)
     for _ in range(20):
-        x, msg_a, y, msg_b, sk_a, sk_b = run_session(PARAMS, ALICE, BOB, rng)
-        assert sk_a == sk_b
-        s_a = pi_value(PARAMS, msg_a.r, msg_b.r)
-        s_b = pi_value(PARAMS, msg_b.r, msg_a.r)
-        exponent = (x + s_a) * (y + s_b) * MSK.alpha % GP.q
-        expected = gt_exp(pairing(GP, ALICE.g_id, BOB.g_id), exponent)
-        assert sk_a.value == expected
+        x, msg_a, y, msg_b, sk_a, sk_b = run_session(params, alice, bob, rng, strategy)
+        # s_A = pi(R_A, R_B) and s_B = pi(R_B, R_A), as in the paper
+        s_a = pi_value(params, msg_a.r, msg_b.r)
+        s_b = pi_value(params, msg_b.r, msg_a.r)
+        exponent = (x + s_a) * (y + s_b) * msk.alpha % group.q
+        expected = gt_exp(pairing(group, alice.g_id, bob.g_id), exponent)
+        assert sk_a.value == sk_b.value == expected
 
 
 def test_all_strategies_bit_identical():
@@ -478,8 +484,9 @@ def test_pfs_key_differs_from_base_key():
 # ---------------------------------------------------------------------------
 
 
-def test_master_compromise_recovers_base_secret():
-    params, msk = setup(8, "mk")
+@pytest.mark.parametrize("pi", PiVariant, ids=lambda pi: pi.value)
+def test_master_compromise_recovers_base_secret(pi):
+    params, msk = setup(8, "mk", pi_variant=pi)
     a = extract(params, msk, "alice")
     b = extract(params, msk, "bob")
     rng = random.Random(16)
