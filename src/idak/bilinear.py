@@ -32,6 +32,12 @@ window table: its rows [j * 16^i]P are built on first use and kept in a
 bounded cache, and a walk adds one row entry per 4-bit digit of the
 exponent, with no doubling.  Hashed identities are cached the same way.
 
+A point is checked for the curve where it enters (decode_point,
+take_point) and by each public function that computes on it: point_add,
+scalar_exp, fixed_base_exp and pairing raise MalformedElementError, and
+in_subgroup answers False.  Encoders and the private helpers
+(_affine_add, _window_walk, _checked_pairing) trust their points.
+
 Parameter sizes here are deliberately small.  Nothing in this module is
 safe for production use.
 """
@@ -65,6 +71,10 @@ MILLER_RABIN_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
 
 # Digit width of the fixed-base window table: HMV, Guide to ECC, section 3.3.
 WINDOW_BITS = 4
+
+# The supported sizes of q in bits, inclusive.  instance_generate,
+# decode_group_params and the CLI's --k-bits all read this one pair.
+_K_BITS_RANGE = (3, 512)
 
 
 @dataclass(frozen=True)
@@ -151,8 +161,9 @@ def instance_generate(k_bits: int, seed) -> GroupParams:
     Skipping h divisible by q keeps q^2 from dividing p + 1, so the q-part
     of E(F_p) is cyclic.
     """
-    if not 3 <= k_bits <= 512:
-        raise ValueError(f"k_bits must be in [3, 512], got {k_bits}")
+    low, high = _K_BITS_RANGE
+    if not low <= k_bits <= high:
+        raise ValueError(f"k_bits must be in [{low}, {high}], got {k_bits}")
     rng = random.Random(seed)
     while True:
         q = (1 << (k_bits - 1)) | rng.getrandbits(k_bits - 1) | 1
@@ -214,14 +225,6 @@ def _affine_add(p: int, a: GElem, b: GElem) -> GElem:
         lam = (b.y - a.y) * pow(b.x - a.x, -1, p) % p
     x3 = (lam * lam - a.x - b.x) % p
     return GElem(x3, (lam * (a.x - x3) - a.y) % p)
-
-
-def point_negate(params: GroupParams, point: GElem) -> GElem:
-    """Negation (x, y) -> (x, -y)."""
-    _require_on_curve(params, point)
-    if point.is_identity():
-        return INFINITY
-    return GElem(point.x, (-point.y) % params.p)
 
 
 # Jacobian coordinates: (X, Y, Z) stands for the affine (X/Z^2, Y/Z^3), and
@@ -290,7 +293,8 @@ def scalar_exp(params: GroupParams, point: GElem, n: int) -> GElem:
 
 
 def in_subgroup(params: GroupParams, point: GElem) -> bool:
-    """Whether the point lies in the order-q subgroup (identity counts)."""
+    """Whether the point lies in the order-q subgroup (identity counts; a
+    point off the curve does not)."""
     if not is_on_curve(params, point):
         return False
     return scalar_exp(params, point, params.q).is_identity()
@@ -387,14 +391,6 @@ def _fp2_inv(p, a, b):
 # ---------------------------------------------------------------------------
 
 
-def distort(params: GroupParams, point: GElem):
-    """Distortion map phi(x, y) = (-x, i*y) as F_{p^2} coordinate pairs."""
-    _require_on_curve(params, point)
-    if point.is_identity():
-        return None
-    return ((-point.x) % params.p, 0), (0, point.y)
-
-
 def _miller_double(p, fa, fb, X, Y, Z, xq, yq):
     """f * l_{T,T}(phi(Q)) and 2T, for T = (X, Y, Z) with Y, Z != 0.
 
@@ -457,9 +453,9 @@ def pairing(params: GroupParams, left: GElem, right: GElem) -> GTElem:
     """Modified Tate pairing e(P, Q) = f_{q,P}(phi(Q)) ^ ((p^2-1)/q).
 
     Symmetric and bilinear on the order-q subgroup, with e(P, P) != 1 for
-    P != identity.  By convention any identity argument gives 1.  It checks
-    neither argument's subgroup; checked_pairing also reports whether the
-    left argument is in the subgroup, at no extra cost.
+    P != identity.  By convention any identity argument gives 1.  Both
+    arguments must lie on the curve, or MalformedElementError is raised;
+    neither argument's subgroup is checked.
 
     The Miller loop runs over the bits of q with T in Jacobian
     coordinates, so it inverts nothing: each step derives one slope, as a
@@ -474,11 +470,14 @@ def pairing(params: GroupParams, left: GElem, right: GElem) -> GTElem:
     exact.  A power by the small cofactor h remains.  If Q = (0, 0) a line
     can vanish at phi(Q); f is then 0, and so is the result.
     """
-    return checked_pairing(params, left, right)[0]
+    _require_on_curve(params, left)
+    _require_on_curve(params, right)
+    return _checked_pairing(params, left, right)[0]
 
 
-def checked_pairing(params: GroupParams, left: GElem, right: GElem):
-    """(pairing(left, right), whether left lies in the order-q subgroup).
+def _checked_pairing(params: GroupParams, left: GElem, right: GElem):
+    """(pairing(left, right), whether left lies in the order-q subgroup),
+    for arguments already known to lie on the curve.
 
     The Miller loop's T starts at left and, after the bits of q, ends at
     [q]left, so the loop itself is the subgroup check of its left
@@ -487,8 +486,6 @@ def checked_pairing(params: GroupParams, left: GElem, right: GElem):
     Only an identity right argument, which skips the loop, costs a
     separate check.
     """
-    _require_on_curve(params, left)
-    _require_on_curve(params, right)
     p, q = params.p, params.q
     if left.is_identity():
         return GTElem(1, 0, p), True
@@ -524,10 +521,6 @@ def checked_pairing(params: GroupParams, left: GElem, right: GElem):
 # ---------------------------------------------------------------------------
 # GT arithmetic
 # ---------------------------------------------------------------------------
-
-
-def gt_one(params: GroupParams) -> GTElem:
-    return GTElem(1, 0, params.p)
 
 
 def gt_mul(z1: GTElem, z2: GTElem) -> GTElem:
@@ -624,10 +617,12 @@ def coord_size(params: GroupParams) -> int:
 
 
 def encode_point(params: GroupParams, point: GElem) -> bytes:
-    """0x00 for the identity, else 0x04 || x || y big-endian fixed width."""
+    """0x00 for the identity, else 0x04 || x || y big-endian fixed width.
+
+    The point is trusted to lie on the curve; decode_point checks it.
+    """
     if point.is_identity():
         return b"\x00"
-    _require_on_curve(params, point)
     n = coord_size(params)
     return b"\x04" + point.x.to_bytes(n, "big") + point.y.to_bytes(n, "big")
 
@@ -650,17 +645,6 @@ def encode_gt(params: GroupParams, z: GTElem) -> bytes:
     """Both F_p components big-endian, fixed width."""
     n = coord_size(params)
     return z.a.to_bytes(n, "big") + z.b.to_bytes(n, "big")
-
-
-def decode_gt(params: GroupParams, data: bytes) -> GTElem:
-    n = coord_size(params)
-    if len(data) != 2 * n:
-        raise MalformedElementError("bad GT encoding")
-    a = int.from_bytes(data[:n], "big")
-    b = int.from_bytes(data[n:], "big")
-    if a >= params.p or b >= params.p or (a == 0 and b == 0):
-        raise MalformedElementError("GT component out of range")
-    return GTElem(a, b, params.p)
 
 
 def sized(blob: bytes) -> bytes:
@@ -711,7 +695,8 @@ def decode_group_params(data: bytes) -> GroupParams:
     # instance_generate never leaves these bounds.  Primality tests on larger
     # values would let a crafted file stall the caller, and a 2-bit q gives
     # distinct identities the same public point.
-    if not 3 <= q.bit_length() <= 512 or h > 2 * COFACTOR_CANDIDATE_BOUND:
+    low, high = _K_BITS_RANGE
+    if not low <= q.bit_length() <= high or h > 2 * COFACTOR_CANDIDATE_BOUND:
         raise MalformedElementError("group parameters lie outside the supported sizes")
     if p != h * q - 1 or p % 4 != 3 or h % 2 != 0 or h % q == 0:
         raise MalformedElementError("inconsistent group parameters")

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from idak import keystore
-from idak.bilinear import encode_point, instance_generate, pairing, scalar_exp
+from idak.bilinear import _K_BITS_RANGE, encode_point, instance_generate, pairing, scalar_exp
 from idak.errors import (
     DegenerateExponentError,
     IdakError,
@@ -89,7 +89,7 @@ def _in_range(kind, name, low, high=None):
     return parse
 
 
-_k_bits = _in_range(int, "k_bits", 3, 512)
+_k_bits = _in_range(int, "k_bits", *_K_BITS_RANGE)
 _trials = _in_range(int, "trials", 1)
 _n = _in_range(int, "n", 1)
 _delta = _in_range(float, "delta", 0, 1)

@@ -29,7 +29,7 @@ class InvalidFlowError(IdakError):
     """A received protocol flow failed validation."""
 
 
-class DegenerateExponentError(InvalidFlowError):
+class DegenerateExponentError(IdakError):
     """A combined exponent vanished mod q, which would force a trivial key."""
 
 

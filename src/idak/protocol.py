@@ -35,7 +35,7 @@ from .bilinear import (
     GTElem,
     GroupParams,
     _as_identity_bytes,
-    checked_pairing,
+    _checked_pairing,
     encode_gt,
     encode_point,
     fixed_base_exp,
@@ -307,11 +307,12 @@ def derive(
     rejected: the responder drops the session and an initiator is
     expected to retry with a fresh ephemeral.
 
-    The received point is checked for the curve and the identity up
-    front; its subgroup check is the pairing itself, which takes the blend
-    g_peer^s_peer * R_peer, in the subgroup exactly when R_peer is, as its
-    left argument (see checked_pairing).  Faults found before the pairing
-    are still reported after an outside-subgroup point.
+    Both flow points are checked for the curve and the identity up front,
+    and are trusted from then on.  The received point's subgroup check is
+    the pairing itself, which takes the blend g_peer^s_peer * R_peer, in
+    the subgroup exactly when R_peer is, as its left argument (see
+    bilinear._checked_pairing).  Faults found before the pairing are still
+    reported after an outside-subgroup point.
 
     s_own = pi(R_own, R_peer) and s_peer = pi(R_peer, R_own) in either role,
     so the result does not depend on role, which is only checked.
@@ -356,7 +357,7 @@ def derive(
         else:
             own_point = fixed_base_exp(group, own.d_id, own_exp)
             counts.exp_g += 1.0
-        shared, in_group = checked_pairing(group, blended_peer, own_point)
+        shared, in_group = _checked_pairing(group, blended_peer, own_point)
         counts.pairings += 1
     _require_in_subgroup(in_group)
     if strategy.choice == 2:
@@ -415,18 +416,19 @@ def pfs_verify_extra(
     """Initiator-side check that the extra element reuses the flow's y.
 
     e(extra, g_peer) = e(g_own^y, g_peer) must equal e(R_peer, g_own).
-    Each received point is the left argument of its pairing, which is its
-    subgroup check (see checked_pairing); R_peer is checked in full before
-    extra is looked at.
+    Each received point is checked for the curve and the identity, then
+    is the left argument of its pairing, which is its subgroup check (see
+    bilinear._checked_pairing); R_peer is checked in full before extra is
+    looked at.
     """
     group = params.group
     _check_flow_form(params, peer_msg.r)
-    right, in_group = checked_pairing(group, peer_msg.r, own.g_id)
+    right, in_group = _checked_pairing(group, peer_msg.r, own.g_id)
     _require_in_subgroup(in_group)
     _check_flow_form(params, extra)
     with _reported_after_subgroup_check(params, extra):
         peer_g = hash_to_group(group, peer_id)
-        left, in_group = checked_pairing(group, extra, peer_g)
+        left, in_group = _checked_pairing(group, extra, peer_g)
     _require_in_subgroup(in_group)
     return left == right
 

@@ -190,7 +190,11 @@ def amplify(params, oracle, inst, rounds, rng):
 
 
 def solve_dlog(params, base, target):
-    """Baby-step giant-step discrete log in the order-q subgroup."""
+    """Baby-step giant-step discrete log in the order-q subgroup.
+
+    An off-curve base or target raises MalformedElementError; a base that
+    does not generate the subgroup, or a target outside it, ValueError.
+    """
     return _dlog_from_table(params, _baby_table(params, base), target)
 
 

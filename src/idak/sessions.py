@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from .bilinear import decode_point, encode_point, gt_exp, pairing
 from .errors import (
+    DegenerateExponentError,
     IdakError,
     InvalidFlowError,
     MalformedElementError,
@@ -130,7 +131,8 @@ class World:
 
         A responder completes on its first activation and emits its flow.
         An initiator emits its flow on activation and completes when the
-        reply arrives, emitting nothing.  Bad flows abort the oracle.
+        reply arrives, emitting nothing.  A bad flow, or a combined exponent
+        that vanishes mod q, aborts the oracle.
         """
         self.clock += 1
         if oracle.aborted or oracle.completed:
@@ -155,7 +157,7 @@ class World:
                 self.params, own_key, oracle.ephemeral, oracle.own_msg,
                 oracle.peer, msg_in, oracle.role,
             )
-        except InvalidFlowError:
+        except (InvalidFlowError, DegenerateExponentError):
             oracle.aborted = True
             raise
         oracle.transcript.append(("in", msg_in))
@@ -281,6 +283,7 @@ def make_world(
 
 _ERROR_NAMES = {
     InvalidFlowError: "invalid-flow",
+    DegenerateExponentError: "degenerate-exponent",
     StaleOracleError: "stale-oracle",
     NoKeyError: "no-key",
     NoFlowError: "no-flow",

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import idak
 from idak.bilinear import (
+    GTElem,
     gt_exp,
-    gt_one,
     hash_to_group,
     instance_generate,
     pairing,
@@ -145,7 +145,7 @@ def test_criterion_3_pairing_is_bilinear():
     for index, k_bits in enumerate(sizes):
         group = instance_generate(k_bits, f"acceptance-3-{index}")
         gen = hash_to_group(group, "acceptance-3-generator")
-        if pairing(group, gen, gen) == gt_one(group):
+        if pairing(group, gen, gen) == GTElem(1, 0, group.p):
             degenerate += 1
         if group.p < (1 << 16):
             counted += 1

@@ -1,0 +1,128 @@
+"""Where points are checked for the curve.
+
+A point is checked where it enters the library (decoders, key loaders,
+the protocol's receivers, the session world and the self-reduction's
+entry points) and by each public function that computes on it.  Encoders
+and the private helpers behind those checks trust their points, so a
+warm derive checks only the flows it receives and the points it adds.
+"""
+
+import random
+
+import pytest
+
+from idak import bilinear, keystore, protocol, selfreduction
+from idak.bilinear import GElem, encode_point, in_subgroup, is_on_curve
+from idak.errors import InvalidFlowError, KeystoreError, MalformedElementError
+from idak.protocol import STRATEGIES, FlowMessage, IdentityKey, decode_flow, derive, encode_flow
+from idak.selfreduction import CbdhInstance, MockCbdhOracle, solve_dlog, validate_instance
+from idak.sessions import World
+
+PARAMS, MSK = protocol.setup(16, "boundary")
+GROUP = PARAMS.group
+GEN = PARAMS.g
+ALICE = protocol.extract(PARAMS, MSK, "alice")
+BOB = protocol.extract(PARAMS, MSK, "bob")
+_RNG = random.Random(11)
+X, MSG_A = protocol.initiate(PARAMS, ALICE, _RNG)
+_, MSG_B, EXTRA = protocol.pfs_respond(PARAMS, BOB, "alice", _RNG)
+INSTANCE, _ = selfreduction.make_instance(GROUP, GEN, _RNG)
+
+# 1^2 != 1^3 + 1 modulo any odd p
+OFF = GElem(1, 1)
+
+
+def _world_send(point):
+    world = World(PARAMS, MSK, rng=random.Random(0))
+    world.send(world.new_oracle("bob", "alice"), FlowMessage(point))
+
+
+def _ask_oracle(instance):
+    MockCbdhOracle(GROUP, GEN, 1.0, random.Random(0))(instance)
+
+
+def _saved_and_loaded(path, save, load, *values):
+    save(path, GROUP, *values)
+    load(path, GROUP)
+
+
+# (receiver or function, the call with the off-curve point pt, its error);
+# path is a fresh file name for the key loaders
+BOUNDARY = [
+    ("decode_point", lambda pt, path: bilinear.decode_point(GROUP, encode_point(GROUP, pt)),
+     MalformedElementError),
+    ("take_point", lambda pt, path: bilinear.take_point(GROUP, encode_point(GROUP, pt), 0),
+     MalformedElementError),
+    ("decode_flow", lambda pt, path: decode_flow(
+        PARAMS, encode_flow(PARAMS, "initiator", "alice", FlowMessage(pt))), InvalidFlowError),
+    ("load_identity g_id", lambda pt, path: _saved_and_loaded(
+        path, keystore.save_identity, keystore.load_identity,
+        IdentityKey(ALICE.identity, pt, ALICE.d_id)), KeystoreError),
+    ("load_identity d_id", lambda pt, path: _saved_and_loaded(
+        path, keystore.save_identity, keystore.load_identity,
+        IdentityKey(ALICE.identity, ALICE.g_id, pt)), KeystoreError),
+    ("load_state", lambda pt, path: _saved_and_loaded(
+        path, keystore.save_state, keystore.load_state, b"bob", X, FlowMessage(pt)),
+     KeystoreError),
+    ("World.send", lambda pt, path: _world_send(pt), InvalidFlowError),
+    ("derive peer flow", lambda pt, path: derive(
+        PARAMS, ALICE, X, MSG_A, "bob", FlowMessage(pt), "initiator"), InvalidFlowError),
+    ("derive own flow", lambda pt, path: derive(
+        PARAMS, ALICE, X, FlowMessage(pt), "bob", MSG_B, "initiator"), InvalidFlowError),
+    ("pfs_verify_extra flow", lambda pt, path: protocol.pfs_verify_extra(
+        PARAMS, ALICE, "bob", FlowMessage(pt), EXTRA), InvalidFlowError),
+    ("pfs_verify_extra extra", lambda pt, path: protocol.pfs_verify_extra(
+        PARAMS, ALICE, "bob", MSG_B, pt), InvalidFlowError),
+    ("validate_flow_point", lambda pt, path: protocol.validate_flow_point(PARAMS, pt),
+     InvalidFlowError),
+    ("master_compromise_compute", lambda pt, path: protocol.master_compromise_compute(
+        PARAMS, MSK.alpha, "alice", "bob", FlowMessage(pt), MSG_B), InvalidFlowError),
+    ("solve_dlog base", lambda pt, path: solve_dlog(GROUP, pt, GEN), MalformedElementError),
+    ("solve_dlog target", lambda pt, path: solve_dlog(GROUP, GEN, pt), MalformedElementError),
+    ("validate_instance", lambda pt, path: validate_instance(
+        GROUP, CbdhInstance(GEN, pt, INSTANCE.y_point, INSTANCE.z_point)), ValueError),
+    ("MockCbdhOracle base", lambda pt, path: MockCbdhOracle(GROUP, pt, 1.0, random.Random(0)),
+     MalformedElementError),
+    ("MockCbdhOracle query", lambda pt, path: _ask_oracle(
+        CbdhInstance(GEN, pt, INSTANCE.y_point, INSTANCE.z_point)), MalformedElementError),
+    ("point_add left", lambda pt, path: bilinear.point_add(GROUP, pt, GEN),
+     MalformedElementError),
+    ("point_add right", lambda pt, path: bilinear.point_add(GROUP, GEN, pt),
+     MalformedElementError),
+    ("scalar_exp", lambda pt, path: bilinear.scalar_exp(GROUP, pt, 5), MalformedElementError),
+    ("fixed_base_exp", lambda pt, path: bilinear.fixed_base_exp(GROUP, pt, 5),
+     MalformedElementError),
+    ("pairing left", lambda pt, path: bilinear.pairing(GROUP, pt, GEN), MalformedElementError),
+    ("pairing right", lambda pt, path: bilinear.pairing(GROUP, GEN, pt), MalformedElementError),
+]
+
+
+@pytest.mark.parametrize("call,error", [case[1:] for case in BOUNDARY],
+                         ids=[case[0] for case in BOUNDARY])
+def test_every_boundary_refuses_an_off_curve_point(call, error, tmp_path):
+    with pytest.raises(error):
+        call(OFF, tmp_path / "entry.key")
+
+
+def test_in_subgroup_answers_false_off_the_curve():
+    assert not is_on_curve(GROUP, OFF)
+    assert not in_subgroup(GROUP, OFF)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.label())
+def test_a_warm_derive_checks_only_the_points_it_receives_and_adds(strategy, monkeypatch):
+    args = (PARAMS, ALICE, X, MSG_A, "bob", MSG_B, "initiator", strategy)
+    derive(*args)  # builds the window tables and caches the hashed identity
+    checked = []
+
+    def counting(params, point):
+        checked.append(point)
+        return is_on_curve(params, point)
+
+    # the two modules on derive's path that bind the name
+    for module in (bilinear, protocol):
+        monkeypatch.setattr(module, "is_on_curve", counting)
+    derive(*args)
+    # both flows, then the two points of point_add in the peer's blend, and
+    # for c1-pre the two of its own point_add too
+    assert len(checked) == (6 if strategy.label() == "c1-pre" else 4)

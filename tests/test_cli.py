@@ -435,6 +435,8 @@ def test_scenario_at_three_bits_reports_its_failed_lines(capsys):
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert report["params"]["q"] == 5 and not report["ok"]
+    line5 = {"line": 5, "q": "send", "ok": False, "result": None, "error": "degenerate-exponent"}
+    assert line5 in report["log"]
     assert {"line": 6, "q": "send", "ok": False, "result": None, "error": "no-flow"} in report["log"]
     assert "error: scenario line 6: unexpected error no-flow" in captured.err
     assert "back-reference" not in captured.err
