@@ -551,23 +551,29 @@ def gt_inv(z: GTElem) -> GTElem:
 # ---------------------------------------------------------------------------
 
 
-def _as_identity_bytes(identity) -> bytes:
-    ident = identity.encode("utf-8") if isinstance(identity, str) else bytes(identity)
-    if not ident:
-        raise InvalidIdentityError("identity must be non-empty")
-    return ident
+def identity_bytes(identity) -> bytes:
+    """The bytes an identity stands for, the package's one identity rule: a
+    str its strict UTF-8, bytes and bytearray themselves, 1 to 0xFFFF bytes
+    (so every identity fits the 2-byte frame of sized); all else is refused."""
+    try:
+        ident = identity.encode("utf-8") if isinstance(identity, str) else identity
+    except UnicodeEncodeError as exc:
+        raise InvalidIdentityError("identity is not valid UTF-8 text") from exc
+    if not isinstance(ident, (bytes, bytearray)) or not 1 <= len(ident) <= 0xFFFF:
+        raise InvalidIdentityError("an identity is text or bytes, 1 to 65535 bytes long")
+    return bytes(ident)
 
 
 def hash_to_group(params: GroupParams, identity) -> GElem:
-    """Map an identity string to a non-identity point of the q-subgroup.
+    """Map an identity to a non-identity point of the q-subgroup.
 
     Try-and-increment: x = SHA-256(tag || id || counter) mod p until
     x^3 + x is a square, take y = (x^3+x)^((p+1)/4), then clear the
     cofactor.  Results landing on the identity are skipped.  Results are
-    cached per (params, identity bytes), so a str identity and its UTF-8
-    bytes share an entry.
+    cached per (params, identity_bytes(identity)), so a str identity and
+    its UTF-8 bytes share an entry.
     """
-    return _hash_to_group(params, _as_identity_bytes(identity))
+    return _hash_to_group(params, identity_bytes(identity))
 
 
 @functools.lru_cache(maxsize=1024)

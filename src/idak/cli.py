@@ -16,11 +16,19 @@ from importlib import resources
 from pathlib import Path
 
 from idak import keystore
-from idak.bilinear import _K_BITS_RANGE, encode_point, instance_generate, pairing, scalar_exp
+from idak.bilinear import (
+    _K_BITS_RANGE,
+    encode_point,
+    identity_bytes,
+    instance_generate,
+    pairing,
+    scalar_exp,
+)
 from idak.errors import (
     DegenerateExponentError,
     IdakError,
     InvalidFlowError,
+    InvalidIdentityError,
     ScenarioError,
 )
 from idak.protocol import (
@@ -96,8 +104,11 @@ _delta = _in_range(float, "delta", 0, 1)
 
 
 def _identity(text):
-    if not text:
-        raise argparse.ArgumentTypeError("identity must not be empty")
+    """An argparse type: a name that identity_bytes accepts, kept as text."""
+    try:
+        identity_bytes(text)
+    except InvalidIdentityError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return text
 
 
@@ -204,7 +215,7 @@ def cmd_initiate(args):
     own = keystore.load_identity(args.key, params.group)
     x, msg = initiate(params, own, seeded_rng("idak-cli-initiate", args.seed))
     Path(args.flow_out).write_bytes(encode_flow(params, "initiator", own.identity, msg))
-    keystore.save_state(args.state_out, params.group, args.peer.encode("utf-8"), x, msg)
+    keystore.save_state(args.state_out, params.group, identity_bytes(args.peer), x, msg)
     _emit(args, {"flow": args.flow_out, "state": args.state_out})
     return EXIT_OK
 
@@ -280,10 +291,8 @@ def cmd_bench(args):
         rows.append((label, observed, statistics.median(times)))
     if not args.quiet:
         print("strategy\tpairings\texp_g\tmul_g\texp_gt\tmedian_ms")
-        for label, (pairings, exp_g, mul_g, exp_gt), median in rows:
-            print(
-                f"{label}\t{pairings}\t{exp_g}\t{mul_g}\t{exp_gt}\t{median * 1000:.3f}"
-            )
+        for label, observed, median in rows:
+            print(label, *observed, f"{median * 1000:.3f}", sep="\t")
     if mismatches:
         for label, observed in mismatches:
             print(

@@ -24,6 +24,8 @@ from idak.protocol import FlowMessage, IdentityKey, SessionKey
 
 HEADER_MAGIC = "idak keystore v1"
 KINDS = ("params", "master", "identity", "session", "state")
+# the exact header write_entry writes for each kind; read_entry takes no other
+_HEADER_KINDS = {f"{HEADER_MAGIC} kind={kind}": kind for kind in KINDS}
 SESSION_KEY_SIZE = 32
 
 
@@ -60,19 +62,13 @@ def read_entry(path, expect_kind=None):
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise KeystoreError("key file is not ASCII text") from exc
-    lines = [line.strip() for line in text.splitlines()]
-    lines = [line for line in lines if line]
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
     if len(lines) != 2:
         raise KeystoreError("key file must be a header line plus a payload line")
     header, armored = lines
-    if not header.startswith(HEADER_MAGIC):
-        raise KeystoreError("missing keystore header")
-    fields = dict(
-        token.split("=", 1) for token in header[len(HEADER_MAGIC) :].split() if "=" in token
-    )
-    kind = fields.get("kind")
-    if kind not in KINDS:
-        raise KeystoreError("header does not name a known entry kind")
+    kind = _HEADER_KINDS.get(header)
+    if kind is None:
+        raise KeystoreError(f"header is not '{HEADER_MAGIC} kind=KIND' for a known KIND")
     if expect_kind is not None and kind != expect_kind:
         raise KeystoreError(f"expected a {expect_kind} entry, found {kind}")
     try:
@@ -115,7 +111,7 @@ def load_master(path, group) -> int:
 
 def save_identity(path, group, key):
     body = (
-        _framed(key.identity)
+        sized(key.identity)
         + encode_point(group, key.g_id)
         + encode_point(group, key.d_id)
     )
@@ -159,7 +155,7 @@ def save_state(path, group, peer_id, x, msg):
     if not 1 <= x < group.q:
         raise KeystoreError("ephemeral out of range")
     body = (
-        _framed(peer_id)
+        sized(peer_id)
         + x.to_bytes(_scalar_size(group), "big")
         + encode_point(group, msg.r)
     )
@@ -181,17 +177,10 @@ def load_state(path, group):
 
 
 # ---------------------------------------------------------------------------
-# framing helpers
+# payload sizes
 # ---------------------------------------------------------------------------
 
 
 def _scalar_size(group):
     return (group.q.bit_length() + 7) // 8
 
-
-def _framed(blob):
-    """sized(blob), raising this module's KeystoreError for an oversized field."""
-    try:
-        return sized(blob)
-    except MalformedElementError as exc:
-        raise KeystoreError(str(exc)) from exc

@@ -34,13 +34,13 @@ from .bilinear import (
     GElem,
     GTElem,
     GroupParams,
-    _as_identity_bytes,
     _checked_pairing,
     encode_gt,
     encode_point,
     fixed_base_exp,
     gt_exp,
     hash_to_group,
+    identity_bytes,
     in_subgroup,
     instance_generate,
     is_on_curve,
@@ -198,7 +198,7 @@ def setup(
 
 def extract(params: SystemParams, msk: MasterSecret, identity) -> IdentityKey:
     """Issue the identity key d_id = H(id)^alpha."""
-    ident = _as_identity_bytes(identity)
+    ident = identity_bytes(identity)
     if not 1 <= msk.alpha < params.group.q:
         raise InvalidEphemeralError("master secret out of range")
     g_id = hash_to_group(params.group, ident)
@@ -378,8 +378,8 @@ def session_key(
     material = (
         DEFAULT_KDF_TAG
         + encode_gt(params.group, sk.value)
-        + _as_identity_bytes(id_a)
-        + _as_identity_bytes(id_b)
+        + identity_bytes(id_a)
+        + identity_bytes(id_b)
         + encode_point(params.group, r_a.r)
         + encode_point(params.group, r_b.r)
     )
@@ -492,16 +492,9 @@ def encode_flow(
     extra: GElem | None = None,
 ) -> bytes:
     """version || role || id length || id || point || presence || [extra]."""
-    ident = _as_identity_bytes(sender_id)
-    if len(ident) > 0xFFFF:
-        raise InvalidFlowError("identity too long for the wire format")
-    out = bytes([FLOW_VERSION, ROLE_BYTES[role]]) + sized(ident)
+    out = bytes([FLOW_VERSION, ROLE_BYTES[role]]) + sized(identity_bytes(sender_id))
     out += encode_point(params.group, msg.r)
-    if extra is None:
-        out += b"\x00"
-    else:
-        out += b"\x01" + encode_point(params.group, extra)
-    return out
+    return out + (b"\x00" if extra is None else b"\x01" + encode_point(params.group, extra))
 
 
 def decode_flow(params: SystemParams, data: bytes):

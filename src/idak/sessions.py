@@ -315,7 +315,7 @@ class _ScenarioState:
             try:
                 self.world = make_world(
                     k_bits=cfg.get("k_bits", 16),
-                    seed=cfg.get("seed", "scenario"),
+                    seed=str(cfg.get("seed", "scenario")),
                     mode=cfg.get("mode", "br"),
                     pi_variant=PiVariant(cfg.get("pi", "hash-half")),
                     principals=cfg.get("principals", ()),
@@ -336,12 +336,13 @@ def run_scenario(lines, k_bits: int | None = None, seed=None, mode: str | None =
     Each line is a query {"q": ...}, an {"assert": ...}, or a leading
     {"config": ...} overriding the defaults (k_bits 16, seed "scenario",
     mode "br").  k_bits, seed and mode, when not None, win over both the
-    config line and the defaults.  Flow arguments are null for
-    an initiator activation, "@LABEL.out" for another oracle's emitted
-    flow, or hex bytes of a point encoding.  Queries may carry
-    "expect_error" naming the error they must fail with.  Failed
-    expectations and assertions are collected, not raised: a
-    back-reference to an oracle that emitted no flow fails its query
+    config line and the defaults.  An integer seed, from either, stands
+    for its decimal text, as `idak scenario --seed` gives it.  Flow
+    arguments are null for an initiator activation, "@LABEL.out" for
+    another oracle's emitted flow, or hex bytes of a point encoding.
+    Queries may carry "expect_error" naming the error they must fail
+    with.  Failed expectations and assertions are collected, not raised:
+    a back-reference to an oracle that emitted no flow fails its query
     ("no-flow") without sending it, and keys-equal or keys-differ on an
     oracle without a key fails the assertion ("no-key").
     """

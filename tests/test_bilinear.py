@@ -510,6 +510,15 @@ def test_params_decoding_accepts_the_largest_generated_sizes():
     assert decode_group_params(encode_group_params(at_bound)) == at_bound
 
 
+@pytest.mark.parametrize("p, q, h", [(27, 7, 4), (71, 9, 8)], ids=["composite-p", "composite-q"])
+def test_params_decoding_rejects_a_composite_p_or_q(p, q, h):
+    # consistent (p = h*q - 1 = 3 mod 4, h even, q does not divide h) and of
+    # a supported size, so only the primality check can refuse them
+    blob = encode_group_params(GroupParams(p=p, q=q, h=h, k_bits=q.bit_length()))
+    with pytest.raises(MalformedElementError, match="^group parameters are not prime$"):
+        decode_group_params(blob)
+
+
 def test_is_on_curve_bounds():
     assert not is_on_curve(GP, GElem(-1, 5))
     assert not is_on_curve(GP, GElem(5, GP.p))

@@ -113,6 +113,24 @@ def test_extract_rejects_empty_identity(keyring, tmp_path):
     assert info.value.code == 2
 
 
+def test_non_utf8_names_are_usage_errors_that_write_nothing(keyring, tmp_path, capsys):
+    # a non-UTF-8 argv byte reaches argparse as a lone surrogate
+    out = tmp_path / "x.key"
+    with pytest.raises(SystemExit) as info:
+        main(["extract", "\udcff", "--params", keyring["params"],
+              "--master", keyring["master"], "--out", str(out)])
+    assert info.value.code == 2
+    flow, state = tmp_path / "a.flow", tmp_path / "a.state"
+    with pytest.raises(SystemExit) as info:
+        main(["initiate", "--params", keyring["params"], "--key", keyring["alice"],
+              "--peer", "b\udcff", "--flow-out", str(flow), "--state-out", str(state)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument identity: " in err and "argument --peer: " in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_key_accepts_issued_keys(keyring):
     assert main(["verify-key", keyring["alice"], "--params", keyring["params"],
                  "--master", keyring["master"], "--quiet"]) == 0
@@ -360,6 +378,25 @@ def test_framing_faults_are_reported_before_point_checks(keyring, tmp_path, caps
     assert capsys.readouterr().err == "error: invalid-flow: expected a responder flow\n"
 
 
+def test_finalize_pfs_refuses_an_extra_that_fails_the_pairing_check(keyring, tmp_path, capsys):
+    # an honest flow point with an extra point of the subgroup not made from its y
+    group = keystore.load_group(keyring["params"])
+    flow = _hostile_flow(keyring, tmp_path, "responder", b"bob",
+                         extra=hash_to_group(group, "extra"))
+    assert _finalize(keyring, tmp_path, flow, "--pfs") == 1
+    assert capsys.readouterr().err == "error: invalid-flow: extra point fails the pairing check\n"
+    assert not (tmp_path / "a.session").exists()
+
+
+def test_finalize_pfs_refuses_a_flow_without_extra(keyring, tmp_path, capsys):
+    flow = _hostile_flow(keyring, tmp_path, "responder", b"bob")
+    assert _finalize(keyring, tmp_path, flow, "--pfs") == 1
+    assert capsys.readouterr().err == (
+        "error: invalid-flow: flow carries no extra point; responder ran without --pfs\n"
+    )
+    assert not (tmp_path / "a.session").exists()
+
+
 def test_swapped_role_flows_are_rejected(keyring, tmp_path, capsys):
     flow_a = str(tmp_path / "a.flow")
     state = str(tmp_path / "a.state")
@@ -405,6 +442,17 @@ def test_bench_counts_do_not_depend_on_trials(keyring, capsys):
     assert first == second
 
 
+def test_bench_exits_three_on_a_cost_mismatch(keyring, capsys, monkeypatch):
+    # the check CI's cost-table step relies on: a table that disagrees with
+    # the observed counts makes idak bench fail
+    monkeypatch.setattr(cli, "EXPECTED_COSTS", {**cli.EXPECTED_COSTS, "c2-pre": (1, 0.5, 1, 0)})
+    assert main(["bench", "--params", keyring["params"], "--trials", "1",
+                 "--seed", "t", "--quiet"]) == 3
+    assert capsys.readouterr().err == (
+        "error: cost mismatch for c2-pre: observed (1, 0.5, 1, 1), expected (1, 0.5, 1, 0)\n"
+    )
+
+
 def test_scenario_bundled_name(capsys):
     assert main(["scenario", "honest_run"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -444,6 +492,24 @@ def test_scenario_at_three_bits_reports_its_failed_lines(capsys):
     # test-real-key has no answer to compare with the missing key
     assert {"line": 15, "assert": "test-real-key", "ok": False} in report["log"]
     assert "error: scenario line 15: assertion test-real-key failed" in captured.err
+
+
+def test_an_integer_seed_means_its_decimal_text(tmp_path, capsys):
+    # {"seed": 5} in the file and --seed 5 on the command line build one world
+    queries = (
+        '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": null}\n'
+        '{"q": "send", "oracle": "B", "i": "b", "j": "a", "x": "@A.out"}\n'
+    )
+    seeded = tmp_path / "seeded.jsonl"
+    seeded.write_text('{"config": {"k_bits": 12, "seed": 5}}\n' + queries)
+    bare = tmp_path / "bare.jsonl"
+    bare.write_text('{"config": {"k_bits": 12}}\n' + queries)
+    assert main(["scenario", str(seeded)]) == 0
+    from_file = json.loads(capsys.readouterr().out)
+    assert main(["scenario", str(bare), "--seed", "5"]) == 0
+    assert json.loads(capsys.readouterr().out) == from_file
+    assert run_scenario(bare.read_text().splitlines(), seed=5) == from_file
+    assert run_scenario(bare.read_text().splitlines()) != from_file  # the seed is used
 
 
 def test_scenario_missing_file(capsys):

@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 
 from idak import keystore
 from idak.bilinear import (
+    INFINITY,
+    GElem,
     decode_group_params,
     encode_group_params,
+    encode_point,
     hash_to_group,
     instance_generate,
+    sized,
 )
 from idak.errors import InvalidFlowError, KeystoreError, MalformedElementError
 from idak.protocol import (
@@ -49,7 +53,7 @@ def test_entry_rejects_unknown_kind(tmp_path):
 def test_entry_kind_mismatch(tmp_path):
     path = tmp_path / "blob.key"
     keystore.write_entry(path, "master", b"\x01")
-    with pytest.raises(KeystoreError):
+    with pytest.raises(KeystoreError, match="^expected a identity entry, found master$"):
         keystore.read_entry(path, "identity")
 
 
@@ -64,6 +68,10 @@ def test_entry_kind_mismatch(tmp_path):
         "idak keystore v1 kind=master\nnot hex\n",
         "idak keystore v1 kind=master\nab\ncd\n",
         "some other header kind=master\nab\n",
+        # only the exact header write_entry writes is read
+        "idak keystore v10 kind=session\nab\n",
+        "idak keystore v1 kind=master kind=session\nab\n",
+        "idak keystore v1 junk kind=session\nab\n",
     ],
 )
 def test_entry_rejects_malformed_files(tmp_path, text):
@@ -222,6 +230,29 @@ def test_identity_rejects_trailing_bytes(tmp_path):
     kind, payload = keystore.read_entry(path)
     keystore.write_entry(path, kind, payload + b"\x00")
     with pytest.raises(KeystoreError):
+        keystore.load_identity(path, GROUP)
+
+
+def _identity_entry(path, name, d_id):
+    """An identity file naming name, with its true g_id and the given d_id."""
+    g_id = hash_to_group(GROUP, name or b"alice")
+    payload = sized(name) + encode_point(GROUP, g_id) + encode_point(GROUP, d_id)
+    keystore.write_entry(path, "identity", payload)
+
+
+# (0, 0) lies on y^2 = x^3 + x and has order 2, so outside the odd-order subgroup
+@pytest.mark.parametrize("d_id", [GElem(0, 0), INFINITY], ids=["order-two", "infinity"])
+def test_identity_rejects_a_key_point_outside_the_subgroup(tmp_path, d_id):
+    path = tmp_path / "alice.key"
+    _identity_entry(path, b"alice", d_id)
+    with pytest.raises(KeystoreError, match="^identity key point is outside the subgroup$"):
+        keystore.load_identity(path, GROUP)
+
+
+def test_identity_rejects_a_payload_naming_nobody(tmp_path):
+    path = tmp_path / "nobody.key"
+    _identity_entry(path, b"", extract(PARAMS, MSK, "alice").d_id)
+    with pytest.raises(KeystoreError, match="^identity payload names nobody$"):
         keystore.load_identity(path, GROUP)
 
 
