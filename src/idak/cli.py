@@ -50,7 +50,7 @@ from idak.protocol import (
     setup,
     system_params,
 )
-from idak.selfreduction import MockCbdhOracle, amplify, make_instance
+from idak.selfreduction import MAX_K_BITS, MockCbdhOracle, amplify, make_instance
 from idak.sessions import MODES, run_scenario
 
 EXIT_OK = 0
@@ -98,6 +98,7 @@ def _in_range(kind, name, low, high=None):
 
 
 _k_bits = _in_range(int, "k_bits", *_K_BITS_RANGE)
+_reduce_k_bits = _in_range(int, "k_bits", _K_BITS_RANGE[0], MAX_K_BITS)
 _trials = _in_range(int, "trials", 1)
 _n = _in_range(int, "n", 1)
 _delta = _in_range(float, "delta", 0, 1)
@@ -215,7 +216,7 @@ def cmd_initiate(args):
     own = keystore.load_identity(args.key, params.group)
     x, msg = initiate(params, own, seeded_rng("idak-cli-initiate", args.seed))
     Path(args.flow_out).write_bytes(encode_flow(params, "initiator", own.identity, msg))
-    keystore.save_state(args.state_out, params.group, identity_bytes(args.peer), x, msg)
+    keystore.save_state(args.state_out, params.group, args.peer, x, msg)
     _emit(args, {"flow": args.flow_out, "state": args.state_out})
     return EXIT_OK
 
@@ -468,7 +469,10 @@ def build_parser():
     p.add_argument("--delta", type=_delta, default=1.0, help="oracle reliability")
     p.add_argument("--n", type=_n, default=1, help="blinded queries per instance")
     p.add_argument("--trials", type=_trials, default=10, help="instances to solve")
-    p.add_argument("--k-bits", type=_k_bits, default=16, help="parameter size")
+    p.add_argument(
+        "--k-bits", type=_reduce_k_bits, default=16,
+        help=f"parameter size, at most {MAX_K_BITS}: the mock oracle's table grows as 2^(k/2)",
+    )
     p.add_argument("--seed", default="reduce", help="experiment seed")
 
     return parser

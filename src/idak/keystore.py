@@ -14,6 +14,7 @@ from idak.bilinear import (
     encode_group_params,
     encode_point,
     hash_to_group,
+    identity_bytes,
     in_subgroup,
     sized,
     take_point,
@@ -111,7 +112,7 @@ def load_master(path, group) -> int:
 
 def save_identity(path, group, key):
     body = (
-        sized(key.identity)
+        sized(identity_bytes(key.identity))
         + encode_point(group, key.g_id)
         + encode_point(group, key.d_id)
     )
@@ -151,11 +152,11 @@ def load_session(path) -> SessionKey:
 
 
 def save_state(path, group, peer_id, x, msg):
-    """Persist the initiator's half-open session between commands."""
+    """Persist the initiator's half-open session; peer_id is framed as its identity_bytes."""
     if not 1 <= x < group.q:
         raise KeystoreError("ephemeral out of range")
     body = (
-        sized(peer_id)
+        sized(identity_bytes(peer_id))
         + x.to_bytes(_scalar_size(group), "big")
         + encode_point(group, msg.r)
     )

@@ -18,7 +18,8 @@ The mock oracle that stands in for the adversary answers with a
 baby-step giant-step discrete log (Shanks 1971).  Its table holds the m
 baby steps [j]g, m = isqrt(q - 1) + 1, keyed by x-coordinate so that
 each entry also stands for [-j]g; a giant step then covers 2m + 1
-residues, and a walk takes at most about sqrt(q)/2 of them.
+residues, and a walk takes at most about sqrt(q)/2 of them.  The table
+grows as 2^(k/2) for a k-bit q, so it is refused above MAX_K_BITS.
 """
 
 import functools
@@ -44,6 +45,10 @@ from idak.bilinear import (
     pairing,
     scalar_exp,
 )
+
+# the largest q, in bits, whose baby-step table the mock oracle builds: at
+# k = 32 about 2^16 entries, under a second and a few tens of MiB
+MAX_K_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -182,11 +187,8 @@ def amplify(params, oracle, inst, rounds, rng):
         blinded, shift = randomize(params, inst, round_rng)
         candidate = correct(params, oracle(blinded), inst, shift)
         votes[candidate] = votes.get(candidate, 0) + 1
-    winner, best = None, 0
-    for candidate, count in votes.items():  # insertion order breaks ties
-        if count > best:
-            winner, best = candidate, count
-    return winner
+    # max keeps the first of equal counts, so the first-seen candidate wins a tie
+    return max(votes, key=votes.get)
 
 
 def solve_dlog(params, base, target):
@@ -205,8 +207,10 @@ def _baby_table(params, base):
     for 1 <= j <= m, to (j, y).  [j]base and [-j]base share that x and
     differ in y, so one entry answers both, which holds only if base has
     order q: the identity or a base outside the order-q subgroup raises
-    ValueError.
+    ValueError, and so does a q of more than MAX_K_BITS bits.
     """
+    if params.q.bit_length() > MAX_K_BITS:
+        raise ValueError(f"the baby-step table is built for q of at most {MAX_K_BITS} bits")
     _require_on_curve(params, base)
     if base.is_identity() or not in_subgroup(params, base):
         raise ValueError("base must generate the order-q subgroup")
@@ -266,8 +270,8 @@ class MockCbdhOracle:
     """Stand-in adversary answering correctly with probability delta.
 
     Correct answers come from a baby-step giant-step discrete log of the
-    third component, so this only works on the small curves used in
-    tests.  Construction checks that g generates the order-q subgroup and
+    third component, so q may have at most MAX_K_BITS bits (ValueError
+    otherwise).  Construction checks that g generates the order-q subgroup and
     builds the x-keyed table of m = isqrt(q - 1) + 1 baby steps: m chord
     additions, one subgroup check and one scalar multiplication for the
     stride [-(2m+1)]g.  Each correct answer then walks at most

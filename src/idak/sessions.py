@@ -25,7 +25,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .bilinear import decode_point, encode_point, gt_exp, pairing
+from .bilinear import decode_point, encode_point, gt_exp, identity_bytes, pairing
 from .errors import (
     DegenerateExponentError,
     IdakError,
@@ -62,10 +62,11 @@ MODES = ("br", "wpfsbr")
 
 @dataclass
 class SessionOracle:
-    """One party's view of one protocol run: oracle (owner, peer, index)."""
+    """One party's view of one protocol run: oracle (owner, peer, index),
+    with owner and peer as identity bytes."""
 
-    owner: str
-    peer: str
+    owner: bytes
+    peer: bytes
     index: int
     role: str | None = None
     transcript: list = field(default_factory=list)  # ("out" | "in", FlowMessage)
@@ -79,11 +80,14 @@ class SessionOracle:
     aborted: bool = False
 
     def name(self) -> str:
-        return f"({self.owner},{self.peer})#{self.index}"
+        owner, peer = (who.decode("utf-8", "backslashreplace") for who in (self.owner, self.peer))
+        return f"({owner},{peer})#{self.index}"
 
 
 class World:
-    """Authority state, principals, oracles, and the adversary queries."""
+    """Authority state, principals, oracles, and the adversary queries.
+
+    A principal is its identity_bytes, so "alice" and b"alice" are one."""
 
     def __init__(
         self,
@@ -98,26 +102,27 @@ class World:
         self.msk = msk
         self.mode = mode
         self.rng = rng if rng is not None else random.Random()
-        self.principals: dict[str, IdentityKey] = {}
+        self.principals: dict[bytes, IdentityKey] = {}
         self.oracles: list[SessionOracle] = []
-        self._last_index: dict[tuple[str, str], int] = {}
+        self._last_index: dict[tuple[bytes, bytes], int] = {}
         # completed oracles by binding; matching oracles share one entry
         self._by_binding: dict[tuple, list[SessionOracle]] = {}
-        self.corrupted_at: dict[str, int] = {}
-        self.extracted: set[str] = set()
+        self.corrupted_at: dict[bytes, int] = {}
+        self.extracted: set[bytes] = set()
         self.clock = 0
 
     # -- state management ---------------------------------------------------
 
-    def add_principal(self, identity: str) -> IdentityKey:
-        if identity not in self.principals:
-            self.principals[identity] = extract(self.params, self.msk, identity)
-        return self.principals[identity]
+    def add_principal(self, identity) -> IdentityKey:
+        ident = identity_bytes(identity)
+        if ident not in self.principals:
+            self.principals[ident] = extract(self.params, self.msk, ident)
+        return self.principals[ident]
 
-    def new_oracle(self, owner: str, peer: str) -> SessionOracle:
+    def new_oracle(self, owner, peer) -> SessionOracle:
         """Fresh oracle for owner talking to peer; the world assigns the index."""
-        self.add_principal(owner)
-        self.add_principal(peer)
+        owner = self.add_principal(owner).identity
+        peer = self.add_principal(peer).identity
         index = self._last_index.get((owner, peer), 0) + 1
         self._last_index[owner, peer] = index
         oracle = SessionOracle(owner=owner, peer=peer, index=index)
@@ -140,9 +145,7 @@ class World:
         own_key = self.principals[oracle.owner]
         if flow is None:
             if oracle.transcript:
-                raise StaleOracleError(
-                    f"oracle {oracle.name()} was already activated"
-                )
+                raise StaleOracleError(f"oracle {oracle.name()} was already activated")
             oracle.role = "initiator"
             oracle.ephemeral, oracle.own_msg = initiate(self.params, own_key, self.rng)
             oracle.transcript.append(("out", oracle.own_msg))
@@ -181,21 +184,21 @@ class World:
         oracle.revealed = True
         return oracle.key
 
-    def corrupt(self, identity: str):
+    def corrupt(self, identity):
         """Hand out a principal's long-term identity key."""
         self.clock += 1
-        if identity not in self.principals:
+        ident = identity_bytes(identity)
+        if ident not in self.principals:
             raise NoSuchPrincipalError(f"unknown principal {identity!r}")
-        self.corrupted_at.setdefault(identity, self.clock)
-        return self.principals[identity].d_id
+        self.corrupted_at.setdefault(ident, self.clock)
+        return self.principals[ident].d_id
 
-    def extract_query(self, identity: str):
+    def extract_query(self, identity):
         """Adversary-chosen identity key; poisons that identity for tests."""
         self.clock += 1
-        self.extracted.add(identity)
-        if identity in self.principals:
-            return self.principals[identity].d_id
-        return extract(self.params, self.msk, identity).d_id
+        ident = identity_bytes(identity)
+        self.extracted.add(ident)
+        return (self.principals.get(ident) or extract(self.params, self.msk, ident)).d_id
 
     def matching(self, first: SessionOracle, second: SessionOracle) -> bool:
         """Both completed, complementary roles, and equal bindings: the same
@@ -306,7 +309,6 @@ class _ScenarioState:
         self.overrides = overrides  # the caller's values, which win over config
         self.world: World | None = None
         self.oracles: dict[str, SessionOracle] = {}
-        self.outputs: dict[str, FlowMessage] = {}
         self.test_results: dict[str, SessionKey] = {}
 
     def ensure_world(self):
@@ -340,11 +342,17 @@ def run_scenario(lines, k_bits: int | None = None, seed=None, mode: str | None =
     for its decimal text, as `idak scenario --seed` gives it.  Flow
     arguments are null for an initiator activation, "@LABEL.out" for
     another oracle's emitted flow, or hex bytes of a point encoding.
-    Queries may carry "expect_error" naming the error they must fail
-    with.  Failed expectations and assertions are collected, not raised:
-    a back-reference to an oracle that emitted no flow fails its query
-    ("no-flow") without sending it, and keys-equal or keys-differ on an
-    oracle without a key fails the assertion ("no-key").
+    A send names its oracle's "i" and "j" on the line that creates it and
+    on no later one.  Queries may carry "expect_error", the error they
+    must fail with, and assertions "expect" (default true), the outcome
+    they must have.  Failures are collected, not raised, and these fail
+    whatever "expect" says: a back-reference to an oracle that emitted
+    no flow fails its query ("no-flow") without sending it, keys-equal
+    or keys-differ on an oracle without a key fails ("no-key"), fresh on
+    one that has not completed ("not-testable"), and test-real-key or
+    test-random-key before a test query on its oracle answered.  A
+    malformed line, a field of the wrong type, an empty name, and i or j
+    on a later send raise ScenarioError.
     """
     given = {"k_bits": k_bits, "seed": seed, "mode": mode}
     state = _ScenarioState({name: value for name, value in given.items() if value is not None})
@@ -373,12 +381,9 @@ def run_scenario(lines, k_bits: int | None = None, seed=None, mode: str | None =
         else:
             raise ScenarioError(f"line {number}: neither query nor assertion")
     world = state.ensure_world()
+    group = world.params.group
     report["mode"] = world.mode
-    report["params"] = {
-        "p": world.params.group.p,
-        "q": world.params.group.q,
-        "h": world.params.group.h,
-    }
+    report["params"] = {"p": group.p, "q": group.q, "h": group.h}
     report["ok"] = not report["failures"]
     return report
 
@@ -427,11 +432,12 @@ def _resolve_flow(state: _ScenarioState, raw):
         label, _, field_name = raw[1:].partition(".")
         if field_name != "out":
             raise ScenarioError(f"unsupported back-reference {raw!r}")
-        if label in state.outputs:
-            return state.outputs[label]
-        if label in state.oracles:
-            raise NoFlowError(f"oracle {label!r} has emitted no flow")
-        raise ScenarioError(f"back-reference to {label!r}, which no query has defined")
+        if label not in state.oracles:
+            raise ScenarioError(f"back-reference to {label!r}, which no query has defined")
+        for direction, msg in state.oracles[label].transcript:
+            if direction == "out":
+                return msg
+        raise NoFlowError(f"oracle {label!r} has emitted no flow")
     if isinstance(raw, str):
         try:
             return bytes.fromhex(raw)
@@ -452,16 +458,16 @@ def _run_query(state: _ScenarioState, entry: dict, number: int, report: dict):
                 state.oracles[label] = world.new_oracle(
                     _name(entry, "i", number), _name(entry, "j", number)
                 )
-            oracle = state.oracles[label]
-            out = world.send(oracle, _resolve_flow(state, entry.get("x")))
+            elif "i" in entry or "j" in entry:
+                raise ScenarioError(f"line {number}: i and j belong on {label!r}'s first send")
+            out = world.send(state.oracles[label], _resolve_flow(state, entry.get("x")))
             if out is not None:
-                state.outputs[label] = out
                 record["result"] = encode_point(world.params.group, out.r).hex()
         elif kind == "reveal":
             key = world.reveal(state.oracle(_field(entry, "oracle", str, number)))
             record["result"] = key.key.hex()
         elif kind == "corrupt":
-            point = world.corrupt(_field(entry, "i", str, number))
+            point = world.corrupt(_name(entry, "i", number))
             record["result"] = encode_point(world.params.group, point).hex()
         elif kind == "extract":
             point = world.extract_query(_name(entry, "id", number))
@@ -477,20 +483,14 @@ def _run_query(state: _ScenarioState, entry: dict, number: int, report: dict):
         else:
             raise ScenarioError(f"line {number}: unknown query {kind!r}")
         if expect_error is not None:
-            record["ok"] = False
-            report["failures"].append(
-                {"line": number, "reason": f"expected {expect_error}, query succeeded"}
-            )
+            _fail(report, record, f"expected {expect_error}, query succeeded")
     except ScenarioError:
         raise
     except Exception as exc:  # noqa: BLE001 - adversary queries fail by contract
         name = _error_name(exc)
         record["error"] = name
         if expect_error != name:
-            record["ok"] = False
-            report["failures"].append(
-                {"line": number, "reason": f"unexpected error {name}: {exc}"}
-            )
+            _fail(report, record, f"unexpected error {name}: {exc}")
     report["log"].append(record)
 
 
@@ -503,34 +503,36 @@ def _run_assert(state: _ScenarioState, entry: dict, number: int, report: dict):
         return state.oracle(_field(entry, name, str, number))
 
     expect = _field(entry, "expect", bool, number, default=True)
+    outcome = None  # None when there is nothing to compare, a failure whatever expect says
     try:
         if kind in ("keys-equal", "keys-differ"):
-            key_a = oracle("a").key
-            key_b = oracle("b").key
+            key_a, key_b = oracle("a").key, oracle("b").key
             if key_a is None or key_b is None:
                 raise NoKeyError("oracle without key")
-            holds = (key_a == key_b) == (kind == "keys-equal")
+            outcome = (key_a == key_b) == (kind == "keys-equal")
         elif kind == "matching":
-            holds = world.matching(oracle("a"), oracle("b")) == expect
+            outcome = world.matching(oracle("a"), oracle("b"))
         elif kind == "fresh":
-            holds = world.fresh(oracle("oracle")) == expect
+            outcome = world.fresh(oracle("oracle"))
         elif kind == "completed":
-            holds = oracle("oracle").completed == expect
+            outcome = oracle("oracle").completed
         elif kind in ("test-real-key", "test-random-key"):
             label = _field(entry, "oracle", str, number)
             key, result = state.oracle(label).key, state.test_results.get(label)
             # both need a test query that answered; None == None proves nothing
-            holds = result is not None and (result == key) == (kind == "test-real-key")
+            outcome = None if result is None else (result == key) == (kind == "test-real-key")
         else:
             raise ScenarioError(f"line {number}: unknown assertion {kind!r}")
     except ScenarioError:
         raise
     except Exception as exc:  # noqa: BLE001
-        holds = False
         record["error"] = _error_name(exc)
-    if not holds:
-        record["ok"] = False
-        report["failures"].append(
-            {"line": number, "reason": f"assertion {kind} failed"}
-        )
+    if outcome is None or outcome != expect:
+        _fail(report, record, f"assertion {kind} failed")
     report["log"].append(record)
+
+
+def _fail(report: dict, record: dict, reason: str):
+    """Mark a query's or assertion's record failed and list it in the report."""
+    record["ok"] = False
+    report["failures"].append({"line": record["line"], "reason": reason})

@@ -296,6 +296,8 @@ def test_gt_operations():
     assert gt_exp(z, 0).is_one()
     assert gt_exp(z, 5) == gt_mul(gt_exp(z, 2), gt_exp(z, 3))
     assert gt_exp(z, -2) == gt_inv(gt_exp(z, 2))
+    with pytest.raises(MalformedElementError, match="zero is not invertible"):
+        gt_inv(GTElem(0, 0, GP.p))
 
 
 def test_gt_mul_rejects_mixed_fields():

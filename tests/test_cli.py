@@ -516,6 +516,11 @@ def test_scenario_missing_file(capsys):
     assert main(["scenario", "no_such_scenario", "--quiet"]) == 1
 
 
+def test_scenario_without_a_file_or_list_is_a_usage_error(capsys):
+    assert main(["scenario"]) == 2
+    assert "a scenario file is required" in capsys.readouterr().err
+
+
 def test_scenario_cli_matches_library(capsys):
     assert main(["scenario", "rerouted_responder"]) == 0
     cli_report = json.loads(capsys.readouterr().out)
@@ -538,6 +543,35 @@ def test_reduce_amplification_beats_noise(capsys):
                  "--k-bits", "8", "--seed", "r2"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["success_rate"] == 1.0
+
+
+def test_respond_refuses_a_degenerate_exponent_and_writes_nothing(tmp_path, capsys):
+    # at k=3 (q=5) a combined exponent vanishes for some responder seeds
+    base = ["--params", str(tmp_path / "params.key"), "--quiet"]
+    assert main(["setup", "--k-bits", "3", "--seed", "deg", "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    for name in ("alice", "bob"):
+        assert main(["extract", name, *base, "--master", str(tmp_path / "master.key"),
+                     "--out", str(tmp_path / f"{name}.key")]) == 0
+    assert main(["initiate", *base, "--key", str(tmp_path / "alice.key"), "--peer", "bob",
+                 "--flow-out", str(tmp_path / "a.flow"), "--state-out", str(tmp_path / "a.state"),
+                 "--seed", "0"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    out.mkdir()
+    for seed in range(20):
+        code = main(["respond", *base, "--key", str(tmp_path / "bob.key"),
+                     "--flow-in", str(tmp_path / "a.flow"), "--flow-out", str(out / "b.flow"),
+                     "--key-out", str(out / "b.session"), "--seed", str(seed)])
+        if code != 0:
+            break
+        for written in out.iterdir():
+            written.unlink()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: degenerate-exponent: ")
+    assert "responder rejects this session" in err
+    assert not any(out.iterdir())
 
 
 def test_quiet_silences_reports(keyring, capsys):
@@ -592,6 +626,9 @@ def test_main_runs_the_command_bound_at_call_time(keyring, tmp_path, monkeypatch
     ["reduce", "--delta", "x"],
     ["bench", "--trials", "0"],
     ["bench", "--trials", "-2"],
+    # the mock oracle's baby-step table grows as 2^(k/2)
+    ["reduce", "--k-bits", "33"],
+    ["reduce", "--k-bits", "64"],
 ], ids=lambda argv: " ".join(argv))
 def test_out_of_range_numbers_are_usage_errors(keyring, capsys, argv):
     if argv[0] == "bench":

@@ -19,8 +19,14 @@ from idak.bilinear import (
     instance_generate,
     sized,
 )
-from idak.errors import InvalidFlowError, KeystoreError, MalformedElementError
+from idak.errors import (
+    InvalidFlowError,
+    InvalidIdentityError,
+    KeystoreError,
+    MalformedElementError,
+)
 from idak.protocol import (
+    IdentityKey,
     SessionKey,
     decode_flow,
     encode_flow,
@@ -275,6 +281,28 @@ def test_state_round_trip(tmp_path):
     path = tmp_path / "pending.key"
     keystore.save_state(path, GROUP, b"bob", x, msg)
     assert keystore.load_state(path, GROUP) == (b"bob", x, msg)
+
+
+def test_state_frames_the_identity_bytes_of_any_name(tmp_path):
+    own = extract(PARAMS, MSK, "alice")
+    x, msg = initiate(PARAMS, own, random.Random(7))
+    keystore.save_state(tmp_path / "text.key", GROUP, "bob", x, msg)
+    keystore.save_state(tmp_path / "bytes.key", GROUP, b"bob", x, msg)
+    assert (tmp_path / "text.key").read_bytes() == (tmp_path / "bytes.key").read_bytes()
+
+
+def test_key_writers_refuse_a_name_the_identity_rule_refuses(tmp_path):
+    key = extract(PARAMS, MSK, "alice")
+    _, msg = initiate(PARAMS, key, random.Random(8))
+    too_long = b"x" * 0x10000
+    hand_built = IdentityKey(too_long, key.g_id, key.d_id)
+    with pytest.raises(InvalidIdentityError):
+        keystore.save_identity(tmp_path / "long.key", GROUP, hand_built)
+    with pytest.raises(InvalidIdentityError):
+        keystore.save_state(tmp_path / "long.state", GROUP, too_long, 1, msg)
+    with pytest.raises(InvalidIdentityError):
+        keystore.save_state(tmp_path / "empty.state", GROUP, "", 1, msg)
+    assert not any(tmp_path.iterdir())
 
 
 def test_state_rejects_bad_scalars(tmp_path):

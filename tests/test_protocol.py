@@ -477,6 +477,8 @@ def test_pfs_key_differs_from_base_key():
     assert pfs_session_key(params, sk_a, dh) != session_key(
         params, sk_a, "alice", "bob", msg_a, msg_b
     )
+    with pytest.raises(InvalidFlowError, match="degenerate Diffie-Hellman point"):
+        pfs_session_key(params, sk_a, INFINITY)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +508,9 @@ def test_master_compromise_wrong_alpha_misses():
         wrong = wrong % (GP.q - 1) + 1
     recovered = master_compromise_compute(PARAMS, wrong, "alice", "bob", msg_a, msg_b)
     assert recovered != sk_a
+    for alpha in (0, GP.q):
+        with pytest.raises(InvalidEphemeralError, match="alpha out of range"):
+            master_compromise_compute(PARAMS, alpha, "alice", "bob", msg_a, msg_b)
 
 
 def test_master_compromise_cannot_reach_pfs_key():

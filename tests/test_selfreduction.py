@@ -327,6 +327,34 @@ def test_baby_table_rejects_a_base_outside_the_subgroup():
             MockCbdhOracle(GP, bad, 0.5, rng)
 
 
+def test_mock_oracle_refuses_a_q_above_its_table_bound():
+    params = instance_generate(selfreduction.MAX_K_BITS + 1, "too-big")
+    assert params.q.bit_length() == selfreduction.MAX_K_BITS + 1
+    g = hash_to_group(params, "reduction-generator")
+    with pytest.raises(ValueError, match="at most 32 bits"):
+        MockCbdhOracle(params, g, 1.0, random.Random(0))
+    with pytest.raises(ValueError, match="at most 32 bits"):
+        solve_dlog(params, g, g)
+
+
+@pytest.mark.parametrize("first_wrong", [True, False])
+def test_amplify_breaks_a_tie_for_the_first_seen_candidate(first_wrong):
+    inst, truth = make_instance(GP, GEN, random.Random(3))
+    honest = MockCbdhOracle(GP, GEN, 1.0, random.Random(0))
+    skew = pairing(GP, GEN, GEN)
+    wrong = gt_mul(truth, skew)
+    # correct() multiplies the answer by a factor of the shift alone, so
+    # a skewed honest answer unblinds to the skewed truth: two votes each
+    skewed = iter([first_wrong, not first_wrong, not first_wrong, first_wrong])
+
+    def oracle(blinded):
+        answer = honest(blinded)
+        return gt_mul(answer, skew) if next(skewed) else answer
+
+    winner = amplify(GP, oracle, inst, 4, random.Random(4))
+    assert winner == (wrong if first_wrong else truth)
+
+
 def test_oracle_delta_validation():
     with pytest.raises(ValueError):
         MockCbdhOracle(GP, GEN, 1.5, random.Random(0))

@@ -162,7 +162,24 @@ def test_corrupt_then_extract_identical():
     world = make_basic_world()
     corrupted = world.corrupt("alice")
     extracted = world.extract_query("alice")
-    assert corrupted == extracted == world.principals["alice"].d_id
+    assert corrupted == extracted == world.principals[b"alice"].d_id
+
+
+def test_a_principal_is_its_identity_bytes():
+    world = make_world(k_bits=16, seed="x")
+    a = world.new_oracle(b"alice", "bob")
+    b = world.new_oracle("bob", "alice")
+    world.send(a, world.send(b, world.send(a, None)))
+    assert len(world.principals) == 2
+    assert a.owner == b.peer == b"alice" and a.name() == "(alice,bob)#1"
+    assert world.matching(a, b) and world.matching(b, a) and a.key == b.key
+    assert world.new_oracle("alice", b"bob").index == 2
+    world.corrupt("alice")
+    assert not world.fresh(a) and not world.fresh(b)
+    assert world.extract_query(bytearray(b"bob")) == world.principals[b"bob"].d_id
+    assert world.extracted == {b"bob"}
+    # a name that is not UTF-8 text is shown backslash-escaped
+    assert world.new_oracle(b"\xffeve", "bob").name() == "(\\xffeve,bob)#1"
 
 
 def test_corrupt_unknown_principal():
@@ -176,7 +193,7 @@ def test_extract_new_identity_consistent():
     d1 = world.extract_query("charlie")
     d2 = world.extract_query("charlie")
     assert d1 == d2
-    assert "charlie" in world.extracted
+    assert b"charlie" in world.extracted
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +509,7 @@ def test_scenario_rejects_bad_files():
         '{"q": "send", "oracle": "A", "i": ["x"], "j": "b", "x": null}',
         '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": 5}',
         '{"q": "corrupt", "i": null}',
+        '{"q": "corrupt", "i": ""}',
         # an oracle A exists, so only the coin can be at fault
         '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": null}\n'
         '{"q": "test", "oracle": "A", "coin": true}',
@@ -500,12 +518,59 @@ def test_scenario_rejects_bad_files():
         '{"q": "send", "oracle": "A", "i": "", "j": "b", "x": null}',
         '{"q": "send", "oracle": "A", "i": "a", "j": "", "x": null}',
         '{"q": "extract", "id": ""}',
+        # i and j name an oracle only on the send that creates it
+        '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": null}\n'
+        '{"q": "send", "oracle": "A", "i": "mallory", "j": "carol", "x": null}',
+        '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": null}\n'
+        '{"q": "send", "oracle": "A", "j": "b", "x": null}',
+        '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": null}\n'
+        '{"config": {"k_bits": 16}}',
+        '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": null}\n'
+        '{"q": "send", "oracle": "B", "i": "b", "j": "a", "x": "@A.in"}',
+        '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": "zz"}',
         '{"assert": "fresh"}',
         '{"assert": "completed", "oracle": "A", "expect": "yes"}',
         "[" * 10**5,
     ]:
         with pytest.raises(ScenarioError):
             run_scenario(script.split("\n"))
+
+
+def test_an_error_without_a_scenario_name_is_named_by_its_class():
+    report = run_scenario(['{"q": "extract", "id": "\\udcff"}'])
+    assert report["log"][0]["error"] == "InvalidIdentityError"
+    assert report["failures"][0]["reason"].startswith("unexpected error InvalidIdentityError: ")
+
+
+EXPECT_SCRIPT = [
+    {"config": {"k_bits": 16, "seed": "expect", "principals": ["alice", "bob"]}},
+    {"q": "send", "oracle": "A1", "i": "alice", "j": "bob", "x": None},
+    {"q": "send", "oracle": "B1", "i": "bob", "j": "alice", "x": "@A1.out"},
+    {"q": "send", "oracle": "A1", "x": "@B1.out"},
+    {"q": "test", "oracle": "A1", "coin": 1},
+    {"q": "send", "oracle": "A2", "i": "alice", "j": "bob", "x": None},
+]
+
+
+@pytest.mark.parametrize("assertion, ok", [
+    ({"assert": "keys-equal", "a": "A1", "b": "B1"}, True),
+    ({"assert": "keys-equal", "a": "A1", "b": "B1", "expect": False}, False),
+    ({"assert": "keys-differ", "a": "A1", "b": "B1", "expect": False}, True),
+    ({"assert": "test-real-key", "oracle": "A1", "expect": False}, False),
+    ({"assert": "test-random-key", "oracle": "A1", "expect": False}, True),
+    ({"assert": "matching", "a": "A1", "b": "B1", "expect": False}, False),
+    ({"assert": "completed", "oracle": "A2", "expect": False}, True),
+    # nothing to compare fails whatever expect says: B1 answered no test, A2 holds no key
+    ({"assert": "test-real-key", "oracle": "B1", "expect": False}, False),
+    ({"assert": "test-random-key", "oracle": "B1", "expect": False}, False),
+    ({"assert": "keys-equal", "a": "A2", "b": "B1", "expect": False}, False),
+    ({"assert": "keys-differ", "a": "A2", "b": "B1", "expect": False}, False),
+    ({"assert": "fresh", "oracle": "A2", "expect": False}, False),
+], ids=lambda value: json.dumps(value) if isinstance(value, dict) else str(value))
+def test_every_assertion_is_compared_with_expect(assertion, ok):
+    report = run_scenario([json.dumps(line) for line in [*EXPECT_SCRIPT, assertion]])
+    assert [record["ok"] for record in report["log"]] == [True] * 5 + [ok]
+    assert report["ok"] == ok
 
 
 NO_FLOW_SCRIPT = [
