@@ -24,19 +24,26 @@ inversion, and it maps every F_p^* factor of f to 1.  The Miller loop may
 therefore skip vertical lines (denominator elimination) and scale each
 line by an F_p^* factor, which lets it keep T in Jacobian coordinates and
 invert nothing; each step uses one slope for both its line and its point
-update.  Scalar multiplication also runs in Jacobian coordinates, with a
-single inversion at the end.  Points used again and again (a party's
-own hashed identity and identity key, a peer's hashed identity, the
-base point of a CBDH instance) are multiplied through a fixed-base
-window table: its rows [j * 16^i]P are built on first use and kept in a
-bounded cache, and a walk adds one row entry per 4-bit digit of the
-exponent, with no doubling.  Hashed identities are cached the same way.
+update.  The loop walks the non-adjacent form (NAF) of q (Hankerson-
+Menezes-Vanstone, Guide to ECC, section 3.3), whose -1 digits add
+-P = (x, -y) by the same formulas; at k = 128 a q has about 43 nonzero
+NAF digits where its binary form has about 64.  Each doubling step
+squares f unreduced inside its line product.  Scalar multiplication
+also runs in Jacobian coordinates, with a single inversion at the end.
+Points used again and again (a party's own hashed identity and identity
+key, a peer's hashed identity, the base point of a CBDH instance) are
+multiplied through a fixed-base window table: its rows [j * 16^i]P are
+built on first use and kept in a bounded cache, and a walk adds one row
+entry per 4-bit digit of the exponent, with no doubling; a walk may
+start at any point, which adds that point for free.  Hashed identities
+are cached the same way.
 
 A point is checked for the curve where it enters (decode_point,
 take_point) and by each public function that computes on it: point_add,
 scalar_exp, fixed_base_exp and pairing raise MalformedElementError, and
 in_subgroup answers False.  Encoders and the private helpers
-(_affine_add, _window_walk, _checked_pairing) trust their points.
+(_affine_add, _window_walk, _fixed_base_add, _checked_pairing) trust
+their points.
 
 Parameter sizes here are deliberately small.  Nothing in this module is
 safe for production use.
@@ -352,9 +359,19 @@ def fixed_base_exp(params: GroupParams, point: GElem, n: int) -> GElem:
     input.
     """
     n = int(n)
-    if point.is_identity() or not 0 <= n < 1 << params.q.bit_length():
+    if point.is_identity() or n < 0:
         return scalar_exp(params, point, n)
-    return _window_walk(params.p, _window_table(params, point), INFINITY, n)
+    return _fixed_base_add(params, point, n, INFINITY)
+
+
+def _fixed_base_add(params: GroupParams, point: GElem, n: int, start: GElem) -> GElem:
+    """start + [n]point for 0 <= n: one walk of point's window table that
+    starts at start, so the sum costs no inversion of its own.  An n of
+    more than |q| bits, as the xor variant's pi can be under a large
+    cofactor, goes to scalar_exp and one addition instead."""
+    if n >> params.q.bit_length():
+        return _affine_add(params.p, scalar_exp(params, point, n), start)
+    return _window_walk(params.p, _window_table(params, point), start, n)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +408,25 @@ def _fp2_inv(p, a, b):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=128)
+def _naf_digits(q: int) -> tuple:
+    """The non-adjacent form of q below its leading 1, most significant
+    first: digits in {-1, 0, 1}, no two adjacent ones nonzero (HMV, Guide
+    to ECC, algorithm 3.30)."""
+    digits = []
+    while q:
+        digit = 2 - (q & 3) if q & 1 else 0
+        digits.append(digit)
+        q = (q - digit) >> 1
+    return tuple(reversed(digits[:-1]))
+
+
+@functools.lru_cache(maxsize=128)
+def _bits(q: int) -> tuple:
+    """The bits of q below its leading 1, most significant first."""
+    return tuple(int(bit) for bit in bin(q)[3:])
+
+
 def _miller_double(p, fa, fb, X, Y, Z, xq, yq):
     """f * l_{T,T}(phi(Q)) and 2T, for T = (X, Y, Z) with Y, Z != 0.
 
@@ -398,6 +434,8 @@ def _miller_double(p, fa, fb, X, Y, Z, xq, yq):
     Its line y - y_T - lam * (x - x_T) at phi(Q) = (-xq, i*yq), scaled by
     the F_p factor Z3 * Z^2, is (M * (xq*Z^2 + X) - 2Y^2) + i*(yq*Z3*Z^2).
     The same M, Y^2 and Z^2 give 2T, by the formulas of _jac_double.
+    _miller_add takes this tangent when T = P; the Miller loop's doubling
+    step inlines the same formulas with f squared first.
     """
     YY = Y * Y % p
     ZZ = Z * Z % p
@@ -457,10 +495,14 @@ def pairing(params: GroupParams, left: GElem, right: GElem) -> GTElem:
     arguments must lie on the curve, or MalformedElementError is raised;
     neither argument's subgroup is checked.
 
-    The Miller loop runs over the bits of q with T in Jacobian
+    The Miller loop runs over the NAF digits of q with T in Jacobian
     coordinates, so it inverts nothing: each step derives one slope, as a
     numerator over T's new Z, and uses it for both its line and its point
-    update.  Each line is scaled by a factor in F_p^*.  The loop omits
+    update.  A +1 digit adds P and a -1 digit adds -P = (x, -y), by the
+    same mixed addition and chord line; f_{-1,P} = 1 / v_P, and v_P at
+    phi(Q) lies in F_p.  Each doubling step squares f without reducing
+    it, then multiplies in the tangent with one reduction per component.
+    Each line is scaled by a factor in F_p^*.  The loop omits
     vertical lines, whose values at phi(Q) lie in F_p, and the steps while
     T is the identity, which only a P outside the subgroup reaches before
     the loop ends.  The final exponent splits as (p^2 - 1)/q = (p - 1) * h.
@@ -468,7 +510,9 @@ def pairing(params: GroupParams, left: GElem, right: GElem) -> GTElem:
     f^(p-1) = conj(f)/f = conj(f)^2 / N(f): one F_p inversion, which sends
     every F_p^* factor to 1 and so makes the scaling and the omissions
     exact.  A power by the small cofactor h remains.  If Q = (0, 0) a line
-    can vanish at phi(Q); f is then 0, and so is the result.
+    can vanish at phi(Q); f is then 0, and so is the result.  Which lines
+    vanish depends on the chain, so for Q = (0, 0) the loop walks the
+    plain bits of q, and the value is that of the binary loop.
     """
     _require_on_curve(params, left)
     _require_on_curve(params, right)
@@ -479,12 +523,21 @@ def _checked_pairing(params: GroupParams, left: GElem, right: GElem):
     """(pairing(left, right), whether left lies in the order-q subgroup),
     for arguments already known to lie on the curve.
 
-    The Miller loop's T starts at left and, after the bits of q, ends at
-    [q]left, so the loop itself is the subgroup check of its left
+    The Miller loop's T starts at left and, after the NAF digits of q,
+    ends at [q]left, so the loop itself is the subgroup check of its left
     argument: left is in the subgroup exactly when T ends at the identity.
     A protocol pairing a received point therefore passes it on the left.
     Only an identity right argument, which skips the loop, costs a
     separate check.
+
+    Denominator elimination stays exact for the signed digits: the
+    vertical line through T and -T vanishes at phi(Q) only if both have
+    y = 0, since -1 is a non-residue mod p.  That leaves the right
+    argument (0, 0), the only point with y = 0, where phi((0, 0)) =
+    (0, 0).  There the value is 0 or 1, set by which lines the chain
+    meets, and for a left point outside the subgroup a NAF chain can give
+    1 where the binary chain gives 0.  For that right argument the loop
+    therefore walks the plain bits of q.
     """
     p, q = params.p, params.q
     if left.is_identity():
@@ -493,21 +546,36 @@ def _checked_pairing(params: GroupParams, left: GElem, right: GElem):
         return GTElem(1, 0, p), in_subgroup(params, left)
     px, py = left.x, left.y
     xq, yq = right.x, right.y
+    ny = -py % p  # a -1 digit adds -left = (px, ny)
     fa, fb = 1, 0
     X, Y, Z = px, py, 1
-    # Miller loop over the bits of q below the leading one.
-    for bit in bin(q)[3:]:
-        fa, fb = _fp2_sqr(p, fa, fb)
+    # Miller loop over the digits of q below the leading one
+    for digit in _naf_digits(q) if yq else _bits(q):
         if Z == 0 or Y == 0:
             # T is the identity, or of order 2 with a vertical tangent
+            fa, fb = _fp2_sqr(p, fa, fb)
             Z = 0
         else:
-            fa, fb, X, Y, Z = _miller_double(p, fa, fb, X, Y, Z, xq, yq)
-        if bit == "1":
+            # f^2 * l_{T,T}(phi(Q)) and 2T as in _miller_double, with f^2 =
+            # A + B*i left unreduced, so one reduction per component
+            YY = Y * Y % p
+            ZZ = Z * Z % p
+            M = (3 * X * X + ZZ * ZZ) % p
+            Z = 2 * Y * Z % p
+            la = (M * (xq * ZZ + X) - 2 * YY) % p
+            lb = yq * Z * ZZ % p
+            A = (fa - fb) * (fa + fb)
+            B = 2 * fa * fb
+            fa, fb = (A * la - B * lb) % p, (A * lb + B * la) % p
+            S = 4 * X * YY % p
+            X = (M * M - 2 * S) % p
+            Y = (M * (S - X) - 8 * YY * YY) % p
+        if digit:
+            y = py if digit > 0 else ny
             if Z == 0:
-                X, Y, Z = px, py, 1
+                X, Y, Z = px, y, 1
             else:
-                fa, fb, X, Y, Z = _miller_add(p, fa, fb, X, Y, Z, px, py, xq, yq)
+                fa, fb, X, Y, Z = _miller_add(p, fa, fb, X, Y, Z, px, y, xq, yq)
     # T = [q]left now
     if fa == 0 and fb == 0:
         return GTElem(0, 0, p), Z == 0

@@ -35,6 +35,7 @@ from .bilinear import (
     GTElem,
     GroupParams,
     _checked_pairing,
+    _fixed_base_add,
     encode_gt,
     encode_point,
     fixed_base_exp,
@@ -45,7 +46,6 @@ from .bilinear import (
     instance_generate,
     is_on_curve,
     pairing,
-    point_add,
     random_scalar,
     scalar_exp,
     sized,
@@ -239,9 +239,12 @@ def pi_value(params: SystemParams, first: GElem, second: GElem) -> int:
 
 
 def _blend(params: SystemParams, g_id: GElem, r: GElem, r_other: GElem) -> GElem:
-    """g_id^pi(R, R') * R, a side's blend of long-term point and flow R."""
-    s = pi_value(params, r, r_other)
-    return point_add(params.group, fixed_base_exp(params.group, g_id, s), r)
+    """g_id^pi(R, R') * R, a side's blend of long-term point and flow R.
+
+    One walk of g_id's window table that starts at R, so adding R costs
+    no inversion and no curve check.
+    """
+    return _fixed_base_add(params.group, g_id, pi_value(params, r, r_other), r)
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +351,11 @@ def derive(
         if strategy.choice == 2:
             own_point = own.d_id
         elif strategy.precomputed:
-            # d_id^own_x is assumed done offline alongside the flow
+            # d_id^own_x is assumed done offline alongside the flow; the
+            # online d_id^own_s is a walk of d_id's table starting there
             offline_part = fixed_base_exp(group, own.d_id, own_x)
-            online_part = fixed_base_exp(group, own.d_id, own_s)
+            own_point = _fixed_base_add(group, own.d_id, own_s, offline_part)
             counts.exp_g += 0.5
-            own_point = point_add(group, offline_part, online_part)
             counts.mul_g += 1
         else:
             own_point = fixed_base_exp(group, own.d_id, own_exp)

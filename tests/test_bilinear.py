@@ -370,6 +370,21 @@ def test_evicted_hash_and_window_table_entries_are_rebuilt_the_same():
         misses[0] + 1, misses[1] + 1)
 
 
+def test_fixed_base_add_is_the_sum_for_every_point_start_and_exponent():
+    # every point and start on p = 43, with exponents inside the window
+    # table and beyond it, where the sum goes to scalar_exp and an addition
+    points = [INFINITY] + [
+        GElem(x, y) for x in range(GP.p) for y in range(GP.p) if is_on_curve(GP, GElem(x, y))
+    ]
+    top = 1 << GP.q.bit_length()
+    for point in points:
+        for n in (0, 1, GP.q - 1, GP.q, top - 1, top, top + 5, 3 * (GP.p + 1) + 2):
+            product = scalar_exp(GP, point, n)
+            for start in points:
+                assert bilinear._fixed_base_add(GP, point, n, start) == point_add(
+                    GP, product, start), (point, n, start)
+
+
 def test_hash_to_group_many_identities():
     gp = instance_generate(8, "h2g")
     seen = set()

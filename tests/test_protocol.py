@@ -4,10 +4,15 @@ import random
 
 import pytest
 
+from idak import protocol
 from idak.bilinear import (
     GElem,
     INFINITY,
+    GroupParams,
+    decode_group_params,
+    encode_group_params,
     gt_exp,
+    hash_to_group,
     in_subgroup,
     pairing,
     point_add,
@@ -39,6 +44,7 @@ from idak.protocol import (
     pi_value,
     session_key,
     setup,
+    system_params,
     validate_flow_point,
     xor_half_value,
 )
@@ -173,6 +179,23 @@ def test_pi_order_sensitivity():
     assert pi_value(PARAMS, ALICE.g_id, BOB.g_id) == pi_value(
         PARAMS, ALICE.g_id, BOB.g_id
     )
+
+
+def test_a_pi_beyond_the_window_table_still_blends_exactly():
+    # p = 52 * 11 - 1 = 571 passes decode_group_params, and its xor-half pi
+    # has 5 bits, one more than the 4-bit window table of a 4-bit q holds
+    group = decode_group_params(encode_group_params(GroupParams(571, 11, 52, 4)))
+    params = system_params(group, PiVariant.XOR_HALF)
+    g = hash_to_group(group, "alice")
+    points = [scalar_exp(group, g, i) for i in range(1, group.q)]
+    beyond = 0
+    for r in points:
+        for other in points:
+            s = pi_value(params, r, other)
+            beyond += s >= 16
+            assert protocol._blend(params, g, r, other) == point_add(
+                group, scalar_exp(group, g, s), r), (r, other)
+    assert beyond
 
 
 def test_pi_rejects_identity():
