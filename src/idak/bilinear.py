@@ -28,15 +28,17 @@ update.  The loop walks the non-adjacent form (NAF) of q (Hankerson-
 Menezes-Vanstone, Guide to ECC, section 3.3), whose -1 digits add
 -P = (x, -y) by the same formulas; at k = 128 a q has about 43 nonzero
 NAF digits where its binary form has about 64.  Each doubling step
-squares f unreduced inside its line product.  Scalar multiplication
-also runs in Jacobian coordinates, with a single inversion at the end.
-Points used again and again (a party's own hashed identity and identity
-key, a peer's hashed identity, the base point of a CBDH instance) are
+squares f unreduced inside its line product.
+
+The group law is written once, in Jacobian coordinates, and every
+point operation uses it, with one inversion back to affine.  Points
+used again and again (a party's own hashed identity and identity key, a
+peer's hashed identity, the base point of a CBDH instance) are
 multiplied through a fixed-base window table: its rows [j * 16^i]P are
-built on first use and kept in a bounded cache, and a walk adds one row
-entry per 4-bit digit of the exponent, with no doubling; a walk may
-start at any point, which adds that point for free.  Hashed identities
-are cached the same way.
+built on first use, one batched inversion per row, and kept in a
+bounded cache, and a walk adds one row entry per 4-bit digit of the
+exponent, with no doubling; a walk may start at any point, which adds
+that point for free.  Hashed identities are cached the same way.
 
 A point is checked for the curve where it enters (decode_point,
 take_point) and by each public function that computes on it: point_add,
@@ -211,32 +213,10 @@ def _require_on_curve(params: GroupParams, point: GElem) -> None:
         raise MalformedElementError(f"point {point!r} is not on the curve")
 
 
-def point_add(params: GroupParams, a: GElem, b: GElem) -> GElem:
-    """Group law on E(F_p), by chord and tangent."""
-    _require_on_curve(params, a)
-    _require_on_curve(params, b)
-    return _affine_add(params.p, a, b)
-
-
-def _affine_add(p: int, a: GElem, b: GElem) -> GElem:
-    """point_add without its checks, for points already known on the curve."""
-    if a.is_identity():
-        return b
-    if b.is_identity():
-        return a
-    if a.x == b.x:
-        if (a.y + b.y) % p == 0:
-            return INFINITY
-        lam = (3 * a.x * a.x + 1) * pow(2 * a.y, -1, p) % p
-    else:
-        lam = (b.y - a.y) * pow(b.x - a.x, -1, p) % p
-    x3 = (lam * lam - a.x - b.x) % p
-    return GElem(x3, (lam * (a.x - x3) - a.y) % p)
-
-
-# Jacobian coordinates: (X, Y, Z) stands for the affine (X/Z^2, Y/Z^3), and
-# Z = 0 for the identity.  Formulas for a = 1, b = 0 after Hankerson-Menezes-
-# Vanstone, Guide to Elliptic Curve Cryptography, section 3.2.
+# The group law, in Jacobian coordinates: (X, Y, Z) stands for the affine
+# (X/Z^2, Y/Z^3), and Z = 0 for the identity.  Formulas for a = 1, b = 0
+# after Hankerson-Menezes-Vanstone, Guide to Elliptic Curve Cryptography,
+# section 3.2.
 
 
 def _jac_double(p: int, X: int, Y: int, Z: int):
@@ -275,6 +255,41 @@ def _jac_to_affine(p: int, X: int, Y: int, Z: int) -> GElem:
     return GElem(X * zz_inv % p, Y * zz_inv * z_inv % p)
 
 
+def point_add(params: GroupParams, a: GElem, b: GElem) -> GElem:
+    """Group law on E(F_p): a mixed Jacobian addition, then affine again."""
+    _require_on_curve(params, a)
+    _require_on_curve(params, b)
+    return _affine_add(params.p, a, b)
+
+
+def _affine_add(p: int, a: GElem, b: GElem) -> GElem:
+    """point_add without its checks, for points known on the curve; a = b
+    doubles, and a = -b gives Z = 0, the identity."""
+    if a.is_identity():
+        return b
+    if b.is_identity():
+        return a
+    return _jac_to_affine(p, *_jac_add_affine(p, a.x, a.y, 1, b.x, b.y))
+
+
+def _batch_to_affine(p: int, points):
+    """_jac_to_affine for many points at the cost of one inversion
+    (Montgomery's trick, 1987): (x, y) per point, or None where Z = 0."""
+    prefixes = [1]  # products of the nonzero Z before each point
+    for _, _, Z in points:
+        prefixes.append(prefixes[-1] * Z % p if Z else prefixes[-1])
+    inv = pow(prefixes.pop(), -1, p)
+    out = []
+    for (X, Y, Z), prefix in zip(reversed(points), reversed(prefixes)):
+        if Z:
+            z_inv, inv = inv * prefix % p, inv * Z % p
+            zz_inv = z_inv * z_inv % p
+            out.append((X * zz_inv % p, Y * zz_inv * z_inv % p))
+        else:
+            out.append(None)
+    return out[::-1]
+
+
 def scalar_exp(params: GroupParams, point: GElem, n: int) -> GElem:
     """n-fold group operation; negative n negates first.
 
@@ -302,9 +317,10 @@ def scalar_exp(params: GroupParams, point: GElem, n: int) -> GElem:
 def in_subgroup(params: GroupParams, point: GElem) -> bool:
     """Whether the point lies in the order-q subgroup (identity counts; a
     point off the curve does not)."""
-    if not is_on_curve(params, point):
+    try:
+        return scalar_exp(params, point, params.q).is_identity()
+    except MalformedElementError:  # scalar_exp's curve check
         return False
-    return scalar_exp(params, point, params.q).is_identity()
 
 
 @functools.lru_cache(maxsize=128)
@@ -313,19 +329,22 @@ def _window_table(params: GroupParams, point: GElem):
 
     Row i holds [j * 16^i]point for j < 16, as (x, y) pairs or None for
     the identity, for i < ceil(|q| / WINDOW_BITS).  Built on first use by
-    chord additions, one inversion each, so an off-curve point raises and
-    is never cached.
+    mixed additions, one batched inversion per row, with the row's 16th
+    multiple as the next row's base; an off-curve point raises.
     """
     _require_on_curve(params, point)
     p = params.p
     rows = []
-    base = point
+    base = None if point.is_identity() else (point.x, point.y)
     for _ in range(-(-params.q.bit_length() // WINDOW_BITS)):
-        row = [INFINITY]
-        for _ in range((1 << WINDOW_BITS) - 1):
-            row.append(_affine_add(p, row[-1], base))
-        rows.append(tuple(None if e.is_identity() else (e.x, e.y) for e in row))
-        base = _affine_add(p, row[-1], base)
+        T = (0, 1, 0)
+        multiples = [T]
+        for _ in range(1 << WINDOW_BITS):
+            if base:  # an identity base leaves every multiple at the identity
+                T = _jac_add_affine(p, *T, *base)
+            multiples.append(T)
+        *row, base = _batch_to_affine(p, multiples)
+        rows.append(tuple(row))
     return tuple(rows)
 
 
@@ -353,7 +372,7 @@ def fixed_base_exp(params: GroupParams, point: GElem, n: int) -> GElem:
     The table is built on the point's first use and kept in a bounded
     cache; the walk then costs one mixed addition per nonzero 4-bit digit
     of n.  A table holds 15 * ceil(|q| / 4) points, about 7, 16, 73 and
-    487 KiB at k = 16, 32, 128 and 512, and costs about 6, 6, 10 and 13
+    487 KiB at k = 16, 32, 128 and 512, and costs about 5, 5, 5.5 and 6
     full-length scalar_exps to build.  Exponents outside [0, 2^|q|) and
     the identity go to scalar_exp, so the result is the same for every
     input.
@@ -427,64 +446,36 @@ def _bits(q: int) -> tuple:
     return tuple(int(bit) for bit in bin(q)[3:])
 
 
-def _miller_double(p, fa, fb, X, Y, Z, xq, yq):
-    """f * l_{T,T}(phi(Q)) and 2T, for T = (X, Y, Z) with Y, Z != 0.
-
-    The tangent slope at T is M / Z3, with M = 3X^2 + Z^4 and Z3 = 2YZ.
-    Its line y - y_T - lam * (x - x_T) at phi(Q) = (-xq, i*yq), scaled by
-    the F_p factor Z3 * Z^2, is (M * (xq*Z^2 + X) - 2Y^2) + i*(yq*Z3*Z^2).
-    The same M, Y^2 and Z^2 give 2T, by the formulas of _jac_double.
-    _miller_add takes this tangent when T = P; the Miller loop's doubling
-    step inlines the same formulas with f squared first.
-    """
-    YY = Y * Y % p
-    ZZ = Z * Z % p
-    M = (3 * X * X + ZZ * ZZ) % p
-    Z3 = 2 * Y * Z % p
-    la = (M * (xq * ZZ + X) - 2 * YY) % p
-    lb = yq * Z3 * ZZ % p
-    S = 4 * X * YY % p
-    X3 = (M * M - 2 * S) % p
-    return (
-        (fa * la - fb * lb) % p,
-        (fa * lb + fb * la) % p,
-        X3,
-        (M * (S - X3) - 8 * YY * YY) % p,
-        Z3,
-    )
-
-
 def _miller_add(p, fa, fb, X, Y, Z, px, py, xq, yq):
     """f * l_{T,P}(phi(Q)) and T + P, for a finite T and affine P.
 
     The chord slope is R / Z3, with R = py*Z^3 - Y, H = px*Z^2 - X and
     Z3 = Z*H.  The line through P, scaled by Z3, is
     (R * (xq + px) - py*Z3) + i*(yq*Z3); R and H also give T + P, by the
-    formulas of _jac_add_affine.  T = P takes the tangent instead (T is a
-    double, so P is not of order 2 then).  T = -P gives a vertical line,
-    which is left out, and the identity.
+    formulas of _jac_add_affine.  T = P takes the tangent at P instead,
+    with slope (3px^2 + 1) / 2py, scaled by 2py, and 2P from _jac_double
+    (T is a double, so P is not of order 2 then).  T = -P gives a
+    vertical line, which is left out, and the identity.
     """
     ZZ = Z * Z % p
     H = (px * ZZ - X) % p
     R = (py * ZZ * Z - Y) % p
     if H == 0:
-        if R == 0:
-            return _miller_double(p, fa, fb, px, py, 1, xq, yq)
-        return fa, fb, X, Y, 0
-    Z3 = Z * H % p
-    la = (R * (xq + px) - py * Z3) % p
-    lb = yq * Z3 % p
-    HH = H * H % p
-    HHH = H * HH % p
-    V = X * HH % p
-    X3 = (R * R - HHH - 2 * V) % p
-    return (
-        (fa * la - fb * lb) % p,
-        (fa * lb + fb * la) % p,
-        X3,
-        (R * (V - X3) - Y * HHH) % p,
-        Z3,
-    )
+        if R:
+            return fa, fb, X, Y, 0
+        la = ((3 * px * px + 1) * (xq + px) - 2 * py * py) % p
+        lb = 2 * py * yq % p
+        X3, Y3, Z3 = _jac_double(p, px, py, 1)
+    else:
+        Z3 = Z * H % p
+        la = (R * (xq + px) - py * Z3) % p
+        lb = yq * Z3 % p
+        HH = H * H % p
+        HHH = H * HH % p
+        V = X * HH % p
+        X3 = (R * R - HHH - 2 * V) % p
+        Y3 = (R * (V - X3) - Y * HHH) % p
+    return (fa * la - fb * lb) % p, (fa * lb + fb * la) % p, X3, Y3, Z3
 
 
 def pairing(params: GroupParams, left: GElem, right: GElem) -> GTElem:
@@ -556,8 +547,11 @@ def _checked_pairing(params: GroupParams, left: GElem, right: GElem):
             fa, fb = _fp2_sqr(p, fa, fb)
             Z = 0
         else:
-            # f^2 * l_{T,T}(phi(Q)) and 2T as in _miller_double, with f^2 =
-            # A + B*i left unreduced, so one reduction per component
+            # f^2 * l_{T,T}(phi(Q)) and 2T.  The tangent slope at T is M / Z3,
+            # with M = 3X^2 + Z^4 and Z3 = 2YZ; its line at phi(Q), scaled
+            # by the F_p factor Z3 * Z^2, is (M * (xq*Z^2 + X) - 2Y^2) +
+            # i*(yq*Z3*Z^2), and 2T follows _jac_double.  f^2 = A + B*i is
+            # left unreduced, so one reduction per component
             YY = Y * Y % p
             ZZ = Z * Z % p
             M = (3 * X * X + ZZ * ZZ) % p

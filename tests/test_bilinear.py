@@ -4,6 +4,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idak import bilinear
 from idak.bilinear import (
@@ -383,6 +385,52 @@ def test_fixed_base_add_is_the_sum_for_every_point_start_and_exponent():
             for start in points:
                 assert bilinear._fixed_base_add(GP, point, n, start) == point_add(
                     GP, product, start), (point, n, start)
+
+
+# the p = 43 curve and the benchmark's k = 128 curve, each with a point
+# that generates its order-q subgroup
+_K128 = instance_generate(128, "idak-bench-k128")
+BATCH_CURVES = [(GP, GEN), (_K128, hash_to_group(_K128, "batch-to-affine"))]
+
+
+@st.composite
+def jacobian_lists(draw, params, gen):
+    """Lists of Jacobian points: each finite point in a scaled form
+    (lam^2 x, lam^3 y, lam), in or outside the subgroup, and the identity
+    as any (X, Y, 0) at the start, in the middle or at the end; or a list
+    of identities only, or a single point."""
+    p = params.p
+    lams = st.integers(1, p - 1)
+    identity = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1), st.just(0))
+
+    def finite(n, outside, lam):
+        # n < q, so neither point is the identity
+        point = scalar_exp(params, gen, n)
+        if outside:
+            point = point_add(params, point, GElem(0, 0))
+        return (lam * lam * point.x % p, lam * lam * lam * point.y % p, lam)
+
+    points = st.builds(finite, st.integers(1, params.q - 1), st.booleans(), lams)
+    shape = draw(st.sampled_from(["mixed", "all identities", "single"]))
+    if shape == "all identities":
+        return draw(st.lists(identity, min_size=1, max_size=17))
+    if shape == "single":
+        return [draw(points)]
+    entries = draw(st.lists(points, min_size=1, max_size=17))
+    for where in draw(st.sets(st.sampled_from(["start", "middle", "end"]), min_size=1)):
+        index = {"start": 0, "middle": len(entries) // 2, "end": len(entries)}[where]
+        entries.insert(index, draw(identity))
+    return entries
+
+
+@pytest.mark.parametrize("params,gen", BATCH_CURVES, ids=["p43", "k128"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_batch_to_affine_matches_one_inversion_per_point(params, gen, data):
+    points = data.draw(jacobian_lists(params, gen))
+    expected = [bilinear._jac_to_affine(params.p, *point) for point in points]
+    assert bilinear._batch_to_affine(params.p, points) == [
+        None if e.is_identity() else (e.x, e.y) for e in expected]
 
 
 def test_hash_to_group_many_identities():

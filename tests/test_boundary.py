@@ -126,3 +126,34 @@ def test_a_warm_derive_checks_only_the_points_it_receives_and_adds(strategy, mon
     # both flows and nothing else: the blends walk warm window tables from
     # the point they add, so no point_add checks its arguments
     assert len(checked) == 2
+
+
+def test_a_warm_world_send_checks_a_received_flow_four_times(monkeypatch):
+    world = World(PARAMS, MSK, rng=random.Random(0))
+    checked = []
+
+    def counted(oracle, flow):
+        start = len(checked)
+        return world.send(oracle, flow), len(checked) - start
+
+    def exchange():
+        """The curve checks of a responder send, an initiator completion
+        and a responder send of the flow's bytes."""
+        initiator = world.new_oracle("alice", "bob")
+        flow = world.send(initiator, None)
+        reply, responder = counted(world.new_oracle("bob", "alice"), flow)
+        _, completion = counted(initiator, reply)
+        _, from_bytes = counted(world.new_oracle("bob", "alice"), encode_point(GROUP, flow.r))
+        return responder, completion, from_bytes
+
+    exchange()  # builds the window tables and caches the hashed identities
+
+    def counting(params, point):
+        checked.append(point)
+        return is_on_curve(params, point)
+
+    for module in (bilinear, protocol):
+        monkeypatch.setattr(module, "is_on_curve", counting)
+    # _check_flow_form, in_subgroup's scalar_exp, then derive's two flow
+    # checks; decoding the bytes adds one
+    assert exchange() == (4, 4, 5)
