@@ -21,11 +21,12 @@ with embedded assertions, so attack transcripts can live as fixtures.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, field
 
-from .bilinear import decode_point, encode_point, gt_exp, identity_bytes, pairing
+from .bilinear import GElem, GTElem, decode_point, encode_point, gt_exp, identity_bytes, pairing
 from .errors import (
     DegenerateExponentError,
     IdakError,
@@ -87,7 +88,17 @@ class SessionOracle:
 class World:
     """Authority state, principals, oracles, and the adversary queries.
 
-    A principal is its identity_bytes, so "alice" and b"alice" are one."""
+    A principal is its identity_bytes, so "alice" and b"alice" are one.
+
+    The world checks a received flow in full only when it did not compute
+    the point itself.  Each flow its oracles draw, as initiator or
+    responder, is g_id^x with 1 <= x < q: a subgroup point other than the
+    identity, whose check could never fail.  The world keeps those points,
+    so an honest relay goes straight to derive, whose pairing checks the
+    subgroup of every received point anyway.  Any other flow, as bytes or
+    as a FlowMessage, is checked before a responder draws y (see
+    _coerce_flow).
+    """
 
     def __init__(
         self,
@@ -110,6 +121,8 @@ class World:
         self.corrupted_at: dict[bytes, int] = {}
         self.extracted: set[bytes] = set()
         self.clock = 0
+        # every flow point this world's oracles drew, with its message
+        self._emitted: dict[GElem, FlowMessage] = {}
 
     # -- state management ---------------------------------------------------
 
@@ -147,7 +160,7 @@ class World:
             if oracle.transcript:
                 raise StaleOracleError(f"oracle {oracle.name()} was already activated")
             oracle.role = "initiator"
-            oracle.ephemeral, oracle.own_msg = initiate(self.params, own_key, self.rng)
+            self._initiate(oracle, own_key)
             oracle.transcript.append(("out", oracle.own_msg))
             return oracle.own_msg
 
@@ -155,7 +168,7 @@ class World:
             msg_in = self._coerce_flow(flow)
             if not oracle.transcript:
                 oracle.role = "responder"
-                oracle.ephemeral, oracle.own_msg = initiate(self.params, own_key, self.rng)
+                self._initiate(oracle, own_key)
             shared, _ = derive(
                 self.params, own_key, oracle.ephemeral, oracle.own_msg,
                 oracle.peer, msg_in, oracle.role,
@@ -238,29 +251,45 @@ class World:
         if coin == 1:
             return oracle.key
         rng = rng if rng is not None else self.rng
-        group = self.params.group
-        exponent = rng.randrange(group.q)
-        element = gt_exp(pairing(group, self.params.g, self.params.g), exponent)
+        exponent = rng.randrange(self.params.group.q)
+        element = gt_exp(self._base_gt, exponent)
         return session_key(self.params, SharedSecret(element), *oracle.binding)
 
     # -- internals ----------------------------------------------------------
 
+    @functools.cached_property
+    def _base_gt(self) -> GTElem:
+        """e(g, g), paired on the first coin-0 test and kept."""
+        return pairing(self.params.group, self.params.g, self.params.g)
+
+    def _initiate(self, oracle: SessionOracle, own_key: IdentityKey) -> None:
+        """Draw the oracle's ephemeral and flow, and remember the flow."""
+        oracle.ephemeral, oracle.own_msg = initiate(self.params, own_key, self.rng)
+        self._emitted[oracle.own_msg.r] = oracle.own_msg
+
     def _coerce_flow(self, flow) -> FlowMessage:
         """Decode and check a received flow before the responder draws y.
 
-        derive's pairing checks the subgroup too, but this check runs first
-        for two reasons.  A rejected flow then draws nothing from self.rng,
-        so every later draw, and every scenario replay, stays the same.  And
-        rejection stays cheap: left to derive, a rogue flow would first pay
-        for the responder's initiate and most of derive, and keeping the rng
-        untouched would take a getstate() on every responder activation,
-        about as dear as the k=16 check itself.
+        A point this world emitted comes back as the world's own message,
+        unchecked: it is g_id^x with 1 <= x < q, so its check could never
+        fail, and derive's pairing checks its subgroup regardless.  Any
+        other point is checked in full here, although derive's pairing
+        would catch it too, for two reasons.  A rejected flow then draws
+        nothing from self.rng, so every later draw, and every scenario
+        replay, stays the same.  And rejection stays cheap: left to derive,
+        a rogue flow would first pay for the responder's initiate and most
+        of derive, and keeping the rng untouched would take a getstate()
+        on every responder activation, about 13 us against about 28 us for
+        the check itself at k=16.
         """
         if isinstance(flow, (bytes, bytearray)):
             try:
                 flow = FlowMessage(r=decode_point(self.params.group, bytes(flow)))
             except MalformedElementError as exc:
                 raise InvalidFlowError(f"malformed flow point: {exc}") from exc
+        emitted = self._emitted.get(flow.r)
+        if emitted is not None:
+            return emitted
         validate_flow_point(self.params, flow.r)
         return flow
 

@@ -4,7 +4,8 @@ A point is checked where it enters the library (decoders, key loaders,
 the protocol's receivers, the session world and the self-reduction's
 entry points) and by each public function that computes on it.  Encoders
 and the private helpers behind those checks trust their points, so a
-warm derive checks only the flows it receives.
+warm derive checks only the flows it receives, and a World leaves the
+flows it emitted to derive.
 """
 
 import random
@@ -109,51 +110,69 @@ def test_in_subgroup_answers_false_off_the_curve():
     assert not in_subgroup(GROUP, OFF)
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.label())
-def test_a_warm_derive_checks_only_the_points_it_receives_and_adds(strategy, monkeypatch):
-    args = (PARAMS, ALICE, X, MSG_A, "bob", MSG_B, "initiator", strategy)
-    derive(*args)  # builds the window tables and caches the hashed identity
-    checked = []
+def _count_curve_checks(monkeypatch, checked: list) -> None:
+    """Append every later is_on_curve call's point to checked, in the two
+    modules on derive's and World.send's path that bind the name."""
 
     def counting(params, point):
         checked.append(point)
         return is_on_curve(params, point)
 
-    # the two modules on derive's path that bind the name
     for module in (bilinear, protocol):
         monkeypatch.setattr(module, "is_on_curve", counting)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.label())
+def test_a_warm_derive_checks_only_the_points_it_receives_and_adds(strategy, monkeypatch):
+    args = (PARAMS, ALICE, X, MSG_A, "bob", MSG_B, "initiator", strategy)
+    derive(*args)  # builds the window tables and caches the hashed identity
+    checked = []
+    _count_curve_checks(monkeypatch, checked)
     derive(*args)
     # both flows and nothing else: the blends walk warm window tables from
     # the point they add, so no point_add checks its arguments
     assert len(checked) == 2
 
 
-def test_a_warm_world_send_checks_a_received_flow_four_times(monkeypatch):
+def _counted_send(world, checked, oracle, flow):
+    """world.send(oracle, flow), and the curve checks it made."""
+    start = len(checked)
+    return world.send(oracle, flow), len(checked) - start
+
+
+def test_a_warm_world_send_checks_an_emitted_flow_only_in_derive(monkeypatch):
     world = World(PARAMS, MSK, rng=random.Random(0))
     checked = []
-
-    def counted(oracle, flow):
-        start = len(checked)
-        return world.send(oracle, flow), len(checked) - start
 
     def exchange():
         """The curve checks of a responder send, an initiator completion
         and a responder send of the flow's bytes."""
         initiator = world.new_oracle("alice", "bob")
         flow = world.send(initiator, None)
-        reply, responder = counted(world.new_oracle("bob", "alice"), flow)
-        _, completion = counted(initiator, reply)
-        _, from_bytes = counted(world.new_oracle("bob", "alice"), encode_point(GROUP, flow.r))
+        reply, responder = _counted_send(world, checked, world.new_oracle("bob", "alice"), flow)
+        _, completion = _counted_send(world, checked, initiator, reply)
+        _, from_bytes = _counted_send(
+            world, checked, world.new_oracle("bob", "alice"), encode_point(GROUP, flow.r))
         return responder, completion, from_bytes
 
     exchange()  # builds the window tables and caches the hashed identities
+    _count_curve_checks(monkeypatch, checked)
+    # the world emitted both flows, so only derive's two flow checks run;
+    # decoding the bytes adds one
+    assert exchange() == (2, 2, 3)
 
-    def counting(params, point):
-        checked.append(point)
-        return is_on_curve(params, point)
 
-    for module in (bilinear, protocol):
-        monkeypatch.setattr(module, "is_on_curve", counting)
+def test_a_warm_world_send_checks_a_flow_it_did_not_emit_four_times(monkeypatch):
+    world = World(PARAMS, MSK, rng=random.Random(0))
+    foreign = bilinear.fixed_base_exp(GROUP, GEN, 12345)  # in the subgroup, never emitted
+    checked = []
+
+    def responder_checks(flow):
+        return _counted_send(world, checked, world.new_oracle("bob", "alice"), flow)[1]
+
+    responder_checks(FlowMessage(foreign))  # builds the window tables
+    _count_curve_checks(monkeypatch, checked)
     # _check_flow_form, in_subgroup's scalar_exp, then derive's two flow
     # checks; decoding the bytes adds one
-    assert exchange() == (4, 4, 5)
+    assert responder_checks(FlowMessage(foreign)) == 4
+    assert responder_checks(encode_point(GROUP, foreign)) == 5

@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idak
-from idak.bilinear import GElem, encode_point, scalar_exp
+from idak.bilinear import (
+    INFINITY, GElem, encode_point, fixed_base_exp, gt_exp, pairing, scalar_exp,
+)
 from idak.errors import (
     DegenerateExponentError,
+    IdakError,
     InvalidFlowError,
     NoKeyError,
     NoSuchPrincipalError,
@@ -20,7 +23,8 @@ from idak.errors import (
     StaleOracleError,
     TestRefusedError,
 )
-from idak.sessions import make_world, run_scenario
+from idak.protocol import FlowMessage, SharedSecret, session_key, setup
+from idak.sessions import World, make_world, run_scenario
 
 SCENARIO_DIR = Path(idak.__file__).parent / "scenarios"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -440,6 +444,115 @@ def test_binding_partners_match_the_transcript_reference(mode, steps):
     for first in world.oracles:
         for second in world.oracles:
             assert world.matching(first, second) == reference_matching(world, first, second)
+
+
+# ---------------------------------------------------------------------------
+# differential: a World that trusts the flows it emitted against one that
+# checks every flow in full
+# ---------------------------------------------------------------------------
+
+
+class _RemembersNothing:
+    """An emitted-flow record that keeps nothing, so its World checks every
+    received flow in full."""
+
+    def __setitem__(self, point, msg):
+        pass
+
+    def get(self, point, default=None):
+        return default
+
+
+DIFF_PARAMS, DIFF_MSK = setup(16, "differential")
+DIFF_GROUP = DIFF_PARAMS.group
+BASE_GT = pairing(DIFF_GROUP, DIFF_PARAMS.g, DIFF_PARAMS.g)
+# every flow a World did not emit: REJECTED_FLOWS' bytes, the same faults
+# as messages, and a valid subgroup point no oracle drew, in both forms
+_ROGUE = find_rogue_point(DIFF_GROUP)
+_FOREIGN = fixed_base_exp(DIFF_GROUP, DIFF_PARAMS.g, 12345)
+FOREIGN_FLOWS = {
+    **{name: make(DIFF_GROUP) for name, make in REJECTED_FLOWS.items()},
+    "out-of-subgroup message": FlowMessage(_ROGUE),
+    "identity message": FlowMessage(INFINITY),
+    "off-curve message": FlowMessage(GElem(1, 1)),
+    "foreign message": FlowMessage(_FOREIGN),
+    "foreign bytes": encode_point(DIFF_GROUP, _FOREIGN),
+}
+
+PICK = st.integers(0, 15)
+DIFF_STEPS = st.one_of(
+    st.tuples(st.just("relay"), st.sampled_from(PEOPLE), st.sampled_from(PEOPLE)),
+    st.tuples(st.just("open"), st.sampled_from(PEOPLE), st.sampled_from(PEOPLE)),
+    # an emitted flow, as a message or as its bytes, to a new responder
+    # (target None) or to any oracle: honest relays and reroutes alike
+    st.tuples(st.just("deliver"), PICK, st.one_of(st.none(), PICK),
+              st.sampled_from(PEOPLE), st.sampled_from(PEOPLE), st.booleans()),
+    st.tuples(st.just("foreign"), st.sampled_from(sorted(FOREIGN_FLOWS)),
+              st.one_of(st.none(), PICK), st.sampled_from(PEOPLE), st.sampled_from(PEOPLE)),
+    st.tuples(st.just("reveal"), PICK),
+    st.tuples(st.just("test"), PICK, st.sampled_from([0, 1])),
+)
+
+
+def _apply(world, step):
+    """Run one step on world; its result, or None when it has no target."""
+    oracles = world.oracles
+
+    def target(pick, owner, peer):
+        if pick is None:
+            return world.new_oracle(owner, peer)
+        return oracles[pick % len(oracles)] if oracles else None
+
+    kind = step[0]
+    if kind == "relay":
+        return honest_pair(world, step[1], step[2])[0].key
+    if kind == "open":
+        return world.send(world.new_oracle(step[1], step[2]), None)
+    if kind == "deliver":
+        emitted = [msg for oracle in oracles for way, msg in oracle.transcript if way == "out"]
+        oracle = target(step[2], step[3], step[4])
+        if not emitted or oracle is None:
+            return None
+        msg = emitted[step[1] % len(emitted)]
+        return world.send(oracle, encode_point(DIFF_GROUP, msg.r) if step[5] else msg)
+    if kind == "foreign":
+        oracle = target(step[2], step[3], step[4])
+        return None if oracle is None else world.send(oracle, FOREIGN_FLOWS[step[1]])
+    completed = [oracle for oracle in oracles if oracle.completed]
+    if not completed:
+        return None
+    oracle = completed[step[1] % len(completed)]
+    if kind == "reveal":
+        return world.reveal(oracle)
+    before = world.rng.getstate()
+    key = world.test(oracle, step[2])
+    if step[2] == 0:
+        # the key of a uniform GT element drawn as e(g, g)^e, e from the rng
+        draw = random.Random()
+        draw.setstate(before)
+        element = gt_exp(BASE_GT, draw.randrange(DIFF_GROUP.q))
+        assert key == session_key(DIFF_PARAMS, SharedSecret(element), *oracle.binding)
+    return key
+
+
+def _outcome(world, step):
+    try:
+        result = ("ok", _apply(world, step))
+    except IdakError as exc:
+        result = ("error", type(exc))
+    states = [(o.role, o.completed, o.aborted, o.key) for o in world.oracles]
+    fresh = [world.fresh(o) for o in world.oracles if o.completed]
+    return result, world.rng.getstate(), states, fresh
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.lists(DIFF_STEPS, max_size=24))
+def test_a_world_that_trusts_its_emitted_flows_matches_one_that_checks_every_flow(seed, steps):
+    world = World(DIFF_PARAMS, DIFF_MSK, rng=random.Random(seed))
+    reference = World(DIFF_PARAMS, DIFF_MSK, rng=random.Random(seed))
+    reference._emitted = _RemembersNothing()
+    for step in steps:
+        assert _outcome(world, step) == _outcome(reference, step), step
 
 
 # ---------------------------------------------------------------------------
