@@ -12,14 +12,18 @@ table (built by bilinear and cached there per base point, so instances
 that share g share it), and the products of every subset of the seven
 cross pairings that unblinding needs.  Each round then costs one table
 walk per blinded point and one multi-exponentiation in GT, and no
-pairing.
+pairing.  The multi-exponentiation reads each step's table index from
+one int that interleaves the seven exponents' bits, so a round formats
+no strings.
 
 The mock oracle that stands in for the adversary answers with a
 baby-step giant-step discrete log (Shanks 1971).  Its table holds the m
 baby steps [j]g, m = isqrt(q - 1) + 1, keyed by x-coordinate so that
 each entry also stands for [-j]g; a giant step then covers 2m + 1
 residues, and a walk takes at most about sqrt(q)/2 of them.  The table
-grows as 2^(k/2) for a k-bit q, so it is refused above MAX_K_BITS.
+grows as 2^(k/2) for a k-bit q, so it is refused above MAX_K_BITS.  Its
+wrong answers are powers of e(g, g) through bilinear's cached GT window
+table for that element, so they square nothing.
 """
 
 import functools
@@ -33,11 +37,11 @@ from idak.bilinear import (
     _affine_add,
     _fp2_inv,
     _fp2_mul,
-    _fp2_sqr,
     _require_on_curve,
     _window_table,
     _window_walk,
     fixed_base_exp,
+    fixed_base_gt_exp,
     gt_exp,
     gt_mul,
     in_subgroup,
@@ -149,6 +153,21 @@ def randomize(params, inst, rng):
     return blinded, shift
 
 
+# _SPREAD[byte] has bit i of byte at bit 7i, so that seven spread words,
+# each shifted by its place, interleave into 7-bit columns
+_SPREAD = tuple(sum((byte >> i & 1) << 7 * i for i in range(8)) for byte in range(256))
+
+
+def _spread(n):
+    """n >= 0 with bit i moved to bit 7i, one byte at a time."""
+    out, shift = 0, 0
+    while n:
+        out |= _SPREAD[n & 255] << shift
+        n >>= 8
+        shift += 56
+    return out
+
+
 def correct(params, w, inst, shift):
     """Strip blinding from the oracle answer w for the shifted instance.
 
@@ -157,20 +176,26 @@ def correct(params, w, inst, shift):
     Their inverses, raised to c, b, a, bc, ac, ab and abc, multiply into
     w in one Straus-Shamir multi-exponentiation: a single squaring chain
     over the bits of q that, at each bit, multiplies in the cached
-    product selected by the seven exponent bits.
+    product selected by the seven exponent bits.  Those bits come from
+    one packed int in which the exponents' bits are interleaved, c's
+    highest in each 7-bit column, so bit j's column is
+    (packed >> 7j) & 127, the products table's index.
     """
     _, products = _prepared(params, inst)
     p, q = params.p, params.q
     a, b, c = shift.a % q, shift.b % q, shift.c % q
     exponents = (c, b, a, b * c % q, a * c % q, a * b % q, a * b * c % q)
-    width = q.bit_length()
+    packed = 0
+    for e in exponents:
+        packed = packed << 1 | _spread(e)
     fa, fb = 1, 0
-    # each column holds one bit of every exponent, in the tables' order
-    for column in zip(*(format(e, f"0{width}b") for e in exponents)):
-        fa, fb = _fp2_sqr(p, fa, fb)
-        index = int("".join(column), 2)
+    # _fp2_sqr and _fp2_mul, inlined in this hot loop
+    for bit in range(7 * (q.bit_length() - 1), -1, -7):
+        fa, fb = (fa - fb) * (fa + fb) % p, 2 * fa * fb % p
+        index = packed >> bit & 127
         if index:
-            fa, fb = _fp2_mul(p, fa, fb, *products[index])
+            pa, pb = products[index]
+            fa, fb = (fa * pa - fb * pb) % p, (fa * pb + fb * pa) % p
     return gt_mul(w, GTElem(fa, fb, p))
 
 
@@ -282,7 +307,12 @@ class MockCbdhOracle:
     q // (2m+1) + 1 giant steps, about sqrt(q)/4 on average, each one
     dict lookup and one chord addition with one inversion on bare ints,
     and pays one pairing and one exponentiation in GT.  Wrong answers are
-    uniform over the target group.
+    uniform over the target group: e(g, g)^r for one randrange(q) draw r,
+    by fixed_base_gt_exp, whose table of e(g, g) is built on the first
+    wrong answer (not here, so construction costs no more) and cached in
+    bilinear.  A wrong answer then costs one F_{p^2} multiplication per
+    nonzero 4-bit digit of r, at most 4 at k = 16, where a full gt_exp
+    makes 15 squarings and about 8 multiplications.
     """
 
     def __init__(self, params, g, delta, rng):
@@ -302,4 +332,4 @@ class MockCbdhOracle:
         if self.rng.random() < self.delta:
             z = _dlog_from_table(params, self._table, inst.z_point)
             return gt_exp(pairing(params, inst.x_point, inst.y_point), z)
-        return gt_exp(self._base_gt, self.rng.randrange(params.q))
+        return fixed_base_gt_exp(params, self._base_gt, self.rng.randrange(params.q))

@@ -20,6 +20,7 @@ from idak.bilinear import (
     encode_group_params,
     encode_point,
     fixed_base_exp,
+    fixed_base_gt_exp,
     gt_exp,
     gt_inv,
     gt_mul,
@@ -37,10 +38,13 @@ from idak.bilinear import (
     take_sized,
 )
 from idak.errors import InvalidIdentityError, MalformedElementError
+from test_selfreduction import CURVES
 
 # Desk-scale parameters used throughout: p = 43 = 4 * 11 - 1.
 GP = instance_generate(4, "0")
 GEN = hash_to_group(GP, "generator-test")
+# the benchmark's k = 128 curve
+_K128 = instance_generate(128, "idak-bench-k128")
 
 
 def naive_prime(n):
@@ -308,6 +312,35 @@ def test_gt_mul_rejects_mixed_fields():
         gt_mul(pairing(GP, GEN, GEN), GTElem(1, 0, other.p))
 
 
+# the self-reduction's curves, q = 5 to 16 bits, and the k = 128 curve
+GT_CURVES = CURVES + [(_K128, hash_to_group(_K128, "fixed-base-gt"))]
+
+
+def gt_exponents(q):
+    """Exponents at the edges of the window table and past them on both
+    sides, where fixed_base_gt_exp goes to gt_exp, and random ones."""
+    top = 1 << q.bit_length()
+    return st.one_of(
+        st.sampled_from([0, 1, q - 1, top - 1, top, -1, -q]),
+        st.integers(0, top - 1),
+        st.integers(-4 * top, 4 * top),
+    )
+
+
+@settings(deadline=None)  # the example count comes from the hypothesis profile
+@given(data=st.data())
+def test_fixed_base_gt_exp_matches_gt_exp(data):
+    params, g = data.draw(st.sampled_from(GT_CURVES))
+    q = params.q
+    other = scalar_exp(params, g, data.draw(st.integers(1, q - 1)))
+    bases = [pairing(params, g, g), GTElem(1, 0, params.p), pairing(params, other, g)]
+    # two bases in turn: each must walk its own cached table
+    first, second = data.draw(st.permutations(bases))[:2]
+    for base in (first, second, first, second):
+        n = data.draw(gt_exponents(q))
+        assert fixed_base_gt_exp(params, base, n) == gt_exp(base, n), (base, n)
+
+
 # ---------------------------------------------------------------------------
 # hashing and sampling
 # ---------------------------------------------------------------------------
@@ -389,7 +422,6 @@ def test_fixed_base_add_is_the_sum_for_every_point_start_and_exponent():
 
 # the p = 43 curve and the benchmark's k = 128 curve, each with a point
 # that generates its order-q subgroup
-_K128 = instance_generate(128, "idak-bench-k128")
 BATCH_CURVES = [(GP, GEN), (_K128, hash_to_group(_K128, "batch-to-affine"))]
 
 

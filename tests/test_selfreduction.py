@@ -377,6 +377,37 @@ def test_oracle_accuracy_tracks_delta():
     assert oracle.queries == trials
 
 
+class ReferenceMock:
+    """MockCbdhOracle's draws, answered by brute force and full gt_exp:
+    a correct answer is e(x, y)^z for z by solve_dlog, and a wrong one
+    e(g, g)^r, paired afresh."""
+
+    def __init__(self, params, g, delta, rng):
+        self.params, self.g, self.delta, self.rng = params, g, delta, rng
+
+    def __call__(self, inst):
+        params = self.params
+        if self.rng.random() < self.delta:
+            z = solve_dlog(params, self.g, inst.z_point)
+            return gt_exp(pairing(params, inst.x_point, inst.y_point), z)
+        return gt_exp(pairing(params, self.g, self.g), self.rng.randrange(params.q))
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("curve", range(len(CURVES)))
+def test_mock_oracle_matches_a_reference_answer_for_answer(curve, delta):
+    params, g = CURVES[curve]
+    mock = MockCbdhOracle(params, g, delta, random.Random(f"mock:{delta}"))
+    reference = ReferenceMock(params, g, delta, random.Random(f"mock:{delta}"))
+    rng = random.Random(curve)
+    inst, _ = make_instance(params, g, rng)
+    for _ in range(200):
+        blinded, _ = randomize(params, inst, rng)
+        assert mock(blinded) == reference(blinded)
+        assert mock.rng.getstate() == reference.rng.getstate()
+    assert mock.queries == 200
+
+
 # ---------------------------------------------------------------------------
 # per-instance tables against direct evaluation
 # ---------------------------------------------------------------------------
@@ -426,10 +457,16 @@ def exponent(q):
     return st.one_of(st.just(0), st.just(q - 1), st.integers(0, q - 1))
 
 
-@settings(max_examples=60, deadline=None)
+# a q of 24 bits: correct's packed index then spans three bytes of each
+# exponent, where the q of every CURVES curve fits in two
+Q24 = instance_generate(24, "tables")
+WIDE_CURVE = (Q24, hash_to_group(Q24, "reduction-generator"))
+
+
+@settings(deadline=None)  # the example count comes from the hypothesis profile
 @given(data=st.data())
 def test_correct_matches_reference(data):
-    params, g = data.draw(st.sampled_from(CURVES))
+    params, g = data.draw(st.sampled_from(CURVES + [WIDE_CURVE]))
     q = params.q
     # a zero exponent makes that component the identity
     x, y, z, r = (data.draw(exponent(q)) for _ in range(4))
