@@ -38,11 +38,12 @@ multiplied through a fixed-base window table: its rows [j * 16^i]P are
 built on first use, one batched inversion per row, and kept in a
 bounded cache, and a walk adds one row entry per 4-bit digit of the
 exponent, with no doubling; a walk may start at any point, which adds
-that point for free.  Hashed identities are cached the same way.  GT
-elements raised again and again (e(g, g), for the mock CBDH oracle's
-wrong answers and the session world's coin-0 test keys) have the same
-kind of table, rows z^(j * 16^i), walked by fixed_base_gt_exp with one
-F_{p^2} multiplication per nonzero digit and no squaring.
+that point for free.  Hashed identities are cached the same way.  A GT
+element raised many times in one process (e(g, g), for the mock CBDH
+oracle's wrong answers) has the same kind of table, rows z^(j * 16^i),
+walked by fixed_base_gt_exp with one F_{p^2} multiplication per nonzero
+digit and no squaring; the table costs several gt_exp to build, so a
+base raised once or twice a process stays on gt_exp.
 
 A point is checked for the curve where it enters (decode_point,
 take_point) and by each public function that computes on it: point_add,

@@ -26,15 +26,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .bilinear import (
-    GElem,
-    GTElem,
-    decode_point,
-    encode_point,
-    fixed_base_gt_exp,
-    identity_bytes,
-    pairing,
-)
+from .bilinear import GElem, GTElem, decode_point, encode_point, gt_exp, identity_bytes, pairing
 from .errors import (
     DegenerateExponentError,
     IdakError,
@@ -260,15 +252,14 @@ class World:
             return oracle.key
         rng = rng if rng is not None else self.rng
         exponent = rng.randrange(self.params.group.q)
-        element = fixed_base_gt_exp(self.params.group, self._base_gt, exponent)
+        element = gt_exp(self._base_gt, exponent)
         return session_key(self.params, SharedSecret(element), *oracle.binding)
 
     # -- internals ----------------------------------------------------------
 
     @functools.cached_property
     def _base_gt(self) -> GTElem:
-        """e(g, g), paired on the first coin-0 test and kept; its GT window
-        table is cached in bilinear, as for the mock CBDH oracle's."""
+        """e(g, g), paired on the first coin-0 test and kept."""
         return pairing(self.params.group, self.params.g, self.params.g)
 
     def _initiate(self, oracle: SessionOracle, own_key: IdentityKey) -> None:
