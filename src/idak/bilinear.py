@@ -38,12 +38,7 @@ multiplied through a fixed-base window table: its rows [j * 16^i]P are
 built on first use, one batched inversion per row, and kept in a
 bounded cache, and a walk adds one row entry per 4-bit digit of the
 exponent, with no doubling; a walk may start at any point, which adds
-that point for free.  Hashed identities are cached the same way.  A GT
-element raised many times in one process (e(g, g), for the mock CBDH
-oracle's wrong answers) has the same kind of table, rows z^(j * 16^i),
-walked by fixed_base_gt_exp with one F_{p^2} multiplication per nonzero
-digit and no squaring; the table costs several gt_exp to build, so a
-base raised once or twice a process stays on gt_exp.
+that point for free.  Hashed identities are cached the same way.
 
 A point is checked for the curve where it enters (decode_point,
 take_point) and by each public function that computes on it: point_add,
@@ -606,49 +601,6 @@ def gt_exp(z: GTElem, n: int) -> GTElem:
         n = -n
     a, b = _fp2_pow(z.p, z.a, z.b, n)
     return GTElem(a, b, z.p)
-
-
-@functools.lru_cache(maxsize=128)
-def _gt_window_table(params: GroupParams, z: GTElem):
-    """The fixed-base window table of a GT element, the counterpart of
-    _window_table: row i holds z^(j * 16^i) for j < 16, as (a, b) pairs,
-    for i < ceil(|q| / WINDOW_BITS)."""
-    p = z.p
-    base = z.a, z.b
-    rows = []
-    for _ in range(-(-params.q.bit_length() // WINDOW_BITS)):
-        row = [(1, 0)]
-        for _ in range((1 << WINDOW_BITS) - 1):
-            row.append(_fp2_mul(p, *row[-1], *base))
-        base = _fp2_mul(p, *row[-1], *base)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def fixed_base_gt_exp(params: GroupParams, z: GTElem, n: int) -> GTElem:
-    """gt_exp for a long-lived GT element, by its cached window table.
-
-    The table is built on z's first use and kept in a bounded cache; the
-    walk then costs one F_{p^2} multiplication per nonzero 4-bit digit of
-    n and no squaring.  A table holds 16 * ceil(|q| / 4) elements, about
-    7, 72 and 487 KiB at k = 16, 128 and 512, and costs about 3 to 5
-    full-length gt_exps to build (2-core Xeon, Python 3.11).  Exponents
-    outside [0, 2^|q|) go to gt_exp, so the result is the same for every
-    input.
-    """
-    n = int(n)
-    if n < 0 or n >> params.q.bit_length():
-        return gt_exp(z, n)
-    p = z.p
-    fa, fb = 1, 0
-    for row in _gt_window_table(params, z):
-        if not n:
-            break
-        digit = n & ((1 << WINDOW_BITS) - 1)
-        if digit:
-            fa, fb = _fp2_mul(p, fa, fb, *row[digit])
-        n >>= WINDOW_BITS
-    return GTElem(fa, fb, p)
 
 
 def gt_inv(z: GTElem) -> GTElem:

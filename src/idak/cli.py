@@ -311,17 +311,16 @@ def bundled_scenarios():
 
 
 def _scenario_lines(name):
-    path = Path(name)
-    if path.exists():
-        try:
-            return path.read_text(encoding="utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            raise ScenarioError(f"{name} is not UTF-8 text: {exc}") from exc
-    stem = name if name.endswith(".jsonl") else f"{name}.jsonl"
-    resource = resources.files("idak") / "scenarios" / stem
-    if resource.is_file():
-        return resource.read_text().splitlines()
-    raise FileNotFoundError(f"no scenario file or bundled scenario named {name!r}")
+    source = Path(name)
+    if not source.exists():
+        stem = name if name.endswith(".jsonl") else f"{name}.jsonl"
+        source = resources.files("idak") / "scenarios" / stem
+        if not source.is_file():
+            raise FileNotFoundError(f"no scenario file or bundled scenario named {name!r}")
+    try:
+        return source.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{name} is not UTF-8 text: {exc}") from exc
 
 
 def cmd_scenario(args):

@@ -22,8 +22,8 @@ baby steps [j]g, m = isqrt(q - 1) + 1, keyed by x-coordinate so that
 each entry also stands for [-j]g; a giant step then covers 2m + 1
 residues, and a walk takes at most about sqrt(q)/2 of them.  The table
 grows as 2^(k/2) for a k-bit q, so it is refused above MAX_K_BITS.  Its
-wrong answers are powers of e(g, g) through bilinear's cached GT window
-table for that element, so they square nothing.
+wrong answers are powers of e(g, g) through a window table of that
+element that the mock itself keeps, so they square nothing.
 """
 
 import functools
@@ -41,7 +41,6 @@ from idak.bilinear import (
     _window_table,
     _window_walk,
     fixed_base_exp,
-    fixed_base_gt_exp,
     gt_exp,
     gt_mul,
     in_subgroup,
@@ -307,12 +306,13 @@ class MockCbdhOracle:
     q // (2m+1) + 1 giant steps, about sqrt(q)/4 on average, each one
     dict lookup and one chord addition with one inversion on bare ints,
     and pays one pairing and one exponentiation in GT.  Wrong answers are
-    uniform over the target group: e(g, g)^r for one randrange(q) draw r,
-    by fixed_base_gt_exp, whose table of e(g, g) is built on the first
-    wrong answer (not here, so construction costs no more) and cached in
-    bilinear.  A wrong answer then costs one F_{p^2} multiplication per
-    nonzero 4-bit digit of r, at most 4 at k = 16, where a full gt_exp
-    makes 15 squarings and about 8 multiplications.
+    uniform over the target group: e(g, g)^r for one randrange(q) draw r.
+    The mock raises e(g, g) through its own 4-bit window table, rows
+    e(g, g)^(j * 16^i) for j < 16 and i < ceil(|q| / 4), kept in
+    _gt_rows.  The table is built on the first wrong answer, not here, so
+    construction costs no more.  A wrong answer then costs one F_{p^2}
+    multiplication per nonzero 4-bit digit of r, at most 4 at k = 16,
+    where a full gt_exp makes 15 squarings and about 8 multiplications.
     """
 
     def __init__(self, params, g, delta, rng):
@@ -325,6 +325,7 @@ class MockCbdhOracle:
         self.queries = 0
         self._table = _baby_table(params, g)
         self._base_gt = pairing(params, g, g)
+        self._gt_rows = None
 
     def __call__(self, inst):
         self.queries += 1
@@ -332,4 +333,24 @@ class MockCbdhOracle:
         if self.rng.random() < self.delta:
             z = _dlog_from_table(params, self._table, inst.z_point)
             return gt_exp(pairing(params, inst.x_point, inst.y_point), z)
-        return fixed_base_gt_exp(params, self._base_gt, self.rng.randrange(params.q))
+        return self._base_gt_power(self.rng.randrange(params.q))
+
+    def _base_gt_power(self, r):
+        """e(g, g)^r for 0 <= r < q, one row of the window table per
+        4-bit digit of r; the table is built on the first call."""
+        p = self.params.p
+        if self._gt_rows is None:
+            base = self._base_gt.a, self._base_gt.b
+            self._gt_rows = []
+            for _ in range(-(-self.params.q.bit_length() // 4)):
+                row = [(1, 0)]
+                for _ in range(15):
+                    row.append(_fp2_mul(p, *row[-1], *base))
+                base = _fp2_mul(p, *row[-1], *base)
+                self._gt_rows.append(row)
+        fa, fb = 1, 0
+        for row in self._gt_rows:
+            if r & 15:
+                fa, fb = _fp2_mul(p, fa, fb, *row[r & 15])
+            r >>= 4
+        return GTElem(fa, fb, p)

@@ -241,7 +241,7 @@ class World:
                 return False
         return True
 
-    def test(self, oracle: SessionOracle, coin: int, rng: random.Random | None = None):
+    def test(self, oracle: SessionOracle, coin: int):
         """Real key on coin=1, transcript-bound KDF of a uniform GT on coin=0."""
         self.clock += 1
         if coin not in (0, 1):
@@ -250,8 +250,7 @@ class World:
             raise TestRefusedError(f"oracle {oracle.name()} is not fresh")
         if coin == 1:
             return oracle.key
-        rng = rng if rng is not None else self.rng
-        exponent = rng.randrange(self.params.group.q)
+        exponent = self.rng.randrange(self.params.group.q)
         element = gt_exp(self._base_gt, exponent)
         return session_key(self.params, SharedSecret(element), *oracle.binding)
 

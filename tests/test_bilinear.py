@@ -20,7 +20,6 @@ from idak.bilinear import (
     encode_group_params,
     encode_point,
     fixed_base_exp,
-    fixed_base_gt_exp,
     gt_exp,
     gt_inv,
     gt_mul,
@@ -38,7 +37,6 @@ from idak.bilinear import (
     take_sized,
 )
 from idak.errors import InvalidIdentityError, MalformedElementError
-from test_selfreduction import CURVES
 
 # Desk-scale parameters used throughout: p = 43 = 4 * 11 - 1.
 GP = instance_generate(4, "0")
@@ -310,35 +308,6 @@ def test_gt_mul_rejects_mixed_fields():
     other = instance_generate(3, "0")
     with pytest.raises(MalformedElementError):
         gt_mul(pairing(GP, GEN, GEN), GTElem(1, 0, other.p))
-
-
-# the self-reduction's curves, q = 5 to 16 bits, and the k = 128 curve
-GT_CURVES = CURVES + [(_K128, hash_to_group(_K128, "fixed-base-gt"))]
-
-
-def gt_exponents(q):
-    """Exponents at the edges of the window table and past them on both
-    sides, where fixed_base_gt_exp goes to gt_exp, and random ones."""
-    top = 1 << q.bit_length()
-    return st.one_of(
-        st.sampled_from([0, 1, q - 1, top - 1, top, -1, -q]),
-        st.integers(0, top - 1),
-        st.integers(-4 * top, 4 * top),
-    )
-
-
-@settings(deadline=None)  # the example count comes from the hypothesis profile
-@given(data=st.data())
-def test_fixed_base_gt_exp_matches_gt_exp(data):
-    params, g = data.draw(st.sampled_from(GT_CURVES))
-    q = params.q
-    other = scalar_exp(params, g, data.draw(st.integers(1, q - 1)))
-    bases = [pairing(params, g, g), GTElem(1, 0, params.p), pairing(params, other, g)]
-    # two bases in turn: each must walk its own cached table
-    first, second = data.draw(st.permutations(bases))[:2]
-    for base in (first, second, first, second):
-        n = data.draw(gt_exponents(q))
-        assert fixed_base_gt_exp(params, base, n) == gt_exp(base, n), (base, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Command-line tests: exit codes, file round trips, report formats."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -457,6 +461,20 @@ def test_scenario_bundled_name(capsys):
     assert main(["scenario", "honest_run"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] and report["failures"] == []
+
+
+def test_bundled_scenario_is_read_as_utf8_not_in_the_locale_encoding():
+    # with EncodingWarning raised as an error, a read that falls back to the
+    # locale's encoding ends in a traceback and exit 1
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "idak", "scenario", "honest_run", "--quiet"],
+        env=env, capture_output=True, encoding="utf-8", timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_scenario_list(capsys):

@@ -337,10 +337,12 @@ def test_test_query_coins():
     a, _ = honest_pair(world)
     real = world.test(a, 1)
     assert real == a.key
-    fake = world.test(a, 0, rng=random.Random(1))
+    world.rng.seed(1)
+    fake = world.test(a, 0)
     assert fake != a.key and len(fake.key) == 32
     # deterministic under a seeded rng
-    assert world.test(a, 0, rng=random.Random(1)) == fake
+    world.rng.seed(1)
+    assert world.test(a, 0) == fake
     with pytest.raises(ValueError):
         world.test(a, 2)
 
