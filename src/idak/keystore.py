@@ -4,8 +4,19 @@ Every file is two lines: a header naming the entry kind, then the
 payload in hex.  Payloads reuse the binary encodings of the underlying
 values, so a file round-trips exactly and two runs with the same seed
 produce byte-identical files.
+
+A process decodes and checks each distinct params payload, and each
+distinct identity payload under a given group, once: load_group keeps
+its results keyed by the payload bytes, and load_identity keyed by the
+group and the payload bytes, in two bounded caches.  The loaders still
+read the file on every call, so a file whose bytes change is checked
+again in full.  This is safe because a result is a pure function of
+those bytes (and the group's values), and because a payload that fails
+raises, so a failure is never cached and a refused file is refused
+again on every load.
 """
 
+import functools
 import os
 
 from idak.bilinear import (
@@ -90,6 +101,11 @@ def save_group(path, group):
 
 def load_group(path) -> GroupParams:
     _, payload = read_entry(path, "params")
+    return _decoded_group(payload)
+
+
+@functools.lru_cache(maxsize=32)
+def _decoded_group(payload):
     try:
         return decode_group_params(payload)
     except MalformedElementError as exc:
@@ -121,6 +137,11 @@ def save_identity(path, group, key):
 
 def load_identity(path, group) -> IdentityKey:
     _, payload = read_entry(path, "identity")
+    return _decoded_identity(group, payload)
+
+
+@functools.lru_cache(maxsize=256)
+def _decoded_identity(group, payload):
     try:
         ident, offset = take_sized(payload, 0)
         g_id, offset = take_point(group, payload, offset)

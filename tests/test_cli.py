@@ -618,6 +618,30 @@ def test_repeated_main_calls_reuse_one_parser(keyring, tmp_path, capsys):
     assert cli.build_parser.cache_info().misses == 1  # built once in this process
 
 
+def test_a_key_file_tampered_between_main_calls_is_refused(keyring, tmp_path, capsys):
+    # the keystore keeps what it checked per payload, not per path, so the
+    # same process reads the changed bytes and checks them in full
+    key = tmp_path / "bob.key"
+    good = Path(keyring["bob"]).read_bytes()
+    key.write_bytes(good)
+    flow_a = str(tmp_path / "a.flow")
+    assert main(["initiate", "--params", keyring["params"], "--key", keyring["alice"],
+                 "--peer", "bob", "--flow-out", flow_a,
+                 "--state-out", str(tmp_path / "a.state"), "--quiet"]) == 0
+    respond = ["respond", "--params", keyring["params"], "--key", str(key),
+               "--flow-in", flow_a, "--flow-out", str(tmp_path / "b.flow"),
+               "--key-out", str(tmp_path / "bob.session"), "--quiet"]
+    assert main(respond) == 0
+    group = keystore.load_group(keyring["params"])
+    bob = keystore.load_identity(key, group)
+    keystore.save_identity(key, group, IdentityKey(bob.identity, bob.g_id, GElem(0, 0)))
+    capsys.readouterr()
+    assert main(respond) == 1
+    assert capsys.readouterr().err == "error: identity key point is outside the subgroup\n"
+    key.write_bytes(good)
+    assert main(respond) == 0
+
+
 def test_main_runs_the_command_bound_at_call_time(keyring, tmp_path, monkeypatch):
     # a wrapper bound over cmd_respond after the parser is built is what runs
     code, *_ = exchange(keyring, tmp_path, tag="before")

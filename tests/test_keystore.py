@@ -1,5 +1,6 @@
 """Key file armoring tests: round trips, tamper rejection, determinism."""
 
+import dataclasses
 import os
 import random
 import stat
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from idak import keystore
+from idak import bilinear, keystore
 from idak.bilinear import (
     INFINITY,
     GElem,
@@ -260,6 +261,79 @@ def test_identity_rejects_a_payload_naming_nobody(tmp_path):
     _identity_entry(path, b"", extract(PARAMS, MSK, "alice").d_id)
     with pytest.raises(KeystoreError, match="^identity payload names nobody$"):
         keystore.load_identity(path, GROUP)
+
+
+# ---------------------------------------------------------------------------
+# a process checks each payload once, and a changed or refused one every time
+# ---------------------------------------------------------------------------
+
+
+def _out_of_subgroup(key):
+    """The key with d_id moved to the order-2 point (0, 0)."""
+    return IdentityKey(key.identity, key.g_id, GElem(0, 0))
+
+
+def test_a_key_file_rewritten_after_a_good_load_is_checked_again(tmp_path):
+    key = extract(PARAMS, MSK, "alice")
+    path = tmp_path / "alice.key"
+    keystore.save_identity(path, GROUP, key)
+    assert keystore.load_identity(path, GROUP) == key
+    keystore.save_identity(path, GROUP, _out_of_subgroup(key))
+    with pytest.raises(KeystoreError, match="^identity key point is outside the subgroup$"):
+        keystore.load_identity(path, GROUP)
+
+
+def test_a_refused_payload_is_refused_on_every_load(tmp_path):
+    key = extract(PARAMS, MSK, "alice")
+    good, bad = tmp_path / "good.key", tmp_path / "bad.key"
+    keystore.save_identity(good, GROUP, key)
+    keystore.save_identity(bad, GROUP, _out_of_subgroup(key))
+    good_params, bad_params = tmp_path / "good.params", tmp_path / "bad.params"
+    keystore.save_group(good_params, GROUP)
+    # a cofactor 2 too large breaks p = h*q - 1
+    keystore.save_group(bad_params, dataclasses.replace(GROUP, h=GROUP.h + 2))
+    for _ in range(2):  # bad, good, bad, good
+        with pytest.raises(KeystoreError, match="^identity key point is outside the subgroup$"):
+            keystore.load_identity(bad, GROUP)
+        with pytest.raises(KeystoreError, match="^bad parameter payload: inconsistent"):
+            keystore.load_group(bad_params)
+        assert keystore.load_identity(good, GROUP) == key
+        assert keystore.load_group(good_params) == GROUP
+
+
+def test_an_identity_loaded_under_one_group_is_refused_under_another(tmp_path):
+    key = extract(PARAMS, MSK, "alice")
+    path = tmp_path / "alice.key"
+    keystore.save_identity(path, GROUP, key)
+    assert keystore.load_identity(path, GROUP) == key
+    other = instance_generate(8, "someone-else")
+    with pytest.raises(KeystoreError):
+        keystore.load_identity(path, other)
+    assert keystore.load_identity(path, GROUP) == key
+
+
+def test_identical_bytes_are_checked_once_per_process(tmp_path, monkeypatch):
+    params, msk = setup(12, "checked-once")
+    group, key = params.group, extract(params, msk, "alice")
+    group_path, key_path = tmp_path / "params.key", tmp_path / "alice.key"
+    keystore.save_group(group_path, group)
+    keystore.save_identity(key_path, group, key)
+    proved, subgroup_checks = [], []
+    is_probable_prime, in_subgroup = bilinear.is_probable_prime, keystore.in_subgroup
+    monkeypatch.setattr(bilinear, "is_probable_prime",
+                        lambda n, *rest: proved.append(n) or is_probable_prime(n, *rest))
+    monkeypatch.setattr(keystore, "in_subgroup",
+                        lambda *args: subgroup_checks.append(args) or in_subgroup(*args))
+    keystore._decoded_group.cache_clear()
+    keystore._decoded_identity.cache_clear()
+    # the first load proves p and q and checks d_id; the second, of the
+    # same bytes, neither
+    for expected in (([group.p, group.q], 1), ([], 0)):
+        proved.clear()
+        subgroup_checks.clear()
+        assert keystore.load_group(group_path) == group
+        assert keystore.load_identity(key_path, group) == key
+        assert (proved, len(subgroup_checks)) == expected
 
 
 def test_session_round_trip(tmp_path):
