@@ -53,7 +53,6 @@ safe for production use.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import hashlib
 import random
@@ -75,26 +74,9 @@ HASH_COUNTER_BOUND = 1 << 16
 
 MILLER_RABIN_ROUNDS = 40
 
-# psi_t, the least strong pseudoprime to each of the first t prime bases
-# (OEIS A014233; Jaeschke 1993, Sorenson-Webster 2017): below psi_t those t
-# bases decide primality exactly.  Below the last, psi_13, the 13 primes
-# 2..41 of _SMALL_PRIMES do, so it is the exact bound.
-_PSI = (
-    2_047,
-    1_373_653,
-    25_326_001,
-    3_215_031_751,
-    2_152_302_898_747,
-    3_474_749_660_383,
-    341_550_071_728_321,
-    341_550_071_728_321,
-    3_825_123_056_546_413_051,
-    3_825_123_056_546_413_051,
-    3_825_123_056_546_413_051,
-    318_665_857_834_031_151_167_461,
-    3_317_044_064_679_887_385_961_981,
-)
-MILLER_RABIN_EXACT_BOUND = _PSI[-1]
+# Below this bound, Miller-Rabin to every base in _SMALL_PRIMES decides
+# primality exactly (Sorenson-Webster 2015: the 13 primes 2..41).
+MILLER_RABIN_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
 
 # Digit width of the fixed-base window table: HMV, Guide to ECC, section 3.3.
 WINDOW_BITS = 4
@@ -150,11 +132,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
     """Miller-Rabin: exact below MILLER_RABIN_EXACT_BOUND, else `rounds`
-    bases drawn deterministically from n.
-
-    Below the bound it tests the first t primes of _SMALL_PRIMES, for the
-    least t with n < psi_t: the fewest bases that are still exact.
-    """
+    bases drawn deterministically from n."""
     if n < 2:
         return False
     for sp in _SMALL_PRIMES:
@@ -166,7 +144,7 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
         d //= 2
         r += 1
     if n < MILLER_RABIN_EXACT_BOUND:
-        bases = _SMALL_PRIMES[: bisect.bisect_right(_PSI, n) + 1]
+        bases = _SMALL_PRIMES
     else:
         # Bases keyed to the candidate keep repeated checks reproducible.
         base_rng = random.Random(n)

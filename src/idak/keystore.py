@@ -5,18 +5,21 @@ payload in hex.  Payloads reuse the binary encodings of the underlying
 values, so a file round-trips exactly and two runs with the same seed
 produce byte-identical files.
 
-A process decodes and checks each distinct params payload, and each
-distinct identity payload under a given group, once: load_group keeps
-its results keyed by the payload bytes, and load_identity keyed by the
-group and the payload bytes, in two bounded caches.  The loaders still
-read the file on every call, so a file whose bytes change is checked
-again in full.  This is safe because a result is a pure function of
-those bytes (and the group's values), and because a payload that fails
-raises, so a failure is never cached and a refused file is refused
-again on every load.
+A process decodes and checks each distinct params payload once:
+load_group keeps its results in a bounded cache keyed by the payload
+bytes, which are public.  load_identity decodes its payload on every
+call, but runs the costly [q]*d_id subgroup check once per group and
+payload: it remembers only the SHA-256 digest of each payload that
+passed, never the key, so no private key outlives the caller's use of
+it.  Both loaders read the file on every call, so a file whose bytes
+change is checked again in full.  This is safe because a result is a
+pure function of those bytes (and the group's values), and because a
+payload that fails raises before it is remembered, so a refused file is
+refused again on every load.
 """
 
 import functools
+import hashlib
 import os
 
 from idak.bilinear import (
@@ -137,11 +140,6 @@ def save_identity(path, group, key):
 
 def load_identity(path, group) -> IdentityKey:
     _, payload = read_entry(path, "identity")
-    return _decoded_identity(group, payload)
-
-
-@functools.lru_cache(maxsize=256)
-def _decoded_identity(group, payload):
     try:
         ident, offset = take_sized(payload, 0)
         g_id, offset = take_point(group, payload, offset)
@@ -154,9 +152,29 @@ def _decoded_identity(group, payload):
         raise KeystoreError("identity payload names nobody")
     if g_id != hash_to_group(group, ident):
         raise KeystoreError("identity key does not belong to these parameters")
-    if d_id.is_identity() or not in_subgroup(group, d_id):
+    if d_id.is_identity() or not _in_subgroup_once(group, payload, d_id):
         raise KeystoreError("identity key point is outside the subgroup")
     return IdentityKey(identity=ident, g_id=g_id, d_id=d_id)
+
+
+# (group, SHA-256 of the payload) of identity payloads whose d_id passed
+# the subgroup check; emptied when it reaches _SUBGROUP_CHECKED_LIMIT
+_subgroup_checked = set()
+_SUBGROUP_CHECKED_LIMIT = 256
+
+
+def _in_subgroup_once(group, payload, d_id):
+    """in_subgroup(group, d_id) for the d_id decoded from payload, computed
+    once per group and payload."""
+    seen = (group, hashlib.sha256(payload).digest())
+    if seen in _subgroup_checked:
+        return True
+    if not in_subgroup(group, d_id):
+        return False
+    if len(_subgroup_checked) >= _SUBGROUP_CHECKED_LIMIT:
+        _subgroup_checked.clear()
+    _subgroup_checked.add(seen)
+    return True
 
 
 def save_session(path, key):

@@ -107,34 +107,8 @@ def make_instance(params, g, rng):
     return inst, truth
 
 
-# (params, inst, tables) of the last _prepared call, so that the rounds of
-# one amplify, which pass the same two objects, skip even the hashing
-_last_prepared = (None, None, None)
-
-
-def _prepared(params, inst):
-    """_prepare's tables for the instance, from the last call's when both
-    arguments are the very objects it had."""
-    global _last_prepared
-    last_params, last_inst, tables = _last_prepared
-    if inst is last_inst and params is last_params:
-        return tables
-    tables = _prepare(params, inst)
-    _last_prepared = (params, inst, tables)
-    return tables
-
-
-def _clear_prepared():
-    global _last_prepared
-    _last_prepared = (None, None, None)
-    _prepare.cache_clear()
-
-
-_prepared.cache_clear = _clear_prepared
-
-
 @functools.lru_cache(maxsize=1)
-def _prepare(params, inst):
+def _prepared(params, inst):
     """Validate the instance once and return its two tables.
 
     The first is g's window table, from bilinear's cache of them.  The

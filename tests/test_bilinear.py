@@ -11,7 +11,6 @@ from idak import bilinear
 from idak.bilinear import (
     COFACTOR_CANDIDATE_BOUND,
     MILLER_RABIN_EXACT_BOUND,
-    _PSI,
     GElem,
     GroupParams,
     GTElem,
@@ -151,19 +150,6 @@ def test_is_probable_prime_is_exact_below_the_bound():
     assert is_probable_prime(MILLER_RABIN_EXACT_BOUND, rounds=0)
     assert is_probable_prime(2**89 - 1)
     assert not is_probable_prime((2**61 - 1) * (2**31 - 1))
-
-
-def test_each_psi_needs_one_base_more_than_its_index():
-    # psi_t passes the first t bases, so a test of only those would call it
-    # prime; below the exact bound it meets base t + 1 or more, and the
-    # last, the bound itself, the seeded random rounds
-    for t, psi in enumerate(_PSI, start=1):
-        assert not is_probable_prime(psi), (t, psi)
-        if psi < MILLER_RABIN_EXACT_BOUND:
-            assert not is_probable_prime(psi, rounds=0), (t, psi)
-    assert _PSI[-1] == MILLER_RABIN_EXACT_BOUND
-    assert list(_PSI) == sorted(_PSI)
-    assert is_probable_prime(2**61 - 1, rounds=0)
 
 
 # ---------------------------------------------------------------------------

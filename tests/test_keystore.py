@@ -1,9 +1,11 @@
 """Key file armoring tests: round trips, tamper rejection, determinism."""
 
 import dataclasses
+import gc
 import os
 import random
 import stat
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -325,7 +327,7 @@ def test_identical_bytes_are_checked_once_per_process(tmp_path, monkeypatch):
     monkeypatch.setattr(keystore, "in_subgroup",
                         lambda *args: subgroup_checks.append(args) or in_subgroup(*args))
     keystore._decoded_group.cache_clear()
-    keystore._decoded_identity.cache_clear()
+    keystore._subgroup_checked.clear()
     # the first load proves p and q and checks d_id; the second, of the
     # same bytes, neither
     for expected in (([group.p, group.q], 1), ([], 0)):
@@ -334,6 +336,18 @@ def test_identical_bytes_are_checked_once_per_process(tmp_path, monkeypatch):
         assert keystore.load_group(group_path) == group
         assert keystore.load_identity(key_path, group) == key
         assert (proved, len(subgroup_checks)) == expected
+
+
+def test_a_loaded_identity_key_is_not_kept_after_its_caller_drops_it(tmp_path):
+    # only a digest of the checked payload outlives the load, not d_id
+    path = tmp_path / "alice.key"
+    keystore.save_identity(path, GROUP, extract(PARAMS, MSK, "alice"))
+    for _ in range(2):  # the first load checks d_id, the second finds its digest
+        key = keystore.load_identity(path, GROUP)
+        alive = weakref.ref(key)
+        del key
+        gc.collect()
+        assert alive() is None
 
 
 def test_session_round_trip(tmp_path):
