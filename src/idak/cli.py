@@ -8,7 +8,9 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import random
+import stat
 import statistics
 import sys
 import time
@@ -134,6 +136,22 @@ def _read_flow(args, params, role):
     return flow
 
 
+def _write_flow(path, data):
+    """Write a flow file over whatever the path held, then cut it to length.
+
+    Opening with O_TRUNC would empty a regular file first, and ext4 (with its
+    default auto_da_alloc) starts writing such a file to disk at close; the
+    next truncation then waits for that write.  Rewriting in place keeps the
+    disk out of an exchange.  Other paths (a pipe, /dev/stdout) are only
+    written.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as handle:
+        handle.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            handle.truncate()
+
+
 def _derive_key(args, params, own, role, secret, own_msg, peer_id, peer_msg, extra=None):
     """One side's session key and derive's counts, or a refusal.
 
@@ -215,7 +233,7 @@ def cmd_initiate(args):
     params = _system_params(args)
     own = keystore.load_identity(args.key, params.group)
     x, msg = initiate(params, own, seeded_rng("idak-cli-initiate", args.seed))
-    Path(args.flow_out).write_bytes(encode_flow(params, "initiator", own.identity, msg))
+    _write_flow(args.flow_out, encode_flow(params, "initiator", own.identity, msg))
     keystore.save_state(args.state_out, params.group, args.peer, x, msg)
     _emit(args, {"flow": args.flow_out, "state": args.state_out})
     return EXIT_OK
@@ -234,7 +252,7 @@ def cmd_respond(args):
         y, msg = initiate(params, own, rng)
         extra = None
     key, counts = _derive_key(args, params, own, "responder", y, msg, peer_ident, peer_msg)
-    Path(args.flow_out).write_bytes(encode_flow(params, "responder", own.identity, msg, extra))
+    _write_flow(args.flow_out, encode_flow(params, "responder", own.identity, msg, extra))
     keystore.save_session(args.key_out, key)
     report = {"flow": args.flow_out, "key": args.key_out, "counts": dataclasses.asdict(counts)}
     _emit(args, report)

@@ -225,6 +225,34 @@ def test_exchange_all_strategies_agree(keyring, tmp_path):
             assert content == references  # strategies differ only in cost
 
 
+def test_flow_out_over_a_longer_file_holds_only_the_new_flow(keyring, tmp_path):
+    # flow files are rewritten in place and cut to length, not truncated first
+    def initiate(flow):
+        assert main(["initiate", "--params", keyring["params"], "--key", keyring["alice"],
+                     "--peer", "bob", "--flow-out", str(flow),
+                     "--state-out", str(tmp_path / "a.state"), "--seed", "w", "--quiet"]) == 0
+        return flow.read_bytes()
+
+    fresh = initiate(tmp_path / "fresh.flow")
+    stale = tmp_path / "stale.flow"
+    stale.write_bytes(b"\xff" * 4096)
+    stale.chmod(0o640)
+    assert initiate(stale) == fresh
+    assert stale.stat().st_mode & 0o777 == 0o640  # the file is rewritten, not replaced
+    code, key_a, key_b = exchange(keyring, tmp_path, tag="again")
+    assert code == 0
+    assert keystore.load_session(key_a) == keystore.load_session(key_b)
+    code, key_a, key_b = exchange(keyring, tmp_path, seed_a="a2", seed_b="b2", tag="again")
+    assert code == 0
+    assert keystore.load_session(key_a) == keystore.load_session(key_b)
+
+
+def test_flow_out_may_be_a_device(keyring, tmp_path):
+    assert main(["initiate", "--params", keyring["params"], "--key", keyring["alice"],
+                 "--peer", "bob", "--flow-out", os.devnull,
+                 "--state-out", str(tmp_path / "a.state"), "--quiet"]) == 0
+
+
 def test_respond_reports_strategy_counts(keyring, tmp_path, capsys):
     flow_a = str(tmp_path / "a.flow")
     state = str(tmp_path / "a.state")
