@@ -47,6 +47,14 @@ in_subgroup answers False.  Encoders and the private helpers
 (_affine_add, _window_walk, _fixed_base_add, _checked_pairing) trust
 their points.
 
+Setup proves both primes, and so does every decode of a params file.  q
+is proved by Miller-Rabin (is_probable_prime), and p = h*q - 1 from q:
+one gcd with the product of the primes below 1000 and one strong base-2
+round turn most composites away, and the N+1 test in F_p[i], exact given
+q whenever q > sqrt(p) + 1, proves the rest (_is_prime_given_q).  At
+k = 128 the proof costs about six Miller-Rabin rounds where
+is_probable_prime runs 40.
+
 Parameter sizes here are deliberately small.  Nothing in this module is
 safe for production use.
 """
@@ -57,6 +65,7 @@ import functools
 import hashlib
 import random
 from dataclasses import dataclass
+from math import gcd, isqrt, prod
 
 from .errors import (
     HashToGroupError,
@@ -130,25 +139,32 @@ class GTElem:
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
-    """Miller-Rabin: exact below MILLER_RABIN_EXACT_BOUND, else `rounds`
-    bases drawn deterministically from n."""
-    if n < 2:
-        return False
-    for sp in _SMALL_PRIMES:
-        if n % sp == 0:
-            return n == sp
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    if n < MILLER_RABIN_EXACT_BOUND:
-        bases = _SMALL_PRIMES
-    else:
-        # Bases keyed to the candidate keep repeated checks reproducible.
-        base_rng = random.Random(n)
-        bases = (base_rng.randrange(2, n - 1) for _ in range(rounds))
+def _primes_below(n: int) -> frozenset:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\x00\x00"
+    for d in range(2, isqrt(n) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, n, d)))
+    return frozenset(i for i, is_prime in enumerate(sieve) if is_prime)
+
+
+# The primes below 1000, and their product: one gcd with it finds every
+# factor below 1000.
+_PRIMES_BELOW_1000 = _primes_below(1000)
+_PRIMORIAL_1000 = prod(_PRIMES_BELOW_1000)
+
+# How many a = 2, 3, ... the N+1 proof tries before it leaves p to
+# Miller-Rabin.  Each a < 31 has a^2 + 1 < 1000, so once the gcd above
+# passes, a + i and a - i are units mod every factor of p.
+_N_PLUS_1_TRIES = 8
+
+
+def _strong_probable_prime(n: int, bases) -> bool:
+    """Miller-Rabin: whether odd n > 3 is a strong probable prime to every
+    base in bases, each in [2, n - 2]."""
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r, d odd
+    d = (n - 1) >> r
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -160,6 +176,53 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
         else:
             return False
     return True
+
+
+def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
+    """Miller-Rabin: exact below MILLER_RABIN_EXACT_BOUND, else `rounds`
+    bases drawn deterministically from n.  A factor below 1000 is found by
+    one gcd first, and n < 1000 is looked up."""
+    if n < 1000:
+        return n in _PRIMES_BELOW_1000
+    if gcd(n, _PRIMORIAL_1000) != 1:
+        return False
+    if n < MILLER_RABIN_EXACT_BOUND:
+        bases = _SMALL_PRIMES
+    else:
+        # Bases keyed to the candidate keep repeated checks reproducible.
+        base_rng = random.Random(n)
+        bases = (base_rng.randrange(2, n - 1) for _ in range(rounds))
+    return _strong_probable_prime(n, bases)
+
+
+def _is_prime_given_q(p: int, q: int) -> bool:
+    """Whether p is prime, for p = 3 (mod 4) and a prime q dividing p + 1.
+
+    Exact given q.  A p below 1000, or with q <= isqrt(p) + 1, goes to
+    is_probable_prime.  Any other p is refused by a factor below 1000 (one
+    gcd) or a failed strong base-2 round, and otherwise decided by the N+1
+    test in F_p[i] (Brillhart-Lehmer-Selfridge 1975; Crandall-Pomerance,
+    Prime Numbers, section 4.2): with h = (p + 1) / q, take
+    beta = (a + i)^h for the first a = 2, 3, ... with Im beta != 0; p is
+    prime exactly when gcd(Im beta, p) = 1 and Im beta^q = 0.  A prime p
+    passes, since (a + i)^(p+1) = (a + i)(a - i) = a^2 + 1 for
+    p = 3 (mod 4).  Were p to pass with a prime factor l <= sqrt(p), the
+    order of (a + i)/(a - i) mod l would be a multiple of q that divides
+    l - 1 or l + 1, so q <= sqrt(p) + 1.  If no a within _N_PLUS_1_TRIES
+    has Im beta != 0, is_probable_prime decides.  The proof costs one
+    power by h and one by q in F_p[i], about six Miller-Rabin rounds at
+    k = 128.
+    """
+    if p < 1000 or q <= isqrt(p) + 1:
+        return is_probable_prime(p)
+    if gcd(p, _PRIMORIAL_1000) != 1 or not _strong_probable_prime(p, (2,)):
+        return False
+    h = (p + 1) // q
+    for a in range(2, 2 + _N_PLUS_1_TRIES):
+        real, imag = _fp2_pow(p, a, 1, h)
+        if imag:
+            return gcd(imag, p) == 1 and _fp2_pow(p, real, imag, q)[1] == 0
+    return is_probable_prime(p)
 
 
 def instance_generate(k_bits: int, seed) -> GroupParams:
@@ -186,7 +249,7 @@ def instance_generate(k_bits: int, seed) -> GroupParams:
         p = h * q - 1
         if p % 4 != 3:
             continue
-        if is_probable_prime(p):
+        if _is_prime_given_q(p, q):
             return GroupParams(p=p, q=q, h=h, k_bits=k_bits)
     raise ParameterSearchError(
         f"no admissible cofactor for q={q} within {COFACTOR_CANDIDATE_BOUND} candidates"
@@ -770,6 +833,6 @@ def decode_group_params(data: bytes) -> GroupParams:
         raise MalformedElementError("group parameters lie outside the supported sizes")
     if p != h * q - 1 or p % 4 != 3 or h % 2 != 0 or h % q == 0:
         raise MalformedElementError("inconsistent group parameters")
-    if not (is_probable_prime(p) and is_probable_prime(q)):
+    if not (is_probable_prime(q) and _is_prime_given_q(p, q)):
         raise MalformedElementError("group parameters are not prime")
     return GroupParams(p=p, q=q, h=h, k_bits=q.bit_length())

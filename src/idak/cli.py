@@ -127,7 +127,9 @@ def _system_params(args):
 def _read_flow(args, params, role):
     """The peer's flow file decoded, refused unless its sender has this role."""
     try:
-        sender_role, *flow = decode_flow(params, Path(args.flow_in).read_bytes())
+        with open(args.flow_in, "rb") as handle:
+            data = keystore._read_bounded(handle, InvalidFlowError, "flow file")
+        sender_role, *flow = decode_flow(params, data)
     except InvalidFlowError as exc:
         raise Refusal("invalid-flow", exc) from exc
     if sender_role != role:
@@ -335,8 +337,10 @@ def _scenario_lines(name):
         source = resources.files("idak") / "scenarios" / stem
         if not source.is_file():
             raise FileNotFoundError(f"no scenario file or bundled scenario named {name!r}")
+    with source.open("rb") as handle:
+        data = keystore._read_bounded(handle, ScenarioError, name)
     try:
-        return source.read_text(encoding="utf-8").splitlines()
+        return data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{name} is not UTF-8 text: {exc}") from exc
 

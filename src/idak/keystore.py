@@ -20,6 +20,7 @@ refused again on every load.
 
 import functools
 import hashlib
+import io
 import os
 
 from idak.bilinear import (
@@ -42,6 +43,26 @@ KINDS = ("params", "master", "identity", "session", "state")
 # the exact header write_entry writes for each kind; read_entry takes no other
 _HEADER_KINDS = {f"{HEADER_MAGIC} kind={kind}": kind for kind in KINDS}
 SESSION_KEY_SIZE = 32
+# The most bytes taken from one key, flow or scenario file.  The largest
+# legitimate file, an identity key with a 65535-byte identity at k = 512,
+# is about 132 KB.  A read stops one byte past the bound, so a larger file,
+# or /dev/zero, is refused without being held in memory.
+_MAX_FILE_BYTES = 256 * 1024
+
+
+def _read_bounded(handle, error, what):
+    """The bytes left in handle, or error(f"{what} is larger than ...") if
+    they are more than _MAX_FILE_BYTES.
+
+    A first read of one buffer's worth holds a key or flow file whole, so
+    the common small file costs no 256 KiB allocation.
+    """
+    data = handle.read(io.DEFAULT_BUFFER_SIZE)
+    if len(data) == io.DEFAULT_BUFFER_SIZE:
+        data += handle.read(_MAX_FILE_BYTES + 1 - len(data))
+    if len(data) > _MAX_FILE_BYTES:
+        raise error(f"{what} is larger than {_MAX_FILE_BYTES} bytes")
+    return data
 
 
 def write_entry(path, kind, payload):
@@ -72,7 +93,7 @@ def write_entry(path, kind, payload):
 def read_entry(path, expect_kind=None):
     """Load one armored entry, checking the kind when asked to."""
     with open(path, "rb") as handle:
-        data = handle.read()
+        data = _read_bounded(handle, KeystoreError, "key file")
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:

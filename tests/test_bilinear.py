@@ -2,6 +2,7 @@
 
 import random
 import time
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,81 @@ def test_is_probable_prime_is_exact_below_the_bound():
     assert is_probable_prime(MILLER_RABIN_EXACT_BOUND, rounds=0)
     assert is_probable_prime(2**89 - 1)
     assert not is_probable_prime((2**61 - 1) * (2**31 - 1))
+
+
+def _largest_prime_factors(limit):
+    """largest[m] for m < limit: the largest prime factor of m (1 for m < 2)."""
+    largest = [1] * limit
+    for d in range(2, limit):
+        if largest[d] == 1:  # d is prime
+            largest[d::d] = [d] * len(range(d, limit, d))
+    return largest
+
+
+def test_the_n_plus_1_proof_agrees_with_miller_rabin():
+    # every n = 3 (mod 4) below 2 * 10^5 whose n + 1 has a prime factor
+    # q > isqrt(n) + 1, where is_probable_prime is exact
+    limit = 2 * 10**5
+    largest = _largest_prime_factors(limit + 1)
+    cases = 0
+    for n in range(3, limit, 4):
+        q = largest[n + 1]
+        if q > isqrt(n) + 1:
+            cases += 1
+            assert bilinear._is_prime_given_q(n, q) == is_probable_prime(n), n
+    assert cases == 30351
+
+
+# strong pseudoprimes to base 2 with every factor above 1000, whose n + 1
+# has a prime factor q > isqrt(n) + 1: the gcd and the base-2 round pass
+# them, so only the N+1 proof can refuse them
+N_PLUS_1_PSEUDOPRIMES = [
+    # (n, q, h, a factor of n)
+    (6787327, 26513, 256, 1303),
+    (21623659, 63599, 340, 1163),
+    (60547831, 398341, 152, 1471),
+]
+
+
+@pytest.mark.parametrize("n, q, h, factor", N_PLUS_1_PSEUDOPRIMES)
+def test_the_n_plus_1_proof_refuses_base_2_pseudoprimes(n, q, h, factor):
+    assert n == h * q - 1 and n % factor == 0 and 1000 < factor < n
+    assert gcd(n, bilinear._PRIMORIAL_1000) == 1 and bilinear._strong_probable_prime(n, (2,))
+    assert is_probable_prime(q) and q > isqrt(n) + 1
+    assert not bilinear._is_prime_given_q(n, q)
+    # consistent and of a supported size, so only the proof of p refuses it
+    blob = encode_group_params(GroupParams(p=n, q=q, h=h, k_bits=q.bit_length()))
+    with pytest.raises(MalformedElementError, match="^group parameters are not prime$"):
+        decode_group_params(blob)
+
+
+def _spy_on_miller_rabin(monkeypatch):
+    tested = []
+    miller_rabin = bilinear.is_probable_prime
+    monkeypatch.setattr(bilinear, "is_probable_prime",
+                        lambda n, *rest: tested.append(n) or miller_rabin(n, *rest))
+    return tested
+
+
+def test_generated_p_is_proved_without_miller_rabin(monkeypatch):
+    sets = [_K128, instance_generate(32, "n-plus-1")]
+    tested = _spy_on_miller_rabin(monkeypatch)
+    for gp in sets:
+        assert bilinear._is_prime_given_q(gp.p, gp.q)
+    assert tested == []
+
+
+@pytest.mark.parametrize("p, q, prime", [
+    (1019, 5, True),
+    (2304167, 163, False),  # 1103 * 2089, a strong pseudoprime to base 2
+])
+def test_a_q_below_the_bound_leaves_p_to_miller_rabin(monkeypatch, p, q, prime):
+    assert is_probable_prime(p) is prime and is_probable_prime(q)
+    assert p % 4 == 3 and (p + 1) % q == 0 and q <= isqrt(p) + 1
+    assert gcd(p, bilinear._PRIMORIAL_1000) == 1 and bilinear._strong_probable_prime(p, (2,))
+    tested = _spy_on_miller_rabin(monkeypatch)
+    assert bilinear._is_prime_given_q(p, q) is prime
+    assert tested == [p]
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,51 @@ def test_two_bit_params_file_is_a_data_error(keyring, tmp_path, capsys):
     assert err.startswith("error: bad parameter payload: ") and "supported sizes" in err
 
 
+@pytest.mark.parametrize("p, q, h", [
+    (6787327, 26513, 256),
+    (21623659, 63599, 340),
+    (60547831, 398341, 152),
+])
+def test_a_pseudoprime_p_is_a_data_error(keyring, tmp_path, capsys, p, q, h):
+    # p = h*q - 1 is a strong pseudoprime to base 2 with no factor below
+    # 1000, so only the N+1 proof of p from q refuses it
+    path = tmp_path / "pseudoprime.params"
+    keystore.write_entry(path, "params", encode_group_params(GroupParams(p, q, h, q.bit_length())))
+    assert main(["extract", "alice", "--params", str(path), "--master", keyring["master"],
+                 "--out", str(tmp_path / "alice.key"), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad parameter payload: group parameters are not prime\n"
+    )
+    assert not (tmp_path / "alice.key").exists()
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-the-bound", "one-byte-over"])
+@pytest.mark.parametrize("argv, message", [
+    (lambda k, big, out: ["extract", "alice", "--params", big,
+                          "--master", k["master"], "--out", out],
+     "error: key file is larger than 262144 bytes\n"),
+    (lambda k, big, out: ["respond", "--params", k["params"], "--key", k["bob"],
+                          "--flow-in", big, "--flow-out", out, "--key-out", out],
+     "error: invalid-flow: flow file is larger than 262144 bytes\n"),
+    (lambda k, big, out: ["scenario", big],
+     "error: scenario: {big} is larger than 262144 bytes\n"),
+], ids=["key", "flow", "scenario"])
+def test_an_input_file_past_the_read_bound_is_a_data_error(keyring, tmp_path, capsys,
+                                                            argv, message, over):
+    # a sparse file of zeros: one byte past the bound is refused for its size
+    # alone; at the bound it is read, and refused for what it holds
+    assert keystore._MAX_FILE_BYTES == 256 * 1024
+    big = str(tmp_path / "big")
+    with open(big, "wb") as handle:
+        handle.truncate(keystore._MAX_FILE_BYTES + over)
+    out = str(tmp_path / "out")
+    assert main([*argv(keyring, big, out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert (err == message.format(big=big)) is bool(over)
+    assert not os.path.exists(out)
+
+
 def test_missing_file_is_a_data_error(keyring, tmp_path):
     assert main(["verify-key", str(tmp_path / "nope.key"), "--params",
                  keyring["params"], "--master", keyring["master"], "--quiet"]) == 1

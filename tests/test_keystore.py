@@ -90,6 +90,37 @@ def test_entry_rejects_malformed_files(tmp_path, text):
         keystore.read_entry(path)
 
 
+def test_a_file_past_the_read_bound_is_refused_for_its_size(tmp_path):
+    # a sparse file: the refusal reads one byte past the bound, not the file
+    path = tmp_path / "huge.key"
+    with open(path, "wb") as handle:
+        handle.write(f"{keystore.HEADER_MAGIC} kind=session\n".encode())
+        handle.truncate(1 << 26)
+    with pytest.raises(KeystoreError, match="^key file is larger than 262144 bytes$"):
+        keystore.read_entry(path)
+
+
+def test_the_largest_identity_key_fits_the_read_bound(tmp_path):
+    # a 65535-byte identity at k = 512, the largest key file there is
+    params, msk = setup(512, "read-bound")
+    key = extract(params, msk, b"\xaa" * 0xFFFF)
+    path = tmp_path / "largest.key"
+    keystore.save_identity(path, params.group, key)
+    assert 128_000 < path.stat().st_size <= keystore._MAX_FILE_BYTES
+    assert keystore.load_identity(path, params.group) == key
+
+
+def test_a_params_payload_with_a_pseudoprime_p_is_refused(tmp_path):
+    # 6787327 = 1303 * 5209 = 256 * 26513 - 1 is a strong pseudoprime to
+    # base 2; the N+1 proof of p from q refuses it
+    path = tmp_path / "pseudoprime.params"
+    keystore.write_entry(path, "params", encode_group_params(
+        bilinear.GroupParams(p=6787327, q=26513, h=256, k_bits=15)))
+    with pytest.raises(KeystoreError,
+                       match="^bad parameter payload: group parameters are not prime$"):
+        keystore.load_group(path)
+
+
 HEADERS = [f"{keystore.HEADER_MAGIC} kind={kind}\n".encode() for kind in keystore.KINDS]
 
 
@@ -322,20 +353,24 @@ def test_identical_bytes_are_checked_once_per_process(tmp_path, monkeypatch):
     keystore.save_identity(key_path, group, key)
     proved, subgroup_checks = [], []
     is_probable_prime, in_subgroup = bilinear.is_probable_prime, keystore.in_subgroup
+    is_prime_given_q = bilinear._is_prime_given_q
+    # q is proved by Miller-Rabin, and p from q
     monkeypatch.setattr(bilinear, "is_probable_prime",
                         lambda n, *rest: proved.append(n) or is_probable_prime(n, *rest))
+    monkeypatch.setattr(bilinear, "_is_prime_given_q",
+                        lambda p, q: proved.append(p) or is_prime_given_q(p, q))
     monkeypatch.setattr(keystore, "in_subgroup",
                         lambda *args: subgroup_checks.append(args) or in_subgroup(*args))
     keystore._decoded_group.cache_clear()
     keystore._subgroup_checked.clear()
     # the first load proves p and q and checks d_id; the second, of the
     # same bytes, neither
-    for expected in (([group.p, group.q], 1), ([], 0)):
+    for expected in (({group.p, group.q}, 1), (set(), 0)):
         proved.clear()
         subgroup_checks.clear()
         assert keystore.load_group(group_path) == group
         assert keystore.load_identity(key_path, group) == key
-        assert (proved, len(subgroup_checks)) == expected
+        assert (set(proved), len(subgroup_checks)) == expected
 
 
 def test_a_loaded_identity_key_is_not_kept_after_its_caller_drops_it(tmp_path):

@@ -1,10 +1,11 @@
 """sha256 digests of outputs that must stay byte-identical across changes
 that only reorganise or speed up the computation.
 
-They cover every bundled scenario report, the `idak reduce` report and
-the files of the README walkthrough.  A digest here changes only when
-what the package computes changes; record a new one on purpose, never
-to make a refactor pass.
+They cover every bundled scenario report, the `idak reduce` report, the
+files of the README walkthrough and the parameter sets instance_generate
+makes at every size from 3 to 64 bits and at five larger ones.  A digest
+here changes only when what the package computes changes; record a new
+one on purpose, never to make a refactor pass.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import json
 
 import pytest
 
+from idak.bilinear import encode_group_params, instance_generate
 from idak.cli import _scenario_lines, bundled_scenarios, main
 
 # Each report is pinned two ways: with k_bits and mode rewritten in the
@@ -87,6 +89,12 @@ WALKTHROUGH_DIGESTS = {
 
 STRATEGIES = ("c1-nopre", "c1-pre", "c2-nopre", "c2-pre")
 
+# sha256 over encode_group_params(instance_generate(k, seed)) for every k in
+# GENERATOR_K_BITS, each with both GENERATOR_SEEDS, in that order
+GENERATOR_K_BITS = (*range(3, 65), 96, 128, 160, 256, 512)
+GENERATOR_SEEDS = ("pin-a", "pin-b")
+GENERATOR_DIGEST = "22561ba7153bdb050bc6e4e70a650e0d6a7971e3b7ed06b5c885af2742444f25"
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -131,6 +139,14 @@ def test_scenario_flags_win_over_the_config_line(capsys, name, k_bits, mode):
     code = main(["scenario", name, "--k-bits", str(k_bits), "--mode", mode])
     out = capsys.readouterr().out
     assert (code, _sha256(out.encode())) == SCENARIO_DIGESTS[name, k_bits, mode]
+
+
+def test_generated_params_are_byte_identical():
+    digest = hashlib.sha256()
+    for k_bits in GENERATOR_K_BITS:
+        for seed in GENERATOR_SEEDS:
+            digest.update(encode_group_params(instance_generate(k_bits, seed)))
+    assert digest.hexdigest() == GENERATOR_DIGEST
 
 
 def test_reduce_report_is_byte_identical(capsys):
