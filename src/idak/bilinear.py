@@ -48,12 +48,14 @@ in_subgroup answers False.  Encoders and the private helpers
 their points.
 
 Setup proves both primes, and so does every decode of a params file.  q
-is proved by Miller-Rabin (is_probable_prime), and p = h*q - 1 from q:
-one gcd with the product of the primes below 1000 and one strong base-2
-round turn most composites away, and the N+1 test in F_p[i], exact given
-q whenever q > sqrt(p) + 1, proves the rest (_is_prime_given_q).  At
-k = 128 the proof costs about six Miller-Rabin rounds where
-is_probable_prime runs 40.
+is proved by Miller-Rabin (is_probable_prime).  Setup scans cofactors h
+divisible by 4, which for odd q are exactly those with p = h*q - 1 = 3
+(mod 4), and proves p from q (_is_prime_given_q): one gcd with the
+product of the primes below 1000 refuses a p with a small factor, a
+strong base-2 round filters out most other composites, and the N+1 test
+in F_p[i], exact given q whenever q > sqrt(p) + 1, decides.  At k = 128
+the proof costs about six Miller-Rabin rounds where is_probable_prime
+runs 40.
 
 Parameter sizes here are deliberately small.  Nothing in this module is
 safe for production use.
@@ -78,6 +80,8 @@ from .errors import (
 TAG_HASH_TO_GROUP = b"\x01"
 
 # Search budgets.  Both are far beyond what the admissible sizes need.
+# Setup scans cofactors h <= 2 * COFACTOR_CANDIDATE_BOUND, and the params
+# decoder refuses a larger h.
 COFACTOR_CANDIDATE_BOUND = 1 << 20
 HASH_COUNTER_BOUND = 1 << 16
 
@@ -97,12 +101,16 @@ _K_BITS_RANGE = (3, 512)
 
 @dataclass(frozen=True)
 class GroupParams:
-    """Public curve parameters: p = h*q - 1 with q prime of k_bits bits."""
+    """Public curve parameters: p = h*q - 1 with q prime."""
 
     p: int
     q: int
     h: int
-    k_bits: int
+
+    @property
+    def k_bits(self) -> int:
+        """The size of q in bits."""
+        return self.q.bit_length()
 
 
 @dataclass(frozen=True)
@@ -178,10 +186,10 @@ def _strong_probable_prime(n: int, bases) -> bool:
     return True
 
 
-def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
-    """Miller-Rabin: exact below MILLER_RABIN_EXACT_BOUND, else `rounds`
-    bases drawn deterministically from n.  A factor below 1000 is found by
-    one gcd first, and n < 1000 is looked up."""
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin: exact below MILLER_RABIN_EXACT_BOUND, else
+    MILLER_RABIN_ROUNDS bases drawn deterministically from n.  A factor
+    below 1000 is found by one gcd first, and n < 1000 is looked up."""
     if n < 1000:
         return n in _PRIMES_BELOW_1000
     if gcd(n, _PRIMORIAL_1000) != 1:
@@ -191,7 +199,7 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
     else:
         # Bases keyed to the candidate keep repeated checks reproducible.
         base_rng = random.Random(n)
-        bases = (base_rng.randrange(2, n - 1) for _ in range(rounds))
+        bases = (base_rng.randrange(2, n - 1) for _ in range(MILLER_RABIN_ROUNDS))
     return _strong_probable_prime(n, bases)
 
 
@@ -199,19 +207,30 @@ def _is_prime_given_q(p: int, q: int) -> bool:
     """Whether p is prime, for p = 3 (mod 4) and a prime q dividing p + 1.
 
     Exact given q.  A p below 1000, or with q <= isqrt(p) + 1, goes to
-    is_probable_prime.  Any other p is refused by a factor below 1000 (one
-    gcd) or a failed strong base-2 round, and otherwise decided by the N+1
-    test in F_p[i] (Brillhart-Lehmer-Selfridge 1975; Crandall-Pomerance,
-    Prime Numbers, section 4.2): with h = (p + 1) / q, take
-    beta = (a + i)^h for the first a = 2, 3, ... with Im beta != 0; p is
-    prime exactly when gcd(Im beta, p) = 1 and Im beta^q = 0.  A prime p
-    passes, since (a + i)^(p+1) = (a + i)(a - i) = a^2 + 1 for
-    p = 3 (mod 4).  Were p to pass with a prime factor l <= sqrt(p), the
-    order of (a + i)/(a - i) mod l would be a multiple of q that divides
-    l - 1 or l + 1, so q <= sqrt(p) + 1.  If no a within _N_PLUS_1_TRIES
-    has Im beta != 0, is_probable_prime decides.  The proof costs one
-    power by h and one by q in F_p[i], about six Miller-Rabin rounds at
-    k = 128.
+    is_probable_prime.  Any other p is refused if it has a factor below
+    1000 (one gcd).  A strong base-2 round then filters out most other
+    composites; it is cheaper than the proof, and no part of it.  The N+1
+    test in F_p[i] decides the rest (Brillhart-Lehmer-Selfridge 1975;
+    Crandall-Pomerance, Prime Numbers, section 4.2): with h = (p + 1) / q,
+    take beta = (a + i)^h for the first a = 2, 3, ... with Im beta != 0;
+    p is prime exactly when Im beta^q = 0.  If no a within
+    _N_PLUS_1_TRIES has Im beta != 0, is_probable_prime decides.
+
+    A prime p passes, since (a + i)^(p+1) = (a + i)(a - i) = a^2 + 1 for
+    p = 3 (mod 4).  Conversely, let u = (a + i)/(a - i).  Every prime
+    factor of p exceeds 1000 > a^2 + 1, so u is a unit modulo every prime
+    power dividing p, and Im x = 0 exactly when x / conj(x) = 1.  Passing
+    means u^h != 1 and u^(hq) = 1 (mod p), so some prime power r^e
+    exactly dividing p has u^h != 1 (mod r^e).  If u^h != 1 (mod r), q
+    divides the order of u mod r, which divides r - 1 or r + 1, so
+    r = +-1 (mod q); then s = p / r = -+1 (mod q), since p = -1, and
+    s <= p / (q - 1) < q - 1, since q - 1 > sqrt(p); so s = 1 and p is
+    prime.  Otherwise u^h = 1 (mod r) but not (mod r^e), so u^h has an
+    order that is a power of r and divides q: r = q, but q does not divide
+    p.  No gcd of Im beta with p is needed, and for a prime p it is 1.
+
+    The proof costs one power by h and one by q in F_p[i], about six
+    Miller-Rabin rounds at k = 128.
     """
     if p < 1000 or q <= isqrt(p) + 1:
         return is_probable_prime(p)
@@ -221,7 +240,7 @@ def _is_prime_given_q(p: int, q: int) -> bool:
     for a in range(2, 2 + _N_PLUS_1_TRIES):
         real, imag = _fp2_pow(p, a, 1, h)
         if imag:
-            return gcd(imag, p) == 1 and _fp2_pow(p, real, imag, q)[1] == 0
+            return _fp2_pow(p, real, imag, q)[1] == 0
     return is_probable_prime(p)
 
 
@@ -229,9 +248,9 @@ def instance_generate(k_bits: int, seed) -> GroupParams:
     """Deterministically derive curve parameters from a seed.
 
     Samples a prime q of exactly k_bits bits from the seeded stream, then
-    scans even cofactors h until p = h*q - 1 is a prime with p = 3 (mod 4).
-    Skipping h divisible by q keeps q^2 from dividing p + 1, so the q-part
-    of E(F_p) is cyclic.
+    scans cofactors h = 4, 8, ... until p = h*q - 1 is prime; for odd q,
+    4 | h is exactly p = 3 (mod 4).  Skipping h divisible by q keeps q^2
+    from dividing p + 1, so the q-part of E(F_p) is cyclic.
     """
     low, high = _K_BITS_RANGE
     if not low <= k_bits <= high:
@@ -241,18 +260,12 @@ def instance_generate(k_bits: int, seed) -> GroupParams:
         q = (1 << (k_bits - 1)) | rng.getrandbits(k_bits - 1) | 1
         if is_probable_prime(q):
             break
-    h = 0
-    for _ in range(COFACTOR_CANDIDATE_BOUND):
-        h += 2
-        if h % q == 0:
-            continue
+    for h in range(4, 2 * COFACTOR_CANDIDATE_BOUND + 1, 4):
         p = h * q - 1
-        if p % 4 != 3:
-            continue
-        if _is_prime_given_q(p, q):
-            return GroupParams(p=p, q=q, h=h, k_bits=k_bits)
+        if h % q and _is_prime_given_q(p, q):
+            return GroupParams(p=p, q=q, h=h)
     raise ParameterSearchError(
-        f"no admissible cofactor for q={q} within {COFACTOR_CANDIDATE_BOUND} candidates"
+        f"no admissible cofactor h <= {2 * COFACTOR_CANDIDATE_BOUND} for q={q}"
     )
 
 
@@ -695,7 +708,7 @@ def hash_to_group(params: GroupParams, identity) -> GElem:
     """Map an identity to a non-identity point of the q-subgroup.
 
     Try-and-increment: x = SHA-256(tag || id || counter) mod p until
-    x^3 + x is a square, take y = (x^3+x)^((p+1)/4), then clear the
+    x^3 + x is a nonzero square, take y = (x^3+x)^((p+1)/4), then clear the
     cofactor.  Results landing on the identity are skipped.  Results are
     cached per (params, identity_bytes(identity)), so a str identity and
     its UTF-8 bytes share an entry.
@@ -714,9 +727,7 @@ def _hash_to_group(params: GroupParams, ident: bytes) -> GElem:
         ).digest()
         x = int.from_bytes(digest, "big") % p
         t = (x * x * x + x) % p
-        if t == 0:
-            # only x = 0 here, the order-2 point; cofactor clearing kills it
-            continue
+        # the residue test refuses t = 0 (x = 0, the order-2 point) too
         if pow(t, qr_exp, p) != 1:
             continue
         y = pow(t, sqrt_exp, p)
@@ -835,4 +846,4 @@ def decode_group_params(data: bytes) -> GroupParams:
         raise MalformedElementError("inconsistent group parameters")
     if not (is_probable_prime(q) and _is_prime_given_q(p, q)):
         raise MalformedElementError("group parameters are not prime")
-    return GroupParams(p=p, q=q, h=h, k_bits=q.bit_length())
+    return GroupParams(p=p, q=q, h=h)

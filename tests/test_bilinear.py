@@ -16,6 +16,7 @@ from idak.bilinear import (
     GroupParams,
     GTElem,
     INFINITY,
+    _checked_pairing,
     decode_group_params,
     decode_point,
     encode_group_params,
@@ -99,8 +100,8 @@ def test_instance_generate_structure():
 def test_instance_generate_three_bit_branches():
     # q = 5 stops at h = 4 (h=2 gives composite 9); q = 7 must scan to h = 12
     # because 13 and 41 are 1 mod 4 while 27, 55, 69 are composite.
-    assert instance_generate(3, "0") == GroupParams(p=19, q=5, h=4, k_bits=3)
-    assert instance_generate(3, "2") == GroupParams(p=83, q=7, h=12, k_bits=3)
+    assert instance_generate(3, "0") == GroupParams(p=19, q=5, h=4)
+    assert instance_generate(3, "2") == GroupParams(p=83, q=7, h=12)
 
 
 def test_instance_generate_deterministic():
@@ -135,26 +136,30 @@ def test_is_probable_prime_is_exact_below_the_bound():
             sieve[d * d :: d] = bytearray(len(range(d * d, limit, d)))
     # no random rounds below the bound: the 13 prime bases 2..41 decide
     for n in range(limit):
-        assert is_probable_prime(n, rounds=0) == bool(sieve[n]), n
-    # strong pseudoprimes to the bases 2..7, 2..31 and 2..37
+        assert is_probable_prime(n) == bool(sieve[n]), n
+    # strong pseudoprimes to the bases 2..7, 2..31 and 2..37, which the 13
+    # bases refuse
     assert 151 * 751 * 28351 == 3215031751
     assert 149491 * 747451 * 34233211 == 3825123056546413051
     assert 399165290221 * 798330580441 == 318665857834031151167461
     for n in (3215031751, 3825123056546413051, 318665857834031151167461):
-        assert not is_probable_prime(n, rounds=0), n
+        assert not bilinear._strong_probable_prime(n, bilinear._SMALL_PRIMES), n
         assert not is_probable_prime(n), n
-    assert is_probable_prime(2**61 - 1, rounds=0)
+    assert is_probable_prime(2**61 - 1)
     # the bound is the least strong pseudoprime to all 13 bases, so from it
     # on the seeded random rounds decide
     assert MILLER_RABIN_EXACT_BOUND == 1287836182261 * 2575672364521
+    assert bilinear._strong_probable_prime(MILLER_RABIN_EXACT_BOUND, bilinear._SMALL_PRIMES)
     assert not is_probable_prime(MILLER_RABIN_EXACT_BOUND)
-    assert is_probable_prime(MILLER_RABIN_EXACT_BOUND, rounds=0)
     assert is_probable_prime(2**89 - 1)
     assert not is_probable_prime((2**61 - 1) * (2**31 - 1))
 
 
-def _largest_prime_factors(limit):
-    """largest[m] for m < limit: the largest prime factor of m (1 for m < 2)."""
+@pytest.fixture(scope="module")
+def largest_prime_factor():
+    """largest[m] for m <= 4 * 10^6: the largest prime factor of m (1 for
+    m < 2), so m > 1 is prime exactly when largest[m] == m."""
+    limit = 4 * 10**6 + 1
     largest = [1] * limit
     for d in range(2, limit):
         if largest[d] == 1:  # d is prime
@@ -162,18 +167,35 @@ def _largest_prime_factors(limit):
     return largest
 
 
-def test_the_n_plus_1_proof_agrees_with_miller_rabin():
-    # every n = 3 (mod 4) below 2 * 10^5 whose n + 1 has a prime factor
+def test_the_n_plus_1_proof_agrees_with_miller_rabin(largest_prime_factor):
+    # every n = 3 (mod 4) below 2 * 10^6 whose n + 1 has a prime factor
     # q > isqrt(n) + 1, where is_probable_prime is exact
-    limit = 2 * 10**5
-    largest = _largest_prime_factors(limit + 1)
+    limit = 2 * 10**6
     cases = 0
     for n in range(3, limit, 4):
-        q = largest[n + 1]
+        q = largest_prime_factor[n + 1]
         if q > isqrt(n) + 1:
             cases += 1
             assert bilinear._is_prime_given_q(n, q) == is_probable_prime(n), n
-    assert cases == 30351
+    assert cases == 313112
+
+
+def test_the_n_plus_1_test_alone_decides_every_p_past_the_gcd(largest_prime_factor, monkeypatch):
+    # with the base-2 round passing everything, the N+1 test alone refuses
+    # every composite p = 3 (mod 4) below 4 * 10^6 that has no factor below
+    # 1000 and a prime factor q > isqrt(p) + 1 of p + 1, and accepts every
+    # such prime; such a composite has two factors above 1000, so p >= 10^6
+    strong_probable_prime = bilinear._strong_probable_prime
+    monkeypatch.setattr(bilinear, "_strong_probable_prime",
+                        lambda n, bases: bases == (2,) or strong_probable_prime(n, bases))
+    composites = 0
+    for p in range(10**6 + 3, 4 * 10**6, 4):
+        q = largest_prime_factor[p + 1]
+        if q > isqrt(p) + 1 and gcd(p, bilinear._PRIMORIAL_1000) == 1:
+            prime = largest_prime_factor[p] == p
+            composites += not prime
+            assert bilinear._is_prime_given_q(p, q) is prime, p
+    assert composites == 6752
 
 
 # strong pseudoprimes to base 2 with every factor above 1000, whose n + 1
@@ -194,7 +216,7 @@ def test_the_n_plus_1_proof_refuses_base_2_pseudoprimes(n, q, h, factor):
     assert is_probable_prime(q) and q > isqrt(n) + 1
     assert not bilinear._is_prime_given_q(n, q)
     # consistent and of a supported size, so only the proof of p refuses it
-    blob = encode_group_params(GroupParams(p=n, q=q, h=h, k_bits=q.bit_length()))
+    blob = encode_group_params(GroupParams(p=n, q=q, h=h))
     with pytest.raises(MalformedElementError, match="^group parameters are not prime$"):
         decode_group_params(blob)
 
@@ -203,8 +225,23 @@ def _spy_on_miller_rabin(monkeypatch):
     tested = []
     miller_rabin = bilinear.is_probable_prime
     monkeypatch.setattr(bilinear, "is_probable_prime",
-                        lambda n, *rest: tested.append(n) or miller_rabin(n, *rest))
+                        lambda n: tested.append(n) or miller_rabin(n))
     return tested
+
+
+def _miller_rabin_scan(k_bits, seed):
+    """instance_generate's search with every p proved by is_probable_prime."""
+    rng = random.Random(seed)
+    while True:
+        q = (1 << (k_bits - 1)) | rng.getrandbits(k_bits - 1) | 1
+        if is_probable_prime(q):
+            break
+    h = 0
+    while True:
+        h += 2
+        p = h * q - 1
+        if h % q and p % 4 == 3 and is_probable_prime(p):
+            return GroupParams(p=p, q=q, h=h)
 
 
 def test_generated_p_is_proved_without_miller_rabin(monkeypatch):
@@ -213,6 +250,27 @@ def test_generated_p_is_proved_without_miller_rabin(monkeypatch):
     for gp in sets:
         assert bilinear._is_prime_given_q(gp.p, gp.q)
     assert tested == []
+    # at k = 256 and 512 setup finds the parameters of a scan that proves
+    # each p by Miller-Rabin alone, and the N+1 proof, not its Miller-Rabin
+    # fallback, decides p
+    for k in (256, 512):
+        for i in range(8):
+            seed = f"ci-n-plus-1-{i}"
+            tested.clear()
+            gp = instance_generate(k, seed)
+            assert gp == _miller_rabin_scan(k, seed), (k, seed)
+            assert gp.p not in tested and gp.q > isqrt(gp.p) + 1, (k, seed)
+
+
+def test_without_an_a_the_proof_falls_back_to_miller_rabin(monkeypatch):
+    # 6787327 is a composite that the gcd and the base-2 round pass
+    monkeypatch.setattr(bilinear, "_N_PLUS_1_TRIES", 0)
+    tested = _spy_on_miller_rabin(monkeypatch)
+    for p, q in ((_K128.p, _K128.q), (6787327, 26513)):
+        tested.clear()
+        assert bilinear._is_prime_given_q(p, q) == is_probable_prime(p)
+        assert tested == [p]
+    assert is_probable_prime(_K128.p) and not is_probable_prime(6787327)
 
 
 @pytest.mark.parametrize("p, q, prime", [
@@ -337,6 +395,32 @@ def test_pairing_bilinear_on_larger_params():
         b = random_scalar(gp, rng)
         lhs = pairing(gp, scalar_exp(gp, gen, a), scalar_exp(gp, gen, b))
         assert lhs == gt_exp(base, a * b % gp.q)
+
+
+@pytest.mark.parametrize("k", [256, 512])
+def test_pairing_and_group_law_at_the_largest_sizes(k):
+    # the two largest sizes, where no other test pairs: bilinearity,
+    # symmetry, non-degeneracy and the subgroup flag of a left point moved
+    # off the subgroup by (0, 0); the window tables and point_add are
+    # checked against scalar_exp
+    gp = instance_generate(k, f"ci-pairing-k{k}")
+    rng = random.Random(k)
+    g = hash_to_group(gp, "ci-pairing")
+    a, b = random_scalar(gp, rng), random_scalar(gp, rng)
+    P, Q = scalar_exp(gp, g, a), scalar_exp(gp, g, b)
+    base = pairing(gp, g, g)
+    assert not base.is_one()
+    assert pairing(gp, P, Q) == gt_exp(base, a * b)
+    assert pairing(gp, P, Q) == pairing(gp, Q, P)
+    assert _checked_pairing(gp, P, Q)[1] is True
+    outside = point_add(gp, P, GElem(0, 0))
+    assert _checked_pairing(gp, outside, Q)[1] is False
+    for point in (P, outside):
+        for _ in range(4):
+            n = rng.randrange(1 << k)
+            assert fixed_base_exp(gp, point, n) == scalar_exp(gp, point, n)
+    assert point_add(gp, P, P) == scalar_exp(gp, P, 2)
+    assert point_add(gp, P, scalar_exp(gp, P, -1)).is_identity()
 
 
 def test_pairing_symmetry():
@@ -614,7 +698,7 @@ def oversized_q():
     q = (1 << 32760) + 1
     while not free_of_small_factors(q, 4 * q - 1):
         q += 2
-    return GroupParams(p=4 * q - 1, q=q, h=4, k_bits=q.bit_length())
+    return GroupParams(p=4 * q - 1, q=q, h=4)
 
 
 def oversized_h():
@@ -622,12 +706,12 @@ def oversized_h():
     h = 1 << 32760
     while not (h % 11 and free_of_small_factors(11 * h - 1)):
         h += 4
-    return GroupParams(p=11 * h - 1, q=11, h=h, k_bits=4)
+    return GroupParams(p=11 * h - 1, q=11, h=h)
 
 
 def undersized_q():
     """p = 11, q = 3, h = 4: consistent and prime, but q has only 2 bits."""
-    return GroupParams(p=11, q=3, h=4, k_bits=2)
+    return GroupParams(p=11, q=3, h=4)
 
 
 @pytest.mark.parametrize("make", [oversized_q, oversized_h, undersized_q])
@@ -648,7 +732,7 @@ def test_params_decoding_accepts_the_largest_generated_sizes():
     h = 2 * COFACTOR_CANDIDATE_BOUND
     while h % 11 == 0 or not is_probable_prime(11 * h - 1):
         h -= 4
-    at_bound = GroupParams(p=11 * h - 1, q=11, h=h, k_bits=4)
+    at_bound = GroupParams(p=11 * h - 1, q=11, h=h)
     assert decode_group_params(encode_group_params(at_bound)) == at_bound
 
 
@@ -656,7 +740,7 @@ def test_params_decoding_accepts_the_largest_generated_sizes():
 def test_params_decoding_rejects_a_composite_p_or_q(p, q, h):
     # consistent (p = h*q - 1 = 3 mod 4, h even, q does not divide h) and of
     # a supported size, so only the primality check can refuse them
-    blob = encode_group_params(GroupParams(p=p, q=q, h=h, k_bits=q.bit_length()))
+    blob = encode_group_params(GroupParams(p=p, q=q, h=h))
     with pytest.raises(MalformedElementError, match="^group parameters are not prime$"):
         decode_group_params(blob)
 

@@ -160,7 +160,7 @@ def test_oversized_params_file_is_a_quick_data_error(keyring, tmp_path, capsys):
         q += 2
     path = tmp_path / "huge.params"
     keystore.write_entry(
-        path, "params", encode_group_params(GroupParams(4 * q - 1, q, 4, q.bit_length()))
+        path, "params", encode_group_params(GroupParams(4 * q - 1, q, 4))
     )
     start = time.perf_counter()
     assert main(["extract", "alice", "--params", str(path), "--master", keyring["master"],
@@ -173,7 +173,7 @@ def test_two_bit_params_file_is_a_data_error(keyring, tmp_path, capsys):
     # p = 11, q = 3 is consistent and prime, but so small that alice and
     # bob would hash to the same public point
     path = tmp_path / "tiny.params"
-    keystore.write_entry(path, "params", encode_group_params(GroupParams(11, 3, 4, 2)))
+    keystore.write_entry(path, "params", encode_group_params(GroupParams(11, 3, 4)))
     assert main(["extract", "alice", "--params", str(path), "--master", keyring["master"],
                  "--out", str(tmp_path / "alice.key"), "--quiet"]) == 1
     err = capsys.readouterr().err
@@ -189,7 +189,7 @@ def test_a_pseudoprime_p_is_a_data_error(keyring, tmp_path, capsys, p, q, h):
     # p = h*q - 1 is a strong pseudoprime to base 2 with no factor below
     # 1000, so only the N+1 proof of p from q refuses it
     path = tmp_path / "pseudoprime.params"
-    keystore.write_entry(path, "params", encode_group_params(GroupParams(p, q, h, q.bit_length())))
+    keystore.write_entry(path, "params", encode_group_params(GroupParams(p, q, h)))
     assert main(["extract", "alice", "--params", str(path), "--master", keyring["master"],
                  "--out", str(tmp_path / "alice.key"), "--quiet"]) == 1
     assert capsys.readouterr().err == (
@@ -519,6 +519,19 @@ def test_bench_counts_do_not_depend_on_trials(keyring, capsys):
     assert first == second
 
 
+def test_bench_redraws_the_ephemerals_of_a_degenerate_exchange(tmp_path, capsys, monkeypatch):
+    # at k = 4 a derive often meets x + s = 0 (mod q); bench draws both
+    # ephemerals again and still prints a row per strategy
+    assert main(["setup", "--k-bits", "4", "--seed", "s", "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    draws, initiate = [], cli.initiate
+    monkeypatch.setattr(cli, "initiate", lambda *args: draws.append(1) or initiate(*args))
+    assert main(["bench", "--params", str(tmp_path / "params.key"), "--trials", "3",
+                 "--seed", "t"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 4
+    assert len(draws) > 2 * 4 * 3
+
+
 def test_bench_exits_three_on_a_cost_mismatch(keyring, capsys, monkeypatch):
     # the check CI's cost-table step relies on: a table that disagrees with
     # the observed counts makes idak bench fail
@@ -693,16 +706,17 @@ def test_repeated_main_calls_reuse_one_parser(keyring, tmp_path, capsys):
 
 def test_a_key_file_tampered_between_main_calls_is_refused(keyring, tmp_path, capsys):
     # the keystore keeps what it checked per payload, not per path, so the
-    # same process reads the changed bytes and checks them in full
+    # same process reads the changed bytes and checks them in full.  Seeded
+    # ephemerals keep each respond from drawing a degenerate exponent
     key = tmp_path / "bob.key"
     good = Path(keyring["bob"]).read_bytes()
     key.write_bytes(good)
     flow_a = str(tmp_path / "a.flow")
     assert main(["initiate", "--params", keyring["params"], "--key", keyring["alice"],
-                 "--peer", "bob", "--flow-out", flow_a,
+                 "--peer", "bob", "--flow-out", flow_a, "--seed", "a",
                  "--state-out", str(tmp_path / "a.state"), "--quiet"]) == 0
     respond = ["respond", "--params", keyring["params"], "--key", str(key),
-               "--flow-in", flow_a, "--flow-out", str(tmp_path / "b.flow"),
+               "--flow-in", flow_a, "--flow-out", str(tmp_path / "b.flow"), "--seed", "b",
                "--key-out", str(tmp_path / "bob.session"), "--quiet"]
     assert main(respond) == 0
     group = keystore.load_group(keyring["params"])

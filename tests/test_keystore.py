@@ -115,7 +115,7 @@ def test_a_params_payload_with_a_pseudoprime_p_is_refused(tmp_path):
     # base 2; the N+1 proof of p from q refuses it
     path = tmp_path / "pseudoprime.params"
     keystore.write_entry(path, "params", encode_group_params(
-        bilinear.GroupParams(p=6787327, q=26513, h=256, k_bits=15)))
+        bilinear.GroupParams(p=6787327, q=26513, h=256)))
     with pytest.raises(KeystoreError,
                        match="^bad parameter payload: group parameters are not prime$"):
         keystore.load_group(path)
@@ -356,7 +356,7 @@ def test_identical_bytes_are_checked_once_per_process(tmp_path, monkeypatch):
     is_prime_given_q = bilinear._is_prime_given_q
     # q is proved by Miller-Rabin, and p from q
     monkeypatch.setattr(bilinear, "is_probable_prime",
-                        lambda n, *rest: proved.append(n) or is_probable_prime(n, *rest))
+                        lambda n: proved.append(n) or is_probable_prime(n))
     monkeypatch.setattr(bilinear, "_is_prime_given_q",
                         lambda p, q: proved.append(p) or is_prime_given_q(p, q))
     monkeypatch.setattr(keystore, "in_subgroup",
@@ -371,6 +371,30 @@ def test_identical_bytes_are_checked_once_per_process(tmp_path, monkeypatch):
         assert keystore.load_group(group_path) == group
         assert keystore.load_identity(key_path, group) == key
         assert (set(proved), len(subgroup_checks)) == expected
+
+
+def test_a_full_record_of_checked_payloads_is_emptied(tmp_path, monkeypatch):
+    # the record holds _SUBGROUP_CHECKED_LIMIT payloads; one more empties
+    # it, so a payload loaded before is checked again
+    subgroup_checks, in_subgroup = [], keystore.in_subgroup
+    monkeypatch.setattr(keystore, "in_subgroup",
+                        lambda *args: subgroup_checks.append(args) or in_subgroup(*args))
+    keystore._subgroup_checked.clear()
+    limit = keystore._SUBGROUP_CHECKED_LIMIT
+    keys = [extract(PARAMS, MSK, f"user-{i}") for i in range(limit + 1)]
+    path = tmp_path / "user.key"
+
+    def load(key):
+        keystore.save_identity(path, GROUP, key)
+        assert keystore.load_identity(path, GROUP) == key
+
+    for key in keys[:limit]:
+        load(key)
+    load(keys[0])
+    assert len(subgroup_checks) == limit
+    load(keys[limit])
+    load(keys[0])
+    assert len(subgroup_checks) == limit + 2
 
 
 def test_a_loaded_identity_key_is_not_kept_after_its_caller_drops_it(tmp_path):

@@ -184,7 +184,7 @@ def test_pi_order_sensitivity():
 def test_a_pi_beyond_the_window_table_still_blends_exactly():
     # p = 52 * 11 - 1 = 571 passes decode_group_params, and its xor-half pi
     # has 5 bits, one more than the 4-bit window table of a 4-bit q holds
-    group = decode_group_params(encode_group_params(GroupParams(571, 11, 52, 4)))
+    group = decode_group_params(encode_group_params(GroupParams(571, 11, 52)))
     params = system_params(group, PiVariant.XOR_HALF)
     g = hash_to_group(group, "alice")
     points = [scalar_exp(group, g, i) for i in range(1, group.q)]
