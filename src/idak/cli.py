@@ -35,8 +35,8 @@ from idak.errors import (
 )
 from idak.protocol import (
     EXPECTED_COSTS,
-    MasterSecret,
     PiVariant,
+    SystemParams,
     decode_flow,
     derive,
     encode_flow,
@@ -50,7 +50,6 @@ from idak.protocol import (
     seeded_rng,
     session_key,
     setup,
-    system_params,
 )
 from idak.selfreduction import MAX_K_BITS, MockCbdhOracle, amplify, make_instance
 from idak.sessions import MODES, run_scenario
@@ -121,7 +120,7 @@ def _emit(args, report):
 
 
 def _system_params(args):
-    return system_params(keystore.load_group(args.params), PiVariant(args.pi))
+    return SystemParams(keystore.load_group(args.params), PiVariant(args.pi))
 
 
 def _read_flow(args, params, role):
@@ -186,13 +185,13 @@ def _derive_key(args, params, own, role, secret, own_msg, peer_id, peer_msg, ext
 
 
 def cmd_setup(args):
-    params, msk = setup(args.k_bits, seed=args.seed)
+    params, alpha = setup(args.k_bits, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     params_path = out / "params.key"
     master_path = out / "master.key"
     keystore.save_group(params_path, params.group)
-    keystore.save_master(master_path, params.group, msk.alpha)
+    keystore.save_master(master_path, params.group, alpha)
     if not args.quiet:
         print(BANNER, file=sys.stderr)
     group = params.group
@@ -213,7 +212,7 @@ def cmd_setup(args):
 def cmd_extract(args):
     params = _system_params(args)
     alpha = keystore.load_master(args.master, params.group)
-    key = extract(params, MasterSecret(alpha=alpha), args.identity)
+    key = extract(params, alpha, args.identity)
     keystore.save_identity(args.out, params.group, key)
     public = encode_point(params.group, key.g_id).hex()
     _emit(args, {"identity": args.identity, "public": public, "file": args.out})
@@ -284,9 +283,9 @@ def cmd_finalize(args):
 def cmd_bench(args):
     params = _system_params(args)
     rng = seeded_rng("idak-cli-bench", args.seed or "bench")
-    msk = MasterSecret(alpha=1 + rng.randrange(params.group.q - 1))
-    alice = extract(params, msk, "bench-initiator")
-    bob = extract(params, msk, "bench-responder")
+    alpha = 1 + rng.randrange(params.group.q - 1)
+    alice = extract(params, alpha, "bench-initiator")
+    bob = extract(params, alpha, "bench-responder")
     rows = []
     mismatches = []
     for label in EXPECTED_COSTS:
@@ -368,7 +367,7 @@ def cmd_scenario(args):
 
 def cmd_reduce(args):
     group = instance_generate(args.k_bits, args.seed)
-    g = system_params(group).g
+    g = SystemParams(group).g
     rng = seeded_rng("idak-cli-reduce", args.seed)
     oracle = MockCbdhOracle(group, g, args.delta, random.Random(rng.getrandbits(64)))
     successes = 0

@@ -90,8 +90,8 @@ def write_entry(path, kind, payload):
         raise
 
 
-def read_entry(path, expect_kind=None):
-    """Load one armored entry, checking the kind when asked to."""
+def read_entry(path, kind):
+    """The payload of the armored entry at path, which must be of kind."""
     with open(path, "rb") as handle:
         data = _read_bounded(handle, KeystoreError, "key file")
     try:
@@ -102,16 +102,16 @@ def read_entry(path, expect_kind=None):
     if len(lines) != 2:
         raise KeystoreError("key file must be a header line plus a payload line")
     header, armored = lines
-    kind = _HEADER_KINDS.get(header)
-    if kind is None:
+    found = _HEADER_KINDS.get(header)
+    if found is None:
         raise KeystoreError(f"header is not '{HEADER_MAGIC} kind=KIND' for a known KIND")
-    if expect_kind is not None and kind != expect_kind:
-        raise KeystoreError(f"expected a {expect_kind} entry, found {kind}")
+    if found != kind:
+        raise KeystoreError(f"expected a {kind} entry, found {found}")
     try:
         payload = bytes.fromhex(armored)
     except ValueError as exc:
         raise KeystoreError("payload is not valid hex") from exc
-    return kind, payload
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,7 @@ def save_group(path, group):
 
 
 def load_group(path) -> GroupParams:
-    _, payload = read_entry(path, "params")
+    payload = read_entry(path, "params")
     return _decoded_group(payload)
 
 
@@ -143,7 +143,7 @@ def save_master(path, group, alpha):
 
 
 def load_master(path, group) -> int:
-    _, payload = read_entry(path, "master")
+    payload = read_entry(path, "master")
     alpha = int.from_bytes(payload, "big")
     if len(payload) != _scalar_size(group) or not 1 <= alpha < group.q:
         raise KeystoreError("master secret does not fit the parameters")
@@ -160,7 +160,7 @@ def save_identity(path, group, key):
 
 
 def load_identity(path, group) -> IdentityKey:
-    _, payload = read_entry(path, "identity")
+    payload = read_entry(path, "identity")
     try:
         ident, offset = take_sized(payload, 0)
         g_id, offset = take_point(group, payload, offset)
@@ -205,7 +205,7 @@ def save_session(path, key):
 
 
 def load_session(path) -> SessionKey:
-    _, payload = read_entry(path, "session")
+    payload = read_entry(path, "session")
     if len(payload) != SESSION_KEY_SIZE:
         raise KeystoreError("session keys are 32 bytes")
     return SessionKey(key=payload)
@@ -224,7 +224,7 @@ def save_state(path, group, peer_id, x, msg):
 
 
 def load_state(path, group):
-    _, payload = read_entry(path, "state")
+    payload = read_entry(path, "state")
     try:
         peer_id, offset = take_sized(payload, 0)
         size = _scalar_size(group)

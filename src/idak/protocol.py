@@ -85,14 +85,15 @@ class PiVariant(Enum):
 
 @dataclass(frozen=True)
 class SystemParams:
+    """The group and pi variant; the base point g = H(GENERATOR_ID) is
+    fixed by the group, so it is read from hash_to_group's cache."""
+
     group: GroupParams
-    g: GElem
-    pi_variant: PiVariant
+    pi_variant: PiVariant = PiVariant.HASH_HALF
 
-
-@dataclass(frozen=True)
-class MasterSecret:
-    alpha: int
+    @property
+    def g(self) -> GElem:
+        return hash_to_group(self.group, GENERATOR_ID)
 
 
 @dataclass(frozen=True)
@@ -179,30 +180,24 @@ def seeded_rng(label: str, seed) -> random.Random:
 # ---------------------------------------------------------------------------
 
 
-def system_params(group: GroupParams, pi_variant: PiVariant = PiVariant.HASH_HALF) -> SystemParams:
-    """Public parameters over group, with the base point g = H(GENERATOR_ID)."""
-    return SystemParams(group, hash_to_group(group, GENERATOR_ID), pi_variant)
-
-
 def setup(
     k_bits: int,
     seed=None,
     pi_variant: PiVariant = PiVariant.HASH_HALF,
-) -> tuple[SystemParams, MasterSecret]:
-    """Generate public parameters and the authority's master secret."""
+) -> tuple[SystemParams, int]:
+    """Generate public parameters and the master secret alpha, 1 <= alpha < q."""
     group = instance_generate(k_bits, seed)
-    params = system_params(group, pi_variant)
     alpha = random_scalar(group, seeded_rng("idak-master", seed))
-    return params, MasterSecret(alpha=alpha)
+    return SystemParams(group, pi_variant), alpha
 
 
-def extract(params: SystemParams, msk: MasterSecret, identity) -> IdentityKey:
-    """Issue the identity key d_id = H(id)^alpha."""
+def extract(params: SystemParams, alpha: int, identity) -> IdentityKey:
+    """Issue the identity key d_id = H(id)^alpha; alpha must lie in [1, q)."""
     ident = identity_bytes(identity)
-    if not 1 <= msk.alpha < params.group.q:
+    if not 1 <= alpha < params.group.q:
         raise InvalidEphemeralError("master secret out of range")
     g_id = hash_to_group(params.group, ident)
-    d_id = scalar_exp(params.group, g_id, msk.alpha)
+    d_id = scalar_exp(params.group, g_id, alpha)
     return IdentityKey(identity=ident, g_id=g_id, d_id=d_id)
 
 

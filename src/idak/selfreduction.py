@@ -319,7 +319,6 @@ class MockCbdhOracle:
         if not 0.0 <= delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
         self.params = params
-        self.g = g
         self.delta = delta
         self.rng = rng
         self.queries = 0

@@ -43,7 +43,6 @@ from .errors import (
 from .protocol import (
     FlowMessage,
     IdentityKey,
-    MasterSecret,
     PiVariant,
     SessionKey,
     SharedSecret,
@@ -75,10 +74,13 @@ class SessionOracle:
     own_msg: FlowMessage | None = None
     key: SessionKey | None = None
     binding: tuple | None = None  # (init_id, resp_id, init_msg, resp_msg)
-    completed: bool = False
     completed_at: int | None = None
     revealed: bool = False
     aborted: bool = False
+
+    @property
+    def completed(self) -> bool:
+        return self.completed_at is not None
 
     def name(self) -> str:
         owner, peer = (who.decode("utf-8", "backslashreplace") for who in (self.owner, self.peer))
@@ -89,6 +91,8 @@ class World:
     """Authority state, principals, oracles, and the adversary queries.
 
     A principal is its identity_bytes, so "alice" and b"alice" are one.
+    Its key is extracted under the master secret alpha.  Every draw comes
+    from rng, which the caller passes; make_world passes a seeded one.
 
     The world checks a received flow in full only when it did not compute
     the point itself.  Each flow its oracles draw, as initiator or
@@ -103,16 +107,17 @@ class World:
     def __init__(
         self,
         params: SystemParams,
-        msk: MasterSecret,
+        alpha: int,
         mode: str = "br",
-        rng: random.Random | None = None,
+        *,
+        rng: random.Random,
     ):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.params = params
-        self.msk = msk
+        self.alpha = alpha
         self.mode = mode
-        self.rng = rng if rng is not None else random.Random()
+        self.rng = rng
         self.principals: dict[bytes, IdentityKey] = {}
         self.oracles: list[SessionOracle] = []
         self._last_index: dict[tuple[bytes, bytes], int] = {}
@@ -129,7 +134,7 @@ class World:
     def add_principal(self, identity) -> IdentityKey:
         ident = identity_bytes(identity)
         if ident not in self.principals:
-            self.principals[ident] = extract(self.params, self.msk, ident)
+            self.principals[ident] = extract(self.params, self.alpha, ident)
         return self.principals[ident]
 
     def new_oracle(self, owner, peer) -> SessionOracle:
@@ -185,7 +190,6 @@ class World:
             oracle.owner, oracle.own_msg, oracle.peer, msg_in, oracle.role
         )
         oracle.key = session_key(self.params, shared, *oracle.binding)
-        oracle.completed = True
         oracle.completed_at = self.clock
         self._by_binding.setdefault(oracle.binding, []).append(oracle)
         return reply
@@ -211,7 +215,7 @@ class World:
         self.clock += 1
         ident = identity_bytes(identity)
         self.extracted.add(ident)
-        return (self.principals.get(ident) or extract(self.params, self.msk, ident)).d_id
+        return (self.principals.get(ident) or extract(self.params, self.alpha, ident)).d_id
 
     def matching(self, first: SessionOracle, second: SessionOracle) -> bool:
         """Both completed, complementary roles, and equal bindings: the same
@@ -301,8 +305,8 @@ def make_world(
     principals=(),
 ) -> World:
     """Convenience constructor wiring setup() into a deterministic world."""
-    params, msk = setup(k_bits, seed, pi_variant)
-    world = World(params, msk, mode=mode, rng=seeded_rng("idak-world", seed))
+    params, alpha = setup(k_bits, seed, pi_variant)
+    world = World(params, alpha, mode=mode, rng=seeded_rng("idak-world", seed))
     for identity in principals:
         world.add_principal(identity)
     return world

@@ -214,7 +214,7 @@ def test_criterion_5_authority_compromise_boundary():
                 continue
             break
         recovered = master_compromise_compute(
-            params, msk.alpha, alice.identity, bob.identity, msg_a, msg_b
+            params, msk, alice.identity, bob.identity, msg_a, msg_b
         )
         if recovered.value == sk.value:
             base_breaks += 1
@@ -226,7 +226,7 @@ def test_criterion_5_authority_compromise_boundary():
             candidates.add(pfs_session_key(params, recovered, point))
             candidates.add(
                 pfs_session_key(
-                    params, recovered, scalar_exp(params.group, point, msk.alpha)
+                    params, recovered, scalar_exp(params.group, point, msk)
                 )
             )
         if real_key in candidates:

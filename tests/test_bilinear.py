@@ -38,7 +38,12 @@ from idak.bilinear import (
     take_point,
     take_sized,
 )
-from idak.errors import InvalidIdentityError, MalformedElementError
+from idak.errors import (
+    HashToGroupError,
+    InvalidIdentityError,
+    MalformedElementError,
+    ParameterSearchError,
+)
 
 # Desk-scale parameters used throughout: p = 43 = 4 * 11 - 1.
 GP = instance_generate(4, "0")
@@ -114,6 +119,13 @@ def test_instance_generate_rejects_bad_sizes():
         instance_generate(2, "s")
     with pytest.raises(ValueError):
         instance_generate(513, "s")
+
+
+def test_instance_generate_stops_at_the_cofactor_bound(monkeypatch):
+    # with h <= 2 no h = 4, 8, ... is scanned, so no q gets a p
+    monkeypatch.setattr(bilinear, "COFACTOR_CANDIDATE_BOUND", 1)
+    with pytest.raises(ParameterSearchError, match="^no admissible cofactor h <= 2 for q="):
+        instance_generate(16, "s")
 
 
 def test_point_count_is_p_plus_one():
@@ -494,6 +506,13 @@ def test_hash_to_group_counter_path():
     # "bob" only succeeds at counter 2 on these parameters, so the
     # try-and-increment loop is genuinely exercised
     assert hash_to_group(GP, "bob") == GElem(23, 35)
+
+
+def test_hash_to_group_stops_at_the_counter_bound(monkeypatch):
+    # an identity no other test hashes, since a result, once found, is cached
+    monkeypatch.setattr(bilinear, "HASH_COUNTER_BOUND", 0)
+    with pytest.raises(HashToGroupError, match="^no curve point for identity within 0 counters$"):
+        hash_to_group(GP, "past-the-counter-bound")
 
 
 def test_hash_to_group_rejects_empty():

@@ -77,7 +77,7 @@ BOUNDARY = [
     ("validate_flow_point", lambda pt, path: protocol.validate_flow_point(PARAMS, pt),
      InvalidFlowError),
     ("master_compromise_compute", lambda pt, path: protocol.master_compromise_compute(
-        PARAMS, MSK.alpha, "alice", "bob", FlowMessage(pt), MSG_B), InvalidFlowError),
+        PARAMS, MSK, "alice", "bob", FlowMessage(pt), MSG_B), InvalidFlowError),
     ("solve_dlog base", lambda pt, path: solve_dlog(GROUP, pt, GEN), MalformedElementError),
     ("solve_dlog target", lambda pt, path: solve_dlog(GROUP, GEN, pt), MalformedElementError),
     ("validate_instance", lambda pt, path: validate_instance(

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from idak import cli, keystore
+from idak import bilinear, cli, keystore
 from idak.bilinear import (
     INFINITY,
     GElem,
@@ -22,6 +22,7 @@ from idak.bilinear import (
 from idak.cli import main
 from idak.protocol import FlowMessage, IdentityKey, encode_flow
 from idak.sessions import run_scenario
+from test_protocol import rogue_point
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +90,15 @@ def test_setup_same_seed_is_byte_identical(tmp_path):
 def test_setup_prints_banner(tmp_path, capsys):
     assert main(["setup", "--k-bits", "8", "--seed", "s", "--out", str(tmp_path)]) == 0
     assert "no security" in capsys.readouterr().err
+
+
+def test_setup_that_finds_no_cofactor_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bilinear, "COFACTOR_CANDIDATE_BOUND", 1)
+    assert main(["setup", "--k-bits", "16", "--seed", "s", "--out", str(tmp_path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no admissible cofactor h <= 2 for q=")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_setup_rejects_tiny_k_bits(tmp_path):
@@ -376,13 +386,7 @@ def test_malformed_flow_is_invalid(keyring, tmp_path, capsys):
 
 def _bad_points(group):
     """A curve point outside the order-q subgroup, and the identity."""
-    for x in range(group.p):
-        t = (x * x * x + x) % group.p
-        if t and pow(t, (group.p - 1) // 2, group.p) == 1:
-            point = GElem(x, pow(t, (group.p + 1) // 4, group.p))
-            if not scalar_exp(group, point, group.q).is_identity():
-                return {"rogue": point, "identity": INFINITY}
-    raise AssertionError("no rogue point")
+    return {"rogue": rogue_point(group), "identity": INFINITY}
 
 
 def _hostile_flow(keyring, tmp_path, role, sender, r=None, extra=None):

@@ -1,4 +1,4 @@
-"""Static check: no module in src/ or tests/ imports a name it never uses."""
+"""Static check: no module in src/, tests/ or bench/ imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -34,10 +34,11 @@ def test_the_check_sees_unused_imports():
     assert unused_imports(source) == ["os (line 2)", "d (line 4)"]
 
 
-def test_no_unused_imports_in_src_or_tests():
+def test_no_unused_imports_in_src_tests_or_bench():
     found = [
         f"{path.relative_to(ROOT)}: {name}"
-        for path in sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
+        for part in ("src", "tests", "bench")
+        for path in sorted(ROOT.glob(f"{part}/**/*.py"))
         for name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []

@@ -1,6 +1,7 @@
 """Key file armoring tests: round trips, tamper rejection, determinism."""
 
 import dataclasses
+import functools
 import gc
 import os
 import random
@@ -50,8 +51,10 @@ GROUP = PARAMS.group
 def test_entry_round_trip(tmp_path):
     path = tmp_path / "blob.key"
     keystore.write_entry(path, "session", b"\x00\x01\xff")
-    assert keystore.read_entry(path) == ("session", b"\x00\x01\xff")
-    assert keystore.read_entry(path, "session") == ("session", b"\x00\x01\xff")
+    payload = keystore.read_entry(path, "session")
+    assert type(payload) is bytes and payload == b"\x00\x01\xff"
+    with pytest.raises(TypeError):
+        keystore.read_entry(path)
 
 
 def test_entry_rejects_unknown_kind(tmp_path):
@@ -86,8 +89,10 @@ def test_entry_kind_mismatch(tmp_path):
 def test_entry_rejects_malformed_files(tmp_path, text):
     path = tmp_path / "bad.key"
     path.write_text(text)
+    # the kind the header names, so that no file is refused for its kind alone
+    kind = "session" if "kind=session" in text else "master"
     with pytest.raises(KeystoreError):
-        keystore.read_entry(path)
+        keystore.read_entry(path, kind)
 
 
 def test_a_file_past_the_read_bound_is_refused_for_its_size(tmp_path):
@@ -97,7 +102,7 @@ def test_a_file_past_the_read_bound_is_refused_for_its_size(tmp_path):
         handle.write(f"{keystore.HEADER_MAGIC} kind=session\n".encode())
         handle.truncate(1 << 26)
     with pytest.raises(KeystoreError, match="^key file is larger than 262144 bytes$"):
-        keystore.read_entry(path)
+        keystore.read_entry(path, "session")
 
 
 def test_the_largest_identity_key_fits_the_read_bound(tmp_path):
@@ -141,7 +146,7 @@ def entry_path(tmp_path_factory):
 def test_arbitrary_file_bytes_load_or_fail_typed(entry_path, data):
     entry_path.write_bytes(data)
     for load in (
-        keystore.read_entry,
+        *(functools.partial(keystore.read_entry, kind=kind) for kind in keystore.KINDS),
         keystore.load_group,
         lambda path: keystore.load_identity(path, GROUP),
     ):
@@ -204,7 +209,7 @@ def test_secret_files_are_private_and_params_follow_the_umask(tmp_path):
     (tmp_path / "session.key").write_bytes(b"")
     os.chmod(tmp_path / "session.key", 0o644)
     keystore.save_group(tmp_path / "params.key", GROUP)
-    keystore.save_master(tmp_path / "master.key", GROUP, MSK.alpha)
+    keystore.save_master(tmp_path / "master.key", GROUP, MSK)
     keystore.save_identity(tmp_path / "identity.key", GROUP, own)
     keystore.save_state(tmp_path / "state.key", GROUP, b"bob", x, msg)
     keystore.save_session(tmp_path / "session.key", SessionKey(key=bytes(32)))
@@ -232,8 +237,8 @@ def test_group_round_trip(tmp_path):
 
 def test_master_round_trip(tmp_path):
     path = tmp_path / "master.key"
-    keystore.save_master(path, GROUP, MSK.alpha)
-    assert keystore.load_master(path, GROUP) == MSK.alpha
+    keystore.save_master(path, GROUP, MSK)
+    assert keystore.load_master(path, GROUP) == MSK
 
 
 def test_master_range_checks(tmp_path):
@@ -267,8 +272,8 @@ def test_identity_rejects_trailing_bytes(tmp_path):
     key = extract(PARAMS, MSK, "alice")
     path = tmp_path / "alice.key"
     keystore.save_identity(path, GROUP, key)
-    kind, payload = keystore.read_entry(path)
-    keystore.write_entry(path, kind, payload + b"\x00")
+    payload = keystore.read_entry(path, "identity")
+    keystore.write_entry(path, "identity", payload + b"\x00")
     with pytest.raises(KeystoreError):
         keystore.load_identity(path, GROUP)
 
@@ -499,7 +504,7 @@ def formats(tmp_path_factory):
     def saved(kind, save):
         def encode(*value):
             save(path, GROUP, *value)
-            return keystore.read_entry(path, kind)[1]
+            return keystore.read_entry(path, kind)
 
         return encode
 

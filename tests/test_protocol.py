@@ -1,5 +1,6 @@
 """Key agreement tests against exponent-arithmetic and dlog oracles."""
 
+import dataclasses
 import random
 
 import pytest
@@ -27,10 +28,11 @@ from idak.errors import (
 from idak.protocol import (
     DeriveStrategy,
     FlowMessage,
-    MasterSecret,
+    GENERATOR_ID,
     OpCounts,
     PiVariant,
     STRATEGIES,
+    SystemParams,
     decode_flow,
     derive,
     encode_flow,
@@ -44,7 +46,6 @@ from idak.protocol import (
     pi_value,
     session_key,
     setup,
-    system_params,
     validate_flow_point,
     xor_half_value,
 )
@@ -91,20 +92,29 @@ def test_setup_deterministic():
     p1, m1 = setup(4, "0")
     p2, m2 = setup(4, "0")
     assert p1 == p2 and m1 == m2
-    assert 1 <= m1.alpha < p1.group.q
+    assert type(m1) is int and 1 <= m1 < p1.group.q
     assert in_subgroup(p1.group, p1.g) and not p1.g.is_identity()
 
 
 def test_setup_seeds_differ():
     p1, m1 = setup(4, "0")
     p2, m2 = setup(4, "other-seed")
-    assert (p1.group, m1.alpha) != (p2.group, m2.alpha)
+    assert (p1.group, m1) != (p2.group, m2)
+
+
+def test_system_params_store_the_group_and_pi_variant_and_derive_g():
+    assert [f.name for f in dataclasses.fields(SystemParams)] == ["group", "pi_variant"]
+    assert SystemParams(GP).pi_variant is PiVariant.HASH_HALF
+    for variant in PiVariant:
+        assert SystemParams(GP, variant).g == hash_to_group(GP, GENERATOR_ID)
+        # how a caller switches the variant of parameters it was handed
+        assert dataclasses.replace(PARAMS, pi_variant=variant).g == PARAMS.g
 
 
 def test_extract_matches_repeated_addition():
     # d_id must be alpha-fold addition of g_id
     acc = INFINITY
-    for _ in range(MSK.alpha):
+    for _ in range(MSK):
         acc = point_add(GP, acc, ALICE.g_id)
     assert acc == ALICE.d_id
 
@@ -112,7 +122,7 @@ def test_extract_matches_repeated_addition():
 def test_extract_pairing_identity():
     # e(d_id, g) = e(g_id, g)^alpha
     lhs = pairing(GP, ALICE.d_id, PARAMS.g)
-    rhs = gt_exp(pairing(GP, ALICE.g_id, PARAMS.g), MSK.alpha)
+    rhs = gt_exp(pairing(GP, ALICE.g_id, PARAMS.g), MSK)
     assert lhs == rhs
 
 
@@ -124,9 +134,9 @@ def test_extract_deterministic_and_distinct():
 
 def test_extract_rejects_bad_master():
     with pytest.raises(InvalidEphemeralError):
-        extract(PARAMS, MasterSecret(alpha=0), "alice")
+        extract(PARAMS, 0, "alice")
     with pytest.raises(InvalidEphemeralError):
-        extract(PARAMS, MasterSecret(alpha=GP.q), "alice")
+        extract(PARAMS, GP.q, "alice")
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +195,7 @@ def test_a_pi_beyond_the_window_table_still_blends_exactly():
     # p = 52 * 11 - 1 = 571 passes decode_group_params, and its xor-half pi
     # has 5 bits, one more than the 4-bit window table of a 4-bit q holds
     group = decode_group_params(encode_group_params(GroupParams(571, 11, 52)))
-    params = system_params(group, PiVariant.XOR_HALF)
+    params = SystemParams(group, PiVariant.XOR_HALF)
     g = hash_to_group(group, "alice")
     points = [scalar_exp(group, g, i) for i in range(1, group.q)]
     beyond = 0
@@ -234,7 +244,7 @@ def test_derive_matches_exponent_arithmetic_oracle(pi, strategy):
         # s_A = pi(R_A, R_B) and s_B = pi(R_B, R_A), as in the paper
         s_a = pi_value(params, msg_a.r, msg_b.r)
         s_b = pi_value(params, msg_b.r, msg_a.r)
-        exponent = (x + s_a) * (y + s_b) * msk.alpha % group.q
+        exponent = (x + s_a) * (y + s_b) * msk % group.q
         expected = gt_exp(pairing(group, alice.g_id, bob.g_id), exponent)
         assert sk_a.value == sk_b.value == expected
 
@@ -340,7 +350,7 @@ BOB16 = extract(P16, MSK16, "bob")
 OUTSIDE = "flow point is outside the order-q subgroup"
 
 
-def _rogue(group):
+def rogue_point(group):
     """The first curve point by x outside the order-q subgroup."""
     for x in range(group.p):
         t = (x * x * x + x) % group.p
@@ -351,7 +361,7 @@ def _rogue(group):
     raise AssertionError("no point outside the subgroup")
 
 
-ROGUE16 = _rogue(G16)
+ROGUE16 = rogue_point(G16)
 OFF_CURVE16 = GElem(ROGUE16.x, (ROGUE16.y + 1) % G16.p)
 
 
@@ -518,7 +528,7 @@ def test_master_compromise_recovers_base_secret(pi):
     for _ in range(25):
         x, msg_a, y, msg_b, sk_a, sk_b = run_session(params, a, b, rng)
         recovered = master_compromise_compute(
-            params, msk.alpha, "alice", "bob", msg_a, msg_b
+            params, msk, "alice", "bob", msg_a, msg_b
         )
         assert recovered == sk_a == sk_b
 
@@ -526,8 +536,8 @@ def test_master_compromise_recovers_base_secret(pi):
 def test_master_compromise_wrong_alpha_misses():
     rng = random.Random(17)
     x, msg_a, y, msg_b, sk_a, _ = run_session(PARAMS, ALICE, BOB, rng)
-    wrong = MSK.alpha % (GP.q - 1) + 1
-    if wrong == MSK.alpha:
+    wrong = MSK % (GP.q - 1) + 1
+    if wrong == MSK:
         wrong = wrong % (GP.q - 1) + 1
     recovered = master_compromise_compute(PARAMS, wrong, "alice", "bob", msg_a, msg_b)
     assert recovered != sk_a
@@ -545,12 +555,12 @@ def test_master_compromise_cannot_reach_pfs_key():
     y, msg_b, extra = pfs_respond(params, b, "alice", rng)
     sk_a, _ = derive(params, a, x, msg_a, "bob", msg_b, "initiator")
     real = pfs_session_key(params, sk_a, scalar_exp(params.group, extra, x))
-    recovered = master_compromise_compute(params, msk.alpha, "alice", "bob", msg_a, msg_b)
+    recovered = master_compromise_compute(params, msk, "alice", "bob", msg_a, msg_b)
     assert recovered == sk_a
     # every Diffie-Hellman guess available from transcript plus alpha misses
     group = params.group
     candidates = [msg_a.r, msg_b.r, extra]
-    candidates += [scalar_exp(group, c, msk.alpha) for c in list(candidates)]
+    candidates += [scalar_exp(group, c, msk) for c in list(candidates)]
     assert all(pfs_session_key(params, recovered, c) != real for c in candidates)
 
 

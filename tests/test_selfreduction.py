@@ -33,6 +33,7 @@ from idak.selfreduction import (
     solve_dlog,
     validate_instance,
 )
+from test_protocol import dlog
 
 GP = instance_generate(4, "0")  # p=43, q=11
 GEN = hash_to_group(GP, "reduction-generator")
@@ -48,15 +49,6 @@ CURVES = [
         instance_generate(16, "tables"),  # q=48809
     )
 ]
-
-
-def dlog(params, base, target):
-    step = GElem(None, None)
-    for k in range(params.q):
-        if step == target:
-            return k
-        step = point_add(params, step, base)
-    raise AssertionError("not in subgroup")
 
 
 def truth_for(params, inst):

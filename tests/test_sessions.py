@@ -1,5 +1,6 @@
 """Session-oracle world tests: query semantics, matching, freshness."""
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import idak
 from idak.bilinear import (
-    INFINITY, GElem, encode_point, fixed_base_exp, gt_exp, pairing, scalar_exp,
+    INFINITY, GElem, encode_point, fixed_base_exp, gt_exp, pairing,
 )
 from idak.errors import (
     DegenerateExponentError,
@@ -24,7 +25,8 @@ from idak.errors import (
     TestRefusedError,
 )
 from idak.protocol import FlowMessage, SharedSecret, session_key, setup
-from idak.sessions import World, make_world, run_scenario
+from idak.sessions import SessionOracle, World, make_world, run_scenario
+from test_protocol import rogue_point
 
 SCENARIO_DIR = Path(idak.__file__).parent / "scenarios"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -43,18 +45,6 @@ def honest_pair(world, init_id="alice", resp_id="bob"):
     return a, b
 
 
-def find_rogue_point(group):
-    """A curve point outside the order-q subgroup."""
-    for x in range(group.p):
-        t = (x * x * x + x) % group.p
-        if t == 0 or pow(t, (group.p - 1) // 2, group.p) != 1:
-            continue
-        point = GElem(x, pow(t, (group.p + 1) // 4, group.p))
-        if not scalar_exp(group, point, group.q).is_identity():
-            return point
-    raise AssertionError("no rogue point")
-
-
 # ---------------------------------------------------------------------------
 # send / reveal semantics
 # ---------------------------------------------------------------------------
@@ -70,15 +60,25 @@ def test_honest_exchange():
 
 
 def test_initiator_emits_then_absorbs():
+    # completed is read off completed_at, not stored beside it
+    assert "completed" not in {f.name for f in dataclasses.fields(SessionOracle)}
     world = make_basic_world()
     a = world.new_oracle("alice", "bob")
     flow = world.send(a, None)
-    assert flow is not None and not a.completed
+    assert flow is not None and not a.completed and a.completed_at is None
     b = world.new_oracle("bob", "alice")
     reply = world.send(b, flow)
-    assert b.completed
+    assert b.completed and b.completed_at == world.clock
     assert world.send(a, reply) is None
-    assert a.completed
+    assert a.completed and a.completed_at == world.clock > b.completed_at
+
+
+def test_a_world_is_given_its_rng():
+    params, alpha = setup(16, "w")
+    with pytest.raises(TypeError):
+        World(params, alpha)
+    with pytest.raises(TypeError):
+        World(params, alpha, "br", random.Random(0))  # rng is keyword-only
 
 
 def test_replayed_first_flow_gives_distinct_keys():
@@ -117,7 +117,7 @@ def test_stale_oracle_rejections():
 
 REJECTED_FLOWS = {
     "malformed": lambda group: b"\xde\xad\xbe\xef",
-    "out-of-subgroup": lambda group: encode_point(group, find_rogue_point(group)),
+    "out-of-subgroup": lambda group: encode_point(group, rogue_point(group)),
     "identity": lambda group: b"\x00",
 }
 
@@ -139,7 +139,7 @@ def test_rejected_flow_aborts_oracle_and_draws_nothing(role, flow):
     # no rng state, and a rejected responder never takes a role
     assert world.rng.getstate() == rng_state
     assert (oracle.role, oracle.ephemeral, oracle.own_msg) == before
-    assert oracle.aborted and not oracle.completed
+    assert oracle.aborted and not oracle.completed and oracle.completed_at is None
     with pytest.raises(StaleOracleError):
         world.send(oracle, b"\x00")
     with pytest.raises(NoKeyError):
@@ -470,7 +470,7 @@ DIFF_GROUP = DIFF_PARAMS.group
 BASE_GT = pairing(DIFF_GROUP, DIFF_PARAMS.g, DIFF_PARAMS.g)
 # every flow a World did not emit: REJECTED_FLOWS' bytes, the same faults
 # as messages, and a valid subgroup point no oracle drew, in both forms
-_ROGUE = find_rogue_point(DIFF_GROUP)
+_ROGUE = rogue_point(DIFF_GROUP)
 _FOREIGN = fixed_base_exp(DIFF_GROUP, DIFF_PARAMS.g, 12345)
 FOREIGN_FLOWS = {
     **{name: make(DIFF_GROUP) for name, make in REJECTED_FLOWS.items()},

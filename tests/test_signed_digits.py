@@ -29,18 +29,9 @@ NAF_EDGE_CASES = {
 }
 
 
-def primes_below(n):
-    sieve = bytearray([1]) * n
-    sieve[:2] = b"\x00\x00"
-    for i in range(2, int(n**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(range(i * i, n, i)))
-    return [i for i in range(n) if sieve[i]]
-
-
 # every q instance_generate can draw at k = 3..16 (any prime of exactly k
 # bits), and the q of the benchmark's curves
-GENERATED_QS = [q for q in primes_below(1 << 16) if q >= 4]
+GENERATED_QS = [q for q in sorted(bilinear._primes_below(1 << 16)) if q >= 4]
 BENCH_QS = [instance_generate(k, f"idak-bench-k{k}").q for k in (16, 32, 64, 128)]
 
 
