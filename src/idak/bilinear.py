@@ -449,20 +449,17 @@ def fixed_base_exp(params: GroupParams, point: GElem, n: int) -> GElem:
     cache; the walk then costs one mixed addition per nonzero 4-bit digit
     of n.  A table holds 15 * ceil(|q| / 4) points, about 7, 16, 73 and
     487 KiB at k = 16, 32, 128 and 512, and costs about 5, 5, 5.5 and 6
-    full-length scalar_exps to build.  Exponents outside [0, 2^|q|) and
-    the identity go to scalar_exp, so the result is the same for every
-    input.
+    full-length scalar_exps to build.  Negative exponents and those of
+    more than |q| bits reach scalar_exp through _fixed_base_add, so the
+    result is the same for every input.
     """
-    n = int(n)
-    if point.is_identity() or n < 0:
-        return scalar_exp(params, point, n)
-    return _fixed_base_add(params, point, n, INFINITY)
+    return _fixed_base_add(params, point, int(n), INFINITY)
 
 
 def _fixed_base_add(params: GroupParams, point: GElem, n: int, start: GElem) -> GElem:
-    """start + [n]point for 0 <= n: one walk of point's window table that
-    starts at start, so the sum costs no inversion of its own.  An n of
-    more than |q| bits, as the xor variant's pi can be under a large
+    """start + [n]point: one walk of point's window table that starts at
+    start, so the sum costs no inversion of its own.  A negative n, or one
+    of more than |q| bits, as the xor variant's pi can be under a large
     cofactor, goes to scalar_exp and one addition instead."""
     if n >> params.q.bit_length():
         return _affine_add(params.p, scalar_exp(params, point, n), start)

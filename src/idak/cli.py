@@ -200,9 +200,7 @@ def cmd_setup(args):
         {
             "params": str(params_path),
             "master": str(master_path),
-            "p": group.p,
-            "q": group.q,
-            "h": group.h,
+            **dataclasses.asdict(group),
             "k_bits": group.k_bits,
         },
     )
@@ -382,7 +380,7 @@ def cmd_reduce(args):
             "n": args.n,
             "trials": args.trials,
             "success_rate": successes / args.trials,
-            "params": {"p": group.p, "q": group.q, "h": group.h},
+            "params": dataclasses.asdict(group),
         },
     )
     return EXIT_OK

@@ -23,7 +23,6 @@ and hashes an ephemeral Diffie-Hellman value into the session key.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import random
 from dataclasses import dataclass
@@ -54,7 +53,6 @@ from .bilinear import (
 )
 from .errors import (
     DegenerateExponentError,
-    IdakError,
     InvalidEphemeralError,
     InvalidFlowError,
     MalformedElementError,
@@ -275,18 +273,6 @@ def _require_in_subgroup(in_group: bool) -> None:
         raise InvalidFlowError("flow point is outside the order-q subgroup")
 
 
-@contextlib.contextmanager
-def _reported_after_subgroup_check(params: SystemParams, point: GElem):
-    """Report an outside-subgroup point before any typed fault raised in
-    the block, which ends in the pairing that checks the point's subgroup,
-    as when the subgroup check came first."""
-    try:
-        yield
-    except IdakError:
-        validate_flow_point(params, point)
-        raise
-
-
 def derive(
     params: SystemParams,
     own: IdentityKey,
@@ -309,8 +295,11 @@ def derive(
     and are trusted from then on.  The received point's subgroup check is
     the pairing itself, which takes the blend g_peer^s_peer * R_peer, in
     the subgroup exactly when R_peer is, as its left argument (see
-    bilinear._checked_pairing).  Faults found before the pairing are still
-    reported after an outside-subgroup point.
+    bilinear._checked_pairing).  Faults are reported in the order the
+    checks run: role and strategy; own_x's range; the received point's
+    curve, then identity; the own flow; the peer identity; the received
+    point's subgroup; the own exponent vanished; the peer exponent
+    vanished.
 
     s_own = pi(R_own, R_peer) and s_peer = pi(R_peer, R_own) in either role,
     so the result does not depend on role, which is only checked.
@@ -323,41 +312,42 @@ def derive(
     if not 1 <= own_x < group.q:
         raise InvalidEphemeralError("ephemeral exponent out of range")
     _check_flow_form(params, peer_msg.r)
-    with _reported_after_subgroup_check(params, peer_msg.r):
-        if not is_on_curve(group, own_msg.r) or own_msg.r.is_identity():
-            raise InvalidFlowError("own flow point is invalid")
+    if not is_on_curve(group, own_msg.r) or own_msg.r.is_identity():
+        raise InvalidFlowError("own flow point is invalid")
 
-        own_s = pi_value(params, own_msg.r, peer_msg.r)
-        own_exp = (own_x + own_s) % group.q
-        if own_exp == 0:
-            raise DegenerateExponentError("own combined exponent vanished mod q")
+    own_s = pi_value(params, own_msg.r, peer_msg.r)
+    own_exp = (own_x + own_s) % group.q
 
-        counts = OpCounts()
-        blended_peer = _blend(params, hash_to_group(group, peer_id), peer_msg.r, own_msg.r)
+    counts = OpCounts()
+    blended_peer = _blend(params, hash_to_group(group, peer_id), peer_msg.r, own_msg.r)
+    counts.exp_g += 0.5
+    counts.mul_g += 1
+
+    if not strategy.precomputed:
+        # online cost of having produced the own flow g_id^own_x
+        counts.exp_g += 1.0
+
+    if strategy.choice == 2:
+        own_point = own.d_id
+    elif strategy.precomputed:
+        # d_id^own_x is assumed done offline alongside the flow; the
+        # online d_id^own_s is a walk of d_id's table starting there
+        offline_part = fixed_base_exp(group, own.d_id, own_x)
+        own_point = _fixed_base_add(group, own.d_id, own_s, offline_part)
         counts.exp_g += 0.5
         counts.mul_g += 1
-        if blended_peer.is_identity():
-            raise DegenerateExponentError("peer combined exponent vanished mod q")
-
-        if not strategy.precomputed:
-            # online cost of having produced the own flow g_id^own_x
-            counts.exp_g += 1.0
-
-        if strategy.choice == 2:
-            own_point = own.d_id
-        elif strategy.precomputed:
-            # d_id^own_x is assumed done offline alongside the flow; the
-            # online d_id^own_s is a walk of d_id's table starting there
-            offline_part = fixed_base_exp(group, own.d_id, own_x)
-            own_point = _fixed_base_add(group, own.d_id, own_s, offline_part)
-            counts.exp_g += 0.5
-            counts.mul_g += 1
-        else:
-            own_point = fixed_base_exp(group, own.d_id, own_exp)
-            counts.exp_g += 1.0
-        shared, in_group = _checked_pairing(group, blended_peer, own_point)
-        counts.pairings += 1
+    else:
+        own_point = fixed_base_exp(group, own.d_id, own_exp)
+        counts.exp_g += 1.0
+    shared, in_group = _checked_pairing(group, blended_peer, own_point)
+    counts.pairings += 1
     _require_in_subgroup(in_group)
+    # a vanishing exponent is reported after the pairing, because the
+    # pairing is the received point's subgroup check
+    if own_exp == 0:
+        raise DegenerateExponentError("own combined exponent vanished mod q")
+    if blended_peer.is_identity():
+        raise DegenerateExponentError("peer combined exponent vanished mod q")
     if strategy.choice == 2:
         shared = gt_exp(shared, own_exp)
         counts.exp_gt += 1
@@ -416,17 +406,17 @@ def pfs_verify_extra(
     e(extra, g_peer) = e(g_own^y, g_peer) must equal e(R_peer, g_own).
     Each received point is checked for the curve and the identity, then
     is the left argument of its pairing, which is its subgroup check (see
-    bilinear._checked_pairing); R_peer is checked in full before extra is
-    looked at.
+    bilinear._checked_pairing).  Faults are reported in the order the
+    checks run: R_peer's curve, then identity; R_peer's subgroup; extra's
+    curve, then identity; the peer identity; extra's subgroup.  So R_peer
+    is checked in full before extra is looked at.
     """
     group = params.group
     _check_flow_form(params, peer_msg.r)
     right, in_group = _checked_pairing(group, peer_msg.r, own.g_id)
     _require_in_subgroup(in_group)
     _check_flow_form(params, extra)
-    with _reported_after_subgroup_check(params, extra):
-        peer_g = hash_to_group(group, peer_id)
-        left, in_group = _checked_pairing(group, extra, peer_g)
+    left, in_group = _checked_pairing(group, extra, hash_to_group(group, peer_id))
     _require_in_subgroup(in_group)
     return left == right
 

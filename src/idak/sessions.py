@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .bilinear import GElem, GTElem, decode_point, encode_point, gt_exp, identity_bytes, pairing
 from .errors import (
@@ -415,7 +415,7 @@ def run_scenario(lines, k_bits: int | None = None, seed=None, mode: str | None =
     world = state.ensure_world()
     group = world.params.group
     report["mode"] = world.mode
-    report["params"] = {"p": group.p, "q": group.q, "h": group.h}
+    report["params"] = asdict(group)
     report["ok"] = not report["failures"]
     return report
 

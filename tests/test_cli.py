@@ -446,6 +446,22 @@ def test_rogue_point_is_rejected(keyring, tmp_path, capsys, command, pfs, field,
     assert not (tmp_path / "a.session").exists()
 
 
+def test_an_invalid_own_flow_is_reported_before_a_rogue_point(keyring, tmp_path, capsys):
+    # load_state accepts a state whose own flow is the identity (payload
+    # ending 00); derive checks the own flow before the pairing that is
+    # the received point's subgroup check
+    group = keystore.load_group(keyring["params"])
+    state = tmp_path / "a.state"
+    keystore.save_state(str(state), group, "bob", 1, FlowMessage(r=INFINITY))
+    assert keystore.read_entry(str(state), "state").endswith(b"\x00")
+    flow = _hostile_flow(keyring, tmp_path, "responder", b"bob", r=rogue_point(group))
+    assert main(["finalize", "--params", keyring["params"], "--key", keyring["alice"],
+                 "--state", str(state), "--flow-in", flow,
+                 "--key-out", str(tmp_path / "a.session"), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: rejected-point: own flow point is invalid\n"
+    assert not (tmp_path / "a.session").exists()
+
+
 def test_framing_faults_are_reported_before_point_checks(keyring, tmp_path, capsys):
     # decoding and role checks run before any subgroup check of a point
     bad = _bad_points(keystore.load_group(keyring["params"]))["rogue"]

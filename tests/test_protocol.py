@@ -4,6 +4,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from idak import protocol
 from idak.bilinear import (
@@ -21,6 +23,7 @@ from idak.bilinear import (
 )
 from idak.errors import (
     DegenerateExponentError,
+    IdakError,
     InvalidEphemeralError,
     InvalidFlowError,
     InvalidIdentityError,
@@ -182,10 +185,25 @@ def test_first_only_ignores_second_argument():
 
 
 def test_pi_order_sensitivity():
-    # hash-half depends on argument order (overwhelmingly)
-    assert pi_value(PARAMS, ALICE.g_id, BOB.g_id) != pi_value(
-        PARAMS, BOB.g_id, ALICE.g_id
-    ) or True  # tiny codomain can collide; the real check is determinism
+    # over the ordered pairs of distinct points among g^1..g^40 at k = 16,
+    # how often pi(a, b) != pi(b, a): hash-half and first-only hash an
+    # ordered input into 8 bits, so only a few pairs collide, and xor-half
+    # is symmetric by construction
+    params, _ = setup(16, "pi-order")
+    points = [scalar_exp(params.group, params.g, i) for i in range(1, 41)]
+    pairs = [(a, b) for a in points for b in points if a != b]
+    assert len(pairs) == 1560
+    differs = {}
+    for variant in PiVariant:
+        variant_params = SystemParams(params.group, variant)
+        differs[variant] = sum(
+            pi_value(variant_params, a, b) != pi_value(variant_params, b, a) for a, b in pairs
+        )
+    assert differs == {
+        PiVariant.HASH_HALF: 1558,
+        PiVariant.FIRST_ONLY: 1552,
+        PiVariant.XOR_HALF: 0,
+    }
     assert pi_value(PARAMS, ALICE.g_id, BOB.g_id) == pi_value(
         PARAMS, ALICE.g_id, BOB.g_id
     )
@@ -339,9 +357,9 @@ def test_degenerate_exponent_rejected():
 # Rejection of received points.  The subgroup check of a received point is
 # the pairing it takes part in, so the tests below pin that every schedule
 # still rejects a point outside the subgroup with the same message, and that
-# faults found before that pairing do not hide such a point.  At k = 16 a
-# combined exponent vanishes once in tens of thousands of draws, so only the
-# engineered cases below reach one.
+# derive and pfs_verify_extra report the first fault in the order their
+# checks run.  At k = 16 a combined exponent vanishes once in tens of
+# thousands of draws, so only the engineered cases below reach one.
 
 P16, MSK16 = setup(16, "rejection")
 G16 = P16.group
@@ -387,27 +405,96 @@ def _vanishing_x(own_r, peer_r):
 @pytest.mark.parametrize("role", ["initiator", "responder"])
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.label())
 def test_a_point_outside_the_subgroup_outranks_later_faults(strategy, role):
+    # a vanishing own exponent is found after the pairing, which is the
+    # received point's subgroup check: a zero c1 exponent walks the own
+    # point to the identity, and the pairing then checks the blend itself
     rng = random.Random(32)
-    x, msg = initiate(P16, ALICE16, rng)
+    _, msg = initiate(P16, ALICE16, rng)
     _, honest = initiate(P16, BOB16, rng)
-    faults = {
-        # (own x, own flow, peer id) -> the error an honest peer point gets
-        "vanishing exponent": (
-            lambda peer: (_vanishing_x(msg.r, peer), msg, "bob"),
-            DegenerateExponentError,
-        ),
-        "own flow off the curve": (
-            lambda peer: (x, FlowMessage(OFF_CURVE16), "bob"), InvalidFlowError),
-        "empty peer identity": (lambda peer: (x, msg, ""), InvalidIdentityError),
-    }
-    for name, (inputs, honest_error) in faults.items():
-        own_x, own_msg, peer_id = inputs(honest.r)
-        with pytest.raises(honest_error):
-            derive(P16, ALICE16, own_x, own_msg, peer_id, honest, role, strategy)
-        own_x, own_msg, peer_id = inputs(ROGUE16)
-        with pytest.raises(InvalidFlowError, match=f"^{OUTSIDE}$"):
-            derive(P16, ALICE16, own_x, own_msg, peer_id, FlowMessage(ROGUE16), role,
-                   strategy)
+    with pytest.raises(DegenerateExponentError, match="^own combined exponent vanished mod q$"):
+        derive(P16, ALICE16, _vanishing_x(msg.r, honest.r), msg, "bob", honest, role,
+               strategy)
+    with pytest.raises(InvalidFlowError, match=f"^{OUTSIDE}$"):
+        derive(P16, ALICE16, _vanishing_x(msg.r, ROGUE16), msg, "bob", FlowMessage(ROGUE16),
+               role, strategy)
+
+
+# The points a fault set draws from, named by the message that refuses each
+# as a received point ("flow point is ...").
+RNG16 = random.Random(34)
+X16, MSG16 = initiate(P16, ALICE16, RNG16)
+Y16, HONEST16 = initiate(P16, BOB16, RNG16)
+BAD16 = {
+    "not on the curve": OFF_CURVE16,
+    "the identity": INFINITY,
+    "outside the order-q subgroup": ROGUE16,
+}
+NO_IDENTITY = "an identity is text or bytes, 1 to 65535 bytes long"
+C1, C2 = STRATEGIES[0], STRATEGIES[2]
+
+
+def _raises_exactly(expected, call):
+    """Run call: it returns when expected is None, else raises exactly
+    expected's (type, message)."""
+    if expected is None:
+        return call()
+    error, message = expected
+    with pytest.raises(IdakError) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (error, message)
+
+
+def _first_derive_fault(received, own_flow, peer_id, vanishing):
+    """derive's error for a fault set: its first fault in check order."""
+    if received in ("not on the curve", "the identity"):
+        return InvalidFlowError, f"flow point is {received}"
+    if own_flow != "honest":
+        return InvalidFlowError, "own flow point is invalid"
+    if not peer_id:
+        return InvalidIdentityError, NO_IDENTITY
+    if received != "honest":
+        return InvalidFlowError, f"flow point is {received}"
+    if vanishing:
+        return DegenerateExponentError, "own combined exponent vanished mod q"
+    return None
+
+
+@settings(deadline=None)
+@given(
+    strategy=st.sampled_from(STRATEGIES),
+    role=st.sampled_from(["initiator", "responder"]),
+    received=st.sampled_from(["honest", *BAD16]),
+    own_flow=st.sampled_from(["honest", "not on the curve", "the identity"]),
+    peer_id=st.sampled_from(["bob", ""]),
+    vanishing=st.booleans(),
+)
+# double faults where a fault in the caller's own arguments is found before
+# the pairing that is the received point's subgroup check
+@example(strategy=C1, role="initiator", received="outside the order-q subgroup",
+         own_flow="not on the curve", peer_id="bob", vanishing=False)
+@example(strategy=C2, role="responder", received="outside the order-q subgroup",
+         own_flow="honest", peer_id="", vanishing=False)
+@example(strategy=C1, role="responder", received="honest", own_flow="honest", peer_id="",
+         vanishing=True)
+# an outside point whose pi also zeroes the own exponent: the c1 own point
+# walks to the identity, and the pairing then checks the blend explicitly
+@example(strategy=C1, role="initiator", received="outside the order-q subgroup",
+         own_flow="honest", peer_id="bob", vanishing=True)
+def test_derive_reports_its_first_fault_in_check_order(
+    strategy, role, received, own_flow, peer_id, vanishing
+):
+    own_r = MSG16.r if own_flow == "honest" else BAD16[own_flow]
+    peer_r = HONEST16.r if received == "honest" else BAD16[received]
+    # pi is undefined on the identity, so only a pair without it vanishes
+    vanishing = vanishing and not (own_r.is_identity() or peer_r.is_identity())
+    x = _vanishing_x(own_r, peer_r) if vanishing else X16
+    expected = _first_derive_fault(received, own_flow, peer_id, vanishing)
+    result = _raises_exactly(expected, lambda: derive(
+        P16, ALICE16, x, FlowMessage(own_r), peer_id, FlowMessage(peer_r), role, strategy))
+    if expected is None:
+        # and what it returns is the secret the honest peer derives
+        peer_sk, _ = derive(P16, BOB16, Y16, HONEST16, "alice", MSG16, role, strategy)
+        assert result[0] == peer_sk
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +578,49 @@ def test_pfs_verify_reports_a_bad_flow_point_before_a_bad_extra():
     for extra_fault, extra_point in bad.items():
         with pytest.raises(InvalidFlowError, match=f"^flow point is {extra_fault}$"):
             pfs_verify_extra(P16, ALICE16, "bob", msg, extra_point)
-    # as for derive, an empty peer identity does not hide a bad extra
+    # the peer identity is hashed for extra's pairing, which is extra's
+    # subgroup check, so an empty one is reported first
     with pytest.raises(InvalidIdentityError):
         pfs_verify_extra(P16, ALICE16, "", msg, extra)
-    with pytest.raises(InvalidFlowError, match=f"^{OUTSIDE}$"):
+    with pytest.raises(InvalidIdentityError):
         pfs_verify_extra(P16, ALICE16, "", msg, ROGUE16)
+
+
+_, PFS_MSG16, PFS_EXTRA16 = pfs_respond(P16, BOB16, "alice", random.Random(35))
+# a subgroup point that is not g_alice^y fails only the final equality
+PFS_POINTS16 = {**BAD16, "honest": PFS_EXTRA16, "mismatched": scalar_exp(G16, PFS_EXTRA16, 2)}
+
+
+def _first_pfs_fault(r, extra, peer_id):
+    """pfs_verify_extra's error for a fault set: its first fault in check
+    order, R's form and subgroup before anything of extra's."""
+    if r in BAD16:
+        return InvalidFlowError, f"flow point is {r}"
+    if extra in ("not on the curve", "the identity"):
+        return InvalidFlowError, f"flow point is {extra}"
+    if not peer_id:
+        return InvalidIdentityError, NO_IDENTITY
+    if extra in BAD16:
+        return InvalidFlowError, f"flow point is {extra}"
+    return None
+
+
+@settings(deadline=None)
+@given(
+    r=st.sampled_from(["honest", *BAD16]),
+    extra=st.sampled_from(sorted(PFS_POINTS16)),
+    peer_id=st.sampled_from(["bob", ""]),
+)
+# an empty peer identity is found before the pairing that is extra's
+# subgroup check
+@example(r="honest", extra="outside the order-q subgroup", peer_id="")
+def test_pfs_verify_extra_reports_its_first_fault_in_check_order(r, extra, peer_id):
+    r_point = PFS_MSG16.r if r == "honest" else PFS_POINTS16[r]
+    expected = _first_pfs_fault(r, extra, peer_id)
+    verified = _raises_exactly(expected, lambda: pfs_verify_extra(
+        P16, ALICE16, peer_id, FlowMessage(r_point), PFS_POINTS16[extra]))
+    if expected is None:
+        assert verified is (extra == "honest")
 
 
 def test_pfs_key_differs_from_base_key():
