@@ -43,7 +43,9 @@ that point for free.  Hashed identities are cached the same way.
 A point is checked for the curve where it enters (decode_point,
 take_point) and by each public function that computes on it: point_add,
 scalar_exp, fixed_base_exp and pairing raise MalformedElementError, and
-in_subgroup answers False.  Encoders and the private helpers
+in_subgroup answers False.  pairing also refuses a left argument outside
+the order-q subgroup, at no cost, as its Miller loop ends at [q]left; the
+right one may be any curve point.  Encoders and the private helpers
 (_affine_add, _window_walk, _fixed_base_add, _checked_pairing) trust
 their points.
 
@@ -130,7 +132,8 @@ INFINITY = GElem(None, None)
 
 @dataclass(frozen=True)
 class GTElem:
-    """Element a + b*i of F_{p^2}, normally inside the order-q subgroup."""
+    """Element a + b*i of F_{p^2}.  Every element the package computes lies
+    in GT, the order-q subgroup, so none is 0."""
 
     a: int
     b: int
@@ -515,12 +518,6 @@ def _naf_digits(q: int) -> tuple:
     return tuple(reversed(digits[:-1]))
 
 
-@functools.lru_cache(maxsize=128)
-def _bits(q: int) -> tuple:
-    """The bits of q below its leading 1, most significant first."""
-    return tuple(int(bit) for bit in bin(q)[3:])
-
-
 def _miller_add(p, fa, fb, X, Y, Z, px, py, xq, yq):
     """f * l_{T,P}(phi(Q)) and T + P, for a finite T and affine P.
 
@@ -558,8 +555,10 @@ def pairing(params: GroupParams, left: GElem, right: GElem) -> GTElem:
 
     Symmetric and bilinear on the order-q subgroup, with e(P, P) != 1 for
     P != identity.  By convention any identity argument gives 1.  Both
-    arguments must lie on the curve, or MalformedElementError is raised;
-    neither argument's subgroup is checked.
+    arguments must lie on the curve, and the left one in the order-q
+    subgroup, or MalformedElementError is raised; the subgroup check costs
+    nothing, since the Miller loop ends at [q]left.  The right argument may
+    be any curve point.
 
     The Miller loop runs over the NAF digits of q with T in Jacobian
     coordinates, so it inverts nothing: each step derives one slope, as a
@@ -568,91 +567,82 @@ def pairing(params: GroupParams, left: GElem, right: GElem) -> GTElem:
     same mixed addition and chord line; f_{-1,P} = 1 / v_P, and v_P at
     phi(Q) lies in F_p.  Each doubling step squares f without reducing
     it, then multiplies in the tangent with one reduction per component.
-    Each line is scaled by a factor in F_p^*.  The loop omits
-    vertical lines, whose values at phi(Q) lie in F_p, and the steps while
-    T is the identity, which only a P outside the subgroup reaches before
-    the loop ends.  The final exponent splits as (p^2 - 1)/q = (p - 1) * h.
-    The Frobenius map is conjugation for p = 3 (mod 4), so
-    f^(p-1) = conj(f)/f = conj(f)^2 / N(f): one F_p inversion, which sends
-    every F_p^* factor to 1 and so makes the scaling and the omissions
-    exact.  A power by the small cofactor h remains.  If Q = (0, 0) a line
-    can vanish at phi(Q); f is then 0, and so is the result.  Which lines
-    vanish depends on the chain, so for Q = (0, 0) the loop walks the
-    plain bits of q, and the value is that of the binary loop.
+    Each line is scaled by a factor in F_p^*, and vertical lines, whose
+    values at phi(Q) lie in F_p, are omitted.  The final exponent splits
+    as (p^2 - 1)/q = (p - 1) * h.  The Frobenius map is conjugation for
+    p = 3 (mod 4), so f^(p-1) = conj(f)^2 / N(f): one F_p inversion, which
+    sends every F_p^* factor to 1 and so makes the scaling and the
+    omissions exact.  A power by the small cofactor h remains.
     """
     _require_on_curve(params, left)
     _require_on_curve(params, right)
-    return _checked_pairing(params, left, right)[0]
+    value = _checked_pairing(params, left, right)
+    if value is None:
+        raise MalformedElementError("left point is outside the order-q subgroup")
+    return value
 
 
 def _checked_pairing(params: GroupParams, left: GElem, right: GElem):
-    """(pairing(left, right), whether left lies in the order-q subgroup),
+    """pairing(left, right) if left lies in the order-q subgroup, else None,
     for arguments already known to lie on the curve.
 
     The Miller loop's T starts at left and, after the NAF digits of q,
     ends at [q]left, so the loop itself is the subgroup check of its left
-    argument: left is in the subgroup exactly when T ends at the identity.
-    A protocol pairing a received point therefore passes it on the left.
-    Only an identity right argument, which skips the loop, costs a
-    separate check.
+    argument.  For left in the subgroup every partial multiple of the
+    chain is 0 < m < q or m = q + 1, so T is neither the identity nor of
+    order 2 before the last digit, and ends at the identity; as q^2 does
+    not divide p + 1, no other left gets there.  The loop answers None as
+    soon as T leaves that path.  A protocol pairing a received point
+    therefore passes it on the left.  Only an identity right argument,
+    which skips the loop, costs a separate check.
 
-    Denominator elimination stays exact for the signed digits: the
-    vertical line through T and -T vanishes at phi(Q) only if both have
-    y = 0, since -1 is a non-residue mod p.  That leaves the right
-    argument (0, 0), the only point with y = 0, where phi((0, 0)) =
-    (0, 0).  There the value is 0 or 1, set by which lines the chain
-    meets, and for a left point outside the subgroup a NAF chain can give
-    1 where the binary chain gives 0.  For that right argument the loop
-    therefore walks the plain bits of q.
+    A line met on that path never vanishes at phi(Q): an omitted vertical
+    would need T and Q both at y = 0, as -1 is a non-residue mod p, and no
+    line through points of odd order passes through (0, 0).
     """
     p, q = params.p, params.q
     if left.is_identity():
-        return GTElem(1, 0, p), True
+        return GTElem(1, 0, p)
     if right.is_identity():
-        return GTElem(1, 0, p), in_subgroup(params, left)
+        return GTElem(1, 0, p) if in_subgroup(params, left) else None
     px, py = left.x, left.y
     xq, yq = right.x, right.y
     ny = -py % p  # a -1 digit adds -left = (px, ny)
     fa, fb = 1, 0
     X, Y, Z = px, py, 1
-    # Miller loop over the digits of q below the leading one
-    for digit in _naf_digits(q) if yq else _bits(q):
+    # Miller loop over the NAF digits of q below the leading one
+    for digit in _naf_digits(q):
         if Z == 0 or Y == 0:
-            # T is the identity, or of order 2 with a vertical tangent
-            fa, fb = _fp2_sqr(p, fa, fb)
-            Z = 0
-        else:
-            # f^2 * l_{T,T}(phi(Q)) and 2T.  The tangent slope at T is M / Z3,
-            # with M = 3X^2 + Z^4 and Z3 = 2YZ; its line at phi(Q), scaled
-            # by the F_p factor Z3 * Z^2, is (M * (xq*Z^2 + X) - 2Y^2) +
-            # i*(yq*Z3*Z^2), and 2T follows _jac_double.  f^2 = A + B*i is
-            # left unreduced, so one reduction per component
-            YY = Y * Y % p
-            ZZ = Z * Z % p
-            M = (3 * X * X + ZZ * ZZ) % p
-            Z = 2 * Y * Z % p
-            la = (M * (xq * ZZ + X) - 2 * YY) % p
-            lb = yq * Z * ZZ % p
-            A = (fa - fb) * (fa + fb)
-            B = 2 * fa * fb
-            fa, fb = (A * la - B * lb) % p, (A * lb + B * la) % p
-            S = 4 * X * YY % p
-            X = (M * M - 2 * S) % p
-            Y = (M * (S - X) - 8 * YY * YY) % p
+            # T is the identity, or of order 2, before the last digit
+            return None
+        # f^2 * l_{T,T}(phi(Q)) and 2T.  The tangent slope at T is M / Z3,
+        # with M = 3X^2 + Z^4 and Z3 = 2YZ; its line at phi(Q), scaled by
+        # the F_p factor Z3 * Z^2, is (M * (xq*Z^2 + X) - 2Y^2) +
+        # i*(yq*Z3*Z^2), and 2T follows _jac_double.  f^2 = A + B*i is left
+        # unreduced, so one reduction per component
+        YY = Y * Y % p
+        ZZ = Z * Z % p
+        M = (3 * X * X + ZZ * ZZ) % p
+        Z = 2 * Y * Z % p
+        la = (M * (xq * ZZ + X) - 2 * YY) % p
+        lb = yq * Z * ZZ % p
+        A = (fa - fb) * (fa + fb)
+        B = 2 * fa * fb
+        fa, fb = (A * la - B * lb) % p, (A * lb + B * la) % p
+        S = 4 * X * YY % p
+        X = (M * M - 2 * S) % p
+        Y = (M * (S - X) - 8 * YY * YY) % p
         if digit:
             y = py if digit > 0 else ny
-            if Z == 0:
-                X, Y, Z = px, y, 1
-            else:
-                fa, fb, X, Y, Z = _miller_add(p, fa, fb, X, Y, Z, px, y, xq, yq)
+            fa, fb, X, Y, Z = _miller_add(p, fa, fb, X, Y, Z, px, y, xq, yq)
     # T = [q]left now
-    if fa == 0 and fb == 0:
-        return GTElem(0, 0, p), Z == 0
+    if Z:
+        return None
     # f^(p-1) = conj(f)^2 / N(f), then the power by h
     n_inv = pow(fa * fa + fb * fb, -1, p)
     ua, ub = (fa - fb) * (fa + fb) * n_inv % p, -2 * fa * fb * n_inv % p
     fa, fb = _fp2_pow(p, ua, ub, params.h)
-    return GTElem(fa, fb, p), Z == 0
+    return GTElem(fa, fb, p)
 
 
 # ---------------------------------------------------------------------------

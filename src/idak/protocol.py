@@ -339,9 +339,9 @@ def derive(
     else:
         own_point = fixed_base_exp(group, own.d_id, own_exp)
         counts.exp_g += 1.0
-    shared, in_group = _checked_pairing(group, blended_peer, own_point)
+    shared = _checked_pairing(group, blended_peer, own_point)
     counts.pairings += 1
-    _require_in_subgroup(in_group)
+    _require_in_subgroup(shared is not None)
     # a vanishing exponent is reported after the pairing, because the
     # pairing is the received point's subgroup check
     if own_exp == 0:
@@ -413,11 +413,11 @@ def pfs_verify_extra(
     """
     group = params.group
     _check_flow_form(params, peer_msg.r)
-    right, in_group = _checked_pairing(group, peer_msg.r, own.g_id)
-    _require_in_subgroup(in_group)
+    right = _checked_pairing(group, peer_msg.r, own.g_id)
+    _require_in_subgroup(right is not None)
     _check_flow_form(params, extra)
-    left, in_group = _checked_pairing(group, extra, hash_to_group(group, peer_id))
-    _require_in_subgroup(in_group)
+    left = _checked_pairing(group, extra, hash_to_group(group, peer_id))
+    _require_in_subgroup(left is not None)
     return left == right
 
 

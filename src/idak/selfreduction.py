@@ -92,7 +92,8 @@ def validate_instance(params, inst):
 
 
 def make_instance(params, g, rng):
-    """Sample a fresh challenge, returning it with its true answer."""
+    """Sample a fresh challenge, returning it with its true answer.  A g
+    outside the order-q subgroup raises MalformedElementError from pairing."""
     q = params.q
     x = 1 + rng.randrange(q - 1)
     y = 1 + rng.randrange(q - 1)
@@ -305,8 +306,10 @@ class MockCbdhOracle:
     stride [-(2m+1)]g.  Each correct answer then walks at most
     q // (2m+1) + 1 giant steps, about sqrt(q)/4 on average, each one
     dict lookup and one chord addition with one inversion on bare ints,
-    and pays one pairing and one exponentiation in GT.  Wrong answers are
-    uniform over the target group: e(g, g)^r for one randrange(q) draw r.
+    and pays one pairing and one exponentiation in GT; the pairing raises
+    MalformedElementError for an x point outside the subgroup.  Wrong
+    answers are uniform over the target group: e(g, g)^r for one
+    randrange(q) draw r.
     The mock raises e(g, g) through its own 4-bit window table, rows
     e(g, g)^(j * 16^i) for j < 16 and i < ceil(|q| / 4), kept in
     _gt_rows.  The table is built on the first wrong answer, not here, so

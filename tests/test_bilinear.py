@@ -412,9 +412,9 @@ def test_pairing_bilinear_on_larger_params():
 @pytest.mark.parametrize("k", [256, 512])
 def test_pairing_and_group_law_at_the_largest_sizes(k):
     # the two largest sizes, where no other test pairs: bilinearity,
-    # symmetry, non-degeneracy and the subgroup flag of a left point moved
-    # off the subgroup by (0, 0); the window tables and point_add are
-    # checked against scalar_exp
+    # symmetry, non-degeneracy, a right argument (0, 0), and the refusal of
+    # a left point moved off the subgroup by (0, 0); the window tables and
+    # point_add are checked against scalar_exp
     gp = instance_generate(k, f"ci-pairing-k{k}")
     rng = random.Random(k)
     g = hash_to_group(gp, "ci-pairing")
@@ -424,9 +424,12 @@ def test_pairing_and_group_law_at_the_largest_sizes(k):
     assert not base.is_one()
     assert pairing(gp, P, Q) == gt_exp(base, a * b)
     assert pairing(gp, P, Q) == pairing(gp, Q, P)
-    assert _checked_pairing(gp, P, Q)[1] is True
+    assert _checked_pairing(gp, P, Q) == pairing(gp, P, Q)
+    assert pairing(gp, P, GElem(0, 0)).is_one()
     outside = point_add(gp, P, GElem(0, 0))
-    assert _checked_pairing(gp, outside, Q)[1] is False
+    assert _checked_pairing(gp, outside, Q) is None
+    with pytest.raises(MalformedElementError):
+        pairing(gp, outside, Q)
     for point in (P, outside):
         for _ in range(4):
             n = rng.randrange(1 << k)

@@ -110,6 +110,16 @@ def test_in_subgroup_answers_false_off_the_curve():
     assert not in_subgroup(GROUP, OFF)
 
 
+def test_pairing_refuses_a_left_point_outside_the_subgroup():
+    # on the curve, so only the Miller loop's end at [q]left refuses it;
+    # the right argument may be any curve point
+    outside = bilinear.point_add(GROUP, GEN, GElem(0, 0))
+    assert is_on_curve(GROUP, outside) and not in_subgroup(GROUP, outside)
+    with pytest.raises(MalformedElementError, match="^left point is outside the order-q subgroup$"):
+        bilinear.pairing(GROUP, outside, GEN)
+    bilinear.pairing(GROUP, GEN, outside)
+
+
 def _count_curve_checks(monkeypatch, checked: list) -> None:
     """Append every later is_on_curve call's point to checked, in the two
     modules on derive's and World.send's path that bind the name."""

@@ -5,14 +5,16 @@ double-and-add, a separate line evaluation and point update per Miller
 step, and the final exponentiation as one power by (p^2 - 1)/q.  They
 live here only, as the oracle.  On curves small enough to enumerate, the
 core must agree with them on every point, including the identity, the
-2-torsion point (0, 0) and points outside the order-q subgroup.
+2-torsion point (0, 0) and points outside the order-q subgroup, with one
+exception: the pairing answers only for a left point in the subgroup, and
+refuses every other.
 """
 
 import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from idak.bilinear import (
@@ -20,15 +22,16 @@ from idak.bilinear import (
     GTElem,
     INFINITY,
     _checked_pairing,
+    _naf_digits,
     fixed_base_exp,
     hash_to_group,
-    in_subgroup,
     instance_generate,
     pairing,
     point_add,
     random_scalar,
     scalar_exp,
 )
+from idak.errors import MalformedElementError
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -96,9 +99,8 @@ def ref_line_value(p, a, b, xq, yq):
     return (lam * (xq + a.x) - a.y) % p, yq
 
 
-def ref_pairing(params, left, right, events=None):
-    """Unfused Miller loop and generic final power; `events` collects the
-    loop's edge cases: T at the identity, and the add step meeting T = P."""
+def ref_pairing(params, left, right):
+    """Binary Miller loop, unfused, and the generic final power."""
     p, q = params.p, params.q
     if left.is_identity() or right.is_identity():
         return GTElem(1, 0, p)
@@ -106,15 +108,11 @@ def ref_pairing(params, left, right, events=None):
     fa, fb = 1, 0
     t = left
     for bit in bin(q)[3:]:
-        if events is not None and t.is_identity():
-            events.add("T is the identity")
         la, lb = ref_line_value(p, t, t, xq, yq)
         fa, fb = ref_fp2_mul(p, fa, fb, fa, fb)
         fa, fb = ref_fp2_mul(p, fa, fb, la, lb)
         t = ref_add(p, t, t)
         if bit == "1":
-            if events is not None and t == left:
-                events.add("add step meets T = P")
             la, lb = ref_line_value(p, t, left, xq, yq)
             fa, fb = ref_fp2_mul(p, fa, fb, la, lb)
             t = ref_add(p, t, left)
@@ -131,9 +129,45 @@ def ref_pairing(params, left, right, events=None):
 # of right points: the Miller loop's path depends on the left point only.
 FULL_CURVES = [(3, 1), (3, 0), (4, 0), (4, 1), (5, 1)]
 WIDE_CURVES = [(5, 0), (6, 1), (7, 3), (8, 1)]
-# Every curve has (0, 0), whose double is the identity.  On p = 347 some
-# off-subgroup point also brings T back to P before an add step.
-EDGE_CASES = {(5, 0): {"T is the identity", "add step meets T = P"}}
+
+IDENTITY = "T is the identity before the last digit"
+TANGENT = "an add step meets T = the point it adds"
+# The degenerate states outside left points meet on each curve's NAF
+# chain.  Every curve has (0, 0), whose double is the identity; on the
+# p = 83 and p = 347 curves an add step also meets the point it adds,
+# where the loop takes the tangent.
+DEGENERATE_STATES = {(3, 0): {IDENTITY, TANGENT}, (5, 0): {IDENTITY, TANGENT}}
+
+
+def naf_chain_states(params, left):
+    """The degenerate states of left's NAF chain, walked with the
+    reference group law."""
+    p = params.p
+    minus = INFINITY if left.is_identity() else GElem(left.x, -left.y % p)
+    states = set()
+    t = left
+    for digit in _naf_digits(params.q):
+        if t.is_identity():
+            states.add(IDENTITY)
+        t = ref_add(p, t, t)
+        if digit:
+            added = left if digit > 0 else minus
+            if t == added and not t.is_identity():
+                states.add(TANGENT)
+            t = ref_add(p, t, added)
+    return states
+
+
+def in_group(params, point):
+    return ref_scalar_exp(params, point, params.q).is_identity()
+
+
+def assert_pairing_matches_reference_or_refuses(params, left, right):
+    if in_group(params, left):
+        assert pairing(params, left, right) == ref_pairing(params, left, right), (left, right)
+    else:
+        with pytest.raises(MalformedElementError):
+            pairing(params, left, right)
 
 
 def all_points(params):
@@ -168,38 +202,33 @@ def scalars(params):
 
 @pytest.mark.parametrize("k_bits,seed", FULL_CURVES)
 def test_pairing_and_add_match_reference_on_every_pair(k_bits, seed):
+    # every right point, the identity and (0, 0) included
     params, points = curve(k_bits, seed)
-    torsion2 = GElem(0, 0)
-    events = set()
-    zero_results = 0
     for left in points:
         for right in points:
-            expected = ref_pairing(params, left, right, events)
-            assert pairing(params, left, right) == expected, (left, right)
+            assert_pairing_matches_reference_or_refuses(params, left, right)
             assert point_add(params, left, right) == ref_add(params.p, left, right)
-            if expected == GTElem(0, 0, params.p):
-                assert right == torsion2
-                zero_results += 1
-    # (0, 0) is on every curve, and some left point must zero its Miller value
-    assert torsion2 in points
-    assert zero_results > 0
-    assert "T is the identity" in events
+
+
+def rights_for(k_bits, seed):
+    """Every point of a FULL curve; the identity, (0, 0) and a random
+    spread on a WIDE one."""
+    params, points = curve(k_bits, seed)
+    if (k_bits, seed) in FULL_CURVES:
+        return points
+    return [INFINITY, GElem(0, 0)] + random.Random(k_bits).sample(points, 6)
 
 
 @pytest.mark.parametrize("k_bits,seed", WIDE_CURVES)
 def test_pairing_matches_reference_for_every_left(k_bits, seed):
     params, points = curve(k_bits, seed)
-    rng = random.Random(k_bits)
-    rights = [INFINITY, GElem(0, 0)] + rng.sample(points, 6)
-    events = set()
     for left in points:
-        for right in rights:
-            expected = ref_pairing(params, left, right, events)
-            assert pairing(params, left, right) == expected, (left, right)
-    for left in rng.sample(points, 4):
+        for right in rights_for(k_bits, seed):
+            assert_pairing_matches_reference_or_refuses(params, left, right)
+    subgroup = [left for left in points if in_group(params, left)]
+    for left in random.Random(k_bits).sample(subgroup, 4):
         for right in points:
             assert pairing(params, left, right) == ref_pairing(params, left, right)
-    assert events == EDGE_CASES.get((k_bits, seed), {"T is the identity"})
 
 
 @pytest.mark.parametrize("k_bits,seed", FULL_CURVES + WIDE_CURVES)
@@ -238,18 +267,19 @@ def test_fixed_base_exp_matches_scalar_exp_on_every_point(k_bits, seed, data):
         assert fixed_base_exp(params, point, n) == scalar_exp(params, point, n), (point, n)
 
 
-@pytest.mark.parametrize("k_bits,seed", FULL_CURVES)
+@pytest.mark.parametrize("k_bits,seed", FULL_CURVES + WIDE_CURVES)
 def test_checked_pairing_flags_the_left_subgroup_on_every_pair(k_bits, seed):
+    # None exactly for a left point outside the subgroup, also where its
+    # chain meets a degenerate state
     params, points = curve(k_bits, seed)
-    flagged = set()
+    states = set()
     for left in points:
-        in_group = in_subgroup(params, left)
-        flagged.add(in_group)
-        for right in points:
-            value, flag = _checked_pairing(params, left, right)
-            assert flag == in_group, (left, right)
-            assert value == pairing(params, left, right), (left, right)
-    assert flagged == {True, False}
+        outside = not in_group(params, left)
+        if outside:
+            states |= naf_chain_states(params, left)
+        for right in rights_for(k_bits, seed):
+            assert (_checked_pairing(params, left, right) is None) == outside, (left, right)
+    assert states == DEGENERATE_STATES.get((k_bits, seed), {IDENTITY})
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +314,51 @@ def test_fixed_base_exp_and_checked_pairing_at_protocol_sizes(k_bits):
         for n in (0, 1, q - 1, q, top - 1, top, -q, random_scalar(params, rng),
                   rng.getrandbits(k_bits // 2), rng.getrandbits(2 * k_bits + 8)):
             assert fixed_base_exp(params, a, n) == ref_scalar_exp(params, a, n), n
-        assert _checked_pairing(params, a, b) == (ref_pairing(params, a, b), True)
+        assert _checked_pairing(params, a, b) == ref_pairing(params, a, b)
         # adding the 2-torsion point puts the left point outside the subgroup
         outside = point_add(params, a, GElem(0, 0))
-        assert _checked_pairing(params, outside, b) == (pairing(params, outside, b), False)
+        assert _checked_pairing(params, outside, b) is None
+
+
+@functools.cache
+def protocol_curve(k_bits):
+    params = instance_generate(k_bits, f"differential-{k_bits}")
+    return params, hash_to_group(params, "differential")
+
+
+def curve_points(params):
+    """Points of E(F_p) of any order but 1: the first x from a drawn one
+    whose x^3 + x is a square, with a drawn sign for y."""
+    p = params.p
+
+    def lift(drawn):
+        x, negate = drawn
+        while True:
+            rhs = (x * x * x + x) % p
+            y = pow(rhs, (p + 1) // 4, p)
+            if y * y % p == rhs:
+                return GElem(x, -y % p if negate else y)
+            x = (x + 1) % p
+
+    return st.tuples(st.integers(0, p - 1), st.booleans()).map(lift)
+
+
+@pytest.mark.parametrize("k_bits", [16, 32, 128])
+@settings(deadline=None)  # the example count comes from the hypothesis profile
+@given(data=st.data())
+def test_checked_pairing_answers_for_a_subgroup_left_and_refuses_any_other(k_bits, data):
+    params, gen = protocol_curve(k_bits)
+    q = params.q
+    left = scalar_exp(params, gen, data.draw(st.integers(1, q - 1), label="a"))
+    right = data.draw(st.one_of(
+        st.integers(1, q - 1).map(lambda b: scalar_exp(params, gen, b)),
+        curve_points(params),
+        st.just(GElem(0, 0)),
+        st.just(INFINITY),
+    ), label="right")
+    assert _checked_pairing(params, left, right) == ref_pairing(params, left, right)
+    # [q]R has order dividing h, so g^a + [q]R is outside the subgroup
+    # exactly when [q]R is not the identity
+    torsion = scalar_exp(params, data.draw(curve_points(params), label="R"), q)
+    assume(not torsion.is_identity())
+    assert _checked_pairing(params, point_add(params, left, torsion), right) is None

@@ -2,23 +2,30 @@
 
 The loop walks the non-adjacent form (NAF) of q, so a -1 digit adds -P.
 These tests check the recoding itself, and that the edge cases a -1 digit
-brings to the loop (a tangent where T = -P, a vertical line where T = P)
-occur on the enumerable curves and give the value of the binary
-reference loop in test_core_differential.
+brings to the loop occur on the enumerable curves.  A vertical line where
+T = P, which every subgroup point meets at a -1 last digit, gives the
+value of the binary reference loop in test_core_differential; a tangent
+where T = -P, which only points outside the subgroup meet, is refused.
 """
-
-import random
 
 import pytest
 
 from idak import bilinear
-from idak.bilinear import INFINITY, GElem, instance_generate, pairing
-from test_core_differential import FULL_CURVES, WIDE_CURVES, curve, ref_add, ref_pairing
+from idak.bilinear import INFINITY, GElem, _checked_pairing, instance_generate
+from test_core_differential import (
+    FULL_CURVES,
+    WIDE_CURVES,
+    curve,
+    in_group,
+    ref_add,
+    ref_pairing,
+    rights_for,
+)
 
 TANGENT = "-1 digit meets T = -P"
 VERTICAL = "-1 digit meets T = P"
 
-# The events of NAF_CHAIN on each curve that has any.  A -1 last digit
+# The events of naf_chain_events on each curve that has any.  A -1 last digit
 # gives every subgroup point the vertical: T = [q + 1]P = P there.
 NAF_EDGE_CASES = {
     (3, 0): {TANGENT, VERTICAL},
@@ -42,10 +49,8 @@ def test_naf_digits_recode_q():
         assert sum(d << i for i, d in enumerate(reversed(signed))) == q, q
         assert set(digits) <= {-1, 0, 1}, q
         assert all(a == 0 or b == 0 for a, b in zip(signed, signed[1:])), q
-        bits = (1,) + bilinear._bits(q)
-        assert int("".join(map(str, bits)), 2) == q, q
         # the NAF has the fewest nonzero digits of any signed binary form
-        assert sum(map(abs, signed)) <= sum(bits), q
+        assert sum(map(abs, signed)) <= bin(q).count("1"), q
 
 
 def naf_chain_events(params, left):
@@ -71,19 +76,21 @@ def naf_chain_events(params, left):
 @pytest.mark.parametrize("k_bits,seed", FULL_CURVES + WIDE_CURVES)
 def test_minus_one_digit_edge_cases_match_the_binary_reference(k_bits, seed):
     params, points = curve(k_bits, seed)
-    if (k_bits, seed) in FULL_CURVES:
-        rights = points
-    else:
-        rights = [INFINITY, GElem(0, 0)] + random.Random(k_bits).sample(points, 6)
-    events = set()
+    events, subgroup_events = set(), set()
     for left in points:
         met = naf_chain_events(params, left)
         events |= met
+        member = in_group(params, left)
+        if member:
+            subgroup_events |= met
         if met:
-            for right in rights:
-                assert pairing(params, left, right) == ref_pairing(params, left, right), (
-                    left, right)
+            for right in rights_for(k_bits, seed):
+                expected = ref_pairing(params, left, right) if member else None
+                assert _checked_pairing(params, left, right) == expected, (left, right)
     assert events == NAF_EDGE_CASES.get((k_bits, seed), set())
+    # a subgroup point meets only the vertical, and only at a -1 last digit
+    last_is_minus = bilinear._naf_digits(params.q)[-1] < 0
+    assert subgroup_events == ({VERTICAL} if last_is_minus else set())
 
 
 def test_both_minus_one_digit_edge_cases_occur():
