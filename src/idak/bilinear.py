@@ -31,7 +31,8 @@ NAF digits where its binary form has about 64.  Each doubling step
 squares f unreduced inside its line product.
 
 The group law is written once, in Jacobian coordinates, and every
-point operation uses it, with one inversion back to affine.  Points
+point operation uses it, with one inversion back to affine; scalar_exp
+walks the NAF of its exponent, as the Miller loop walks q's.  Points
 used again and again (a party's own hashed identity and identity key, a
 peer's hashed identity, the base point of a CBDH instance) are
 multiplied through a fixed-base window table: its rows [j * 16^i]P are
@@ -50,14 +51,20 @@ right one may be any curve point.  Encoders and the private helpers
 their points.
 
 Setup proves both primes, and so does every decode of a params file.  q
-is proved by Miller-Rabin (is_probable_prime).  Setup scans cofactors h
-divisible by 4, which for odd q are exactly those with p = h*q - 1 = 3
-(mod 4), and proves p from q (_is_prime_given_q): one gcd with the
-product of the primes below 1000 refuses a p with a small factor, a
-strong base-2 round filters out most other composites, and the N+1 test
-in F_p[i], exact given q whenever q > sqrt(p) + 1, decides.  At k = 128
-the proof costs about six Miller-Rabin rounds where is_probable_prime
-runs 40.
+is proved by the Baillie-PSW test (is_probable_prime): one gcd with the
+product of the primes below 1000, one strong base-2 round and one strong
+Lucas test (Baillie-Wagstaff, Math. Comp. 35, 1980; FIPS 186-4, appendix
+C.3.3).  It is exact below 2^64, where Feitsma and Galway listed every
+base-2 pseudoprime and none passes the Lucas test.  Above 2^64 no
+composite is known to pass it.  That includes [2^64, psi_13), psi_13 ~
+2^81.5, where Miller-Rabin to the 13 primes 2..41 would be exact: the
+one test is kept there too.  Above psi_13 it replaces 40 Miller-Rabin
+rounds with bases drawn from n, which the author of a crafted params file
+could compute in advance.  Setup scans cofactors h divisible by 4, which
+for odd q are exactly those with p = h*q - 1 = 3 (mod 4), and proves p
+from q (_is_prime_given_q): the same gcd refuses a p with a small factor,
+a strong base-2 round filters out most other composites, and the N+1
+test in F_p[i], exact given q whenever q > sqrt(p) + 1, decides.
 
 Parameter sizes here are deliberately small.  Nothing in this module is
 safe for production use.
@@ -86,12 +93,6 @@ TAG_HASH_TO_GROUP = b"\x01"
 # decoder refuses a larger h.
 COFACTOR_CANDIDATE_BOUND = 1 << 20
 HASH_COUNTER_BOUND = 1 << 16
-
-MILLER_RABIN_ROUNDS = 40
-
-# Below this bound, Miller-Rabin to every base in _SMALL_PRIMES decides
-# primality exactly (Sorenson-Webster 2015: the 13 primes 2..41).
-MILLER_RABIN_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
 
 # Digit width of the fixed-base window table: HMV, Guide to ECC, section 3.3.
 WINDOW_BITS = 4
@@ -147,9 +148,6 @@ class GTElem:
 # primality and parameter generation
 # ---------------------------------------------------------------------------
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
 def _primes_below(n: int) -> frozenset:
     """The primes below n, by the sieve of Eratosthenes."""
     sieve = bytearray([1]) * n
@@ -189,21 +187,69 @@ def _strong_probable_prime(n: int, bases) -> bool:
     return True
 
 
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a & n & 3 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test with Selfridge's parameters (method A), for odd
+    n > 1000.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4.  A square n has no such D, so it is refused first.  With
+    n + 1 = d * 2^s, d odd, n passes when U_d = 0 or V_(d 2^r) = 0 for some
+    r < s (mod n).  The sequences come from the ring Z_n[sqrt D]: there
+    (1 + sqrt D)^k = 2^(k-1) * (V_k + U_k sqrt D), and 2 is a unit, so
+    U_k and V_k vanish exactly where the coefficients of (1 + sqrt D)^k do.
+    Each bit of d costs one squaring in the ring, and a one bit adds a
+    multiplication by 1 + sqrt D, which is additions only.
+    """
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (symbol := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else 2 - D
+    if symbol == 0:  # D shares a factor with n
+        return False
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    a, b = 1, 1  # a + b sqrt D
+    for bit in bin((n + 1) >> s)[3:]:
+        a, b = (a * a + D * b * b) % n, 2 * a * b % n
+        if bit == "1":
+            a, b = (a + D * b) % n, (a + b) % n
+    if a == 0 or b == 0:
+        return True
+    for _ in range(s - 1):
+        a, b = (a * a + D * b * b) % n, 2 * a * b % n
+        if a == 0:
+            return True
+    return False
+
+
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin: exact below MILLER_RABIN_EXACT_BOUND, else
-    MILLER_RABIN_ROUNDS bases drawn deterministically from n.  A factor
-    below 1000 is found by one gcd first, and n < 1000 is looked up."""
+    """Baillie-PSW: one strong base-2 round, then one strong Lucas test.
+
+    n < 1000 is looked up, and a factor below 1000 is found by one gcd
+    first.  Exact below 2^64; no composite is known to pass above it (see
+    the module docstring).
+    """
     if n < 1000:
         return n in _PRIMES_BELOW_1000
     if gcd(n, _PRIMORIAL_1000) != 1:
         return False
-    if n < MILLER_RABIN_EXACT_BOUND:
-        bases = _SMALL_PRIMES
-    else:
-        # Bases keyed to the candidate keep repeated checks reproducible.
-        base_rng = random.Random(n)
-        bases = (base_rng.randrange(2, n - 1) for _ in range(MILLER_RABIN_ROUNDS))
-    return _strong_probable_prime(n, bases)
+    return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
 
 
 def _is_prime_given_q(p: int, q: int) -> bool:
@@ -232,8 +278,8 @@ def _is_prime_given_q(p: int, q: int) -> bool:
     order that is a power of r and divides q: r = q, but q does not divide
     p.  No gcd of Im beta with p is needed, and for a prime p it is 1.
 
-    The proof costs one power by h and one by q in F_p[i], about six
-    Miller-Rabin rounds at k = 128.
+    The proof costs one power by h and one by q in F_p[i], about twice
+    is_probable_prime's Lucas step at k = 128.
     """
     if p < 1000 or q <= isqrt(p) + 1:
         return is_probable_prime(p)
@@ -369,13 +415,28 @@ def _batch_to_affine(p: int, points):
     return out[::-1]
 
 
+def _naf(n: int):
+    """The non-adjacent form of n > 0 below its leading 1, most significant
+    digit first, as two strings of bits of equal length.
+
+    Each NAF digit is the bit of 3n less the bit of n one place above it,
+    so the first string holds bits of 3n and the second bits of n, and a
+    few operations on the whole of n recode it, with no loop.
+    """
+    triple = 3 * n
+    return bin(triple)[3:-1], bin(n >> 1 | 1 << triple.bit_length() - 2)[3:]
+
+
 def scalar_exp(params: GroupParams, point: GElem, n: int) -> GElem:
     """n-fold group operation; negative n negates first.
 
-    Left-to-right double-and-add in Jacobian coordinates, adding the
-    affine base with mixed formulas, so the only inversion is the one that
-    maps the result back to affine.  Every point of E(F_p) is accepted,
-    including 2-torsion and points outside the order-q subgroup.
+    Left-to-right double-and-add over the NAF of |n| (_naf) in Jacobian
+    coordinates: a +1 digit adds the affine base and a -1 digit adds its
+    negative (x, -y), both with mixed formulas, so the only inversion is
+    the one that maps the result back to affine.  A b-bit exponent has
+    about b / 3 nonzero NAF digits where its binary form has b / 2.  Every
+    point of E(F_p) is accepted, including 2-torsion and points outside
+    the order-q subgroup.
     """
     _require_on_curve(params, point)
     n = int(n)
@@ -383,13 +444,14 @@ def scalar_exp(params: GroupParams, point: GElem, n: int) -> GElem:
         return INFINITY
     p = params.p
     x, y = point.x, point.y
+    ny = (-y) % p
     if n < 0:
-        y, n = (-y) % p, -n
+        y, ny, n = ny, y, -n
     X, Y, Z = x, y, 1
-    for bit in bin(n)[3:]:
+    for high, low in zip(*_naf(n)):
         X, Y, Z = _jac_double(p, X, Y, Z)
-        if bit == "1":
-            X, Y, Z = _jac_add_affine(p, X, Y, Z, x, y)
+        if high != low:  # a +1 digit adds (x, y), a -1 digit (x, -y)
+            X, Y, Z = _jac_add_affine(p, X, Y, Z, x, y if high == "1" else ny)
     return _jac_to_affine(p, X, Y, Z)
 
 
@@ -451,10 +513,12 @@ def fixed_base_exp(params: GroupParams, point: GElem, n: int) -> GElem:
     The table is built on the point's first use and kept in a bounded
     cache; the walk then costs one mixed addition per nonzero 4-bit digit
     of n.  A table holds 15 * ceil(|q| / 4) points, about 7, 16, 73 and
-    487 KiB at k = 16, 32, 128 and 512, and costs about 5, 5, 5.5 and 6
-    full-length scalar_exps to build.  Negative exponents and those of
-    more than |q| bits reach scalar_exp through _fixed_base_add, so the
-    result is the same for every input.
+    487 KiB at k = 16, 32, 128 and 512.  Its build makes 4 mixed additions
+    per bit of q and one inversion per row, where a full-length scalar_exp
+    makes one doubling per bit and about one addition per three: a table
+    costs about 6, 6, 6.5 and 7 scalar_exps at those sizes.  Negative
+    exponents and those of more than |q| bits reach scalar_exp through
+    _fixed_base_add, so the result is the same for every input.
     """
     return _fixed_base_add(params, point, int(n), INFINITY)
 
@@ -507,15 +571,10 @@ def _fp2_inv(p, a, b):
 
 @functools.lru_cache(maxsize=128)
 def _naf_digits(q: int) -> tuple:
-    """The non-adjacent form of q below its leading 1, most significant
-    first: digits in {-1, 0, 1}, no two adjacent ones nonzero (HMV, Guide
-    to ECC, algorithm 3.30)."""
-    digits = []
-    while q:
-        digit = 2 - (q & 3) if q & 1 else 0
-        digits.append(digit)
-        q = (q - digit) >> 1
-    return tuple(reversed(digits[:-1]))
+    """The non-adjacent form of q below its leading 1 (_naf), most
+    significant first: digits in {-1, 0, 1}, no two adjacent ones nonzero
+    (HMV, Guide to ECC, section 3.3)."""
+    return tuple(int(high) - int(low) for high, low in zip(*_naf(q)))
 
 
 def _miller_add(p, fa, fb, X, Y, Z, px, py, xq, yq):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from idak import bilinear
 from idak.bilinear import (
     COFACTOR_CANDIDATE_BOUND,
-    MILLER_RABIN_EXACT_BOUND,
     GElem,
     GroupParams,
     GTElem,
@@ -139,6 +138,35 @@ def test_is_probable_prime_matches_naive():
         assert is_probable_prime(n) == naive_prime(n), n
 
 
+# The 13 primes 2..41, and psi_13, the least strong pseudoprime to all of
+# them: below it, Miller-Rabin to these bases decides primality exactly
+# (Sorenson-Webster 2015).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def miller_rabin_13(n):
+    """The reference: Miller-Rabin to MILLER_RABIN_BASES, exact below PSI_13."""
+    if n <= MILLER_RABIN_BASES[-1]:
+        return n in MILLER_RABIN_BASES
+    if n % 2 == 0:
+        return False
+    m = n - 1
+    r = (m & -m).bit_length() - 1  # n - 1 = d * 2^r, d odd
+    d = m >> r
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == m:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == m:
+                break
+        else:
+            return False
+    return True
+
+
 def test_is_probable_prime_is_exact_below_the_bound():
     limit = 10**5
     sieve = bytearray([1]) * limit
@@ -146,7 +174,6 @@ def test_is_probable_prime_is_exact_below_the_bound():
     for d in range(2, int(limit**0.5) + 1):
         if sieve[d]:
             sieve[d * d :: d] = bytearray(len(range(d * d, limit, d)))
-    # no random rounds below the bound: the 13 prime bases 2..41 decide
     for n in range(limit):
         assert is_probable_prime(n) == bool(sieve[n]), n
     # strong pseudoprimes to the bases 2..7, 2..31 and 2..37, which the 13
@@ -155,16 +182,82 @@ def test_is_probable_prime_is_exact_below_the_bound():
     assert 149491 * 747451 * 34233211 == 3825123056546413051
     assert 399165290221 * 798330580441 == 318665857834031151167461
     for n in (3215031751, 3825123056546413051, 318665857834031151167461):
-        assert not bilinear._strong_probable_prime(n, bilinear._SMALL_PRIMES), n
+        assert not miller_rabin_13(n), n
         assert not is_probable_prime(n), n
     assert is_probable_prime(2**61 - 1)
-    # the bound is the least strong pseudoprime to all 13 bases, so from it
-    # on the seeded random rounds decide
-    assert MILLER_RABIN_EXACT_BOUND == 1287836182261 * 2575672364521
-    assert bilinear._strong_probable_prime(MILLER_RABIN_EXACT_BOUND, bilinear._SMALL_PRIMES)
-    assert not is_probable_prime(MILLER_RABIN_EXACT_BOUND)
+    # psi_13 is the least strong pseudoprime to all 13 bases
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert miller_rabin_13(PSI_13)
+    assert not is_probable_prime(PSI_13)
     assert is_probable_prime(2**89 - 1)
     assert not is_probable_prime((2**61 - 1) * (2**31 - 1))
+
+
+def test_is_probable_prime_matches_the_13_base_reference():
+    # every odd n below 2 * 10^6, where Baillie-PSW is exact
+    for n in range(1, 2 * 10**6, 2):
+        assert is_probable_prime(n) == miller_rabin_13(n), n
+    # on [2^64, psi_13), where Baillie-PSW replaces an exact test: seeded
+    # random odd n, each walked up to the next prime
+    rng = random.Random("baillie-psw")
+    for _ in range(200):
+        n = rng.randrange(2**64, PSI_13 - 10**4) | 1
+        while not miller_rabin_13(n):
+            assert not is_probable_prime(n), n
+            n += 2
+        assert is_probable_prime(n), n
+
+
+# Composites that pass one stage of Baillie-PSW, so the other stage alone
+# refuses them.  Strong Lucas pseudoprimes (OEIS A217255): the five least,
+# which the gcd also refuses, and three with no factor below 1000.
+STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 1711469, 2263127, 2518889]
+# Strong base-2 pseudoprimes with no factor below 1000, each with a factor:
+# the three the N+1 proof refuses (N_PLUS_1_PSEUDOPRIMES below), the two
+# above to the first 11 and 12 bases, and psi_13.
+STRONG_BASE_2_PSEUDOPRIMES = [
+    (6787327, 1303),
+    (21623659, 1163),
+    (60547831, 1471),
+    (3825123056546413051, 149491),
+    (318665857834031151167461, 399165290221),
+    (PSI_13, 1287836182261),
+]
+
+
+@pytest.mark.parametrize("n", STRONG_LUCAS_PSEUDOPRIMES)
+def test_the_base_2_round_refuses_strong_lucas_pseudoprimes(n):
+    assert not naive_prime(n)
+    assert bilinear._strong_lucas_probable_prime(n)
+    assert not bilinear._strong_probable_prime(n, (2,))
+    assert not is_probable_prime(n)
+
+
+@pytest.mark.parametrize("n, factor", STRONG_BASE_2_PSEUDOPRIMES)
+def test_the_lucas_step_refuses_strong_base_2_pseudoprimes(n, factor):
+    assert n % factor == 0 and 1000 < factor < n
+    assert gcd(n, bilinear._PRIMORIAL_1000) == 1 and bilinear._strong_probable_prime(n, (2,))
+    assert not bilinear._strong_lucas_probable_prime(n)
+    assert not is_probable_prime(n)
+
+
+def _no_jacobi(a, n):
+    raise AssertionError("the search for D ran on a square")
+
+
+@pytest.mark.parametrize("root", [1093, 3511, 2**89 - 1])
+def test_the_lucas_step_refuses_a_square_before_its_search_for_d(root, monkeypatch):
+    # no D has (D/n) = -1 for a square n, so the search would run until
+    # |D| reached a factor of n
+    n = root * root
+    monkeypatch.setattr(bilinear, "_jacobi", _no_jacobi)
+    assert not bilinear._strong_lucas_probable_prime(n)
+    if root < 10**4:
+        # 1093 and 3511 are the Wieferich primes: 2^(r-1) = 1 (mod r^2), so
+        # their squares pass the gcd and the base-2 round, and reach the
+        # Lucas step
+        assert gcd(n, bilinear._PRIMORIAL_1000) == 1 and bilinear._strong_probable_prime(n, (2,))
+        assert not is_probable_prime(n)
 
 
 @pytest.fixture(scope="module")
@@ -263,8 +356,8 @@ def test_generated_p_is_proved_without_miller_rabin(monkeypatch):
         assert bilinear._is_prime_given_q(gp.p, gp.q)
     assert tested == []
     # at k = 256 and 512 setup finds the parameters of a scan that proves
-    # each p by Miller-Rabin alone, and the N+1 proof, not its Miller-Rabin
-    # fallback, decides p
+    # each p by is_probable_prime alone, and the N+1 proof, not its
+    # is_probable_prime fallback, decides p
     for k in (256, 512):
         for i in range(8):
             seed = f"ci-n-plus-1-{i}"
@@ -738,7 +831,7 @@ def undersized_q():
 
 @pytest.mark.parametrize("make", [oversized_q, oversized_h, undersized_q])
 def test_params_decoding_rejects_oversized_values_quickly(make):
-    # Miller-Rabin on a 32k-bit p takes minutes; the size bound comes first
+    # a primality test on a 32k-bit p takes minutes; the size bound comes first
     blob = encode_group_params(make())
     start = time.perf_counter()
     with pytest.raises(MalformedElementError, match="supported sizes"):

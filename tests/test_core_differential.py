@@ -14,7 +14,7 @@ import functools
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from idak.bilinear import (
@@ -321,26 +321,32 @@ def test_fixed_base_exp_and_checked_pairing_at_protocol_sizes(k_bits):
 
 
 @functools.cache
-def protocol_curve(k_bits):
-    params = instance_generate(k_bits, f"differential-{k_bits}")
+def curve_and_generator(k_bits, seed):
+    params = instance_generate(k_bits, seed)
     return params, hash_to_group(params, "differential")
+
+
+def protocol_curve(k_bits):
+    return curve_and_generator(k_bits, f"differential-{k_bits}")
+
+
+def lift(params, x, negate):
+    """The point of E(F_p) at the first x' >= x (mod p) whose x'^3 + x' is
+    a square, with y negated if asked."""
+    p = params.p
+    while True:
+        rhs = (x * x * x + x) % p
+        y = pow(rhs, (p + 1) // 4, p)
+        if y * y % p == rhs:
+            return GElem(x, -y % p if negate else y)
+        x = (x + 1) % p
 
 
 def curve_points(params):
     """Points of E(F_p) of any order but 1: the first x from a drawn one
     whose x^3 + x is a square, with a drawn sign for y."""
-    p = params.p
-
-    def lift(drawn):
-        x, negate = drawn
-        while True:
-            rhs = (x * x * x + x) % p
-            y = pow(rhs, (p + 1) // 4, p)
-            if y * y % p == rhs:
-                return GElem(x, -y % p if negate else y)
-            x = (x + 1) % p
-
-    return st.tuples(st.integers(0, p - 1), st.booleans()).map(lift)
+    return st.tuples(st.integers(0, params.p - 1), st.booleans()).map(
+        lambda drawn: lift(params, *drawn))
 
 
 @pytest.mark.parametrize("k_bits", [16, 32, 128])
@@ -362,3 +368,82 @@ def test_checked_pairing_answers_for_a_subgroup_left_and_refuses_any_other(k_bit
     torsion = scalar_exp(params, data.draw(curve_points(params), label="R"), q)
     assume(not torsion.is_identity())
     assert _checked_pairing(params, point_add(params, left, torsion), right) is None
+
+
+# scalar_exp against the reference: curves small enough to enumerate and
+# the protocol sizes, with points in and outside the subgroup, (0, 0) and
+# the identity, and exponents in [-4p, 4p].  A point is (kind, u) and an
+# exponent is (anchor, offset, negate) or an int u, so that explicit
+# examples can name them on every curve.
+SCALAR_EXP_CURVES = FULL_CURVES + [(k, f"differential-{k}") for k in (16, 32, 128, 512)]
+POINT_KINDS = ("identity", "(0, 0)", "subgroup", "outside", "any")
+WIDE = 1 << 600  # past 8p + 1 on every curve
+
+
+def _all_ones(params):
+    return (1 << params.p.bit_length()) - 1
+
+
+ANCHORS = {
+    "0": lambda params: 0,
+    "q": lambda params: params.q,
+    "2^|q|": lambda params: 1 << params.q.bit_length(),
+    "4p": lambda params: 4 * params.p,
+    # a run of ones, whose NAF carries past its top bit, and one broken by
+    # a single zero, which the carry crosses
+    "ones": _all_ones,
+    "ones with a zero": lambda params: _all_ones(params) ^ 1 << params.p.bit_length() // 2,
+}
+
+
+def point_of(params, gen, kind, u):
+    if kind == "identity":
+        return INFINITY
+    if kind == "(0, 0)":
+        return GElem(0, 0)
+    member = fixed_base_exp(params, gen, 1 + u % (params.q - 1))
+    if kind == "subgroup":
+        return member
+    if kind == "outside":  # q is odd, so adding the point of order 2 leaves the subgroup
+        return point_add(params, member, GElem(0, 0))
+    return lift(params, u % params.p, u & 1)  # a curve point of any order
+
+
+def exponent_of(params, exponent):
+    p = params.p
+    if isinstance(exponent, int):
+        return exponent % (8 * p + 1) - 4 * p
+    anchor, offset, negate = exponent
+    n = ANCHORS[anchor](params) + offset
+    return -n if negate else n
+
+
+@pytest.mark.parametrize("k_bits,seed", SCALAR_EXP_CURVES)
+@settings(deadline=None)  # the example count comes from the hypothesis profile
+@given(
+    kind=st.sampled_from(POINT_KINDS),
+    u=st.integers(0, WIDE),
+    exponent=st.one_of(
+        st.tuples(st.sampled_from(sorted(ANCHORS)), st.integers(-2, 2), st.booleans()),
+        st.integers(0, WIDE),
+    ),
+)
+@example(kind="subgroup", u=1, exponent=("0", 0, False))
+@example(kind="subgroup", u=1, exponent=("0", 1, False))
+@example(kind="subgroup", u=1, exponent=("0", 1, True))
+@example(kind="subgroup", u=1, exponent=("q", -1, False))
+@example(kind="subgroup", u=1, exponent=("q", 0, False))
+@example(kind="subgroup", u=1, exponent=("q", 1, False))
+@example(kind="outside", u=1, exponent=("q", 0, False))
+@example(kind="outside", u=1, exponent=("q", 1, True))
+@example(kind="subgroup", u=1, exponent=("2^|q|", -1, False))
+@example(kind="subgroup", u=2, exponent=("ones", 0, False))
+@example(kind="any", u=2, exponent=("ones", 0, True))
+@example(kind="subgroup", u=3, exponent=("ones with a zero", 0, False))
+@example(kind="(0, 0)", u=0, exponent=("ones", 0, False))
+@example(kind="identity", u=0, exponent=("q", 1, False))
+def test_scalar_exp_walks_the_naf_to_the_reference_value(k_bits, seed, kind, u, exponent):
+    params, gen = curve_and_generator(k_bits, seed)
+    point = point_of(params, gen, kind, u)
+    n = exponent_of(params, exponent)
+    assert scalar_exp(params, point, n) == ref_scalar_exp(params, point, n), (point, n)

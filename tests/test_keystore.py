@@ -359,7 +359,7 @@ def test_identical_bytes_are_checked_once_per_process(tmp_path, monkeypatch):
     proved, subgroup_checks = [], []
     is_probable_prime, in_subgroup = bilinear.is_probable_prime, keystore.in_subgroup
     is_prime_given_q = bilinear._is_prime_given_q
-    # q is proved by Miller-Rabin, and p from q
+    # q is proved by is_probable_prime, and p from q
     monkeypatch.setattr(bilinear, "is_probable_prime",
                         lambda n: proved.append(n) or is_probable_prime(n))
     monkeypatch.setattr(bilinear, "_is_prime_given_q",
