@@ -50,6 +50,16 @@ right one may be any curve point.  Encoders and the private helpers
 (_affine_add, _window_walk, _fixed_base_add, _checked_pairing) trust
 their points.
 
+Three primitives count their calls in the module-level dict OPS, the
+operations of protocol.derive's cost table: _checked_pairing (and so
+pairing) under "pairing", gt_exp under "exp_gt", and _fixed_base_add
+(and so fixed_base_exp) under "exp_g" when its walk starts at the
+identity and "exp_g_add" when it starts at a point.  Nothing whose cost
+depends on cache state is counted (hash_to_group, table builds,
+in_subgroup), so work on cold caches counts as on warm ones.  OPS only
+grows: a caller copies it before some work and subtracts the copy from
+it after.  The package is single-threaded, so one plain dict serves.
+
 Setup proves both primes, and so does every decode of a params file.  q
 is proved by the Baillie-PSW test (is_probable_prime): one gcd with the
 product of the primes below 1000, one strong base-2 round and one strong
@@ -96,6 +106,11 @@ HASH_COUNTER_BOUND = 1 << 16
 
 # Digit width of the fixed-base window table: HMV, Guide to ECC, section 3.3.
 WINDOW_BITS = 4
+
+# Calls per kind (see the module docstring).  A plain dict, not a Counter
+# or a contextvar: a copy and four subtractions per derive stay near a
+# microsecond.
+OPS = dict.fromkeys(("pairing", "exp_gt", "exp_g", "exp_g_add"), 0)
 
 # The supported sizes of q in bits, inclusive.  instance_generate,
 # decode_group_params and the CLI's --k-bits all read this one pair.
@@ -169,22 +184,18 @@ _PRIMORIAL_1000 = prod(_PRIMES_BELOW_1000)
 _N_PLUS_1_TRIES = 8
 
 
-def _strong_probable_prime(n: int, bases) -> bool:
-    """Miller-Rabin: whether odd n > 3 is a strong probable prime to every
-    base in bases, each in [2, n - 2]."""
+def _strong_probable_prime(n: int) -> bool:
+    """One Miller-Rabin round: whether odd n > 3 is a strong probable prime
+    to base 2."""
     r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r, d odd
-    d = (n - 1) >> r
-    for a in bases:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    x = pow(2, (n - 1) >> r, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -249,7 +260,7 @@ def is_probable_prime(n: int) -> bool:
         return n in _PRIMES_BELOW_1000
     if gcd(n, _PRIMORIAL_1000) != 1:
         return False
-    return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
+    return _strong_probable_prime(n) and _strong_lucas_probable_prime(n)
 
 
 def _is_prime_given_q(p: int, q: int) -> bool:
@@ -283,7 +294,7 @@ def _is_prime_given_q(p: int, q: int) -> bool:
     """
     if p < 1000 or q <= isqrt(p) + 1:
         return is_probable_prime(p)
-    if gcd(p, _PRIMORIAL_1000) != 1 or not _strong_probable_prime(p, (2,)):
+    if gcd(p, _PRIMORIAL_1000) != 1 or not _strong_probable_prime(p):
         return False
     h = (p + 1) // q
     for a in range(2, 2 + _N_PLUS_1_TRIES):
@@ -527,7 +538,9 @@ def _fixed_base_add(params: GroupParams, point: GElem, n: int, start: GElem) -> 
     """start + [n]point: one walk of point's window table that starts at
     start, so the sum costs no inversion of its own.  A negative n, or one
     of more than |q| bits, as the xor variant's pi can be under a large
-    cofactor, goes to scalar_exp and one addition instead."""
+    cofactor, goes to scalar_exp and one addition instead; OPS counts
+    either way alike."""
+    OPS["exp_g" if start.is_identity() else "exp_g_add"] += 1
     if n >> params.q.bit_length():
         return _affine_add(params.p, scalar_exp(params, point, n), start)
     return _window_walk(params.p, _window_table(params, point), start, n)
@@ -659,6 +672,7 @@ def _checked_pairing(params: GroupParams, left: GElem, right: GElem):
     would need T and Q both at y = 0, as -1 is a non-residue mod p, and no
     line through points of odd order passes through (0, 0).
     """
+    OPS["pairing"] += 1
     p, q = params.p, params.q
     if left.is_identity():
         return GTElem(1, 0, p)
@@ -717,6 +731,7 @@ def gt_mul(z1: GTElem, z2: GTElem) -> GTElem:
 
 
 def gt_exp(z: GTElem, n: int) -> GTElem:
+    OPS["exp_gt"] += 1
     n = int(n)
     if n < 0:
         z = gt_inv(z)

@@ -15,8 +15,9 @@ where s_A = pi(R_A, R_B) and s_B = pi(R_B, R_A).  No party ever learns
 alpha, and no explicit key confirmation flow is needed.
 
 derive() implements the four evaluation schedules of that formula, choice
-1 or 2 with or without precomputation, and reports an operation tally so
-the schedules' costs can be compared against the expected table.  The
+1 or 2 with or without precomputation, and reports the operations its
+online phase ran, counted where they run (bilinear.OPS), so the
+schedules' costs can be compared against the expected table.  The
 perfect-forward-secrecy hardened variant adds one extra responder element
 and hashes an ephemeral Diffie-Hellman value into the session key.
 """
@@ -33,6 +34,7 @@ from .bilinear import (
     GElem,
     GTElem,
     GroupParams,
+    OPS,
     _checked_pairing,
     _fixed_base_add,
     encode_gt,
@@ -142,17 +144,33 @@ def parse_strategy(label: str) -> DeriveStrategy:
 
 @dataclass
 class OpCounts:
-    """Online-phase operation tally for one derivation.
+    """Online-phase operation counts of one derivation, read from
+    bilinear.OPS: the one map from the kinds it observes to a row of
+    EXPECTED_COSTS.
 
-    exp_g counts group exponentiations with weight 0.5 when the exponent
-    is a pi output (half-length) and 1.0 otherwise; without precomputation
-    the exponentiation producing the party's own flow counts too.
+    A "pairing" counts 1 to pairings and an "exp_gt" 1 to exp_gt.  An
+    "exp_g", a group exponentiation from the identity, counts 1.0 to
+    exp_g.  An "exp_g_add", g^s * R for a pi output s, counts 0.5 to exp_g
+    (s is half length) and 1 to mul_g.  Without precomputation the party's
+    own flow g_id^x, which initiate computes outside derive, adds 1.0 to
+    exp_g.
     """
 
     pairings: int = 0
     exp_g: float = 0.0
     mul_g: int = 0
     exp_gt: int = 0
+
+    @classmethod
+    def since(cls, before: dict, precomputed: bool) -> OpCounts:
+        """The counts of the work run since before = OPS.copy()."""
+        fused = OPS["exp_g_add"] - before["exp_g_add"]
+        return cls(  # positional: keywords would double the cost of this call
+            OPS["pairing"] - before["pairing"],
+            OPS["exp_g"] - before["exp_g"] + 0.5 * fused + (0.0 if precomputed else 1.0),
+            fused,
+            OPS["exp_gt"] - before["exp_gt"],
+        )
 
 
 # expected online cost of each derivation strategy:
@@ -302,7 +320,8 @@ def derive(
     vanished.
 
     s_own = pi(R_own, R_peer) and s_peer = pi(R_peer, R_own) in either role,
-    so the result does not depend on role, which is only checked.
+    so the result does not depend on role, which is only checked.  The
+    counts are what bilinear.OPS saw over the online phase (OpCounts).
     """
     if role not in ROLE_BYTES:
         raise ValueError(f"unknown role {role!r}")
@@ -318,29 +337,21 @@ def derive(
     own_s = pi_value(params, own_msg.r, peer_msg.r)
     own_exp = (own_x + own_s) % group.q
 
-    counts = OpCounts()
+    if strategy.choice == 1 and strategy.precomputed:
+        # d_id^own_x is assumed done offline alongside the flow, so it
+        # runs before the online counts start; it raises nothing
+        offline_part = fixed_base_exp(group, own.d_id, own_x)
+
+    before = OPS.copy()
     blended_peer = _blend(params, hash_to_group(group, peer_id), peer_msg.r, own_msg.r)
-    counts.exp_g += 0.5
-    counts.mul_g += 1
-
-    if not strategy.precomputed:
-        # online cost of having produced the own flow g_id^own_x
-        counts.exp_g += 1.0
-
     if strategy.choice == 2:
         own_point = own.d_id
     elif strategy.precomputed:
-        # d_id^own_x is assumed done offline alongside the flow; the
-        # online d_id^own_s is a walk of d_id's table starting there
-        offline_part = fixed_base_exp(group, own.d_id, own_x)
+        # the online d_id^own_s is a walk of d_id's table from offline_part
         own_point = _fixed_base_add(group, own.d_id, own_s, offline_part)
-        counts.exp_g += 0.5
-        counts.mul_g += 1
     else:
         own_point = fixed_base_exp(group, own.d_id, own_exp)
-        counts.exp_g += 1.0
     shared = _checked_pairing(group, blended_peer, own_point)
-    counts.pairings += 1
     _require_in_subgroup(shared is not None)
     # a vanishing exponent is reported after the pairing, because the
     # pairing is the received point's subgroup check
@@ -350,8 +361,7 @@ def derive(
         raise DegenerateExponentError("peer combined exponent vanished mod q")
     if strategy.choice == 2:
         shared = gt_exp(shared, own_exp)
-        counts.exp_gt += 1
-    return SharedSecret(value=shared), counts
+    return SharedSecret(value=shared), OpCounts.since(before, strategy.precomputed)
 
 
 def session_key(

@@ -229,14 +229,14 @@ STRONG_BASE_2_PSEUDOPRIMES = [
 def test_the_base_2_round_refuses_strong_lucas_pseudoprimes(n):
     assert not naive_prime(n)
     assert bilinear._strong_lucas_probable_prime(n)
-    assert not bilinear._strong_probable_prime(n, (2,))
+    assert not bilinear._strong_probable_prime(n)
     assert not is_probable_prime(n)
 
 
 @pytest.mark.parametrize("n, factor", STRONG_BASE_2_PSEUDOPRIMES)
 def test_the_lucas_step_refuses_strong_base_2_pseudoprimes(n, factor):
     assert n % factor == 0 and 1000 < factor < n
-    assert gcd(n, bilinear._PRIMORIAL_1000) == 1 and bilinear._strong_probable_prime(n, (2,))
+    assert gcd(n, bilinear._PRIMORIAL_1000) == 1 and bilinear._strong_probable_prime(n)
     assert not bilinear._strong_lucas_probable_prime(n)
     assert not is_probable_prime(n)
 
@@ -256,7 +256,7 @@ def test_the_lucas_step_refuses_a_square_before_its_search_for_d(root, monkeypat
         # 1093 and 3511 are the Wieferich primes: 2^(r-1) = 1 (mod r^2), so
         # their squares pass the gcd and the base-2 round, and reach the
         # Lucas step
-        assert gcd(n, bilinear._PRIMORIAL_1000) == 1 and bilinear._strong_probable_prime(n, (2,))
+        assert gcd(n, bilinear._PRIMORIAL_1000) == 1 and bilinear._strong_probable_prime(n)
         assert not is_probable_prime(n)
 
 
@@ -290,9 +290,7 @@ def test_the_n_plus_1_test_alone_decides_every_p_past_the_gcd(largest_prime_fact
     # every composite p = 3 (mod 4) below 4 * 10^6 that has no factor below
     # 1000 and a prime factor q > isqrt(p) + 1 of p + 1, and accepts every
     # such prime; such a composite has two factors above 1000, so p >= 10^6
-    strong_probable_prime = bilinear._strong_probable_prime
-    monkeypatch.setattr(bilinear, "_strong_probable_prime",
-                        lambda n, bases: bases == (2,) or strong_probable_prime(n, bases))
+    monkeypatch.setattr(bilinear, "_strong_probable_prime", lambda n: True)
     composites = 0
     for p in range(10**6 + 3, 4 * 10**6, 4):
         q = largest_prime_factor[p + 1]
@@ -317,7 +315,7 @@ N_PLUS_1_PSEUDOPRIMES = [
 @pytest.mark.parametrize("n, q, h, factor", N_PLUS_1_PSEUDOPRIMES)
 def test_the_n_plus_1_proof_refuses_base_2_pseudoprimes(n, q, h, factor):
     assert n == h * q - 1 and n % factor == 0 and 1000 < factor < n
-    assert gcd(n, bilinear._PRIMORIAL_1000) == 1 and bilinear._strong_probable_prime(n, (2,))
+    assert gcd(n, bilinear._PRIMORIAL_1000) == 1 and bilinear._strong_probable_prime(n)
     assert is_probable_prime(q) and q > isqrt(n) + 1
     assert not bilinear._is_prime_given_q(n, q)
     # consistent and of a supported size, so only the proof of p refuses it
@@ -385,7 +383,7 @@ def test_without_an_a_the_proof_falls_back_to_miller_rabin(monkeypatch):
 def test_a_q_below_the_bound_leaves_p_to_miller_rabin(monkeypatch, p, q, prime):
     assert is_probable_prime(p) is prime and is_probable_prime(q)
     assert p % 4 == 3 and (p + 1) % q == 0 and q <= isqrt(p) + 1
-    assert gcd(p, bilinear._PRIMORIAL_1000) == 1 and bilinear._strong_probable_prime(p, (2,))
+    assert gcd(p, bilinear._PRIMORIAL_1000) == 1 and bilinear._strong_probable_prime(p)
     tested = _spy_on_miller_rabin(monkeypatch)
     assert bilinear._is_prime_given_q(p, q) is prime
     assert tested == [p]

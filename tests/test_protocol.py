@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from idak import protocol
+from idak import bilinear, protocol
 from idak.bilinear import (
     GElem,
     INFINITY,
@@ -280,7 +280,7 @@ def test_all_strategies_bit_identical():
             assert sk_a == sk_b == base_sk
 
 
-def test_operation_cost_table():
+def test_operation_cost_table(monkeypatch):
     # expected online costs per strategy: (pairings, exp_G, mul_G, exp_GT)
     expected = {
         "c1-nopre": OpCounts(pairings=1, exp_g=2.5, mul_g=1, exp_gt=0),
@@ -288,17 +288,80 @@ def test_operation_cost_table():
         "c1-pre": OpCounts(pairings=1, exp_g=1.0, mul_g=2, exp_gt=0),
         "c2-pre": OpCounts(pairings=1, exp_g=0.5, mul_g=1, exp_gt=1),
     }
-    rng = random.Random(3)
-    x, msg_a, y, msg_b, _, _ = run_session(PARAMS, ALICE, BOB, rng)
-    for strategy in STRATEGIES:
+
+    def both_sides(params, key_a, key_b, session, strategy):
+        x, msg_a, y, msg_b, _, _ = session
         _, counts_a = derive(
-            PARAMS, ALICE, x, msg_a, "bob", msg_b, "initiator", strategy
+            params, key_a, x, msg_a, key_b.identity, msg_b, "initiator", strategy
         )
         _, counts_b = derive(
-            PARAMS, BOB, y, msg_b, "alice", msg_a, "responder", strategy
+            params, key_b, y, msg_b, key_a.identity, msg_a, "responder", strategy
         )
-        assert counts_a == expected[strategy.label()], strategy
-        assert counts_b == expected[strategy.label()], strategy
+        return counts_a, counts_b
+
+    session = run_session(PARAMS, ALICE, BOB, random.Random(3))
+    for strategy in STRATEGIES:
+        row = expected[strategy.label()]
+        assert both_sides(PARAMS, ALICE, BOB, session, strategy) == (row, row), strategy
+
+    # a primitive that derive runs twice shows twice, in every strategy
+    # that runs it: the counts come from where the work runs
+    doubled = {
+        "_checked_pairing": {
+            "c1-nopre": OpCounts(2, 2.5, 1, 0), "c2-nopre": OpCounts(2, 1.5, 1, 1),
+            "c1-pre": OpCounts(2, 1.0, 2, 0), "c2-pre": OpCounts(2, 0.5, 1, 1),
+        },
+        "gt_exp": {
+            "c1-nopre": OpCounts(1, 2.5, 1, 0), "c2-nopre": OpCounts(1, 1.5, 1, 2),
+            "c1-pre": OpCounts(1, 1.0, 2, 0), "c2-pre": OpCounts(1, 0.5, 1, 2),
+        },
+        # the blend, and c1-pre's online walk from its offline part
+        "_fixed_base_add": {
+            "c1-nopre": OpCounts(1, 3.0, 2, 0), "c2-nopre": OpCounts(1, 2.0, 2, 1),
+            "c1-pre": OpCounts(1, 2.0, 4, 0), "c2-pre": OpCounts(1, 1.0, 2, 1),
+        },
+    }
+    for name, rows in doubled.items():
+        with monkeypatch.context() as patch:
+            original = getattr(protocol, name)
+            patch.setattr(protocol, name, lambda *args: (original(*args), original(*args))[1])
+            for strategy in STRATEGIES:
+                row = rows[strategy.label()]
+                assert both_sides(PARAMS, ALICE, BOB, session, strategy) == (row, row), name
+
+    # the counts do not depend on the drawn values, the size, the pi
+    # variant, the role or whether the caches are cold; and every walk
+    # that derive starts at a point, counted as 0.5 exponentiation and 1
+    # multiplication, is given a pi output
+    walks = []
+    fixed_base_add = bilinear._fixed_base_add
+
+    def spy(group, point, n, start):
+        walks.append((n, start))
+        return fixed_base_add(group, point, n, start)
+
+    monkeypatch.setattr(bilinear, "_fixed_base_add", spy)
+    monkeypatch.setattr(protocol, "_fixed_base_add", spy)
+    for k_bits in (4, 8, 16):
+        for pi in PiVariant:
+            params, msk = setup(k_bits, "costs", pi_variant=pi)
+            alice, bob = extract(params, msk, "alice"), extract(params, msk, "bob")
+            rng = random.Random(f"costs-{k_bits}-{pi.value}")
+            for _ in range(10):
+                session = run_session(params, alice, bob, rng)
+                _, msg_a, _, msg_b, _, _ = session
+                pis = {pi_value(params, msg_a.r, msg_b.r), pi_value(params, msg_b.r, msg_a.r)}
+                for strategy in STRATEGIES:
+                    row = expected[strategy.label()]
+                    for cold in (True, False):
+                        if cold:
+                            bilinear._window_table.cache_clear()
+                            bilinear._hash_to_group.cache_clear()
+                        walks.clear()
+                        observed = both_sides(params, alice, bob, session, strategy)
+                        assert observed == (row, row), (k_bits, pi, strategy, cold)
+                        started = {n for n, start in walks if not start.is_identity()}
+                        assert started and started <= pis, (k_bits, pi, strategy)
 
 
 def test_derive_rejects_bad_inputs():
