@@ -35,11 +35,12 @@ point operation uses it, with one inversion back to affine; scalar_exp
 walks the NAF of its exponent, as the Miller loop walks q's.  Points
 used again and again (a party's own hashed identity and identity key, a
 peer's hashed identity, the base point of a CBDH instance) are
-multiplied through a fixed-base window table: its rows [j * 16^i]P are
-built on first use, one batched inversion per row, and kept in a
-bounded cache, and a walk adds one row entry per 4-bit digit of the
-exponent, with no doubling; a walk may start at any point, which adds
-that point for free.  Hashed identities are cached the same way.
+multiplied through a fixed-base window table: its rows [j * 64^i]P for
+j = 1..32 are built on first use, one batched inversion per row, and
+kept in a bounded cache, and a walk adds one row entry or its negative
+per nonzero signed 6-bit digit of the exponent (HMV, section 3.3), with
+no doubling; a walk may start at any point, which adds that point for
+free.  Hashed identities are cached the same way.
 
 A point is checked for the curve where it enters (decode_point,
 take_point) and by each public function that computes on it: point_add,
@@ -105,7 +106,7 @@ COFACTOR_CANDIDATE_BOUND = 1 << 20
 HASH_COUNTER_BOUND = 1 << 16
 
 # Digit width of the fixed-base window table: HMV, Guide to ECC, section 3.3.
-WINDOW_BITS = 4
+WINDOW_BITS = 6
 
 # Calls per kind (see the module docstring).  A plain dict, not a Counter
 # or a contextvar: a copy and four subtractions per derive stay near a
@@ -477,44 +478,67 @@ def in_subgroup(params: GroupParams, point: GElem) -> bool:
 
 @functools.lru_cache(maxsize=128)
 def _window_table(params: GroupParams, point: GElem):
-    """The fixed-base window table of a point.
+    """The fixed-base window table of a point, for _window_walk.
 
-    Row i holds [j * 16^i]point for j < 16, as (x, y) pairs or None for
-    the identity, for i < ceil(|q| / WINDOW_BITS).  Built on first use by
-    mixed additions, one batched inversion per row, with the row's 16th
-    multiple as the next row's base; an off-curve point raises.
+    Row i is one flat tuple (x_1, y_1, ..., x_32, y_32) of the multiples
+    [j * 64^i]point for j = 1..32, with a None pair where a point outside
+    the subgroup reaches the identity, for i < ceil((|q| + 1) / 6): the
+    walk's signed digits may carry one place past |q| bits.  Built on
+    first use: per row, 31 mixed additions and one _jac_double of the
+    32nd multiple for the next row's base, all converted by one batched
+    inversion; an off-curve point raises.
     """
     _require_on_curve(params, point)
     p = params.p
+    half = 1 << (WINDOW_BITS - 1)
     rows = []
     base = None if point.is_identity() else (point.x, point.y)
-    for _ in range(-(-params.q.bit_length() // WINDOW_BITS)):
-        T = (0, 1, 0)
+    for _ in range(-(-(params.q.bit_length() + 1) // WINDOW_BITS)):
+        if base is None:  # an identity base leaves every multiple at the identity
+            rows.append((None,) * (2 * half))
+            continue
+        T = (*base, 1)
         multiples = [T]
-        for _ in range(1 << WINDOW_BITS):
-            if base:  # an identity base leaves every multiple at the identity
-                T = _jac_add_affine(p, *T, *base)
+        for _ in range(half - 1):
+            T = _jac_add_affine(p, *T, *base)
             multiples.append(T)
+        multiples.append(_jac_double(p, *T))
         *row, base = _batch_to_affine(p, multiples)
-        rows.append(tuple(row))
+        rows.append(tuple(c for entry in row for c in (entry or (None, None))))
     return tuple(rows)
 
 
 def _window_walk(p: int, table, start: GElem, n: int) -> GElem:
-    """start + [n]P, for P's window table and 0 <= n < 16^len(table).
+    """start + [n]P, for P's window table and 0 <= n < 2^|q|.
 
-    One mixed addition per nonzero 4-bit digit of n and no doubling.
-    Starting at start rather than the identity costs nothing extra, and
-    the one inversion comes at the end.
+    Recodes n into signed 6-bit digits, low first: a digit d of 1..32
+    adds row entry d, and one of 33..63 adds the negative (x, p - y) of
+    entry 64 - d, which costs nothing, and carries 1 into the next digit.
+    One mixed addition per nonzero digit and no doubling.  Starting at
+    start rather than the identity costs nothing extra, and the one
+    inversion comes at the end.
     """
+    mask = (1 << WINDOW_BITS) - 1
+    half = 1 << (WINDOW_BITS - 1)
     X, Y, Z = (0, 1, 0) if start.is_identity() else (start.x, start.y, 1)
     for row in table:
         if not n:
             break
-        entry = row[n & ((1 << WINDOW_BITS) - 1)]
-        if entry is not None:
-            X, Y, Z = _jac_add_affine(p, X, Y, Z, *entry)
+        d = n & mask
         n >>= WINDOW_BITS
+        if not d:
+            continue
+        if d > half:  # the digit d - 64: entry 64 - d at 2 * (64 - d) - 2
+            n += 1
+            i = 2 * (mask - d)
+            x = row[i]
+            if x is not None:
+                X, Y, Z = _jac_add_affine(p, X, Y, Z, x, p - row[i + 1])
+        else:
+            i = 2 * d - 2
+            x = row[i]
+            if x is not None:
+                X, Y, Z = _jac_add_affine(p, X, Y, Z, x, row[i + 1])
     return _jac_to_affine(p, X, Y, Z)
 
 
@@ -522,14 +546,16 @@ def fixed_base_exp(params: GroupParams, point: GElem, n: int) -> GElem:
     """scalar_exp for a long-lived point, by its cached window table.
 
     The table is built on the point's first use and kept in a bounded
-    cache; the walk then costs one mixed addition per nonzero 4-bit digit
-    of n.  A table holds 15 * ceil(|q| / 4) points, about 7, 16, 73 and
-    487 KiB at k = 16, 32, 128 and 512.  Its build makes 4 mixed additions
-    per bit of q and one inversion per row, where a full-length scalar_exp
-    makes one doubling per bit and about one addition per three: a table
-    costs about 6, 6, 6.5 and 7 scalar_exps at those sizes.  Negative
-    exponents and those of more than |q| bits reach scalar_exp through
-    _fixed_base_add, so the result is the same for every input.
+    cache; the walk then costs one mixed addition per nonzero signed 6-bit
+    digit of n.  A table holds 32 * ceil((|q| + 1) / 6) points: 96, 192,
+    704 and 2752, in about 7, 15, 73 and 563 KiB, at k = 16, 32, 128 and
+    512.  Its build makes about 5.3 mixed additions per bit of q and one
+    inversion per row, where a full-length scalar_exp makes one doubling
+    per bit and about one addition per three: on a 2-core Xeon under
+    Python 3.11 a table cost 8 to 14 scalar_exps at those sizes, and a
+    full-length walk 0.1 to 0.3 of one.  Negative exponents and those
+    of more than |q| bits reach scalar_exp through _fixed_base_add, so the
+    result is the same for every input.
     """
     return _fixed_base_add(params, point, int(n), INFINITY)
 

@@ -8,13 +8,13 @@ blinded calls turns an unreliable oracle into a reliable solver.
 
 Everything that depends only on the instance is prepared once and cached
 for the most recent instance: its validation, g's fixed-base window
-table (built by bilinear and cached there per base point, so instances
-that share g share it), and the products of every subset of the seven
-cross pairings that unblinding needs.  Each round then costs one table
-walk per blinded point and one multi-exponentiation in GT, and no
-pairing.  The multi-exponentiation reads each step's table index from
-one int that interleaves the seven exponents' bits, so a round formats
-no strings.
+table of signed 6-bit digits (built by bilinear and cached there per
+base point, so instances that share g share it), and the products of
+every subset of the seven cross pairings that unblinding needs.  Each
+round then costs one table walk per blinded point and one
+multi-exponentiation in GT, and no pairing.  The multi-exponentiation
+reads each step's table index from one int that interleaves the seven
+exponents' bits, so a round formats no strings.
 
 The mock oracle that stands in for the adversary answers with a
 baby-step giant-step discrete log (Shanks 1971).  Its table holds the m
@@ -23,7 +23,8 @@ each entry also stands for [-j]g; a giant step then covers 2m + 1
 residues, and a walk takes at most about sqrt(q)/2 of them.  The table
 grows as 2^(k/2) for a k-bit q, so it is refused above MAX_K_BITS.  Its
 wrong answers are powers of e(g, g) through a window table of that
-element that the mock itself keeps, so they square nothing.
+element that the mock itself keeps, unsigned and 4 bits wide, so they
+square nothing.
 """
 
 import functools
@@ -138,8 +139,8 @@ def randomize(params, inst, rng):
 
     Each blinded point is the instance point plus [shift]g: a walk of
     g's cached window table that starts at the instance point, so it
-    costs one mixed addition per 4-bit digit of the shift, no doubling,
-    and one inversion.
+    costs one mixed addition per nonzero signed 6-bit digit of the shift,
+    no doubling, and one inversion.
     """
     table, _ = _prepared(params, inst)
     p, q = params.p, params.q

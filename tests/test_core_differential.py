@@ -22,6 +22,7 @@ from idak.bilinear import (
     GTElem,
     INFINITY,
     _checked_pairing,
+    _fixed_base_add,
     _naf_digits,
     fixed_base_exp,
     hash_to_group,
@@ -301,19 +302,31 @@ def test_random_subgroup_pairs_match_reference(k_bits, pairs):
             assert scalar_exp(params, a, n) == ref_scalar_exp(params, a, n)
 
 
-@pytest.mark.parametrize("k_bits", [16, 32, 128])
+# A window walk recodes its exponent into signed 6-bit digits, and a digit
+# of 33 to 63 carries 1 into the next.  Below 2^|q| a carry reaches row
+# ceil(|q| / 6), past every digit of n, only when 6 divides |q|: at k = 24
+# the table's fifth row is there for that carry alone.  At k = 23 the top
+# digit is at most 31 + 1 = 32, which the walk adds as +32; taken as -32
+# with a carry, 2^23 - 1 would need a row the table does not have.
+@pytest.mark.parametrize("k_bits", [16, 23, 24, 32, 128])
 def test_fixed_base_exp_and_checked_pairing_at_protocol_sizes(k_bits):
     params = instance_generate(k_bits, f"differential-{k_bits}")
     rng = random.Random(k_bits)
     gen = hash_to_group(params, "differential")
     q = params.q
     top = 1 << q.bit_length()
+    # 1 in every full 6-bit digit below 2^|q|
+    ones = sum(1 << 6 * i for i in range(q.bit_length() // 6))
     for _ in range(3):
         a = scalar_exp(params, gen, random_scalar(params, rng))
         b = scalar_exp(params, gen, random_scalar(params, rng))
-        for n in (0, 1, q - 1, q, top - 1, top, -q, random_scalar(params, rng),
-                  rng.getrandbits(k_bits // 2), rng.getrandbits(2 * k_bits + 8)):
+        for n in (0, 1, q - 1, q, top - 1, top, -q, 32 * ones, 63 * ones,
+                  random_scalar(params, rng), rng.getrandbits(k_bits // 2),
+                  rng.getrandbits(2 * k_bits + 8)):
             assert fixed_base_exp(params, a, n) == ref_scalar_exp(params, a, n), n
+            # a walk that starts at -[n]a cancels to the identity
+            minus = ref_scalar_exp(params, a, -n)
+            assert _fixed_base_add(params, a, n, minus) == INFINITY, n
         assert _checked_pairing(params, a, b) == ref_pairing(params, a, b)
         # adding the 2-torsion point puts the left point outside the subgroup
         outside = point_add(params, a, GElem(0, 0))
