@@ -61,21 +61,22 @@ in_subgroup), so work on cold caches counts as on warm ones.  OPS only
 grows: a caller copies it before some work and subtracts the copy from
 it after.  The package is single-threaded, so one plain dict serves.
 
-Setup proves both primes, and so does every decode of a params file.  q
-is proved by the Baillie-PSW test (is_probable_prime): one gcd with the
-product of the primes below 1000, one strong base-2 round and one strong
-Lucas test (Baillie-Wagstaff, Math. Comp. 35, 1980; FIPS 186-4, appendix
-C.3.3).  It is exact below 2^64, where Feitsma and Galway listed every
-base-2 pseudoprime and none passes the Lucas test.  Above 2^64 no
-composite is known to pass it.  That includes [2^64, psi_13), psi_13 ~
-2^81.5, where Miller-Rabin to the 13 primes 2..41 would be exact: the
-one test is kept there too.  Above psi_13 it replaces 40 Miller-Rabin
-rounds with bases drawn from n, which the author of a crafted params file
-could compute in advance.  Setup scans cofactors h divisible by 4, which
-for odd q are exactly those with p = h*q - 1 = 3 (mod 4), and proves p
-from q (_is_prime_given_q): the same gcd refuses a p with a small factor,
-a strong base-2 round filters out most other composites, and the N+1
-test in F_p[i], exact given q whenever q > sqrt(p) + 1, decides.
+Setup proves both primes, and so does every decode of a params file, by
+one test: Baillie-PSW (is_probable_prime), one gcd with the product of
+the primes below 1000, one strong base-2 round and one strong Lucas test
+(Baillie-Wagstaff, Math. Comp. 35, 1980; FIPS 186-4, appendix C.3.3).
+It is exact below 2^64, where Feitsma and Galway listed every base-2
+pseudoprime and none passes the Lucas test.  Above 2^64 no composite is
+known to pass it.  That includes [2^64, psi_13), psi_13 ~ 2^81.5, where
+Miller-Rabin to the 13 primes 2..41 would be exact: the one test is kept
+there too.  Above psi_13 it replaces 40 Miller-Rabin rounds with bases
+drawn from n, which the author of a crafted params file could compute in
+advance.  p = h*q - 1 takes the same test as q.  That gives up one
+window of exactness, q < 2^64 <= p, where generated sets fall at about
+k = 56..64: there an N+1 proof of p in F_p[i] from the prime q | p + 1
+would be exact, while above it such a proof is only as sure as q.
+Setup scans cofactors h divisible by 4, which for odd q are exactly
+those with p = h*q - 1 = 3 (mod 4).
 
 Parameter sizes here are deliberately small.  Nothing in this module is
 safe for production use.
@@ -179,11 +180,6 @@ def _primes_below(n: int) -> frozenset:
 _PRIMES_BELOW_1000 = _primes_below(1000)
 _PRIMORIAL_1000 = prod(_PRIMES_BELOW_1000)
 
-# How many a = 2, 3, ... the N+1 proof tries before it leaves p to
-# Miller-Rabin.  Each a < 31 has a^2 + 1 < 1000, so once the gcd above
-# passes, a + i and a - i are units mod every factor of p.
-_N_PLUS_1_TRIES = 8
-
 
 def _strong_probable_prime(n: int) -> bool:
     """One Miller-Rabin round: whether odd n > 3 is a strong probable prime
@@ -264,47 +260,6 @@ def is_probable_prime(n: int) -> bool:
     return _strong_probable_prime(n) and _strong_lucas_probable_prime(n)
 
 
-def _is_prime_given_q(p: int, q: int) -> bool:
-    """Whether p is prime, for p = 3 (mod 4) and a prime q dividing p + 1.
-
-    Exact given q.  A p below 1000, or with q <= isqrt(p) + 1, goes to
-    is_probable_prime.  Any other p is refused if it has a factor below
-    1000 (one gcd).  A strong base-2 round then filters out most other
-    composites; it is cheaper than the proof, and no part of it.  The N+1
-    test in F_p[i] decides the rest (Brillhart-Lehmer-Selfridge 1975;
-    Crandall-Pomerance, Prime Numbers, section 4.2): with h = (p + 1) / q,
-    take beta = (a + i)^h for the first a = 2, 3, ... with Im beta != 0;
-    p is prime exactly when Im beta^q = 0.  If no a within
-    _N_PLUS_1_TRIES has Im beta != 0, is_probable_prime decides.
-
-    A prime p passes, since (a + i)^(p+1) = (a + i)(a - i) = a^2 + 1 for
-    p = 3 (mod 4).  Conversely, let u = (a + i)/(a - i).  Every prime
-    factor of p exceeds 1000 > a^2 + 1, so u is a unit modulo every prime
-    power dividing p, and Im x = 0 exactly when x / conj(x) = 1.  Passing
-    means u^h != 1 and u^(hq) = 1 (mod p), so some prime power r^e
-    exactly dividing p has u^h != 1 (mod r^e).  If u^h != 1 (mod r), q
-    divides the order of u mod r, which divides r - 1 or r + 1, so
-    r = +-1 (mod q); then s = p / r = -+1 (mod q), since p = -1, and
-    s <= p / (q - 1) < q - 1, since q - 1 > sqrt(p); so s = 1 and p is
-    prime.  Otherwise u^h = 1 (mod r) but not (mod r^e), so u^h has an
-    order that is a power of r and divides q: r = q, but q does not divide
-    p.  No gcd of Im beta with p is needed, and for a prime p it is 1.
-
-    The proof costs one power by h and one by q in F_p[i], about twice
-    is_probable_prime's Lucas step at k = 128.
-    """
-    if p < 1000 or q <= isqrt(p) + 1:
-        return is_probable_prime(p)
-    if gcd(p, _PRIMORIAL_1000) != 1 or not _strong_probable_prime(p):
-        return False
-    h = (p + 1) // q
-    for a in range(2, 2 + _N_PLUS_1_TRIES):
-        real, imag = _fp2_pow(p, a, 1, h)
-        if imag:
-            return _fp2_pow(p, real, imag, q)[1] == 0
-    return is_probable_prime(p)
-
-
 def instance_generate(k_bits: int, seed) -> GroupParams:
     """Deterministically derive curve parameters from a seed.
 
@@ -323,7 +278,7 @@ def instance_generate(k_bits: int, seed) -> GroupParams:
             break
     for h in range(4, 2 * COFACTOR_CANDIDATE_BOUND + 1, 4):
         p = h * q - 1
-        if h % q and _is_prime_given_q(p, q):
+        if h % q and is_probable_prime(p):
             return GroupParams(p=p, q=q, h=h)
     raise ParameterSearchError(
         f"no admissible cofactor h <= {2 * COFACTOR_CANDIDATE_BOUND} for q={q}"
@@ -931,6 +886,6 @@ def decode_group_params(data: bytes) -> GroupParams:
         raise MalformedElementError("group parameters lie outside the supported sizes")
     if p != h * q - 1 or p % 4 != 3 or h % 2 != 0 or h % q == 0:
         raise MalformedElementError("inconsistent group parameters")
-    if not (is_probable_prime(q) and _is_prime_given_q(p, q)):
+    if not (is_probable_prime(q) and is_probable_prime(p)):
         raise MalformedElementError("group parameters are not prime")
     return GroupParams(p=p, q=q, h=h)

@@ -213,9 +213,10 @@ def test_is_probable_prime_matches_the_13_base_reference():
 # which the gcd also refuses, and three with no factor below 1000.
 STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 1711469, 2263127, 2518889]
 # Strong base-2 pseudoprimes with no factor below 1000, each with a factor:
-# the three the N+1 proof refuses (N_PLUS_1_PSEUDOPRIMES below), the two
+# 2304167 = 1103 * 2089, the three of N_PLUS_1_PSEUDOPRIMES below, the two
 # above to the first 11 and 12 bases, and psi_13.
 STRONG_BASE_2_PSEUDOPRIMES = [
+    (2304167, 1103),
     (6787327, 1303),
     (21623659, 1163),
     (60547831, 1471),
@@ -260,50 +261,10 @@ def test_the_lucas_step_refuses_a_square_before_its_search_for_d(root, monkeypat
         assert not is_probable_prime(n)
 
 
-@pytest.fixture(scope="module")
-def largest_prime_factor():
-    """largest[m] for m <= 4 * 10^6: the largest prime factor of m (1 for
-    m < 2), so m > 1 is prime exactly when largest[m] == m."""
-    limit = 4 * 10**6 + 1
-    largest = [1] * limit
-    for d in range(2, limit):
-        if largest[d] == 1:  # d is prime
-            largest[d::d] = [d] * len(range(d, limit, d))
-    return largest
-
-
-def test_the_n_plus_1_proof_agrees_with_miller_rabin(largest_prime_factor):
-    # every n = 3 (mod 4) below 2 * 10^6 whose n + 1 has a prime factor
-    # q > isqrt(n) + 1, where is_probable_prime is exact
-    limit = 2 * 10**6
-    cases = 0
-    for n in range(3, limit, 4):
-        q = largest_prime_factor[n + 1]
-        if q > isqrt(n) + 1:
-            cases += 1
-            assert bilinear._is_prime_given_q(n, q) == is_probable_prime(n), n
-    assert cases == 313112
-
-
-def test_the_n_plus_1_test_alone_decides_every_p_past_the_gcd(largest_prime_factor, monkeypatch):
-    # with the base-2 round passing everything, the N+1 test alone refuses
-    # every composite p = 3 (mod 4) below 4 * 10^6 that has no factor below
-    # 1000 and a prime factor q > isqrt(p) + 1 of p + 1, and accepts every
-    # such prime; such a composite has two factors above 1000, so p >= 10^6
-    monkeypatch.setattr(bilinear, "_strong_probable_prime", lambda n: True)
-    composites = 0
-    for p in range(10**6 + 3, 4 * 10**6, 4):
-        q = largest_prime_factor[p + 1]
-        if q > isqrt(p) + 1 and gcd(p, bilinear._PRIMORIAL_1000) == 1:
-            prime = largest_prime_factor[p] == p
-            composites += not prime
-            assert bilinear._is_prime_given_q(p, q) is prime, p
-    assert composites == 6752
-
-
 # strong pseudoprimes to base 2 with every factor above 1000, whose n + 1
-# has a prime factor q > isqrt(n) + 1: the gcd and the base-2 round pass
-# them, so only the N+1 proof can refuse them
+# has a prime factor q > isqrt(n) + 1, so that an N+1 proof of n from q
+# applies: the gcd and the base-2 round pass them, so only the Lucas step
+# of is_probable_prime refuses them
 N_PLUS_1_PSEUDOPRIMES = [
     # (n, q, h, a factor of n)
     (6787327, 26513, 256, 1303),
@@ -317,76 +278,50 @@ def test_the_n_plus_1_proof_refuses_base_2_pseudoprimes(n, q, h, factor):
     assert n == h * q - 1 and n % factor == 0 and 1000 < factor < n
     assert gcd(n, bilinear._PRIMORIAL_1000) == 1 and bilinear._strong_probable_prime(n)
     assert is_probable_prime(q) and q > isqrt(n) + 1
-    assert not bilinear._is_prime_given_q(n, q)
-    # consistent and of a supported size, so only the proof of p refuses it
+    # consistent and of a supported size, so only the test of p refuses it
     blob = encode_group_params(GroupParams(p=n, q=q, h=h))
     with pytest.raises(MalformedElementError, match="^group parameters are not prime$"):
         decode_group_params(blob)
 
 
-def _spy_on_miller_rabin(monkeypatch):
-    tested = []
-    miller_rabin = bilinear.is_probable_prime
-    monkeypatch.setattr(bilinear, "is_probable_prime",
-                        lambda n: tested.append(n) or miller_rabin(n))
-    return tested
-
-
-def _miller_rabin_scan(k_bits, seed):
-    """instance_generate's search with every p proved by is_probable_prime."""
+def _cofactor_scan(k_bits, seed, is_prime):
+    """instance_generate's search with both primes decided by is_prime, over
+    every even h, keeping p = 3 (mod 4) by a test rather than by 4 | h."""
     rng = random.Random(seed)
     while True:
         q = (1 << (k_bits - 1)) | rng.getrandbits(k_bits - 1) | 1
-        if is_probable_prime(q):
+        if is_prime(q):
             break
     h = 0
     while True:
         h += 2
         p = h * q - 1
-        if h % q and p % 4 == 3 and is_probable_prime(p):
+        if h % q and p % 4 == 3 and is_prime(p):
             return GroupParams(p=p, q=q, h=h)
 
 
-def test_generated_p_is_proved_without_miller_rabin(monkeypatch):
-    sets = [_K128, instance_generate(32, "n-plus-1")]
-    tested = _spy_on_miller_rabin(monkeypatch)
-    for gp in sets:
-        assert bilinear._is_prime_given_q(gp.p, gp.q)
-    assert tested == []
-    # at k = 256 and 512 setup finds the parameters of a scan that proves
-    # each p by is_probable_prime alone, and the N+1 proof, not its
-    # is_probable_prime fallback, decides p
+def test_generated_p_is_proved_without_miller_rabin():
+    # at k = 256 and 512 setup finds the parameters of a scan over every
+    # even h, so scanning only h divisible by 4 skips no prime p
     for k in (256, 512):
         for i in range(8):
             seed = f"ci-n-plus-1-{i}"
-            tested.clear()
+            assert instance_generate(k, seed) == _cofactor_scan(k, seed, is_probable_prime), (k, seed)
+
+
+def test_generated_sets_match_an_exact_scan_where_the_proof_was_exact():
+    # for k = 56..64 most sets have q < 2^64 <= p, the one window where an
+    # N+1 proof of p from q was exact; every p there is below psi_13, so the
+    # 13-base reference decides both primes exactly
+    in_window = 0
+    for k in range(56, 65):
+        for i in range(20):
+            seed = f"n-plus-1-window-{i}"
             gp = instance_generate(k, seed)
-            assert gp == _miller_rabin_scan(k, seed), (k, seed)
-            assert gp.p not in tested and gp.q > isqrt(gp.p) + 1, (k, seed)
-
-
-def test_without_an_a_the_proof_falls_back_to_miller_rabin(monkeypatch):
-    # 6787327 is a composite that the gcd and the base-2 round pass
-    monkeypatch.setattr(bilinear, "_N_PLUS_1_TRIES", 0)
-    tested = _spy_on_miller_rabin(monkeypatch)
-    for p, q in ((_K128.p, _K128.q), (6787327, 26513)):
-        tested.clear()
-        assert bilinear._is_prime_given_q(p, q) == is_probable_prime(p)
-        assert tested == [p]
-    assert is_probable_prime(_K128.p) and not is_probable_prime(6787327)
-
-
-@pytest.mark.parametrize("p, q, prime", [
-    (1019, 5, True),
-    (2304167, 163, False),  # 1103 * 2089, a strong pseudoprime to base 2
-])
-def test_a_q_below_the_bound_leaves_p_to_miller_rabin(monkeypatch, p, q, prime):
-    assert is_probable_prime(p) is prime and is_probable_prime(q)
-    assert p % 4 == 3 and (p + 1) % q == 0 and q <= isqrt(p) + 1
-    assert gcd(p, bilinear._PRIMORIAL_1000) == 1 and bilinear._strong_probable_prime(p)
-    tested = _spy_on_miller_rabin(monkeypatch)
-    assert bilinear._is_prime_given_q(p, q) is prime
-    assert tested == [p]
+            assert gp == _cofactor_scan(k, seed, miller_rabin_13), (k, seed)
+            assert gp.p < PSI_13, (k, seed)
+            in_window += gp.q < 2**64 <= gp.p
+    assert in_window >= 100
 
 
 # ---------------------------------------------------------------------------

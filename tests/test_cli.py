@@ -197,7 +197,7 @@ def test_two_bit_params_file_is_a_data_error(keyring, tmp_path, capsys):
 ])
 def test_a_pseudoprime_p_is_a_data_error(keyring, tmp_path, capsys, p, q, h):
     # p = h*q - 1 is a strong pseudoprime to base 2 with no factor below
-    # 1000, so only the N+1 proof of p from q refuses it
+    # 1000, so only the Lucas step of the test of p refuses it
     path = tmp_path / "pseudoprime.params"
     keystore.write_entry(path, "params", encode_group_params(GroupParams(p, q, h)))
     assert main(["extract", "alice", "--params", str(path), "--master", keyring["master"],

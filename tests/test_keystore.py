@@ -117,7 +117,7 @@ def test_the_largest_identity_key_fits_the_read_bound(tmp_path):
 
 def test_a_params_payload_with_a_pseudoprime_p_is_refused(tmp_path):
     # 6787327 = 1303 * 5209 = 256 * 26513 - 1 is a strong pseudoprime to
-    # base 2; the N+1 proof of p from q refuses it
+    # base 2; the Lucas step of the test of p refuses it
     path = tmp_path / "pseudoprime.params"
     keystore.write_entry(path, "params", encode_group_params(
         bilinear.GroupParams(p=6787327, q=26513, h=256)))
@@ -358,12 +358,9 @@ def test_identical_bytes_are_checked_once_per_process(tmp_path, monkeypatch):
     keystore.save_identity(key_path, group, key)
     proved, subgroup_checks = [], []
     is_probable_prime, in_subgroup = bilinear.is_probable_prime, keystore.in_subgroup
-    is_prime_given_q = bilinear._is_prime_given_q
-    # q is proved by is_probable_prime, and p from q
+    # is_probable_prime proves both q and p
     monkeypatch.setattr(bilinear, "is_probable_prime",
                         lambda n: proved.append(n) or is_probable_prime(n))
-    monkeypatch.setattr(bilinear, "_is_prime_given_q",
-                        lambda p, q: proved.append(p) or is_prime_given_q(p, q))
     monkeypatch.setattr(keystore, "in_subgroup",
                         lambda *args: subgroup_checks.append(args) or in_subgroup(*args))
     keystore._decoded_group.cache_clear()
