@@ -30,17 +30,28 @@ Menezes-Vanstone, Guide to ECC, section 3.3), whose -1 digits add
 NAF digits where its binary form has about 64.  Each doubling step
 squares f unreduced inside its line product.
 
+A long-lived right argument (a party's d_id in protocol.derive's choice
+2) has its Miller lines cached instead, after Costello and Stebila
+("Fixed argument pairings", 2010): as e is symmetric on G x G,
+e(P, Q) = e(Q, P), and Q's NAF chain of q is walked once, each tangent
+and chord stored as its two F_p coefficients at phi of any point.  A
+pairing with it then only evaluates the stored lines, but no longer
+checks P's subgroup for free, so an explicit [q]-walk of P comes
+first.  GT elements have norm 1 (conj(z) = 1/z), so gt_exp is a Lucas
+ladder on z^k + conj(z)^k in F_p, two F_p multiplications per bit.
+
 The group law is written once, in Jacobian coordinates, and every
-point operation uses it, with one inversion back to affine; scalar_exp
-walks the NAF of its exponent, as the Miller loop walks q's.  Points
-used again and again (a party's own hashed identity and identity key, a
-peer's hashed identity, the base point of a CBDH instance) are
-multiplied through a fixed-base window table: its rows [j * 64^i]P for
-j = 1..32 are built on first use, one batched inversion per row, and
-kept in a bounded cache, and a walk adds one row entry or its negative
-per nonzero signed 6-bit digit of the exponent (HMV, section 3.3), with
-no doubling; a walk may start at any point, which adds that point for
-free.  Hashed identities are cached the same way.
+point operation uses it, with one inversion back to affine; its doubling
+uses b = 0 (_jac_double), and scalar_exp walks the NAF of its exponent,
+as the Miller loop walks q's.  Points used again and again (a party's
+own hashed identity and identity key, a peer's hashed identity, the base
+point of a CBDH instance) are multiplied through a fixed-base window
+table: its rows [j * 64^i]P for j = 1..32 are built on first use, one
+batched inversion per row, and kept in a bounded cache, and a walk adds
+one row entry or its negative per nonzero signed 6-bit digit of the
+exponent (HMV, section 3.3), with no doubling; a walk may start at any
+point, which adds that point for free.  Hashed identities are cached the
+same way.
 
 A point is checked for the curve where it enters (decode_point,
 take_point) and by each public function that computes on it: point_add,
@@ -48,18 +59,20 @@ scalar_exp, fixed_base_exp and pairing raise MalformedElementError, and
 in_subgroup answers False.  pairing also refuses a left argument outside
 the order-q subgroup, at no cost, as its Miller loop ends at [q]left; the
 right one may be any curve point.  Encoders and the private helpers
-(_affine_add, _window_walk, _fixed_base_add, _checked_pairing) trust
-their points.
+(_affine_add, _jac_mul, _window_walk, _fixed_base_add, _checked_pairing,
+_fixed_pairing) trust their points.
 
-Three primitives count their calls in the module-level dict OPS, the
+Four primitives count their calls in the module-level dict OPS, the
 operations of protocol.derive's cost table: _checked_pairing (and so
-pairing) under "pairing", gt_exp under "exp_gt", and _fixed_base_add
-(and so fixed_base_exp) under "exp_g" when its walk starts at the
-identity and "exp_g_add" when it starts at a point.  Nothing whose cost
-depends on cache state is counted (hash_to_group, table builds,
-in_subgroup), so work on cold caches counts as on warm ones.  OPS only
-grows: a caller copies it before some work and subtracts the copy from
-it after.  The package is single-threaded, so one plain dict serves.
+pairing) and _fixed_pairing under "pairing", gt_exp under "exp_gt", and
+_fixed_base_add (and so fixed_base_exp) under "exp_g" when its walk
+starts at the identity and "exp_g_add" when it starts at a point.
+Nothing whose cost depends on cache state is counted (hash_to_group,
+table builds, in_subgroup), and _fixed_pairing counts one pairing with
+or without a line table, so work on cold caches counts as on warm ones.
+OPS only grows: a caller copies it before some work and subtracts the
+copy from it after.  The package is single-threaded, so one plain dict
+serves.
 
 Setup proves both primes, and so does every decode of a params file, by
 one test: Baillie-PSW (is_probable_prime), one gcd with the product of
@@ -312,13 +325,20 @@ def _require_on_curve(params: GroupParams, point: GElem) -> None:
 
 
 def _jac_double(p: int, X: int, Y: int, Z: int):
-    """2T; a 2-torsion T (Y = 0) or the identity (Z = 0) gives Z = 0."""
-    YY = Y * Y % p
-    S = 4 * X * YY % p
+    """2T; a 2-torsion T (Y = 0) or the identity (Z = 0) gives Z = 0.
+
+    With b = 0, Y^2 = X^3 + X*Z^4 turns the textbook doubling into
+    X3 = (X^2 - Z^4)^2, Y3 = (X^2 - Z^4)((X^2 + Z^4)^2 + 4X^2 Z^4) and
+    Z3 = 2YZ, where (X^2 + Z^4)^2 + 4X^2 Z^4 = X3 + 8X^2 Z^4: seven
+    multiplications, where the textbook form makes nine.  The identity
+    holds for points on the curve only, and every caller's point is one.
+    """
+    XX = X * X % p
     ZZ = Z * Z % p
-    M = (3 * X * X + ZZ * ZZ) % p
-    X3 = (M * M - 2 * S) % p
-    return X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p
+    W = ZZ * ZZ % p
+    D = XX - W
+    X3 = D * D % p
+    return X3, D * (X3 + 8 * XX * W) % p, 2 * Y * Z % p
 
 
 def _jac_add_affine(p: int, X: int, Y: int, Z: int, x2: int, y2: int):
@@ -364,22 +384,31 @@ def _affine_add(p: int, a: GElem, b: GElem) -> GElem:
     return _jac_to_affine(p, *_jac_add_affine(p, a.x, a.y, 1, b.x, b.y))
 
 
-def _batch_to_affine(p: int, points):
-    """_jac_to_affine for many points at the cost of one inversion
-    (Montgomery's trick, 1987): (x, y) per point, or None where Z = 0."""
-    prefixes = [1]  # products of the nonzero Z before each point
-    for _, _, Z in points:
-        prefixes.append(prefixes[-1] * Z % p if Z else prefixes[-1])
+def _batch_inverse(p: int, values):
+    """The inverses mod p of nonzero values at the cost of one inversion
+    (Montgomery's trick, 1987)."""
+    prefixes = [1]  # products of the values before each one
+    for value in values:
+        prefixes.append(prefixes[-1] * value % p)
     inv = pow(prefixes.pop(), -1, p)
     out = []
-    for (X, Y, Z), prefix in zip(reversed(points), reversed(prefixes)):
+    for value, prefix in zip(reversed(values), reversed(prefixes)):
+        out.append(inv * prefix % p)
+        inv = inv * value % p
+    return out[::-1]
+
+
+def _batch_to_affine(p: int, points):
+    """_jac_to_affine for many points at the cost of one inversion
+    (_batch_inverse): (x, y) per point, or None where Z = 0."""
+    out = []
+    for (X, Y, Z), z_inv in zip(points, _batch_inverse(p, [Z or 1 for _, _, Z in points])):
         if Z:
-            z_inv, inv = inv * prefix % p, inv * Z % p
             zz_inv = z_inv * z_inv % p
             out.append((X * zz_inv % p, Y * zz_inv * z_inv % p))
         else:
             out.append(None)
-    return out[::-1]
+    return out
 
 
 def _naf(n: int):
@@ -410,16 +439,27 @@ def scalar_exp(params: GroupParams, point: GElem, n: int) -> GElem:
     if n == 0 or point.is_identity():
         return INFINITY
     p = params.p
-    x, y = point.x, point.y
+    y = point.y if n > 0 else (-point.y) % p
+    return _jac_to_affine(p, *_jac_mul(p, point.x, y, abs(n)))
+
+
+def _jac_mul(p: int, x: int, y: int, n: int):
+    """[n](x, y) in Jacobian coordinates for n > 0 and a finite point on
+    the curve, which is trusted: scalar_exp's walk without its checks and
+    its inversion.  Each doubling is _jac_double's, inlined."""
     ny = (-y) % p
-    if n < 0:
-        y, ny, n = ny, y, -n
     X, Y, Z = x, y, 1
     for high, low in zip(*_naf(n)):
-        X, Y, Z = _jac_double(p, X, Y, Z)
+        XX = X * X % p
+        ZZ = Z * Z % p
+        W = ZZ * ZZ % p
+        D = XX - W
+        Z = 2 * Y * Z % p
+        X = D * D % p
+        Y = D * (X + 8 * XX * W) % p
         if high != low:  # a +1 digit adds (x, y), a -1 digit (x, -y)
             X, Y, Z = _jac_add_affine(p, X, Y, Z, x, y if high == "1" else ny)
-    return _jac_to_affine(p, X, Y, Z)
+    return X, Y, Z
 
 
 def in_subgroup(params: GroupParams, point: GElem) -> bool:
@@ -692,11 +732,109 @@ def _checked_pairing(params: GroupParams, left: GElem, right: GElem):
     # T = [q]left now
     if Z:
         return None
-    # f^(p-1) = conj(f)^2 / N(f), then the power by h
+    return _final_exponentiation(params, fa, fb)
+
+
+def _final_exponentiation(params: GroupParams, fa: int, fb: int) -> GTElem:
+    """f^((p^2 - 1)/q) for a Miller value f = fa + fb*i, nonzero: first
+    f^(p-1) = conj(f)^2 / N(f), one F_p inversion, then the power by h."""
+    p = params.p
     n_inv = pow(fa * fa + fb * fb, -1, p)
     ua, ub = (fa - fb) * (fa + fb) * n_inv % p, -2 * fa * fb * n_inv % p
     fa, fb = _fp2_pow(p, ua, ub, params.h)
     return GTElem(fa, fb, p)
+
+
+@functools.lru_cache(maxsize=128)
+def _line_table(params: GroupParams, point: GElem):
+    """The Miller lines of a long-lived point, for _fixed_pairing: the
+    pairing's counterpart of _window_table (Costello-Stebila, "Fixed
+    argument pairings", 2010).
+
+    Walks point's NAF chain of q once, as _checked_pairing's T does, and
+    records each tangent and chord as (square, c1, c0): its value at
+    phi(Q) = (-x_Q, i*y_Q), divided by an F_p factor, is
+    (c1 * x_Q + c0) + i*y_Q, with c1 the slope and c0 = c1*x_T - y_T at
+    a point T of the line, and square says that f is squared before the
+    line is multiplied in.  The chain keeps T in Jacobian coordinates;
+    one batched inversion of the lines' denominators normalises them
+    all.  The last chord is vertical and left out.  None for the
+    identity, a point off the curve, or one whose chain leaves the
+    subgroup path (see _checked_pairing), so a table exists exactly for
+    the points of the subgroup but the identity.  A table holds about
+    4/3 * |q| lines, 170 in 27 KiB at k = 128 and 679 in 175 KiB at
+    k = 512, and costs about 1.2 pairings to build.
+    """
+    if point.is_identity() or not is_on_curve(params, point):
+        return None
+    p = params.p
+    px, py = point.x, point.y
+    ny = -py % p
+    X, Y, Z = px, py, 1
+    lines = []  # (square, c1 numerator, c0 numerator, denominator)
+    for digit in _naf_digits(params.q):
+        if Z == 0 or Y == 0:
+            return None
+        # the tangent at T: slope M / (2YZ), c0 = (M*X - 2Y^2) / (2YZ * Z^2)
+        YY = Y * Y % p
+        ZZ = Z * Z % p
+        M = (3 * X * X + ZZ * ZZ) % p
+        lines.append((True, M * ZZ, M * X - 2 * YY, 2 * Y * Z * ZZ))
+        X, Y, Z = _jac_double(p, X, Y, Z)
+        if digit:
+            # the chord through T and (px, y): slope R / (Z*H), c0 = slope*px - y.
+            # On the subgroup path H = 0 only at the last digit, where
+            # T = -(px, y) and the chord is vertical; off it, the check of
+            # [q]point below refuses the table
+            y = py if digit > 0 else ny
+            ZZ = Z * Z % p
+            H = (px * ZZ - X) % p
+            if H:
+                R = (y * ZZ * Z - Y) % p
+                lines.append((False, R, R * px - y * Z * H, Z * H))
+            X, Y, Z = _jac_add_affine(p, X, Y, Z, px, y)
+    if Z:  # T = [q]point is not the identity
+        return None
+    inverses = _batch_inverse(p, [den for _, _, _, den in lines])
+    return tuple((square, c1 * inv % p, c0 * inv % p)
+                 for (square, c1, c0, _), inv in zip(lines, inverses))
+
+
+def _fixed_pairing(params: GroupParams, received: GElem, fixed: GElem):
+    """_checked_pairing(params, received, fixed), by the cached line table
+    of the long-lived point fixed.
+
+    On G x G the pairing is symmetric, so for fixed in the subgroup
+    e(received, fixed) = e(fixed, received) = f_{q,fixed}(phi(received))
+    ^ ((p^2 - 1)/q), and the Miller loop only evaluates fixed's stored
+    lines at phi(received): per line one multiplication for its real part
+    and one F_{p^2} product, after an unreduced squaring of f where the
+    line is a tangent.  received now sits on the right, so its subgroup
+    check is no longer the loop: an explicit [q]-walk (_jac_mul) comes
+    first, and answers None for a received point outside the subgroup, as
+    _checked_pairing does.  A line never vanishes at phi(received), whose
+    y is not 0, and neither does an omitted vertical (see
+    _checked_pairing).  A fixed point with no table goes to
+    _checked_pairing, so the result is the same for every pair of curve
+    points.  Counted under "pairing" once either way.
+    """
+    lines = _line_table(params, fixed)
+    if lines is None:
+        return _checked_pairing(params, received, fixed)
+    OPS["pairing"] += 1
+    p = params.p
+    if received.is_identity():
+        return GTElem(1, 0, p)
+    xq, yq = received.x, received.y
+    if _jac_mul(p, xq, yq, params.q)[2]:  # [q]received is not the identity
+        return None
+    fa, fb = 1, 0
+    for square, c1, c0 in lines:
+        la = (c1 * xq + c0) % p
+        if square:
+            fa, fb = (fa - fb) * (fa + fb), 2 * fa * fb
+        fa, fb = (fa * la - fb * yq) % p, (fa * yq + fb * la) % p
+    return _final_exponentiation(params, fa, fb)
 
 
 # ---------------------------------------------------------------------------
@@ -712,13 +850,37 @@ def gt_mul(z1: GTElem, z2: GTElem) -> GTElem:
 
 
 def gt_exp(z: GTElem, n: int) -> GTElem:
+    """z^n for z of norm a^2 + b^2 = 1, as every element of GT has; any
+    other z raises MalformedElementError.
+
+    A Lucas ladder (Joye-Quisquater, "Efficient computation of full Lucas
+    sequences", 1996) on V_k = z^k + conj(z)^k, which lies in F_p: with
+    conj(z) = 1/z, V_2k = V_k^2 - 2 and V_2k+1 = V_k V_k+1 - V_1, so each
+    bit of n costs two F_p multiplications where square-and-multiply in
+    F_{p^2} makes about four.  z^n = A + B*i is then recovered from V_n
+    and V_n+1 = 2(aA - bB): A = V_n / 2 and B = (a V_n - V_n+1) / (2b),
+    at the cost of one inversion.  A negative n raises conj(z) = 1/z.
+    """
     OPS["exp_gt"] += 1
+    p, a = z.p, z.a
+    if (a * a + z.b * z.b) % p != 1:
+        raise MalformedElementError("GT element does not have norm 1")
     n = int(n)
-    if n < 0:
-        z = gt_inv(z)
-        n = -n
-    a, b = _fp2_pow(z.p, z.a, z.b, n)
-    return GTElem(a, b, z.p)
+    b = -z.b if n < 0 else z.b  # z^-n = conj(z)^n
+    n = abs(n)
+    if n == 0:
+        return GTElem(1, 0, p)
+    if b % p == 0:  # z = a = 1 or -1
+        return GTElem(pow(a, n, p), 0, p)
+    v1 = 2 * a % p
+    v, w = v1, (v1 * v1 - 2) % p  # V_1, V_2
+    for bit in bin(n)[3:]:
+        if bit == "1":
+            v, w = (v * w - v1) % p, (w * w - 2) % p
+        else:
+            v, w = (v * v - 2) % p, (v * w - v1) % p
+    half = (p + 1) // 2  # 1/2 mod p
+    return GTElem(v * half % p, (a * v - w) * pow(2 * b, -1, p) % p, p)
 
 
 def gt_inv(z: GTElem) -> GTElem:

@@ -37,6 +37,7 @@ from .bilinear import (
     OPS,
     _checked_pairing,
     _fixed_base_add,
+    _fixed_pairing,
     encode_gt,
     encode_point,
     fixed_base_exp,
@@ -311,10 +312,12 @@ def derive(
 
     Both flow points are checked for the curve and the identity up front,
     and are trusted from then on.  The received point's subgroup check is
-    the pairing itself, which takes the blend g_peer^s_peer * R_peer, in
-    the subgroup exactly when R_peer is, as its left argument (see
-    bilinear._checked_pairing).  Faults are reported in the order the
-    checks run: role and strategy; own_x's range; the received point's
+    part of the pairing, which takes the blend g_peer^s_peer * R_peer, in
+    the subgroup exactly when R_peer is: choice 1 passes it as the left
+    argument, whose Miller loop is the check (bilinear._checked_pairing),
+    and choice 2 pairs it against d_id's cached lines after an explicit
+    [q]-walk (bilinear._fixed_pairing).  Faults are reported in the order
+    the checks run: role and strategy; own_x's range; the received point's
     curve, then identity; the own flow; the peer identity; the received
     point's subgroup; the own exponent vanished; the peer exponent
     vanished.
@@ -345,16 +348,19 @@ def derive(
     before = OPS.copy()
     blended_peer = _blend(params, hash_to_group(group, peer_id), peer_msg.r, own_msg.r)
     if strategy.choice == 2:
-        own_point = own.d_id
-    elif strategy.precomputed:
-        # the online d_id^own_s is a walk of d_id's table from offline_part
-        own_point = _fixed_base_add(group, own.d_id, own_s, offline_part)
+        # d_id is long-lived: its cached Miller lines are evaluated at the
+        # blend, after an explicit subgroup walk of the blend
+        shared = _fixed_pairing(group, blended_peer, own.d_id)
     else:
-        own_point = fixed_base_exp(group, own.d_id, own_exp)
-    shared = _checked_pairing(group, blended_peer, own_point)
+        if strategy.precomputed:
+            # the online d_id^own_s is a walk of d_id's table from offline_part
+            own_point = _fixed_base_add(group, own.d_id, own_s, offline_part)
+        else:
+            own_point = fixed_base_exp(group, own.d_id, own_exp)
+        shared = _checked_pairing(group, blended_peer, own_point)
     _require_in_subgroup(shared is not None)
     # a vanishing exponent is reported after the pairing, because the
-    # pairing is the received point's subgroup check
+    # pairing holds the received point's subgroup check
     if own_exp == 0:
         raise DegenerateExponentError("own combined exponent vanished mod q")
     if blended_peer.is_identity():

@@ -503,6 +503,11 @@ def test_gt_operations():
     assert gt_exp(z, -2) == gt_inv(gt_exp(z, 2))
     with pytest.raises(MalformedElementError, match="zero is not invertible"):
         gt_inv(GTElem(0, 0, GP.p))
+    # gt_exp's ladder needs a^2 + b^2 = 1, which every element of GT has
+    for outside in (GTElem(2, 0, GP.p), GTElem(0, 0, GP.p), GTElem(1, 1, GP.p)):
+        for n in (0, 1, -1, 5):
+            with pytest.raises(MalformedElementError, match="^GT element does not have norm 1$"):
+                gt_exp(outside, n)
 
 
 def test_gt_mul_rejects_mixed_fields():

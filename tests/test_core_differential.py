@@ -23,8 +23,11 @@ from idak.bilinear import (
     INFINITY,
     _checked_pairing,
     _fixed_base_add,
+    _fixed_pairing,
+    _line_table,
     _naf_digits,
     fixed_base_exp,
+    gt_exp,
     hash_to_group,
     instance_generate,
     pairing,
@@ -72,6 +75,11 @@ def ref_scalar_exp(params, point, n):
 
 def ref_fp2_mul(p, a1, b1, a2, b2):
     return (a1 * a2 - b1 * b2) % p, (a1 * b2 + a2 * b1) % p
+
+
+def ref_fp2_inv(p, a, b):
+    d = pow(a * a + b * b, -1, p)
+    return a * d % p, -b * d % p
 
 
 def ref_fp2_pow(p, a, b, e):
@@ -283,6 +291,60 @@ def test_checked_pairing_flags_the_left_subgroup_on_every_pair(k_bits, seed):
     assert states == DEGENERATE_STATES.get((k_bits, seed), {IDENTITY})
 
 
+@pytest.mark.parametrize("k_bits,seed", FULL_CURVES)
+def test_fixed_pairing_matches_checked_pairing_on_every_pair(k_bits, seed):
+    # every received and every fixed point: the identity, (0, 0) and points
+    # outside the subgroup on either side included
+    params, points = curve(k_bits, seed)
+    for fixed in points:
+        # a line table exists exactly for the subgroup's points but the identity
+        has_table = _line_table(params, fixed) is not None
+        assert has_table == (in_group(params, fixed) and not fixed.is_identity()), fixed
+        for received in points:
+            assert (_fixed_pairing(params, received, fixed)
+                    == _checked_pairing(params, received, fixed)), (received, fixed)
+
+
+def norm_one_elements(p):
+    """Every a + b*i of F_{p^2} with a^2 + b^2 = 1: the group of order
+    p + 1 that holds GT."""
+    elements = []
+    for a in range(p):
+        rhs = (1 - a * a) % p
+        b = pow(rhs, (p + 1) // 4, p)
+        if b * b % p == rhs:
+            elements += [(a, b)] if b == 0 else [(a, b), (a, p - b)]
+    assert len(elements) == p + 1
+    return elements
+
+
+def ladder_exponents(params, rng):
+    """0, 1, -1, q - 1, q, 3q + 1 and random negative values."""
+    q = params.q
+    return [0, 1, -1, q - 1, q, 3 * q + 1, -rng.randrange(1, q),
+            -rng.randrange(q, 1 << 2 * params.p.bit_length())]
+
+
+def assert_ladder_matches_reference(params, a, b, n):
+    p = params.p
+    expected = ref_fp2_pow(p, a, b, n) if n >= 0 else ref_fp2_inv(p, *ref_fp2_pow(p, a, b, -n))
+    assert gt_exp(GTElem(a, b, p), n) == GTElem(*expected, p), (a, b, n)
+
+
+@pytest.mark.parametrize("k_bits,seed", FULL_CURVES)
+def test_gt_exp_ladder_matches_reference_on_every_element(k_bits, seed):
+    # every element of norm 1, so every element of GT and the other
+    # elements of the norm-1 group of order p + 1, 1 and -1 among them
+    params, _ = curve(k_bits, seed)
+    rng = random.Random(k_bits)
+    in_gt = 0
+    for a, b in norm_one_elements(params.p):
+        in_gt += ref_fp2_pow(params.p, a, b, params.q) == (1, 0)
+        for n in ladder_exponents(params, rng):
+            assert_ladder_matches_reference(params, a, b, n)
+    assert in_gt == params.q
+
+
 # ---------------------------------------------------------------------------
 # protocol-sized curves
 # ---------------------------------------------------------------------------
@@ -331,6 +393,26 @@ def test_fixed_base_exp_and_checked_pairing_at_protocol_sizes(k_bits):
         # adding the 2-torsion point puts the left point outside the subgroup
         outside = point_add(params, a, GElem(0, 0))
         assert _checked_pairing(params, outside, b) is None
+
+
+@pytest.mark.parametrize("k_bits", [16, 23, 24, 32, 128])
+def test_fixed_pairing_and_gt_exp_ladder_at_protocol_sizes(k_bits):
+    params, gen = protocol_curve(k_bits)
+    rng = random.Random(k_bits)
+    members = [scalar_exp(params, gen, random_scalar(params, rng)) for _ in range(3)]
+    outside = point_add(params, members[0], GElem(0, 0))
+    lifted = lift(params, rng.randrange(params.p), True)
+    points = members + [INFINITY, GElem(0, 0), outside, lifted]
+    for fixed in points:
+        for received in points:
+            assert (_fixed_pairing(params, received, fixed)
+                    == _checked_pairing(params, received, fixed)), (received, fixed)
+    assert _fixed_pairing(params, members[1], members[2]) == ref_pairing(
+        params, members[1], members[2])
+    for left, right in zip(members, members[1:] + members[:1]):
+        z = pairing(params, left, right)
+        for n in ladder_exponents(params, rng):
+            assert_ladder_matches_reference(params, z.a, z.b, n)
 
 
 @functools.cache

@@ -308,8 +308,13 @@ def test_operation_cost_table(monkeypatch):
     # that runs it: the counts come from where the work runs
     doubled = {
         "_checked_pairing": {
-            "c1-nopre": OpCounts(2, 2.5, 1, 0), "c2-nopre": OpCounts(2, 1.5, 1, 1),
-            "c1-pre": OpCounts(2, 1.0, 2, 0), "c2-pre": OpCounts(2, 0.5, 1, 1),
+            "c1-nopre": OpCounts(2, 2.5, 1, 0), "c2-nopre": OpCounts(1, 1.5, 1, 1),
+            "c1-pre": OpCounts(2, 1.0, 2, 0), "c2-pre": OpCounts(1, 0.5, 1, 1),
+        },
+        # choice 2 pairs through d_id's line table
+        "_fixed_pairing": {
+            "c1-nopre": OpCounts(1, 2.5, 1, 0), "c2-nopre": OpCounts(2, 1.5, 1, 1),
+            "c1-pre": OpCounts(1, 1.0, 2, 0), "c2-pre": OpCounts(2, 0.5, 1, 1),
         },
         "gt_exp": {
             "c1-nopre": OpCounts(1, 2.5, 1, 0), "c2-nopre": OpCounts(1, 1.5, 1, 2),
@@ -356,6 +361,7 @@ def test_operation_cost_table(monkeypatch):
                     for cold in (True, False):
                         if cold:
                             bilinear._window_table.cache_clear()
+                            bilinear._line_table.cache_clear()
                             bilinear._hash_to_group.cache_clear()
                         walks.clear()
                         observed = both_sides(params, alice, bob, session, strategy)
