@@ -20,15 +20,16 @@ G x G, in particular e(P, P) != 1.
 
 Following Barreto-Kim-Lynn-Scott (CRYPTO 2002), the final exponent is
 split as (p - 1) * h.  The (p - 1) part is one conjugation and one F_p
-inversion, and it maps every F_p^* factor of f to 1.  The Miller loop may
-therefore skip vertical lines (denominator elimination) and scale each
-line by an F_p^* factor, which lets it keep T in Jacobian coordinates and
-invert nothing; each step uses one slope for both its line and its point
-update.  The loop walks the non-adjacent form (NAF) of q (Hankerson-
-Menezes-Vanstone, Guide to ECC, section 3.3), whose -1 digits add
--P = (x, -y) by the same formulas; at k = 128 a q has about 43 nonzero
-NAF digits where its binary form has about 64.  Each doubling step
-squares f unreduced inside its line product.
+inversion, and it maps every F_p^* factor of f to 1, and f to an element
+of norm 1, whose power by h is gt_exp's ladder (below).  The Miller loop
+may therefore skip vertical lines (denominator elimination) and scale
+each line by an F_p^* factor, which lets it keep T in Jacobian
+coordinates and invert nothing; each step uses one slope for both its
+line and its point update.  The loop walks the non-adjacent form (NAF)
+of q (Hankerson-Menezes-Vanstone, Guide to ECC, section 3.3), whose -1
+digits add -P = (x, -y) by the same formulas; at k = 128 a q has about
+43 nonzero NAF digits where its binary form has about 64.  Each doubling
+step squares f unreduced inside its line product.
 
 A long-lived right argument (a party's d_id in protocol.derive's choice
 2) has its Miller lines cached instead, after Costello and Stebila
@@ -37,21 +38,22 @@ e(P, Q) = e(Q, P), and Q's NAF chain of q is walked once, each tangent
 and chord stored as its two F_p coefficients at phi of any point.  A
 pairing with it then only evaluates the stored lines, but no longer
 checks P's subgroup for free, so an explicit [q]-walk of P comes
-first.  GT elements have norm 1 (conj(z) = 1/z), so gt_exp is a Lucas
-ladder on z^k + conj(z)^k in F_p, two F_p multiplications per bit.
+first.  GT elements have norm 1 (conj(z) = 1/z), so gt_inv is a
+conjugation and gt_exp is a Lucas ladder on z^k + conj(z)^k in F_p, two
+F_p multiplications per bit; these are GT's only inverse and power.
 
 The group law is written once, in Jacobian coordinates, and every
-point operation uses it, with one inversion back to affine; its doubling
-uses b = 0 (_jac_double), and scalar_exp walks the NAF of its exponent,
-as the Miller loop walks q's.  Points used again and again (a party's
-own hashed identity and identity key, a peer's hashed identity, the base
-point of a CBDH instance) are multiplied through a fixed-base window
-table: its rows [j * 64^i]P for j = 1..32 are built on first use, one
-batched inversion per row, and kept in a bounded cache, and a walk adds
-one row entry or its negative per nonzero signed 6-bit digit of the
-exponent (HMV, section 3.3), with no doubling; a walk may start at any
-point, which adds that point for free.  Hashed identities are cached the
-same way.
+point operation uses it, with one inversion back to affine; every
+doubling, the Miller loop's included, uses b = 0 (_jac_double), and
+scalar_exp walks the NAF of its exponent, as the Miller loop walks q's.
+Points used again and again (a party's own hashed identity and identity
+key, a peer's hashed identity, the base point of a CBDH instance) are
+multiplied through a fixed-base window table: its rows [j * 64^i]P for
+j = 1..32 are built on first use, one batched inversion per row, and
+kept in a bounded cache, and a walk adds one row entry or its negative
+per nonzero signed 6-bit digit of the exponent (HMV, section 3.3), with
+no doubling; a walk may start at any point, which adds that point for
+free.  Hashed identities are cached the same way.
 
 A point is checked for the curve where it enters (decode_point,
 take_point) and by each public function that computes on it: point_add,
@@ -576,28 +578,6 @@ def _fp2_mul(p, a1, b1, a2, b2):
     return (a1 * a2 - b1 * b2) % p, (a1 * b2 + a2 * b1) % p
 
 
-def _fp2_sqr(p, a, b):
-    # a^2 - b^2 as (a - b)(a + b): two multiplications where the plain
-    # form makes three
-    return (a - b) * (a + b) % p, 2 * a * b % p
-
-
-def _fp2_pow(p, a, b, e):
-    ra, rb = 1, 0
-    while e:
-        if e & 1:
-            ra, rb = _fp2_mul(p, ra, rb, a, b)
-        e >>= 1
-        if e:
-            a, b = _fp2_sqr(p, a, b)
-    return ra, rb
-
-
-def _fp2_inv(p, a, b):
-    d = pow(a * a + b * b, -1, p)
-    return a * d % p, (-b * d) % p
-
-
 # ---------------------------------------------------------------------------
 # pairing
 # ---------------------------------------------------------------------------
@@ -609,38 +589,6 @@ def _naf_digits(q: int) -> tuple:
     significant first: digits in {-1, 0, 1}, no two adjacent ones nonzero
     (HMV, Guide to ECC, section 3.3)."""
     return tuple(int(high) - int(low) for high, low in zip(*_naf(q)))
-
-
-def _miller_add(p, fa, fb, X, Y, Z, px, py, xq, yq):
-    """f * l_{T,P}(phi(Q)) and T + P, for a finite T and affine P.
-
-    The chord slope is R / Z3, with R = py*Z^3 - Y, H = px*Z^2 - X and
-    Z3 = Z*H.  The line through P, scaled by Z3, is
-    (R * (xq + px) - py*Z3) + i*(yq*Z3); R and H also give T + P, by the
-    formulas of _jac_add_affine.  T = P takes the tangent at P instead,
-    with slope (3px^2 + 1) / 2py, scaled by 2py, and 2P from _jac_double
-    (T is a double, so P is not of order 2 then).  T = -P gives a
-    vertical line, which is left out, and the identity.
-    """
-    ZZ = Z * Z % p
-    H = (px * ZZ - X) % p
-    R = (py * ZZ * Z - Y) % p
-    if H == 0:
-        if R:
-            return fa, fb, X, Y, 0
-        la = ((3 * px * px + 1) * (xq + px) - 2 * py * py) % p
-        lb = 2 * py * yq % p
-        X3, Y3, Z3 = _jac_double(p, px, py, 1)
-    else:
-        Z3 = Z * H % p
-        la = (R * (xq + px) - py * Z3) % p
-        lb = yq * Z3 % p
-        HH = H * H % p
-        HHH = H * HH % p
-        V = X * HH % p
-        X3 = (R * R - HHH - 2 * V) % p
-        Y3 = (R * (V - X3) - Y * HHH) % p
-    return (fa * la - fb * lb) % p, (fa * lb + fb * la) % p, X3, Y3, Z3
 
 
 def pairing(params: GroupParams, left: GElem, right: GElem) -> GTElem:
@@ -658,14 +606,16 @@ def pairing(params: GroupParams, left: GElem, right: GElem) -> GTElem:
     numerator over T's new Z, and uses it for both its line and its point
     update.  A +1 digit adds P and a -1 digit adds -P = (x, -y), by the
     same mixed addition and chord line; f_{-1,P} = 1 / v_P, and v_P at
-    phi(Q) lies in F_p.  Each doubling step squares f without reducing
-    it, then multiplies in the tangent with one reduction per component.
-    Each line is scaled by a factor in F_p^*, and vertical lines, whose
-    values at phi(Q) lie in F_p, are omitted.  The final exponent splits
-    as (p^2 - 1)/q = (p - 1) * h.  The Frobenius map is conjugation for
+    phi(Q) lies in F_p.  Each doubling step doubles T by the b = 0
+    formulas of _jac_double, squares f without reducing it, then
+    multiplies in the tangent with one reduction per component.  Each
+    line is scaled by a factor in F_p^*, and vertical lines, whose values
+    at phi(Q) lie in F_p, are omitted.  The final exponent splits as
+    (p^2 - 1)/q = (p - 1) * h.  The Frobenius map is conjugation for
     p = 3 (mod 4), so f^(p-1) = conj(f)^2 / N(f): one F_p inversion, which
     sends every F_p^* factor to 1 and so makes the scaling and the
-    omissions exact.  A power by the small cofactor h remains.
+    omissions exact.  f^(p-1) has norm 1, so its power by the small
+    cofactor h is gt_exp's Lucas ladder.
     """
     _require_on_curve(params, left)
     _require_on_curve(params, right)
@@ -688,6 +638,14 @@ def _checked_pairing(params: GroupParams, left: GElem, right: GElem):
     soon as T leaves that path.  A protocol pairing a received point
     therefore passes it on the left.  Only an identity right argument,
     which skips the loop, costs a separate check.
+
+    A chord with H = px*Z^2 - X = 0, where T and the added point share x,
+    is multiplied in as no line, and T moves by _jac_add_affine.  On the
+    subgroup path that happens only at a -1 last digit, where T = left
+    and the chord through T and -left is vertical, so leaving it out is
+    exact, as _line_table also relies on.  Off the path T may equal the
+    added point, where the line would be a tangent; the check of [q]left
+    refuses such a left anyway.
 
     A line met on that path never vanishes at phi(Q): an omitted vertical
     would need T and Q both at y = 0, as -1 is a non-residue mod p, and no
@@ -712,23 +670,43 @@ def _checked_pairing(params: GroupParams, left: GElem, right: GElem):
         # f^2 * l_{T,T}(phi(Q)) and 2T.  The tangent slope at T is M / Z3,
         # with M = 3X^2 + Z^4 and Z3 = 2YZ; its line at phi(Q), scaled by
         # the F_p factor Z3 * Z^2, is (M * (xq*Z^2 + X) - 2Y^2) +
-        # i*(yq*Z3*Z^2), and 2T follows _jac_double.  f^2 = A + B*i is left
-        # unreduced, so one reduction per component
-        YY = Y * Y % p
+        # i*(yq*Z3*Z^2), and 2T follows _jac_double, sharing X^2 and Z^4
+        # with M.  f^2 = A + B*i is left unreduced, so one reduction per
+        # component
+        XX = X * X % p
         ZZ = Z * Z % p
-        M = (3 * X * X + ZZ * ZZ) % p
+        W = ZZ * ZZ % p
+        la = ((3 * XX + W) * (xq * ZZ + X) - 2 * Y * Y) % p
         Z = 2 * Y * Z % p
-        la = (M * (xq * ZZ + X) - 2 * YY) % p
         lb = yq * Z * ZZ % p
         A = (fa - fb) * (fa + fb)
         B = 2 * fa * fb
         fa, fb = (A * la - B * lb) % p, (A * lb + B * la) % p
-        S = 4 * X * YY % p
-        X = (M * M - 2 * S) % p
-        Y = (M * (S - X) - 8 * YY * YY) % p
+        D = XX - W
+        X = D * D % p
+        Y = D * (X + 8 * XX * W) % p
         if digit:
+            # f * l_{T,P'}(phi(Q)) and T + P' for P' = (px, y).  The chord
+            # slope is R / Z3, with R = y*Z^3 - Y, H = px*Z^2 - X and
+            # Z3 = Z*H; its line, scaled by Z3, is (R * (xq + px) - y*Z3) +
+            # i*(yq*Z3), and R and H also give T + P', as in _jac_add_affine
             y = py if digit > 0 else ny
-            fa, fb, X, Y, Z = _miller_add(p, fa, fb, X, Y, Z, px, y, xq, yq)
+            ZZ = Z * Z % p
+            H = (px * ZZ - X) % p
+            if H:
+                R = (y * ZZ * Z - Y) % p
+                Z3 = Z * H % p
+                la = (R * (xq + px) - y * Z3) % p
+                lb = yq * Z3 % p
+                fa, fb = (fa * la - fb * lb) % p, (fa * lb + fb * la) % p
+                HH = H * H % p
+                HHH = H * HH % p
+                V = X * HH % p
+                X = (R * R - HHH - 2 * V) % p
+                Y = (R * (V - X) - Y * HHH) % p
+                Z = Z3
+            else:
+                X, Y, Z = _jac_add_affine(p, X, Y, Z, px, y)  # no line: see the docstring
     # T = [q]left now
     if Z:
         return None
@@ -737,12 +715,12 @@ def _checked_pairing(params: GroupParams, left: GElem, right: GElem):
 
 def _final_exponentiation(params: GroupParams, fa: int, fb: int) -> GTElem:
     """f^((p^2 - 1)/q) for a Miller value f = fa + fb*i, nonzero: first
-    f^(p-1) = conj(f)^2 / N(f), one F_p inversion, then the power by h."""
+    f^(p-1) = conj(f)^2 / N(f), one F_p inversion.  That has norm 1, so
+    its power by h is gt_exp's ladder (_norm_one_pow), uncounted."""
     p = params.p
     n_inv = pow(fa * fa + fb * fb, -1, p)
     ua, ub = (fa - fb) * (fa + fb) * n_inv % p, -2 * fa * fb * n_inv % p
-    fa, fb = _fp2_pow(p, ua, ub, params.h)
-    return GTElem(fa, fb, p)
+    return _norm_one_pow(p, ua, ub, params.h)
 
 
 @functools.lru_cache(maxsize=128)
@@ -849,9 +827,26 @@ def gt_mul(z1: GTElem, z2: GTElem) -> GTElem:
     return GTElem(a, b, z1.p)
 
 
+def _require_norm_one(z: GTElem) -> None:
+    if (z.a * z.a + z.b * z.b) % z.p != 1:
+        raise MalformedElementError("GT element does not have norm 1")
+
+
 def gt_exp(z: GTElem, n: int) -> GTElem:
     """z^n for z of norm a^2 + b^2 = 1, as every element of GT has; any
-    other z raises MalformedElementError.
+    other z raises MalformedElementError.  A negative n raises
+    conj(z) = 1/z; the ladder is _norm_one_pow's.
+    """
+    OPS["exp_gt"] += 1
+    _require_norm_one(z)
+    n = int(n)
+    b = -z.b if n < 0 else z.b  # z^-n = conj(z)^n
+    return _norm_one_pow(z.p, z.a, b, abs(n))
+
+
+def _norm_one_pow(p: int, a: int, b: int, n: int) -> GTElem:
+    """(a + b*i)^n for a^2 + b^2 = 1 and n >= 0: gt_exp without its check
+    and its count, which _final_exponentiation also uses.
 
     A Lucas ladder (Joye-Quisquater, "Efficient computation of full Lucas
     sequences", 1996) on V_k = z^k + conj(z)^k, which lies in F_p: with
@@ -859,15 +854,8 @@ def gt_exp(z: GTElem, n: int) -> GTElem:
     bit of n costs two F_p multiplications where square-and-multiply in
     F_{p^2} makes about four.  z^n = A + B*i is then recovered from V_n
     and V_n+1 = 2(aA - bB): A = V_n / 2 and B = (a V_n - V_n+1) / (2b),
-    at the cost of one inversion.  A negative n raises conj(z) = 1/z.
+    at the cost of one inversion.
     """
-    OPS["exp_gt"] += 1
-    p, a = z.p, z.a
-    if (a * a + z.b * z.b) % p != 1:
-        raise MalformedElementError("GT element does not have norm 1")
-    n = int(n)
-    b = -z.b if n < 0 else z.b  # z^-n = conj(z)^n
-    n = abs(n)
     if n == 0:
         return GTElem(1, 0, p)
     if b % p == 0:  # z = a = 1 or -1
@@ -884,10 +872,10 @@ def gt_exp(z: GTElem, n: int) -> GTElem:
 
 
 def gt_inv(z: GTElem) -> GTElem:
-    if z.a == 0 and z.b == 0:
-        raise MalformedElementError("zero is not invertible")
-    a, b = _fp2_inv(z.p, z.a, z.b)
-    return GTElem(a, b, z.p)
+    """1/z = conj(z) for z of norm 1, as every element of GT has; any other
+    z raises MalformedElementError, as in gt_exp."""
+    _require_norm_one(z)
+    return GTElem(z.a, -z.b % z.p, z.p)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,15 @@ load_group keeps its results in a bounded cache keyed by the payload
 bytes, which are public.  load_identity decodes its payload on every
 call, but runs the costly [q]*d_id subgroup check once per group and
 payload: it remembers only the SHA-256 digest of each payload that
-passed, never the key, so no private key outlives the caller's use of
-it.  Both loaders read the file on every call, so a file whose bytes
-change is checked again in full.  This is safe because a result is a
-pure function of those bytes (and the group's values), and because a
-payload that fails raises before it is remembered, so a refused file is
-refused again on every load.
+passed, not the key.  A process that derives with the key keeps it all
+the same: protocol.derive fills bilinear's bounded caches of d_id's
+window table (choice 1) or line table (choice 2), both keyed by d_id,
+and they hold it until evicted or the process ends.  Both loaders read
+the file on every call, so a file whose bytes change is checked again
+in full.  This is safe because a result is a pure function of those
+bytes (and the group's values), and because a payload that fails raises
+before it is remembered, so a refused file is refused again on every
+load.
 """
 
 import functools

@@ -22,9 +22,8 @@ baby steps [j]g, m = isqrt(q - 1) + 1, keyed by x-coordinate so that
 each entry also stands for [-j]g; a giant step then covers 2m + 1
 residues, and a walk takes at most about sqrt(q)/2 of them.  The table
 grows as 2^(k/2) for a k-bit q, so it is refused above MAX_K_BITS.  Its
-wrong answers are powers of e(g, g) through a window table of that
-element that the mock itself keeps, unsigned and 4 bits wide, so they
-square nothing.
+wrong answers are powers of e(g, g) by gt_exp.  GT inverses are
+conjugations (gt_inv), as every element of GT has norm 1.
 """
 
 import functools
@@ -36,13 +35,13 @@ from idak.bilinear import (
     GElem,
     GTElem,
     _affine_add,
-    _fp2_inv,
     _fp2_mul,
     _require_on_curve,
     _window_table,
     _window_walk,
     fixed_base_exp,
     gt_exp,
+    gt_inv,
     gt_mul,
     in_subgroup,
     is_on_curve,
@@ -126,11 +125,11 @@ def _prepared(params, inst):
         pairing(params, left, right)
         for left, right in ((xp, yp), (xp, zp), (yp, zp), (xp, g), (yp, g), (zp, g), (g, g))
     ]
-    inverses = [_fp2_inv(p, z.a, z.b) for z in reversed(crosses)]
+    inverses = [gt_inv(z) for z in reversed(crosses)]
     products = [(1, 0)]
     for mask in range(1, 1 << len(inverses)):
-        low = (mask & -mask).bit_length() - 1
-        products.append(_fp2_mul(p, *products[mask & (mask - 1)], *inverses[low]))
+        inverse = inverses[(mask & -mask).bit_length() - 1]
+        products.append(_fp2_mul(p, *products[mask & (mask - 1)], inverse.a, inverse.b))
     return _window_table(params, g), tuple(products)
 
 
@@ -190,7 +189,7 @@ def correct(params, w, inst, shift):
     for e in exponents:
         packed = packed << 1 | _spread(e)
     fa, fb = 1, 0
-    # _fp2_sqr and _fp2_mul, inlined in this hot loop
+    # an F_{p^2} squaring and _fp2_mul, inlined in this hot loop
     for bit in range(7 * (q.bit_length() - 1), -1, -7):
         fa, fb = (fa - fb) * (fa + fb) % p, 2 * fa * fb % p
         index = packed >> bit & 127
@@ -309,14 +308,8 @@ class MockCbdhOracle:
     dict lookup and one chord addition with one inversion on bare ints,
     and pays one pairing and one exponentiation in GT; the pairing raises
     MalformedElementError for an x point outside the subgroup.  Wrong
-    answers are uniform over the target group: e(g, g)^r for one
+    answers are uniform over the target group: gt_exp(e(g, g), r) for one
     randrange(q) draw r.
-    The mock raises e(g, g) through its own 4-bit window table, rows
-    e(g, g)^(j * 16^i) for j < 16 and i < ceil(|q| / 4), kept in
-    _gt_rows.  The table is built on the first wrong answer, not here, so
-    construction costs no more.  A wrong answer then costs one F_{p^2}
-    multiplication per nonzero 4-bit digit of r, at most 4 at k = 16,
-    where a full gt_exp makes 15 squarings and about 8 multiplications.
     """
 
     def __init__(self, params, g, delta, rng):
@@ -328,7 +321,6 @@ class MockCbdhOracle:
         self.queries = 0
         self._table = _baby_table(params, g)
         self._base_gt = pairing(params, g, g)
-        self._gt_rows = None
 
     def __call__(self, inst):
         self.queries += 1
@@ -336,24 +328,4 @@ class MockCbdhOracle:
         if self.rng.random() < self.delta:
             z = _dlog_from_table(params, self._table, inst.z_point)
             return gt_exp(pairing(params, inst.x_point, inst.y_point), z)
-        return self._base_gt_power(self.rng.randrange(params.q))
-
-    def _base_gt_power(self, r):
-        """e(g, g)^r for 0 <= r < q, one row of the window table per
-        4-bit digit of r; the table is built on the first call."""
-        p = self.params.p
-        if self._gt_rows is None:
-            base = self._base_gt.a, self._base_gt.b
-            self._gt_rows = []
-            for _ in range(-(-self.params.q.bit_length() // 4)):
-                row = [(1, 0)]
-                for _ in range(15):
-                    row.append(_fp2_mul(p, *row[-1], *base))
-                base = _fp2_mul(p, *row[-1], *base)
-                self._gt_rows.append(row)
-        fa, fb = 1, 0
-        for row in self._gt_rows:
-            if r & 15:
-                fa, fb = _fp2_mul(p, fa, fb, *row[r & 15])
-            r >>= 4
-        return GTElem(fa, fb, p)
+        return gt_exp(self._base_gt, self.rng.randrange(params.q))

@@ -22,6 +22,7 @@ from idak.bilinear import (
     GTElem,
     INFINITY,
     _checked_pairing,
+    _final_exponentiation,
     _fixed_base_add,
     _fixed_pairing,
     _line_table,
@@ -144,7 +145,7 @@ TANGENT = "an add step meets T = the point it adds"
 # The degenerate states outside left points meet on each curve's NAF
 # chain.  Every curve has (0, 0), whose double is the identity; on the
 # p = 83 and p = 347 curves an add step also meets the point it adds,
-# where the loop takes the tangent.
+# where the loop doubles T and multiplies in no line.
 DEGENERATE_STATES = {(3, 0): {IDENTITY, TANGENT}, (5, 0): {IDENTITY, TANGENT}}
 
 
@@ -413,6 +414,20 @@ def test_fixed_pairing_and_gt_exp_ladder_at_protocol_sizes(k_bits):
         z = pairing(params, left, right)
         for n in ladder_exponents(params, rng):
             assert_ladder_matches_reference(params, z.a, z.b, n)
+
+
+@pytest.mark.parametrize("k_bits", [16, 32, 128])
+def test_final_exponentiation_matches_the_generic_power(k_bits):
+    # f^(p-1) is 1 for an f in F_p^* and -1 for an f in i*F_p^*, and their
+    # powers by h take the ladder's b = 0 branch, which no pairing reaches
+    params, _ = protocol_curve(k_bits)
+    p = params.p
+    rng = random.Random(k_bits)
+    fs = [(rng.randrange(1, p), rng.randrange(1, p)) for _ in range(4)]
+    fs += [(1, 0), (p - 1, 0), (rng.randrange(1, p), 0), (0, rng.randrange(1, p))]
+    for fa, fb in fs:
+        expected = ref_fp2_pow(p, fa, fb, (p * p - 1) // params.q)
+        assert _final_exponentiation(params, fa, fb) == GTElem(*expected, p), (fa, fb)
 
 
 @functools.cache

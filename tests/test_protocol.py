@@ -549,6 +549,10 @@ def _first_derive_fault(received, own_flow, peer_id, vanishing):
 # walks to the identity, and the pairing then checks the blend explicitly
 @example(strategy=C1, role="initiator", received="outside the order-q subgroup",
          own_flow="honest", peer_id="bob", vanishing=True)
+# a single fault that only the received point's subgroup walk before the
+# line-table pairing of choice 2 finds
+@example(strategy=C2, role="initiator", received="outside the order-q subgroup",
+         own_flow="honest", peer_id="bob", vanishing=False)
 def test_derive_reports_its_first_fault_in_check_order(
     strategy, role, received, own_flow, peer_id, vanishing
 ):

@@ -522,8 +522,6 @@ def test_amplify_matches_reference_votes(curve, monkeypatch):
 
 
 def test_mock_wrong_answers_match_gt_exp_at_q24():
-    # WIDE_CURVE's q has 24 bits, so the mock's GT window table has six
-    # rows, where the q of every CURVES curve fits in four
     params, g = WIDE_CURVE
     base = pairing(params, g, g)
     mock = MockCbdhOracle(params, g, 0.0, random.Random("wide"))
@@ -533,23 +531,6 @@ def test_mock_wrong_answers_match_gt_exp_at_q24():
         rng.random()  # the delta draw
         assert mock(inst) == gt_exp(base, rng.randrange(params.q))
         assert mock.rng.getstate() == rng.getstate()
-    assert len(mock._gt_rows) == 6
-    for r in (0, 1, 15, 16, 255, 256, params.q - 1):
-        assert mock._base_gt_power(r) == gt_exp(base, r), r
-
-
-def test_mock_builds_its_gt_table_on_the_first_wrong_answer():
-    # construction and correct answers build no table, so setup pays nothing
-    params, g = WIDE_CURVE
-    mock = MockCbdhOracle(params, g, 1.0, random.Random(0))
-    assert mock._gt_rows is None
-    inst, _ = make_instance(params, g, random.Random(1))
-    for _ in range(3):
-        mock(inst)
-    assert mock._gt_rows is None
-    mock.delta = 0.0
-    mock(inst)
-    assert mock._gt_rows is not None
 
 
 def test_tables_follow_the_instance():
