@@ -21,7 +21,8 @@ G x G, in particular e(P, P) != 1.
 Following Barreto-Kim-Lynn-Scott (CRYPTO 2002), the final exponent is
 split as (p - 1) * h.  The (p - 1) part is one conjugation and one F_p
 inversion, and it maps every F_p^* factor of f to 1, and f to an element
-of norm 1, whose power by h is gt_exp's ladder (below).  The Miller loop
+of norm 1, whose power by the small h is a square-and-multiply with
+squarings of two F_p multiplications.  The Miller loop
 may therefore skip vertical lines (denominator elimination) and scale
 each line by an F_p^* factor, which lets it keep T in Jacobian
 coordinates and invert nothing; each step uses one slope for both its
@@ -37,10 +38,21 @@ A long-lived right argument (a party's d_id in protocol.derive's choice
 e(P, Q) = e(Q, P), and Q's NAF chain of q is walked once, each tangent
 and chord stored as its two F_p coefficients at phi of any point.  A
 pairing with it then only evaluates the stored lines, but no longer
-checks P's subgroup for free, so an explicit [q]-walk of P comes
-first.  GT elements have norm 1 (conj(z) = 1/z), so gt_inv is a
-conjugation and gt_exp is a Lucas ladder on z^k + conj(z)^k in F_p, two
-F_p multiplications per bit; these are GT's only inverse and power.
+checks P's subgroup for free, so an explicit check of P comes first.
+GT elements have norm 1 (conj(z) = 1/z), so gt_inv is a conjugation and
+gt_exp is a Lucas ladder on z^k + conj(z)^k in F_p, two F_p
+multiplications per bit; these are GT's only inverse and power.
+
+Every explicit subgroup check (in_subgroup, and _fixed_pairing's) is one
+reduced Tate pairing of order h, after Koshelev ("Subgroup membership
+testing on elliptic curves via the Tate pairing", J. Cryptographic
+Engineering, 2023): E(F_p)/G is cyclic of order h, and the pairing with
+a point U of E(F_{p^2})[h] whose character has order h maps it
+injectively into F_{p^2}, so P lies in G exactly when the value is 1
+(_in_group).  U's Miller lines are cached per group, built on first use
+(_cofactor_lines), so a check is a Miller loop of |h| <= 21 steps and a
+Lucas ladder of |q| bits, two F_p multiplications per bit where a
+[q]-walk makes about eight.
 
 The group law is written once, in Jacobian coordinates, and every
 point operation uses it, with one inversion back to affine; every
@@ -62,7 +74,7 @@ in_subgroup answers False.  pairing also refuses a left argument outside
 the order-q subgroup, at no cost, as its Miller loop ends at [q]left; the
 right one may be any curve point.  Encoders and the private helpers
 (_affine_add, _jac_mul, _window_walk, _fixed_base_add, _checked_pairing,
-_fixed_pairing) trust their points.
+_fixed_pairing, _in_group) trust their points.
 
 Four primitives count their calls in the module-level dict OPS, the
 operations of protocol.derive's cost table: _checked_pairing (and so
@@ -70,8 +82,9 @@ pairing) and _fixed_pairing under "pairing", gt_exp under "exp_gt", and
 _fixed_base_add (and so fixed_base_exp) under "exp_g" when its walk
 starts at the identity and "exp_g_add" when it starts at a point.
 Nothing whose cost depends on cache state is counted (hash_to_group,
-table builds, in_subgroup), and _fixed_pairing counts one pairing with
-or without a line table, so work on cold caches counts as on warm ones.
+table builds, in_subgroup and its line build), and _fixed_pairing counts
+one pairing with or without a line table, so work on cold caches counts
+as on warm ones.
 OPS only grows: a caller copies it before some work and subtracts the
 copy from it after.  The package is single-threaded, so one plain dict
 serves.
@@ -466,11 +479,11 @@ def _jac_mul(p: int, x: int, y: int, n: int):
 
 def in_subgroup(params: GroupParams, point: GElem) -> bool:
     """Whether the point lies in the order-q subgroup (identity counts; a
-    point off the curve does not)."""
-    try:
-        return scalar_exp(params, point, params.q).is_identity()
-    except MalformedElementError:  # scalar_exp's curve check
+    point off the curve does not), by one short Tate pairing of order h
+    (_in_group)."""
+    if not is_on_curve(params, point):
         return False
+    return point.is_identity() or _in_group(params, point)
 
 
 @functools.lru_cache(maxsize=128)
@@ -715,12 +728,19 @@ def _checked_pairing(params: GroupParams, left: GElem, right: GElem):
 
 def _final_exponentiation(params: GroupParams, fa: int, fb: int) -> GTElem:
     """f^((p^2 - 1)/q) for a Miller value f = fa + fb*i, nonzero: first
-    f^(p-1) = conj(f)^2 / N(f), one F_p inversion.  That has norm 1, so
-    its power by h is gt_exp's ladder (_norm_one_pow), uncounted."""
+    u = f^(p-1) = conj(f)^2 / N(f), one F_p inversion.  u has norm 1, so
+    its power by h is square-and-multiply with no inversion, squaring
+    a + b*i as (2a^2 - 1) + 2ab*i: h has at most 21 bits, too few for the
+    Lucas ladder's recovery inversion (gt_exp) to pay for itself."""
     p = params.p
     n_inv = pow(fa * fa + fb * fb, -1, p)
     ua, ub = (fa - fb) * (fa + fb) * n_inv % p, -2 * fa * fb * n_inv % p
-    return _norm_one_pow(p, ua, ub, params.h)
+    a, b = ua, ub
+    for bit in bin(params.h)[3:]:
+        a, b = (2 * a * a - 1) % p, 2 * a * b % p
+        if bit == "1":
+            a, b = (a * ua - b * ub) % p, (a * ub + b * ua) % p
+    return GTElem(a, b, p)
 
 
 @functools.lru_cache(maxsize=128)
@@ -788,11 +808,11 @@ def _fixed_pairing(params: GroupParams, received: GElem, fixed: GElem):
     lines at phi(received): per line one multiplication for its real part
     and one F_{p^2} product, after an unreduced squaring of f where the
     line is a tangent.  received now sits on the right, so its subgroup
-    check is no longer the loop: an explicit [q]-walk (_jac_mul) comes
-    first, and answers None for a received point outside the subgroup, as
-    _checked_pairing does.  A line never vanishes at phi(received), whose
-    y is not 0, and neither does an omitted vertical (see
-    _checked_pairing).  A fixed point with no table goes to
+    check is no longer the loop: an explicit check comes first, one Tate
+    pairing of order h (_in_group), and answers None for a received point
+    outside the subgroup, as _checked_pairing does.  A line never vanishes
+    at phi(received), whose y is not 0, and neither does an omitted
+    vertical (see _checked_pairing).  A fixed point with no table goes to
     _checked_pairing, so the result is the same for every pair of curve
     points.  Counted under "pairing" once either way.
     """
@@ -803,9 +823,9 @@ def _fixed_pairing(params: GroupParams, received: GElem, fixed: GElem):
     p = params.p
     if received.is_identity():
         return GTElem(1, 0, p)
-    xq, yq = received.x, received.y
-    if _jac_mul(p, xq, yq, params.q)[2]:  # [q]received is not the identity
+    if not _in_group(params, received):
         return None
+    xq, yq = received.x, received.y
     fa, fb = 1, 0
     for square, c1, c0 in lines:
         la = (c1 * xq + c0) % p
@@ -813,6 +833,260 @@ def _fixed_pairing(params: GroupParams, received: GElem, fixed: GElem):
             fa, fb = (fa - fb) * (fa + fb), 2 * fa * fb
         fa, fb = (fa * la - fb * yq) % p, (fa * yq + fb * la) % p
     return _final_exponentiation(params, fa, fb)
+
+
+# ---------------------------------------------------------------------------
+# subgroup membership by a Tate pairing of order h
+# ---------------------------------------------------------------------------
+
+# Domain tag for hashing the points of E(F_{p^2}) that _cofactor_lines tries.
+_TAG_COFACTOR_POINT = b"\x02"
+
+# Rational points tried against each candidate U before the next one.
+_POINTS_PER_CANDIDATE = 8
+
+
+def _in_group(params: GroupParams, point: GElem) -> bool:
+    """Whether a finite point of the curve, which is trusted, lies in G,
+    the order-q subgroup: one reduced Tate pairing of order h (Koshelev,
+    "Subgroup membership testing on elliptic curves via the Tate
+    pairing", J. Cryptographic Engineering, 2023).
+
+    E(F_{p^2}) = E[p + 1], a product of two cyclic groups of order
+    p + 1 = hq, so hE(F_{p^2}) = E[q], and E[q] meets the cyclic E(F_p) in
+    G.  For the U of _cofactor_lines in E(F_{p^2})[h], the reduced Tate
+    pairing t(P) = f_{h,U}(P)^((p - 1)q) is therefore a character of
+    E(F_p)/G, which is cyclic of order h, and _cofactor_lines keeps a U
+    whose t has order h at some rational point: t is injective, and P lies
+    in G exactly when t(P) = 1.  u = f^(p-1) has norm 1, and a norm-1 w
+    has w = 1 exactly when w + conj(w) = 2, so the test is the Lucas value
+    V_q(u) = 2 (_lucas_v), two F_p multiplications per bit of q, after a
+    Miller loop of |h| <= 21 steps; a [q]-walk makes about eight per bit.
+
+    A line or vertical of U's chain vanishes at P only where P is one of
+    the chain's points or their negatives, all multiples of U.  Such a P
+    has an order dividing h, and so, being finite, lies outside G: a
+    Miller value of 0 answers False.  For the kept U this is a guard that
+    never fires: a rational mU has the character t^m, which is 1 on
+    E(F_p) as f_{h,mU} has coefficients in F_p, so h | m and mU = O.
+    """
+    p = params.p
+    v1 = _cofactor_trace(p, _cofactor_lines(params), point.x, point.y)
+    return v1 is not None and _lucas_v(p, v1, params.q)[0] == 2
+
+
+def _cofactor_trace(p: int, lines, x: int, y: int):
+    """2 Re(u) for u = f_{h,U}(P)^(p-1), P = (x, y), by U's Miller lines,
+    or None where a line vanishes at P.
+
+    Each line is stored as (square, ky, ma, mb, ca, cb), and its value at
+    P is (ky*y + ma*x + ca) + (mb*x + cb)*i; square says that f is
+    squared before it is multiplied in.  u = conj(f)^2 / N(f) costs one
+    F_p inversion.
+    """
+    fa, fb = 1, 0
+    for square, ky, ma, mb, ca, cb in lines:
+        la = ky * y + ma * x + ca
+        lb = mb * x + cb
+        if square:
+            fa, fb = (fa - fb) * (fa + fb), 2 * fa * fb
+        fa, fb = (fa * la - fb * lb) % p, (fa * lb + fb * la) % p
+    norm = (fa * fa + fb * fb) % p
+    if not norm:
+        return None
+    return 2 * (fa - fb) * (fa + fb) * pow(norm, -1, p) % p
+
+
+@functools.lru_cache(maxsize=128)
+def _cofactor_lines(params: GroupParams):
+    """The Miller lines of f_{h,U} for _in_group, built on first use.
+
+    For counter = 0, 1, ... up to HASH_COUNTER_BOUND, U = [q]R for the
+    counter's point R of E(F_{p^2}) (_cofactor_point), and its lines are
+    tried against the next rational points P0 with x = 1, 2, ...  The
+    first (U, P0) whose t = f_{h,U}(P0)^((p - 1)q) has order h is kept:
+    t^(h/r) is not 1 for each prime r | h, found by trial division (the
+    params decoder bounds h by 2^21).  With u = f^(p-1), V_1(t) = V_q(u)
+    and V_(h/r)(t), both from _lucas_v, give the test.  Such a t shows that
+    U's character has order h, and P0 needs no [q]-walk of its own.  A
+    search that finds no such pair raises ParameterSearchError, as
+    hash_to_group raises past its counter bound.
+    """
+    p, h = params.p, params.h
+    primes, rest, r = [], h, 2
+    while r * r <= rest:
+        if rest % r == 0:
+            primes.append(r)
+            while rest % r == 0:
+                rest //= r
+        r += 1
+    if rest > 1:
+        primes.append(rest)
+    x0 = 0
+    for counter in range(HASH_COUNTER_BOUND):
+        u = _cofactor_point(params, counter)
+        lines = None if u is None else _cofactor_chain(p, h, *u)
+        if lines is None:
+            continue
+        for _ in range(_POINTS_PER_CANDIDATE):
+            x0 += 1
+            while _jacobi(x0 * x0 * x0 + x0, p) != 1:  # the next rational point with y != 0
+                x0 += 1
+            y0 = pow(x0 * x0 * x0 + x0, (p + 1) // 4, p)
+            v1 = _cofactor_trace(p, lines, x0 % p, y0)
+            if v1 is None:
+                continue
+            vt = _lucas_v(p, v1, params.q)[0]  # V_1(t) = V_q(u)
+            if all(_lucas_v(p, vt, h // r)[0] != 2 for r in primes):
+                return lines
+    raise ParameterSearchError(
+        f"no point of order h for the subgroup check within {HASH_COUNTER_BOUND} counters"
+    )
+
+
+def _cofactor_point(params: GroupParams, counter: int):
+    """U = [q]R as affine coordinates over F_{p^2}, each an (a, b) pair,
+    for the point R = (x, y) of E(F_{p^2}) with x = xa + xb*i hashed from
+    counter; None when x^3 + x has no square root, or when the walk to
+    [q]R meets the identity or T = R.  Also None when x is a square in
+    F_{p^2}, which halves the walks: x(R) mod squares is a homomorphism
+    (2-descent), and the R with a square x form E(F_p) + phi(E(F_p)),
+    whose U = [q]R have characters of order at most h/2.
+
+    The walk is scalar_exp's: the NAF of q, the b = 0 doubling and mixed
+    additions in Jacobian coordinates, here over F_{p^2} with each
+    coordinate as two F_p components (Xa + Xb*i, ...), and one inversion
+    at the end.  Squares take two F_p multiplications,
+    (a + b*i)^2 = (a - b)(a + b) + 2ab*i.  Every point of E(F_{p^2}) has
+    an order that divides p + 1 = hq, so U has an order that divides h.
+    """
+    p = params.p
+    digest = hashlib.sha512(_TAG_COFACTOR_POINT + counter.to_bytes(2, "big")).digest()
+    xa, xb = int.from_bytes(digest[:32], "big") % p, int.from_bytes(digest[32:], "big") % p
+    if _jacobi(xa * xa + xb * xb, p) != -1:  # x is a square in F_{p^2}
+        return None
+    sa, sb = (xa - xb) * (xa + xb) + 1, 2 * xa * xb  # x^2 + 1
+    root = _fp2_sqrt(p, (xa * sa - xb * sb) % p, (xa * sb + xb * sa) % p)
+    if root is None:
+        return None
+    ya, yb = root
+    Xa, Xb, Ya, Yb, Za, Zb = xa, xb, ya, yb, 1, 0
+    for high, low in zip(*_naf(params.q)):
+        XXa, XXb = (Xa - Xb) * (Xa + Xb) % p, 2 * Xa * Xb % p
+        ZZa, ZZb = (Za - Zb) * (Za + Zb) % p, 2 * Za * Zb % p
+        Wa, Wb = (ZZa - ZZb) * (ZZa + ZZb) % p, 2 * ZZa * ZZb % p
+        Da, Db = XXa - Wa, XXb - Wb
+        Za, Zb = 2 * (Ya * Za - Yb * Zb) % p, 2 * (Ya * Zb + Yb * Za) % p
+        Xa, Xb = (Da - Db) * (Da + Db) % p, 2 * Da * Db % p
+        Ea = Xa + 8 * (XXa * Wa - XXb * Wb)
+        Eb = Xb + 8 * (XXa * Wb + XXb * Wa)
+        Ya, Yb = (Da * Ea - Db * Eb) % p, (Da * Eb + Db * Ea) % p
+        if not (Za or Zb):
+            return None
+        if high != low:  # a +1 digit adds (x, y), a -1 digit (x, -y)
+            sign = 1 if high == "1" else -1
+            ZZa, ZZb = (Za - Zb) * (Za + Zb) % p, 2 * Za * Zb % p
+            Ha, Hb = (xa * ZZa - xb * ZZb - Xa) % p, (xa * ZZb + xb * ZZa - Xb) % p
+            if not (Ha or Hb):
+                return None
+            Ca, Cb = (ZZa * Za - ZZb * Zb) % p, (ZZa * Zb + ZZb * Za) % p  # Z^3
+            Ra = sign * (ya * Ca - yb * Cb) - Ya
+            Rb = sign * (ya * Cb + yb * Ca) - Yb
+            HHa, HHb = (Ha - Hb) * (Ha + Hb) % p, 2 * Ha * Hb % p
+            Ga, Gb = (Ha * HHa - Hb * HHb) % p, (Ha * HHb + Hb * HHa) % p  # H^3
+            Va, Vb = (Xa * HHa - Xb * HHb) % p, (Xa * HHb + Xb * HHa) % p
+            Xa = ((Ra - Rb) * (Ra + Rb) - Ga - 2 * Va) % p
+            Xb = (2 * Ra * Rb - Gb - 2 * Vb) % p
+            Ya, Yb = ((Ra * (Va - Xa) - Rb * (Vb - Xb) - Ya * Ga + Yb * Gb) % p,
+                      (Ra * (Vb - Xb) + Rb * (Va - Xa) - Ya * Gb - Yb * Ga) % p)
+            Za, Zb = (Za * Ha - Zb * Hb) % p, (Za * Hb + Zb * Ha) % p
+    ia, ib = _fp2_inv(p, Za, Zb)
+    ia2, ib2 = (ia - ib) * (ia + ib) % p, 2 * ia * ib % p  # 1/Z^2
+    ia3, ib3 = (ia2 * ia - ib2 * ib) % p, (ia2 * ib + ib2 * ia) % p  # 1/Z^3
+    return (((Xa * ia2 - Xb * ib2) % p, (Xa * ib2 + Xb * ia2) % p),
+            ((Ya * ia3 - Yb * ib3) % p, (Ya * ib3 + Yb * ia3) % p))
+
+
+def _cofactor_chain(p: int, h: int, ux, uy):
+    """The Miller lines of f_{h,U} for U = (ux, uy) over F_{p^2}, in
+    _cofactor_trace's form, or None where U's binary chain of h meets the
+    identity or a chord through T = +-U, or does not end at the identity.
+
+    Each doubling step squares f and multiplies in the tangent at T, then
+    divides by the vertical at 2T; an add step multiplies in the chord
+    through T and U and divides by the vertical at T + U.  The verticals
+    x - x_V are not in F_p at a rational P, but dividing by v is
+    multiplying by conj(v) / N(v), and N(v) in F_p^* is sent to 1 by the
+    power p - 1, so conj(v) = x - conj(x_V) is multiplied in instead.
+    Lines y - lam*x + (lam*x_T - y_T) are monic, so f is normalised at
+    the identity, as the Tate pairing's value at P needs.  The last
+    doubling meets (h/2)U of order 2: its tangent is the vertical x - x_T
+    and 2T is the identity.  The chain is affine, one F_{p^2} inversion
+    per step, |h| <= 21 doublings.
+    """
+
+    def mul(u, v):
+        return (u[0] * v[0] - u[1] * v[1]) % p, (u[0] * v[1] + u[1] * v[0]) % p
+
+    def line(square, lam, tx, ty):
+        c = mul(lam, tx)
+        return square, 1, -lam[0] % p, -lam[1] % p, (c[0] - ty[0]) % p, (c[1] - ty[1]) % p
+
+    def conj_vertical(vx):
+        return False, 0, 1, 0, -vx[0] % p, vx[1]
+
+    def step(lam, tx, ty, sx):  # T + S for the line through T and S of slope lam
+        lam2 = mul(lam, lam)
+        x3 = ((lam2[0] - tx[0] - sx[0]) % p, (lam2[1] - tx[1] - sx[1]) % p)
+        d = mul(lam, (tx[0] - x3[0], tx[1] - x3[1]))
+        return x3, ((d[0] - ty[0]) % p, (d[1] - ty[1]) % p)
+
+    bits = bin(h)[3:]
+    tx, ty = ux, uy
+    lines = []
+    for i, bit in enumerate(bits):
+        if ty == (0, 0):  # T has order 2, which only the last doubling may meet
+            if i != len(bits) - 1 or bit == "1":
+                return None
+            lines.append((True, 0, 1, 0, -tx[0] % p, -tx[1] % p))
+            return tuple(lines)
+        xx = mul(tx, tx)
+        lam = mul((3 * xx[0] + 1, 3 * xx[1]), _fp2_inv(p, 2 * ty[0], 2 * ty[1]))
+        lines.append(line(True, lam, tx, ty))
+        tx, ty = step(lam, tx, ty, tx)
+        lines.append(conj_vertical(tx))
+        if bit == "1":
+            if tx == ux:
+                return None
+            lam = mul((ty[0] - uy[0], ty[1] - uy[1]), _fp2_inv(p, tx[0] - ux[0], tx[1] - ux[1]))
+            lines.append(line(False, lam, tx, ty))
+            tx, ty = step(lam, tx, ty, ux)
+            lines.append(conj_vertical(tx))
+    return None
+
+
+def _fp2_inv(p, a, b):
+    """1 / (a + b*i) = (a - b*i) / (a^2 + b^2) for a nonzero element."""
+    n_inv = pow(a * a + b * b, -1, p)
+    return a * n_inv % p, -b * n_inv % p
+
+
+def _fp2_sqrt(p, a, b):
+    """A square root of a + b*i in F_{p^2} for b != 0, or None when it has
+    none (or b = 0).  A root c + d*i has c^2 - d^2 = a, 2cd = b and
+    c^2 + d^2 = n with n^2 = a^2 + b^2, so c^2 = (a + n)/2 for one of the
+    two roots n, and d = b / 2c."""
+    norm = a * a + b * b
+    if b % p == 0 or _jacobi(norm, p) != 1:
+        return None
+    e = (p + 1) // 4  # a square s in F_p has the root s^e
+    n = pow(norm, e, p)
+    for n in (n, p - n):
+        c2 = (a + n) * ((p + 1) // 2) % p
+        if _jacobi(c2, p) == 1:
+            c = pow(c2, e, p)
+            return c, b * pow(2 * c, -1, p) % p
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -835,40 +1109,44 @@ def _require_norm_one(z: GTElem) -> None:
 def gt_exp(z: GTElem, n: int) -> GTElem:
     """z^n for z of norm a^2 + b^2 = 1, as every element of GT has; any
     other z raises MalformedElementError.  A negative n raises
-    conj(z) = 1/z; the ladder is _norm_one_pow's.
+    conj(z) = 1/z.
+
+    A Lucas ladder (_lucas_v) gives V_n and V_n+1 = 2(aA - bB) for
+    z^n = A + B*i, and z^n is recovered from them: A = V_n / 2 and
+    B = (a V_n - V_n+1) / (2b), at the cost of one inversion.
     """
     OPS["exp_gt"] += 1
     _require_norm_one(z)
     n = int(n)
+    p, a = z.p, z.a
     b = -z.b if n < 0 else z.b  # z^-n = conj(z)^n
-    return _norm_one_pow(z.p, z.a, b, abs(n))
-
-
-def _norm_one_pow(p: int, a: int, b: int, n: int) -> GTElem:
-    """(a + b*i)^n for a^2 + b^2 = 1 and n >= 0: gt_exp without its check
-    and its count, which _final_exponentiation also uses.
-
-    A Lucas ladder (Joye-Quisquater, "Efficient computation of full Lucas
-    sequences", 1996) on V_k = z^k + conj(z)^k, which lies in F_p: with
-    conj(z) = 1/z, V_2k = V_k^2 - 2 and V_2k+1 = V_k V_k+1 - V_1, so each
-    bit of n costs two F_p multiplications where square-and-multiply in
-    F_{p^2} makes about four.  z^n = A + B*i is then recovered from V_n
-    and V_n+1 = 2(aA - bB): A = V_n / 2 and B = (a V_n - V_n+1) / (2b),
-    at the cost of one inversion.
-    """
+    n = abs(n)
     if n == 0:
         return GTElem(1, 0, p)
     if b % p == 0:  # z = a = 1 or -1
         return GTElem(pow(a, n, p), 0, p)
-    v1 = 2 * a % p
+    v, w = _lucas_v(p, 2 * a % p, n)
+    half = (p + 1) // 2  # 1/2 mod p
+    return GTElem(v * half % p, (a * v - w) * pow(2 * b, -1, p) % p, p)
+
+
+def _lucas_v(p: int, v1: int, n: int):
+    """(V_n, V_n+1) for n >= 1, where V_k = z^k + conj(z)^k for a z of
+    norm 1 with V_1 = v1 = 2 Re(z); gt_exp and _in_group share it.
+
+    A Lucas ladder (Joye-Quisquater, "Efficient computation of full Lucas
+    sequences", 1996): V_k lies in F_p, and with conj(z) = 1/z,
+    V_2k = V_k^2 - 2 and V_2k+1 = V_k V_k+1 - V_1, so each bit of n costs
+    two F_p multiplications where square-and-multiply in F_{p^2} makes
+    about four.
+    """
     v, w = v1, (v1 * v1 - 2) % p  # V_1, V_2
     for bit in bin(n)[3:]:
         if bit == "1":
             v, w = (v * w - v1) % p, (w * w - 2) % p
         else:
             v, w = (v * v - 2) % p, (v * w - v1) % p
-    half = (p + 1) // 2  # 1/2 mod p
-    return GTElem(v * half % p, (a * v - w) * pow(2 * b, -1, p) % p, p)
+    return v, w
 
 
 def gt_inv(z: GTElem) -> GTElem:

@@ -316,7 +316,7 @@ def derive(
     the subgroup exactly when R_peer is: choice 1 passes it as the left
     argument, whose Miller loop is the check (bilinear._checked_pairing),
     and choice 2 pairs it against d_id's cached lines after an explicit
-    [q]-walk (bilinear._fixed_pairing).  Faults are reported in the order
+    check, one Tate pairing of order h (bilinear._fixed_pairing).  Faults are reported in the order
     the checks run: role and strategy; own_x's range; the received point's
     curve, then identity; the own flow; the peer identity; the received
     point's subgroup; the own exponent vanished; the peer exponent
@@ -349,7 +349,7 @@ def derive(
     blended_peer = _blend(params, hash_to_group(group, peer_id), peer_msg.r, own_msg.r)
     if strategy.choice == 2:
         # d_id is long-lived: its cached Miller lines are evaluated at the
-        # blend, after an explicit subgroup walk of the blend
+        # blend, after an explicit subgroup check of the blend
         shared = _fixed_pairing(group, blended_peer, own.d_id)
     else:
         if strategy.precomputed:

@@ -182,7 +182,7 @@ def test_a_warm_world_send_checks_a_flow_it_did_not_emit_four_times(monkeypatch)
 
     responder_checks(FlowMessage(foreign))  # builds the window tables
     _count_curve_checks(monkeypatch, checked)
-    # _check_flow_form, in_subgroup's scalar_exp, then derive's two flow
+    # _check_flow_form, in_subgroup's curve check, then derive's two flow
     # checks; decoding the bytes adds one
     assert responder_checks(FlowMessage(foreign)) == 4
     assert responder_checks(encode_point(GROUP, foreign)) == 5

@@ -17,19 +17,27 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from idak import bilinear
 from idak.bilinear import (
     GElem,
+    GroupParams,
     GTElem,
     INFINITY,
     _checked_pairing,
+    _cofactor_chain,
+    _cofactor_lines,
+    _cofactor_trace,
     _final_exponentiation,
     _fixed_base_add,
     _fixed_pairing,
+    _in_group,
+    _jac_mul,
     _line_table,
     _naf_digits,
     fixed_base_exp,
     gt_exp,
     hash_to_group,
+    in_subgroup,
     instance_generate,
     pairing,
     point_add,
@@ -418,8 +426,8 @@ def test_fixed_pairing_and_gt_exp_ladder_at_protocol_sizes(k_bits):
 
 @pytest.mark.parametrize("k_bits", [16, 32, 128])
 def test_final_exponentiation_matches_the_generic_power(k_bits):
-    # f^(p-1) is 1 for an f in F_p^* and -1 for an f in i*F_p^*, and their
-    # powers by h take the ladder's b = 0 branch, which no pairing reaches
+    # f^(p-1) is 1 for an f in F_p^* and -1 for an f in i*F_p^*, whose
+    # powers by h stay in F_p, which no pairing reaches
     params, _ = protocol_curve(k_bits)
     p = params.p
     rng = random.Random(k_bits)
@@ -557,3 +565,131 @@ def test_scalar_exp_walks_the_naf_to_the_reference_value(k_bits, seed, kind, u, 
     point = point_of(params, gen, kind, u)
     n = exponent_of(params, exponent)
     assert scalar_exp(params, point, n) == ref_scalar_exp(params, point, n), (point, n)
+
+
+# ---------------------------------------------------------------------------
+# the subgroup check: a Tate pairing of order h against the [q]-walk
+# ---------------------------------------------------------------------------
+
+
+def walk_in_group(params, point):
+    """[q]point = O, by the Jacobian walk the check replaced."""
+    return point.is_identity() or _jac_mul(params.p, point.x, point.y, params.q)[2] == 0
+
+
+def prime_factors(n):
+    return [r for r in range(2, n + 1) if n % r == 0 and all(r % d for d in range(2, r))]
+
+
+def generator_mod_subgroup(params):
+    """A rational point whose class generates E(F_p)/G: [q]P has order h."""
+    h = params.h
+    for x in range(params.p):
+        point = lift(params, x, False)
+        torsion = scalar_exp(params, point, params.q)
+        if all(not scalar_exp(params, torsion, h // r).is_identity() for r in prime_factors(h)):
+            return point
+    raise AssertionError("E(F_p)/G has no generator")
+
+
+CHECK_CURVES = FULL_CURVES + WIDE_CURVES
+PROTOCOL_CURVES = [(k, f"differential-{k}") for k in (16, 23, 24, 32, 128)]
+
+
+@pytest.mark.parametrize("k_bits,seed", CHECK_CURVES)
+def test_in_group_matches_the_q_walk_on_every_point(k_bits, seed):
+    params, points = curve(k_bits, seed)
+    for point in points:
+        expected = walk_in_group(params, point)
+        assert in_subgroup(params, point) == expected, point
+        if not point.is_identity():
+            assert _in_group(params, point) == expected, point
+
+
+@pytest.mark.parametrize("k_bits", [16, 23, 24, 32, 128])
+def test_in_subgroup_matches_the_q_walk_at_protocol_sizes(k_bits):
+    params, gen = protocol_curve(k_bits)
+    p, q = params.p, params.q
+    rng = random.Random(k_bits)
+    members = [scalar_exp(params, gen, random_scalar(params, rng)) for _ in range(4)]
+    # [q]R of a rational R has an order dividing h; a G point plus one that
+    # is not the identity lies outside G
+    torsion = [scalar_exp(params, lift(params, rng.randrange(p), False), q) for _ in range(8)]
+    torsion = [t for t in torsion if not t.is_identity()]
+    assert torsion
+    outside = [GElem(0, 0)]
+    outside += [point_add(params, m, GElem(0, 0)) for m in members]
+    outside += [point_add(params, m, t) for m, t in zip(members * 2, torsion)]
+    lifted = [lift(params, rng.randrange(p), rng.random() < 0.5) for _ in range(16)]
+    for point in members + [INFINITY]:
+        assert in_subgroup(params, point) and walk_in_group(params, point), point
+    for point in outside:
+        assert not in_subgroup(params, point) and not walk_in_group(params, point), point
+    for point in lifted:
+        assert in_subgroup(params, point) == walk_in_group(params, point), point
+    m = members[0]
+    for off in (GElem(m.x, (m.y + 1) % p), GElem(0, 1), GElem(m.x, m.y + p), GElem(-m.x, m.y)):
+        assert not bilinear.is_on_curve(params, off)
+        assert not in_subgroup(params, off), off
+
+
+@settings(deadline=None)  # the example count comes from the hypothesis profile
+@given(k_bits=st.integers(8, 24), seed=st.integers(0, 1 << 32), data=st.data())
+@example(k_bits=9, seed=30, data=None)  # h = 60 = 2^2 * 3 * 5
+@example(k_bits=11, seed=55, data=None)  # h = 84 = 2^2 * 3 * 7
+def test_in_subgroup_matches_the_q_walk_on_drawn_curves(k_bits, seed, data):
+    params = instance_generate(k_bits, seed)
+    gen = hash_to_group(params, "differential")
+    if data is None:  # an explicit example: fixed draws
+        a, drawn = 1, lift(params, 1, False)
+    else:
+        a = data.draw(st.integers(1, params.q - 1), label="a")
+        drawn = data.draw(curve_points(params), label="R")
+    member = scalar_exp(params, gen, a)
+    torsion = scalar_exp(params, drawn, params.q)
+    for point in (member, drawn, GElem(0, 0), point_add(params, member, torsion),
+                  point_add(params, member, GElem(0, 0))):
+        assert in_subgroup(params, point) == walk_in_group(params, point), point
+
+
+@pytest.mark.parametrize("k_bits,seed", CHECK_CURVES + PROTOCOL_CURVES)
+def test_the_cached_character_has_order_h(k_bits, seed):
+    # t(P) = u^q for u = f_{h,U}(P)^(p-1), whose real part the trace gives;
+    # at a point whose class generates E(F_p)/G, t must have order h
+    params = instance_generate(k_bits, seed)
+    p, q, h = params.p, params.q, params.h
+    point = generator_mod_subgroup(params)
+    v1 = _cofactor_trace(p, _cofactor_lines(params), point.x, point.y)
+    a = v1 * pow(2, -1, p) % p
+    b = pow(1 - a * a, (p + 1) // 4, p)  # u or conj(u): either has t's order
+    assert (a * a + b * b) % p == 1
+    t = ref_fp2_pow(p, a, b, q)
+    assert ref_fp2_pow(p, *t, h) == (1, 0)
+    for r in prime_factors(h):
+        assert ref_fp2_pow(p, *t, h // r) != (1, 0), r
+
+
+def test_the_same_params_give_the_same_lines():
+    params, _ = protocol_curve(32)
+    lines = _cofactor_lines(params)
+    _cofactor_lines.cache_clear()
+    again = _cofactor_lines(GroupParams(params.p, params.q, params.h))
+    assert again == lines and again is not lines
+
+
+def test_a_line_of_the_chain_that_vanishes_at_the_point_answers_false(monkeypatch):
+    # the kept U has no rational multiple but O, so no line of its chain
+    # vanishes at a rational point.  A rational U of order h stands in for
+    # it: its character is 1 on E(F_p), so the points of its chain are
+    # refused by their vanishing lines alone: U by the first tangent, 2U
+    # by the vertical at it, and (h/2)U = (0, 0) by the last tangent
+    params, _ = protocol_curve(16)
+    p, h = params.p, params.h
+    u = scalar_exp(params, generator_mod_subgroup(params), params.q)
+    lines = _cofactor_chain(p, h, (u.x, 0), (u.y, 0))
+    assert lines is not None
+    monkeypatch.setattr(bilinear, "_cofactor_lines", lambda params: lines)
+    assert scalar_exp(params, u, h // 2) == GElem(0, 0)
+    for m in (1, 2, h // 2):
+        assert not _in_group(params, scalar_exp(params, u, m)), m
+    assert _in_group(params, hash_to_group(params, "differential"))
