@@ -52,12 +52,17 @@ injectively into F_{p^2}, so P lies in G exactly when the value is 1
 (_in_group).  U's Miller lines are cached per group, built on first use
 (_cofactor_lines), so a check is a Miller loop of |h| <= 21 steps and a
 Lucas ladder of |q| bits, two F_p multiplications per bit where a
-[q]-walk makes about eight.
+[q]-walk makes about eight.  U = [q]R for a hashed R of E(F_{p^2}) is
+built from two walks over F_p and four additions over F_{p^2}, by the
+Frobenius map (_cofactor_point).
 
-The group law is written once, in Jacobian coordinates, and every
-point operation uses it, with one inversion back to affine; every
-doubling, the Miller loop's included, uses b = 0 (_jac_double), and
-scalar_exp walks the NAF of its exponent, as the Miller loop walks q's.
+The group law is written once, in Jacobian coordinates over F_p, and
+every operation on points of E(F_p) uses it, with one inversion back to
+affine; every doubling, the Miller loop's included, uses b = 0
+(_jac_double), and scalar_exp walks the NAF of its exponent, as the
+Miller loop walks q's.  Nothing walks over F_{p^2}: the few points that
+U's build and chain add, once per group, go through one affine law
+(_fp2_affine_add).
 Points used again and again (a party's own hashed identity and identity
 key, a peer's hashed identity, the base point of a CBDH instance) are
 multiplied through a fixed-base window table: its rows [j * 64^i]P for
@@ -945,20 +950,24 @@ def _cofactor_lines(params: GroupParams):
 
 
 def _cofactor_point(params: GroupParams, counter: int):
-    """U = [q]R as affine coordinates over F_{p^2}, each an (a, b) pair,
-    for the point R = (x, y) of E(F_{p^2}) with x = xa + xb*i hashed from
-    counter; None when x^3 + x has no square root, or when the walk to
-    [q]R meets the identity or T = R.  Also None when x is a square in
-    F_{p^2}, which halves the walks: x(R) mod squares is a homomorphism
-    (2-descent), and the R with a square x form E(F_p) + phi(E(F_p)),
-    whose U = [q]R have characters of order at most h/2.
+    """U = [q]R as an affine point over F_{p^2}, an (x, y) pair of (a, b)
+    pairs, for the point R = (x, y) of E(F_{p^2}) with x = xa + xb*i hashed
+    from counter; None when x^3 + x has no square root, or when x is a
+    square in F_{p^2}, which halves the search: x(R) mod squares is a
+    homomorphism (2-descent), and the R with a square x form
+    E(F_p) + phi(E(F_p)), whose U = [q]R have characters of order at most
+    h/2.
 
-    The walk is scalar_exp's: the NAF of q, the b = 0 doubling and mixed
-    additions in Jacobian coordinates, here over F_{p^2} with each
-    coordinate as two F_p components (Xa + Xb*i, ...), and one inversion
-    at the end.  Squares take two F_p multiplications,
-    (a + b*i)^2 = (a - b)(a + b) + 2ab*i.  Every point of E(F_{p^2}) has
-    an order that divides p + 1 = hq, so U has an order that divides h.
+    E is defined over F_p, so the Frobenius map pi(x, y) = (conj(x),
+    conj(y)) is an endomorphism of it, and pi^2 fixes E(F_{p^2}).
+    C = R + pi(R) is fixed by pi, so it lies in E(F_p), and R - pi(R) is
+    negated by pi, so its x lies in F_p and its y in i*F_p: it is phi(D)
+    for the rational D = (-x, y/i).  Then 2R = C + phi(D), and with
+    q = 2k + 1, U = [k]C + phi([k]D) + R: two walks over F_p (_jac_mul)
+    with one batched inversion, and four additions over F_{p^2}
+    (_fp2_affine_add).  A kept R has x outside F_p, so R is neither pi(R)
+    nor -pi(R), and both chords are generic.  Every point of E(F_{p^2})
+    has an order that divides p + 1 = hq, so U has an order that divides h.
     """
     p = params.p
     digest = hashlib.sha512(_TAG_COFACTOR_POINT + counter.to_bytes(2, "big")).digest()
@@ -970,41 +979,38 @@ def _cofactor_point(params: GroupParams, counter: int):
     if root is None:
         return None
     ya, yb = root
-    Xa, Xb, Ya, Yb, Za, Zb = xa, xb, ya, yb, 1, 0
-    for high, low in zip(*_naf(params.q)):
-        XXa, XXb = (Xa - Xb) * (Xa + Xb) % p, 2 * Xa * Xb % p
-        ZZa, ZZb = (Za - Zb) * (Za + Zb) % p, 2 * Za * Zb % p
-        Wa, Wb = (ZZa - ZZb) * (ZZa + ZZb) % p, 2 * ZZa * ZZb % p
-        Da, Db = XXa - Wa, XXb - Wb
-        Za, Zb = 2 * (Ya * Za - Yb * Zb) % p, 2 * (Ya * Zb + Yb * Za) % p
-        Xa, Xb = (Da - Db) * (Da + Db) % p, 2 * Da * Db % p
-        Ea = Xa + 8 * (XXa * Wa - XXb * Wb)
-        Eb = Xb + 8 * (XXa * Wb + XXb * Wa)
-        Ya, Yb = (Da * Ea - Db * Eb) % p, (Da * Eb + Db * Ea) % p
-        if not (Za or Zb):
-            return None
-        if high != low:  # a +1 digit adds (x, y), a -1 digit (x, -y)
-            sign = 1 if high == "1" else -1
-            ZZa, ZZb = (Za - Zb) * (Za + Zb) % p, 2 * Za * Zb % p
-            Ha, Hb = (xa * ZZa - xb * ZZb - Xa) % p, (xa * ZZb + xb * ZZa - Xb) % p
-            if not (Ha or Hb):
-                return None
-            Ca, Cb = (ZZa * Za - ZZb * Zb) % p, (ZZa * Zb + ZZb * Za) % p  # Z^3
-            Ra = sign * (ya * Ca - yb * Cb) - Ya
-            Rb = sign * (ya * Cb + yb * Ca) - Yb
-            HHa, HHb = (Ha - Hb) * (Ha + Hb) % p, 2 * Ha * Hb % p
-            Ga, Gb = (Ha * HHa - Hb * HHb) % p, (Ha * HHb + Hb * HHa) % p  # H^3
-            Va, Vb = (Xa * HHa - Xb * HHb) % p, (Xa * HHb + Xb * HHa) % p
-            Xa = ((Ra - Rb) * (Ra + Rb) - Ga - 2 * Va) % p
-            Xb = (2 * Ra * Rb - Gb - 2 * Vb) % p
-            Ya, Yb = ((Ra * (Va - Xa) - Rb * (Vb - Xb) - Ya * Ga + Yb * Gb) % p,
-                      (Ra * (Vb - Xb) + Rb * (Va - Xa) - Ya * Gb - Yb * Ga) % p)
-            Za, Zb = (Za * Ha - Zb * Hb) % p, (Za * Hb + Zb * Ha) % p
-    ia, ib = _fp2_inv(p, Za, Zb)
-    ia2, ib2 = (ia - ib) * (ia + ib) % p, 2 * ia * ib % p  # 1/Z^2
-    ia3, ib3 = (ia2 * ia - ib2 * ib) % p, (ia2 * ib + ib2 * ia) % p  # 1/Z^3
-    return (((Xa * ia2 - Xb * ib2) % p, (Xa * ib2 + Xb * ia2) % p),
-            ((Ya * ia3 - Yb * ib3) % p, (Ya * ib3 + Yb * ia3) % p))
+    r = ((xa, xb), (ya, yb))
+    _, c = _fp2_affine_add(p, r, ((xa, -xb % p), (ya, -yb % p)))  # R + pi(R)
+    _, d = _fp2_affine_add(p, r, ((xa, -xb % p), (-ya % p, yb)))  # R - pi(R)
+    k = params.q // 2
+    kc, kd = _batch_to_affine(p, [_jac_mul(p, c[0][0], c[1][0], k),
+                                  _jac_mul(p, -d[0][0] % p, d[1][1], k)])
+    kc = None if kc is None else ((kc[0], 0), (kc[1], 0))
+    kd = None if kd is None else ((-kd[0] % p, 0), (0, kd[1]))  # phi([k]D)
+    return _fp2_affine_add(p, _fp2_affine_add(p, kc, kd)[1], r)[1]
+
+
+def _fp2_affine_add(p: int, s, t):
+    """(lam, s + t) for points s and t of E(F_{p^2}), each an (x, y) pair
+    of (a, b) pairs or None for the identity: lam is the slope of the
+    chord through s and t, or of the tangent where s = t, and None where
+    that line is vertical or a point is the identity.  One F_{p^2}
+    inversion; _cofactor_point and _cofactor_chain share it."""
+    if s is None or t is None:
+        return None, s or t
+    (sx, sy), (tx, ty) = s, t
+    if sx == tx:
+        if sy != ty or sy == (0, 0):  # t = -s, a point of order 2 doubled included
+            return None, None
+        xx = _fp2_mul(p, *sx, *sx)
+        num, den = (3 * xx[0] + 1, 3 * xx[1]), (2 * sy[0], 2 * sy[1])
+    else:
+        num, den = (ty[0] - sy[0], ty[1] - sy[1]), (tx[0] - sx[0], tx[1] - sx[1])
+    lam = _fp2_mul(p, *num, *_fp2_inv(p, *den))
+    lam2 = _fp2_mul(p, *lam, *lam)
+    x3 = (lam2[0] - sx[0] - tx[0]) % p, (lam2[1] - sx[1] - tx[1]) % p
+    d = _fp2_mul(p, *lam, sx[0] - x3[0], sx[1] - x3[1])
+    return lam, (x3, ((d[0] - sy[0]) % p, (d[1] - sy[1]) % p))
 
 
 def _cofactor_chain(p: int, h: int, ux, uy):
@@ -1021,47 +1027,33 @@ def _cofactor_chain(p: int, h: int, ux, uy):
     Lines y - lam*x + (lam*x_T - y_T) are monic, so f is normalised at
     the identity, as the Tate pairing's value at P needs.  The last
     doubling meets (h/2)U of order 2: its tangent is the vertical x - x_T
-    and 2T is the identity.  The chain is affine, one F_{p^2} inversion
-    per step, |h| <= 21 doublings.
+    and 2T is the identity.  The chain is affine (_fp2_affine_add), one
+    F_{p^2} inversion per step, |h| <= 21 doublings.
     """
-
-    def mul(u, v):
-        return (u[0] * v[0] - u[1] * v[1]) % p, (u[0] * v[1] + u[1] * v[0]) % p
-
-    def line(square, lam, tx, ty):
-        c = mul(lam, tx)
-        return square, 1, -lam[0] % p, -lam[1] % p, (c[0] - ty[0]) % p, (c[1] - ty[1]) % p
-
-    def conj_vertical(vx):
-        return False, 0, 1, 0, -vx[0] % p, vx[1]
-
-    def step(lam, tx, ty, sx):  # T + S for the line through T and S of slope lam
-        lam2 = mul(lam, lam)
-        x3 = ((lam2[0] - tx[0] - sx[0]) % p, (lam2[1] - tx[1] - sx[1]) % p)
-        d = mul(lam, (tx[0] - x3[0], tx[1] - x3[1]))
-        return x3, ((d[0] - ty[0]) % p, (d[1] - ty[1]) % p)
-
     bits = bin(h)[3:]
-    tx, ty = ux, uy
+    u = t = (ux, uy)
     lines = []
+
+    def advance(square, s):  # the line through T and S, then T + S and its vertical
+        tx, ty = t
+        lam, (vx, vy) = _fp2_affine_add(p, t, s)
+        c = _fp2_mul(p, *lam, *tx)
+        lines.append((square, 1, -lam[0] % p, -lam[1] % p,
+                      (c[0] - ty[0]) % p, (c[1] - ty[1]) % p))
+        lines.append((False, 0, 1, 0, -vx[0] % p, vx[1]))
+        return vx, vy
+
     for i, bit in enumerate(bits):
-        if ty == (0, 0):  # T has order 2, which only the last doubling may meet
+        if t[1] == (0, 0):  # T has order 2, which only the last doubling may meet
             if i != len(bits) - 1 or bit == "1":
                 return None
-            lines.append((True, 0, 1, 0, -tx[0] % p, -tx[1] % p))
+            lines.append((True, 0, 1, 0, -t[0][0] % p, -t[0][1] % p))
             return tuple(lines)
-        xx = mul(tx, tx)
-        lam = mul((3 * xx[0] + 1, 3 * xx[1]), _fp2_inv(p, 2 * ty[0], 2 * ty[1]))
-        lines.append(line(True, lam, tx, ty))
-        tx, ty = step(lam, tx, ty, tx)
-        lines.append(conj_vertical(tx))
+        t = advance(True, t)
         if bit == "1":
-            if tx == ux:
+            if t[0] == ux:
                 return None
-            lam = mul((ty[0] - uy[0], ty[1] - uy[1]), _fp2_inv(p, tx[0] - ux[0], tx[1] - ux[1]))
-            lines.append(line(False, lam, tx, ty))
-            tx, ty = step(lam, tx, ty, ux)
-            lines.append(conj_vertical(tx))
+            t = advance(False, u)
     return None
 
 

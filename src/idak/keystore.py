@@ -8,17 +8,22 @@ produce byte-identical files.
 A process decodes and checks each distinct params payload once:
 load_group keeps its results in a bounded cache keyed by the payload
 bytes, which are public.  load_identity decodes its payload on every
-call, but runs the costly [q]*d_id subgroup check once per group and
-payload: it remembers only the SHA-256 digest of each payload that
-passed, not the key.  A process that derives with the key keeps it all
-the same: protocol.derive fills bilinear's bounded caches of d_id's
-window table (choice 1) or line table (choice 2), both keyed by d_id,
-and they hold it until evicted or the process ends.  Both loaders read
-the file on every call, so a file whose bytes change is checked again
-in full.  This is safe because a result is a pure function of those
-bytes (and the group's values), and because a payload that fails raises
-before it is remembered, so a refused file is refused again on every
-load.
+call, but runs the subgroup check of d_id, one Tate pairing of order h
+(bilinear.in_subgroup), once per group and payload: it remembers only
+the SHA-256 digest of each payload that passed, not the key.  The memo
+pays although the check is short: on a 2-core Xeon under Python 3.11 a
+warm check took about 30 us at k = 32, 0.15 ms at k = 128 and 1.7 ms at
+k = 512, a hit on the memo (the payload's SHA-256 and a set lookup)
+about 1 us, and an initiate, respond and finalize exchange loads three
+identity files, so a process that runs exchanges in a loop checks each
+file once.  A process that derives with the key keeps it all the same:
+protocol.derive fills bilinear's bounded caches of d_id's window table
+(choice 1) or line table (choice 2), both keyed by d_id, and they hold
+it until evicted or the process ends.  Both loaders read the file on
+every call, so a file whose bytes change is checked again in full.
+This is safe because a result is a pure function of those bytes (and
+the group's values), and because a payload that fails raises before it
+is remembered, so a refused file is refused again on every load.
 """
 
 import functools

@@ -11,6 +11,7 @@ refuses every other.
 """
 
 import functools
+import hashlib
 import random
 
 import pytest
@@ -26,10 +27,12 @@ from idak.bilinear import (
     _checked_pairing,
     _cofactor_chain,
     _cofactor_lines,
+    _cofactor_point,
     _cofactor_trace,
     _final_exponentiation,
     _fixed_base_add,
     _fixed_pairing,
+    _fp2_affine_add,
     _in_group,
     _jac_mul,
     _line_table,
@@ -693,3 +696,130 @@ def test_a_line_of_the_chain_that_vanishes_at_the_point_answers_false(monkeypatc
     for m in (1, 2, h // 2):
         assert not _in_group(params, scalar_exp(params, u, m)), m
     assert _in_group(params, hash_to_group(params, "differential"))
+
+
+# ---------------------------------------------------------------------------
+# U = [q]R and the affine law over F_{p^2}, against a textbook walk
+# ---------------------------------------------------------------------------
+
+
+def ref_fp2_add(p, s, t):
+    """(slope, s + t) on E(F_{p^2}) by the textbook affine law, each point
+    ((xa, xb), (ya, yb)) or None for the identity; the slope is None where
+    the line is vertical or a point is the identity."""
+    if s is None:
+        return None, t
+    if t is None:
+        return None, s
+    (sx, sy), (tx, ty) = s, t
+    if sx == tx and ((sy[0] + ty[0]) % p, (sy[1] + ty[1]) % p) == (0, 0):
+        return None, None  # t = -s, or a point of order 2 doubled
+    if sx == tx:
+        xx = ref_fp2_mul(p, *sx, *sx)
+        lam = ref_fp2_mul(p, 3 * xx[0] + 1, 3 * xx[1], *ref_fp2_inv(p, 2 * sy[0], 2 * sy[1]))
+    else:
+        lam = ref_fp2_mul(p, ty[0] - sy[0], ty[1] - sy[1],
+                          *ref_fp2_inv(p, tx[0] - sx[0], tx[1] - sx[1]))
+    ll = ref_fp2_mul(p, *lam, *lam)
+    x3 = ((ll[0] - sx[0] - tx[0]) % p, (ll[1] - sx[1] - tx[1]) % p)
+    m = ref_fp2_mul(p, *lam, sx[0] - x3[0], sx[1] - x3[1])
+    return lam, (x3, ((m[0] - sy[0]) % p, (m[1] - sy[1]) % p))
+
+
+def ref_fp2_scalar(p, point, n):
+    """[n]point for n >= 0 by binary double-and-add over F_{p^2}."""
+    result, acc = None, point
+    while n:
+        if n & 1:
+            result = ref_fp2_add(p, result, acc)[1]
+        n >>= 1
+        if n:
+            acc = ref_fp2_add(p, acc, acc)[1]
+    return result
+
+
+def ref_fp2_neg(p, point):
+    return None if point is None else (point[0], (-point[1][0] % p, -point[1][1] % p))
+
+
+def on_curve_fp2(p, point):
+    if point is None:
+        return True
+    x, y = point
+    xx = ref_fp2_mul(p, *x, *x)
+    return ref_fp2_mul(p, *y, *y) == ref_fp2_mul(p, *x, xx[0] + 1, xx[1])
+
+
+def hashed_point(params, counter):
+    """The point R of E(F_{p^2}) that _cofactor_point hashes from counter,
+    or None where its x is a square in F_{p^2} or x^3 + x has no root."""
+    p = params.p
+    digest = hashlib.sha512(bilinear._TAG_COFACTOR_POINT + counter.to_bytes(2, "big")).digest()
+    x = (int.from_bytes(digest[:32], "big") % p, int.from_bytes(digest[32:], "big") % p)
+    if pow(x[0] * x[0] + x[1] * x[1], (p - 1) // 2, p) != p - 1:  # x is 0 or a square
+        return None
+    xx = ref_fp2_mul(p, *x, *x)
+    y = bilinear._fp2_sqrt(p, *ref_fp2_mul(p, *x, xx[0] + 1, xx[1]))
+    if y is None:
+        return None
+    assert on_curve_fp2(p, (x, y))
+    return x, y
+
+
+COFACTOR_POINT_CURVES = CHECK_CURVES + [(k, f"differential-{k}") for k in (32, 128)]
+
+
+@pytest.mark.parametrize("k_bits,seed", COFACTOR_POINT_CURVES)
+def test_cofactor_point_is_q_times_the_hashed_point(k_bits, seed):
+    # every counter below 64 whose R passes the filter gives U = [q]R, by
+    # a binary walk over F_{p^2} that shares nothing with the Frobenius
+    # split, and U has an order dividing h
+    params = instance_generate(k_bits, seed)
+    p = params.p
+    kept = 0
+    for counter in range(64):
+        r = hashed_point(params, counter)
+        u = _cofactor_point(params, counter)
+        if r is None:
+            assert u is None, counter
+            continue
+        kept += 1
+        assert u == ref_fp2_scalar(p, r, params.q), counter
+        assert ref_fp2_scalar(p, u, params.h) is None, counter
+    assert kept
+
+
+def fp2_points(params):
+    """The first hashed points R of _cofactor_point's search."""
+    points = [hashed_point(params, counter) for counter in range(64)]
+    return [r for r in points if r is not None][:4]
+
+
+def two_torsion(p):
+    """(0, 0), (i, 0) and (-i, 0): the points of order 2 over F_{p^2}."""
+    return [((0, 0), (0, 0)), ((0, 1), (0, 0)), ((0, p - 1), (0, 0))]
+
+
+@pytest.mark.parametrize("k_bits", [16, 32])
+def test_fp2_affine_add_matches_the_textbook_law(k_bits):
+    # every ordered pair, and each point with its negative, of the
+    # identity, the points of order 2, hashed points and random multiples
+    # of them, so the cases cover s = t, t = -s and a 2-torsion operand
+    params, _ = protocol_curve(k_bits)
+    p = params.p
+    rng = random.Random(k_bits)
+    bases = fp2_points(params)
+    points = [None, *two_torsion(p), *bases]
+    points += [ref_fp2_scalar(p, r, rng.randrange(2, p)) for r in bases]
+    for s in points:
+        for t in points + [ref_fp2_neg(p, s)]:
+            lam, total = _fp2_affine_add(p, s, t)
+            assert (lam, total) == ref_fp2_add(p, s, t), (s, t)
+            assert on_curve_fp2(p, total), (s, t)
+    s = bases[0]
+    assert _fp2_affine_add(p, None, s) == _fp2_affine_add(p, s, None) == (None, s)
+    assert _fp2_affine_add(p, s, ref_fp2_neg(p, s)) == (None, None)
+    assert _fp2_affine_add(p, s, s)[0] is not None
+    for torsion in two_torsion(p):
+        assert on_curve_fp2(p, torsion)
+        assert _fp2_affine_add(p, torsion, torsion) == (None, None), torsion
