@@ -79,7 +79,11 @@ in_subgroup answers False.  pairing also refuses a left argument outside
 the order-q subgroup, at no cost, as its Miller loop ends at [q]left; the
 right one may be any curve point.  Encoders and the private helpers
 (_affine_add, _jac_mul, _window_walk, _fixed_base_add, _checked_pairing,
-_fixed_pairing, _in_group) trust their points.
+_fixed_pairing, _in_group) trust their points.  So a subgroup check tests
+the curve once: public entry points and keystore call in_subgroup, which
+tests it first, and code that has already tested the point
+(protocol.validate_flow_point, selfreduction's instance and base checks,
+_checked_pairing's identity right argument) calls _in_group.
 
 Four primitives count their calls in the module-level dict OPS, the
 operations of protocol.derive's cost table: _checked_pairing (and so
@@ -485,7 +489,9 @@ def _jac_mul(p: int, x: int, y: int, n: int):
 def in_subgroup(params: GroupParams, point: GElem) -> bool:
     """Whether the point lies in the order-q subgroup (identity counts; a
     point off the curve does not), by one short Tate pairing of order h
-    (_in_group)."""
+    (_in_group).  For public callers and keystore, whose points are not
+    yet known to lie on the curve; code that has tested the curve already
+    calls _in_group, so the curve is tested once."""
     if not is_on_curve(params, point):
         return False
     return point.is_identity() or _in_group(params, point)
@@ -674,7 +680,7 @@ def _checked_pairing(params: GroupParams, left: GElem, right: GElem):
     if left.is_identity():
         return GTElem(1, 0, p)
     if right.is_identity():
-        return GTElem(1, 0, p) if in_subgroup(params, left) else None
+        return GTElem(1, 0, p) if _in_group(params, left) else None
     px, py = left.x, left.y
     xq, yq = right.x, right.y
     ny = -py % p  # a -1 digit adds -left = (px, ny)
@@ -738,14 +744,22 @@ def _final_exponentiation(params: GroupParams, fa: int, fb: int) -> GTElem:
     a + b*i as (2a^2 - 1) + 2ab*i: h has at most 21 bits, too few for the
     Lucas ladder's recovery inversion (gt_exp) to pay for itself."""
     p = params.p
-    n_inv = pow(fa * fa + fb * fb, -1, p)
-    ua, ub = (fa - fb) * (fa + fb) * n_inv % p, -2 * fa * fb * n_inv % p
+    ua, ub = _frobenius_quotient(p, fa, fb)
     a, b = ua, ub
     for bit in bin(params.h)[3:]:
         a, b = (2 * a * a - 1) % p, 2 * a * b % p
         if bit == "1":
             a, b = (a * ua - b * ub) % p, (a * ub + b * ua) % p
     return GTElem(a, b, p)
+
+
+def _frobenius_quotient(p: int, fa: int, fb: int):
+    """u = f^(p-1) = conj(f)^2 / N(f) for f = fa + fb*i of nonzero norm
+    N(f) = fa^2 + fb^2: the Frobenius map is conjugation for p = 3 (mod 4),
+    so f^p = conj(f), and f^(p-1) costs one F_p inversion.  u has norm 1.
+    _final_exponentiation and _cofactor_trace share it."""
+    n_inv = pow(fa * fa + fb * fb, -1, p)
+    return (fa - fb) * (fa + fb) * n_inv % p, -2 * fa * fb * n_inv % p
 
 
 @functools.lru_cache(maxsize=128)
@@ -855,7 +869,10 @@ def _in_group(params: GroupParams, point: GElem) -> bool:
     """Whether a finite point of the curve, which is trusted, lies in G,
     the order-q subgroup: one reduced Tate pairing of order h (Koshelev,
     "Subgroup membership testing on elliptic curves via the Tate
-    pairing", J. Cryptographic Engineering, 2023).
+    pairing", J. Cryptographic Engineering, 2023).  Its callers have
+    tested the point for the curve already: in_subgroup,
+    protocol.validate_flow_point, selfreduction's validate_instance and
+    _baby_table, _checked_pairing and _fixed_pairing.
 
     E(F_{p^2}) = E[p + 1], a product of two cyclic groups of order
     p + 1 = hq, so hE(F_{p^2}) = E[q], and E[q] meets the cyclic E(F_p) in
@@ -886,8 +903,7 @@ def _cofactor_trace(p: int, lines, x: int, y: int):
 
     Each line is stored as (square, ky, ma, mb, ca, cb), and its value at
     P is (ky*y + ma*x + ca) + (mb*x + cb)*i; square says that f is
-    squared before it is multiplied in.  u = conj(f)^2 / N(f) costs one
-    F_p inversion.
+    squared before it is multiplied in.  u comes from _frobenius_quotient.
     """
     fa, fb = 1, 0
     for square, ky, ma, mb, ca, cb in lines:
@@ -896,10 +912,9 @@ def _cofactor_trace(p: int, lines, x: int, y: int):
         if square:
             fa, fb = (fa - fb) * (fa + fb), 2 * fa * fb
         fa, fb = (fa * la - fb * lb) % p, (fa * lb + fb * la) % p
-    norm = (fa * fa + fb * fb) % p
-    if not norm:
+    if not (fa * fa + fb * fb) % p:
         return None
-    return 2 * (fa - fb) * (fa + fb) * pow(norm, -1, p) % p
+    return 2 * _frobenius_quotient(p, fa, fb)[0] % p
 
 
 @functools.lru_cache(maxsize=128)
@@ -935,9 +950,8 @@ def _cofactor_lines(params: GroupParams):
             continue
         for _ in range(_POINTS_PER_CANDIDATE):
             x0 += 1
-            while _jacobi(x0 * x0 * x0 + x0, p) != 1:  # the next rational point with y != 0
+            while (y0 := _fp_sqrt(p, x0 * x0 * x0 + x0)) is None:  # the next rational point with y != 0
                 x0 += 1
-            y0 = pow(x0 * x0 * x0 + x0, (p + 1) // 4, p)
             v1 = _cofactor_trace(p, lines, x0 % p, y0)
             if v1 is None:
                 continue
@@ -1006,7 +1020,8 @@ def _fp2_affine_add(p: int, s, t):
         num, den = (3 * xx[0] + 1, 3 * xx[1]), (2 * sy[0], 2 * sy[1])
     else:
         num, den = (ty[0] - sy[0], ty[1] - sy[1]), (tx[0] - sx[0], tx[1] - sx[1])
-    lam = _fp2_mul(p, *num, *_fp2_inv(p, *den))
+    n_inv = pow(den[0] * den[0] + den[1] * den[1], -1, p)  # 1/den = conj(den) / N(den)
+    lam = _fp2_mul(p, *num, den[0] * n_inv, -den[1] * n_inv)
     lam2 = _fp2_mul(p, *lam, *lam)
     x3 = (lam2[0] - sx[0] - tx[0]) % p, (lam2[1] - sx[1] - tx[1]) % p
     d = _fp2_mul(p, *lam, sx[0] - x3[0], sx[1] - x3[1])
@@ -1057,28 +1072,30 @@ def _cofactor_chain(p: int, h: int, ux, uy):
     return None
 
 
-def _fp2_inv(p, a, b):
-    """1 / (a + b*i) = (a - b*i) / (a^2 + b^2) for a nonzero element."""
-    n_inv = pow(a * a + b * b, -1, p)
-    return a * n_inv % p, -b * n_inv % p
+def _fp_sqrt(p: int, a: int):
+    """The square root a^((p+1)/4) mod p of a nonzero square a, for
+    p = 3 (mod 4), or None for 0 and the non-residues: the Jacobi symbol
+    decides, and only a square pays for the modexp.  The symbol's
+    reciprocity loop costs less than a modexp (about 27 against 47 us at
+    k = 128 and 69 against 820 us at k = 512, on a 2-core Xeon under
+    Python 3.11), and far less for the small x^3 + x that
+    _cofactor_lines scans.  _hash_to_group, _cofactor_lines and
+    _fp2_sqrt share it."""
+    return pow(a, (p + 1) // 4, p) if _jacobi(a, p) == 1 else None
 
 
 def _fp2_sqrt(p, a, b):
     """A square root of a + b*i in F_{p^2} for b != 0, or None when it has
     none (or b = 0).  A root c + d*i has c^2 - d^2 = a, 2cd = b and
     c^2 + d^2 = n with n^2 = a^2 + b^2, so c^2 = (a + n)/2 for one of the
-    two roots n, and d = b / 2c."""
-    norm = a * a + b * b
-    if b % p == 0 or _jacobi(norm, p) != 1:
+    two roots n, and d = b / 2c.  a + b*i is a square exactly when its
+    norm is a square in F_p, and then one of (a + n)/2 and (a - n)/2 is a
+    nonzero square: their product -b^2/4 is a non-residue, as -1 is."""
+    if b % p == 0 or (n := _fp_sqrt(p, a * a + b * b)) is None:
         return None
-    e = (p + 1) // 4  # a square s in F_p has the root s^e
-    n = pow(norm, e, p)
-    for n in (n, p - n):
-        c2 = (a + n) * ((p + 1) // 2) % p
-        if _jacobi(c2, p) == 1:
-            c = pow(c2, e, p)
-            return c, b * pow(2 * c, -1, p) % p
-    return None
+    half = (p + 1) // 2  # 1/2 mod p
+    c = _fp_sqrt(p, (a + n) * half) or _fp_sqrt(p, (a - n) * half)
+    return c, b * pow(2 * c, -1, p) % p
 
 
 # ---------------------------------------------------------------------------
@@ -1181,18 +1198,15 @@ def hash_to_group(params: GroupParams, identity) -> GElem:
 @functools.lru_cache(maxsize=1024)
 def _hash_to_group(params: GroupParams, ident: bytes) -> GElem:
     p, h = params.p, params.h
-    qr_exp = (p - 1) // 2
-    sqrt_exp = (p + 1) // 4
     for counter in range(HASH_COUNTER_BOUND):
         digest = hashlib.sha256(
             TAG_HASH_TO_GROUP + ident + counter.to_bytes(2, "big")
         ).digest()
         x = int.from_bytes(digest, "big") % p
-        t = (x * x * x + x) % p
-        # the residue test refuses t = 0 (x = 0, the order-2 point) too
-        if pow(t, qr_exp, p) != 1:
+        # _fp_sqrt refuses x^3 + x = 0 (x = 0, the order-2 point) too
+        y = _fp_sqrt(p, x * x * x + x)
+        if y is None:
             continue
-        y = pow(t, sqrt_exp, p)
         point = scalar_exp(params, GElem(x, y), h)
         if point.is_identity():
             continue

@@ -38,13 +38,13 @@ from .bilinear import (
     _checked_pairing,
     _fixed_base_add,
     _fixed_pairing,
+    _in_group,
     encode_gt,
     encode_point,
     fixed_base_exp,
     gt_exp,
     hash_to_group,
     identity_bytes,
-    in_subgroup,
     instance_generate,
     is_on_curve,
     pairing,
@@ -282,9 +282,11 @@ def _check_flow_form(params: SystemParams, point: GElem) -> None:
 
 
 def validate_flow_point(params: SystemParams, point: GElem) -> None:
-    """Reject flows outside the proper subgroup before they reach a key."""
+    """Reject flows outside the proper subgroup before they reach a key.
+    _check_flow_form tests the curve first, so the subgroup check is
+    _in_group, which trusts it."""
     _check_flow_form(params, point)
-    _require_in_subgroup(in_subgroup(params.group, point))
+    _require_in_subgroup(_in_group(params.group, point))
 
 
 def _require_in_subgroup(in_group: bool) -> None:

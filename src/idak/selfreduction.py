@@ -36,6 +36,7 @@ from idak.bilinear import (
     GTElem,
     _affine_add,
     _fp2_mul,
+    _in_group,
     _require_on_curve,
     _window_table,
     _window_walk,
@@ -43,7 +44,6 @@ from idak.bilinear import (
     gt_exp,
     gt_inv,
     gt_mul,
-    in_subgroup,
     is_on_curve,
     pairing,
     scalar_exp,
@@ -87,7 +87,7 @@ def validate_instance(params, inst):
     for point in inst.points():
         if not is_on_curve(params, point):
             raise ValueError("instance point is not on the curve")
-        if not in_subgroup(params, point):
+        if not (point.is_identity() or _in_group(params, point)):
             raise ValueError("instance point is outside the subgroup")
 
 
@@ -237,7 +237,7 @@ def _baby_table(params, base):
     if params.q.bit_length() > MAX_K_BITS:
         raise ValueError(f"the baby-step table is built for q of at most {MAX_K_BITS} bits")
     _require_on_curve(params, base)
-    if base.is_identity() or not in_subgroup(params, base):
+    if base.is_identity() or not _in_group(params, base):
         raise ValueError("base must generate the order-q subgroup")
     p = params.p
     m = math.isqrt(params.q - 1) + 1

@@ -282,8 +282,9 @@ class World:
         replay, stays the same.  And rejection stays cheap: left to derive,
         a rogue flow would first pay for the responder's initiate and most
         of derive, and keeping the rng untouched would take a getstate()
-        on every responder activation, about 13 us against about 28 us for
-        the check itself at k=16.
+        on every responder activation, where the check runs only for flows
+        the world did not emit.  At k=16 a getstate() took about 12 to
+        16 us and the check about 6 to 11 us (2-core Xeon, Python 3.11).
         """
         if isinstance(flow, (bytes, bytearray)):
             try:

@@ -172,7 +172,7 @@ def test_a_warm_world_send_checks_an_emitted_flow_only_in_derive(monkeypatch):
     assert exchange() == (2, 2, 3)
 
 
-def test_a_warm_world_send_checks_a_flow_it_did_not_emit_four_times(monkeypatch):
+def test_a_warm_world_send_checks_a_flow_it_did_not_emit_three_times(monkeypatch):
     world = World(PARAMS, MSK, rng=random.Random(0))
     foreign = bilinear.fixed_base_exp(GROUP, GEN, 12345)  # in the subgroup, never emitted
     checked = []
@@ -182,7 +182,8 @@ def test_a_warm_world_send_checks_a_flow_it_did_not_emit_four_times(monkeypatch)
 
     responder_checks(FlowMessage(foreign))  # builds the window tables
     _count_curve_checks(monkeypatch, checked)
-    # _check_flow_form, in_subgroup's curve check, then derive's two flow
-    # checks; decoding the bytes adds one
-    assert responder_checks(FlowMessage(foreign)) == 4
-    assert responder_checks(encode_point(GROUP, foreign)) == 5
+    # _check_flow_form, then derive's two flow checks: the subgroup check
+    # that follows the form check is _in_group, which trusts the curve;
+    # decoding the bytes adds one
+    assert responder_checks(FlowMessage(foreign)) == 3
+    assert responder_checks(encode_point(GROUP, foreign)) == 4

@@ -750,6 +750,39 @@ def on_curve_fp2(p, point):
     return ref_fp2_mul(p, *y, *y) == ref_fp2_mul(p, *x, xx[0] + 1, xx[1])
 
 
+@pytest.mark.parametrize("k_bits,seed", CHECK_CURVES)
+def test_fp_sqrt_roots_exactly_the_nonzero_squares(k_bits, seed):
+    # every residue class, also as a negative and an unreduced value, as
+    # _fp2_sqrt passes them; the root is the a^((p+1)/4) the hashed points
+    # were always built from
+    p = instance_generate(k_bits, seed).p
+    squares = {x * x % p for x in range(1, p)}
+    for a in range(p):
+        for value in (a, a - p, a + 2 * p):
+            root = bilinear._fp_sqrt(p, value)
+            if a in squares:
+                assert root == pow(a, (p + 1) // 4, p) and root * root % p == a, value
+            else:
+                assert root is None, value
+
+
+@pytest.mark.parametrize(
+    "k_bits,seed", sorted(CHECK_CURVES, key=lambda curve: instance_generate(*curve).p)[:2])
+def test_fp2_sqrt_roots_exactly_the_squares(k_bits, seed):
+    # every a + b*i of the two smallest fields, against the squares of all
+    # of F_{p^2}: a square with b != 0 always gets a root, and b = 0 none
+    p = instance_generate(k_bits, seed).p
+    squares = {ref_fp2_mul(p, c, d, c, d) for c in range(p) for d in range(p)}
+    for a in range(p):
+        assert bilinear._fp2_sqrt(p, a, 0) is None, a
+        for b in range(1, p):
+            root = bilinear._fp2_sqrt(p, a, b)
+            if (a, b) in squares:
+                assert root is not None and ref_fp2_mul(p, *root, *root) == (a, b), (a, b)
+            else:
+                assert root is None, (a, b)
+
+
 def hashed_point(params, counter):
     """The point R of E(F_{p^2}) that _cofactor_point hashes from counter,
     or None where its x is a square in F_{p^2} or x^3 + x has no root."""
