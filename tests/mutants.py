@@ -1,0 +1,142 @@
+"""The mutant ledger: faults in src/ that named tests must catch.
+
+Each entry is (file, old, new, tests, breaks): replacing the one `old` in
+src/<file> by `new` makes every test node in `tests` fail or error, and
+`breaks` says what it breaks.  `python tests/mutants.py`, run from the
+repository root, applies each entry to its own copy of src/, runs its tests
+there at the ci hypothesis profile, prints a line per entry and exits 1 if
+any entry survives.  tests/test_ci_mutants.py checks the ledger in tier-1.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BILINEAR = "idak/bilinear.py"
+CORE = "tests/test_core_differential.py::"
+SIZES = CORE + "test_fixed_base_exp_and_checked_pairing_at_protocol_sizes"
+U_IS_QR = CORE + "test_cofactor_point_is_q_times_the_hashed_point"
+COSTS = ("tests/test_protocol.py::test_operation_cost_table",
+         "tests/test_acceptance.py::test_criterion_2_strategy_cost_table",
+         "tests/test_cli.py::test_bench_prints_four_tsv_rows")  # idak bench exits 3
+C1 = "        shared = _checked_pairing(group, blended_peer, own_point)\n"
+C2 = "        shared = _fixed_pairing(group, blended_peer, own.d_id)\n"
+
+MUTANTS = (
+    (BILINEAR, "(params.q.bit_length() + 1)", "params.q.bit_length()", (SIZES + "[24]",),
+     "a window table of ceil(|q| / 6) rows, which a walk's carry overruns when 6 divides |q|"),
+    (BILINEAR, "if d > half:", "if d >= half:", (SIZES + "[23]",),
+     "a walk that subtracts 64 from a digit of 32 carries out of the last row at |q| = 23"),
+    (BILINEAR, "is_probable_prime(q) and is_probable_prime(p)", "is_probable_prime(q)",
+     ("tests/test_cli.py::test_a_pseudoprime_p_is_a_data_error",),
+     "a params decoder that tests q alone accepts a strong base-2 pseudoprime p"),
+    (BILINEAR, "if not _in_group(params, received):", "if False:",
+     ("tests/test_protocol.py::test_derive_reports_its_first_fault_in_check_order",),
+     "choice 2 skips the received blend's subgroup check and derives a key from outside it"),
+    (BILINEAR, "for r in primes)", "for r in primes[:-1])",
+     (CORE + "test_the_cached_character_has_order_h",),
+     "a character-order test without h's largest prime r keeps a U of order h/r"),
+    (BILINEAR, 'int.from_bytes(digest[32:], "big") % p', "0",
+     (CORE + "test_in_group_matches_the_q_walk_on_every_point",),
+     "U hashed from an x in F_p has no character of order h, so the search for U raises"),
+    (BILINEAR, "(-ya % p, yb)", "(ya, -yb % p)", (U_IS_QR,),
+     "U built from R + pi(R) in place of R - pi(R) walks a D off the curve"),
+    (BILINEAR, "return _fp2_affine_add(p, _fp2_affine_add(p, kc, kd)[1], r)[1]",
+     "return _fp2_affine_add(p, kc, kd)[1]", (U_IS_QR,),
+     "a U that drops the last + R is [q - 1]R"),
+    (BILINEAR, "return v1 is not None and", "return v1 is None or",
+     (CORE + "test_a_line_of_the_chain_that_vanishes_at_the_point_answers_false",),
+     "a check that answers True where a line of U's chain vanishes accepts the chain's points"),
+    (BILINEAR, "b = -z.b if n < 0 else z.b", "b = -z.b if n > 0 else z.b",
+     (CORE + "test_gt_exp_ladder_matches_reference_on_every_element",),
+     "a GT ladder that raises the conjugate for positive n gives z^-n"),
+    (BILINEAR, "X, Y, Z = _jac_add_affine(p, X, Y, Z, px, y)  # no line", "Z = 0  # no line",
+     ("tests/test_signed_digits.py::test_minus_one_digit_edge_cases_match_the_binary_reference",),
+     "a Miller chord with H = 0 sends T to the identity, so an outside left point meets it"),
+    (BILINEAR, "return GTElem(z.a, -z.b % z.p, z.p)", "return z",
+     ("tests/test_bilinear.py::test_gt_operations",), "a gt_inv that returns z is no inverse"),
+    (BILINEAR, "-2 * fa * fb * n_inv % p", "2 * fa * fb * n_inv % p",
+     (CORE + "test_final_exponentiation_matches_the_generic_power",),
+     "a Frobenius quotient f^(1-p) inverts every final exponentiation"),
+    (BILINEAR, "return pow(a, (p + 1) // 4, p) if _jacobi(a, p) == 1 else None",
+     "return pow(a, (p + 1) // 4, p)", (CORE + "test_fp_sqrt_roots_exactly_the_nonzero_squares",),
+     "an F_p square root without its residue test roots a non-residue"),
+    ("idak/protocol.py", C1, C1 * 2, COSTS, "choice 1's derive pairs twice"),
+    ("idak/protocol.py", C2, C2 * 2, COSTS, "choice 2's derive evaluates d_id's line table twice"),
+    ("idak/keystore.py", "if d_id.is_identity() or not _in_subgroup_once(group, payload, d_id):",
+     "if d_id.is_identity():",
+     ("tests/test_keystore.py::test_identity_rejects_a_key_point_outside_the_subgroup",),
+     "an identity file whose key point is outside the subgroup loads"),
+    ("idak/sessions.py", "validate_flow_point(self.params, flow.r)", "pass",
+     ("tests/test_sessions.py::test_rejected_flow_aborts_oracle_and_draws_nothing",),
+     "a World's responder draws y for a flow outside the subgroup before derive refuses it"),
+    ("idak/selfreduction.py", "return max(votes, key=votes.get)",
+     "return max(reversed(votes), key=votes.get)",
+     ("tests/test_selfreduction.py::test_amplify_breaks_a_tie_for_the_first_seen_candidate",),
+     "amplify lets the last-seen candidate win a tie"),
+    ("idak/cli.py", "handle.truncate()", "pass",
+     ("tests/test_cli.py::test_flow_out_over_a_longer_file_holds_only_the_new_flow",),
+     "a flow written over a longer file keeps the old file's tail"),
+    (BILINEAR, "if end > len(data):", "if False:",
+     ("tests/test_bilinear.py::test_framed_field_and_point_readers",),
+     "take_sized returns a cut field short instead of refusing it"),
+)
+
+
+def killed(test, report):
+    """How test died in report: FAILED, ERROR or its file's collection
+    error; None if it passed, was skipped or did not run."""
+    file = test.partition("::")[0]
+    for outcome, node in re.findall(r"^(FAILED|ERROR) (\S+)", report, re.M):
+        if node == file:
+            return f"{file} fails at collection"
+        if node == test or node.startswith(test + "["):
+            return outcome
+    return None
+
+
+def run(index, file, old, new, tests):
+    """Apply one entry to a copy of src/, run its tests there; the report."""
+    with tempfile.TemporaryDirectory() as copy:
+        shutil.copytree(ROOT / "src", copy, dirs_exist_ok=True,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        path = Path(copy, file)
+        source = path.read_text(encoding="utf-8")
+        assert source.count(old) == 1, (index, file, old, source.count(old))
+        path.write_text(source.replace(old, new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=copy)
+        # the file that `import idak` loads, found without running the mutant
+        find = "import importlib.util as u; print(u.find_spec('idak').origin)"
+        where = subprocess.run([sys.executable, "-c", find], env=env, check=True,
+                               capture_output=True, text=True).stdout
+        assert where.startswith(copy), (index, where)
+        pytest = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                  "--hypothesis-profile=ci", *tests]
+        return subprocess.run(pytest, cwd=ROOT, env=env, capture_output=True, text=True).stdout
+
+
+def main():
+    survived = 0
+    for index, (file, old, new, tests, breaks) in enumerate(MUTANTS, 1):
+        start = time.perf_counter()
+        report = run(index, file, old, new, tests)
+        hows = [killed(test, report) for test in tests]
+        survived += not all(hows)
+        verdict = "killed" if all(hows) else "SURVIVED"
+        seconds = time.perf_counter() - start
+        print(f"{index:2} {verdict:8} {seconds:5.1f} s  {file}: {breaks}", flush=True)
+        for test, how in zip(tests, hows):
+            if how != "FAILED":
+                print(f"{'':12}{test}: {how or 'passed, skipped or not run'}")
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

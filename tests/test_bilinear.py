@@ -44,11 +44,18 @@ from idak.errors import (
     ParameterSearchError,
 )
 
-# Desk-scale parameters used throughout: p = 43 = 4 * 11 - 1.
-GP = instance_generate(4, "0")
-GEN = hash_to_group(GP, "generator-test")
-# the benchmark's k = 128 curve
-_K128 = instance_generate(128, "idak-bench-k128")
+
+@pytest.fixture(scope="module")
+def gp():
+    """Desk-scale parameters used throughout: p = 43 = 4 * 11 - 1.  Curves
+    and points are fixtures, not globals, so that a fault in building one
+    fails the tests that use it, not the collection of this file."""
+    return instance_generate(4, "0")
+
+
+@pytest.fixture(scope="module")
+def gen(gp):
+    return hash_to_group(gp, "generator-test")
 
 
 def naive_prime(n):
@@ -84,8 +91,8 @@ def brute_force_point_count(p):
 # ---------------------------------------------------------------------------
 
 
-def test_instance_generate_desk_example():
-    assert (GP.p, GP.q, GP.h, GP.k_bits) == (43, 11, 4, 4)
+def test_instance_generate_desk_example(gp):
+    assert (gp.p, gp.q, gp.h, gp.k_bits) == (43, 11, 4, 4)
 
 
 def test_instance_generate_structure():
@@ -329,58 +336,58 @@ def test_generated_sets_match_an_exact_scan_where_the_proof_was_exact():
 # ---------------------------------------------------------------------------
 
 
-def test_point_add_identity_and_inverse():
-    assert point_add(GP, GEN, INFINITY) == GEN
-    assert point_add(GP, INFINITY, GEN) == GEN
-    assert point_add(GP, GEN, scalar_exp(GP, GEN, -1)) == INFINITY
+def test_point_add_identity_and_inverse(gp, gen):
+    assert point_add(gp, gen, INFINITY) == gen
+    assert point_add(gp, INFINITY, gen) == gen
+    assert point_add(gp, gen, scalar_exp(gp, gen, -1)) == INFINITY
 
 
-def test_point_add_rejects_off_curve():
+def test_point_add_rejects_off_curve(gp, gen):
     with pytest.raises(MalformedElementError):
-        point_add(GP, GElem(1, 1), GEN)
+        point_add(gp, GElem(1, 1), gen)
     with pytest.raises(MalformedElementError):
-        scalar_exp(GP, GElem(5, 44), 2)
+        scalar_exp(gp, GElem(5, 44), 2)
 
 
-def test_scalar_exp_against_repeated_addition():
+def test_scalar_exp_against_repeated_addition(gp, gen):
     acc = INFINITY
-    for n in range(2 * GP.q + 1):
-        assert scalar_exp(GP, GEN, n) == acc
-        acc = point_add(GP, acc, GEN)
+    for n in range(2 * gp.q + 1):
+        assert scalar_exp(gp, gen, n) == acc
+        acc = point_add(gp, acc, gen)
 
 
-def test_scalar_exp_order_and_negation():
-    assert scalar_exp(GP, GEN, 0) == INFINITY
-    assert scalar_exp(GP, GEN, GP.q) == INFINITY
-    three = scalar_exp(GP, GEN, 3)
-    assert scalar_exp(GP, GEN, -3) == scalar_exp(GP, three, -1)
-    assert scalar_exp(GP, three, -1) == GElem(three.x, (-three.y) % GP.p)
+def test_scalar_exp_order_and_negation(gp, gen):
+    assert scalar_exp(gp, gen, 0) == INFINITY
+    assert scalar_exp(gp, gen, gp.q) == INFINITY
+    three = scalar_exp(gp, gen, 3)
+    assert scalar_exp(gp, gen, -3) == scalar_exp(gp, three, -1)
+    assert scalar_exp(gp, three, -1) == GElem(three.x, (-three.y) % gp.p)
 
 
-def test_group_is_commutative_and_associative():
+def test_group_is_commutative_and_associative(gp, gen):
     rng = random.Random(11)
-    pts = [scalar_exp(GP, GEN, rng.randrange(GP.q)) for _ in range(8)]
+    pts = [scalar_exp(gp, gen, rng.randrange(gp.q)) for _ in range(8)]
     for a in pts:
         for b in pts:
-            assert point_add(GP, a, b) == point_add(GP, b, a)
+            assert point_add(gp, a, b) == point_add(gp, b, a)
     for a, b, c in [(pts[0], pts[1], pts[2]), (pts[3], pts[4], pts[5])]:
-        left = point_add(GP, point_add(GP, a, b), c)
-        right = point_add(GP, a, point_add(GP, b, c))
+        left = point_add(gp, point_add(gp, a, b), c)
+        right = point_add(gp, a, point_add(gp, b, c))
         assert left == right
 
 
-def test_in_subgroup():
-    assert in_subgroup(GP, GEN)
-    assert in_subgroup(GP, INFINITY)
+def test_in_subgroup(gp, gen):
+    assert in_subgroup(gp, gen)
+    assert in_subgroup(gp, INFINITY)
     # a full-curve point outside the q-subgroup: order divides 44, not 11
-    for x in range(GP.p):
-        t = (x * x * x + x) % GP.p
-        if t == 0 or pow(t, (GP.p - 1) // 2, GP.p) != 1:
+    for x in range(gp.p):
+        t = (x * x * x + x) % gp.p
+        if t == 0 or pow(t, (gp.p - 1) // 2, gp.p) != 1:
             continue
-        y = pow(t, (GP.p + 1) // 4, GP.p)
+        y = pow(t, (gp.p + 1) // 4, gp.p)
         cand = GElem(x, y)
-        if not scalar_exp(GP, cand, GP.q).is_identity():
-            assert not in_subgroup(GP, cand)
+        if not scalar_exp(gp, cand, gp.q).is_identity():
+            assert not in_subgroup(gp, cand)
             break
     else:
         pytest.fail("no point outside the subgroup found")
@@ -391,35 +398,35 @@ def test_in_subgroup():
 # ---------------------------------------------------------------------------
 
 
-def test_pairing_non_degenerate():
-    assert not pairing(GP, GEN, GEN).is_one()
+def test_pairing_non_degenerate(gp, gen):
+    assert not pairing(gp, gen, gen).is_one()
 
 
-def test_pairing_identity_convention():
-    assert pairing(GP, INFINITY, GEN).is_one()
-    assert pairing(GP, GEN, INFINITY).is_one()
-    assert pairing(GP, INFINITY, INFINITY).is_one()
+def test_pairing_identity_convention(gp, gen):
+    assert pairing(gp, INFINITY, gen).is_one()
+    assert pairing(gp, gen, INFINITY).is_one()
+    assert pairing(gp, INFINITY, INFINITY).is_one()
 
 
-def test_pairing_output_in_gt_subgroup():
-    z = pairing(GP, GEN, GEN)
-    assert gt_exp(z, GP.q).is_one()
+def test_pairing_output_in_gt_subgroup(gp, gen):
+    z = pairing(gp, gen, gen)
+    assert gt_exp(z, gp.q).is_one()
 
 
-def test_pairing_concrete_exponent_example():
+def test_pairing_concrete_exponent_example(gp, gen):
     # e(2g, 3g) = e(g, g)^6
-    base = pairing(GP, GEN, GEN)
-    lhs = pairing(GP, scalar_exp(GP, GEN, 2), scalar_exp(GP, GEN, 3))
+    base = pairing(gp, gen, gen)
+    lhs = pairing(gp, scalar_exp(gp, gen, 2), scalar_exp(gp, gen, 3))
     assert lhs == gt_exp(base, 6)
 
 
-def test_pairing_full_bilinearity_table():
+def test_pairing_full_bilinearity_table(gp, gen):
     # exhaustive over the 11 x 11 exponent grid on desk parameters
-    base = pairing(GP, GEN, GEN)
-    for a in range(GP.q):
-        for b in range(GP.q):
-            lhs = pairing(GP, scalar_exp(GP, GEN, a), scalar_exp(GP, GEN, b))
-            assert lhs == gt_exp(base, a * b % GP.q), (a, b)
+    base = pairing(gp, gen, gen)
+    for a in range(gp.q):
+        for b in range(gp.q):
+            lhs = pairing(gp, scalar_exp(gp, gen, a), scalar_exp(gp, gen, b))
+            assert lhs == gt_exp(base, a * b % gp.q), (a, b)
 
 
 def test_pairing_bilinear_on_larger_params():
@@ -464,29 +471,29 @@ def test_pairing_and_group_law_at_the_largest_sizes(k):
     assert point_add(gp, P, scalar_exp(gp, P, -1)).is_identity()
 
 
-def test_pairing_symmetry():
+def test_pairing_symmetry(gp, gen):
     rng = random.Random(3)
     for _ in range(30):
-        a = scalar_exp(GP, GEN, rng.randrange(GP.q))
-        b = scalar_exp(GP, GEN, rng.randrange(GP.q))
-        assert pairing(GP, a, b) == pairing(GP, b, a)
+        a = scalar_exp(gp, gen, rng.randrange(gp.q))
+        b = scalar_exp(gp, gen, rng.randrange(gp.q))
+        assert pairing(gp, a, b) == pairing(gp, b, a)
 
 
-def test_distortion_map_properties():
+def test_distortion_map_properties(gp, gen):
     # phi(x, y) = (-x, i*y) satisfies the curve equation over F_{p^2} and
     # phi(phi(P)) = -P
-    p = GP.p
-    xa = (-GEN.x) % p
+    p = gp.p
+    xa = (-gen.x) % p
     # (i*y)^2 = -y^2, and x^3 + x with x real
-    lhs = (-(GEN.y * GEN.y)) % p
+    lhs = (-(gen.y * gen.y)) % p
     rhs = (xa * xa * xa + xa) % p
     assert lhs == rhs
     # applying the map twice: (x, i*(i*y)) = (x, -y)
-    assert ((-xa) % p) == GEN.x
+    assert ((-xa) % p) == gen.x
 
 
-def test_pairing_determinism():
-    assert pairing(GP, GEN, GEN) == pairing(GP, GEN, GEN)
+def test_pairing_determinism(gp, gen):
+    assert pairing(gp, gen, gen) == pairing(gp, gen, gen)
 
 
 # ---------------------------------------------------------------------------
@@ -494,16 +501,16 @@ def test_pairing_determinism():
 # ---------------------------------------------------------------------------
 
 
-def test_gt_operations():
-    z = pairing(GP, GEN, GEN)
+def test_gt_operations(gp, gen):
+    z = pairing(gp, gen, gen)
     assert gt_mul(z, gt_inv(z)).is_one()
-    assert gt_mul(z, GTElem(1, 0, GP.p)) == z
+    assert gt_mul(z, GTElem(1, 0, gp.p)) == z
     assert gt_exp(z, 0).is_one()
     assert gt_exp(z, 5) == gt_mul(gt_exp(z, 2), gt_exp(z, 3))
     assert gt_exp(z, -2) == gt_inv(gt_exp(z, 2))
     # gt_exp's ladder and gt_inv's conjugation need a^2 + b^2 = 1, which
     # every element of GT has
-    for outside in (GTElem(2, 0, GP.p), GTElem(0, 0, GP.p), GTElem(1, 1, GP.p)):
+    for outside in (GTElem(2, 0, gp.p), GTElem(0, 0, gp.p), GTElem(1, 1, gp.p)):
         with pytest.raises(MalformedElementError, match="^GT element does not have norm 1$"):
             gt_inv(outside)
         for n in (0, 1, -1, 5):
@@ -511,10 +518,10 @@ def test_gt_operations():
                 gt_exp(outside, n)
 
 
-def test_gt_mul_rejects_mixed_fields():
+def test_gt_mul_rejects_mixed_fields(gp, gen):
     other = instance_generate(3, "0")
     with pytest.raises(MalformedElementError):
-        gt_mul(pairing(GP, GEN, GEN), GTElem(1, 0, other.p))
+        gt_mul(pairing(gp, gen, gen), GTElem(1, 0, other.p))
 
 
 # ---------------------------------------------------------------------------
@@ -522,39 +529,39 @@ def test_gt_mul_rejects_mixed_fields():
 # ---------------------------------------------------------------------------
 
 
-def test_hash_to_group_basic():
-    alice = hash_to_group(GP, "alice")
-    bob = hash_to_group(GP, "bob")
+def test_hash_to_group_basic(gp):
+    alice = hash_to_group(gp, "alice")
+    bob = hash_to_group(gp, "bob")
     assert alice == GElem(23, 8)
     assert bob == GElem(23, 35)
     assert alice != bob
-    assert in_subgroup(GP, alice) and not alice.is_identity()
-    assert in_subgroup(GP, bob) and not bob.is_identity()
+    assert in_subgroup(gp, alice) and not alice.is_identity()
+    assert in_subgroup(gp, bob) and not bob.is_identity()
 
 
-def test_hash_to_group_deterministic_and_typed():
-    assert hash_to_group(GP, "alice") == hash_to_group(GP, b"alice")
-    assert hash_to_group(GP, "alice") == hash_to_group(GP, "alice")
+def test_hash_to_group_deterministic_and_typed(gp):
+    assert hash_to_group(gp, "alice") == hash_to_group(gp, b"alice")
+    assert hash_to_group(gp, "alice") == hash_to_group(gp, "alice")
 
 
-def test_hash_to_group_counter_path():
+def test_hash_to_group_counter_path(gp):
     # "bob" only succeeds at counter 2 on these parameters, so the
     # try-and-increment loop is genuinely exercised
-    assert hash_to_group(GP, "bob") == GElem(23, 35)
+    assert hash_to_group(gp, "bob") == GElem(23, 35)
 
 
-def test_hash_to_group_stops_at_the_counter_bound(monkeypatch):
+def test_hash_to_group_stops_at_the_counter_bound(monkeypatch, gp):
     # an identity no other test hashes, since a result, once found, is cached
     monkeypatch.setattr(bilinear, "HASH_COUNTER_BOUND", 0)
     with pytest.raises(HashToGroupError, match="^no curve point for identity within 0 counters$"):
-        hash_to_group(GP, "past-the-counter-bound")
+        hash_to_group(gp, "past-the-counter-bound")
 
 
-def test_hash_to_group_rejects_empty():
+def test_hash_to_group_rejects_empty(gp):
     with pytest.raises(InvalidIdentityError):
-        hash_to_group(GP, "")
+        hash_to_group(gp, "")
     with pytest.raises(InvalidIdentityError):
-        hash_to_group(GP, b"")
+        hash_to_group(gp, b"")
 
 
 def test_hash_to_group_cache_is_keyed_by_params_and_identity_bytes():
@@ -588,24 +595,29 @@ def test_evicted_hash_and_window_table_entries_are_rebuilt_the_same():
         misses[0] + 1, misses[1] + 1)
 
 
-def test_fixed_base_add_is_the_sum_for_every_point_start_and_exponent():
+def test_fixed_base_add_is_the_sum_for_every_point_start_and_exponent(gp):
     # every point and start on p = 43, with exponents inside the window
     # table and beyond it, where the sum goes to scalar_exp and an addition
     points = [INFINITY] + [
-        GElem(x, y) for x in range(GP.p) for y in range(GP.p) if is_on_curve(GP, GElem(x, y))
+        GElem(x, y) for x in range(gp.p) for y in range(gp.p) if is_on_curve(gp, GElem(x, y))
     ]
-    top = 1 << GP.q.bit_length()
+    top = 1 << gp.q.bit_length()
     for point in points:
-        for n in (0, 1, GP.q - 1, GP.q, top - 1, top, top + 5, 3 * (GP.p + 1) + 2):
-            product = scalar_exp(GP, point, n)
+        for n in (0, 1, gp.q - 1, gp.q, top - 1, top, top + 5, 3 * (gp.p + 1) + 2):
+            product = scalar_exp(gp, point, n)
             for start in points:
-                assert bilinear._fixed_base_add(GP, point, n, start) == point_add(
-                    GP, product, start), (point, n, start)
+                assert bilinear._fixed_base_add(gp, point, n, start) == point_add(
+                    gp, product, start), (point, n, start)
 
 
-# the p = 43 curve and the benchmark's k = 128 curve, each with a point
-# that generates its order-q subgroup
-BATCH_CURVES = [(GP, GEN), (_K128, hash_to_group(_K128, "batch-to-affine"))]
+@pytest.fixture(scope="module", params=["p43", "k128"])
+def batch_curve(request, gp, gen):
+    """The p = 43 curve and the benchmark's k = 128 curve, each with a point
+    that generates its order-q subgroup."""
+    if request.param == "p43":
+        return gp, gen
+    k128 = instance_generate(128, "idak-bench-k128")
+    return k128, hash_to_group(k128, "batch-to-affine")
 
 
 @st.composite
@@ -638,10 +650,10 @@ def jacobian_lists(draw, params, gen):
     return entries
 
 
-@pytest.mark.parametrize("params,gen", BATCH_CURVES, ids=["p43", "k128"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_batch_to_affine_matches_one_inversion_per_point(params, gen, data):
+def test_batch_to_affine_matches_one_inversion_per_point(batch_curve, data):
+    params, gen = batch_curve
     points = data.draw(jacobian_lists(params, gen))
     expected = [bilinear._jac_to_affine(params.p, *point) for point in points]
     assert bilinear._batch_to_affine(params.p, points) == [
@@ -659,21 +671,21 @@ def test_hash_to_group_many_identities():
     assert len(seen) > 1
 
 
-def test_random_scalar_range_and_determinism():
+def test_random_scalar_range_and_determinism(gp):
     rng1 = random.Random(42)
     rng2 = random.Random(42)
-    draws1 = [random_scalar(GP, rng1) for _ in range(200)]
-    draws2 = [random_scalar(GP, rng2) for _ in range(200)]
+    draws1 = [random_scalar(gp, rng1) for _ in range(200)]
+    draws2 = [random_scalar(gp, rng2) for _ in range(200)]
     assert draws1 == draws2
-    assert all(1 <= v < GP.q for v in draws1)
+    assert all(1 <= v < gp.q for v in draws1)
 
 
-def test_random_scalar_frequency():
+def test_random_scalar_frequency(gp):
     # 10000 draws at q = 11: each residue close to uniform
     rng = random.Random(99)
-    counts = [0] * GP.q
+    counts = [0] * gp.q
     for _ in range(10000):
-        counts[random_scalar(GP, rng)] += 1
+        counts[random_scalar(gp, rng)] += 1
     assert counts[0] == 0
     for c in counts[1:]:
         assert abs(c / 10000 - 0.1) <= 0.02
@@ -684,43 +696,43 @@ def test_random_scalar_frequency():
 # ---------------------------------------------------------------------------
 
 
-def test_point_encoding_round_trip():
+def test_point_encoding_round_trip(gp, gen):
     rng = random.Random(17)
     for _ in range(50):
-        point = scalar_exp(GP, GEN, rng.randrange(GP.q))
-        assert decode_point(GP, encode_point(GP, point)) == point
-    assert encode_point(GP, INFINITY) == b"\x00"
-    assert decode_point(GP, b"\x00") == INFINITY
+        point = scalar_exp(gp, gen, rng.randrange(gp.q))
+        assert decode_point(gp, encode_point(gp, point)) == point
+    assert encode_point(gp, INFINITY) == b"\x00"
+    assert decode_point(gp, b"\x00") == INFINITY
 
 
-def test_point_encoding_rejects_garbage():
+def test_point_encoding_rejects_garbage(gp):
     with pytest.raises(MalformedElementError):
-        decode_point(GP, b"\x04\x01")
+        decode_point(gp, b"\x04\x01")
     with pytest.raises(MalformedElementError):
-        decode_point(GP, b"\x05\x01\x02")
+        decode_point(gp, b"\x05\x01\x02")
     # valid length, off curve
     with pytest.raises(MalformedElementError):
-        decode_point(GP, b"\x04\x01\x01")
+        decode_point(gp, b"\x04\x01\x01")
 
 
-def test_framed_field_and_point_readers():
-    point = scalar_exp(GP, GEN, 3)
-    data = b"\xff" + sized(b"abc") + sized(b"") + encode_point(GP, point) + b"\x00"
+def test_framed_field_and_point_readers(gp, gen):
+    point = scalar_exp(gp, gen, 3)
+    data = b"\xff" + sized(b"abc") + sized(b"") + encode_point(gp, point) + b"\x00"
     field, offset = take_sized(data, 1)
     assert (field, offset) == (b"abc", 6)
     assert take_sized(data, offset) == (b"", 8)
-    end = 8 + len(encode_point(GP, point))
-    assert take_point(GP, data, 8) == (point, end)
-    assert take_point(GP, data, end) == (INFINITY, end + 1)
+    end = 8 + len(encode_point(gp, point))
+    assert take_point(gp, data, 8) == (point, end)
+    assert take_point(gp, data, end) == (INFINITY, end + 1)
     assert len(sized(bytes(0xFFFF))) == 0x10001
     with pytest.raises(MalformedElementError):
         sized(bytes(0x10000))
     for cut in (b"", b"\x00", b"\x00\x04abc"):
         with pytest.raises(MalformedElementError):
             take_sized(cut, 0)
-    for cut in (b"", b"\x04", encode_point(GP, point)[:-1]):
+    for cut in (b"", b"\x04", encode_point(gp, point)[:-1]):
         with pytest.raises(MalformedElementError):
-            take_point(GP, cut, 0)
+            take_point(gp, cut, 0)
 
 
 def test_params_encoding_round_trip():
@@ -729,12 +741,12 @@ def test_params_encoding_round_trip():
         assert decode_group_params(encode_group_params(gp)) == gp
 
 
-def test_params_encoding_rejects_garbage():
+def test_params_encoding_rejects_garbage(gp):
     with pytest.raises(MalformedElementError):
         decode_group_params(b"")
     with pytest.raises(MalformedElementError):
         decode_group_params(b"\x02\x00\x01\x2b")
-    blob = encode_group_params(GP)
+    blob = encode_group_params(gp)
     with pytest.raises(MalformedElementError):
         decode_group_params(blob + b"\x00")
     # internally inconsistent values: p != h*q - 1
@@ -799,7 +811,7 @@ def test_params_decoding_rejects_a_composite_p_or_q(p, q, h):
         decode_group_params(blob)
 
 
-def test_is_on_curve_bounds():
-    assert not is_on_curve(GP, GElem(-1, 5))
-    assert not is_on_curve(GP, GElem(5, GP.p))
-    assert is_on_curve(GP, INFINITY)
+def test_is_on_curve_bounds(gp):
+    assert not is_on_curve(gp, GElem(-1, 5))
+    assert not is_on_curve(gp, GElem(5, gp.p))
+    assert is_on_curve(gp, INFINITY)
