@@ -16,11 +16,14 @@ warm check took about 30 us at k = 32, 0.15 ms at k = 128 and 1.7 ms at
 k = 512, a hit on the memo (the payload's SHA-256 and a set lookup)
 about 1 us, and an initiate, respond and finalize exchange loads three
 identity files, so a process that runs exchanges in a loop checks each
-file once.  A process that derives with the key keeps it all the same:
-protocol.derive fills bilinear's bounded caches of d_id's window table
-(choice 1) or line table (choice 2), both keyed by d_id, and they hold
-it until evicted or the process ends.  Both loaders read the file on
-every call, so a file whose bytes change is checked again in full.
+file once.  End to end, a load_identity that checked every load took the
+cli-k32 workload of bench/run.py from 596 to 533 exchanges a second
+(0.89x, slower in 8 of 8 paired runs).  A process that derives with the
+key keeps it all the same: protocol.derive fills bilinear's bounded
+caches of d_id's window table (choice 1) or line table (choice 2), both
+keyed by d_id, and they hold it until evicted or the process ends.
+Both loaders read the file on every call, so a file whose bytes change
+is checked again in full.
 This is safe because a result is a pure function of those bytes (and
 the group's values), and because a payload that fails raises before it
 is remembered, so a refused file is refused again on every load.

@@ -101,7 +101,9 @@ class World:
     so an honest relay goes straight to derive, whose pairing checks the
     subgroup of every received point anyway.  Any other flow, as bytes or
     as a FlowMessage, is checked before a responder draws y (see
-    _coerce_flow).
+    _coerce_flow).  A world that checked every flow took the world-k16
+    workload of bench/run.py from 23,283 to 20,929 queries a second
+    (0.90x, slower in 6 of 6 paired runs; 2-core Xeon, Python 3.11.7).
     """
 
     def __init__(

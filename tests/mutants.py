@@ -27,6 +27,10 @@ COSTS = ("tests/test_protocol.py::test_operation_cost_table",
          "tests/test_cli.py::test_bench_prints_four_tsv_rows")  # idak bench exits 3
 C1 = "        shared = _checked_pairing(group, blended_peer, own_point)\n"
 C2 = "        shared = _fixed_pairing(group, blended_peer, own.d_id)\n"
+# respond's derive and its flow write, in that order
+DERIVE, WRITE = (
+    '    key, counts = _derive_key(args, params, own, "responder", y, msg, peer_ident, peer_msg)\n',
+    '    _write_flow(args.flow_out, encode_flow(params, "responder", own.identity, msg, extra))\n')
 
 MUTANTS = (
     (BILINEAR, "(params.q.bit_length() + 1)", "params.q.bit_length()", (SIZES + "[24]",),
@@ -86,6 +90,29 @@ MUTANTS = (
     (BILINEAR, "if end > len(data):", "if False:",
      ("tests/test_bilinear.py::test_framed_field_and_point_readers",),
      "take_sized returns a cut field short instead of refusing it"),
+    # five contracts that CI once checked through the idak console script
+    ("idak/cli.py", 'return data.decode("utf-8").splitlines()',
+     "return source.read_text().splitlines()",
+     ("tests/test_cli.py::test_bundled_scenario_is_read_as_utf8_not_in_the_locale_encoding",),
+     "the scenario step: a scenario file read in the locale's encoding, not as UTF-8"),
+    ("idak/sessions.py", 'DegenerateExponentError: "degenerate-exponent",',
+     'DegenerateExponentError: "degenerate",',
+     ("tests/test_cli.py::test_scenario_at_three_bits_reports_its_failed_lines",),
+     "the scenario step: the k = 3 report names its vanished exponent degenerate"),
+    ("idak/sessions.py", "if outcome is None or outcome != expect:",
+     "if outcome is None or not outcome:",
+     ("tests/test_sessions.py::test_every_assertion_is_compared_with_expect",),
+     "the expect step: an assertion judged without its expect, so expect false fails nothing"),
+    ("idak/cli.py", '"--k-bits", type=_reduce_k_bits,', '"--k-bits", type=_k_bits,',
+     tuple(f"tests/test_cli.py::test_out_of_range_numbers_are_usage_errors[reduce --k-bits {k}]"
+           for k in (33, 64)),
+     "the reduce step: a --k-bits past the mock oracle's table bound is not a usage error"),
+    ("idak/cli.py", '"identity", type=_identity,', '"identity",',
+     ("tests/test_cli.py::test_non_utf8_names_are_usage_errors_that_write_nothing",),
+     "the non-UTF-8 step: extract takes a name it cannot encode and exits 1, not 2"),
+    ("idak/cli.py", DERIVE + WRITE, WRITE + DERIVE,
+     ("tests/test_cli.py::test_a_mutated_input_file_exits_0_or_1_and_writes_only_on_success",),
+     "the hostile-file property: respond writes its flow before derive refuses the received one"),
 )
 
 
@@ -93,7 +120,9 @@ def killed(test, report):
     """How test died in report: FAILED, ERROR or its file's collection
     error; None if it passed, was skipped or did not run."""
     file = test.partition("::")[0]
-    for outcome, node in re.findall(r"^(FAILED|ERROR) (\S+)", report, re.M):
+    # a summary line is "FAILED node" or "FAILED node - message"; a node's
+    # parameter id may hold spaces
+    for outcome, node in re.findall(r"^(FAILED|ERROR) (.+?)(?: - .*)?$", report, re.M):
         if node == file:
             return f"{file} fails at collection"
         if node == test or node.startswith(test + "["):

@@ -1,13 +1,18 @@
 """Command-line tests: exit codes, file round trips, report formats."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idak import bilinear, cli, keystore
 from idak.bilinear import (
@@ -20,7 +25,7 @@ from idak.bilinear import (
     scalar_exp,
 )
 from idak.cli import main
-from idak.protocol import FlowMessage, IdentityKey, encode_flow
+from idak.protocol import FlowMessage, IdentityKey, SystemParams, decode_flow, encode_flow
 from idak.sessions import run_scenario
 from test_protocol import rogue_point
 
@@ -515,6 +520,90 @@ def test_finalize_checks_the_responder_identity(keyring, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# hostile files
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pfs_exchange(tmp_path_factory):
+    """One seeded k=12 --pfs exchange: its SystemParams, and its files as
+    bytes by file name."""
+    root = tmp_path_factory.mktemp("pfs")
+    base = ["--params", str(root / "params.key"), "--quiet"]
+    assert main(["setup", "--k-bits", "12", "--seed", "hostile", "--out", str(root),
+                 "--quiet"]) == 0
+    for name in ("alice", "bob"):
+        assert main(["extract", name, *base, "--master", str(root / "master.key"),
+                     "--out", str(root / f"{name}.key")]) == 0
+    assert main(["initiate", *base, "--key", str(root / "alice.key"), "--peer", "bob",
+                 "--flow-out", str(root / "a.flow"), "--state-out", str(root / "a.state"),
+                 "--seed", "a"]) == 0
+    assert main(["respond", *base, "--key", str(root / "bob.key"), "--pfs", "--seed", "b",
+                 "--flow-in", str(root / "a.flow"), "--flow-out", str(root / "b.flow"),
+                 "--key-out", str(root / "b.session")]) == 0
+    files = {path.name: path.read_bytes() for path in root.iterdir()}
+    return SystemParams(keystore.load_group(root / "params.key")), files
+
+
+def _mutated(data, params, name, original):
+    """original with one drawn bit flip, truncation, appended run or replaced
+    byte.  A flow may instead have a point swapped for the identity or for a
+    curve point outside the subgroup, which only derive's checks refuse."""
+    kinds = ["flip", "truncate", "append", "replace"]
+    if name.endswith(".flow"):
+        kinds.append("point")
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "point":
+        role, sender, msg, extra = decode_flow(params, original)
+        bad = data.draw(st.sampled_from([INFINITY, rogue_point(params.group)]), label="point")
+        if extra is not None and data.draw(st.booleans(), label="extra"):
+            return encode_flow(params, role, sender, msg, bad)
+        return encode_flow(params, role, sender, FlowMessage(r=bad), extra)
+    if kind == "append":
+        return original + data.draw(st.binary(min_size=1, max_size=64), label="tail")
+    at = data.draw(st.integers(0, len(original) - 1), label="at")
+    if kind == "truncate":
+        return original[:at]
+    if kind == "flip":
+        byte = original[at] ^ (1 << data.draw(st.integers(0, 7), label="bit"))
+    else:
+        byte = data.draw(st.integers(0, 255), label="byte")
+    return original[:at] + bytes([byte]) + original[at + 1:]
+
+
+@settings(deadline=None)  # the example count comes from the hypothesis profile
+@given(data=st.data())
+def test_a_mutated_input_file_exits_0_or_1_and_writes_only_on_success(pfs_exchange, data):
+    # respond reads a mutated a.flow; finalize reads any other mutated file
+    target = data.draw(st.sampled_from(["a.flow", "a.state", "b.flow", "alice.key",
+                                        "params.key"]), label="target")
+    strategy = data.draw(st.sampled_from(cli.STRATEGY_CHOICES), label="strategy")
+    params, files = pfs_exchange
+    with tempfile.TemporaryDirectory() as scratch:  # hypothesis refuses tmp_path
+        root = Path(scratch)
+        for name, content in files.items():
+            (root / name).write_bytes(content)
+        (root / target).write_bytes(_mutated(data, params, target, files[target]))
+        key_out, flow_out = root / "out.session", root / "out.flow"
+        argv = ["--params", str(root / "params.key"), "--strategy", strategy, "--pfs",
+                "--key-out", str(key_out), "--quiet"]
+        if target == "a.flow":
+            argv = ["respond", *argv, "--key", str(root / "bob.key"), "--seed", "b",
+                    "--flow-in", str(root / "a.flow"), "--flow-out", str(flow_out)]
+        else:
+            argv = ["finalize", *argv, "--key", str(root / "alice.key"),
+                    "--state", str(root / "a.state"), "--flow-in", str(root / "b.flow")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1) and "Traceback" not in err.getvalue(), err.getvalue()
+        if code == 0:
+            keystore.load_session(key_out)
+        else:
+            assert not key_out.exists() and not flow_out.exists()
+
+
+# ---------------------------------------------------------------------------
 # bench / scenario / reduce
 # ---------------------------------------------------------------------------
 
@@ -553,8 +642,7 @@ def test_bench_redraws_the_ephemerals_of_a_degenerate_exchange(tmp_path, capsys,
 
 
 def test_bench_exits_three_on_a_cost_mismatch(keyring, capsys, monkeypatch):
-    # the check CI's cost-table step relies on: a table that disagrees with
-    # the observed counts makes idak bench fail
+    # a table that disagrees with the observed counts makes idak bench fail
     monkeypatch.setattr(cli, "EXPECTED_COSTS", {**cli.EXPECTED_COSTS, "c2-pre": (1, 0.5, 1, 0)})
     assert main(["bench", "--params", keyring["params"], "--trials", "1",
                  "--seed", "t", "--quiet"]) == 3
@@ -563,8 +651,10 @@ def test_bench_exits_three_on_a_cost_mismatch(keyring, capsys, monkeypatch):
     )
 
 
-def test_scenario_bundled_name(capsys):
-    assert main(["scenario", "honest_run"]) == 0
+@pytest.mark.parametrize("name", cli.bundled_scenarios())
+def test_scenario_bundled_name(capsys, name):
+    # each name that --list prints runs, suffix and all
+    assert main(["scenario", name]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] and report["failures"] == []
 
