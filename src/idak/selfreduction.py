@@ -16,6 +16,12 @@ multi-exponentiation in GT, and no pairing.  The multi-exponentiation
 reads each step's table index from one int that interleaves the seven
 exponents' bits, so a round formats no strings.
 
+Blinding and unblinding each have one path on bare ints, _blind and
+_unblind, which randomize and correct call once per query.  amplify
+looks the tables up once per call, not twice per round, and runs every
+round through the two helpers: it votes on each candidate's (a, b)
+pair and builds one GTElem, for the winner.
+
 The mock oracle that stands in for the adversary answers with a
 baby-step giant-step discrete log (Shanks 1971).  Its table holds the m
 baby steps [j]g, m = isqrt(q - 1) + 1, keyed by x-coordinate so that
@@ -43,11 +49,11 @@ from idak.bilinear import (
     fixed_base_exp,
     gt_exp,
     gt_inv,
-    gt_mul,
     is_on_curve,
     pairing,
     scalar_exp,
 )
+from idak.errors import MalformedElementError
 
 # the largest q, in bits, whose baby-step table the mock oracle builds: at
 # k = 32 about 2^16 entries, under a second and a few tens of MiB
@@ -136,21 +142,28 @@ def _prepared(params, inst):
 def randomize(params, inst, rng):
     """Blind a challenge so its exponents become uniform over Z_q^3.
 
-    Each blinded point is the instance point plus [shift]g: a walk of
-    g's cached window table that starts at the instance point, so it
-    costs one mixed addition per nonzero signed 6-bit digit of the shift,
-    no doubling, and one inversion.
+    Draws the shifts a, b, c from rng and returns the blinded instance
+    with its Blinding, as one round of amplify does with the same three
+    draws.  Each blinded point is the instance point plus [shift]g (see
+    _blind).
     """
     table, _ = _prepared(params, inst)
-    p, q = params.p, params.q
+    q = params.q
     shift = Blinding(rng.randrange(q), rng.randrange(q), rng.randrange(q))
-    blinded = CbdhInstance(
+    return _blind(params.p, table, inst, shift.a, shift.b, shift.c), shift
+
+
+def _blind(p, table, inst, a, b, c):
+    """inst with [a]g, [b]g and [c]g added to its x, y and z points, each a
+    walk of g's cached window table that starts at the instance point: one
+    mixed addition per nonzero signed 6-bit digit of the shift, no
+    doubling, and one inversion."""
+    return CbdhInstance(
         inst.g,
-        _window_walk(p, table, inst.x_point, shift.a),
-        _window_walk(p, table, inst.y_point, shift.b),
-        _window_walk(p, table, inst.z_point, shift.c),
+        _window_walk(p, table, inst.x_point, a),
+        _window_walk(p, table, inst.y_point, b),
+        _window_walk(p, table, inst.z_point, c),
     )
-    return blinded, shift
 
 
 # _SPREAD[byte] has bit i of byte at bit 7i, so that seven spread words,
@@ -171,6 +184,16 @@ def _spread(n):
 def correct(params, w, inst, shift):
     """Strip blinding from the oracle answer w for the shifted instance.
 
+    Returns the GTElem that one round of amplify would vote for (see
+    _unblind).  A w over another field raises MalformedElementError.
+    """
+    _, products = _prepared(params, inst)
+    return GTElem(*_unblind(params, products, w, shift.a, shift.b, shift.c), params.p)
+
+
+def _unblind(params, products, w, a, b, c):
+    """w with the blinding by shifts a, b, c stripped, as an (a, b) pair.
+
     The blinded answer is e(g,g) raised to (x+a)(y+b)(z+c); every cross
     term is a pairing of known points, so no exponent is ever needed.
     Their inverses, raised to c, b, a, bc, ac, ab and abc, multiply into
@@ -179,11 +202,13 @@ def correct(params, w, inst, shift):
     product selected by the seven exponent bits.  Those bits come from
     one packed int in which the exponents' bits are interleaved, c's
     highest in each 7-bit column, so bit j's column is
-    (packed >> 7j) & 127, the products table's index.
+    (packed >> 7j) & 127, the products table's index.  A w over another
+    field than params' raises MalformedElementError before any of it.
     """
-    _, products = _prepared(params, inst)
     p, q = params.p, params.q
-    a, b, c = shift.a % q, shift.b % q, shift.c % q
+    if w.p != p:
+        raise MalformedElementError("GT elements from different fields")
+    a, b, c = a % q, b % q, c % q
     exponents = (c, b, a, b * c % q, a * c % q, a * b % q, a * b * c % q)
     packed = 0
     for e in exponents:
@@ -196,24 +221,35 @@ def correct(params, w, inst, shift):
         if index:
             pa, pb = products[index]
             fa, fb = (fa * pa - fb * pb) % p, (fa * pb + fb * pa) % p
-    return gt_mul(w, GTElem(fa, fb, p))
+    return _fp2_mul(p, w.a, w.b, fa, fb)
 
 
 def amplify(params, oracle, inst, rounds, rng):
-    """Plurality vote over independently blinded oracle calls."""
+    """Plurality vote over independently blinded oracle calls.
+
+    The instance is validated and its tables fetched once, before any
+    draw from rng, so a rejected instance consumes none.  Each round
+    draws its shifts as randomize does, from a Random seeded by one
+    64-bit draw of rng, blinds and unblinds on bare ints, and votes for
+    the candidate's (a, b) pair; one GTElem is built for the winner.
+    """
     if rounds < 1:
         raise ValueError("rounds must be positive")
+    # validation first, so a rejected instance draws nothing from rng;
     # pre-drawn seeds keep each round's randomness independent of how
     # the oracle itself consumes rng state
+    table, products = _prepared(params, inst)
     seeds = [rng.getrandbits(64) for _ in range(rounds)]
+    p, q = params.p, params.q
+    round_rng = random.Random()
     votes = {}
     for seed in seeds:
-        round_rng = random.Random(seed)
-        blinded, shift = randomize(params, inst, round_rng)
-        candidate = correct(params, oracle(blinded), inst, shift)
+        round_rng.seed(seed)
+        a, b, c = round_rng.randrange(q), round_rng.randrange(q), round_rng.randrange(q)
+        candidate = _unblind(params, products, oracle(_blind(p, table, inst, a, b, c)), a, b, c)
         votes[candidate] = votes.get(candidate, 0) + 1
     # max keeps the first of equal counts, so the first-seen candidate wins a tie
-    return max(votes, key=votes.get)
+    return GTElem(*max(votes, key=votes.get), p)
 
 
 def solve_dlog(params, base, target):

@@ -2,10 +2,14 @@
 
 Each entry is (file, old, new, tests, breaks): replacing the one `old` in
 src/<file> by `new` makes every test node in `tests` fail or error, and
-`breaks` says what it breaks.  `python tests/mutants.py`, run from the
+`breaks` says what it breaks.  A known survivor carries a sixth field,
+"survives: <reason>": its tests all pass under the mutant, and the reason
+says why no test catches it.  `python tests/mutants.py`, run from the
 repository root, applies each entry to its own copy of src/, runs its tests
-there at the ci hypothesis profile, prints a line per entry and exits 1 if
-any entry survives.  tests/test_ci_mutants.py checks the ledger in tier-1.
+there at the ci hypothesis profile and prints a line per entry.  It exits 1
+if an entry survives or a known survivor is caught, so the ledger changes
+when a test starts to catch one.  tests/test_ci_mutants.py checks the
+ledger in tier-1.
 """
 
 import os
@@ -31,6 +35,14 @@ C2 = "        shared = _fixed_pairing(group, blended_peer, own.d_id)\n"
 DERIVE, WRITE = (
     '    key, counts = _derive_key(args, params, own, "responder", y, msg, peer_ident, peer_msg)\n',
     '    _write_flow(args.flow_out, encode_flow(params, "responder", own.identity, msg, extra))\n')
+# amplify's table fetch, which validates the instance, and its seed draw
+PREPARE, SEEDS = ("    table, products = _prepared(params, inst)\n",
+                  "    seeds = [rng.getrandbits(64) for _ in range(rounds)]\n")
+BLIND = "    return CbdhInstance(\n        inst.g,\n"
+AMPLIFY = "tests/test_selfreduction.py::"
+SESSIONS = "tests/test_sessions.py::"
+CRITERION_6 = "tests/test_acceptance.py::test_criterion_6_session_model_suite"
+KEYSTORE = "tests/test_keystore.py::"
 
 MUTANTS = (
     (BILINEAR, "(params.q.bit_length() + 1)", "params.q.bit_length()", (SIZES + "[24]",),
@@ -80,10 +92,19 @@ MUTANTS = (
     ("idak/sessions.py", "validate_flow_point(self.params, flow.r)", "pass",
      ("tests/test_sessions.py::test_rejected_flow_aborts_oracle_and_draws_nothing",),
      "a World's responder draws y for a flow outside the subgroup before derive refuses it"),
-    ("idak/selfreduction.py", "return max(votes, key=votes.get)",
-     "return max(reversed(votes), key=votes.get)",
-     ("tests/test_selfreduction.py::test_amplify_breaks_a_tie_for_the_first_seen_candidate",),
+    ("idak/selfreduction.py", "return GTElem(*max(votes, key=votes.get), p)",
+     "return GTElem(*max(reversed(votes), key=votes.get), p)",
+     (AMPLIFY + "test_amplify_breaks_a_tie_for_the_first_seen_candidate",),
      "amplify lets the last-seen candidate win a tie"),
+    ("idak/selfreduction.py", "    if w.p != p:\n", "    if False:\n",
+     (AMPLIFY + "test_an_answer_over_another_field_is_refused_before_it_votes",),
+     "_unblind takes an answer over another field and unblinds its coordinates mod p"),
+    ("idak/selfreduction.py", BLIND, "    return inst\n" + BLIND,
+     (AMPLIFY + "test_randomize_hides_the_query", AMPLIFY + "test_randomize_matches_reference"),
+     "_blind ignores its shifts, so every query is the instance itself"),
+    ("idak/selfreduction.py", PREPARE + SEEDS, SEEDS + PREPARE,
+     (AMPLIFY + "test_amplify_rejects_invalid_instance_before_any_query",),
+     "amplify draws its seeds from rng before it rejects an invalid instance"),
     ("idak/cli.py", "handle.truncate()", "pass",
      ("tests/test_cli.py::test_flow_out_over_a_longer_file_holds_only_the_new_flow",),
      "a flow written over a longer file keeps the old file's tail"),
@@ -113,6 +134,45 @@ MUTANTS = (
     ("idak/cli.py", DERIVE + WRITE, WRITE + DERIVE,
      ("tests/test_cli.py::test_a_mutated_input_file_exits_0_or_1_and_writes_only_on_success",),
      "the hostile-file property: respond writes its flow before derive refuses the received one"),
+    # the freshness, master-compromise and KDF-binding claims of the north star
+    ("idak/sessions.py", 'if self.mode == "br" or when < oracle.completed_at:',
+     "if when < oracle.completed_at:",
+     (CRITERION_6, SESSIONS + "test_fresh_gate_corrupt_br",
+      "tests/test_pinned_outputs.py::test_scenario_report_is_byte_identical"
+      "[br_corrupt_after.jsonl-16-br]"),
+     "fresh treats br like wpfsbr: a corruption after completion keeps a br oracle fresh"),
+    ("idak/sessions.py", "if other.revealed and self.matching(oracle, other):", "if False:",
+     (CRITERION_6, SESSIONS + "test_fresh_gate_reveal_self_and_partner",
+      SESSIONS + "test_binding_partners_match_the_transcript_reference"),
+     "fresh ignores a revealed matching oracle"),
+    ("idak/sessions.py", "if identity in self.extracted:", "if False:",
+     (CRITERION_6, SESSIONS + "test_fresh_gate_extract", SESSIONS + "test_freshness_is_monotone"),
+     "fresh ignores an extracted owner or peer"),
+    ("idak/protocol.py", "        + identity_bytes(id_b)\n", "",
+     ("tests/test_protocol.py::test_session_key_binds_identities_and_flows",
+      "tests/test_protocol.py::test_session_key_regression_pin"),
+     "the session KDF does not bind the responder's identity"),
+    ("idak/protocol.py", "gt_exp(pairing(group, blended_a, blended_b), alpha)",
+     "gt_exp(pairing(group, blended_a, blended_b), 1)",
+     ("tests/test_acceptance.py::test_criterion_5_authority_compromise_boundary",
+      "tests/test_protocol.py::test_master_compromise_cannot_reach_pfs_key"),
+     "master_compromise_compute raises the pairing to 1, not to alpha"),
+    # known survivors
+    ("idak/sessions.py", "when < oracle.completed_at", "when <= oracle.completed_at",
+     (SESSIONS + "test_wpfs_corrupt_after_completion_keeps_fresh",
+      SESSIONS + "test_wpfs_corrupt_before_completion_poisons"),
+     "fresh lets a wpfsbr corruption in the tick of the completion poison the oracle",
+     "survives: equivalent, as send and corrupt each advance World.clock, so a corruption "
+     "never shares a tick with a completion"),
+    ("idak/keystore.py", "seen = (group, hashlib.sha256(payload).digest())",
+     "seen = hashlib.sha256(payload).digest()",
+     (KEYSTORE + "test_an_identity_loaded_under_one_group_is_refused_under_another",
+      KEYSTORE + "test_a_refused_payload_is_refused_on_every_load"),
+     "a payload checked under one group skips its subgroup check under another",
+     "survives: under another group the decode's own checks (on the curve, g_id = H(id)) "
+     "refuse a key first; a search of the 19 valid groups with one-byte coordinates and "
+     "20,000 identities found no key payload that two groups accept with d_id outside the "
+     "second group's subgroup"),
 )
 
 
@@ -131,7 +191,8 @@ def killed(test, report):
 
 
 def run(index, file, old, new, tests):
-    """Apply one entry to a copy of src/, run its tests there; the report."""
+    """Apply one entry to a copy of src/, run its tests there; pytest's
+    exit code and report."""
     with tempfile.TemporaryDirectory() as copy:
         shutil.copytree(ROOT / "src", copy, dirs_exist_ok=True,
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
@@ -147,24 +208,34 @@ def run(index, file, old, new, tests):
         assert where.startswith(copy), (index, where)
         pytest = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                   "--hypothesis-profile=ci", *tests]
-        return subprocess.run(pytest, cwd=ROOT, env=env, capture_output=True, text=True).stdout
+        done = subprocess.run(pytest, cwd=ROOT, env=env, capture_output=True, text=True)
+        return done.returncode, done.stdout
 
 
 def main():
-    survived = 0
-    for index, (file, old, new, tests, breaks) in enumerate(MUTANTS, 1):
+    wrong = survivors = 0
+    for index, (file, old, new, tests, breaks, *survives) in enumerate(MUTANTS, 1):
         start = time.perf_counter()
-        report = run(index, file, old, new, tests)
+        code, report = run(index, file, old, new, tests)
         hows = [killed(test, report) for test in tests]
-        survived += not all(hows)
-        verdict = "killed" if all(hows) else "SURVIVED"
+        if survives:
+            # a known survivor survives only if every named test ran and passed
+            survivors += 1
+            verdict = "survives" if code == 0 else "CAUGHT"
+            wrong += code != 0
+        else:
+            verdict = "killed" if all(hows) else "SURVIVED"
+            wrong += not all(hows)
         seconds = time.perf_counter() - start
         print(f"{index:2} {verdict:8} {seconds:5.1f} s  {file}: {breaks}", flush=True)
         for test, how in zip(tests, hows):
-            if how != "FAILED":
+            if how if survives else how != "FAILED":
                 print(f"{'':12}{test}: {how or 'passed, skipped or not run'}")
-    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
-    return 1 if survived else 0
+        if verdict == "CAUGHT" and not any(hows):
+            print(f"{'':12}pytest exited {code}: {report.strip().splitlines()[-1:]}")
+    print(f"{len(MUTANTS) - survivors} mutants to kill and {survivors} known survivors: "
+          f"{wrong} not as the ledger says")
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from idak import selfreduction
 from idak.bilinear import (
     GElem,
+    GTElem,
     gt_exp,
     gt_inv,
     gt_mul,
@@ -498,14 +499,16 @@ def test_randomize_matches_reference(data):
 @pytest.mark.parametrize("curve", range(len(CURVES)))
 def test_amplify_matches_reference_votes(curve, monkeypatch):
     params, g = CURVES[curve]
-    real_correct = selfreduction.correct
+    real_unblind = selfreduction._unblind
     seen = []
 
-    def recording_correct(*args):
-        seen.append(real_correct(*args))
-        return seen[-1]
+    def recording_unblind(*args):
+        candidate = real_unblind(*args)
+        seen.append(GTElem(*candidate, params.p))
+        return candidate
 
-    monkeypatch.setattr(selfreduction, "correct", recording_correct)
+    # every round's candidate passes through _unblind, as an (a, b) pair
+    monkeypatch.setattr(selfreduction, "_unblind", recording_unblind)
     for seed in range(3):
         inst, _ = make_instance(params, g, random.Random(f"inst:{seed}"))
         seen.clear()
@@ -563,9 +566,33 @@ def test_amplify_validates_once_per_instance(monkeypatch):
 def test_amplify_rejects_invalid_instance_before_any_query():
     rogue = CbdhInstance(GEN, GElem(0, 0), GEN, GEN)
     oracle = MockCbdhOracle(GP, GEN, 1.0, random.Random(0))
+    rng = random.Random(0)
+    state = rng.getstate()
     with pytest.raises(ValueError):
-        amplify(GP, oracle, rogue, 5, random.Random(0))
+        amplify(GP, oracle, rogue, 5, rng)
     assert oracle.queries == 0
+    assert rng.getstate() == state  # no seed is drawn for a rejected instance
+
+
+def test_an_answer_over_another_field_is_refused_before_it_votes():
+    inst, truth = make_instance(GP, GEN, random.Random(59))
+    other, other_g = CURVES[2]
+    foreign = pairing(other, other_g, other_g)
+    assert foreign.p != GP.p
+    with pytest.raises(MalformedElementError, match="different fields"):
+        correct(GP, foreign, inst, Blinding(1, 2, 3))
+    # two honest answers, then one over another field: amplify stops at
+    # that answer and returns no winner
+    honest = MockCbdhOracle(GP, GEN, 1.0, random.Random(0))
+    answers = []
+
+    def oracle(blinded):
+        answers.append(honest(blinded) if len(answers) < 2 else foreign)
+        return answers[-1]
+
+    with pytest.raises(MalformedElementError, match="different fields"):
+        amplify(GP, oracle, inst, 5, random.Random(1))
+    assert len(answers) == 3
 
 
 def test_invalid_instance_is_rejected_on_every_call():
