@@ -33,12 +33,13 @@ digits add -P = (x, -y) by the same formulas; at k = 128 a q has about
 step squares f unreduced inside its line product.
 
 A long-lived right argument (a party's d_id in protocol.derive's choice
-2) has its Miller lines cached instead, after Costello and Stebila
-("Fixed argument pairings", 2010): as e is symmetric on G x G,
-e(P, Q) = e(Q, P), and Q's NAF chain of q is walked once, each tangent
-and chord stored as its two F_p coefficients at phi of any point.  A
-pairing with it then only evaluates the stored lines, but no longer
-checks P's subgroup for free, so an explicit check of P comes first.
+2, which every sessions.World relay runs) has its Miller lines cached
+instead, after Costello and Stebila ("Fixed argument pairings", 2010):
+as e is symmetric on G x G, e(P, Q) = e(Q, P), and Q's NAF chain of q
+is walked once, each tangent and chord stored as its two F_p
+coefficients at phi of any point.  A pairing with it then only
+evaluates the stored lines, but no longer checks P's subgroup for free,
+so an explicit check of P comes first.
 GT elements have norm 1 (conj(z) = 1/z), so gt_inv is a conjugation and
 gt_exp is a Lucas ladder on z^k + conj(z)^k in F_p, two F_p
 multiplications per bit; these are GT's only inverse and power.

@@ -41,6 +41,7 @@ from .errors import (
     TestRefusedError,
 )
 from .protocol import (
+    DeriveStrategy,
     FlowMessage,
     IdentityKey,
     PiVariant,
@@ -58,6 +59,9 @@ from .protocol import (
 )
 
 MODES = ("br", "wpfsbr")
+
+# c2-nopre: a relay pairs against its owner's cached d_id lines (see World)
+_RELAY_STRATEGY = DeriveStrategy(2, False)
 
 
 @dataclass
@@ -102,8 +106,17 @@ class World:
     subgroup of every received point anyway.  Any other flow, as bytes or
     as a FlowMessage, is checked before a responder draws y (see
     _coerce_flow).  A world that checked every flow took the world-k16
-    workload of bench/run.py from 23,283 to 20,929 queries a second
-    (0.90x, slower in 6 of 6 paired runs; 2-core Xeon, Python 3.11.7).
+    workload of bench/run.py from 27,721 to 24,499 queries a second
+    (0.88x, slower in 6 of 6 paired runs; 2-core Xeon, Python 3.11.7).
+
+    A relay derives by choice 2 (c2-nopre, as initiate computes each
+    oracle's flow).  The principals live as long as the world, so the
+    Miller lines of each d_id are cached once, and a derive evaluates
+    them at the blend after one short Tate check of the blend's subgroup
+    (bilinear._fixed_pairing), where c1-nopre walked d_id's window table
+    and ran a full Miller loop.  Every strategy derives the same key.
+    This took world-k16 from 24,041 to 27,241 queries a second (1.13x,
+    faster in 10 of 10 paired runs, same machine).
     """
 
     def __init__(
@@ -178,7 +191,7 @@ class World:
                 self._initiate(oracle, own_key)
             shared, _ = derive(
                 self.params, own_key, oracle.ephemeral, oracle.own_msg,
-                oracle.peer, msg_in, oracle.role,
+                oracle.peer, msg_in, oracle.role, _RELAY_STRATEGY,
             )
         except (InvalidFlowError, DegenerateExponentError):
             oracle.aborted = True

@@ -92,6 +92,10 @@ MUTANTS = (
     ("idak/sessions.py", "validate_flow_point(self.params, flow.r)", "pass",
      ("tests/test_sessions.py::test_rejected_flow_aborts_oracle_and_draws_nothing",),
      "a World's responder draws y for a flow outside the subgroup before derive refuses it"),
+    ("idak/sessions.py", "oracle.role, _RELAY_STRATEGY,", "oracle.role,",
+     ("tests/test_boundary.py::"
+      "test_a_warm_world_relay_pairs_by_cached_lines_and_checks_each_blend_once",),
+     "a World's relays derive by the c1-nopre default, a full Miller loop per derive"),
     ("idak/selfreduction.py", "return GTElem(*max(votes, key=votes.get), p)",
      "return GTElem(*max(reversed(votes), key=votes.get), p)",
      (AMPLIFY + "test_amplify_breaks_a_tie_for_the_first_seen_candidate",),

@@ -9,6 +9,7 @@ flows it emitted to derive.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -187,3 +188,54 @@ def test_a_warm_world_send_checks_a_flow_it_did_not_emit_three_times(monkeypatch
     # decoding the bytes adds one
     assert responder_checks(FlowMessage(foreign)) == 3
     assert responder_checks(encode_point(GROUP, foreign)) == 4
+
+
+def _count_calls(monkeypatch, counts: Counter, name: str) -> None:
+    """Count every later call of bilinear's name in counts, through both
+    bindings on World.send's path: bilinear's and the one protocol
+    imported."""
+    real = getattr(bilinear, name)
+
+    def counting(*args):
+        counts[name] += 1
+        return real(*args)
+
+    for module in (bilinear, protocol):
+        monkeypatch.setattr(module, name, counting)
+
+
+def test_a_warm_world_relay_pairs_by_cached_lines_and_checks_each_blend_once(monkeypatch):
+    world = World(PARAMS, MSK, rng=random.Random(0))
+    foreign = bilinear.fixed_base_exp(GROUP, GEN, 12345)  # in the subgroup, never emitted
+    counts = Counter()
+
+    def counted_send(oracle, flow):
+        """world.send(oracle, flow), with the OPS and the calls it made."""
+        before, calls = bilinear.OPS.copy(), counts.copy()
+        reply = world.send(oracle, flow)
+        ops = Counter({kind: bilinear.OPS[kind] - before[kind] for kind in before})
+        return reply, ops, counts - calls
+
+    def relay():
+        """The OPS of a relay, and the calls of each of its three sends."""
+        initiator = world.new_oracle("alice", "bob")
+        flow, opened, first = counted_send(initiator, None)
+        reply, answered, second = counted_send(world.new_oracle("bob", "alice"), flow)
+        _, completed, third = counted_send(initiator, reply)
+        return opened + answered + completed, (first, second, third)
+
+    relay()  # builds the window and line tables and caches the hashed identities
+    counted_send(world.new_oracle("bob", "alice"), FlowMessage(foreign))
+    _count_calls(monkeypatch, counts, "_checked_pairing")
+    _count_calls(monkeypatch, counts, "_in_group")
+    # each derive pairs the blend against its owner's d_id lines (c2-nopre),
+    # so it raises the pairing to one exp_gt where c1-nopre walked d_id by
+    # one exp_g; the two exp_g are the oracles' flows, the two exp_g_add
+    # their blends, and no Miller loop runs
+    ops, calls = relay()
+    assert ops == {"pairing": 2, "exp_gt": 2, "exp_g": 2, "exp_g_add": 2}
+    # the blend of an emitted flow meets one _in_group, inside the pairing
+    assert calls == (Counter(), Counter(_in_group=1), Counter(_in_group=1))
+    # a foreign flow is checked by _coerce_flow, then its blend by the pairing
+    _, _, foreign_calls = counted_send(world.new_oracle("bob", "alice"), FlowMessage(foreign))
+    assert foreign_calls == Counter(_in_group=2)

@@ -24,7 +24,9 @@ from idak.errors import (
     StaleOracleError,
     TestRefusedError,
 )
-from idak.protocol import FlowMessage, SharedSecret, session_key, setup
+from idak.protocol import (
+    STRATEGIES, FlowMessage, PiVariant, SharedSecret, derive, session_key, setup,
+)
 from idak.sessions import SessionOracle, World, make_world, run_scenario
 from test_protocol import rogue_point
 
@@ -555,6 +557,29 @@ def test_a_world_that_trusts_its_emitted_flows_matches_one_that_checks_every_flo
     reference._emitted = _RemembersNothing()
     for step in steps:
         assert _outcome(world, step) == _outcome(reference, step), step
+
+
+def _derived_key(world, oracle, peer_msg, strategy):
+    """oracle's session key, derived again from its ephemeral and flows."""
+    shared, _ = derive(world.params, world.principals[oracle.owner], oracle.ephemeral,
+                       oracle.own_msg, oracle.peer, peer_msg, oracle.role, strategy)
+    return session_key(world.params, shared, *oracle.binding)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pi_variant=st.sampled_from(PiVariant),
+       alice_first=st.lists(st.booleans(), min_size=1, max_size=3))
+def test_a_world_relay_key_is_the_key_of_every_strategy(seed, pi_variant, alice_first):
+    world = make_world(k_bits=16, seed=seed, pi_variant=pi_variant, principals=["alice", "bob"])
+    for first in alice_first:
+        try:
+            a, b = honest_pair(world, *(("alice", "bob") if first else ("bob", "alice")))
+        except DegenerateExponentError:
+            continue  # a vanishing exponent aborts one oracle, as documented
+        for strategy in STRATEGIES:
+            assert _derived_key(world, a, b.own_msg, strategy) == a.key, strategy.label()
+            assert _derived_key(world, b, a.own_msg, strategy) == b.key, strategy.label()
+        assert a.key == b.key
 
 
 # ---------------------------------------------------------------------------
