@@ -6,7 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import idak
@@ -416,6 +416,8 @@ STEPS = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(mode=st.sampled_from(["br", "wpfsbr"]), steps=st.lists(STEPS, max_size=14))
+# a revealed responder leaves its matching initiator not fresh, on every run
+@example(mode="br", steps=[("relay", "alice", "bob"), ("reveal", 1)])
 def test_binding_partners_match_the_transcript_reference(mode, steps):
     world = make_world(k_bits=16, seed="partners", mode=mode, principals=PEOPLE)
     opened = []
