@@ -2,9 +2,10 @@
 
 A property test that leaves its example count to the profile runs at
 hypothesis' default of 100 examples.  `--hypothesis-profile=ci` raises that
-to 300, for a CI step that runs such a test on its own:
+to 300.  CI's tier-1 step runs the whole suite at it, and so does
+`python tests/mutants.py` for the tests each mutant names:
 
-    python -m pytest -q --hypothesis-profile=ci tests/test_sessions.py -k trusts_its
+    python -m pytest -q --hypothesis-profile=ci
 """
 
 from hypothesis import settings

@@ -115,7 +115,10 @@ MUTANTS = (
     (BILINEAR, "if end > len(data):", "if False:",
      ("tests/test_bilinear.py::test_framed_field_and_point_readers",),
      "take_sized returns a cut field short instead of refusing it"),
-    # five contracts that CI once checked through the idak console script
+    # six contracts that CI once checked through the idak console script
+    ("idak/__main__.py", "sys.exit(main())", "sys.exit(0)",
+     ("tests/test_cli.py::test_the_readme_walkthrough_runs_as_written_in_fresh_processes",),
+     "the walkthrough step: python -m idak exits 0 without running its command"),
     ("idak/cli.py", 'return data.decode("utf-8").splitlines()',
      "return source.read_text().splitlines()",
      ("tests/test_cli.py::test_bundled_scenario_is_read_as_utf8_not_in_the_locale_encoding",),
@@ -161,6 +164,17 @@ MUTANTS = (
      ("tests/test_acceptance.py::test_criterion_5_authority_compromise_boundary",
       "tests/test_protocol.py::test_master_compromise_cannot_reach_pfs_key"),
      "master_compromise_compute raises the pairing to 1, not to alpha"),
+    # three faults that CHANGES.md once described only in prose
+    ("idak/protocol.py", "shared = gt_exp(shared, own_exp)", "shared = gt_exp(shared, own_x)",
+     (SESSIONS + "test_a_world_relay_key_is_the_key_of_every_strategy",),
+     "choice 2 raises its pairing to x alone, not to x + s, so its key differs from choice 1's"),
+    ("idak/cli.py", "if stat.S_ISREG(os.fstat(fd).st_mode):", "if True:",
+     ("tests/test_cli.py::test_flow_out_may_be_a_device",),
+     "a flow written to a device is cut to length, which a device refuses"),
+    (BILINEAR, "return _strong_probable_prime(n) and _strong_lucas_probable_prime(n)",
+     "return _strong_probable_prime(n)",
+     ("tests/test_bilinear.py::test_the_lucas_step_refuses_strong_base_2_pseudoprimes",),
+     "a primality test without its Lucas step accepts strong base-2 pseudoprimes"),
     # known survivors
     ("idak/sessions.py", "when < oracle.completed_at", "when <= oracle.completed_at",
      (SESSIONS + "test_wpfs_corrupt_after_completion_keeps_fresh",

@@ -12,6 +12,14 @@ def test_every_ci_mutant_snippet_occurs_once_in_its_file():
         assert count == 1 and new != old, (file, old, count)
 
 
+def test_every_ci_mutant_compiles():
+    # the runner counts a named test file's collection error as a kill, so a
+    # mutant that is not Python would be killed without testing anything
+    for file, old, new, *_ in MUTANTS:
+        source = (ROOT / "src" / file).read_text(encoding="utf-8")
+        compile(source.replace(old, new), file, "exec")
+
+
 def test_every_test_a_mutant_names_is_defined_in_its_file():
     for test in {test for entry in MUTANTS for test in entry[3]}:
         path, name = re.fullmatch(r"(tests/\w+\.py)::(\w+)(\[[^]]*\])?", test).group(1, 2)

@@ -1,9 +1,13 @@
 """Command-line tests: exit codes, file round trips, report formats."""
 
 import contextlib
+import functools
+import importlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -29,24 +33,31 @@ from idak.protocol import FlowMessage, IdentityKey, SystemParams, decode_flow, e
 from idak.sessions import run_scenario
 from test_protocol import rogue_point
 
+ROOT = Path(__file__).resolve().parents[1]
 
-@pytest.fixture(scope="module")
-def keyring(tmp_path_factory):
-    """One k=10 deployment shared by the read-only command tests."""
-    root = tmp_path_factory.mktemp("keyring")
-    assert main(["setup", "--k-bits", "10", "--seed", "cli", "--out", str(root), "--quiet"]) == 0
+
+def _make_keyring(root, k, seed, names):
+    """setup at k bits into root, then extract a key for each name; the
+    file paths by name."""
+    assert main(["setup", "--k-bits", str(k), "--seed", seed, "--out", str(root),
+                 "--quiet"]) == 0
     paths = {
         "params": str(root / "params.key"),
         "master": str(root / "master.key"),
         "root": root,
     }
-    for name in ("alice", "bob", "charlie"):
-        out = str(root / f"{name}.key")
-        args = ["extract", name, "--params", paths["params"], "--master", paths["master"],
-                "--out", out, "--quiet"]
-        assert main(args) == 0
-        paths[name] = out
+    for name in names:
+        paths[name] = str(root / f"{name}.key")
+        assert main(["extract", name, "--params", paths["params"], "--master", paths["master"],
+                     "--out", paths[name], "--quiet"]) == 0
     return paths
+
+
+@pytest.fixture(scope="module")
+def keyring(tmp_path_factory):
+    """One k=10 deployment shared by the read-only command tests."""
+    return _make_keyring(tmp_path_factory.mktemp("keyring"), 10, "cli",
+                         ("alice", "bob", "charlie"))
 
 
 def exchange(keyring, tmp_path, *, seed_a="a", seed_b="b", pfs=False,
@@ -529,12 +540,8 @@ def pfs_exchange(tmp_path_factory):
     """One seeded k=12 --pfs exchange: its SystemParams, and its files as
     bytes by file name."""
     root = tmp_path_factory.mktemp("pfs")
+    _make_keyring(root, 12, "hostile", ("alice", "bob"))
     base = ["--params", str(root / "params.key"), "--quiet"]
-    assert main(["setup", "--k-bits", "12", "--seed", "hostile", "--out", str(root),
-                 "--quiet"]) == 0
-    for name in ("alice", "bob"):
-        assert main(["extract", name, *base, "--master", str(root / "master.key"),
-                     "--out", str(root / f"{name}.key")]) == 0
     assert main(["initiate", *base, "--key", str(root / "alice.key"), "--peer", "bob",
                  "--flow-out", str(root / "a.flow"), "--state-out", str(root / "a.state"),
                  "--seed", "a"]) == 0
@@ -547,15 +554,17 @@ def pfs_exchange(tmp_path_factory):
 
 def _mutated(data, params, name, original):
     """original with one drawn bit flip, truncation, appended run or replaced
-    byte.  A flow may instead have a point swapped for the identity or for a
-    curve point outside the subgroup, which only derive's checks refuse."""
+    byte.  A flow may instead have a point swapped for the identity, for a
+    curve point outside the subgroup, for (0, 0) of order 2, which only
+    derive's checks refuse, or for (1, 1), which is off the curve."""
     kinds = ["flip", "truncate", "append", "replace"]
     if name.endswith(".flow"):
         kinds.append("point")
     kind = data.draw(st.sampled_from(kinds), label="kind")
     if kind == "point":
         role, sender, msg, extra = decode_flow(params, original)
-        bad = data.draw(st.sampled_from([INFINITY, rogue_point(params.group)]), label="point")
+        bad = data.draw(st.sampled_from([INFINITY, rogue_point(params.group), GElem(0, 0),
+                                         GElem(1, 1)]), label="point")
         if extra is not None and data.draw(st.booleans(), label="extra"):
             return encode_flow(params, role, sender, msg, bad)
         return encode_flow(params, role, sender, FlowMessage(r=bad), extra)
@@ -574,9 +583,13 @@ def _mutated(data, params, name, original):
 @settings(deadline=None)  # the example count comes from the hypothesis profile
 @given(data=st.data())
 def test_a_mutated_input_file_exits_0_or_1_and_writes_only_on_success(pfs_exchange, data):
-    # respond reads a mutated a.flow; finalize reads any other mutated file
+    # respond reads a mutated a.flow; finalize reads any other mutated file,
+    # and initiate may read a mutated alice.key or params.key instead
     target = data.draw(st.sampled_from(["a.flow", "a.state", "b.flow", "alice.key",
                                         "params.key"]), label="target")
+    command = "respond" if target == "a.flow" else "finalize"
+    if target in ("alice.key", "params.key"):
+        command = data.draw(st.sampled_from([command, "initiate"]), label="command")
     strategy = data.draw(st.sampled_from(cli.STRATEGY_CHOICES), label="strategy")
     params, files = pfs_exchange
     with tempfile.TemporaryDirectory() as scratch:  # hypothesis refuses tmp_path
@@ -584,23 +597,31 @@ def test_a_mutated_input_file_exits_0_or_1_and_writes_only_on_success(pfs_exchan
         for name, content in files.items():
             (root / name).write_bytes(content)
         (root / target).write_bytes(_mutated(data, params, target, files[target]))
-        key_out, flow_out = root / "out.session", root / "out.flow"
-        argv = ["--params", str(root / "params.key"), "--strategy", strategy, "--pfs",
-                "--key-out", str(key_out), "--quiet"]
-        if target == "a.flow":
-            argv = ["respond", *argv, "--key", str(root / "bob.key"), "--seed", "b",
-                    "--flow-in", str(root / "a.flow"), "--flow-out", str(flow_out)]
+        key_out, flow_out, state_out = root / "out.session", root / "out.flow", root / "out.state"
+        argv = [command, "--params", str(root / "params.key"), "--quiet"]
+        flags = ["--strategy", strategy, "--pfs", "--key-out", str(key_out)]
+        if command == "initiate":
+            argv += ["--key", str(root / "alice.key"), "--peer", "bob", "--seed", "a",
+                     "--flow-out", str(flow_out), "--state-out", str(state_out)]
+            outputs = [flow_out, state_out]
+        elif command == "respond":
+            argv += [*flags, "--key", str(root / "bob.key"), "--seed", "b",
+                     "--flow-in", str(root / "a.flow"), "--flow-out", str(flow_out)]
+            outputs = [key_out, flow_out]
         else:
-            argv = ["finalize", *argv, "--key", str(root / "alice.key"),
-                    "--state", str(root / "a.state"), "--flow-in", str(root / "b.flow")]
+            argv += [*flags, "--key", str(root / "alice.key"),
+                     "--state", str(root / "a.state"), "--flow-in", str(root / "b.flow")]
+            outputs = [key_out]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 1) and "Traceback" not in err.getvalue(), err.getvalue()
         if code == 0:
-            keystore.load_session(key_out)
+            assert all(path.exists() for path in outputs)
+            if key_out in outputs:
+                keystore.load_session(key_out)
         else:
-            assert not key_out.exists() and not flow_out.exists()
+            assert not any(path.exists() for path in (key_out, flow_out, state_out))
 
 
 # ---------------------------------------------------------------------------
@@ -659,16 +680,20 @@ def test_scenario_bundled_name(capsys, name):
     assert report["ok"] and report["failures"] == []
 
 
+def _python_env():
+    """os.environ with the tested idak package first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_bundled_scenario_is_read_as_utf8_not_in_the_locale_encoding():
     # with EncodingWarning raised as an error, a read that falls back to the
     # locale's encoding ends in a traceback and exit 1
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(
         [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
          "-m", "idak", "scenario", "honest_run", "--quiet"],
-        env=env, capture_output=True, encoding="utf-8", timeout=120,
+        env=_python_env(), capture_output=True, encoding="utf-8", timeout=120,
     )
     assert done.returncode == 0, done.stderr
 
@@ -877,3 +902,60 @@ def test_out_of_range_numbers_are_usage_errors(keyring, capsys, argv):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {argv[1]}: " in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the README walkthrough and the idak script
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def demo_keyrings(tmp_path_factory):
+    """keyring(k): the walkthrough's setup --seed demo at k bits, with alice
+    and bob extracted, made on first use."""
+    @functools.cache
+    def keyring(k):
+        return _make_keyring(tmp_path_factory.mktemp(f"demo{k}"), k, "demo", ("alice", "bob"))
+
+    return keyring
+
+
+# every --pi variant at k = 16 and the default alone at k = 128, each under
+# every strategy, plain and with --pfs
+@pytest.mark.parametrize("pfs", [False, True], ids=["plain", "pfs"])
+@pytest.mark.parametrize("strategy", cli.STRATEGY_CHOICES)
+@pytest.mark.parametrize("k, pi", [(16, pi) for pi in cli.PI_CHOICES] + [(128, "hash-half")])
+def test_the_walkthrough_agrees_for_every_pi_strategy_and_pfs(demo_keyrings, tmp_path,
+                                                              k, pi, strategy, pfs):
+    tag = f"{k}-{pi}-{strategy}{'-pfs' if pfs else ''}"
+    code, key_a, key_b = exchange(demo_keyrings(k), tmp_path, seed_a=f"{tag}-a",
+                                  seed_b=f"{tag}-b", pfs=pfs, strategy=strategy, pi=pi)
+    assert code == 0
+    assert Path(key_a).read_bytes() == Path(key_b).read_bytes()
+
+
+def test_the_readme_walkthrough_runs_as_written_in_fresh_processes(tmp_path):
+    # each idak line of the walkthrough runs in its own interpreter, in a
+    # scratch directory, as a user would type it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI walkthrough\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    steps = [shlex.split(line) for line in block.replace("\\\n", "").splitlines()
+             if line.strip() and not line.startswith("#")]
+    assert [step[0] for step in steps] == ["idak"] * 6 + ["cmp"], steps
+    for step in steps[:-1]:
+        done = subprocess.run([sys.executable, "-m", "idak", *step[1:]], cwd=tmp_path,
+                              env=_python_env(), capture_output=True, encoding="utf-8",
+                              timeout=120)
+        assert done.returncode == 0, (step, done.stderr)
+    first, second = steps[-1][1:]
+    assert (tmp_path / first).read_bytes() == (tmp_path / second).read_bytes()
+
+
+def test_the_idak_script_runs_cli_main():
+    # the installed idak script calls its [project.scripts] target; the file
+    # is read as text, since Python 3.10 has no tomllib
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0].strip()
+    target = re.fullmatch(r'idak = "([\w.]+):(\w+)"', scripts)
+    assert target and target.groups() == ("idak.cli", "main"), scripts
+    assert getattr(importlib.import_module(target[1]), target[2]) is main
