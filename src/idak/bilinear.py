@@ -38,24 +38,25 @@ instead, after Costello and Stebila ("Fixed argument pairings", 2010):
 as e is symmetric on G x G, e(P, Q) = e(Q, P), and Q's NAF chain of q
 is walked once, each tangent and chord stored as its two F_p
 coefficients at phi of any point.  A pairing with it then only
-evaluates the stored lines, but no longer checks P's subgroup for free,
-so an explicit check of P comes first.
+evaluates the stored lines and no longer checks P's subgroup, so the
+caller checks P: protocol.derive by one explicit check, and a World by
+checking each flow once, where it enters (sessions.World._coerce_flow).
 GT elements have norm 1 (conj(z) = 1/z), so gt_inv is a conjugation and
 gt_exp is a Lucas ladder on z^k + conj(z)^k in F_p, two F_p
 multiplications per bit; these are GT's only inverse and power.
 
-Every explicit subgroup check (in_subgroup, and _fixed_pairing's) is one
-reduced Tate pairing of order h, after Koshelev ("Subgroup membership
-testing on elliptic curves via the Tate pairing", J. Cryptographic
-Engineering, 2023): E(F_p)/G is cyclic of order h, and the pairing with
-a point U of E(F_{p^2})[h] whose character has order h maps it
-injectively into F_{p^2}, so P lies in G exactly when the value is 1
-(_in_group).  U's Miller lines are cached per group, built on first use
-(_cofactor_lines), so a check is a Miller loop of |h| <= 21 steps and a
-Lucas ladder of |q| bits, two F_p multiplications per bit where a
-[q]-walk makes about eight.  U = [q]R for a hashed R of E(F_{p^2}) is
-built from two walks over F_p and four additions over F_{p^2}, by the
-Frobenius map (_cofactor_point).
+Every explicit subgroup check (in_subgroup, and _in_group where the
+curve is already tested) is one reduced Tate pairing of order h, after
+Koshelev ("Subgroup membership testing on elliptic curves via the Tate
+pairing", J. Cryptographic Engineering, 2023): E(F_p)/G is cyclic of
+order h, and the pairing with a point U of E(F_{p^2})[h] whose character
+has order h maps it injectively into F_{p^2}, so P lies in G exactly
+when the value is 1 (_in_group).  U's Miller lines are cached per
+group, built on first use (_cofactor_lines), so a check is a Miller
+loop of |h| <= 21 steps and a Lucas ladder of |q| bits, two F_p
+multiplications per bit where a [q]-walk makes about eight.  U = [q]R
+for a hashed R of E(F_{p^2}) is built from two walks over F_p and four
+additions over F_{p^2}, by the Frobenius map (_cofactor_point).
 
 The group law is written once, in Jacobian coordinates over F_p, and
 every operation on points of E(F_p) uses it, with one inversion back to
@@ -83,8 +84,9 @@ right one may be any curve point.  Encoders and the private helpers
 _fixed_pairing, _in_group) trust their points.  So a subgroup check tests
 the curve once: public entry points and keystore call in_subgroup, which
 tests it first, and code that has already tested the point
-(protocol.validate_flow_point, selfreduction's instance and base checks,
-_checked_pairing's identity right argument) calls _in_group.
+(protocol.validate_flow_point, protocol.derive's choice 2,
+selfreduction's instance and base checks, _checked_pairing's identity
+right argument) calls _in_group.
 
 Four primitives count their calls in the module-level dict OPS, the
 operations of protocol.derive's cost table: _checked_pairing (and so
@@ -819,22 +821,21 @@ def _line_table(params: GroupParams, point: GElem):
 
 
 def _fixed_pairing(params: GroupParams, received: GElem, fixed: GElem):
-    """_checked_pairing(params, received, fixed), by the cached line table
-    of the long-lived point fixed.
+    """_checked_pairing(params, received, fixed) for a received point of
+    the subgroup, by the cached line table of the long-lived point fixed.
 
     On G x G the pairing is symmetric, so for fixed in the subgroup
     e(received, fixed) = e(fixed, received) = f_{q,fixed}(phi(received))
     ^ ((p^2 - 1)/q), and the Miller loop only evaluates fixed's stored
     lines at phi(received): per line one multiplication for its real part
     and one F_{p^2} product, after an unreduced squaring of f where the
-    line is a tangent.  received now sits on the right, so its subgroup
-    check is no longer the loop: an explicit check comes first, one Tate
-    pairing of order h (_in_group), and answers None for a received point
-    outside the subgroup, as _checked_pairing does.  A line never vanishes
-    at phi(received), whose y is not 0, and neither does an omitted
-    vertical (see _checked_pairing).  A fixed point with no table goes to
-    _checked_pairing, so the result is the same for every pair of curve
-    points.  Counted under "pairing" once either way.
+    line is a tangent.  received now sits on the right, so the loop is no
+    longer its subgroup check, and none is made here: the caller has
+    checked it (protocol.derive), or knows it (sessions.World, whose flows
+    are emitted or validated on receipt).  A line never vanishes at
+    phi(received), whose y is not 0, and neither does an omitted vertical
+    (see _checked_pairing).  A fixed point with no table goes to
+    _checked_pairing.  Counted under "pairing" once either way.
     """
     lines = _line_table(params, fixed)
     if lines is None:
@@ -843,8 +844,6 @@ def _fixed_pairing(params: GroupParams, received: GElem, fixed: GElem):
     p = params.p
     if received.is_identity():
         return GTElem(1, 0, p)
-    if not _in_group(params, received):
-        return None
     xq, yq = received.x, received.y
     fa, fb = 1, 0
     for square, c1, c0 in lines:
@@ -872,8 +871,9 @@ def _in_group(params: GroupParams, point: GElem) -> bool:
     "Subgroup membership testing on elliptic curves via the Tate
     pairing", J. Cryptographic Engineering, 2023).  Its callers have
     tested the point for the curve already: in_subgroup,
-    protocol.validate_flow_point, selfreduction's validate_instance and
-    _baby_table, _checked_pairing and _fixed_pairing.
+    protocol.validate_flow_point, protocol.derive (choice 2),
+    selfreduction's validate_instance and _baby_table, and
+    _checked_pairing.
 
     E(F_{p^2}) = E[p + 1], a product of two cyclic groups of order
     p + 1 = hq, so hE(F_{p^2}) = E[q], and E[q] meets the cyclic E(F_p) in

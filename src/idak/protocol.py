@@ -312,17 +312,19 @@ def derive(
     rejected: the responder drops the session and an initiator is
     expected to retry with a fresh ephemeral.
 
-    Both flow points are checked for the curve and the identity up front,
-    and are trusted from then on.  The received point's subgroup check is
-    part of the pairing, which takes the blend g_peer^s_peer * R_peer, in
-    the subgroup exactly when R_peer is: choice 1 passes it as the left
-    argument, whose Miller loop is the check (bilinear._checked_pairing),
-    and choice 2 pairs it against d_id's cached lines after an explicit
-    check, one Tate pairing of order h (bilinear._fixed_pairing).  Faults are reported in the order
-    the checks run: role and strategy; own_x's range; the received point's
-    curve, then identity; the own flow; the peer identity; the received
-    point's subgroup; the own exponent vanished; the peer exponent
-    vanished.
+    derive runs the checks and _derive_trusted the math.  Both flow points
+    are checked for the curve and the identity up front, and are trusted
+    from then on.  The pairing takes the blend g_peer^s_peer * R_peer,
+    which lies in the subgroup exactly when R_peer does, as g_peer does.
+    Choice 1 passes the blend as the left argument, whose Miller loop is
+    the received point's subgroup check (bilinear._checked_pairing).
+    Choice 2 evaluates d_id's cached lines at the blend, which checks
+    nothing (bilinear._fixed_pairing), so derive checks R_peer explicitly
+    after hashing the peer identity, one Tate pairing of order h
+    (bilinear._in_group).  Faults are reported in the order the checks
+    run: role and strategy; own_x's range; the received point's curve,
+    then identity; the own flow; the peer identity; the received point's
+    subgroup; the own exponent vanished; the peer exponent vanished.
 
     s_own = pi(R_own, R_peer) and s_peer = pi(R_peer, R_own) in either role,
     so the result does not depend on role, which is only checked.  The
@@ -338,8 +340,29 @@ def derive(
     _check_flow_form(params, peer_msg.r)
     if not is_on_curve(group, own_msg.r) or own_msg.r.is_identity():
         raise InvalidFlowError("own flow point is invalid")
+    g_peer = hash_to_group(group, peer_id)
+    if strategy.choice == 2:
+        _require_in_subgroup(_in_group(group, peer_msg.r))
+    return _derive_trusted(params, own, own_x, own_msg.r, g_peer, peer_msg.r, strategy)
 
-    own_s = pi_value(params, own_msg.r, peer_msg.r)
+
+def _derive_trusted(
+    params: SystemParams,
+    own: IdentityKey,
+    own_x: int,
+    own_r: GElem,
+    g_peer: GElem,
+    peer_r: GElem,
+    strategy: DeriveStrategy,
+) -> tuple[SharedSecret, OpCounts]:
+    """derive's secret and counts, after its checks: 1 <= own_x < q, both
+    flows in the subgroup but the identity, and g_peer = H(peer_id).
+    Choice 1 may also take an R_peer outside the subgroup, as its pairing
+    refuses the blend.  sessions.World calls it directly, since each flow
+    it derives on was emitted by one of its oracles or validated on
+    receipt (World._coerce_flow)."""
+    group = params.group
+    own_s = pi_value(params, own_r, peer_r)
     own_exp = (own_x + own_s) % group.q
 
     if strategy.choice == 1 and strategy.precomputed:
@@ -348,10 +371,9 @@ def derive(
         offline_part = fixed_base_exp(group, own.d_id, own_x)
 
     before = OPS.copy()
-    blended_peer = _blend(params, hash_to_group(group, peer_id), peer_msg.r, own_msg.r)
+    blended_peer = _blend(params, g_peer, peer_r, own_r)
     if strategy.choice == 2:
-        # d_id is long-lived: its cached Miller lines are evaluated at the
-        # blend, after an explicit subgroup check of the blend
+        # d_id is long-lived: its cached Miller lines are evaluated at the blend
         shared = _fixed_pairing(group, blended_peer, own.d_id)
     else:
         if strategy.precomputed:
@@ -360,9 +382,9 @@ def derive(
         else:
             own_point = fixed_base_exp(group, own.d_id, own_exp)
         shared = _checked_pairing(group, blended_peer, own_point)
-    _require_in_subgroup(shared is not None)
-    # a vanishing exponent is reported after the pairing, because the
-    # pairing holds the received point's subgroup check
+        # the Miller loop is the blend's subgroup check, so a vanishing
+        # exponent is reported after it
+        _require_in_subgroup(shared is not None)
     if own_exp == 0:
         raise DegenerateExponentError("own combined exponent vanished mod q")
     if blended_peer.is_identity():

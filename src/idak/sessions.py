@@ -48,7 +48,7 @@ from .protocol import (
     SessionKey,
     SharedSecret,
     SystemParams,
-    derive,
+    _derive_trusted,
     extract,
     initiate,
     initiator_first,
@@ -98,25 +98,27 @@ class World:
     Its key is extracted under the master secret alpha.  Every draw comes
     from rng, which the caller passes; make_world passes a seeded one.
 
-    The world checks a received flow in full only when it did not compute
-    the point itself.  Each flow its oracles draw, as initiator or
-    responder, is g_id^x with 1 <= x < q: a subgroup point other than the
-    identity, whose check could never fail.  The world keeps those points,
-    so an honest relay goes straight to derive, whose pairing checks the
-    subgroup of every received point anyway.  Any other flow, as bytes or
-    as a FlowMessage, is checked before a responder draws y (see
-    _coerce_flow).  A world that checked every flow took the world-k16
-    workload of bench/run.py from 27,721 to 24,499 queries a second
-    (0.88x, slower in 6 of 6 paired runs; 2-core Xeon, Python 3.11.7).
+    The world checks a received flow only where it enters, and then
+    derives past derive's checks (protocol._derive_trusted).  Each flow its
+    oracles draw, as initiator or responder, is g_id^x with 1 <= x < q: a
+    subgroup point other than the identity, whose check could never fail,
+    so the world keeps those points and never checks them.  Any other
+    flow, as bytes or as a FlowMessage, passes validate_flow_point before a
+    responder draws y (see _coerce_flow).  So every point that a relay
+    derives on lies in the subgroup and is not the identity.  Deriving past
+    derive's checks took the world-k16 workload of bench/run.py from
+    27,870 to 33,391 queries a second (1.20x, faster in 10 of 10 paired
+    runs; 2-core Xeon, Python 3.11.7), and a warm relay of three sends
+    from 86.7 to 69.6 us.
 
     A relay derives by choice 2 (c2-nopre, as initiate computes each
     oracle's flow).  The principals live as long as the world, so the
     Miller lines of each d_id are cached once, and a derive evaluates
-    them at the blend after one short Tate check of the blend's subgroup
-    (bilinear._fixed_pairing), where c1-nopre walked d_id's window table
-    and ran a full Miller loop.  Every strategy derives the same key.
-    This took world-k16 from 24,041 to 27,241 queries a second (1.13x,
-    faster in 10 of 10 paired runs, same machine).
+    them at the blend (bilinear._fixed_pairing), where c1-nopre walked
+    d_id's window table and ran a full Miller loop.  Every strategy
+    derives the same key.  This took world-k16 from 24,041 to 27,241
+    queries a second (1.13x, faster in 10 of 10 paired runs, same
+    machine), when the line-table pairing still checked the blend.
     """
 
     def __init__(
@@ -189,9 +191,9 @@ class World:
             if not oracle.transcript:
                 oracle.role = "responder"
                 self._initiate(oracle, own_key)
-            shared, _ = derive(
-                self.params, own_key, oracle.ephemeral, oracle.own_msg,
-                oracle.peer, msg_in, oracle.role, _RELAY_STRATEGY,
+            shared, _ = _derive_trusted(
+                self.params, own_key, oracle.ephemeral, oracle.own_msg.r,
+                self.principals[oracle.peer].g_id, msg_in.r, _RELAY_STRATEGY,
             )
         except (InvalidFlowError, DegenerateExponentError):
             oracle.aborted = True
@@ -286,20 +288,16 @@ class World:
         self._emitted[oracle.own_msg.r] = oracle.own_msg
 
     def _coerce_flow(self, flow) -> FlowMessage:
-        """Decode and check a received flow before the responder draws y.
+        """Decode and check a received flow before the responder draws y:
+        the world's trust boundary, the one check between a flow and the
+        key derived from it.
 
         A point this world emitted comes back as the world's own message,
         unchecked: it is g_id^x with 1 <= x < q, so its check could never
-        fail, and derive's pairing checks its subgroup regardless.  Any
-        other point is checked in full here, although derive's pairing
-        would catch it too, for two reasons.  A rejected flow then draws
-        nothing from self.rng, so every later draw, and every scenario
-        replay, stays the same.  And rejection stays cheap: left to derive,
-        a rogue flow would first pay for the responder's initiate and most
-        of derive, and keeping the rng untouched would take a getstate()
-        on every responder activation, where the check runs only for flows
-        the world did not emit.  At k=16 a getstate() took about 12 to
-        16 us and the check about 6 to 11 us (2-core Xeon, Python 3.11).
+        fail.  Any other point, as bytes or as a FlowMessage, passes
+        validate_flow_point here, as nothing after it checks the point
+        again.  A rejected flow so draws nothing from self.rng, and every
+        later draw, and every scenario replay, stays the same.
         """
         if isinstance(flow, (bytes, bytearray)):
             try:

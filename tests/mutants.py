@@ -8,8 +8,9 @@ says why no test catches it.  `python tests/mutants.py`, run from the
 repository root, applies each entry to its own copy of src/, runs its tests
 there at the ci hypothesis profile and prints a line per entry.  It exits 1
 if an entry survives or a known survivor is caught, so the ledger changes
-when a test starts to catch one.  tests/test_ci_mutants.py checks the
-ledger in tier-1.
+when a test starts to catch one.  `python tests/mutants.py 4 19` runs only
+entries 4 and 19, counted from 1; an index outside the ledger exits 2.
+tests/test_ci_mutants.py checks the ledger in tier-1.
 """
 
 import os
@@ -43,6 +44,21 @@ AMPLIFY = "tests/test_selfreduction.py::"
 SESSIONS = "tests/test_sessions.py::"
 CRITERION_6 = "tests/test_acceptance.py::test_criterion_6_session_model_suite"
 KEYSTORE = "tests/test_keystore.py::"
+IDENTITY = "tests/test_identity.py::test_every_use_refuses_what_the_rule_refuses"
+IDENTITY_RULE = "not isinstance(ident, (bytes, bytearray)) or not 1 <= len(ident) <= 0xFFFF"
+# World.send's derive, by the core and by the public derive
+RELAY = ("            shared, _ = _derive_trusted(\n"
+         "                self.params, own_key, oracle.ephemeral, oracle.own_msg.r,\n"
+         "                self.principals[oracle.peer].g_id, msg_in.r, _RELAY_STRATEGY,\n"
+         "            )\n")
+PUBLIC_RELAY = ("            from .protocol import derive\n"
+                "            shared, _ = derive(\n"
+                "                self.params, own_key, oracle.ephemeral, oracle.own_msg,\n"
+                "                oracle.peer, msg_in, oracle.role, _RELAY_STRATEGY,\n"
+                "            )\n")
+# _coerce_flow's decoding of bytes
+BYTES_ONLY = "        if isinstance(flow, (bytes, bytearray)):\n"
+NOBODY = '    if not ident:\n        raise KeystoreError("identity payload names nobody")\n'
 
 MUTANTS = (
     (BILINEAR, "(params.q.bit_length() + 1)", "params.q.bit_length()", (SIZES + "[24]",),
@@ -52,9 +68,10 @@ MUTANTS = (
     (BILINEAR, "is_probable_prime(q) and is_probable_prime(p)", "is_probable_prime(q)",
      ("tests/test_cli.py::test_a_pseudoprime_p_is_a_data_error",),
      "a params decoder that tests q alone accepts a strong base-2 pseudoprime p"),
-    (BILINEAR, "if not _in_group(params, received):", "if False:",
+    ("idak/protocol.py", "_require_in_subgroup(_in_group(group, peer_msg.r))", "pass",
      ("tests/test_protocol.py::test_derive_reports_its_first_fault_in_check_order",),
-     "choice 2 skips the received blend's subgroup check and derives a key from outside it"),
+     "derive's choice 2 skips the received point's subgroup check and derives a key from "
+     "outside it"),
     (BILINEAR, "for r in primes)", "for r in primes[:-1])",
      (CORE + "test_the_cached_character_has_order_h",),
      "a character-order test without h's largest prime r keeps a U of order h/r"),
@@ -90,12 +107,15 @@ MUTANTS = (
      ("tests/test_keystore.py::test_identity_rejects_a_key_point_outside_the_subgroup",),
      "an identity file whose key point is outside the subgroup loads"),
     ("idak/sessions.py", "validate_flow_point(self.params, flow.r)", "pass",
-     ("tests/test_sessions.py::test_rejected_flow_aborts_oracle_and_draws_nothing",),
-     "a World's responder draws y for a flow outside the subgroup before derive refuses it"),
-    ("idak/sessions.py", "oracle.role, _RELAY_STRATEGY,", "oracle.role,",
+     (SESSIONS + "test_rejected_flow_aborts_oracle_and_draws_nothing",
+      SESSIONS + "test_a_world_keys_only_points_of_the_subgroup"),
+     "a World derives a key from a flow point outside the subgroup, as nothing after its "
+     "boundary checks the point"),
+    ("idak/sessions.py", RELAY, PUBLIC_RELAY,
      ("tests/test_boundary.py::"
-      "test_a_warm_world_relay_pairs_by_cached_lines_and_checks_each_blend_once",),
-     "a World's relays derive by the c1-nopre default, a full Miller loop per derive"),
+      "test_a_warm_world_relay_pairs_by_cached_lines_and_checks_only_foreign_flows",),
+     "World.send calls the public derive, which checks the flows the world emitted or "
+     "validated again"),
     ("idak/selfreduction.py", "return GTElem(*max(votes, key=votes.get), p)",
      "return GTElem(*max(reversed(votes), key=votes.get), p)",
      (AMPLIFY + "test_amplify_breaks_a_tie_for_the_first_seen_candidate",),
@@ -175,6 +195,43 @@ MUTANTS = (
      "return _strong_probable_prime(n)",
      ("tests/test_bilinear.py::test_the_lucas_step_refuses_strong_base_2_pseudoprimes",),
      "a primality test without its Lucas step accepts strong base-2 pseudoprimes"),
+    ("idak/sessions.py", BYTES_ONLY, "        if not isinstance(flow, (bytes, bytearray)):\n"
+     "            return self._emitted.get(flow.r, flow)\n" + BYTES_ONLY,
+     (SESSIONS + "test_a_world_keys_only_points_of_the_subgroup",
+      "tests/test_boundary.py::test_every_boundary_refuses_an_off_curve_point[World.send]"),
+     "a World validates only the flows it decodes from bytes, and keys a FlowMessage outside "
+     "the subgroup"),
+    # nine refusals that CHANGES.md's identity-rule entry once gave only as prose
+    (BILINEAR, "is_probable_prime(q) and is_probable_prime(p)", "is_probable_prime(p)",
+     ("tests/test_bilinear.py::test_params_decoding_rejects_a_composite_p_or_q[composite-q]",),
+     "a params decoder that tests p alone accepts a composite q"),
+    ("idak/keystore.py", NOBODY, "", (KEYSTORE + "test_identity_rejects_a_payload_naming_nobody",),
+     "an identity file that names nobody fails in hashing, not with the keystore's refusal"),
+    ("idak/cli.py",
+     "if extra is not None and not pfs_verify_extra(params, own, peer_id, peer_msg, extra):",
+     "if False:",
+     ("tests/test_cli.py::test_finalize_pfs_refuses_an_extra_that_fails_the_pairing_check",),
+     "finalize --pfs takes an extra point that fails the pairing check"),
+    ("idak/cli.py", "if args.pfs and extra is None:", "if False:",
+     ("tests/test_cli.py::test_finalize_pfs_refuses_a_flow_without_extra",),
+     "finalize --pfs reads a flow without an extra point and dies in a traceback"),
+    ("idak/cli.py", "return EXIT_ASSERT if mismatches else EXIT_OK", "return EXIT_OK",
+     ("tests/test_cli.py::test_bench_exits_three_on_a_cost_mismatch",),
+     "idak bench prints a cost mismatch and exits 0"),
+    (BILINEAR, IDENTITY_RULE, "not 1 <= len(ident) <= 0xFFFF",
+     tuple(f"{IDENTITY}[{kind}-identity_bytes]" for kind in ("int", "list")),
+     "an identity need not be text or bytes: 3 fails in len and [97] stands for b'a'"),
+    (BILINEAR, IDENTITY_RULE, "not isinstance(ident, (bytes, bytearray))",
+     tuple(f"{IDENTITY}[{kind}-identity_bytes]" for kind in ("empty-str", "0x10000-bytes")),
+     "an identity may be empty or overflow its 2-byte frame"),
+    ("idak/sessions.py", 'seed=str(cfg.get("seed", "scenario")),',
+     'seed=cfg.get("seed", "scenario"),',
+     ("tests/test_cli.py::test_an_integer_seed_means_its_decimal_text",),
+     "a scenario's integer seed builds another group than idak scenario --seed"),
+    ("idak/keystore.py", "found = _HEADER_KINDS.get(header)",
+     'found = header.startswith(HEADER_MAGIC) and header.rpartition("kind=")[2] or None',
+     (KEYSTORE + "test_entry_rejects_malformed_files",),
+     "read_entry takes any header that starts as its own, the last kind= token winning"),
     # known survivors
     ("idak/sessions.py", "when < oracle.completed_at", "when <= oracle.completed_at",
      (SESSIONS + "test_wpfs_corrupt_after_completion_keeps_fresh",
@@ -230,9 +287,19 @@ def run(index, file, old, new, tests):
         return done.returncode, done.stdout
 
 
-def main():
+def main(args):
+    """Run the entries whose 1-based indices args names, or every entry."""
+    try:
+        chosen = [int(arg) for arg in args] or range(1, len(MUTANTS) + 1)
+    except ValueError:
+        chosen = [0]
+    if not all(1 <= index <= len(MUTANTS) for index in chosen):
+        print(f"usage: python tests/mutants.py [INDEX ...], each index 1 to {len(MUTANTS)}",
+              file=sys.stderr)
+        return 2
     wrong = survivors = 0
-    for index, (file, old, new, tests, breaks, *survives) in enumerate(MUTANTS, 1):
+    for index in chosen:
+        file, old, new, tests, breaks, *survives = MUTANTS[index - 1]
         start = time.perf_counter()
         code, report = run(index, file, old, new, tests)
         hows = [killed(test, report) for test in tests]
@@ -251,10 +318,10 @@ def main():
                 print(f"{'':12}{test}: {how or 'passed, skipped or not run'}")
         if verdict == "CAUGHT" and not any(hows):
             print(f"{'':12}pytest exited {code}: {report.strip().splitlines()[-1:]}")
-    print(f"{len(MUTANTS) - survivors} mutants to kill and {survivors} known survivors: "
+    print(f"{len(chosen) - survivors} mutants to kill and {survivors} known survivors: "
           f"{wrong} not as the ledger says")
     return 1 if wrong else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -4,8 +4,8 @@ A point is checked where it enters the library (decoders, key loaders,
 the protocol's receivers, the session world and the self-reduction's
 entry points) and by each public function that computes on it.  Encoders
 and the private helpers behind those checks trust their points, so a
-warm derive checks only the flows it receives, and a World leaves the
-flows it emitted to derive.
+warm derive checks only the flows it receives, and a World checks a flow
+once, where it enters, and never one it emitted.
 """
 
 import random
@@ -151,7 +151,7 @@ def _counted_send(world, checked, oracle, flow):
     return world.send(oracle, flow), len(checked) - start
 
 
-def test_a_warm_world_send_checks_an_emitted_flow_only_in_derive(monkeypatch):
+def test_a_warm_world_send_checks_an_emitted_flow_only_when_decoding_it(monkeypatch):
     world = World(PARAMS, MSK, rng=random.Random(0))
     checked = []
 
@@ -168,12 +168,12 @@ def test_a_warm_world_send_checks_an_emitted_flow_only_in_derive(monkeypatch):
 
     exchange()  # builds the window tables and caches the hashed identities
     _count_curve_checks(monkeypatch, checked)
-    # the world emitted both flows, so only derive's two flow checks run;
-    # decoding the bytes adds one
-    assert exchange() == (2, 2, 3)
+    # the world emitted both flows, so they are in the subgroup by
+    # construction and nothing checks them; decoding the bytes checks once
+    assert exchange() == (0, 0, 1)
 
 
-def test_a_warm_world_send_checks_a_flow_it_did_not_emit_three_times(monkeypatch):
+def test_a_warm_world_send_checks_a_flow_it_did_not_emit_once(monkeypatch):
     world = World(PARAMS, MSK, rng=random.Random(0))
     foreign = bilinear.fixed_base_exp(GROUP, GEN, 12345)  # in the subgroup, never emitted
     checked = []
@@ -183,11 +183,11 @@ def test_a_warm_world_send_checks_a_flow_it_did_not_emit_three_times(monkeypatch
 
     responder_checks(FlowMessage(foreign))  # builds the window tables
     _count_curve_checks(monkeypatch, checked)
-    # _check_flow_form, then derive's two flow checks: the subgroup check
-    # that follows the form check is _in_group, which trusts the curve;
-    # decoding the bytes adds one
-    assert responder_checks(FlowMessage(foreign)) == 3
-    assert responder_checks(encode_point(GROUP, foreign)) == 4
+    # _check_flow_form at the world's boundary, and nothing after it: the
+    # subgroup check that follows is _in_group, which trusts the curve, and
+    # the world derives past derive's checks; decoding the bytes adds one
+    assert responder_checks(FlowMessage(foreign)) == 1
+    assert responder_checks(encode_point(GROUP, foreign)) == 2
 
 
 def _count_calls(monkeypatch, counts: Counter, name: str) -> None:
@@ -204,7 +204,7 @@ def _count_calls(monkeypatch, counts: Counter, name: str) -> None:
         monkeypatch.setattr(module, name, counting)
 
 
-def test_a_warm_world_relay_pairs_by_cached_lines_and_checks_each_blend_once(monkeypatch):
+def test_a_warm_world_relay_pairs_by_cached_lines_and_checks_only_foreign_flows(monkeypatch):
     world = World(PARAMS, MSK, rng=random.Random(0))
     foreign = bilinear.fixed_base_exp(GROUP, GEN, 12345)  # in the subgroup, never emitted
     counts = Counter()
@@ -234,8 +234,8 @@ def test_a_warm_world_relay_pairs_by_cached_lines_and_checks_each_blend_once(mon
     # their blends, and no Miller loop runs
     ops, calls = relay()
     assert ops == {"pairing": 2, "exp_gt": 2, "exp_g": 2, "exp_g_add": 2}
-    # the blend of an emitted flow meets one _in_group, inside the pairing
-    assert calls == (Counter(), Counter(_in_group=1), Counter(_in_group=1))
-    # a foreign flow is checked by _coerce_flow, then its blend by the pairing
+    # an emitted flow is in the subgroup by construction, so no _in_group runs
+    assert calls == (Counter(), Counter(), Counter())
+    # a foreign flow is checked once, by _coerce_flow, and its blend trusted
     _, _, foreign_calls = counted_send(world.new_oracle("bob", "alice"), FlowMessage(foreign))
-    assert foreign_calls == Counter(_in_group=2)
+    assert foreign_calls == Counter(_in_group=1)

@@ -3,7 +3,7 @@ moved snippet or a renamed test fails tier-1, not only the ledger's run."""
 
 import re
 
-from mutants import MUTANTS, ROOT
+from mutants import MUTANTS, ROOT, main
 
 
 def test_every_ci_mutant_snippet_occurs_once_in_its_file():
@@ -32,3 +32,9 @@ def test_a_known_survivor_says_why_no_test_catches_it():
         if len(entry) == 6:
             status, _, reason = entry[5].partition(": ")
             assert status == "survives" and len(reason.split()) >= 5, entry[5]
+
+
+def test_an_index_outside_the_ledger_exits_two_and_runs_nothing(capsys):
+    for args in (["0"], [str(len(MUTANTS) + 1)], ["1", "first"]):
+        assert main(args) == 2, args
+    assert capsys.readouterr().out == ""

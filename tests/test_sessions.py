@@ -584,6 +584,62 @@ def test_a_world_relay_key_is_the_key_of_every_strategy(seed, pi_variant, alice_
         assert a.key == b.key
 
 
+# every point a World may receive, by kind; "emitted" stands for a flow
+# another oracle of the world drew, and "malformed" is sent only as bytes
+KEYING_POINTS = {
+    "off-curve": GElem(1, 1),
+    "identity": INFINITY,
+    "order two": GElem(0, 0),
+    "outside the subgroup": _ROGUE,
+    "malformed": None,
+    "foreign": _FOREIGN,
+    "emitted": None,
+}
+KEYING_FLOWS = [(kind, form) for kind in KEYING_POINTS for form in ("bytes", "message")
+                if (kind, form) != ("malformed", "message")]
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["br", "wpfsbr"]),
+       as_initiator=st.booleans(), flow=st.sampled_from(KEYING_FLOWS),
+       strategy=st.sampled_from(STRATEGIES))
+def test_a_world_keys_only_points_of_the_subgroup(seed, mode, as_initiator, flow, strategy):
+    # the world derives past derive's checks, so its boundary is the only
+    # guard: a hostile flow aborts the oracle with no key and draws nothing,
+    # and a valid one gives the key that the public derive gives
+    world = World(DIFF_PARAMS, DIFF_MSK, mode=mode, rng=random.Random(seed))
+    emitted = world.send(world.new_oracle("bob", "alice"), None).r
+    oracle = world.new_oracle("alice", "bob")
+    if as_initiator:
+        world.send(oracle, None)
+    kind, form = flow
+    point = emitted if kind == "emitted" else KEYING_POINTS[kind]
+    if kind == "malformed":
+        sent = b"\xde\xad\xbe\xef"
+    else:
+        sent = encode_point(DIFF_GROUP, point) if form == "bytes" else FlowMessage(point)
+    rng_state = world.rng.getstate()
+    if kind not in ("foreign", "emitted"):
+        with pytest.raises(InvalidFlowError):
+            world.send(oracle, sent)
+        assert oracle.aborted and oracle.key is None and not oracle.completed
+        assert world.rng.getstate() == rng_state
+        return
+
+    def public_derive():
+        return derive(world.params, world.principals[oracle.owner], oracle.ephemeral,
+                      oracle.own_msg, oracle.peer, FlowMessage(point), oracle.role, strategy)
+
+    try:
+        world.send(oracle, sent)
+    except DegenerateExponentError:
+        with pytest.raises(DegenerateExponentError):
+            public_derive()
+        return
+    shared, _ = public_derive()
+    assert oracle.key == session_key(world.params, shared, *oracle.binding)
+
+
 # ---------------------------------------------------------------------------
 # scenario runner
 # ---------------------------------------------------------------------------
