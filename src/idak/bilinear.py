@@ -41,6 +41,8 @@ coefficients at phi of any point.  A pairing with it then only
 evaluates the stored lines and no longer checks P's subgroup, so the
 caller checks P: protocol.derive by one explicit check, and a World by
 checking each flow once, where it enters (sessions.World._coerce_flow).
+Such a pairing also takes the power it is raised to, derive's x + s,
+into its final exponentiation: one Lucas ladder over h times the power.
 GT elements have norm 1 (conj(z) = 1/z), so gt_inv is a conjugation and
 gt_exp is a Lucas ladder on z^k + conj(z)^k in F_p, two F_p
 multiplications per bit; these are GT's only inverse and power.
@@ -90,7 +92,8 @@ right argument) calls _in_group.
 
 Four primitives count their calls in the module-level dict OPS, the
 operations of protocol.derive's cost table: _checked_pairing (and so
-pairing) and _fixed_pairing under "pairing", gt_exp under "exp_gt", and
+pairing) and _fixed_pairing under "pairing", gt_exp, and _fixed_pairing
+when it is given a power to raise its value to, under "exp_gt", and
 _fixed_base_add (and so fixed_base_exp) under "exp_g" when its walk
 starts at the identity and "exp_g_add" when it starts at a point.
 Nothing whose cost depends on cache state is counted (hash_to_group,
@@ -641,8 +644,8 @@ def pairing(params: GroupParams, left: GElem, right: GElem) -> GTElem:
     (p^2 - 1)/q = (p - 1) * h.  The Frobenius map is conjugation for
     p = 3 (mod 4), so f^(p-1) = conj(f)^2 / N(f): one F_p inversion, which
     sends every F_p^* factor to 1 and so makes the scaling and the
-    omissions exact.  f^(p-1) has norm 1, so its power by the small
-    cofactor h is gt_exp's Lucas ladder.
+    omissions exact.  f^(p-1) has norm 1, and its power by the small
+    cofactor h is a square-and-multiply (_final_exponentiation).
     """
     _require_on_curve(params, left)
     _require_on_curve(params, right)
@@ -740,14 +743,21 @@ def _checked_pairing(params: GroupParams, left: GElem, right: GElem):
     return _final_exponentiation(params, fa, fb)
 
 
-def _final_exponentiation(params: GroupParams, fa: int, fb: int) -> GTElem:
-    """f^((p^2 - 1)/q) for a Miller value f = fa + fb*i, nonzero: first
-    u = f^(p-1) = conj(f)^2 / N(f), one F_p inversion.  u has norm 1, so
-    its power by h is square-and-multiply with no inversion, squaring
-    a + b*i as (2a^2 - 1) + 2ab*i: h has at most 21 bits, too few for the
-    Lucas ladder's recovery inversion (gt_exp) to pay for itself."""
+def _final_exponentiation(params: GroupParams, fa: int, fb: int, n: int | None = None):
+    """f^((p^2 - 1)/q), or its power by n >= 0 when n is given, for a
+    Miller value f = fa + fb*i, nonzero: first u = f^(p-1) =
+    conj(f)^2 / N(f), one F_p inversion.  u has norm 1.  For a plain
+    pairing, n None, its power by h is square-and-multiply with no
+    inversion, squaring a + b*i as (2a^2 - 1) + 2ab*i: h has at most 21
+    bits, too few for the Lucas ladder's recovery inversion to pay for
+    itself.  For a pairing that _fixed_pairing raises, u^(h*n) is one
+    Lucas ladder over h*n and its recovery (_ladder_pow): gt_exp's work
+    for n plus |h| ladder steps, in place of the square-and-multiply over
+    h, a GT element and a second ladder set-up."""
     p = params.p
     ua, ub = _frobenius_quotient(p, fa, fb)
+    if n is not None:
+        return _ladder_pow(p, ua, ub, params.h * n)
     a, b = ua, ub
     for bit in bin(params.h)[3:]:
         a, b = (2 * a * a - 1) % p, 2 * a * b % p
@@ -820,9 +830,10 @@ def _line_table(params: GroupParams, point: GElem):
                  for (square, c1, c0, _), inv in zip(lines, inverses))
 
 
-def _fixed_pairing(params: GroupParams, received: GElem, fixed: GElem):
-    """_checked_pairing(params, received, fixed) for a received point of
-    the subgroup, by the cached line table of the long-lived point fixed.
+def _fixed_pairing(params: GroupParams, received: GElem, fixed: GElem, n: int | None = None):
+    """_checked_pairing(params, received, fixed), raised to n >= 0 when n is
+    given, for a received point of the subgroup, by the cached line table
+    of the long-lived point fixed.
 
     On G x G the pairing is symmetric, so for fixed in the subgroup
     e(received, fixed) = e(fixed, received) = f_{q,fixed}(phi(received))
@@ -834,13 +845,19 @@ def _fixed_pairing(params: GroupParams, received: GElem, fixed: GElem):
     checked it (protocol.derive), or knows it (sessions.World, whose flows
     are emitted or validated on receipt).  A line never vanishes at
     phi(received), whose y is not 0, and neither does an omitted vertical
-    (see _checked_pairing).  A fixed point with no table goes to
-    _checked_pairing.  Counted under "pairing" once either way.
+    (see _checked_pairing).  The power n rides the final exponentiation
+    (_final_exponentiation), as protocol.derive's choice 2 raises its
+    pairing to x + s.  A fixed point with no table goes to
+    _checked_pairing and gt_exp.  Counted under "pairing" once either
+    way, and under "exp_gt" once when n is given, whatever its value.
     """
     lines = _line_table(params, fixed)
     if lines is None:
-        return _checked_pairing(params, received, fixed)
+        value = _checked_pairing(params, received, fixed)
+        return value if value is None or n is None else gt_exp(value, n)
     OPS["pairing"] += 1
+    if n is not None:
+        OPS["exp_gt"] += 1
     p = params.p
     if received.is_identity():
         return GTElem(1, 0, p)
@@ -851,7 +868,7 @@ def _fixed_pairing(params: GroupParams, received: GElem, fixed: GElem):
         if square:
             fa, fb = (fa - fb) * (fa + fb), 2 * fa * fb
         fa, fb = (fa * la - fb * yq) % p, (fa * yq + fb * la) % p
-    return _final_exponentiation(params, fa, fb)
+    return _final_exponentiation(params, fa, fb, n)
 
 
 # ---------------------------------------------------------------------------
@@ -1119,18 +1136,23 @@ def _require_norm_one(z: GTElem) -> None:
 def gt_exp(z: GTElem, n: int) -> GTElem:
     """z^n for z of norm a^2 + b^2 = 1, as every element of GT has; any
     other z raises MalformedElementError.  A negative n raises
-    conj(z) = 1/z.
-
-    A Lucas ladder (_lucas_v) gives V_n and V_n+1 = 2(aA - bB) for
-    z^n = A + B*i, and z^n is recovered from them: A = V_n / 2 and
-    B = (a V_n - V_n+1) / (2b), at the cost of one inversion.
+    conj(z) = 1/z.  The power is _ladder_pow's Lucas ladder.
     """
     OPS["exp_gt"] += 1
     _require_norm_one(z)
     n = int(n)
-    p, a = z.p, z.a
     b = -z.b if n < 0 else z.b  # z^-n = conj(z)^n
-    n = abs(n)
+    return _ladder_pow(z.p, z.a, b, abs(n))
+
+
+def _ladder_pow(p: int, a: int, b: int, n: int) -> GTElem:
+    """(a + b*i)^n = A + B*i for a + b*i of norm 1 and n >= 0; gt_exp and
+    _final_exponentiation share it.
+
+    A Lucas ladder (_lucas_v) gives V_n and V_n+1 = 2(aA - bB), and z^n is
+    recovered from them: A = V_n / 2 and B = (a V_n - V_n+1) / (2b), at
+    the cost of one inversion.
+    """
     if n == 0:
         return GTElem(1, 0, p)
     if b % p == 0:  # z = a = 1 or -1
@@ -1142,7 +1164,7 @@ def gt_exp(z: GTElem, n: int) -> GTElem:
 
 def _lucas_v(p: int, v1: int, n: int):
     """(V_n, V_n+1) for n >= 1, where V_k = z^k + conj(z)^k for a z of
-    norm 1 with V_1 = v1 = 2 Re(z); gt_exp and _in_group share it.
+    norm 1 with V_1 = v1 = 2 Re(z); _ladder_pow and _in_group share it.
 
     A Lucas ladder (Joye-Quisquater, "Efficient computation of full Lucas
     sequences", 1996): V_k lies in F_p, and with conj(z) = 1/z,

@@ -235,28 +235,34 @@ def xor_half_value(x_first: int, x_second: int, field_bits: int) -> int:
 
 def pi_value(params: SystemParams, first: GElem, second: GElem) -> int:
     """Compress an ordered flow pair into a short nonzero exponent."""
+    return _pi_pair(params, first, second, both=False)[0]
+
+
+def _pi_pair(params: SystemParams, first: GElem, second: GElem, both: bool = True):
+    """(pi(first, second), pi(second, first)), or its first value alone
+    unless both: pi_value's variant rules, written once.  Each flow is
+    encoded once, and xor-half, which is symmetric, is computed once for
+    both orders."""
     if first.is_identity() or second.is_identity():
         raise InvalidFlowError("pi is undefined on the identity")
     group = params.group
     variant = params.pi_variant
     if variant is PiVariant.XOR_HALF:
-        return xor_half_value(first.x, second.x, group.p.bit_length())
+        value = xor_half_value(first.x, second.x, group.p.bit_length())
+        return value, value
+    one, two = encode_point(group, first), encode_point(group, second)
+    if variant is PiVariant.HASH_HALF:
+        one, two = one + two, two + one
     half_bits = (group.q.bit_length() + 1) // 2
-    if variant is PiVariant.FIRST_ONLY:
-        material = TAG_PI + encode_point(group, first)
-    else:
-        material = TAG_PI + encode_point(group, first) + encode_point(group, second)
-    digest = hashlib.sha256(material).digest()
+    if not both:
+        return (_pi_digest(one, half_bits),)
+    return _pi_digest(one, half_bits), _pi_digest(two, half_bits)
+
+
+def _pi_digest(material: bytes, half_bits: int) -> int:
+    """The low half_bits of the tagged hash of material, never zero."""
+    digest = hashlib.sha256(TAG_PI + material).digest()
     return _nonzero(int.from_bytes(digest, "big") % (1 << half_bits))
-
-
-def _blend(params: SystemParams, g_id: GElem, r: GElem, r_other: GElem) -> GElem:
-    """g_id^pi(R, R') * R, a side's blend of long-term point and flow R.
-
-    One walk of g_id's window table that starts at R, so adding R costs
-    no inversion and no curve check.
-    """
-    return _fixed_base_add(params.group, g_id, pi_value(params, r, r_other), r)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +349,16 @@ def derive(
     g_peer = hash_to_group(group, peer_id)
     if strategy.choice == 2:
         _require_in_subgroup(_in_group(group, peer_msg.r))
-    return _derive_trusted(params, own, own_x, own_msg.r, g_peer, peer_msg.r, strategy)
+    offline_part = None
+    if strategy.choice == 1 and strategy.precomputed:
+        # d_id^own_x is assumed done offline alongside the flow, so it
+        # runs before the online counts start; it raises nothing
+        offline_part = fixed_base_exp(group, own.d_id, own_x)
+    before = OPS.copy()
+    shared = _derive_trusted(
+        params, own, own_x, own_msg.r, g_peer, peer_msg.r, strategy, offline_part
+    )
+    return shared, OpCounts.since(before, strategy.precomputed)
 
 
 def _derive_trusted(
@@ -354,44 +369,50 @@ def _derive_trusted(
     g_peer: GElem,
     peer_r: GElem,
     strategy: DeriveStrategy,
-) -> tuple[SharedSecret, OpCounts]:
-    """derive's secret and counts, after its checks: 1 <= own_x < q, both
-    flows in the subgroup but the identity, and g_peer = H(peer_id).
-    Choice 1 may also take an R_peer outside the subgroup, as its pairing
-    refuses the blend.  sessions.World calls it directly, since each flow
-    it derives on was emitted by one of its oracles or validated on
-    receipt (World._coerce_flow)."""
+    offline_part: GElem | None = None,
+) -> SharedSecret:
+    """derive's secret, after its checks: 1 <= own_x < q, both flows in the
+    subgroup but the identity, and g_peer = H(peer_id).  Choice 1 may also
+    take an R_peer outside the subgroup, as its pairing refuses the blend.
+    c1-pre walks d_id from offline_part = d_id^own_x, which derive
+    computes before its counts start.  sessions.World calls the core
+    directly, since each flow it derives on was emitted by one of its
+    oracles or validated on receipt (World._coerce_flow).
+
+    The blend g_peer^s_peer * R_peer is one walk of g_peer's window table
+    that starts at R_peer, so adding R_peer costs no inversion and no
+    curve check.  Choice 2 evaluates d_id's cached Miller lines at the
+    blend and raises the pairing to x + s_own inside its final
+    exponentiation (bilinear._fixed_pairing), so it tests for a vanished
+    exponent first; choice 1's Miller loop is the blend's subgroup check,
+    so there a vanished exponent is reported after it.
+    """
     group = params.group
-    own_s = pi_value(params, own_r, peer_r)
+    own_s, peer_s = _pi_pair(params, own_r, peer_r)
     own_exp = (own_x + own_s) % group.q
-
-    if strategy.choice == 1 and strategy.precomputed:
-        # d_id^own_x is assumed done offline alongside the flow, so it
-        # runs before the online counts start; it raises nothing
-        offline_part = fixed_base_exp(group, own.d_id, own_x)
-
-    before = OPS.copy()
-    blended_peer = _blend(params, g_peer, peer_r, own_r)
+    blended_peer = _fixed_base_add(group, g_peer, peer_s, peer_r)
     if strategy.choice == 2:
-        # d_id is long-lived: its cached Miller lines are evaluated at the blend
-        shared = _fixed_pairing(group, blended_peer, own.d_id)
+        _require_live(own_exp, blended_peer)
+        # d_id is long-lived: its cached Miller lines are evaluated at the
+        # blend, and the pairing is raised to own_exp as it is reduced
+        shared = _fixed_pairing(group, blended_peer, own.d_id, own_exp)
+        return SharedSecret(shared)
+    if strategy.precomputed:
+        # the online d_id^own_s is a walk of d_id's table from offline_part
+        own_point = _fixed_base_add(group, own.d_id, own_s, offline_part)
     else:
-        if strategy.precomputed:
-            # the online d_id^own_s is a walk of d_id's table from offline_part
-            own_point = _fixed_base_add(group, own.d_id, own_s, offline_part)
-        else:
-            own_point = fixed_base_exp(group, own.d_id, own_exp)
-        shared = _checked_pairing(group, blended_peer, own_point)
-        # the Miller loop is the blend's subgroup check, so a vanishing
-        # exponent is reported after it
-        _require_in_subgroup(shared is not None)
+        own_point = fixed_base_exp(group, own.d_id, own_exp)
+    shared = _checked_pairing(group, blended_peer, own_point)
+    _require_in_subgroup(shared is not None)
+    _require_live(own_exp, blended_peer)
+    return SharedSecret(shared)
+
+
+def _require_live(own_exp: int, blended_peer: GElem) -> None:
     if own_exp == 0:
         raise DegenerateExponentError("own combined exponent vanished mod q")
     if blended_peer.is_identity():
         raise DegenerateExponentError("peer combined exponent vanished mod q")
-    if strategy.choice == 2:
-        shared = gt_exp(shared, own_exp)
-    return SharedSecret(value=shared), OpCounts.since(before, strategy.precomputed)
 
 
 def session_key(
@@ -502,8 +523,9 @@ def master_compromise_compute(
         raise InvalidEphemeralError("alpha out of range")
     validate_flow_point(params, r_a.r)
     validate_flow_point(params, r_b.r)
-    blended_a = _blend(params, hash_to_group(group, id_a), r_a.r, r_b.r)
-    blended_b = _blend(params, hash_to_group(group, id_b), r_b.r, r_a.r)
+    s_a, s_b = _pi_pair(params, r_a.r, r_b.r)
+    blended_a = _fixed_base_add(group, hash_to_group(group, id_a), s_a, r_a.r)
+    blended_b = _fixed_base_add(group, hash_to_group(group, id_b), s_b, r_b.r)
     return SharedSecret(value=gt_exp(pairing(group, blended_a, blended_b), alpha))
 
 

@@ -10,12 +10,17 @@ there at the ci hypothesis profile and prints a line per entry.  It exits 1
 if an entry survives or a known survivor is caught, so the ledger changes
 when a test starts to catch one.  `python tests/mutants.py 4 19` runs only
 entries 4 and 19, counted from 1; an index outside the ledger exits 2.
+An entry whose tests run past ENTRY_TIMEOUT seconds is stopped, and each
+of its tests is reported by name as hung, which counts as a kill: a
+mutant that makes a redraw loop spin forever, such as `own_exp == 0` made
+`!=`, is caught, not left to hang the run.
 tests/test_ci_mutants.py checks the ledger in tier-1.
 """
 
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -23,6 +28,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# seconds an entry's tests may run: the slowest entry takes well under a
+# minute, so only a hung run reaches it
+ENTRY_TIMEOUT = 120
 BILINEAR = "idak/bilinear.py"
 CORE = "tests/test_core_differential.py::"
 SIZES = CORE + "test_fixed_base_exp_and_checked_pairing_at_protocol_sizes"
@@ -30,8 +38,8 @@ U_IS_QR = CORE + "test_cofactor_point_is_q_times_the_hashed_point"
 COSTS = ("tests/test_protocol.py::test_operation_cost_table",
          "tests/test_acceptance.py::test_criterion_2_strategy_cost_table",
          "tests/test_cli.py::test_bench_prints_four_tsv_rows")  # idak bench exits 3
-C1 = "        shared = _checked_pairing(group, blended_peer, own_point)\n"
-C2 = "        shared = _fixed_pairing(group, blended_peer, own.d_id)\n"
+C1 = "    shared = _checked_pairing(group, blended_peer, own_point)\n"
+C2 = "        shared = _fixed_pairing(group, blended_peer, own.d_id, own_exp)\n"
 # respond's derive and its flow write, in that order
 DERIVE, WRITE = (
     '    key, counts = _derive_key(args, params, own, "responder", y, msg, peer_ident, peer_msg)\n',
@@ -47,7 +55,7 @@ KEYSTORE = "tests/test_keystore.py::"
 IDENTITY = "tests/test_identity.py::test_every_use_refuses_what_the_rule_refuses"
 IDENTITY_RULE = "not isinstance(ident, (bytes, bytearray)) or not 1 <= len(ident) <= 0xFFFF"
 # World.send's derive, by the core and by the public derive
-RELAY = ("            shared, _ = _derive_trusted(\n"
+RELAY = ("            shared = _derive_trusted(\n"
          "                self.params, own_key, oracle.ephemeral, oracle.own_msg.r,\n"
          "                self.principals[oracle.peer].g_id, msg_in.r, _RELAY_STRATEGY,\n"
          "            )\n")
@@ -185,7 +193,7 @@ MUTANTS = (
       "tests/test_protocol.py::test_master_compromise_cannot_reach_pfs_key"),
      "master_compromise_compute raises the pairing to 1, not to alpha"),
     # three faults that CHANGES.md once described only in prose
-    ("idak/protocol.py", "shared = gt_exp(shared, own_exp)", "shared = gt_exp(shared, own_x)",
+    ("idak/protocol.py", "blended_peer, own.d_id, own_exp)", "blended_peer, own.d_id, own_x)",
      (SESSIONS + "test_a_world_relay_key_is_the_key_of_every_strategy",),
      "choice 2 raises its pairing to x alone, not to x + s, so its key differs from choice 1's"),
     ("idak/cli.py", "if stat.S_ISREG(os.fstat(fd).st_mode):", "if True:",
@@ -248,6 +256,19 @@ MUTANTS = (
      "refuse a key first; a search of the 19 valid groups with one-byte coordinates and "
      "20,000 identities found no key payload that two groups accept with d_id outside the "
      "second group's subgroup"),
+    # choice 2's fused raise, and the wpfsbr rule for a corruption after completion
+    ("idak/protocol.py", C2,
+     "        shared = gt_exp(_fixed_pairing(group, blended_peer, own.d_id), own_exp)\n",
+     ("tests/test_boundary.py::"
+      "test_a_warm_world_relay_raises_in_its_pairing_and_encodes_each_flow_once",),
+     "choice 2 pairs, then raises by a separate gt_exp: the same keys and OPS, more work"),
+    ("idak/sessions.py",
+     "                if not self._received_from_partner(oracle):\n"
+     "                    return False\n", "",
+     (SESSIONS + "test_wpfs_corruption_after_an_active_attack_poisons",
+      SESSIONS + "test_wpfs_corruption_after_a_rerouted_flow_poisons"),
+     "wpfsbr keeps any oracle fresh after a corruption that followed its completion, so "
+     "an adversary that sent the flow as the corrupted party wins the test query"),
 )
 
 
@@ -283,8 +304,23 @@ def run(index, file, old, new, tests):
         assert where.startswith(copy), (index, where)
         pytest = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                   "--hypothesis-profile=ci", *tests]
-        done = subprocess.run(pytest, cwd=ROOT, env=env, capture_output=True, text=True)
-        return done.returncode, done.stdout
+        return run_with_timeout(pytest, env)
+
+
+def run_with_timeout(command, env):
+    """command's exit code and standard output, or (None, "") once it has
+    run ENTRY_TIMEOUT seconds: then it and every process it started are
+    killed, as one process group."""
+    with subprocess.Popen(command, cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True,
+                          start_new_session=True) as process:
+        try:
+            out, _ = process.communicate(timeout=ENTRY_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            return None, ""
+        return process.returncode, out
 
 
 def main(args):
@@ -302,7 +338,10 @@ def main(args):
         file, old, new, tests, breaks, *survives = MUTANTS[index - 1]
         start = time.perf_counter()
         code, report = run(index, file, old, new, tests)
-        hows = [killed(test, report) for test in tests]
+        if code is None:
+            hows = [f"hung past {ENTRY_TIMEOUT} s"] * len(tests)
+        else:
+            hows = [killed(test, report) for test in tests]
         if survives:
             # a known survivor survives only if every named test ran and passed
             survivors += 1

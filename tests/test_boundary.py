@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from idak import bilinear, keystore, protocol, selfreduction
+from idak import bilinear, keystore, protocol, selfreduction, sessions
 from idak.bilinear import GElem, encode_point, in_subgroup, is_on_curve
 from idak.errors import InvalidFlowError, KeystoreError, MalformedElementError
 from idak.protocol import STRATEGIES, FlowMessage, IdentityKey, decode_flow, derive, encode_flow
@@ -239,3 +239,33 @@ def test_a_warm_world_relay_pairs_by_cached_lines_and_checks_only_foreign_flows(
     # a foreign flow is checked once, by _coerce_flow, and its blend trusted
     _, _, foreign_calls = counted_send(world.new_oracle("bob", "alice"), FlowMessage(foreign))
     assert foreign_calls == Counter(_in_group=1)
+
+
+def test_a_warm_world_relay_raises_in_its_pairing_and_encodes_each_flow_once(monkeypatch):
+    world = World(PARAMS, MSK, rng=random.Random(0))
+    counts, derives = Counter(), []
+    derive_trusted = sessions._derive_trusted
+
+    def counted_derive(*args):
+        before = counts.copy()
+        shared = derive_trusted(*args)
+        derives.append(counts - before)
+        return shared
+
+    def relay():
+        """A relay's three sends, and the OPS they counted."""
+        before = bilinear.OPS.copy()
+        initiator = world.new_oracle("alice", "bob")
+        reply = world.send(world.new_oracle("bob", "alice"), world.send(initiator, None))
+        world.send(initiator, reply)
+        return Counter({kind: bilinear.OPS[kind] - before[kind] for kind in before})
+
+    relay()  # builds the window and line tables and caches the hashed identities
+    _count_calls(monkeypatch, counts, "gt_exp")
+    _count_calls(monkeypatch, counts, "encode_point")
+    monkeypatch.setattr(sessions, "_derive_trusted", counted_derive)
+    # the counts of the work stay those of a pairing and a gt_exp per derive
+    assert relay() == {"pairing": 2, "exp_gt": 2, "exp_g": 2, "exp_g_add": 2}
+    # but each derive raises inside its pairing's final exponentiation, so
+    # it calls no gt_exp, and pi encodes each of its two flows once
+    assert derives == [Counter(encode_point=2)] * 2

@@ -1,8 +1,12 @@
 """The mutant ledger of tests/mutants.py, checked without running it: a
 moved snippet or a renamed test fails tier-1, not only the ledger's run."""
 
+import os
 import re
+import sys
+import time
 
+import mutants
 from mutants import MUTANTS, ROOT, main
 
 
@@ -38,3 +42,18 @@ def test_an_index_outside_the_ledger_exits_two_and_runs_nothing(capsys):
     for args in (["0"], [str(len(MUTANTS) + 1)], ["1", "first"]):
         assert main(args) == 2, args
     assert capsys.readouterr().out == ""
+
+
+def test_an_entry_that_hangs_is_stopped_and_reported_by_name_as_killed(monkeypatch, capsys):
+    # one process that sleeps past a short timeout stands for a mutant whose
+    # tests never end, such as one that makes every derive degenerate
+    sleeper = [sys.executable, "-c", "import time; time.sleep(60)"]
+    monkeypatch.setattr(mutants, "ENTRY_TIMEOUT", 1)
+    monkeypatch.setattr(mutants, "run", lambda *entry: mutants.run_with_timeout(
+        sleeper, dict(os.environ)))
+    start = time.monotonic()
+    assert main(["1"]) == 0
+    assert time.monotonic() - start < 30
+    out = capsys.readouterr().out
+    assert out.startswith(" 1 killed ")
+    assert f"{MUTANTS[0][3][0]}: hung past 1 s" in out

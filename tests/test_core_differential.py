@@ -319,6 +319,22 @@ def test_fixed_pairing_matches_checked_pairing_on_every_pair(k_bits, seed):
                     == _checked_pairing(params, received, fixed)), (received, fixed)
 
 
+@pytest.mark.parametrize("k_bits,seed", FULL_CURVES)
+def test_fixed_pairing_raised_to_n_matches_gt_exp_on_every_pair(k_bits, seed):
+    # the power rides the final exponentiation, on the line table's path
+    # and on the fallback of a fixed point without a table (the identity)
+    params, points = curve(k_bits, seed)
+    q = params.q
+    members = [point for point in points if in_group(params, point)]
+    rng = random.Random(k_bits)
+    for fixed in members:
+        for received in members:
+            plain = _fixed_pairing(params, received, fixed)
+            for n in (1, 2, q - 1, rng.randrange(1, q)):
+                assert (_fixed_pairing(params, received, fixed, n)
+                        == gt_exp(plain, n)), (received, fixed, n)
+
+
 def norm_one_elements(p):
     """Every a + b*i of F_{p^2} with a^2 + b^2 = 1: the group of order
     p + 1 that holds GT."""
@@ -417,10 +433,15 @@ def test_fixed_pairing_and_gt_exp_ladder_at_protocol_sizes(k_bits):
     outside = point_add(params, members[0], GElem(0, 0))
     lifted = lift(params, rng.randrange(params.p), True)
     points = members + [INFINITY, GElem(0, 0), outside, lifted]
+    raise_rng = random.Random(f"raise-{k_bits}")  # rng's later draws stay as they were
     for fixed in points:
         for received in members + [INFINITY]:  # its callers check received
-            assert (_fixed_pairing(params, received, fixed)
-                    == _checked_pairing(params, received, fixed)), (received, fixed)
+            plain = _checked_pairing(params, received, fixed)
+            assert _fixed_pairing(params, received, fixed) == plain, (received, fixed)
+            if plain is not None:
+                for n in (1, 2, params.q - 1, raise_rng.randrange(1, params.q)):
+                    assert (_fixed_pairing(params, received, fixed, n)
+                            == gt_exp(plain, n)), (received, fixed, n)
     assert _fixed_pairing(params, members[1], members[2]) == ref_pairing(
         params, members[1], members[2])
     for left, right in zip(members, members[1:] + members[:1]):
@@ -438,9 +459,14 @@ def test_final_exponentiation_matches_the_generic_power(k_bits):
     rng = random.Random(k_bits)
     fs = [(rng.randrange(1, p), rng.randrange(1, p)) for _ in range(4)]
     fs += [(1, 0), (p - 1, 0), (rng.randrange(1, p), 0), (0, rng.randrange(1, p))]
+    exponent = (p * p - 1) // params.q
     for fa, fb in fs:
-        expected = ref_fp2_pow(p, fa, fb, (p * p - 1) // params.q)
+        expected = ref_fp2_pow(p, fa, fb, exponent)
         assert _final_exponentiation(params, fa, fb) == GTElem(*expected, p), (fa, fb)
+        # the Lucas ladder over h * n, on which a raised _fixed_pairing ends
+        for n in (0, 1, 2, params.q - 1, rng.randrange(1, params.q)):
+            expected = ref_fp2_pow(p, fa, fb, exponent * n)
+            assert _final_exponentiation(params, fa, fb, n) == GTElem(*expected, p), (fa, fb, n)
 
 
 @functools.cache

@@ -221,7 +221,8 @@ def test_a_pi_beyond_the_window_table_still_blends_exactly():
         for other in points:
             s = pi_value(params, r, other)
             beyond += s >= 16
-            assert protocol._blend(params, g, r, other) == point_add(
+            # the blend g^s * R, one walk of g's window table from R
+            assert bilinear._fixed_base_add(group, g, s, r) == point_add(
                 group, scalar_exp(group, g, s), r), (r, other)
     assert beyond
 
@@ -229,6 +230,29 @@ def test_a_pi_beyond_the_window_table_still_blends_exactly():
 def test_pi_rejects_identity():
     with pytest.raises(InvalidFlowError):
         pi_value(PARAMS, INFINITY, BOB.g_id)
+
+
+P16_PI, _ = setup(16, "pi-pair")
+
+
+@given(
+    variant=st.sampled_from(PiVariant),
+    first=st.integers(0, P16_PI.group.q - 1),
+    second=st.integers(0, P16_PI.group.q - 1),
+)
+@example(variant=PiVariant.HASH_HALF, first=0, second=1)
+@example(variant=PiVariant.XOR_HALF, first=1, second=0)
+def test_pi_pair_is_pi_value_in_both_orders(variant, first, second):
+    # derive's one call for s_own and s_peer, each flow encoded once; 0
+    # stands for the identity, which both refuse
+    params = SystemParams(P16_PI.group, variant)
+    a, b = (scalar_exp(params.group, params.g, n) for n in (first, second))
+    if a.is_identity() or b.is_identity():
+        for pi in (protocol._pi_pair, pi_value):
+            with pytest.raises(InvalidFlowError, match="pi is undefined on the identity"):
+                pi(params, a, b)
+        return
+    assert protocol._pi_pair(params, a, b) == (pi_value(params, a, b), pi_value(params, b, a))
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +335,16 @@ def test_operation_cost_table(monkeypatch):
             "c1-nopre": OpCounts(2, 2.5, 1, 0), "c2-nopre": OpCounts(1, 1.5, 1, 1),
             "c1-pre": OpCounts(2, 1.0, 2, 0), "c2-pre": OpCounts(1, 0.5, 1, 1),
         },
-        # choice 2 pairs through d_id's line table
+        # choice 2 pairs through d_id's line table and raises the pairing
+        # in its final exponentiation, so both count twice
         "_fixed_pairing": {
-            "c1-nopre": OpCounts(1, 2.5, 1, 0), "c2-nopre": OpCounts(2, 1.5, 1, 1),
-            "c1-pre": OpCounts(1, 1.0, 2, 0), "c2-pre": OpCounts(2, 0.5, 1, 1),
+            "c1-nopre": OpCounts(1, 2.5, 1, 0), "c2-nopre": OpCounts(2, 1.5, 1, 2),
+            "c1-pre": OpCounts(1, 1.0, 2, 0), "c2-pre": OpCounts(2, 0.5, 1, 2),
         },
+        # so no strategy calls gt_exp
         "gt_exp": {
-            "c1-nopre": OpCounts(1, 2.5, 1, 0), "c2-nopre": OpCounts(1, 1.5, 1, 2),
-            "c1-pre": OpCounts(1, 1.0, 2, 0), "c2-pre": OpCounts(1, 0.5, 1, 2),
+            "c1-nopre": OpCounts(1, 2.5, 1, 0), "c2-nopre": OpCounts(1, 1.5, 1, 1),
+            "c1-pre": OpCounts(1, 1.0, 2, 0), "c2-pre": OpCounts(1, 0.5, 1, 1),
         },
         # the blend, and c1-pre's online walk from its offline part
         "_fixed_base_add": {

@@ -25,7 +25,8 @@ from idak.errors import (
     TestRefusedError,
 )
 from idak.protocol import (
-    STRATEGIES, FlowMessage, PiVariant, SharedSecret, derive, session_key, setup,
+    STRATEGIES, FlowMessage, IdentityKey, PiVariant, SharedSecret, derive, initiate,
+    initiator_first, session_key, setup,
 )
 from idak.sessions import SessionOracle, World, make_world, run_scenario
 from test_protocol import rogue_point
@@ -322,6 +323,56 @@ def test_wpfs_corrupt_before_completion_poisons():
     assert not world.fresh(a) and not world.fresh(b)
 
 
+def _impersonate_then_corrupt(world, victim, claimed, as_initiator, rng):
+    """The generic attack on two-message protocols: the adversary sends its
+    own flow g_claimed^x to a new oracle of victim as claimed's, corrupts
+    claimed after the oracle completes, and derives its key through the
+    public API, with no discrete log.  The oracle, and the key."""
+    params = world.params
+    # a key with claimed's public point and no secret yet
+    claimed_key = IdentityKey(claimed.encode(), world.principals[claimed.encode()].g_id, None)
+    x, forged = initiate(params, claimed_key, rng)
+    oracle = world.new_oracle(victim, claimed)
+    if as_initiator:
+        own = world.send(oracle, None)  # the victim opens, the adversary answers
+        world.send(oracle, forged)
+    else:
+        own = world.send(oracle, forged)
+    role = "responder" if as_initiator else "initiator"
+    claimed_key = dataclasses.replace(claimed_key, d_id=world.corrupt(claimed))
+    shared, _ = derive(params, claimed_key, x, forged, victim, own, role)
+    binding = initiator_first(claimed, forged, victim, own, role)
+    return oracle, session_key(params, shared, *binding)
+
+
+@pytest.mark.parametrize("as_initiator", [False, True], ids=["responder", "initiator"])
+def test_wpfs_corruption_after_an_active_attack_poisons(as_initiator):
+    # weak PFS lifts the corruption ban after completion only where the
+    # adversary was passive toward the oracle: here it sent the flow the
+    # oracle received, so corrupting the claimed sender gives it the key,
+    # and the test query must refuse
+    for seed in range(8):
+        world = make_basic_world(seed=f"active-{seed}", mode="wpfsbr")
+        oracle, key = _impersonate_then_corrupt(
+            world, "bob", "alice", as_initiator, random.Random(seed))
+        assert oracle.completed and key == oracle.key, seed
+        assert not world.fresh(oracle), seed
+        with pytest.raises(TestRefusedError):
+            world.test(oracle, seed % 2)
+
+
+def test_wpfs_corruption_after_a_rerouted_flow_poisons():
+    # the flow came from an oracle of the peer, but addressed to another
+    # principal, so the adversary was not passive toward the receiver
+    world = make_world(k_bits=16, seed="reroute", mode="wpfsbr",
+                       principals=["alice", "bob", "carol"])
+    flow = world.send(world.new_oracle("alice", "carol"), None)
+    receiver = world.new_oracle("bob", "alice")
+    world.send(receiver, flow)
+    world.corrupt("alice")
+    assert not world.fresh(receiver)
+
+
 def test_freshness_is_monotone():
     # once lost, freshness never comes back under further queries
     world = make_basic_world()
@@ -386,12 +437,24 @@ def reference_matching(world, first, second):
     return reference_canonical(world, first) == reference_canonical(world, second)
 
 
+def reference_passive(world, oracle):
+    """Whether some oracle of the peer, addressed to the owner in the other
+    role, drew the flow that oracle received."""
+    received = next(msg for way, msg in oracle.transcript if way == "in")
+    return any(
+        other.owner == oracle.peer and other.peer == oracle.owner
+        and other.role != oracle.role and other.own_msg == received
+        for other in world.oracles
+    )
+
+
 def reference_fresh(world, oracle):
     for identity in (oracle.owner, oracle.peer):
         if identity in world.extracted:
             return False
         when = world.corrupted_at.get(identity)
-        if when is not None and (world.mode == "br" or when < oracle.completed_at):
+        if when is not None and (world.mode == "br" or when < oracle.completed_at
+                                 or not reference_passive(world, oracle)):
             return False
     if oracle.revealed:
         return False
