@@ -121,6 +121,16 @@ would be exact, while above it such a proof is only as sure as q.
 Setup scans cofactors h divisible by 4, which for odd q are exactly
 those with p = h*q - 1 = 3 (mod 4).
 
+The value types GroupParams, GElem and GTElem, like protocol's
+FlowMessage, SharedSecret and SessionKey and selfreduction's
+CbdhInstance, are NamedTuples: a World relay builds about 12 of them and
+hashes about 24 (as cache and dict keys), and a tuple is built, hashed
+and compared in C, where a frozen dataclass sets each field through
+object.__setattr__ and hashes in generated Python, with or without
+slots=True (which read 2-4% slower).  So a value also equals the plain
+tuple of its fields, and + concatenates fields; point_add is the group
+law.
+
 Parameter sizes here are deliberately small.  Nothing in this module is
 safe for production use.
 """
@@ -130,8 +140,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-from dataclasses import dataclass
 from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 from .errors import (
     HashToGroupError,
@@ -162,8 +172,7 @@ OPS = dict.fromkeys(("pairing", "exp_gt", "exp_g", "exp_g_add"), 0)
 _K_BITS_RANGE = (3, 512)
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class GroupParams(NamedTuple):
     """Public curve parameters: p = h*q - 1 with q prime."""
 
     p: int
@@ -176,8 +185,7 @@ class GroupParams:
         return self.q.bit_length()
 
 
-@dataclass(frozen=True)
-class GElem:
+class GElem(NamedTuple):
     """Affine point on y^2 = x^3 + x, with (None, None) as the identity."""
 
     x: int | None
@@ -191,8 +199,7 @@ class GElem:
 INFINITY = GElem(None, None)
 
 
-@dataclass(frozen=True)
-class GTElem:
+class GTElem(NamedTuple):
     """Element a + b*i of F_{p^2}.  Every element the package computes lies
     in GT, the order-q subgroup, so none is 0."""
 
@@ -1197,6 +1204,8 @@ def identity_bytes(identity) -> bytes:
     """The bytes an identity stands for, the package's one identity rule: a
     str its strict UTF-8, bytes and bytearray themselves, 1 to 0xFFFF bytes
     (so every identity fits the 2-byte frame of sized); all else is refused."""
+    if type(identity) is bytes and 1 <= len(identity) <= 0xFFFF:  # what the rule returns
+        return identity
     try:
         ident = identity.encode("utf-8") if isinstance(identity, str) else identity
     except UnicodeEncodeError as exc:

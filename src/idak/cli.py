@@ -200,7 +200,7 @@ def cmd_setup(args):
         {
             "params": str(params_path),
             "master": str(master_path),
-            **dataclasses.asdict(group),
+            **group._asdict(),
             "k_bits": group.k_bits,
         },
     )
@@ -376,7 +376,7 @@ def cmd_reduce(args):
             "n": args.n,
             "trials": args.trials,
             "success_rate": successes / args.trials,
-            "params": dataclasses.asdict(group),
+            "params": group._asdict(),
         },
     )
     return EXIT_OK

@@ -28,7 +28,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .bilinear import (
     GElem,
@@ -104,18 +104,15 @@ class IdentityKey:
     d_id: GElem
 
 
-@dataclass(frozen=True)
-class FlowMessage:
+class FlowMessage(NamedTuple):
     r: GElem
 
 
-@dataclass(frozen=True)
-class SharedSecret:
+class SharedSecret(NamedTuple):
     value: GTElem
 
 
-@dataclass(frozen=True)
-class SessionKey:
+class SessionKey(NamedTuple):
     key: bytes
 
 

@@ -36,6 +36,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from idak.bilinear import (
     GElem,
@@ -60,8 +61,7 @@ from idak.errors import MalformedElementError
 MAX_K_BITS = 32
 
 
-@dataclass(frozen=True)
-class CbdhInstance:
+class CbdhInstance(NamedTuple):
     """One challenge (g, g^x, g^y, g^z); the exponents stay hidden."""
 
     g: GElem

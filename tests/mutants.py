@@ -232,6 +232,11 @@ MUTANTS = (
     (BILINEAR, IDENTITY_RULE, "not isinstance(ident, (bytes, bytearray))",
      tuple(f"{IDENTITY}[{kind}-identity_bytes]" for kind in ("empty-str", "0x10000-bytes")),
      "an identity may be empty or overflow its 2-byte frame"),
+    (BILINEAR, "if type(identity) is bytes and 1 <= len(identity) <= 0xFFFF:",
+     "if type(identity) is bytes:",
+     tuple(f"{IDENTITY}[{kind}-identity_bytes]" for kind in ("empty-bytes", "0x10000-bytes")),
+     "identity_bytes' fast path for exact bytes takes an empty identity or one that overflows "
+     "its 2-byte frame"),
     ("idak/sessions.py", 'seed=str(cfg.get("seed", "scenario")),',
      'seed=cfg.get("seed", "scenario"),',
      ("tests/test_cli.py::test_an_integer_seed_means_its_decimal_text",),

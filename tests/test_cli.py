@@ -583,13 +583,13 @@ def _mutated(data, params, name, original):
 @settings(deadline=None)  # the example count comes from the hypothesis profile
 @given(data=st.data())
 def test_a_mutated_input_file_exits_0_or_1_and_writes_only_on_success(pfs_exchange, data):
-    # respond reads a mutated a.flow; finalize reads any other mutated file,
-    # and initiate may read a mutated alice.key or params.key instead
-    target = data.draw(st.sampled_from(["a.flow", "a.state", "b.flow", "alice.key",
-                                        "params.key"]), label="target")
-    command = "respond" if target == "a.flow" else "finalize"
-    if target in ("alice.key", "params.key"):
-        command = data.draw(st.sampled_from([command, "initiate"]), label="command")
+    # each mutated file is read by one of the commands that take it
+    readers = {"a.flow": ["respond"], "a.state": ["finalize"], "b.flow": ["finalize"],
+               "alice.key": ["finalize", "initiate", "verify-key"],
+               "params.key": ["finalize", "initiate", "extract", "verify-key"],
+               "master.key": ["extract", "verify-key"]}
+    target = data.draw(st.sampled_from(sorted(readers)), label="target")
+    command = data.draw(st.sampled_from(readers[target]), label="command")
     strategy = data.draw(st.sampled_from(cli.STRATEGY_CHOICES), label="strategy")
     params, files = pfs_exchange
     with tempfile.TemporaryDirectory() as scratch:  # hypothesis refuses tmp_path
@@ -598,9 +598,16 @@ def test_a_mutated_input_file_exits_0_or_1_and_writes_only_on_success(pfs_exchan
             (root / name).write_bytes(content)
         (root / target).write_bytes(_mutated(data, params, target, files[target]))
         key_out, flow_out, state_out = root / "out.session", root / "out.flow", root / "out.state"
+        ident_out = root / "out.key"
         argv = [command, "--params", str(root / "params.key"), "--quiet"]
         flags = ["--strategy", strategy, "--pfs", "--key-out", str(key_out)]
-        if command == "initiate":
+        if command == "extract":
+            argv += ["carol", "--master", str(root / "master.key"), "--out", str(ident_out)]
+            outputs = [ident_out]
+        elif command == "verify-key":
+            argv += [str(root / "alice.key"), "--master", str(root / "master.key")]
+            outputs = []
+        elif command == "initiate":
             argv += ["--key", str(root / "alice.key"), "--peer", "bob", "--seed", "a",
                      "--flow-out", str(flow_out), "--state-out", str(state_out)]
             outputs = [flow_out, state_out]
@@ -621,7 +628,7 @@ def test_a_mutated_input_file_exits_0_or_1_and_writes_only_on_success(pfs_exchan
             if key_out in outputs:
                 keystore.load_session(key_out)
         else:
-            assert not any(path.exists() for path in (key_out, flow_out, state_out))
+            assert not any(path.exists() for path in (key_out, flow_out, state_out, ident_out))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Key file armoring tests: round trips, tamper rejection, determinism."""
 
-import dataclasses
 import functools
 import gc
 import os
@@ -329,7 +328,7 @@ def test_a_refused_payload_is_refused_on_every_load(tmp_path):
     good_params, bad_params = tmp_path / "good.params", tmp_path / "bad.params"
     keystore.save_group(good_params, GROUP)
     # a cofactor 2 too large breaks p = h*q - 1
-    keystore.save_group(bad_params, dataclasses.replace(GROUP, h=GROUP.h + 2))
+    keystore.save_group(bad_params, GROUP._replace(h=GROUP.h + 2))
     for _ in range(2):  # bad, good, bad, good
         with pytest.raises(KeystoreError, match="^identity key point is outside the subgroup$"):
             keystore.load_identity(bad, GROUP)

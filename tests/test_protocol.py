@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +28,7 @@ from idak.errors import (
     InvalidEphemeralError,
     InvalidFlowError,
     InvalidIdentityError,
+    MalformedElementError,
 )
 from idak.protocol import (
     DeriveStrategy,
@@ -35,6 +37,8 @@ from idak.protocol import (
     OpCounts,
     PiVariant,
     STRATEGIES,
+    SessionKey,
+    SharedSecret,
     SystemParams,
     decode_flow,
     derive,
@@ -52,6 +56,7 @@ from idak.protocol import (
     validate_flow_point,
     xor_half_value,
 )
+from idak.selfreduction import CbdhInstance
 
 PARAMS, MSK = setup(4, "0")
 GP = PARAMS.group
@@ -112,6 +117,40 @@ def test_system_params_store_the_group_and_pi_variant_and_derive_g():
         assert SystemParams(GP, variant).g == hash_to_group(GP, GENERATOR_ID)
         # how a caller switches the variant of parameters it was handed
         assert dataclasses.replace(PARAMS, pi_variant=variant).g == PARAMS.g
+
+
+def test_value_types_are_immutable_records_equal_by_their_fields():
+    g = PARAMS.g
+    gt = pairing(GP, g, g)
+    records = [
+        (GP, ("p", "q", "h")),
+        (g, ("x", "y")),
+        (gt, ("a", "b", "p")),
+        (FlowMessage(g), ("r",)),
+        (SharedSecret(gt), ("value",)),
+        (SessionKey(b"key"), ("key",)),
+        (CbdhInstance(g, ALICE.g_id, BOB.g_id, ALICE.d_id),
+         ("g", "x_point", "y_point", "z_point")),
+    ]
+    for value, names in records:
+        cls = type(value)
+        assert cls._fields == names
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        parts = [getattr(value, name) for name in names]
+        twin = cls(*parts)
+        assert twin == value and hash(twin) == hash(value)
+        # error text embeds this form, as the off-curve refusal below does
+        shown = ", ".join(f"{name}={part!r}" for name, part in zip(names, parts))
+        assert repr(value) == f"{cls.__name__}({shown})"
+    with pytest.raises(MalformedElementError) as refusal:
+        point_add(GP, GElem(1, 1), g)
+    assert str(refusal.value) == "point GElem(x=1, y=1) is not on the curve"
+    # the two records that stay dataclasses: parameters are switched by
+    # dataclasses.replace, and a loaded identity key may be weakly referenced
+    assert dataclasses.replace(PARAMS, pi_variant=PiVariant.XOR_HALF).group is GP
+    assert weakref.ref(ALICE)() is ALICE
 
 
 def test_extract_matches_repeated_addition():
