@@ -84,22 +84,20 @@ the order-q subgroup, at no cost, as its Miller loop ends at [q]left; the
 right one may be any curve point.  Encoders and the private helpers
 (_affine_add, _jac_mul, _window_walk, _fixed_base_add, _checked_pairing,
 _fixed_pairing, _in_group) trust their points.  So a subgroup check tests
-the curve once: public entry points and keystore call in_subgroup, which
-tests it first, and code that has already tested the point
-(protocol.validate_flow_point, protocol.derive's choice 2,
-selfreduction's instance and base checks, _checked_pairing's identity
-right argument) calls _in_group.
+the curve once: public callers call in_subgroup, which tests it first,
+and code that has already tested the point calls _in_group, whose
+docstring lists that code.
 
 Four primitives count their calls in the module-level dict OPS, the
 operations of protocol.derive's cost table: _checked_pairing (and so
-pairing) and _fixed_pairing under "pairing", gt_exp, and _fixed_pairing
-when it is given a power to raise its value to, under "exp_gt", and
+pairing) and _fixed_pairing under "pairing", gt_exp, and _fixed_pairing,
+which always raises its value and so counts one, under "exp_gt", and
 _fixed_base_add (and so fixed_base_exp) under "exp_g" when its walk
 starts at the identity and "exp_g_add" when it starts at a point.
 Nothing whose cost depends on cache state is counted (hash_to_group,
 table builds, in_subgroup and its line build), and _fixed_pairing counts
-one pairing with or without a line table, so work on cold caches counts
-as on warm ones.
+one pairing and one exp_gt with or without a line table, so work on cold
+caches counts as on warm ones.
 OPS only grows: a caller copies it before some work and subtracts the
 copy from it after.  The package is single-threaded, so one plain dict
 serves.
@@ -502,9 +500,9 @@ def _jac_mul(p: int, x: int, y: int, n: int):
 def in_subgroup(params: GroupParams, point: GElem) -> bool:
     """Whether the point lies in the order-q subgroup (identity counts; a
     point off the curve does not), by one short Tate pairing of order h
-    (_in_group).  For public callers and keystore, whose points are not
-    yet known to lie on the curve; code that has tested the curve already
-    calls _in_group, so the curve is tested once."""
+    (_in_group).  For public callers, whose points are not yet known to
+    lie on the curve; the code that has tested the curve already calls
+    _in_group (see its docstring), so the curve is tested once."""
     if not is_on_curve(params, point):
         return False
     return point.is_identity() or _in_group(params, point)
@@ -837,10 +835,10 @@ def _line_table(params: GroupParams, point: GElem):
                  for (square, c1, c0, _), inv in zip(lines, inverses))
 
 
-def _fixed_pairing(params: GroupParams, received: GElem, fixed: GElem, n: int | None = None):
-    """_checked_pairing(params, received, fixed), raised to n >= 0 when n is
-    given, for a received point of the subgroup, by the cached line table
-    of the long-lived point fixed.
+def _fixed_pairing(params: GroupParams, received: GElem, fixed: GElem, n: int):
+    """_checked_pairing(params, received, fixed) raised to n >= 0, for a
+    received point of the subgroup, by the cached line table of the
+    long-lived point fixed.
 
     On G x G the pairing is symmetric, so for fixed in the subgroup
     e(received, fixed) = e(fixed, received) = f_{q,fixed}(phi(received))
@@ -855,16 +853,15 @@ def _fixed_pairing(params: GroupParams, received: GElem, fixed: GElem, n: int | 
     (see _checked_pairing).  The power n rides the final exponentiation
     (_final_exponentiation), as protocol.derive's choice 2 raises its
     pairing to x + s.  A fixed point with no table goes to
-    _checked_pairing and gt_exp.  Counted under "pairing" once either
-    way, and under "exp_gt" once when n is given, whatever its value.
+    _checked_pairing and gt_exp.  Either way the value is always raised to
+    n, and counted once under "pairing" and once under "exp_gt", whatever n.
     """
     lines = _line_table(params, fixed)
     if lines is None:
         value = _checked_pairing(params, received, fixed)
-        return value if value is None or n is None else gt_exp(value, n)
+        return None if value is None else gt_exp(value, n)
     OPS["pairing"] += 1
-    if n is not None:
-        OPS["exp_gt"] += 1
+    OPS["exp_gt"] += 1
     p = params.p
     if received.is_identity():
         return GTElem(1, 0, p)
@@ -893,11 +890,12 @@ def _in_group(params: GroupParams, point: GElem) -> bool:
     """Whether a finite point of the curve, which is trusted, lies in G,
     the order-q subgroup: one reduced Tate pairing of order h (Koshelev,
     "Subgroup membership testing on elliptic curves via the Tate
-    pairing", J. Cryptographic Engineering, 2023).  Its callers have
-    tested the point for the curve already: in_subgroup,
-    protocol.validate_flow_point, protocol.derive (choice 2),
-    selfreduction's validate_instance and _baby_table, and
-    _checked_pairing.
+    pairing", J. Cryptographic Engineering, 2023).  Its callers, the one
+    list of the code that has tested the point for the curve already:
+    in_subgroup, protocol.validate_flow_point, protocol.derive (choice 2),
+    keystore.load_identity (after take_point), selfreduction's
+    validate_instance and _baby_table, and _checked_pairing (its identity
+    right argument).
 
     E(F_{p^2}) = E[p + 1], a product of two cyclic groups of order
     p + 1 = hq, so hE(F_{p^2}) = E[q], and E[q] meets the cyclic E(F_p) in

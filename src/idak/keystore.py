@@ -9,7 +9,8 @@ A process decodes and checks each distinct params payload once:
 load_group keeps its results in a bounded cache keyed by the payload
 bytes, which are public.  load_identity decodes its payload on every
 call, but runs the subgroup check of d_id, one Tate pairing of order h
-(bilinear.in_subgroup), once per group and payload: it remembers only
+(bilinear._in_group, whose docstring lists the callers that have tested
+the curve already), once per group and payload: it remembers only
 the SHA-256 digest of each payload that passed, not the key.  The memo
 pays although the check is short: on a 2-core Xeon under Python 3.11 a
 warm check took about 30 us at k = 32, 0.15 ms at k = 128 and 1.7 ms at
@@ -36,12 +37,12 @@ import os
 
 from idak.bilinear import (
     GroupParams,
+    _in_group,
     decode_group_params,
     encode_group_params,
     encode_point,
     hash_to_group,
     identity_bytes,
-    in_subgroup,
     sized,
     take_point,
     take_sized,
@@ -196,12 +197,13 @@ _SUBGROUP_CHECKED_LIMIT = 256
 
 
 def _in_subgroup_once(group, payload, d_id):
-    """in_subgroup(group, d_id) for the d_id decoded from payload, computed
-    once per group and payload."""
+    """_in_group(group, d_id) for the d_id decoded from payload, computed
+    once per group and payload; take_point has tested d_id for the curve
+    and load_identity for the identity."""
     seen = (group, hashlib.sha256(payload).digest())
     if seen in _subgroup_checked:
         return True
-    if not in_subgroup(group, d_id):
+    if not _in_group(group, d_id):
         return False
     if len(_subgroup_checked) >= _SUBGROUP_CHECKED_LIMIT:
         _subgroup_checked.clear()

@@ -377,10 +377,7 @@ _ERROR_NAMES = {
 
 
 def _error_name(exc: Exception) -> str:
-    for cls in type(exc).__mro__:
-        if cls in _ERROR_NAMES:
-            return _ERROR_NAMES[cls]
-    return type(exc).__name__
+    return _ERROR_NAMES.get(type(exc), type(exc).__name__)
 
 
 class _ScenarioState:

@@ -263,10 +263,11 @@ MUTANTS = (
      "second group's subgroup"),
     # choice 2's fused raise, and the wpfsbr rule for a corruption after completion
     ("idak/protocol.py", C2,
-     "        shared = gt_exp(_fixed_pairing(group, blended_peer, own.d_id), own_exp)\n",
+     "        shared = gt_exp(_fixed_pairing(group, blended_peer, own.d_id, 1), own_exp)\n",
      ("tests/test_boundary.py::"
       "test_a_warm_world_relay_raises_in_its_pairing_and_encodes_each_flow_once",),
-     "choice 2 pairs, then raises by a separate gt_exp: the same keys and OPS, more work"),
+     "choice 2 pairs, then raises by a separate gt_exp: the same keys from more work, "
+     "and the separate gt_exp counts a second exp_gt"),
     ("idak/sessions.py",
      "                if not self._received_from_partner(oracle):\n"
      "                    return False\n", "",
@@ -274,6 +275,12 @@ MUTANTS = (
       SESSIONS + "test_wpfs_corruption_after_a_rerouted_flow_poisons"),
      "wpfsbr keeps any oracle fresh after a corruption that followed its completion, so "
      "an adversary that sent the flow as the corrupted party wins the test query"),
+    ("idak/cli.py", "ok = extract(params, alpha, key.identity) == key",
+     "ok = extract(params, alpha, key.identity).g_id == key.g_id",
+     ("tests/test_cli.py::test_verify_key_rejects_forgeries",
+      "tests/test_cli.py::test_verify_key_answers_the_pairing_equation"),
+     "verify-key compares only the hashed identity, which load_identity has already "
+     "checked, so it accepts a forged d_id"),
 )
 
 

@@ -26,10 +26,19 @@ from idak.bilinear import (
     encode_group_params,
     encode_point,
     hash_to_group,
+    pairing,
     scalar_exp,
 )
 from idak.cli import main
-from idak.protocol import FlowMessage, IdentityKey, SystemParams, decode_flow, encode_flow
+from idak.protocol import (
+    FlowMessage,
+    IdentityKey,
+    SystemParams,
+    decode_flow,
+    encode_flow,
+    extract,
+    setup,
+)
 from idak.sessions import run_scenario
 from test_protocol import rogue_point
 
@@ -176,6 +185,37 @@ def test_verify_key_rejects_forgeries(keyring, tmp_path, capsys):
     assert main(["verify-key", str(path), "--params", keyring["params"],
                  "--master", keyring["master"]]) == 1
     assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+@pytest.fixture(scope="module")
+def verify_root(tmp_path_factory):
+    """A k=16 deployment's SystemParams and a directory holding its params
+    file, where each example writes its master and key files."""
+    root = tmp_path_factory.mktemp("verify")
+    params, _ = setup(16, seed="verify")
+    keystore.save_group(root / "params.key", params.group)
+    return params, root
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_verify_key_answers_the_pairing_equation(verify_root, data):
+    # verify-key issues the key again under alpha; the reference is the
+    # pairing equation e(d_id, g) = e(g_id, g^alpha), which needs no alpha
+    params, root = verify_root
+    group, g = params.group, params.g
+    alpha = data.draw(st.integers(1, group.q - 1), label="alpha")
+    issuer = data.draw(st.one_of(st.just(alpha), st.integers(1, group.q - 1)), label="issuer")
+    key = extract(params, issuer, data.draw(st.binary(min_size=1, max_size=16), label="id"))
+    keystore.save_master(root / "master.key", group, alpha)
+    keystore.save_identity(root / "id.key", group, key)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify-key", str(root / "id.key"), "--params", str(root / "params.key"),
+                     "--master", str(root / "master.key")])
+    holds = pairing(group, key.d_id, g) == pairing(group, key.g_id, scalar_exp(group, g, alpha))
+    assert json.loads(out.getvalue())["ok"] is holds
+    assert code == (0 if holds else 1) and holds == (issuer == alpha)
 
 
 def test_oversized_params_file_is_a_quick_data_error(keyring, tmp_path, capsys):
@@ -537,8 +577,10 @@ def test_finalize_checks_the_responder_identity(keyring, tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def pfs_exchange(tmp_path_factory):
-    """One seeded k=12 --pfs exchange: its SystemParams, and its files as
-    bytes by file name."""
+    """One seeded k=12 --pfs exchange: its SystemParams, its files as bytes
+    by file name, and the params file of another valid k=12 group."""
+    other = tmp_path_factory.mktemp("other")
+    _make_keyring(other, 12, "other", ())
     root = tmp_path_factory.mktemp("pfs")
     _make_keyring(root, 12, "hostile", ("alice", "bob"))
     base = ["--params", str(root / "params.key"), "--quiet"]
@@ -549,18 +591,24 @@ def pfs_exchange(tmp_path_factory):
                  "--flow-in", str(root / "a.flow"), "--flow-out", str(root / "b.flow"),
                  "--key-out", str(root / "b.session")]) == 0
     files = {path.name: path.read_bytes() for path in root.iterdir()}
-    return SystemParams(keystore.load_group(root / "params.key")), files
+    other_params = (other / "params.key").read_bytes()
+    return SystemParams(keystore.load_group(root / "params.key")), files, other_params
 
 
-def _mutated(data, params, name, original):
+def _mutated(data, params, name, original, other_params):
     """original with one drawn bit flip, truncation, appended run or replaced
     byte.  A flow may instead have a point swapped for the identity, for a
     curve point outside the subgroup, for (0, 0) of order 2, which only
-    derive's checks refuse, or for (1, 1), which is off the curve."""
+    derive's checks refuse, or for (1, 1), which is off the curve.  The
+    params file may instead be other_params, valid for another group."""
     kinds = ["flip", "truncate", "append", "replace"]
     if name.endswith(".flow"):
         kinds.append("point")
+    if name == "params.key":
+        kinds.append("group")
     kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "group":
+        return other_params
     if kind == "point":
         role, sender, msg, extra = decode_flow(params, original)
         bad = data.draw(st.sampled_from([INFINITY, rogue_point(params.group), GElem(0, 0),
@@ -591,12 +639,12 @@ def test_a_mutated_input_file_exits_0_or_1_and_writes_only_on_success(pfs_exchan
     target = data.draw(st.sampled_from(sorted(readers)), label="target")
     command = data.draw(st.sampled_from(readers[target]), label="command")
     strategy = data.draw(st.sampled_from(cli.STRATEGY_CHOICES), label="strategy")
-    params, files = pfs_exchange
+    params, files, other_params = pfs_exchange
     with tempfile.TemporaryDirectory() as scratch:  # hypothesis refuses tmp_path
         root = Path(scratch)
         for name, content in files.items():
             (root / name).write_bytes(content)
-        (root / target).write_bytes(_mutated(data, params, target, files[target]))
+        (root / target).write_bytes(_mutated(data, params, target, files[target], other_params))
         key_out, flow_out, state_out = root / "out.session", root / "out.flow", root / "out.state"
         ident_out = root / "out.key"
         argv = [command, "--params", str(root / "params.key"), "--quiet"]

@@ -315,7 +315,7 @@ def test_fixed_pairing_matches_checked_pairing_on_every_pair(k_bits, seed):
         has_table = _line_table(params, fixed) is not None
         assert has_table == (in_group(params, fixed) and not fixed.is_identity()), fixed
         for received in members:
-            assert (_fixed_pairing(params, received, fixed)
+            assert (_fixed_pairing(params, received, fixed, 1)
                     == _checked_pairing(params, received, fixed)), (received, fixed)
 
 
@@ -329,7 +329,7 @@ def test_fixed_pairing_raised_to_n_matches_gt_exp_on_every_pair(k_bits, seed):
     rng = random.Random(k_bits)
     for fixed in members:
         for received in members:
-            plain = _fixed_pairing(params, received, fixed)
+            plain = _fixed_pairing(params, received, fixed, 1)
             for n in (1, 2, q - 1, rng.randrange(1, q)):
                 assert (_fixed_pairing(params, received, fixed, n)
                         == gt_exp(plain, n)), (received, fixed, n)
@@ -437,12 +437,12 @@ def test_fixed_pairing_and_gt_exp_ladder_at_protocol_sizes(k_bits):
     for fixed in points:
         for received in members + [INFINITY]:  # its callers check received
             plain = _checked_pairing(params, received, fixed)
-            assert _fixed_pairing(params, received, fixed) == plain, (received, fixed)
+            assert _fixed_pairing(params, received, fixed, 1) == plain, (received, fixed)
             if plain is not None:
                 for n in (1, 2, params.q - 1, raise_rng.randrange(1, params.q)):
                     assert (_fixed_pairing(params, received, fixed, n)
                             == gt_exp(plain, n)), (received, fixed, n)
-    assert _fixed_pairing(params, members[1], members[2]) == ref_pairing(
+    assert _fixed_pairing(params, members[1], members[2], 1) == ref_pairing(
         params, members[1], members[2])
     for left, right in zip(members, members[1:] + members[:1]):
         z = pairing(params, left, right)

@@ -356,12 +356,12 @@ def test_identical_bytes_are_checked_once_per_process(tmp_path, monkeypatch):
     keystore.save_group(group_path, group)
     keystore.save_identity(key_path, group, key)
     proved, subgroup_checks = [], []
-    is_probable_prime, in_subgroup = bilinear.is_probable_prime, keystore.in_subgroup
+    is_probable_prime, in_group = bilinear.is_probable_prime, keystore._in_group
     # is_probable_prime proves both q and p
     monkeypatch.setattr(bilinear, "is_probable_prime",
                         lambda n: proved.append(n) or is_probable_prime(n))
-    monkeypatch.setattr(keystore, "in_subgroup",
-                        lambda *args: subgroup_checks.append(args) or in_subgroup(*args))
+    monkeypatch.setattr(keystore, "_in_group",
+                        lambda *args: subgroup_checks.append(args) or in_group(*args))
     keystore._decoded_group.cache_clear()
     keystore._subgroup_checked.clear()
     # the first load proves p and q and checks d_id; the second, of the
@@ -377,9 +377,9 @@ def test_identical_bytes_are_checked_once_per_process(tmp_path, monkeypatch):
 def test_a_full_record_of_checked_payloads_is_emptied(tmp_path, monkeypatch):
     # the record holds _SUBGROUP_CHECKED_LIMIT payloads; one more empties
     # it, so a payload loaded before is checked again
-    subgroup_checks, in_subgroup = [], keystore.in_subgroup
-    monkeypatch.setattr(keystore, "in_subgroup",
-                        lambda *args: subgroup_checks.append(args) or in_subgroup(*args))
+    subgroup_checks, in_group = [], keystore._in_group
+    monkeypatch.setattr(keystore, "_in_group",
+                        lambda *args: subgroup_checks.append(args) or in_group(*args))
     keystore._subgroup_checked.clear()
     limit = keystore._SUBGROUP_CHECKED_LIMIT
     keys = [extract(PARAMS, MSK, f"user-{i}") for i in range(limit + 1)]
