@@ -155,6 +155,15 @@ def save_master(path, group, alpha):
 
 
 def load_master(path, group) -> int:
+    """The master secret alpha, checked only to fit group: a payload of the
+    group's scalar width holding 1 <= alpha < q.
+
+    A master file names no group, so nothing binds it to the params it
+    was set up with: under another group's params of the same scalar
+    width, idak extract accepts it whenever alpha < q, exits 0 and
+    writes a key under a group the master was never set up for.  Binding
+    the two changes the master payload, so it waits for a v2 file format.
+    """
     payload = read_entry(path, "master")
     alpha = int.from_bytes(payload, "big")
     if len(payload) != _scalar_size(group) or not 1 <= alpha < group.q:

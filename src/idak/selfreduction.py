@@ -18,9 +18,10 @@ exponents' bits, so a round formats no strings.
 
 Blinding and unblinding each have one path on bare ints, _blind and
 _unblind, which randomize and correct call once per query.  amplify
-looks the tables up once per call, not twice per round, and runs every
-round through the two helpers: it votes on each candidate's (a, b)
-pair and builds one GTElem, for the winner.
+looks the tables up once per call, not twice per round, draws every
+round's shifts from its rng before the first query, as randomize draws
+one round's, and runs every round through the two helpers: it votes on
+each candidate's (a, b) pair and builds one GTElem, for the winner.
 
 The mock oracle that stands in for the adversary answers with a
 baby-step giant-step discrete log (Shanks 1971).  Its table holds the m
@@ -34,7 +35,6 @@ conjugations (gt_inv), as every element of GT has norm 1.
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -142,10 +142,10 @@ def _prepared(params, inst):
 def randomize(params, inst, rng):
     """Blind a challenge so its exponents become uniform over Z_q^3.
 
-    Draws the shifts a, b, c from rng and returns the blinded instance
-    with its Blinding, as one round of amplify does with the same three
-    draws.  Each blinded point is the instance point plus [shift]g (see
-    _blind).
+    Draws the shifts a, b, c from rng, three randrange(q) in that order,
+    and returns the blinded instance with its Blinding: one round of
+    amplify, whose shifts are these three draws from its own rng.  Each
+    blinded point is the instance point plus [shift]g (see _blind).
     """
     table, _ = _prepared(params, inst)
     q = params.q
@@ -228,24 +228,21 @@ def amplify(params, oracle, inst, rounds, rng):
     """Plurality vote over independently blinded oracle calls.
 
     The instance is validated and its tables fetched once, before any
-    draw from rng, so a rejected instance consumes none.  Each round
-    draws its shifts as randomize does, from a Random seeded by one
-    64-bit draw of rng, blinds and unblinds on bare ints, and votes for
-    the candidate's (a, b) pair; one GTElem is built for the winner.
+    draw from rng, so a rejected instance consumes none.  Then every
+    round's shifts are drawn from rng before the first query, three
+    randrange(q) per round as randomize draws them, so an oracle that
+    draws from the same rng cannot change them.  Each round blinds and
+    unblinds on bare ints and votes for the candidate's (a, b) pair; one
+    GTElem is built for the winner.
     """
     if rounds < 1:
         raise ValueError("rounds must be positive")
-    # validation first, so a rejected instance draws nothing from rng;
-    # pre-drawn seeds keep each round's randomness independent of how
-    # the oracle itself consumes rng state
-    table, products = _prepared(params, inst)
-    seeds = [rng.getrandbits(64) for _ in range(rounds)]
     p, q = params.p, params.q
-    round_rng = random.Random()
+    # validation first, so a rejected instance draws nothing from rng
+    table, products = _prepared(params, inst)
+    shifts = [(rng.randrange(q), rng.randrange(q), rng.randrange(q)) for _ in range(rounds)]
     votes = {}
-    for seed in seeds:
-        round_rng.seed(seed)
-        a, b, c = round_rng.randrange(q), round_rng.randrange(q), round_rng.randrange(q)
+    for a, b, c in shifts:
         candidate = _unblind(params, products, oracle(_blind(p, table, inst, a, b, c)), a, b, c)
         votes[candidate] = votes.get(candidate, 0) + 1
     # max keeps the first of equal counts, so the first-seen candidate wins a tie

@@ -44,9 +44,12 @@ C2 = "        shared = _fixed_pairing(group, blended_peer, own.d_id, own_exp)\n"
 DERIVE, WRITE = (
     '    key, counts = _derive_key(args, params, own, "responder", y, msg, peer_ident, peer_msg)\n',
     '    _write_flow(args.flow_out, encode_flow(params, "responder", own.identity, msg, extra))\n')
-# amplify's table fetch, which validates the instance, and its seed draw
-PREPARE, SEEDS = ("    table, products = _prepared(params, inst)\n",
-                  "    seeds = [rng.getrandbits(64) for _ in range(rounds)]\n")
+# amplify's table fetch, which validates the instance, its draw of every
+# round's shifts, and the loop over them
+PREPARE, SHIFTS = ("    table, products = _prepared(params, inst)\n",
+                   "    shifts = [(rng.randrange(q), rng.randrange(q), rng.randrange(q))"
+                   " for _ in range(rounds)]\n")
+ROUNDS = "    votes = {}\n    for a, b, c in shifts:\n"
 BLIND = "    return CbdhInstance(\n        inst.g,\n"
 AMPLIFY = "tests/test_selfreduction.py::"
 SESSIONS = "tests/test_sessions.py::"
@@ -134,9 +137,9 @@ MUTANTS = (
     ("idak/selfreduction.py", BLIND, "    return inst\n" + BLIND,
      (AMPLIFY + "test_randomize_hides_the_query", AMPLIFY + "test_randomize_matches_reference"),
      "_blind ignores its shifts, so every query is the instance itself"),
-    ("idak/selfreduction.py", PREPARE + SEEDS, SEEDS + PREPARE,
+    ("idak/selfreduction.py", PREPARE + SHIFTS, SHIFTS + PREPARE,
      (AMPLIFY + "test_amplify_rejects_invalid_instance_before_any_query",),
-     "amplify draws its seeds from rng before it rejects an invalid instance"),
+     "amplify draws its shifts from rng before it rejects an invalid instance"),
     ("idak/cli.py", "handle.truncate()", "pass",
      ("tests/test_cli.py::test_flow_out_over_a_longer_file_holds_only_the_new_flow",),
      "a flow written over a longer file keeps the old file's tail"),
@@ -281,6 +284,17 @@ MUTANTS = (
       "tests/test_cli.py::test_verify_key_answers_the_pairing_equation"),
      "verify-key compares only the hashed identity, which load_identity has already "
      "checked, so it accepts a forged d_id"),
+    # amplify's shifts: drawn before the first query, and never all zero
+    ("idak/selfreduction.py", SHIFTS + ROUNDS,
+     "    votes = {}\n    for _ in range(rounds):\n"
+     "        a, b, c = rng.randrange(q), rng.randrange(q), rng.randrange(q)\n",
+     (AMPLIFY + "test_an_oracle_that_draws_from_amplifys_rng_cannot_move_the_shifts",),
+     "amplify draws each round's shifts between oracle calls, so an oracle that draws "
+     "from the same rng changes the queries that follow"),
+    ("idak/selfreduction.py", SHIFTS, "    shifts = [(0, 0, 0)] * rounds\n",
+     (AMPLIFY + "test_amplify_solves_every_instance_for_an_oracle_right_on_a_fixed_share",),
+     "amplify does not blind: every round asks the instance itself, so an oracle that is "
+     "right on a fixed share of instances decides each one alone"),
 )
 
 

@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import hashlib
 import math
 import random
 
@@ -13,6 +14,7 @@ from idak import selfreduction
 from idak.bilinear import (
     GElem,
     GTElem,
+    encode_point,
     gt_exp,
     gt_inv,
     gt_mul,
@@ -444,11 +446,11 @@ def reference_correct(params, w, inst, shift):
 
 
 def reference_votes(params, oracle, inst, rounds, rng):
-    """amplify's per-round loop on the reference blinding and unblinding."""
-    seeds = [rng.getrandbits(64) for _ in range(rounds)]
+    """amplify's per-round loop on the reference blinding and unblinding,
+    with every round's three shifts drawn from rng before the first query."""
+    queries = [reference_randomize(params, inst, rng) for _ in range(rounds)]
     votes = collections.Counter()
-    for seed in seeds:
-        blinded, shift = reference_randomize(params, inst, random.Random(seed))
+    for blinded, shift in queries:
         votes[reference_correct(params, oracle(blinded), inst, shift)] += 1
     return votes
 
@@ -571,7 +573,29 @@ def test_amplify_rejects_invalid_instance_before_any_query():
     with pytest.raises(ValueError):
         amplify(GP, oracle, rogue, 5, rng)
     assert oracle.queries == 0
-    assert rng.getstate() == state  # no seed is drawn for a rejected instance
+    assert rng.getstate() == state  # no shift is drawn for a rejected instance
+
+
+def test_an_oracle_that_draws_from_amplifys_rng_cannot_move_the_shifts():
+    params, g = CURVES[2]
+    inst, _ = make_instance(params, g, random.Random(61))
+    rng = random.Random(67)
+    runs = []
+    for consumes in (True, False):
+        mock = MockCbdhOracle(params, g, 0.4, random.Random(71))
+        queries = []
+
+        def oracle(blinded):
+            queries.append(blinded)
+            if consumes:
+                rng.randrange(params.q)
+            return mock(blinded)
+
+        rng.seed(73)
+        runs.append((amplify(params, oracle, inst, 25, rng), queries))
+    (first, seen_by_first), (second, seen_by_second) = runs
+    assert seen_by_first == seen_by_second
+    assert first == second
 
 
 def test_an_answer_over_another_field_is_refused_before_it_votes():
@@ -618,3 +642,48 @@ def test_solve_dlog_rejects_off_curve_points():
         solve_dlog(GP, GEN, GElem(1, 1))
     with pytest.raises(MalformedElementError):
         solve_dlog(GP, GElem(1, 1), GEN)
+
+
+# ---------------------------------------------------------------------------
+# a deterministic oracle, right on a fixed share of all instances
+# ---------------------------------------------------------------------------
+
+
+class HashSetOracle:
+    """Right exactly on the instances whose SHA-256 of the four encoded
+    points, read as a 64-bit int from its first 8 bytes, falls below
+    delta * 2^64; the same wrong element e(g, g) on every other one.
+
+    Unlike MockCbdhOracle it has no coin: each instance gets one answer,
+    so without blinding amplify would ask the same question every round.
+    A right answer is e(x, y)^z, z by MockCbdhOracle's baby-step
+    giant-step table."""
+
+    def __init__(self, params, g, delta):
+        self.params, self.bound = params, int(delta * 2**64)
+        self.baby = selfreduction._baby_table(params, g)
+        self.wrong = pairing(params, g, g)
+
+    def __call__(self, inst):
+        encoded = b"".join(encode_point(self.params, point) for point in inst.points())
+        if int.from_bytes(hashlib.sha256(encoded).digest()[:8], "big") >= self.bound:
+            return self.wrong
+        z = selfreduction._dlog_from_table(self.params, self.baby, inst.z_point)
+        return gt_exp(pairing(self.params, inst.x_point, inst.y_point), z)
+
+
+def test_amplify_solves_every_instance_for_an_oracle_right_on_a_fixed_share():
+    # k = 16, delta = 0.3, n = 201: blinding spreads each instance over
+    # uniform queries, so about 60 of 201 rounds vote for the truth while
+    # the fixed wrong answer unblinds to a different candidate each round
+    params, g = CURVES[3]
+    oracle = HashSetOracle(params, g, 0.3)
+    rng = random.Random("hash-set")
+    solved = right_unblinded = 0
+    for _ in range(40):
+        inst, truth = make_instance(params, g, rng)
+        right_unblinded += oracle(inst) == truth
+        solved += amplify(params, oracle, inst, 201, rng) == truth
+    assert solved == 40
+    # the oracle alone is right on a share of the instances, not on all
+    assert 0 < right_unblinded < 40
