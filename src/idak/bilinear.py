@@ -21,8 +21,7 @@ G x G, in particular e(P, P) != 1.
 Following Barreto-Kim-Lynn-Scott (CRYPTO 2002), the final exponent is
 split as (p - 1) * h.  The (p - 1) part is one conjugation and one F_p
 inversion, and it maps every F_p^* factor of f to 1, and f to an element
-of norm 1, whose power by the small h is a square-and-multiply with
-squarings of two F_p multiplications.  The Miller loop
+of norm 1, whose power by h is a Lucas ladder (below).  The Miller loop
 may therefore skip vertical lines (denominator elimination) and scale
 each line by an F_p^* factor, which lets it keep T in Jacobian
 coordinates and invert nothing; each step uses one slope for both its
@@ -41,11 +40,12 @@ coefficients at phi of any point.  A pairing with it then only
 evaluates the stored lines and no longer checks P's subgroup, so the
 caller checks P: protocol.derive by one explicit check, and a World by
 checking each flow once, where it enters (sessions.World._coerce_flow).
-Such a pairing also takes the power it is raised to, derive's x + s,
-into its final exponentiation: one Lucas ladder over h times the power.
-GT elements have norm 1 (conj(z) = 1/z), so gt_inv is a conjugation and
-gt_exp is a Lucas ladder on z^k + conj(z)^k in F_p, two F_p
-multiplications per bit; these are GT's only inverse and power.
+Every pairing ends in one Lucas ladder over h times the power it is
+raised to: 1 for a plain pairing, derive's x + s for choice 2's, so that
+raise costs no ladder of its own.  GT elements have norm 1
+(conj(z) = 1/z), so gt_inv is a conjugation and gt_exp is a Lucas ladder
+on z^k + conj(z)^k in F_p, two F_p multiplications per bit; these are
+GT's only inverse and power.
 
 Every explicit subgroup check (in_subgroup, and _in_group where the
 curve is already tested) is one reduced Tate pairing of order h, after
@@ -125,9 +125,8 @@ CbdhInstance, are NamedTuples: a World relay builds about 12 of them and
 hashes about 24 (as cache and dict keys), and a tuple is built, hashed
 and compared in C, where a frozen dataclass sets each field through
 object.__setattr__ and hashes in generated Python, with or without
-slots=True (which read 2-4% slower).  So a value also equals the plain
-tuple of its fields, and + concatenates fields; point_add is the group
-law.
+slots=True.  So a value also equals the plain tuple of its fields, and +
+concatenates fields; point_add is the group law.
 
 Parameter sizes here are deliberately small.  Nothing in this module is
 safe for production use.
@@ -481,17 +480,11 @@ def scalar_exp(params: GroupParams, point: GElem, n: int) -> GElem:
 def _jac_mul(p: int, x: int, y: int, n: int):
     """[n](x, y) in Jacobian coordinates for n > 0 and a finite point on
     the curve, which is trusted: scalar_exp's walk without its checks and
-    its inversion.  Each doubling is _jac_double's, inlined."""
+    its inversion."""
     ny = (-y) % p
     X, Y, Z = x, y, 1
     for high, low in zip(*_naf(n)):
-        XX = X * X % p
-        ZZ = Z * Z % p
-        W = ZZ * ZZ % p
-        D = XX - W
-        Z = 2 * Y * Z % p
-        X = D * D % p
-        Y = D * (X + 8 * XX * W) % p
+        X, Y, Z = _jac_double(p, X, Y, Z)
         if high != low:  # a +1 digit adds (x, y), a -1 digit (x, -y)
             X, Y, Z = _jac_add_affine(p, X, Y, Z, x, y if high == "1" else ny)
     return X, Y, Z
@@ -649,8 +642,8 @@ def pairing(params: GroupParams, left: GElem, right: GElem) -> GTElem:
     (p^2 - 1)/q = (p - 1) * h.  The Frobenius map is conjugation for
     p = 3 (mod 4), so f^(p-1) = conj(f)^2 / N(f): one F_p inversion, which
     sends every F_p^* factor to 1 and so makes the scaling and the
-    omissions exact.  f^(p-1) has norm 1, and its power by the small
-    cofactor h is a square-and-multiply (_final_exponentiation).
+    omissions exact.  f^(p-1) has norm 1, and its power by the cofactor h
+    is a Lucas ladder (_final_exponentiation).
     """
     _require_on_curve(params, left)
     _require_on_curve(params, right)
@@ -745,30 +738,18 @@ def _checked_pairing(params: GroupParams, left: GElem, right: GElem):
     # T = [q]left now
     if Z:
         return None
-    return _final_exponentiation(params, fa, fb)
+    return _final_exponentiation(params, fa, fb, 1)
 
 
-def _final_exponentiation(params: GroupParams, fa: int, fb: int, n: int | None = None):
-    """f^((p^2 - 1)/q), or its power by n >= 0 when n is given, for a
-    Miller value f = fa + fb*i, nonzero: first u = f^(p-1) =
-    conj(f)^2 / N(f), one F_p inversion.  u has norm 1.  For a plain
-    pairing, n None, its power by h is square-and-multiply with no
-    inversion, squaring a + b*i as (2a^2 - 1) + 2ab*i: h has at most 21
-    bits, too few for the Lucas ladder's recovery inversion to pay for
-    itself.  For a pairing that _fixed_pairing raises, u^(h*n) is one
-    Lucas ladder over h*n and its recovery (_ladder_pow): gt_exp's work
-    for n plus |h| ladder steps, in place of the square-and-multiply over
-    h, a GT element and a second ladder set-up."""
+def _final_exponentiation(params: GroupParams, fa: int, fb: int, n: int):
+    """f^((p^2 - 1)/q) raised to n >= 0, for a Miller value f = fa + fb*i,
+    nonzero: first u = f^(p-1) = conj(f)^2 / N(f), one F_p inversion, then
+    u^(h*n) by one Lucas ladder over h*n and its recovery (_ladder_pow).
+    u has norm 1.  A plain pairing passes n = 1; _fixed_pairing passes its
+    power, so raising costs the ladder's steps over n and no GT element or
+    second ladder set-up of its own."""
     p = params.p
-    ua, ub = _frobenius_quotient(p, fa, fb)
-    if n is not None:
-        return _ladder_pow(p, ua, ub, params.h * n)
-    a, b = ua, ub
-    for bit in bin(params.h)[3:]:
-        a, b = (2 * a * a - 1) % p, 2 * a * b % p
-        if bit == "1":
-            a, b = (a * ua - b * ub) % p, (a * ub + b * ua) % p
-    return GTElem(a, b, p)
+    return _ladder_pow(p, *_frobenius_quotient(p, fa, fb), params.h * n)
 
 
 def _frobenius_quotient(p: int, fa: int, fb: int):

@@ -12,15 +12,12 @@ call, but runs the subgroup check of d_id, one Tate pairing of order h
 (bilinear._in_group, whose docstring lists the callers that have tested
 the curve already), once per group and payload: it remembers only
 the SHA-256 digest of each payload that passed, not the key.  The memo
-pays although the check is short: on a 2-core Xeon under Python 3.11 a
-warm check took about 30 us at k = 32, 0.15 ms at k = 128 and 1.7 ms at
-k = 512, a hit on the memo (the payload's SHA-256 and a set lookup)
-about 1 us, and an initiate, respond and finalize exchange loads three
+pays although the check is short: a hit costs one SHA-256 of the payload
+and a set lookup, where a check costs a Miller loop and a Lucas ladder
+over q, and an initiate, respond and finalize exchange loads three
 identity files, so a process that runs exchanges in a loop checks each
-file once.  End to end, a load_identity that checked every load took the
-cli-k32 workload of bench/run.py from 596 to 533 exchanges a second
-(0.89x, slower in 8 of 8 paired runs).  A process that derives with the
-key keeps it all the same: protocol.derive fills bilinear's bounded
+file once, not on every load.  A process that derives with the key
+keeps it all the same: protocol.derive fills bilinear's bounded
 caches of d_id's window table (choice 1) or line table (choice 2), both
 keyed by d_id, and they hold it until evicted or the process ends.
 Both loaders read the file on every call, so a file whose bytes change

@@ -232,14 +232,13 @@ def xor_half_value(x_first: int, x_second: int, field_bits: int) -> int:
 
 def pi_value(params: SystemParams, first: GElem, second: GElem) -> int:
     """Compress an ordered flow pair into a short nonzero exponent."""
-    return _pi_pair(params, first, second, both=False)[0]
+    return _pi_pair(params, first, second)[0]
 
 
-def _pi_pair(params: SystemParams, first: GElem, second: GElem, both: bool = True):
-    """(pi(first, second), pi(second, first)), or its first value alone
-    unless both: pi_value's variant rules, written once.  Each flow is
-    encoded once, and xor-half, which is symmetric, is computed once for
-    both orders."""
+def _pi_pair(params: SystemParams, first: GElem, second: GElem):
+    """(pi(first, second), pi(second, first)): pi_value's variant rules,
+    written once.  Each flow is encoded once, and xor-half, which is
+    symmetric, is computed once for both orders."""
     if first.is_identity() or second.is_identity():
         raise InvalidFlowError("pi is undefined on the identity")
     group = params.group
@@ -251,8 +250,6 @@ def _pi_pair(params: SystemParams, first: GElem, second: GElem, both: bool = Tru
     if variant is PiVariant.HASH_HALF:
         one, two = one + two, two + one
     half_bits = (group.q.bit_length() + 1) // 2
-    if not both:
-        return (_pi_digest(one, half_bits),)
     return _pi_digest(one, half_bits), _pi_digest(two, half_bits)
 
 

@@ -111,28 +111,18 @@ class World:
     so the world keeps those points and never checks them.  Any other
     flow, as bytes or as a FlowMessage, passes validate_flow_point before a
     responder draws y (see _coerce_flow).  So every point that a relay
-    derives on lies in the subgroup and is not the identity.  Deriving past
-    derive's checks took the world-k16 workload of bench/run.py from
-    27,870 to 33,391 queries a second (1.20x, faster in 10 of 10 paired
-    runs; 2-core Xeon, Python 3.11.7), and a warm relay of three sends
-    from 86.7 to 69.6 us.
+    derives on lies in the subgroup and is not the identity, and a check
+    at each derive would only repeat the one at the boundary.
 
     A relay derives by choice 2 (c2-nopre, as initiate computes each
     oracle's flow).  The principals live as long as the world, so the
-    Miller lines of each d_id are cached once, and a derive evaluates
-    them at the blend (bilinear._fixed_pairing), where c1-nopre walked
-    d_id's window table and ran a full Miller loop.  Every strategy
-    derives the same key.  This took world-k16 from 24,041 to 27,241
-    queries a second (1.13x, faster in 10 of 10 paired runs, same
-    machine), when the line-table pairing still checked the blend.
-    Raising that pairing to x + s inside its final exponentiation, one
-    Lucas ladder over h(x + s), and hashing each flow once for both pi
-    values took world-k16 from 32,535 to 35,565 queries a second (1.09x,
-    faster in 10 of 10 paired runs, same machine) and its p90 query from
-    58.1 to 52.7 us.  Making the points, GT elements and flows a relay
-    builds and hashes NamedTuples (see bilinear) took world-k16 from
-    36,023 to 38,481 queries a second (1.07x, faster in 10 of 10 paired
-    runs, same machine) and its p90 query from 52.3 to 48.8 us.
+    Miller lines of each d_id are cached once, and a derive only evaluates
+    them at the blend (bilinear._fixed_pairing) and raises the value to
+    x + s inside the same final exponentiation, where c1-nopre walks
+    d_id's window table and then runs a full Miller loop.  Every strategy
+    derives the same key.  The points, GT elements and flows a relay
+    builds and hashes are NamedTuples (see bilinear), built, hashed and
+    compared in C.
     """
 
     def __init__(

@@ -50,6 +50,14 @@ PREPARE, SHIFTS = ("    table, products = _prepared(params, inst)\n",
                    "    shifts = [(rng.randrange(q), rng.randrange(q), rng.randrange(q))"
                    " for _ in range(rounds)]\n")
 ROUNDS = "    votes = {}\n    for a, b, c in shifts:\n"
+# amplify's round by the additive blinding, and by a multiplicative one
+ADDITIVE_ROUND = ("        candidate = _unblind(params, products,"
+                  " oracle(_blind(p, table, inst, a, b, c)), a, b, c)\n")
+MULTIPLICATIVE_ROUND = ("        a, b, c = a or 1, b or 1, c or 1\n"
+                        "        w = oracle(CbdhInstance(inst.g, scalar_exp(params, inst.x_point, a),\n"
+                        "                                scalar_exp(params, inst.y_point, b),\n"
+                        "                                scalar_exp(params, inst.z_point, c)))\n"
+                        "        candidate = gt_exp(w, pow(a * b * c, -1, q))[:2]\n")
 BLIND = "    return CbdhInstance(\n        inst.g,\n"
 AMPLIFY = "tests/test_selfreduction.py::"
 SESSIONS = "tests/test_sessions.py::"
@@ -295,6 +303,28 @@ MUTANTS = (
      (AMPLIFY + "test_amplify_solves_every_instance_for_an_oracle_right_on_a_fixed_share",),
      "amplify does not blind: every round asks the instance itself, so an oracle that is "
      "right on a fixed share of instances decides each one alone"),
+    # four refusals that no test reached, and what the additive blinding buys
+    (BILINEAR, "# D shares a factor with n\n        return False",
+     "# D shares a factor with n\n        return True",
+     ("tests/test_bilinear.py::test_the_lucas_step_refuses_an_n_that_shares_a_factor_with_d",),
+     "a Lucas step called directly passes an n that shares a factor with D, as 1055 = 5 * 211"),
+    (BILINEAR, "            if v1 is None:\n                continue\n",
+     "            if v1 is None:\n                return lines\n",
+     (CORE + "test_a_test_point_where_a_line_vanishes_is_passed_over",),
+     "the search for U keeps a U whose line vanishes at its test point, untested"),
+    (BILINEAR, "    raise ParameterSearchError(\n        f\"no point of order h",
+     "    return ()\n    raise ParameterSearchError(\n        f\"no point of order h",
+     (CORE + "test_a_search_that_finds_no_u_raises_its_typed_error",),
+     "a search that finds no U returns an empty chain, whose trace puts every point in G"),
+    (BILINEAR, 'if i != len(bits) - 1 or bit == "1":', 'if bit == "1":',
+     (CORE + "test_the_chain_refuses_a_u_whose_multiples_leave_its_path",),
+     "a chain that meets a point of order 2 before its last doubling ends there, so a U of "
+     "order h/2 gets lines"),
+    ("idak/selfreduction.py", ADDITIVE_ROUND, MULTIPLICATIVE_ROUND,
+     tuple(f"{AMPLIFY}test_amplify_solves_every_instance_for_a_wrong_answer_tied_to_the_query"
+           f"[{oracle}]" for oracle in ("IdentityOffShareOracle", "DoubledXOracle")),
+     "amplify blinds by [a]X, [b]Y, [c]Z and unblinds by the power 1/abc, so an oracle "
+     "that answers 1 or the truth squared off its share wins every vote"),
 )
 
 

@@ -268,6 +268,16 @@ def test_the_lucas_step_refuses_a_square_before_its_search_for_d(root, monkeypat
         assert not is_probable_prime(n)
 
 
+@pytest.mark.parametrize("n, d", [(1055, 5), (1141, -7)])
+def test_the_lucas_step_refuses_an_n_that_shares_a_factor_with_d(n, d):
+    # 1055 = 5 * 211 meets D = 5 first; 1141 = 7 * 163 has (5/n) = 1 and
+    # meets D = -7.  Inside is_probable_prime the gcd refuses such an n
+    # first, so only a direct call reaches the Lucas step's own refusal
+    assert n % abs(d) == 0 and bilinear._jacobi(d, n) == 0
+    assert not bilinear._strong_lucas_probable_prime(n)
+    assert gcd(n, bilinear._PRIMORIAL_1000) != 1 and not is_probable_prime(n)
+
+
 # strong pseudoprimes to base 2 with every factor above 1000, whose n + 1
 # has a prime factor q > isqrt(n) + 1, so that an N+1 proof of n from q
 # applies: the gcd and the base-2 round pass them, so only the Lucas step

@@ -47,7 +47,7 @@ from idak.bilinear import (
     random_scalar,
     scalar_exp,
 )
-from idak.errors import MalformedElementError
+from idak.errors import MalformedElementError, ParameterSearchError
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -462,7 +462,7 @@ def test_final_exponentiation_matches_the_generic_power(k_bits):
     exponent = (p * p - 1) // params.q
     for fa, fb in fs:
         expected = ref_fp2_pow(p, fa, fb, exponent)
-        assert _final_exponentiation(params, fa, fb) == GTElem(*expected, p), (fa, fb)
+        assert _final_exponentiation(params, fa, fb, 1) == GTElem(*expected, p), (fa, fb)
         # the Lucas ladder over h * n, on which a raised _fixed_pairing ends
         for n in (0, 1, 2, params.q - 1, rng.randrange(1, params.q)):
             expected = ref_fp2_pow(p, fa, fb, exponent * n)
@@ -683,14 +683,12 @@ def test_in_subgroup_matches_the_q_walk_on_drawn_curves(k_bits, seed, data):
         assert in_subgroup(params, point) == walk_in_group(params, point), point
 
 
-@pytest.mark.parametrize("k_bits,seed", CHECK_CURVES + PROTOCOL_CURVES)
-def test_the_cached_character_has_order_h(k_bits, seed):
+def assert_the_character_has_order_h(params, lines):
     # t(P) = u^q for u = f_{h,U}(P)^(p-1), whose real part the trace gives;
     # at a point whose class generates E(F_p)/G, t must have order h
-    params = instance_generate(k_bits, seed)
     p, q, h = params.p, params.q, params.h
     point = generator_mod_subgroup(params)
-    v1 = _cofactor_trace(p, _cofactor_lines(params), point.x, point.y)
+    v1 = _cofactor_trace(p, lines, point.x, point.y)
     a = v1 * pow(2, -1, p) % p
     b = pow(1 - a * a, (p + 1) // 4, p)  # u or conj(u): either has t's order
     assert (a * a + b * b) % p == 1
@@ -698,6 +696,60 @@ def test_the_cached_character_has_order_h(k_bits, seed):
     assert ref_fp2_pow(p, *t, h) == (1, 0)
     for r in prime_factors(h):
         assert ref_fp2_pow(p, *t, h // r) != (1, 0), r
+
+
+@pytest.mark.parametrize("k_bits,seed", CHECK_CURVES + PROTOCOL_CURVES)
+def test_the_cached_character_has_order_h(k_bits, seed):
+    params = instance_generate(k_bits, seed)
+    assert_the_character_has_order_h(params, _cofactor_lines(params))
+
+
+def test_a_test_point_where_a_line_vanishes_is_passed_over(monkeypatch):
+    # the kept U's lines vanish at no rational point, so a trace that
+    # answers None for every point tried on them stands in for one that
+    # does: the search must pass over those points, and then over that U,
+    # and keep the next U whose character has order h
+    params, _ = protocol_curve(16)
+    kept = _cofactor_lines.__wrapped__(params)
+    real_trace = bilinear._cofactor_trace
+
+    def vanishing_on_the_kept_lines(p, lines, x, y):
+        return None if lines == kept else real_trace(p, lines, x, y)
+
+    monkeypatch.setattr(bilinear, "_cofactor_trace", vanishing_on_the_kept_lines)
+    other = _cofactor_lines.__wrapped__(params)
+    assert other != kept
+    assert_the_character_has_order_h(params, other)
+
+
+def test_a_search_that_finds_no_u_raises_its_typed_error(monkeypatch):
+    # every counter's R refused: the search stops at its bound, and does
+    # not hand _in_group an empty chain, whose trace would accept every point
+    params, _ = protocol_curve(16)
+    monkeypatch.setattr(bilinear, "_cofactor_point", lambda params, counter: None)
+    message = ("^no point of order h for the subgroup check within "
+               f"{bilinear.HASH_COUNTER_BOUND} counters$")
+    with pytest.raises(ParameterSearchError, match=message):
+        _cofactor_lines.__wrapped__(params)
+
+
+def test_the_chain_refuses_a_u_whose_multiples_leave_its_path():
+    # rational points lifted to F_{p^2}: U of order h = 12 = 0b1100 gives a
+    # chain; U of order h/2 reaches (h/4)U, of order 2, before the last
+    # doubling; U of order 3 meets T = 2U = -U at the first add step; and a
+    # U of order q, which is not [q]R for any R, never reaches the identity
+    params, g = protocol_curve(16)
+    p, q, h = params.p, params.q, params.h
+    assert h == 12
+
+    def chain(point):
+        return _cofactor_chain(p, h, (point.x, 0), (point.y, 0))
+
+    torsion = scalar_exp(params, generator_mod_subgroup(params), q)
+    assert chain(torsion) is not None
+    assert chain(scalar_exp(params, torsion, 2)) is None
+    assert chain(scalar_exp(params, torsion, h // 3)) is None
+    assert chain(g) is None
 
 
 def test_the_same_params_give_the_same_lines():

@@ -657,33 +657,75 @@ class HashSetOracle:
     Unlike MockCbdhOracle it has no coin: each instance gets one answer,
     so without blinding amplify would ask the same question every round.
     A right answer is e(x, y)^z, z by MockCbdhOracle's baby-step
-    giant-step table."""
+    giant-step table.  A subclass changes the wrong answer (wrong)."""
 
     def __init__(self, params, g, delta):
         self.params, self.bound = params, int(delta * 2**64)
         self.baby = selfreduction._baby_table(params, g)
-        self.wrong = pairing(params, g, g)
+        self.base = pairing(params, g, g)
 
     def __call__(self, inst):
         encoded = b"".join(encode_point(self.params, point) for point in inst.points())
         if int.from_bytes(hashlib.sha256(encoded).digest()[:8], "big") >= self.bound:
-            return self.wrong
+            return self.wrong(inst)
+        return self.right(inst)
+
+    def right(self, inst):
         z = selfreduction._dlog_from_table(self.params, self.baby, inst.z_point)
         return gt_exp(pairing(self.params, inst.x_point, inst.y_point), z)
+
+    def wrong(self, inst):
+        return self.base
+
+
+class IdentityOffShareOracle(HashSetOracle):
+    """HashSetOracle's share, and 1, the identity of GT, off it."""
+
+    def wrong(self, inst):
+        return GTElem(1, 0, self.params.p)
+
+
+class DoubledXOracle(HashSetOracle):
+    """HashSetOracle's share, and off it the right answer for the instance
+    with its x point doubled: e(g, g)^(2xyz), the truth squared."""
+
+    def wrong(self, inst):
+        return self.right(inst._replace(x_point=point_add(self.params, inst.x_point, inst.x_point)))
+
+
+def solved_and_right(oracle_type, seed, instances):
+    """How many of the drawn instances amplify solves at k = 16, delta =
+    0.3, n = 201 with an oracle_type oracle, and on how many the oracle
+    alone is right."""
+    params, g = CURVES[3]
+    oracle = oracle_type(params, g, 0.3)
+    rng = random.Random(seed)
+    solved = right_unblinded = 0
+    for _ in range(instances):
+        inst, truth = make_instance(params, g, rng)
+        right_unblinded += oracle(inst) == truth
+        solved += amplify(params, oracle, inst, 201, rng) == truth
+    return solved, right_unblinded
 
 
 def test_amplify_solves_every_instance_for_an_oracle_right_on_a_fixed_share():
     # k = 16, delta = 0.3, n = 201: blinding spreads each instance over
     # uniform queries, so about 60 of 201 rounds vote for the truth while
     # the fixed wrong answer unblinds to a different candidate each round
-    params, g = CURVES[3]
-    oracle = HashSetOracle(params, g, 0.3)
-    rng = random.Random("hash-set")
-    solved = right_unblinded = 0
-    for _ in range(40):
-        inst, truth = make_instance(params, g, rng)
-        right_unblinded += oracle(inst) == truth
-        solved += amplify(params, oracle, inst, 201, rng) == truth
+    solved, right_unblinded = solved_and_right(HashSetOracle, "hash-set", 40)
     assert solved == 40
     # the oracle alone is right on a share of the instances, not on all
     assert 0 < right_unblinded < 40
+
+
+@pytest.mark.parametrize("oracle_type", [IdentityOffShareOracle, DoubledXOracle])
+def test_amplify_solves_every_instance_for_a_wrong_answer_tied_to_the_query(oracle_type):
+    # additive blinding: the oracle answers 1 or the truth squared for the
+    # blinded query, and unblinding by the query's own cross terms sends
+    # either to a candidate that depends on the shifts, so the wrong votes
+    # scatter.  Blinding by [a]X, [b]Y, [c]Z and unblinding by the power
+    # 1/abc would map 1 to 1 and the blinded truth squared to the truth
+    # squared, and that wrong answer would win every vote below delta = 1/2
+    solved, right_unblinded = solved_and_right(oracle_type, oracle_type.__name__, 20)
+    assert solved == 20
+    assert 0 < right_unblinded < 20
