@@ -875,7 +875,7 @@ def _in_group(params: GroupParams, point: GElem) -> bool:
     list of the code that has tested the point for the curve already:
     in_subgroup, protocol.validate_flow_point, protocol.derive (choice 2),
     keystore.load_identity (after take_point), selfreduction's
-    validate_instance and _baby_table, and _checked_pairing (its identity
+    validate_instance and _trace_dlog, and _checked_pairing (its identity
     right argument).
 
     E(F_{p^2}) = E[p + 1], a product of two cyclic groups of order
@@ -1063,8 +1063,8 @@ def _cofactor_chain(p: int, h: int, ux, uy):
         return vx, vy
 
     for i, bit in enumerate(bits):
-        if t[1] == (0, 0):  # T has order 2, which only the last doubling may meet
-            if i != len(bits) - 1 or bit == "1":
+        if t[1] == (0, 0):  # T has order 2, which only the last doubling may meet: h is even
+            if i != len(bits) - 1:
                 return None
             lines.append((True, 0, 1, 0, -t[0][0] % p, -t[0][1] % p))
             return tuple(lines)

@@ -24,13 +24,17 @@ one round's, and runs every round through the two helpers: it votes on
 each candidate's (a, b) pair and builds one GTElem, for the winner.
 
 The mock oracle that stands in for the adversary answers with a
-baby-step giant-step discrete log (Shanks 1971).  Its table holds the m
-baby steps [j]g, m = isqrt(q - 1) + 1, keyed by x-coordinate so that
-each entry also stands for [-j]g; a giant step then covers 2m + 1
-residues, and a walk takes at most about sqrt(q)/2 of them.  The table
-grows as 2^(k/2) for a k-bit q, so it is refused above MAX_K_BITS.  Its
-wrong answers are powers of e(g, g) by gt_exp.  GT inverses are
-conjugations (gt_inv), as every element of GT has norm 1.
+baby-step giant-step discrete log (Shanks 1971) taken in GT, not in G:
+the log of [k]g is that of e([k]g, g) = z^k, z = e(g, g).  Every element
+of GT has norm 1, so the trace V_k = z^k + z^-k lies in F_p, stands for
+both z^k and z^-k, and follows a Lucas recurrence (Joye-Quisquater 1996)
+at one F_p multiplication a step, where a step in G pays an inversion.
+The table holds the traces of the m baby steps, m = isqrt(q - 1) + 1, a
+giant step covers 2m + 1 residues, and a walk takes at most about
+sqrt(q)/2 of them.  The table grows as 2^(k/2) for a k-bit q, so it is
+refused above MAX_K_BITS.  Its wrong answers are powers of e(g, g) by
+gt_exp.  GT inverses are conjugations (gt_inv), as every element of GT
+has norm 1.
 """
 
 import functools
@@ -41,9 +45,11 @@ from typing import NamedTuple
 from idak.bilinear import (
     GElem,
     GTElem,
-    _affine_add,
+    _fixed_pairing,
     _fp2_mul,
     _in_group,
+    _ladder_pow,
+    _line_table,
     _require_on_curve,
     _window_table,
     _window_walk,
@@ -52,12 +58,11 @@ from idak.bilinear import (
     gt_inv,
     is_on_curve,
     pairing,
-    scalar_exp,
 )
 from idak.errors import MalformedElementError
 
-# the largest q, in bits, whose baby-step table the mock oracle builds: at
-# k = 32 about 2^16 entries, under a second and a few tens of MiB
+# the largest q, in bits, whose baby-step table the mock oracle builds: it
+# holds about 2^(k/2) traces, 2^16 at k = 32
 MAX_K_BITS = 32
 
 
@@ -250,99 +255,91 @@ def amplify(params, oracle, inst, rounds, rng):
 
 
 def solve_dlog(params, base, target):
-    """Baby-step giant-step discrete log in the order-q subgroup.
+    """The k in [0, q) with target = [k]base, by a baby-step giant-step walk
+    over the traces of GT (_trace_table, _trace_dlog).
 
     An off-curve base or target raises MalformedElementError; a base that
-    does not generate the subgroup, or a target outside it, ValueError.
+    does not generate the subgroup, a target outside it, or a q of more
+    than MAX_K_BITS bits, ValueError.
     """
-    return _dlog_from_table(params, _baby_table(params, base), target)
+    return _trace_dlog(params, _trace_table(params, base), target)
 
 
-def _baby_table(params, base):
-    """The baby steps keyed by x, and the giant stride [-(2m+1)]base.
+def _trace_table(params, base):
+    """(table, base, z, z^W): the baby steps of _trace_dlog for base.
 
-    For m = isqrt(q - 1) + 1 the dict maps the x-coordinate of [j]base,
-    for 1 <= j <= m, to (j, y).  [j]base and [-j]base share that x and
-    differ in y, so one entry answers both, which holds only if base has
-    order q: the identity or a base outside the order-q subgroup raises
-    ValueError, and so does a q of more than MAX_K_BITS bits.
+    z = e(base, base) has order q and norm 1, so its trace
+    V_j = z^j + z^-j lies in F_p and follows V_(j+1) = V_j V_1 - V_(j-1),
+    as in bilinear._lucas_v.  The dict maps V_j to j for 0 <= j <= m,
+    m = isqrt(q - 1) + 1, one F_p multiplication each.  V_j = V_k exactly
+    when j = +-k (mod q), so one entry stands for j and -j; where both
+    are at most m (q <= 7), setdefault keeps the least.  z^W, for the
+    stride W = 2m + 1, starts the giant walk.  A base off the curve raises
+    MalformedElementError; the identity, a base outside the order-q
+    subgroup (which has no line table) or a q of more than MAX_K_BITS bits
+    raises ValueError.
     """
     if params.q.bit_length() > MAX_K_BITS:
         raise ValueError(f"the baby-step table is built for q of at most {MAX_K_BITS} bits")
     _require_on_curve(params, base)
-    if base.is_identity() or not _in_group(params, base):
+    if _line_table(params, base) is None:
         raise ValueError("base must generate the order-q subgroup")
     p = params.p
     m = math.isqrt(params.q - 1) + 1
-    bx, by = base.x, base.y
-    double = _affine_add(p, base, base)
-    x, y = double.x, double.y
-    table = {bx: (1, by), x: (2, y)}
-    # for 2 < j <= m < q - 1, [j-1]base is neither base nor -base, so
-    # each further step is a chord
-    for j in range(3, m + 1):
-        x, y = _chord(p, x, y, bx, by)
-        table.setdefault(x, (j, y))
-    return table, scalar_exp(params, base, -(2 * m + 1))
+    z = _fixed_pairing(params, base, base, 1)
+    v1 = 2 * z.a % p
+    prev, v = 2, v1
+    table = {prev: 0, v: 1}
+    for j in range(2, m + 1):
+        prev, v = v, (v * v1 - prev) % p
+        table.setdefault(v, j)
+    return table, base, z, _ladder_pow(p, z.a, z.b, 2 * m + 1)
 
 
-def _chord(p, x1, y1, x2, y2):
-    """The affine sum of two points with distinct x, as bare ints.  Every
-    step needs an affine x, so this beats bilinear's Jacobian law: baby
-    steps by mixed additions and one batched inversion built the table in
-    0.60 ms, not 0.50, at k = 16 and 351 ms, not 249, at k = 32 (medians
-    on a 2-core Xeon, Python 3.11)."""
-    lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return x3, (lam * (x1 - x3) - y1) % p
+def _trace_dlog(params, traces, target):
+    """The discrete log of target to the base of traces, _trace_table's.
 
-
-def _dlog_from_table(params, baby, target):
-    """Walk target - [i(2m+1)]base until it lands within m of the identity.
-
-    Each giant step is one chord addition on bare ints, with one
-    inversion; a step whose x equals the stride's (a doubling or a
-    cancellation), or an identity stride, goes through _affine_add.
+    D = e(target, base) = z^k is taken on base's cached Miller lines
+    (bilinear._fixed_pairing).  Giant step i tests the trace V_(k - iW) of
+    D / z^(iW) against the table; by V_(a - W) = V_a V_W - V_(a + W) each
+    step costs one F_p multiplication and no inversion.  A hit on j gives
+    k = iW +- j, and one ladder of z to iW + j decides the sign.  Every k
+    in [0, q) lies within m of some iW (mod q) with i <= q // W, so the
+    walk ends by then.  The target is tested for the curve (MalformedElementError),
+    then for the subgroup (ValueError), before any walk.
     """
     _require_on_curve(params, target)
-    table, stride = baby
+    if not (target.is_identity() or _in_group(params, target)):
+        raise ValueError("target is outside the subgroup generated by base")
+    table, base, z, stride = traces
     p, q = params.p, params.q
     width = 2 * (math.isqrt(q - 1) + 1) + 1
-    sx, sy = stride.x, stride.y
-    x, y = target.x, target.y
-    # giant step i covers the residues i*width - m .. i*width + m
-    for i in range(q // width + 1):
-        if x is None:
-            return i * width
-        hit = table.get(x)
-        if hit is not None:
-            j, yj = hit
-            return (i * width + (j if y == yj else -j)) % q
-        if sx is None or x == sx:
-            gamma = _affine_add(p, GElem(x, y), stride)
-            x, y = gamma.x, gamma.y
-        else:  # _chord, inlined in this hot loop
-            lam = (sy - y) * pow(sx - x, -1, p) % p
-            x3 = (lam * lam - x - sx) % p
-            x, y = x3, (lam * (x - x3) - y) % p
-    raise ValueError("target is outside the subgroup generated by base")
+    d = _fixed_pairing(params, target, base, 1)
+    vw = 2 * stride.a % p
+    # V_k and V_(k - W), the traces of D and of D * conj(z^W)
+    prev, v = 2 * d.a % p, 2 * (d.a * stride.a + d.b * stride.b) % p
+    i = 0
+    while (j := table.get(prev)) is None:
+        i += 1
+        prev, v = v, (v * vw - prev) % p
+    k = (i * width + j) % q
+    return k if _ladder_pow(p, z.a, z.b, k) == d else (i * width - j) % q
 
 
 class MockCbdhOracle:
     """Stand-in adversary answering correctly with probability delta.
 
-    Correct answers come from a baby-step giant-step discrete log of the
-    third component, so q may have at most MAX_K_BITS bits (ValueError
-    otherwise).  Construction checks that g generates the order-q subgroup and
-    builds the x-keyed table of m = isqrt(q - 1) + 1 baby steps: m chord
-    additions, one subgroup check and one scalar multiplication for the
-    stride [-(2m+1)]g.  Each correct answer then walks at most
-    q // (2m+1) + 1 giant steps, about sqrt(q)/4 on average, each one
-    dict lookup and one chord addition with one inversion on bare ints,
-    and pays one pairing and one exponentiation in GT; the pairing raises
-    MalformedElementError for an x point outside the subgroup.  Wrong
-    answers are uniform over the target group: gt_exp(e(g, g), r) for one
-    randrange(q) draw r.
+    Correct answers come from a discrete log of the third component over
+    the traces of GT (_trace_dlog), so q may have at most MAX_K_BITS bits
+    (ValueError otherwise).  Construction checks that g generates the
+    order-q subgroup and builds the table of the traces of e(g, g)^j for
+    j <= m = isqrt(q - 1) + 1.  Each correct answer then pays one subgroup
+    check and one pairing on g's cached lines, at most q // (2m+1) + 1
+    giant steps of one F_p multiplication each and one ladder for the
+    log, and one pairing and one exponentiation in GT for the answer; that
+    pairing raises MalformedElementError for an x point outside the
+    subgroup.  Wrong answers are uniform over the target group:
+    gt_exp(e(g, g), r) for one randrange(q) draw r.
     """
 
     def __init__(self, params, g, delta, rng):
@@ -352,13 +349,13 @@ class MockCbdhOracle:
         self.delta = delta
         self.rng = rng
         self.queries = 0
-        self._table = _baby_table(params, g)
-        self._base_gt = pairing(params, g, g)
+        self._traces = _trace_table(params, g)
+        self._base_gt = self._traces[2]  # e(g, g)
 
     def __call__(self, inst):
         self.queries += 1
         params = self.params
         if self.rng.random() < self.delta:
-            z = _dlog_from_table(params, self._table, inst.z_point)
+            z = _trace_dlog(params, self._traces, inst.z_point)
             return gt_exp(pairing(params, inst.x_point, inst.y_point), z)
         return gt_exp(self._base_gt, self.rng.randrange(params.q))

@@ -54,11 +54,13 @@ ROUNDS = "    votes = {}\n    for a, b, c in shifts:\n"
 ADDITIVE_ROUND = ("        candidate = _unblind(params, products,"
                   " oracle(_blind(p, table, inst, a, b, c)), a, b, c)\n")
 MULTIPLICATIVE_ROUND = ("        a, b, c = a or 1, b or 1, c or 1\n"
-                        "        w = oracle(CbdhInstance(inst.g, scalar_exp(params, inst.x_point, a),\n"
-                        "                                scalar_exp(params, inst.y_point, b),\n"
-                        "                                scalar_exp(params, inst.z_point, c)))\n"
+                        "        w = oracle(CbdhInstance(inst.g, fixed_base_exp(params, inst.x_point, a),\n"
+                        "                                fixed_base_exp(params, inst.y_point, b),\n"
+                        "                                fixed_base_exp(params, inst.z_point, c)))\n"
                         "        candidate = gt_exp(w, pow(a * b * c, -1, q))[:2]\n")
 BLIND = "    return CbdhInstance(\n        inst.g,\n"
+# the trace walk's sign test, after a hit on j at giant step i
+SIGN = "    return k if _ladder_pow(p, z.a, z.b, k) == d else (i * width - j) % q\n"
 AMPLIFY = "tests/test_selfreduction.py::"
 SESSIONS = "tests/test_sessions.py::"
 CRITERION_6 = "tests/test_acceptance.py::test_criterion_6_session_model_suite"
@@ -316,7 +318,7 @@ MUTANTS = (
      "    return ()\n    raise ParameterSearchError(\n        f\"no point of order h",
      (CORE + "test_a_search_that_finds_no_u_raises_its_typed_error",),
      "a search that finds no U returns an empty chain, whose trace puts every point in G"),
-    (BILINEAR, 'if i != len(bits) - 1 or bit == "1":', 'if bit == "1":',
+    (BILINEAR, "if i != len(bits) - 1:", 'if bit == "1":',
      (CORE + "test_the_chain_refuses_a_u_whose_multiples_leave_its_path",),
      "a chain that meets a point of order 2 before its last doubling ends there, so a U of "
      "order h/2 gets lines"),
@@ -325,6 +327,16 @@ MUTANTS = (
            f"[{oracle}]" for oracle in ("IdentityOffShareOracle", "DoubledXOracle")),
      "amplify blinds by [a]X, [b]Y, [c]Z and unblinds by the power 1/abc, so an oracle "
      "that answers 1 or the truth squared off its share wins every vote"),
+    # the discrete log over GT traces: its sign ladder and its target's subgroup check
+    ("idak/selfreduction.py", SIGN, "    return k\n",
+     (AMPLIFY + "test_solve_dlog_matches_brute_force",
+      AMPLIFY + "test_mock_oracle_matches_a_reference_answer_for_answer"),
+     "the trace walk answers iW + j for every hit, so a k = iW - j comes back negated"),
+    ("idak/selfreduction.py", "target.is_identity() or _in_group(params, target)",
+     "target.is_identity() or True",
+     (AMPLIFY + "test_solve_dlog_rejects_foreign_points",),
+     "the trace walk takes a target outside the subgroup and returns its subgroup "
+     "part's log, as the pairing with base sends the rest to 1"),
 )
 
 

@@ -233,9 +233,12 @@ def test_solve_dlog_on_larger_subgroup():
 
 
 def test_solve_dlog_rejects_foreign_points():
-    rogue = GElem(0, 0)  # order 2, not a power of GEN
-    with pytest.raises(ValueError):
-        solve_dlog(GP, GEN, rogue)
+    two_torsion = GElem(0, 0)  # order 2, not a power of GEN
+    # the second one's pairing with GEN is e(GEN, GEN): it is refused for
+    # the point, not for its trace
+    for rogue in (two_torsion, point_add(GP, GEN, two_torsion)):
+        with pytest.raises(ValueError):
+            solve_dlog(GP, GEN, rogue)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +259,7 @@ def giant_width(params):
     return 2 * (math.isqrt(params.q - 1) + 1) + 1
 
 
-Q7 = instance_generate(3, 0)  # q=7 makes the giant stride [-7]g the identity
+Q7 = instance_generate(3, 0)  # q=7 makes the stride z^7 the identity, V_7 = 2
 SMALL_CURVES = [(params, g) for params, g in CURVES if params.q <= 787] + [
     (Q7, hash_to_group(Q7, "reduction-generator"))
 ]
@@ -271,24 +274,28 @@ def test_solve_dlog_matches_brute_force():
 
 
 @pytest.mark.parametrize("params,g", CURVES[2:])
-def test_giant_walk_through_the_stride_x(params, g, monkeypatch):
-    # a target equal to the stride doubles on its first giant step; a
-    # target [(i+1)(2m+1)]g cancels the stride on step i and lands on
-    # the identity, each through _affine_add
+def test_trace_walk_recovers_the_giant_step_edges(params, g, monkeypatch):
+    # k = iW + r for the stride W = 2m + 1: r = 0, the seams r = +-m and
+    # one step past them, which the next giant step hits as -+m, and
+    # q - W.  One ladder at iW + j decides each sign, and both occur
     q, width = params.q, giant_width(params)
-    baby = selfreduction._baby_table(params, g)
-    fallbacks = []
+    m = width // 2
+    traces = selfreduction._trace_table(params, g)
+    ladder, tried = selfreduction._ladder_pow, []
 
-    def counting_add(p, a, b):
-        fallbacks.append((a, b))
-        return point_add(params, a, b)
+    def counting_ladder(p, a, b, n):
+        tried.append(n)
+        return ladder(p, a, b, n)
 
-    monkeypatch.setattr(selfreduction, "_affine_add", counting_add)
-    for k in (q - width, width, 2 * width):
-        fallbacks.clear()
-        target = scalar_exp(params, g, k)
-        assert selfreduction._dlog_from_table(params, baby, target) == k
-        assert len(fallbacks) == 1
+    monkeypatch.setattr(selfreduction, "_ladder_pow", counting_ladder)
+    plus = set()
+    for k in {0, q - width} | {(i * width + r) % q
+                                for i in (1, 2) for r in (0, m, -m, m + 1, -m - 1)}:
+        tried.clear()
+        assert selfreduction._trace_dlog(params, traces, scalar_exp(params, g, k)) == k
+        assert len(tried) == 1
+        plus.add(tried == [k])
+    assert plus == {True, False}
 
 
 BIG_PARAMS, BIG_G = CURVES[3]  # q=48809
@@ -330,6 +337,25 @@ def test_mock_oracle_refuses_a_q_above_its_table_bound():
         MockCbdhOracle(params, g, 1.0, random.Random(0))
     with pytest.raises(ValueError, match="at most 32 bits"):
         solve_dlog(params, g, g)
+
+
+def test_mock_oracle_and_solve_dlog_at_the_table_bound():
+    # q of MAX_K_BITS bits, the largest table: about 2^16 traces
+    params = instance_generate(selfreduction.MAX_K_BITS, "at-the-bound")
+    q = params.q
+    assert q.bit_length() == selfreduction.MAX_K_BITS
+    g = hash_to_group(params, "reduction-generator")
+    mock = MockCbdhOracle(params, g, 1.0, random.Random(0))
+    base = pairing(params, g, g)
+    rng = random.Random("at-the-bound")
+    for _ in range(3):
+        x, y, z = (rng.randrange(q) for _ in range(3))
+        inst = CbdhInstance(g, *(scalar_exp(params, g, e) for e in (x, y, z)))
+        blinded, shift = randomize(params, inst, rng)
+        answer = (x + shift.a) * (y + shift.b) * (z + shift.c) % q
+        assert mock(blinded) == gt_exp(base, answer)
+        k = rng.randrange(q)
+        assert solve_dlog(params, g, scalar_exp(params, g, k)) == k
 
 
 @pytest.mark.parametrize("first_wrong", [True, False])
@@ -656,12 +682,12 @@ class HashSetOracle:
 
     Unlike MockCbdhOracle it has no coin: each instance gets one answer,
     so without blinding amplify would ask the same question every round.
-    A right answer is e(x, y)^z, z by MockCbdhOracle's baby-step
-    giant-step table.  A subclass changes the wrong answer (wrong)."""
+    A right answer is e(x, y)^z, z by MockCbdhOracle's discrete log over
+    the traces of GT.  A subclass changes the wrong answer (wrong)."""
 
     def __init__(self, params, g, delta):
         self.params, self.bound = params, int(delta * 2**64)
-        self.baby = selfreduction._baby_table(params, g)
+        self.traces = selfreduction._trace_table(params, g)
         self.base = pairing(params, g, g)
 
     def __call__(self, inst):
@@ -671,7 +697,7 @@ class HashSetOracle:
         return self.right(inst)
 
     def right(self, inst):
-        z = selfreduction._dlog_from_table(self.params, self.baby, inst.z_point)
+        z = selfreduction._trace_dlog(self.params, self.traces, inst.z_point)
         return gt_exp(pairing(self.params, inst.x_point, inst.y_point), z)
 
     def wrong(self, inst):
