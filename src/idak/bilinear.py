@@ -874,9 +874,8 @@ def _in_group(params: GroupParams, point: GElem) -> bool:
     pairing", J. Cryptographic Engineering, 2023).  Its callers, the one
     list of the code that has tested the point for the curve already:
     in_subgroup, protocol.validate_flow_point, protocol.derive (choice 2),
-    keystore.load_identity (after take_point), selfreduction's
-    validate_instance and _trace_dlog, and _checked_pairing (its identity
-    right argument).
+    keystore.load_identity (after take_point), selfreduction._trace_dlog,
+    and _checked_pairing (its identity right argument).
 
     E(F_{p^2}) = E[p + 1], a product of two cyclic groups of order
     p + 1 = hq, so hE(F_{p^2}) = E[q], and E[q] meets the cyclic E(F_p) in

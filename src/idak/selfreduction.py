@@ -56,7 +56,7 @@ from idak.bilinear import (
     fixed_base_exp,
     gt_exp,
     gt_inv,
-    is_on_curve,
+    in_subgroup,
     pairing,
 )
 from idak.errors import MalformedElementError
@@ -91,15 +91,13 @@ def validate_instance(params, inst):
     """Check every component is a subgroup element with a usable base.
 
     Blinded queries range over all of G, so identity components are
-    allowed everywhere except the base point.
+    allowed everywhere except the base point.  A point off the curve or
+    outside the subgroup raises the same ValueError.
     """
     if inst.g.is_identity():
         raise ValueError("base point must not be the identity")
-    for point in inst.points():
-        if not is_on_curve(params, point):
-            raise ValueError("instance point is not on the curve")
-        if not (point.is_identity() or _in_group(params, point)):
-            raise ValueError("instance point is outside the subgroup")
+    if not all(in_subgroup(params, point) for point in inst.points()):
+        raise ValueError("instance point is not in the subgroup")
 
 
 def make_instance(params, g, rng):
@@ -266,7 +264,7 @@ def solve_dlog(params, base, target):
 
 
 def _trace_table(params, base):
-    """(table, base, z, z^W): the baby steps of _trace_dlog for base.
+    """(table, base, z, z^W, W): the baby steps of _trace_dlog for base.
 
     z = e(base, base) has order q and norm 1, so its trace
     V_j = z^j + z^-j lies in F_p and follows V_(j+1) = V_j V_1 - V_(j-1),
@@ -293,7 +291,8 @@ def _trace_table(params, base):
     for j in range(2, m + 1):
         prev, v = v, (v * v1 - prev) % p
         table.setdefault(v, j)
-    return table, base, z, _ladder_pow(p, z.a, z.b, 2 * m + 1)
+    width = 2 * m + 1
+    return table, base, z, _ladder_pow(p, z.a, z.b, width), width
 
 
 def _trace_dlog(params, traces, target):
@@ -311,9 +310,8 @@ def _trace_dlog(params, traces, target):
     _require_on_curve(params, target)
     if not (target.is_identity() or _in_group(params, target)):
         raise ValueError("target is outside the subgroup generated by base")
-    table, base, z, stride = traces
+    table, base, z, stride, width = traces
     p, q = params.p, params.q
-    width = 2 * (math.isqrt(q - 1) + 1) + 1
     d = _fixed_pairing(params, target, base, 1)
     vw = 2 * stride.a % p
     # V_k and V_(k - W), the traces of D and of D * conj(z^W)

@@ -114,6 +114,12 @@ class World:
     derives on lies in the subgroup and is not the identity, and a check
     at each derive would only repeat the one at the boundary.
 
+    _drawn maps each flow point the oracles drew to the oracles that drew
+    it, in draw order: at small k two oracles can draw one point, so each
+    point keeps a list.  fresh reads both partner rules from the drawers
+    of the flow an oracle received: the peer's oracle that sent it, and
+    any revealed matching oracle.
+
     A relay derives by choice 2 (c2-nopre, as initiate computes each
     oracle's flow).  The principals live as long as the world, so the
     Miller lines of each d_id are cached once, and a derive only evaluates
@@ -142,13 +148,11 @@ class World:
         self.principals: dict[bytes, IdentityKey] = {}
         self.oracles: list[SessionOracle] = []
         self._last_index: dict[tuple[bytes, bytes], int] = {}
-        # completed oracles by binding; matching oracles share one entry
-        self._by_binding: dict[tuple, list[SessionOracle]] = {}
         self.corrupted_at: dict[bytes, int] = {}
         self.extracted: set[bytes] = set()
         self.clock = 0
-        # every flow point this world's oracles drew, with its message
-        self._emitted: dict[GElem, FlowMessage] = {}
+        # every flow point this world's oracles drew, with its drawers in order
+        self._drawn: dict[GElem, list[SessionOracle]] = {}
 
     # -- state management ---------------------------------------------------
 
@@ -212,7 +216,6 @@ class World:
         )
         oracle.key = session_key(self.params, shared, *oracle.binding)
         oracle.completed_at = self.clock
-        self._by_binding.setdefault(oracle.binding, []).append(oracle)
         return reply
 
     def reveal(self, oracle: SessionOracle) -> SessionKey:
@@ -252,6 +255,9 @@ class World:
         """Whether a test query on this oracle would be meaningful."""
         if not oracle.completed:
             raise NotTestableError(f"oracle {oracle.name()} has not completed")
+        # the oracles that drew the flow this one received: every matching
+        # oracle among them, as equal bindings hold each other's flows
+        drawers = self._drawn.get(oracle.binding[3 if oracle.role == "initiator" else 2].r, ())
         for identity in (oracle.owner, oracle.peer):
             if identity in self.extracted:
                 return False
@@ -261,11 +267,14 @@ class World:
                     return False
                 # wpfsbr, corrupted after completion: fresh only if the
                 # adversary was passive toward this oracle
-                if not self._received_from_partner(oracle):
+                if not any(
+                    sender.owner == oracle.peer and sender.peer == oracle.owner
+                    and sender.role != oracle.role for sender in drawers
+                ):
                     return False
         if oracle.revealed:
             return False
-        for other in self._by_binding[oracle.binding]:
+        for other in drawers:
             if other.revealed and self.matching(oracle, other):
                 return False
         return True
@@ -293,44 +302,29 @@ class World:
     def _initiate(self, oracle: SessionOracle, own_key: IdentityKey) -> None:
         """Draw the oracle's ephemeral and flow, and remember the flow."""
         oracle.ephemeral, oracle.own_msg = initiate(self.params, own_key, self.rng)
-        self._emitted[oracle.own_msg.r] = oracle.own_msg
-
-    def _received_from_partner(self, oracle: SessionOracle) -> bool:
-        """Whether the flow a completed oracle received was drawn by an
-        oracle of its peer, addressed to its owner, in the other role.
-
-        A scan of every oracle: fresh asks only in wpfsbr, after a
-        corruption that followed completion, so no other query pays for
-        an index, and two oracles that drew one point (at k = 16 they
-        can) are both seen.
-        """
-        received = oracle.binding[3 if oracle.role == "initiator" else 2]
-        return any(
-            sender.owner == oracle.peer and sender.peer == oracle.owner
-            and sender.role != oracle.role and sender.own_msg == received
-            for sender in self.oracles
-        )
+        self._drawn.setdefault(oracle.own_msg.r, []).append(oracle)
 
     def _coerce_flow(self, flow) -> FlowMessage:
         """Decode and check a received flow before the responder draws y:
         the world's trust boundary, the one check between a flow and the
         key derived from it.
 
-        A point this world emitted comes back as the world's own message,
-        unchecked: it is g_id^x with 1 <= x < q, so its check could never
-        fail.  Any other point, as bytes or as a FlowMessage, passes
-        validate_flow_point here, as nothing after it checks the point
-        again.  A rejected flow so draws nothing from self.rng, and every
-        later draw, and every scenario replay, stays the same.
+        A point this world emitted comes back as the message of the first
+        oracle that drew it, unchecked: it is g_id^x with 1 <= x < q, so
+        its check could never fail.  Any other point, as bytes or as a
+        FlowMessage, passes validate_flow_point here, as nothing after it
+        checks the point again.  A rejected flow so draws nothing from
+        self.rng, and every later draw, and every scenario replay, stays
+        the same.
         """
         if isinstance(flow, (bytes, bytearray)):
             try:
                 flow = FlowMessage(r=decode_point(self.params.group, bytes(flow)))
             except MalformedElementError as exc:
                 raise InvalidFlowError(f"malformed flow point: {exc}") from exc
-        emitted = self._emitted.get(flow.r)
-        if emitted is not None:
-            return emitted
+        drawers = self._drawn.get(flow.r)
+        if drawers is not None:
+            return drawers[0].own_msg
         validate_flow_point(self.params, flow.r)
         return flow
 

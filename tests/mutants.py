@@ -79,6 +79,12 @@ PUBLIC_RELAY = ("            from .protocol import derive\n"
                 "            )\n")
 # _coerce_flow's decoding of bytes
 BYTES_ONLY = "        if isinstance(flow, (bytes, bytearray)):\n"
+# fresh's wpfsbr rule: the flow came from the peer's oracle, in the other role
+PASSIVE = ("                if not any(\n"
+           "                    sender.owner == oracle.peer and sender.peer == oracle.owner\n"
+           "                    and sender.role != oracle.role for sender in drawers\n"
+           "                ):\n"
+           "                    return False\n")
 NOBODY = '    if not ident:\n        raise KeystoreError("identity payload names nobody")\n'
 
 MUTANTS = (
@@ -217,7 +223,7 @@ MUTANTS = (
      ("tests/test_bilinear.py::test_the_lucas_step_refuses_strong_base_2_pseudoprimes",),
      "a primality test without its Lucas step accepts strong base-2 pseudoprimes"),
     ("idak/sessions.py", BYTES_ONLY, "        if not isinstance(flow, (bytes, bytearray)):\n"
-     "            return self._emitted.get(flow.r, flow)\n" + BYTES_ONLY,
+     "            return flow\n" + BYTES_ONLY,
      (SESSIONS + "test_a_world_keys_only_points_of_the_subgroup",
       "tests/test_boundary.py::test_every_boundary_refuses_an_off_curve_point[World.send]"),
      "a World validates only the flows it decodes from bytes, and keys a FlowMessage outside "
@@ -281,9 +287,7 @@ MUTANTS = (
       "test_a_warm_world_relay_raises_in_its_pairing_and_encodes_each_flow_once",),
      "choice 2 pairs, then raises by a separate gt_exp: the same keys from more work, "
      "and the separate gt_exp counts a second exp_gt"),
-    ("idak/sessions.py",
-     "                if not self._received_from_partner(oracle):\n"
-     "                    return False\n", "",
+    ("idak/sessions.py", PASSIVE, "",
      (SESSIONS + "test_wpfs_corruption_after_an_active_attack_poisons",
       SESSIONS + "test_wpfs_corruption_after_a_rerouted_flow_poisons"),
      "wpfsbr keeps any oracle fresh after a corruption that followed its completion, so "
@@ -337,6 +341,21 @@ MUTANTS = (
      (AMPLIFY + "test_solve_dlog_rejects_foreign_points",),
      "the trace walk takes a target outside the subgroup and returns its subgroup "
      "part's log, as the pairing with base sends the rest to 1"),
+    # the rest of fresh's rules, and the index that every drawer of a point is on
+    ("idak/sessions.py", "        if oracle.revealed:\n            return False\n", "",
+     (SESSIONS + "test_fresh_gate_reveal_self_and_partner",
+      SESSIONS + "test_binding_partners_match_the_transcript_reference"),
+     "fresh ignores a reveal of the oracle itself"),
+    ("idak/sessions.py", 'if self.mode == "br" or when < oracle.completed_at:',
+     'if self.mode == "br":',
+     (SESSIONS + "test_wpfs_corrupt_before_completion_poisons",),
+     "wpfsbr keeps an oracle fresh after a corruption before its completion, where the "
+     "adversary holds the key while the oracle runs"),
+    ("idak/sessions.py", "self._drawn.setdefault(oracle.own_msg.r, []).append(oracle)",
+     "self._drawn[oracle.own_msg.r] = [oracle]",
+     (SESSIONS + "test_binding_partners_match_the_transcript_reference",),
+     "_drawn keeps only the last oracle to draw a point, so where two drew it, fresh misses "
+     "the peer's oracle that sent the flow or a revealed matching oracle"),
 )
 
 

@@ -1,0 +1,29 @@
+"""tests/code_lines.py, the counter of src/'s code lines, on a source whose
+count is known."""
+
+import code_lines
+
+SOURCE = '''"""A module docstring
+over two lines."""
+
+# a comment line
+import math  # a trailing comment
+
+
+def area(radius):
+    """A function docstring."""
+
+    # the next expression spans three lines
+    return (
+        math.pi * radius ** 2
+    )
+
+
+class Circle: """a docstring after code on its line"""
+'''
+
+
+def test_the_counter_counts_code_lines_outside_docstrings_and_comments():
+    # import, def, the three lines of the return and the class line
+    assert code_lines.count(SOURCE) == 6
+

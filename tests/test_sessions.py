@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 import idak
 from idak.bilinear import (
-    INFINITY, GElem, encode_point, fixed_base_exp, gt_exp, pairing,
+    INFINITY, GElem, decode_point, encode_point, fixed_base_exp, gt_exp, pairing,
 )
 from idak.errors import (
     DegenerateExponentError,
     IdakError,
     InvalidFlowError,
+    MalformedElementError,
     NoKeyError,
     NoSuchPrincipalError,
     NotTestableError,
@@ -26,7 +27,7 @@ from idak.errors import (
 )
 from idak.protocol import (
     STRATEGIES, FlowMessage, IdentityKey, PiVariant, SharedSecret, derive, initiate,
-    initiator_first, session_key, setup,
+    initiator_first, session_key, setup, validate_flow_point,
 )
 from idak.sessions import SessionOracle, World, make_world, run_scenario
 from test_protocol import rogue_point
@@ -478,11 +479,17 @@ STEPS = st.one_of(
 
 
 @settings(max_examples=40, deadline=None)
-@given(mode=st.sampled_from(["br", "wpfsbr"]), steps=st.lists(STEPS, max_size=14))
+# at k = 4 (q = 13) oracles often draw one point: 14 relays draw only 9
+# distinct points, so every oracle that drew a point must count
+@given(k_bits=st.sampled_from([16, 4]), mode=st.sampled_from(["br", "wpfsbr"]),
+       steps=st.lists(STEPS, max_size=14))
 # a revealed responder leaves its matching initiator not fresh, on every run
-@example(mode="br", steps=[("relay", "alice", "bob"), ("reveal", 1)])
-def test_binding_partners_match_the_transcript_reference(mode, steps):
-    world = make_world(k_bits=16, seed="partners", mode=mode, principals=PEOPLE)
+@example(k_bits=16, mode="br", steps=[("relay", "alice", "bob"), ("reveal", 1)])
+# six relays at k = 4 draw a point twice, and a corruption after them
+# keeps fresh only the oracles whose peer's oracle drew what they received
+@example(k_bits=4, mode="wpfsbr", steps=[("relay", "alice", "bob")] * 6 + [("corrupt", "alice")])
+def test_binding_partners_match_the_transcript_reference(k_bits, mode, steps):
+    world = make_world(k_bits=k_bits, seed="partners", mode=mode, principals=PEOPLE)
     opened = []
     for step in steps:
         try:
@@ -521,15 +528,23 @@ def test_binding_partners_match_the_transcript_reference(mode, steps):
 # ---------------------------------------------------------------------------
 
 
-class _RemembersNothing:
-    """An emitted-flow record that keeps nothing, so its World checks every
-    received flow in full."""
+class _ChecksEveryFlow(World):
+    """A World that decodes every received flow and runs validate_flow_point
+    on it, the points its own oracles drew included; fresh still reads the
+    _drawn that its oracles fill.  emitted_checks counts the checks of
+    drawn points."""
 
-    def __setitem__(self, point, msg):
-        pass
+    emitted_checks = 0
 
-    def get(self, point, default=None):
-        return default
+    def _coerce_flow(self, flow):
+        if isinstance(flow, (bytes, bytearray)):
+            try:
+                flow = FlowMessage(decode_point(self.params.group, bytes(flow)))
+            except MalformedElementError as exc:
+                raise InvalidFlowError(str(exc)) from exc
+        self.emitted_checks += flow.r in self._drawn
+        validate_flow_point(self.params, flow.r)
+        return flow
 
 
 DIFF_PARAMS, DIFF_MSK = setup(16, "differential")
@@ -614,14 +629,27 @@ def _outcome(world, step):
     return result, world.rng.getstate(), states, fresh
 
 
+def _differential(seed, steps):
+    """Run steps on a World and on a _ChecksEveryFlow, asserting equal
+    outcomes after each step; return the _ChecksEveryFlow."""
+    world = World(DIFF_PARAMS, DIFF_MSK, rng=random.Random(seed))
+    reference = _ChecksEveryFlow(DIFF_PARAMS, DIFF_MSK, rng=random.Random(seed))
+    for step in steps:
+        assert _outcome(world, step) == _outcome(reference, step), step
+    return reference
+
+
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), steps=st.lists(DIFF_STEPS, max_size=24))
 def test_a_world_that_trusts_its_emitted_flows_matches_one_that_checks_every_flow(seed, steps):
-    world = World(DIFF_PARAMS, DIFF_MSK, rng=random.Random(seed))
-    reference = World(DIFF_PARAMS, DIFF_MSK, rng=random.Random(seed))
-    reference._emitted = _RemembersNothing()
-    for step in steps:
-        assert _outcome(world, step) == _outcome(reference, step), step
+    _differential(seed, steps)
+
+
+def test_the_reference_world_checks_the_flows_its_oracles_drew():
+    # two relays deliver two drawn flows each, and a reroute one more
+    steps = [("relay", "alice", "bob"), ("relay", "bob", "carol"),
+             ("deliver", 0, None, "carol", "alice", True)]
+    assert _differential(0, steps).emitted_checks == 5
 
 
 def _derived_key(world, oracle, peer_msg, strategy):
