@@ -470,7 +470,7 @@ def build_parser():
     p = sub.add_parser("scenario", parents=[common], help="run a query script")
     p.add_argument("file", nargs="?", help="scenario file or bundled name")
     p.add_argument("--list", action="store_true", help="list bundled scenarios")
-    # each of these wins over the file's config line, which wins over the default
+    # each of these wins over the file's config lines, which win over the default
     p.add_argument("--seed", default=None, help="world seed (default: scenario)")
     p.add_argument("--mode", choices=MODES, default=None, help="freshness mode (default: br)")
     p.add_argument("--k-bits", type=_k_bits, default=None, help="parameter size (default: 16)")

@@ -17,7 +17,9 @@ reads each step's table index from one int that interleaves the seven
 exponents' bits, so a round formats no strings.
 
 Blinding and unblinding each have one path on bare ints, _blind and
-_unblind, which randomize and correct call once per query.  amplify
+_unblind, which randomize and correct call once per query.  The shifts
+of a query are the plain triple (a, b, c) of ints: randomize returns it
+with the blinded instance, and correct takes it back.  amplify
 looks the tables up once per call, not twice per round, draws every
 round's shifts from its rng before the first query, as randomize draws
 one round's, and runs every round through the two helpers: it votes on
@@ -39,7 +41,6 @@ has norm 1.
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from idak.bilinear import (
@@ -76,15 +77,6 @@ class CbdhInstance(NamedTuple):
 
     def points(self):
         return (self.g, self.x_point, self.y_point, self.z_point)
-
-
-@dataclass(frozen=True)
-class Blinding:
-    """Shifts applied to one query; needed to unblind the answer."""
-
-    a: int
-    b: int
-    c: int
 
 
 def validate_instance(params, inst):
@@ -146,14 +138,14 @@ def randomize(params, inst, rng):
     """Blind a challenge so its exponents become uniform over Z_q^3.
 
     Draws the shifts a, b, c from rng, three randrange(q) in that order,
-    and returns the blinded instance with its Blinding: one round of
-    amplify, whose shifts are these three draws from its own rng.  Each
+    and returns the blinded instance with the triple (a, b, c): one round
+    of amplify, whose shifts are these three draws from its own rng.  Each
     blinded point is the instance point plus [shift]g (see _blind).
     """
     table, _ = _prepared(params, inst)
     q = params.q
-    shift = Blinding(rng.randrange(q), rng.randrange(q), rng.randrange(q))
-    return _blind(params.p, table, inst, shift.a, shift.b, shift.c), shift
+    shift = (rng.randrange(q), rng.randrange(q), rng.randrange(q))
+    return _blind(params.p, table, inst, *shift), shift
 
 
 def _blind(p, table, inst, a, b, c):
@@ -187,11 +179,12 @@ def _spread(n):
 def correct(params, w, inst, shift):
     """Strip blinding from the oracle answer w for the shifted instance.
 
+    shift is the triple (a, b, c) that randomize returned with the query.
     Returns the GTElem that one round of amplify would vote for (see
     _unblind).  A w over another field raises MalformedElementError.
     """
     _, products = _prepared(params, inst)
-    return GTElem(*_unblind(params, products, w, shift.a, shift.b, shift.c), params.p)
+    return GTElem(*_unblind(params, products, w, *shift), params.p)
 
 
 def _unblind(params, products, w, a, b, c):

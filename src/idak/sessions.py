@@ -364,59 +364,36 @@ def _error_name(exc: Exception) -> str:
     return _ERROR_NAMES.get(type(exc), type(exc).__name__)
 
 
-class _ScenarioState:
-    def __init__(self, overrides: dict):
-        self.config: dict = {}  # what the file's config lines set
-        self.overrides = overrides  # the caller's values, which win over config
-        self.world: World | None = None
-        self.oracles: dict[str, SessionOracle] = {}
-        self.test_results: dict[str, SessionKey] = {}
-
-    def ensure_world(self):
-        if self.world is None:
-            cfg = {**self.config, **self.overrides}
-            try:
-                self.world = make_world(
-                    k_bits=cfg.get("k_bits", 16),
-                    seed=str(cfg.get("seed", "scenario")),
-                    mode=cfg.get("mode", "br"),
-                    pi_variant=PiVariant(cfg.get("pi", "hash-half")),
-                    principals=cfg.get("principals", ()),
-                )
-            except (ValueError, IdakError) as exc:
-                raise ScenarioError(f"bad config: {exc}") from exc
-        return self.world
-
-    def oracle(self, label: str) -> SessionOracle:
-        if label not in self.oracles:
-            raise ScenarioError(f"unknown oracle label {label!r}")
-        return self.oracles[label]
-
-
 def run_scenario(lines, k_bits: int | None = None, seed=None, mode: str | None = None) -> dict:
     """Execute a JSON-lines scenario and return a replayable report.
 
-    Each line is a query {"q": ...}, an {"assert": ...}, or a leading
-    {"config": ...} overriding the defaults (k_bits 16, seed "scenario",
-    mode "br").  k_bits, seed and mode, when not None, win over both the
-    config line and the defaults.  An integer seed, from either, stands
-    for its decimal text, as `idak scenario --seed` gives it.  Flow
-    arguments are null for an initiator activation, "@LABEL.out" for
-    another oracle's emitted flow, or hex bytes of a point encoding.
-    A send names its oracle's "i" and "j" on the line that creates it and
-    on no later one.  Queries may carry "expect_error", the error they
-    must fail with, and assertions "expect" (default true), the outcome
-    they must have.  Failures are collected, not raised, and these fail
-    whatever "expect" says: a back-reference to an oracle that emitted
-    no flow fails its query ("no-flow") without sending it, keys-equal
-    or keys-differ on an oracle without a key fails ("no-key"), fresh on
-    one that has not completed ("not-testable"), and test-real-key or
-    test-random-key before a test query on its oracle answered.  A
-    malformed line, a field of the wrong type, an empty name, and i or j
-    on a later send raise ScenarioError.
+    Each line is a query {"q": ...}, an {"assert": ...}, or a config line
+    {"config": ...}.  Any number of config lines may come before the first
+    query or assertion, each merged over the ones before it; a config line
+    after a query or assertion raises ScenarioError.  The world is built
+    once, at the first query or assertion or at the end of a file that
+    has neither, from the config read so far over the defaults (k_bits
+    16, seed "scenario", mode "br").  k_bits, seed and mode, when not
+    None, win over both the config lines and the defaults.  An integer
+    seed, from either, stands for its decimal text, as `idak scenario
+    --seed` gives it.  Flow arguments are null for an initiator
+    activation, "@LABEL.out" for another oracle's emitted flow, or hex
+    bytes of a point encoding.  A send names its oracle's "i" and "j" on
+    the line that creates it and on no later one.  Queries may carry
+    "expect_error", the error they must fail with, and assertions
+    "expect" (default true), the outcome they must have.  Failures are
+    collected, not raised, and these fail whatever "expect" says: a
+    back-reference to an oracle that emitted no flow fails its query
+    ("no-flow") without sending it, keys-equal or keys-differ on an
+    oracle without a key fails ("no-key"), fresh on one that has not
+    completed ("not-testable"), and test-real-key or test-random-key
+    before a test query on its oracle answered.  A malformed line, a
+    field of the wrong type, an empty name, and i or j on a later send
+    raise ScenarioError.
     """
     given = {"k_bits": k_bits, "seed": seed, "mode": mode}
-    state = _ScenarioState({name: value for name, value in given.items() if value is not None})
+    overrides = {name: value for name, value in given.items() if value is not None}
+    config, world, oracles, tested = {}, None, {}, {}
     report = {"failures": [], "log": [], "queries": 0, "assertions": 0}
     for number, raw in enumerate(lines, start=1):
         raw = raw.strip()
@@ -429,24 +406,39 @@ def run_scenario(lines, k_bits: int | None = None, seed=None, mode: str | None =
         if not isinstance(entry, dict):
             raise ScenarioError(f"line {number}: not a JSON object")
         if "config" in entry:
-            if state.world is not None:
+            if world is not None:
                 raise ScenarioError(f"line {number}: config after queries")
-            state.config.update(_config(entry["config"], number))
+            config.update(_config(entry["config"], number))
             continue
+        if "q" not in entry and "assert" not in entry:
+            raise ScenarioError(f"line {number}: neither query nor assertion")
+        world = world or _scenario_world({**config, **overrides})
         if "q" in entry:
             report["queries"] += 1
-            _run_query(state, entry, number, report)
-        elif "assert" in entry:
-            report["assertions"] += 1
-            _run_assert(state, entry, number, report)
+            _run_query(world, oracles, tested, entry, number, report)
         else:
-            raise ScenarioError(f"line {number}: neither query nor assertion")
-    world = state.ensure_world()
-    group = world.params.group
+            report["assertions"] += 1
+            _run_assert(world, oracles, tested, entry, number, report)
+    # a file of config lines alone reports the world they configure
+    world = world or _scenario_world({**config, **overrides})
     report["mode"] = world.mode
-    report["params"] = group._asdict()
+    report["params"] = world.params.group._asdict()
     report["ok"] = not report["failures"]
     return report
+
+
+def _scenario_world(cfg: dict) -> World:
+    """The World that a scenario's merged config describes."""
+    try:
+        return make_world(
+            k_bits=cfg.get("k_bits", 16),
+            seed=str(cfg.get("seed", "scenario")),
+            mode=cfg.get("mode", "br"),
+            pi_variant=PiVariant(cfg.get("pi", "hash-half")),
+            principals=cfg.get("principals", ()),
+        )
+    except (ValueError, IdakError) as exc:
+        raise ScenarioError(f"bad config: {exc}") from exc
 
 
 _REQUIRED = object()
@@ -486,16 +478,24 @@ def _config(config, number: int) -> dict:
     return config
 
 
-def _resolve_flow(state: _ScenarioState, raw):
+def _oracle(oracles: dict, entry: dict, name: str, number: int) -> SessionOracle:
+    """The oracle whose label entry[name] holds, which a query has created."""
+    label = _field(entry, name, str, number)
+    if label not in oracles:
+        raise ScenarioError(f"unknown oracle label {label!r}")
+    return oracles[label]
+
+
+def _resolve_flow(oracles: dict, raw):
     if raw is None:
         return None
     if isinstance(raw, str) and raw.startswith("@"):
         label, _, field_name = raw[1:].partition(".")
         if field_name != "out":
             raise ScenarioError(f"unsupported back-reference {raw!r}")
-        if label not in state.oracles:
+        if label not in oracles:
             raise ScenarioError(f"back-reference to {label!r}, which no query has defined")
-        for direction, msg in state.oracles[label].transcript:
+        for direction, msg in oracles[label].transcript:
             if direction == "out":
                 return msg
         raise NoFlowError(f"oracle {label!r} has emitted no flow")
@@ -507,40 +507,35 @@ def _resolve_flow(state: _ScenarioState, raw):
     raise ScenarioError(f"bad flow value {raw!r}")
 
 
-def _run_query(state: _ScenarioState, entry: dict, number: int, report: dict):
-    world = state.ensure_world()
+def _run_query(world: World, oracles: dict, tested: dict, entry: dict, number: int, report: dict):
     expect_error = _field(entry, "expect_error", (str, type(None)), number, default=None)
     record = {"line": number, "q": entry["q"], "ok": True, "result": None}
     try:
         kind = entry["q"]
         if kind == "send":
             label = _field(entry, "oracle", str, number)
-            if label not in state.oracles:
-                state.oracles[label] = world.new_oracle(
+            if label not in oracles:
+                oracles[label] = world.new_oracle(
                     _name(entry, "i", number), _name(entry, "j", number)
                 )
             elif "i" in entry or "j" in entry:
                 raise ScenarioError(f"line {number}: i and j belong on {label!r}'s first send")
-            out = world.send(state.oracles[label], _resolve_flow(state, entry.get("x")))
+            out = world.send(oracles[label], _resolve_flow(oracles, entry.get("x")))
             if out is not None:
                 record["result"] = encode_point(world.params.group, out.r).hex()
         elif kind == "reveal":
-            key = world.reveal(state.oracle(_field(entry, "oracle", str, number)))
-            record["result"] = key.key.hex()
-        elif kind == "corrupt":
-            point = world.corrupt(_name(entry, "i", number))
-            record["result"] = encode_point(world.params.group, point).hex()
-        elif kind == "extract":
-            point = world.extract_query(_name(entry, "id", number))
+            record["result"] = world.reveal(_oracle(oracles, entry, "oracle", number)).key.hex()
+        elif kind in ("corrupt", "extract"):
+            name = _name(entry, "i" if kind == "corrupt" else "id", number)
+            point = world.corrupt(name) if kind == "corrupt" else world.extract_query(name)
             record["result"] = encode_point(world.params.group, point).hex()
         elif kind == "test":
             label = _field(entry, "oracle", str, number)
             coin = _field(entry, "coin", int, number)
             if coin not in (0, 1):
                 raise ScenarioError(f"line {number}: coin must be 0 or 1")
-            key = world.test(state.oracle(label), coin)
-            state.test_results[label] = key
-            record["result"] = key.key.hex()
+            tested[label] = world.test(_oracle(oracles, entry, "oracle", number), coin)
+            record["result"] = tested[label].key.hex()
         else:
             raise ScenarioError(f"line {number}: unknown query {kind!r}")
         if expect_error is not None:
@@ -555,31 +550,26 @@ def _run_query(state: _ScenarioState, entry: dict, number: int, report: dict):
     report["log"].append(record)
 
 
-def _run_assert(state: _ScenarioState, entry: dict, number: int, report: dict):
-    world = state.ensure_world()
+def _run_assert(world: World, oracles: dict, tested: dict, entry: dict, number: int, report: dict):
     kind = entry["assert"]
     record = {"line": number, "assert": kind, "ok": True}
-
-    def oracle(name):
-        return state.oracle(_field(entry, name, str, number))
-
     expect = _field(entry, "expect", bool, number, default=True)
     outcome = None  # None when there is nothing to compare, a failure whatever expect says
     try:
         if kind in ("keys-equal", "keys-differ"):
-            key_a, key_b = oracle("a").key, oracle("b").key
+            key_a, key_b = (_oracle(oracles, entry, name, number).key for name in "ab")
             if key_a is None or key_b is None:
                 raise NoKeyError("oracle without key")
             outcome = (key_a == key_b) == (kind == "keys-equal")
         elif kind == "matching":
-            outcome = world.matching(oracle("a"), oracle("b"))
+            outcome = world.matching(*(_oracle(oracles, entry, name, number) for name in "ab"))
         elif kind == "fresh":
-            outcome = world.fresh(oracle("oracle"))
+            outcome = world.fresh(_oracle(oracles, entry, "oracle", number))
         elif kind == "completed":
-            outcome = oracle("oracle").completed
+            outcome = _oracle(oracles, entry, "oracle", number).completed
         elif kind in ("test-real-key", "test-random-key"):
-            label = _field(entry, "oracle", str, number)
-            key, result = state.oracle(label).key, state.test_results.get(label)
+            key = _oracle(oracles, entry, "oracle", number).key
+            result = tested.get(entry["oracle"])
             # both need a test query that answered; None == None proves nothing
             outcome = None if result is None else (result == key) == (kind == "test-real-key")
         else:

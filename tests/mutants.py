@@ -86,6 +86,8 @@ PASSIVE = ("                if not any(\n"
            "                ):\n"
            "                    return False\n")
 NOBODY = '    if not ident:\n        raise KeystoreError("identity payload names nobody")\n'
+# the scenario runner's _fail, before which a mutant puts a public function with no caller
+FAIL = "def _fail(report: dict, record: dict, reason: str):\n"
 
 MUTANTS = (
     (BILINEAR, "(params.q.bit_length() + 1)", "params.q.bit_length()", (SIZES + "[24]",),
@@ -356,6 +358,20 @@ MUTANTS = (
      (SESSIONS + "test_binding_partners_match_the_transcript_reference",),
      "_drawn keeps only the last oracle to draw a point, so where two drew it, fresh misses "
      "the peer's oracle that sent the flow or a revealed matching oracle"),
+    # the World of a scenario file with no query or assertion, and a public name with
+    # no caller
+    ("idak/sessions.py",
+     '    world = world or _scenario_world({**config, **overrides})\n    report["mode"]',
+     '    world = world or _scenario_world(overrides)\n    report["mode"]',
+     (SESSIONS + "test_a_file_of_config_lines_alone_reports_the_world_they_configure",
+      SESSIONS + "test_scenario_rejects_bad_files"),
+     "a file of config lines alone reports the defaults and takes a bad config, as its "
+     "end-of-file World is built from the caller's overrides alone"),
+    ("idak/sessions.py", FAIL,
+     "def scenario_lines(text):\n    return text.splitlines()\n\n\n" + FAIL,
+     ("tests/test_library_surface.py::"
+      "test_every_public_name_has_a_caller_in_src_or_a_row_in_the_readme",),
+     "a public function that nothing in src/ calls and no README row accounts for"),
 )
 
 

@@ -26,7 +26,6 @@ from idak.bilinear import (
 )
 from idak.errors import MalformedElementError
 from idak.selfreduction import (
-    Blinding,
     CbdhInstance,
     MockCbdhOracle,
     amplify,
@@ -105,13 +104,11 @@ def test_randomize_shifts_exponents():
     y = dlog(GP, GEN, inst.y_point)
     z = dlog(GP, GEN, inst.z_point)
     for _ in range(20):
-        blinded, shift = randomize(GP, inst, rng)
-        assert blinded.x_point == point_add(
-            GP, inst.x_point, scalar_exp(GP, GEN, shift.a)
-        )
-        assert dlog(GP, GEN, blinded.x_point) == (x + shift.a) % GP.q
-        assert dlog(GP, GEN, blinded.y_point) == (y + shift.b) % GP.q
-        assert dlog(GP, GEN, blinded.z_point) == (z + shift.c) % GP.q
+        blinded, (a, b, c) = randomize(GP, inst, rng)
+        assert blinded.x_point == point_add(GP, inst.x_point, scalar_exp(GP, GEN, a))
+        assert dlog(GP, GEN, blinded.x_point) == (x + a) % GP.q
+        assert dlog(GP, GEN, blinded.y_point) == (y + b) % GP.q
+        assert dlog(GP, GEN, blinded.z_point) == (z + c) % GP.q
 
 
 def test_randomize_hides_the_query():
@@ -135,7 +132,7 @@ def test_randomize_hides_the_query():
 def test_zero_blinding_is_a_noop():
     rng = random.Random(5)
     inst, truth = make_instance(GP, GEN, rng)
-    assert correct(GP, truth, inst, Blinding(0, 0, 0)) == truth
+    assert correct(GP, truth, inst, (0, 0, 0)) == truth
 
 
 def test_correct_recovers_truth_from_honest_answer():
@@ -351,8 +348,8 @@ def test_mock_oracle_and_solve_dlog_at_the_table_bound():
     for _ in range(3):
         x, y, z = (rng.randrange(q) for _ in range(3))
         inst = CbdhInstance(g, *(scalar_exp(params, g, e) for e in (x, y, z)))
-        blinded, shift = randomize(params, inst, rng)
-        answer = (x + shift.a) * (y + shift.b) * (z + shift.c) % q
+        blinded, (a, b, c) = randomize(params, inst, rng)
+        answer = (x + a) * (y + b) * (z + c) % q
         assert mock(blinded) == gt_exp(base, answer)
         k = rng.randrange(q)
         assert solve_dlog(params, g, scalar_exp(params, g, k)) == k
@@ -446,12 +443,12 @@ def reference_randomize(params, inst, rng):
     """Blinding by one scalar_exp and one point_add per point."""
     validate_instance(params, inst)
     q = params.q
-    shift = Blinding(rng.randrange(q), rng.randrange(q), rng.randrange(q))
+    a, b, c = shift = (rng.randrange(q), rng.randrange(q), rng.randrange(q))
     blinded = CbdhInstance(
         inst.g,
-        point_add(params, inst.x_point, scalar_exp(params, inst.g, shift.a)),
-        point_add(params, inst.y_point, scalar_exp(params, inst.g, shift.b)),
-        point_add(params, inst.z_point, scalar_exp(params, inst.g, shift.c)),
+        point_add(params, inst.x_point, scalar_exp(params, inst.g, a)),
+        point_add(params, inst.y_point, scalar_exp(params, inst.g, b)),
+        point_add(params, inst.z_point, scalar_exp(params, inst.g, c)),
     )
     return blinded, shift
 
@@ -460,7 +457,7 @@ def reference_correct(params, w, inst, shift):
     """Unblinding by seven pairings, seven gt_exp and six gt_mul."""
     q = params.q
     g, xp, yp, zp = inst.points()
-    a, b, c = shift.a, shift.b, shift.c
+    a, b, c = shift
     surplus = gt_exp(pairing(params, xp, yp), c)
     surplus = gt_mul(surplus, gt_exp(pairing(params, xp, zp), b))
     surplus = gt_mul(surplus, gt_exp(pairing(params, yp, zp), a))
@@ -504,7 +501,7 @@ def test_correct_matches_reference(data):
     )
     # shifts outside [0, q) are accepted as their residues
     shifts = st.one_of(exponent(q), st.integers(-3 * q, 3 * q))
-    shift = Blinding(data.draw(shifts), data.draw(shifts), data.draw(shifts))
+    shift = (data.draw(shifts), data.draw(shifts), data.draw(shifts))
     w = gt_exp(pairing(params, g, g), r)
     assert correct(params, w, inst, shift) == reference_correct(params, w, inst, shift)
 
@@ -630,7 +627,7 @@ def test_an_answer_over_another_field_is_refused_before_it_votes():
     foreign = pairing(other, other_g, other_g)
     assert foreign.p != GP.p
     with pytest.raises(MalformedElementError, match="different fields"):
-        correct(GP, foreign, inst, Blinding(1, 2, 3))
+        correct(GP, foreign, inst, (1, 2, 3))
     # two honest answers, then one over another field: amplify stops at
     # that answer and returns no winner
     honest = MockCbdhOracle(GP, GEN, 1.0, random.Random(0))
@@ -656,11 +653,11 @@ def test_invalid_instance_is_rejected_on_every_call():
             with pytest.raises(ValueError):
                 randomize(GP, bad, random.Random(0))
             with pytest.raises(ValueError):
-                correct(GP, truth, bad, Blinding(1, 2, 3))
+                correct(GP, truth, bad, (1, 2, 3))
         # a valid instance in between leaves the rejection in place
         randomize(GP, good, random.Random(0))
         with pytest.raises(ValueError):
-            correct(GP, truth, bad, Blinding(1, 2, 3))
+            correct(GP, truth, bad, (1, 2, 3))
 
 
 def test_solve_dlog_rejects_off_curve_points():

@@ -814,6 +814,8 @@ def test_scenario_rejects_bad_files():
         '{"q": "send", "oracle": "A", "j": "b", "x": null}',
         '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": null}\n'
         '{"config": {"k_bits": 16}}',
+        # no query has made the oracle an assertion-only prefix names
+        '{"assert": "completed", "oracle": "A"}\n{"config": {"k_bits": 16}}',
         '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": null}\n'
         '{"q": "send", "oracle": "B", "i": "b", "j": "a", "x": "@A.in"}',
         '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": "zz"}',
@@ -823,6 +825,29 @@ def test_scenario_rejects_bad_files():
     ]:
         with pytest.raises(ScenarioError):
             run_scenario(script.split("\n"))
+
+
+def test_a_file_of_config_lines_alone_reports_the_world_they_configure():
+    lines = [
+        "# no query and no assertion: the world is built at the end of the file",
+        '{"config": {"k_bits": 12, "seed": "only-config"}}',
+        "",
+        '{"config": {"mode": "wpfsbr"}}',
+    ]
+    group = make_world(k_bits=12, seed="only-config").params.group
+    assert group.q.bit_length() == 12
+    assert run_scenario(lines) == {
+        "failures": [], "log": [], "queries": 0, "assertions": 0,
+        "mode": "wpfsbr", "params": group._asdict(), "ok": True,
+    }
+    # the caller's values still win over the config lines
+    assert run_scenario(lines, mode="br")["mode"] == "br"
+
+
+def test_the_world_is_built_at_the_first_assertion():
+    # before the assertion reads its oracle, so a bad config is its error
+    with pytest.raises(ScenarioError, match="bad config"):
+        run_scenario(['{"config": {"mode": "zz"}}', '{"assert": "completed", "oracle": "A"}'])
 
 
 def test_an_error_without_a_scenario_name_is_named_by_its_class():
