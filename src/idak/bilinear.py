@@ -120,12 +120,13 @@ Setup scans cofactors h divisible by 4, which for odd q are exactly
 those with p = h*q - 1 = 3 (mod 4).
 
 The value types GroupParams, GElem and GTElem, like protocol's
-FlowMessage, SharedSecret and SessionKey and selfreduction's
-CbdhInstance, are NamedTuples: a World relay builds about 12 of them and
-hashes about 24 (as cache and dict keys), and a tuple is built, hashed
-and compared in C, where a frozen dataclass sets each field through
-object.__setattr__ and hashes in generated Python, with or without
-slots=True.  So a value also equals the plain tuple of its fields, and +
+FlowMessage, SharedSecret, SessionKey, DeriveStrategy and OpCounts and
+selfreduction's CbdhInstance, are NamedTuples: a World relay builds about
+12 of them and hashes about 24 (as cache and dict keys), and a tuple is
+built, hashed and compared in C, where a frozen dataclass sets each field
+through object.__setattr__ and hashes in generated Python, with or
+without slots=True.  So a value also equals the plain tuple of its
+fields (an OpCounts equals its row of protocol.EXPECTED_COSTS), and +
 concatenates fields; point_add is the group law.
 
 Parameter sizes here are deliberately small.  Nothing in this module is

@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 data error, 2 usage error, 3 assertion failure.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -252,7 +251,7 @@ def cmd_respond(args):
     key, counts = _derive_key(args, params, own, "responder", y, msg, peer_ident, peer_msg)
     _write_flow(args.flow_out, encode_flow(params, "responder", own.identity, msg, extra))
     keystore.save_session(args.key_out, key)
-    report = {"flow": args.flow_out, "key": args.key_out, "counts": dataclasses.asdict(counts)}
+    report = {"flow": args.flow_out, "key": args.key_out, "counts": counts._asdict()}
     _emit(args, report)
     return EXIT_OK
 
@@ -273,7 +272,7 @@ def cmd_finalize(args):
         raise Refusal("invalid-flow", "flow carries an extra point; rerun with --pfs")
     key, counts = _derive_key(args, params, own, "initiator", x, own_msg, peer_id, peer_msg, extra)
     keystore.save_session(args.key_out, key)
-    _emit(args, {"key": args.key_out, "counts": dataclasses.asdict(counts)})
+    _emit(args, {"key": args.key_out, "counts": counts._asdict()})
     return EXIT_OK
 
 
@@ -301,8 +300,7 @@ def cmd_bench(args):
                     continue  # redraw both ephemerals
                 times.append(time.perf_counter() - started)
                 break
-        observed = (counts.pairings, counts.exp_g, counts.mul_g, counts.exp_gt)
-        rows.append((label, observed, statistics.median(times)))
+        rows.append((label, counts, statistics.median(times)))
     if not args.quiet:
         print("strategy\tpairings\texp_g\tmul_g\texp_gt\tmedian_ms")
         for label, observed, median in rows:
@@ -310,7 +308,7 @@ def cmd_bench(args):
     mismatches = [row for row in rows if row[1] != EXPECTED_COSTS[row[0]]]
     for label, observed, _ in mismatches:
         print(
-            f"error: cost mismatch for {label}: observed {observed}, "
+            f"error: cost mismatch for {label}: observed {tuple(observed)}, "
             f"expected {EXPECTED_COSTS[label]}",
             file=sys.stderr,
         )

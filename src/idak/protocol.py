@@ -116,8 +116,7 @@ class SessionKey(NamedTuple):
     key: bytes
 
 
-@dataclass(frozen=True)
-class DeriveStrategy:
+class DeriveStrategy(NamedTuple):
     choice: int
     precomputed: bool
 
@@ -140,8 +139,7 @@ def parse_strategy(label: str) -> DeriveStrategy:
     raise ValueError(f"unknown strategy {label!r}")
 
 
-@dataclass
-class OpCounts:
+class OpCounts(NamedTuple):
     """Online-phase operation counts of one derivation, read from
     bilinear.OPS: the one map from the kinds it observes to a row of
     EXPECTED_COSTS.

@@ -75,9 +75,6 @@ class CbdhInstance(NamedTuple):
     y_point: GElem
     z_point: GElem
 
-    def points(self):
-        return (self.g, self.x_point, self.y_point, self.z_point)
-
 
 def validate_instance(params, inst):
     """Check every component is a subgroup element with a usable base.
@@ -88,7 +85,7 @@ def validate_instance(params, inst):
     """
     if inst.g.is_identity():
         raise ValueError("base point must not be the identity")
-    if not all(in_subgroup(params, point) for point in inst.points()):
+    if not all(in_subgroup(params, point) for point in inst):
         raise ValueError("instance point is not in the subgroup")
 
 
@@ -121,7 +118,7 @@ def _prepared(params, inst):
     """
     validate_instance(params, inst)
     p = params.p
-    g, xp, yp, zp = inst.points()
+    g, xp, yp, zp = inst
     crosses = [
         pairing(params, left, right)
         for left, right in ((xp, yp), (xp, zp), (yp, zp), (xp, g), (yp, g), (zp, g), (g, g))

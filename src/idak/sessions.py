@@ -389,7 +389,9 @@ def run_scenario(lines, k_bits: int | None = None, seed=None, mode: str | None =
     completed ("not-testable"), and test-real-key or test-random-key
     before a test query on its oracle answered.  A malformed line, a
     field of the wrong type, an empty name, and i or j on a later send
-    raise ScenarioError.
+    raise ScenarioError.  Every ScenarioError starts "line N: ", N the
+    line being handled, save a bad config in a file with no query or
+    assertion, whose world is built after its last line.
     """
     given = {"k_bits": k_bits, "seed": seed, "mode": mode}
     overrides = {name: value for name, value in given.items() if value is not None}
@@ -400,25 +402,29 @@ def run_scenario(lines, k_bits: int | None = None, seed=None, mode: str | None =
         if not raw or raw.startswith("#"):
             continue
         try:
-            entry = json.loads(raw)
-        except (ValueError, RecursionError) as exc:
-            raise ScenarioError(f"line {number}: bad JSON: {exc}") from exc
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"line {number}: not a JSON object")
-        if "config" in entry:
-            if world is not None:
-                raise ScenarioError(f"line {number}: config after queries")
-            config.update(_config(entry["config"], number))
-            continue
-        if "q" not in entry and "assert" not in entry:
-            raise ScenarioError(f"line {number}: neither query nor assertion")
-        world = world or _scenario_world({**config, **overrides})
-        if "q" in entry:
-            report["queries"] += 1
-            _run_query(world, oracles, tested, entry, number, report)
-        else:
-            report["assertions"] += 1
-            _run_assert(world, oracles, tested, entry, number, report)
+            try:
+                entry = json.loads(raw)
+            except (ValueError, RecursionError) as exc:
+                raise ScenarioError(f"bad JSON: {exc}") from exc
+            if not isinstance(entry, dict):
+                raise ScenarioError("not a JSON object")
+            if "config" in entry:
+                if world is not None:
+                    raise ScenarioError("config after queries")
+                config.update(_config(entry["config"]))
+                continue
+            if "q" not in entry and "assert" not in entry:
+                raise ScenarioError("neither query nor assertion")
+            world = world or _scenario_world({**config, **overrides})
+            if "q" in entry:
+                report["queries"] += 1
+                _run_query(world, oracles, tested, entry, number, report)
+            else:
+                report["assertions"] += 1
+                _run_assert(world, oracles, tested, entry, number, report)
+        except ScenarioError as exc:
+            # the one place a scenario error names its line
+            raise ScenarioError(f"line {number}: {exc}") from exc
     # a file of config lines alone reports the world they configure
     world = world or _scenario_world({**config, **overrides})
     report["mode"] = world.mode
@@ -447,40 +453,40 @@ _REQUIRED = object()
 _CONFIG_TYPES = {"k_bits": int, "seed": (str, int), "mode": str, "pi": str, "principals": list}
 
 
-def _field(entry: dict, name: str, kind, number: int, default=_REQUIRED):
+def _field(entry: dict, name: str, kind, default=_REQUIRED):
     """entry[name] if it has the JSON type kind; default if it is absent."""
     if name not in entry:
         if default is _REQUIRED:
-            raise ScenarioError(f"line {number}: missing field {name!r}")
+            raise ScenarioError(f"missing field {name!r}")
         return default
     value = entry[name]
     # JSON true and false are not numbers, though Python's bool is an int
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ScenarioError(f"line {number}: field {name!r} has the wrong JSON type")
+        raise ScenarioError(f"field {name!r} has the wrong JSON type")
     return value
 
 
-def _name(entry: dict, name: str, number: int) -> str:
+def _name(entry: dict, name: str) -> str:
     """The principal named by entry[name], which must be a non-empty string."""
-    value = _field(entry, name, str, number)
+    value = _field(entry, name, str)
     if not value:
-        raise ScenarioError(f"line {number}: field {name!r} names nobody")
+        raise ScenarioError(f"field {name!r} names nobody")
     return value
 
 
-def _config(config, number: int) -> dict:
+def _config(config) -> dict:
     if not isinstance(config, dict):
-        raise ScenarioError(f"line {number}: config is not a JSON object")
+        raise ScenarioError("config is not a JSON object")
     for name, kind in _CONFIG_TYPES.items():
-        _field(config, name, kind, number, default=None)
+        _field(config, name, kind, default=None)
     if not all(isinstance(name, str) for name in config.get("principals", ())):
-        raise ScenarioError(f"line {number}: principals must be strings")
+        raise ScenarioError("principals must be strings")
     return config
 
 
-def _oracle(oracles: dict, entry: dict, name: str, number: int) -> SessionOracle:
+def _oracle(oracles: dict, entry: dict, name: str) -> SessionOracle:
     """The oracle whose label entry[name] holds, which a query has created."""
-    label = _field(entry, name, str, number)
+    label = _field(entry, name, str)
     if label not in oracles:
         raise ScenarioError(f"unknown oracle label {label!r}")
     return oracles[label]
@@ -508,36 +514,34 @@ def _resolve_flow(oracles: dict, raw):
 
 
 def _run_query(world: World, oracles: dict, tested: dict, entry: dict, number: int, report: dict):
-    expect_error = _field(entry, "expect_error", (str, type(None)), number, default=None)
+    expect_error = _field(entry, "expect_error", (str, type(None)), default=None)
     record = {"line": number, "q": entry["q"], "ok": True, "result": None}
     try:
         kind = entry["q"]
         if kind == "send":
-            label = _field(entry, "oracle", str, number)
+            label = _field(entry, "oracle", str)
             if label not in oracles:
-                oracles[label] = world.new_oracle(
-                    _name(entry, "i", number), _name(entry, "j", number)
-                )
+                oracles[label] = world.new_oracle(_name(entry, "i"), _name(entry, "j"))
             elif "i" in entry or "j" in entry:
-                raise ScenarioError(f"line {number}: i and j belong on {label!r}'s first send")
+                raise ScenarioError(f"i and j belong on {label!r}'s first send")
             out = world.send(oracles[label], _resolve_flow(oracles, entry.get("x")))
             if out is not None:
                 record["result"] = encode_point(world.params.group, out.r).hex()
         elif kind == "reveal":
-            record["result"] = world.reveal(_oracle(oracles, entry, "oracle", number)).key.hex()
+            record["result"] = world.reveal(_oracle(oracles, entry, "oracle")).key.hex()
         elif kind in ("corrupt", "extract"):
-            name = _name(entry, "i" if kind == "corrupt" else "id", number)
+            name = _name(entry, "i" if kind == "corrupt" else "id")
             point = world.corrupt(name) if kind == "corrupt" else world.extract_query(name)
             record["result"] = encode_point(world.params.group, point).hex()
         elif kind == "test":
-            label = _field(entry, "oracle", str, number)
-            coin = _field(entry, "coin", int, number)
+            label = _field(entry, "oracle", str)
+            coin = _field(entry, "coin", int)
             if coin not in (0, 1):
-                raise ScenarioError(f"line {number}: coin must be 0 or 1")
-            tested[label] = world.test(_oracle(oracles, entry, "oracle", number), coin)
+                raise ScenarioError("coin must be 0 or 1")
+            tested[label] = world.test(_oracle(oracles, entry, "oracle"), coin)
             record["result"] = tested[label].key.hex()
         else:
-            raise ScenarioError(f"line {number}: unknown query {kind!r}")
+            raise ScenarioError(f"unknown query {kind!r}")
         if expect_error is not None:
             _fail(report, record, f"expected {expect_error}, query succeeded")
     except ScenarioError:
@@ -553,27 +557,27 @@ def _run_query(world: World, oracles: dict, tested: dict, entry: dict, number: i
 def _run_assert(world: World, oracles: dict, tested: dict, entry: dict, number: int, report: dict):
     kind = entry["assert"]
     record = {"line": number, "assert": kind, "ok": True}
-    expect = _field(entry, "expect", bool, number, default=True)
+    expect = _field(entry, "expect", bool, default=True)
     outcome = None  # None when there is nothing to compare, a failure whatever expect says
     try:
         if kind in ("keys-equal", "keys-differ"):
-            key_a, key_b = (_oracle(oracles, entry, name, number).key for name in "ab")
+            key_a, key_b = (_oracle(oracles, entry, name).key for name in "ab")
             if key_a is None or key_b is None:
                 raise NoKeyError("oracle without key")
             outcome = (key_a == key_b) == (kind == "keys-equal")
         elif kind == "matching":
-            outcome = world.matching(*(_oracle(oracles, entry, name, number) for name in "ab"))
+            outcome = world.matching(*(_oracle(oracles, entry, name) for name in "ab"))
         elif kind == "fresh":
-            outcome = world.fresh(_oracle(oracles, entry, "oracle", number))
+            outcome = world.fresh(_oracle(oracles, entry, "oracle"))
         elif kind == "completed":
-            outcome = _oracle(oracles, entry, "oracle", number).completed
+            outcome = _oracle(oracles, entry, "oracle").completed
         elif kind in ("test-real-key", "test-random-key"):
-            key = _oracle(oracles, entry, "oracle", number).key
+            key = _oracle(oracles, entry, "oracle").key
             result = tested.get(entry["oracle"])
             # both need a test query that answered; None == None proves nothing
             outcome = None if result is None else (result == key) == (kind == "test-real-key")
         else:
-            raise ScenarioError(f"line {number}: unknown assertion {kind!r}")
+            raise ScenarioError(f"unknown assertion {kind!r}")
     except ScenarioError:
         raise
     except Exception as exc:  # noqa: BLE001

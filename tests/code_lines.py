@@ -1,13 +1,17 @@
-"""Count the code lines of src/idak: lines that hold a token outside
-docstrings and comments.
+"""Count the code lines and code tokens of src/idak: the tokens outside
+docstrings and comments, and the lines that hold one.
 
 A line counts once if any token on it is code, so a multi-line expression
 counts each of its lines, and a line that is only a docstring, a comment
 or blank counts none.  A docstring is the string that opens a module, a
 class or a function body, as ast.get_docstring reads it; code on its
-first line, as in `def f(): "doc"`, still counts.
-`python tests/code_lines.py`, run from the repository root, prints the
-count per module and the total.
+first line, as in `def f(): "doc"`, still counts.  Tokens are counted the
+same way, less line breaks and indentation, so an edit that drops a
+parameter or an argument shows even where no line goes.  From Python 3.12
+the tokenizer splits an f-string into several tokens, where 3.11 reads
+one, so token totals differ between Python versions; line counts do not.
+`python tests/code_lines.py`, run from the repository root, prints both
+counts per module and in total.
 """
 
 import ast
@@ -33,25 +37,30 @@ def _docstring_lines(tree):
     return lines
 
 
+def code_tokens(source):
+    """The tokens of the Python source text outside docstrings and comments."""
+    docstrings = _docstring_lines(ast.parse(source))
+    return [token for token in tokenize.generate_tokens(io.StringIO(source).readline)
+            if token.type not in _NOT_CODE
+            and not (token.type == tokenize.STRING and token.start[0] in docstrings)]
+
+
 def count(source):
     """The number of code lines in the Python source text."""
-    docstrings = _docstring_lines(ast.parse(source))
-    lines = set()
-    for token in tokenize.generate_tokens(io.StringIO(source).readline):
-        if token.type in _NOT_CODE or (token.type == tokenize.STRING
-                                       and token.start[0] in docstrings):
-            continue
-        lines.update(range(token.start[0], token.end[0] + 1))
-    return len(lines)
+    return len({line for token in code_tokens(source)
+                for line in range(token.start[0], token.end[0] + 1)})
 
 
 def main():
-    total = 0
+    total_lines = total_tokens = 0
+    print("module\tcode lines\tcode tokens")
     for path in sorted(SRC.rglob("*.py")):
-        lines = count(path.read_text(encoding="utf-8"))
-        total += lines
-        print(f"{path.relative_to(SRC.parent)}\t{lines}")
-    print(f"total\t{total}")
+        source = path.read_text(encoding="utf-8")
+        lines, tokens = count(source), len(code_tokens(source))
+        total_lines += lines
+        total_tokens += tokens
+        print(f"{path.relative_to(SRC.parent)}\t{lines}\t{tokens}")
+    print(f"total\t{total_lines}\t{total_tokens}")
 
 
 if __name__ == "__main__":

@@ -372,6 +372,12 @@ MUTANTS = (
      ("tests/test_library_surface.py::"
       "test_every_public_name_has_a_caller_in_src_or_a_row_in_the_readme",),
      "a public function that nothing in src/ calls and no README row accounts for"),
+    # run_scenario, the one place a scenario error is given its line
+    ("idak/sessions.py", '            raise ScenarioError(f"line {number}: {exc}") from exc\n',
+     "            raise\n",
+     (SESSIONS + "test_every_scenario_error_names_its_line",),
+     "a scenario error leaves run_scenario without its line, so a faulty line of a long "
+     "file cannot be found"),
 )
 
 

@@ -1,5 +1,5 @@
-"""tests/code_lines.py, the counter of src/'s code lines, on a source whose
-count is known."""
+"""tests/code_lines.py, the counter of src/'s code lines and code tokens,
+on a source whose counts are known."""
 
 import code_lines
 
@@ -27,3 +27,9 @@ def test_the_counter_counts_code_lines_outside_docstrings_and_comments():
     # import, def, the three lines of the return and the class line
     assert code_lines.count(SOURCE) == 6
 
+
+
+def test_the_counter_counts_code_tokens_outside_docstrings_and_comments():
+    # import math (2), the def line (6), the return's three lines (10) and
+    # the class line (3), whose docstring is not code
+    assert len(code_lines.code_tokens(SOURCE)) == 21

@@ -131,6 +131,8 @@ def test_value_types_are_immutable_records_equal_by_their_fields():
         (SessionKey(b"key"), ("key",)),
         (CbdhInstance(g, ALICE.g_id, BOB.g_id, ALICE.d_id),
          ("g", "x_point", "y_point", "z_point")),
+        (OpCounts(1, 2.5, 1, 0), ("pairings", "exp_g", "mul_g", "exp_gt")),
+        (DeriveStrategy(2, True), ("choice", "precomputed")),
     ]
     for value, names in records:
         cls = type(value)
@@ -147,8 +149,9 @@ def test_value_types_are_immutable_records_equal_by_their_fields():
     with pytest.raises(MalformedElementError) as refusal:
         point_add(GP, GElem(1, 1), g)
     assert str(refusal.value) == "point GElem(x=1, y=1) is not on the curve"
-    # the two records that stay dataclasses: parameters are switched by
-    # dataclasses.replace, and a loaded identity key may be weakly referenced
+    # the records that stay dataclasses: SystemParams, switched by
+    # dataclasses.replace; IdentityKey, as a loaded identity key may be weakly
+    # referenced; and SessionOracle, which World mutates as its run goes on
     assert dataclasses.replace(PARAMS, pi_variant=PiVariant.XOR_HALF).group is GP
     assert weakref.ref(ALICE)() is ALICE
 

@@ -456,7 +456,7 @@ def reference_randomize(params, inst, rng):
 def reference_correct(params, w, inst, shift):
     """Unblinding by seven pairings, seven gt_exp and six gt_mul."""
     q = params.q
-    g, xp, yp, zp = inst.points()
+    g, xp, yp, zp = inst
     a, b, c = shift
     surplus = gt_exp(pairing(params, xp, yp), c)
     surplus = gt_mul(surplus, gt_exp(pairing(params, xp, zp), b))
@@ -688,7 +688,7 @@ class HashSetOracle:
         self.base = pairing(params, g, g)
 
     def __call__(self, inst):
-        encoded = b"".join(encode_point(self.params, point) for point in inst.points())
+        encoded = b"".join(encode_point(self.params, point) for point in inst)
         if int.from_bytes(hashlib.sha256(encoded).digest()[:8], "big") >= self.bound:
             return self.wrong(inst)
         return self.right(inst)

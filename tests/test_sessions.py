@@ -827,6 +827,51 @@ def test_scenario_rejects_bad_files():
             run_scenario(script.split("\n"))
 
 
+SEND_A = '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": null}'
+
+
+# each ScenarioError message once: the lines that set it up, the faulty
+# line, and its message without the line prefix
+@pytest.mark.parametrize("setup, faulty, message", [
+    ([], "not json", "bad JSON: Expecting value: line 1 column 1 (char 0)"),
+    ([], "5", "not a JSON object"),
+    ([SEND_A], '{"config": {"k_bits": 16}}', "config after queries"),
+    ([], '{"note": 1}', "neither query nor assertion"),
+    (['{"config": {"mode": "zz"}}'], '{"q": "extract", "id": "a"}',
+     "bad config: mode must be one of ('br', 'wpfsbr'), got 'zz'"),
+    ([], '{"q": "send"}', "missing field 'oracle'"),
+    ([], '{"assert": "completed", "oracle": "A", "expect": "yes"}',
+     "field 'expect' has the wrong JSON type"),
+    ([], '{"q": "corrupt", "i": ""}', "field 'i' names nobody"),
+    ([], '{"config": 5}', "config is not a JSON object"),
+    ([], '{"config": {"principals": ["alice", 5]}}', "principals must be strings"),
+    ([], '{"q": "reveal", "oracle": "nope"}', "unknown oracle label 'nope'"),
+    ([SEND_A], '{"q": "send", "oracle": "B", "i": "b", "j": "a", "x": "@A.in"}',
+     "unsupported back-reference '@A.in'"),
+    ([], '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": "@B.out"}',
+     "back-reference to 'B', which no query has defined"),
+    ([], '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": "zz"}',
+     "flow is neither reference nor hex: 'zz'"),
+    ([], '{"q": "send", "oracle": "A", "i": "a", "j": "b", "x": 5}', "bad flow value 5"),
+    ([SEND_A], '{"q": "send", "oracle": "A", "j": "b", "x": null}',
+     "i and j belong on 'A''s first send"),
+    ([SEND_A], '{"q": "test", "oracle": "A", "coin": 2}', "coin must be 0 or 1"),
+    ([], '{"q": "fly"}', "unknown query 'fly'"),
+    ([], '{"assert": "flies"}', "unknown assertion 'flies'"),
+])
+def test_every_scenario_error_names_its_line(setup, faulty, message):
+    # a blank line and a comment count as lines too
+    lines = ["", "# the faulty line is the last", *setup, faulty]
+    with pytest.raises(ScenarioError) as raised:
+        run_scenario(lines)
+    assert str(raised.value) == f"line {len(lines)}: {message}"
+    # a bad JSON line keeps its decode error at the end of the chain of causes
+    cause = raised.value
+    while cause.__cause__ is not None:
+        cause = cause.__cause__
+    assert isinstance(cause, json.JSONDecodeError) == message.startswith("bad JSON")
+
+
 def test_a_file_of_config_lines_alone_reports_the_world_they_configure():
     lines = [
         "# no query and no assertion: the world is built at the end of the file",
