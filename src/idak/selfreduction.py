@@ -6,24 +6,25 @@ the oracle only ever sees instances uniform over G^3, and a correct
 answer can be unblinded with pairings alone.  Majority voting over many
 blinded calls turns an unreliable oracle into a reliable solver.
 
-Everything that depends only on the instance is prepared once and cached
-for the most recent instance: its validation, g's fixed-base window
-table of signed 6-bit digits (built by bilinear and cached there per
-base point, so instances that share g share it), and the products of
-every subset of the seven cross pairings that unblinding needs.  Each
-round then costs one table walk per blinded point and one
-multi-exponentiation in GT, and no pairing.  The multi-exponentiation
-reads each step's table index from one int that interleaves the seven
-exponents' bits, so a round formats no strings.
+Everything that depends only on the instance is prepared once per
+amplify call (_prepared): its validation, g's fixed-base window table of
+signed 6-bit digits (built by bilinear and cached there per base point,
+so instances that share g share it), and the products of every subset
+of the seven cross pairings that unblinding needs.  Each round then
+costs one table walk per blinded point and one multi-exponentiation in
+GT, and no pairing.  The multi-exponentiation reads each step's table
+index from one int that interleaves the seven exponents' bits, so a
+round formats no strings.
 
 Blinding and unblinding each have one path on bare ints, _blind and
 _unblind, which randomize and correct call once per query.  The shifts
 of a query are the plain triple (a, b, c) of ints: randomize returns it
-with the blinded instance, and correct takes it back.  amplify
-looks the tables up once per call, not twice per round, draws every
-round's shifts from its rng before the first query, as randomize draws
-one round's, and runs every round through the two helpers: it votes on
-each candidate's (a, b) pair and builds one GTElem, for the winner.
+with the blinded instance, and correct takes it back.  They are one
+round of amplify as a public API, and each prepares the instance on
+every call.  amplify draws every round's shifts from its rng before the first query,
+as randomize draws one round's, and runs every round through the two
+helpers: it votes on each candidate's (a, b) pair and builds one GTElem,
+for the winner.
 
 The mock oracle that stands in for the adversary answers with a
 baby-step giant-step discrete log (Shanks 1971) taken in GT, not in G:
@@ -39,7 +40,6 @@ gt_exp.  GT inverses are conjugations (gt_inv), as every element of GT
 has norm 1.
 """
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -106,7 +106,6 @@ def make_instance(params, g, rng):
     return inst, truth
 
 
-@functools.lru_cache(maxsize=1)
 def _prepared(params, inst):
     """Validate the instance once and return its two tables.
 
@@ -114,7 +113,7 @@ def _prepared(params, inst):
     second holds, at each 7-bit index, the product of the inverses of the
     cross pairings e(x,y), e(x,z), e(y,z), e(x,g), e(y,g), e(z,g), e(g,g)
     whose bits are set, read from the top bit down.  A failed validation
-    raises, so it is never cached.
+    raises ValueError before any pairing.
     """
     validate_instance(params, inst)
     p = params.p
@@ -327,7 +326,8 @@ class MockCbdhOracle:
     log, and one pairing and one exponentiation in GT for the answer; that
     pairing raises MalformedElementError for an x point outside the
     subgroup.  Wrong answers are uniform over the target group:
-    gt_exp(e(g, g), r) for one randrange(q) draw r.
+    gt_exp(e(g, g), r) for one randrange(q) draw r, with e(g, g) read
+    from the trace table, which holds it as z.
     """
 
     def __init__(self, params, g, delta, rng):
@@ -338,7 +338,6 @@ class MockCbdhOracle:
         self.rng = rng
         self.queries = 0
         self._traces = _trace_table(params, g)
-        self._base_gt = self._traces[2]  # e(g, g)
 
     def __call__(self, inst):
         self.queries += 1
@@ -346,4 +345,4 @@ class MockCbdhOracle:
         if self.rng.random() < self.delta:
             z = _trace_dlog(params, self._traces, inst.z_point)
             return gt_exp(pairing(params, inst.x_point, inst.y_point), z)
-        return gt_exp(self._base_gt, self.rng.randrange(params.q))
+        return gt_exp(self._traces[2], self.rng.randrange(params.q))  # e(g, g)^r

@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bilinear import GElem, GTElem, decode_point, encode_point, gt_exp, identity_bytes, pairing
 from .errors import (
@@ -73,13 +73,18 @@ _RELAY_STRATEGY = DeriveStrategy(2, False)
 @dataclass
 class SessionOracle:
     """One party's view of one protocol run: oracle (owner, peer, index),
-    with owner and peer as identity bytes."""
+    with owner and peer as identity bytes.
+
+    own_msg is the flow the oracle drew.  An initiator emits it on
+    activation, a responder as it completes; a responder that aborts has
+    drawn it but emitted nothing.  binding, set at completion, is the
+    oracle's conversation, which matching, fresh and the session key read.
+    """
 
     owner: bytes
     peer: bytes
     index: int
     role: str | None = None
-    transcript: list = field(default_factory=list)  # ("out" | "in", FlowMessage)
     ephemeral: int | None = None
     own_msg: FlowMessage | None = None
     key: SessionKey | None = None
@@ -187,16 +192,15 @@ class World:
             raise StaleOracleError(f"oracle {oracle.name()} is no longer active")
         own_key = self.principals[oracle.owner]
         if flow is None:
-            if oracle.transcript:
+            if oracle.role is not None:
                 raise StaleOracleError(f"oracle {oracle.name()} was already activated")
             oracle.role = "initiator"
             self._initiate(oracle, own_key)
-            oracle.transcript.append(("out", oracle.own_msg))
             return oracle.own_msg
 
         try:
             msg_in = self._coerce_flow(flow)
-            if not oracle.transcript:
+            if oracle.role is None:
                 oracle.role = "responder"
                 self._initiate(oracle, own_key)
             shared = _derive_trusted(
@@ -206,17 +210,13 @@ class World:
         except (InvalidFlowError, DegenerateExponentError):
             oracle.aborted = True
             raise
-        oracle.transcript.append(("in", msg_in))
-        # a responder answers as it completes; an initiator completes silently
-        reply = oracle.own_msg if oracle.role == "responder" else None
-        if reply is not None:
-            oracle.transcript.append(("out", reply))
         oracle.binding = initiator_first(
             oracle.owner, oracle.own_msg, oracle.peer, msg_in, oracle.role
         )
         oracle.key = session_key(self.params, shared, *oracle.binding)
         oracle.completed_at = self.clock
-        return reply
+        # a responder answers as it completes; an initiator completes silently
+        return oracle.own_msg if oracle.role == "responder" else None
 
     def reveal(self, oracle: SessionOracle) -> SessionKey:
         self.clock += 1
@@ -243,7 +243,7 @@ class World:
 
     def matching(self, first: SessionOracle, second: SessionOracle) -> bool:
         """Both completed, complementary roles, and equal bindings: the same
-        endpoints in the same roles and the same ordered transcript."""
+        endpoints in the same roles and the same two flows in order."""
         return (
             first.completed
             and second.completed
@@ -309,23 +309,21 @@ class World:
         the world's trust boundary, the one check between a flow and the
         key derived from it.
 
-        A point this world emitted comes back as the message of the first
-        oracle that drew it, unchecked: it is g_id^x with 1 <= x < q, so
-        its check could never fail.  Any other point, as bytes or as a
-        FlowMessage, passes validate_flow_point here, as nothing after it
-        checks the point again.  A rejected flow so draws nothing from
-        self.rng, and every later draw, and every scenario replay, stays
-        the same.
+        A point that this world's oracles drew passes unchecked: it is
+        g_id^x with 1 <= x < q, so its check could never fail.  Any other
+        point, as bytes or as a FlowMessage, passes validate_flow_point
+        here, as nothing after it checks the point again.  Either way the
+        flow comes back as it was trusted or decoded; every reader compares
+        flows by value.  A rejected flow so draws nothing from self.rng,
+        and every later draw, and every scenario replay, stays the same.
         """
         if isinstance(flow, (bytes, bytearray)):
             try:
                 flow = FlowMessage(r=decode_point(self.params.group, bytes(flow)))
             except MalformedElementError as exc:
                 raise InvalidFlowError(f"malformed flow point: {exc}") from exc
-        drawers = self._drawn.get(flow.r)
-        if drawers is not None:
-            return drawers[0].own_msg
-        validate_flow_point(self.params, flow.r)
+        if flow.r not in self._drawn:
+            validate_flow_point(self.params, flow.r)
         return flow
 
 
@@ -501,9 +499,10 @@ def _resolve_flow(oracles: dict, raw):
             raise ScenarioError(f"unsupported back-reference {raw!r}")
         if label not in oracles:
             raise ScenarioError(f"back-reference to {label!r}, which no query has defined")
-        for direction, msg in oracles[label].transcript:
-            if direction == "out":
-                return msg
+        oracle = oracles[label]
+        # an initiator emits on activation, a responder as it completes
+        if oracle.role == "initiator" or oracle.completed:
+            return oracle.own_msg
         raise NoFlowError(f"oracle {label!r} has emitted no flow")
     if isinstance(raw, str):
         try:

@@ -378,6 +378,23 @@ MUTANTS = (
      (SESSIONS + "test_every_scenario_error_names_its_line",),
      "a scenario error leaves run_scenario without its line, so a faulty line of a long "
      "file cannot be found"),
+    # what an oracle has emitted, read off its role and completion, and the
+    # vanished exponent that derive refuses
+    ("idak/sessions.py", 'if oracle.role == "initiator" or oracle.completed:',
+     "if oracle.own_msg is not None:",
+     ("tests/test_cli.py::test_scenario_at_three_bits_reports_its_failed_lines",),
+     "a back-reference to a responder that drew y and then aborted sends y, which it "
+     "never emitted, where the query fails no-flow"),
+    ("idak/sessions.py", "            if oracle.role is not None:\n",
+     "            if oracle.completed:\n",
+     (SESSIONS + "test_stale_oracle_rejections",),
+     "send re-activates a waiting initiator, which draws a second flow"),
+    ("idak/protocol.py", "if own_exp == 0:", "if own_exp != 0:",
+     ("tests/test_cli.py::test_exchange_round_trip",
+      "tests/test_protocol.py::test_derive_reports_its_first_fault_in_check_order"),
+     "derive refuses every live exponent and passes a vanished one; "
+     "test_operation_cost_table catches it too, but its redraw loop spins until "
+     "ENTRY_TIMEOUT, so it is not named"),
 )
 
 

@@ -220,7 +220,7 @@ def test_is_probable_prime_matches_the_13_base_reference():
 # which the gcd also refuses, and three with no factor below 1000.
 STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 1711469, 2263127, 2518889]
 # Strong base-2 pseudoprimes with no factor below 1000, each with a factor:
-# 2304167 = 1103 * 2089, the three of N_PLUS_1_PSEUDOPRIMES below, the two
+# 2304167 = 1103 * 2089, the three of PSEUDOPRIME_P_SETS below, the two
 # above to the first 11 and 12 bases, and psi_13.
 STRONG_BASE_2_PSEUDOPRIMES = [
     (2304167, 1103),
@@ -278,11 +278,11 @@ def test_the_lucas_step_refuses_an_n_that_shares_a_factor_with_d(n, d):
     assert gcd(n, bilinear._PRIMORIAL_1000) != 1 and not is_probable_prime(n)
 
 
-# strong pseudoprimes to base 2 with every factor above 1000, whose n + 1
-# has a prime factor q > isqrt(n) + 1, so that an N+1 proof of n from q
-# applies: the gcd and the base-2 round pass them, so only the Lucas step
-# of is_probable_prime refuses them
-N_PLUS_1_PSEUDOPRIMES = [
+# strong pseudoprimes to base 2 with every factor above 1000, each n = hq - 1
+# for a prime q > isqrt(n) + 1, the shape of a generated p: the gcd and the
+# base-2 round pass them, so only the Lucas step of is_probable_prime
+# refuses them
+PSEUDOPRIME_P_SETS = [
     # (n, q, h, a factor of n)
     (6787327, 26513, 256, 1303),
     (21623659, 63599, 340, 1163),
@@ -290,8 +290,8 @@ N_PLUS_1_PSEUDOPRIMES = [
 ]
 
 
-@pytest.mark.parametrize("n, q, h, factor", N_PLUS_1_PSEUDOPRIMES)
-def test_the_n_plus_1_proof_refuses_base_2_pseudoprimes(n, q, h, factor):
+@pytest.mark.parametrize("n, q, h, factor", PSEUDOPRIME_P_SETS)
+def test_params_decoding_refuses_a_base_2_pseudoprime_p(n, q, h, factor):
     assert n == h * q - 1 and n % factor == 0 and 1000 < factor < n
     assert gcd(n, bilinear._PRIMORIAL_1000) == 1 and bilinear._strong_probable_prime(n)
     assert is_probable_prime(q) and q > isqrt(n) + 1
@@ -317,7 +317,7 @@ def _cofactor_scan(k_bits, seed, is_prime):
             return GroupParams(p=p, q=q, h=h)
 
 
-def test_generated_p_is_proved_without_miller_rabin():
+def test_generated_sets_match_a_scan_over_every_even_h():
     # at k = 256 and 512 setup finds the parameters of a scan over every
     # even h, so scanning only h divisible by 4 skips no prime p
     for k in (256, 512):
@@ -326,7 +326,7 @@ def test_generated_p_is_proved_without_miller_rabin():
             assert instance_generate(k, seed) == _cofactor_scan(k, seed, is_probable_prime), (k, seed)
 
 
-def test_generated_sets_match_an_exact_scan_where_the_proof_was_exact():
+def test_generated_sets_match_an_exact_13_base_scan_at_56_to_64_bits():
     # for k = 56..64 most sets have q < 2^64 <= p, the one window where an
     # N+1 proof of p from q was exact; every p there is below psi_13, so the
     # 13-base reference decides both primes exactly

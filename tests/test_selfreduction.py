@@ -581,7 +581,6 @@ def test_amplify_validates_once_per_instance(monkeypatch):
         validate_instance(params, inst)
 
     monkeypatch.setattr(selfreduction, "validate_instance", counting_validate)
-    selfreduction._prepared.cache_clear()
     inst, truth = make_instance(GP, GEN, random.Random(47))
     oracle = MockCbdhOracle(GP, GEN, 1.0, random.Random(0))
     assert amplify(GP, oracle, inst, 31, random.Random(1)) == truth

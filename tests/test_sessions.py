@@ -64,8 +64,10 @@ def test_honest_exchange():
 
 
 def test_initiator_emits_then_absorbs():
-    # completed is read off completed_at, not stored beside it
-    assert "completed" not in {f.name for f in dataclasses.fields(SessionOracle)}
+    # completed is read off completed_at, and the conversation off binding,
+    # neither stored beside them
+    fields = {f.name for f in dataclasses.fields(SessionOracle)}
+    assert "completed" not in fields and "transcript" not in fields
     world = make_basic_world()
     a = world.new_oracle("alice", "bob")
     flow = world.send(a, None)
@@ -108,7 +110,7 @@ def test_world_assigns_session_indices():
 def test_stale_oracle_rejections():
     world = make_basic_world()
     a, b = honest_pair(world)
-    flow = a.transcript[0][1]
+    flow = a.own_msg
     with pytest.raises(StaleOracleError):
         world.send(b, flow)  # second activation of a completed responder
     with pytest.raises(StaleOracleError):
@@ -414,34 +416,50 @@ def test_world_rejects_unknown_mode():
         make_world(seed="x", mode="strong")
 
 
-# reference partnering: BR matching as a comparison of ordered transcripts,
-# the test oracle for World's matching and fresh by binding
+# reference partnering: BR matching as a comparison of ordered conversations,
+# the test oracle for World's matching and fresh by binding.  The
+# conversations come from the test's own record of every send, never from
+# the World's state.
 
 
-def reference_canonical(world, oracle):
-    flows = []
-    for direction, msg in oracle.transcript:
-        initiator_sent = (direction == "out") == (oracle.role == "initiator")
-        flows.append((initiator_sent, encode_point(world.params.group, msg.r)))
-    # order as (initiator flow, responder flow)
-    flows.sort(key=lambda item: not item[0])
-    return tuple(flows)
+def record_sends(world):
+    """Wrap world.send so that each send that returns is recorded, per
+    oracle, as the pair (flow delivered, flow returned); the record, keyed
+    by id(oracle), is returned."""
+    sends, send = {}, world.send
+
+    def recorded(oracle, flow):
+        reply = send(oracle, flow)
+        sends.setdefault(id(oracle), []).append((flow, reply))
+        return reply
+
+    world.send = recorded
+    return sends
 
 
-def reference_matching(world, first, second):
+def reference_canonical(world, sends, oracle):
+    """The oracle's conversation as the encodings of the flows it took and
+    gave, in order.  An initiator gives x on activation and takes y; a
+    responder takes x and gives y: both read (initiator flow, responder
+    flow)."""
+    return tuple(encode_point(world.params.group, msg.r)
+                 for pair in sends.get(id(oracle), ()) for msg in pair if msg is not None)
+
+
+def reference_matching(world, sends, first, second):
     if not (first.completed and second.completed):
         return False
     if first.role == second.role:
         return False
     if first.owner != second.peer or first.peer != second.owner:
         return False
-    return reference_canonical(world, first) == reference_canonical(world, second)
+    return reference_canonical(world, sends, first) == reference_canonical(world, sends, second)
 
 
-def reference_passive(world, oracle):
+def reference_passive(world, sends, oracle):
     """Whether some oracle of the peer, addressed to the owner in the other
     role, drew the flow that oracle received."""
-    received = next(msg for way, msg in oracle.transcript if way == "in")
+    received = next(flow for flow, _ in sends[id(oracle)] if flow is not None)
     return any(
         other.owner == oracle.peer and other.peer == oracle.owner
         and other.role != oracle.role and other.own_msg == received
@@ -449,18 +467,19 @@ def reference_passive(world, oracle):
     )
 
 
-def reference_fresh(world, oracle):
+def reference_fresh(world, sends, oracle):
     for identity in (oracle.owner, oracle.peer):
         if identity in world.extracted:
             return False
         when = world.corrupted_at.get(identity)
         if when is not None and (world.mode == "br" or when < oracle.completed_at
-                                 or not reference_passive(world, oracle)):
+                                 or not reference_passive(world, sends, oracle)):
             return False
     if oracle.revealed:
         return False
     return not any(
-        other is not oracle and other.revealed and reference_matching(world, oracle, other)
+        other is not oracle and other.revealed
+        and reference_matching(world, sends, oracle, other)
         for other in world.oracles
     )
 
@@ -490,6 +509,7 @@ STEPS = st.one_of(
 @example(k_bits=4, mode="wpfsbr", steps=[("relay", "alice", "bob")] * 6 + [("corrupt", "alice")])
 def test_binding_partners_match_the_transcript_reference(k_bits, mode, steps):
     world = make_world(k_bits=k_bits, seed="partners", mode=mode, principals=PEOPLE)
+    sends = record_sends(world)
     opened = []
     for step in steps:
         try:
@@ -516,10 +536,11 @@ def test_binding_partners_match_the_transcript_reference(k_bits, mode, steps):
             pass  # a vanishing exponent aborts one oracle, as documented
         for oracle in world.oracles:
             if oracle.completed:
-                assert world.fresh(oracle) == reference_fresh(world, oracle)
+                assert world.fresh(oracle) == reference_fresh(world, sends, oracle)
     for first in world.oracles:
         for second in world.oracles:
-            assert world.matching(first, second) == reference_matching(world, first, second)
+            assert world.matching(first, second) == reference_matching(
+                world, sends, first, second)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +614,9 @@ def _apply(world, step):
     if kind == "open":
         return world.send(world.new_oracle(step[1], step[2]), None)
     if kind == "deliver":
-        emitted = [msg for oracle in oracles for way, msg in oracle.transcript if way == "out"]
+        # an initiator emits its flow on activation, a responder as it completes
+        emitted = [oracle.own_msg for oracle in oracles
+                   if oracle.role == "initiator" or oracle.completed]
         oracle = target(step[2], step[3], step[4])
         if not emitted or oracle is None:
             return None
