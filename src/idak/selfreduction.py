@@ -20,11 +20,13 @@ Blinding and unblinding each have one path on bare ints, _blind and
 _unblind, which randomize and correct call once per query.  The shifts
 of a query are the plain triple (a, b, c) of ints: randomize returns it
 with the blinded instance, and correct takes it back.  They are one
-round of amplify as a public API, and each prepares the instance on
-every call.  amplify draws every round's shifts from its rng before the first query,
-as randomize draws one round's, and runs every round through the two
-helpers: it votes on each candidate's (a, b) pair and builds one GTElem,
-for the winner.
+round of amplify as a public API, and each validates the instance on
+every call.  randomize then reads only g's window table, and correct
+builds the products table too (_prepared), so only correct pays the
+seven pairings.  amplify draws every round's shifts from its rng before
+the first query, as randomize draws one round's, and runs every round
+through the two helpers: it votes on each candidate's (a, b) pair and
+builds one GTElem, for the winner.
 
 The mock oracle that stands in for the adversary answers with a
 baby-step giant-step discrete log (Shanks 1971) taken in GT, not in G:
@@ -138,7 +140,8 @@ def randomize(params, inst, rng):
     of amplify, whose shifts are these three draws from its own rng.  Each
     blinded point is the instance point plus [shift]g (see _blind).
     """
-    table, _ = _prepared(params, inst)
+    validate_instance(params, inst)
+    table = _window_table(params, inst.g)
     q = params.q
     shift = (rng.randrange(q), rng.randrange(q), rng.randrange(q))
     return _blind(params.p, table, inst, *shift), shift

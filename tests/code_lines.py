@@ -1,5 +1,5 @@
-"""Count the code lines and code tokens of src/idak: the tokens outside
-docstrings and comments, and the lines that hold one.
+"""Count the code lines and code tokens of src/idak and of tests/: the
+tokens outside docstrings and comments, and the lines that hold one.
 
 A line counts once if any token on it is code, so a multi-line expression
 counts each of its lines, and a line that is only a docstring, a comment
@@ -11,7 +11,8 @@ parameter or an argument shows even where no line goes.  From Python 3.12
 the tokenizer splits an f-string into several tokens, where 3.11 reads
 one, so token totals differ between Python versions; line counts do not.
 `python tests/code_lines.py`, run from the repository root, prints both
-counts per module and in total.
+counts per module of src/idak and in total, then per file of tests/ and in
+total.
 """
 
 import ast
@@ -20,7 +21,8 @@ import sys
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "idak"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "idak"
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -52,15 +54,16 @@ def count(source):
 
 
 def main():
-    total_lines = total_tokens = 0
-    print("module\tcode lines\tcode tokens")
-    for path in sorted(SRC.rglob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        lines, tokens = count(source), len(code_tokens(source))
-        total_lines += lines
-        total_tokens += tokens
-        print(f"{path.relative_to(SRC.parent)}\t{lines}\t{tokens}")
-    print(f"total\t{total_lines}\t{total_tokens}")
+    for heading, directory in (("module", SRC), ("\ntest file", TESTS)):
+        total_lines = total_tokens = 0
+        print(f"{heading}\tcode lines\tcode tokens")
+        for path in sorted(directory.rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            lines, tokens = count(source), len(code_tokens(source))
+            total_lines += lines
+            total_tokens += tokens
+            print(f"{path.relative_to(directory.parent)}\t{lines}\t{tokens}")
+        print(f"total\t{total_lines}\t{total_tokens}")
 
 
 if __name__ == "__main__":

@@ -12,8 +12,7 @@ when a test starts to catch one.  `python tests/mutants.py 4 19` runs only
 entries 4 and 19, counted from 1; an index outside the ledger exits 2.
 An entry whose tests run past ENTRY_TIMEOUT seconds is stopped, and each
 of its tests is reported by name as hung, which counts as a kill: a
-mutant that makes a redraw loop spin forever, such as `own_exp == 0` made
-`!=`, is caught, not left to hang the run.
+mutant that makes a test loop forever is caught, not left to hang the run.
 tests/test_ci_mutants.py checks the ledger in tier-1.
 """
 
@@ -392,9 +391,17 @@ MUTANTS = (
     ("idak/protocol.py", "if own_exp == 0:", "if own_exp != 0:",
      ("tests/test_cli.py::test_exchange_round_trip",
       "tests/test_protocol.py::test_derive_reports_its_first_fault_in_check_order"),
-     "derive refuses every live exponent and passes a vanished one; "
-     "test_operation_cost_table catches it too, but its redraw loop spins until "
-     "ENTRY_TIMEOUT, so it is not named"),
+     "derive refuses every live exponent and passes a vanished one"),
+    # randomize's table, and the xor-half pi that only the reference IDAK checks
+    ("idak/selfreduction.py",
+     "    validate_instance(params, inst)\n    table = _window_table(params, inst.g)\n",
+     "    table, _ = _prepared(params, inst)\n",
+     (AMPLIFY + "test_randomize_matches_reference",),
+     "randomize prepares the products table too, paying seven pairings it throws away"),
+    ("idak/protocol.py", "(1 << (field_bits // 2))", "(1 << ((field_bits + 1) // 2))",
+     ("tests/test_protocol.py::test_an_exchange_matches_the_reference_byte_for_byte",),
+     "xor-half keeps ceil(|p| / 2) bits, so where |p| is odd both sides agree on a key "
+     "that README's definition does not give"),
 )
 
 

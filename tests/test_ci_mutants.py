@@ -46,7 +46,7 @@ def test_an_index_outside_the_ledger_exits_two_and_runs_nothing(capsys):
 
 def test_an_entry_that_hangs_is_stopped_and_reported_by_name_as_killed(monkeypatch, capsys):
     # one process that sleeps past a short timeout stands for a mutant whose
-    # tests never end, such as one that makes every derive degenerate
+    # tests never end, such as one that makes a loop of a test run forever
     sleeper = [sys.executable, "-c", "import time; time.sleep(60)"]
     monkeypatch.setattr(mutants, "ENTRY_TIMEOUT", 1)
     monkeypatch.setattr(mutants, "run", lambda *entry: mutants.run_with_timeout(

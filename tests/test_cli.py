@@ -40,7 +40,8 @@ from idak.protocol import (
     setup,
 )
 from idak.sessions import run_scenario
-from test_protocol import rogue_point
+
+import reference as ref
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -442,7 +443,7 @@ def test_malformed_flow_is_invalid(keyring, tmp_path, capsys):
 
 def _bad_points(group):
     """A curve point outside the order-q subgroup, and the identity."""
-    return {"rogue": rogue_point(group), "identity": INFINITY}
+    return {"rogue": ref.outside_point(group), "identity": INFINITY}
 
 
 def _hostile_flow(keyring, tmp_path, role, sender, r=None, extra=None):
@@ -510,7 +511,7 @@ def test_an_invalid_own_flow_is_reported_before_a_rogue_point(keyring, tmp_path,
     state = tmp_path / "a.state"
     keystore.save_state(str(state), group, "bob", 1, FlowMessage(r=INFINITY))
     assert keystore.read_entry(str(state), "state").endswith(b"\x00")
-    flow = _hostile_flow(keyring, tmp_path, "responder", b"bob", r=rogue_point(group))
+    flow = _hostile_flow(keyring, tmp_path, "responder", b"bob", r=ref.outside_point(group))
     assert main(["finalize", "--params", keyring["params"], "--key", keyring["alice"],
                  "--state", str(state), "--flow-in", flow,
                  "--key-out", str(tmp_path / "a.session"), "--quiet"]) == 1
@@ -611,7 +612,7 @@ def _mutated(data, params, name, original, other_params):
         return other_params
     if kind == "point":
         role, sender, msg, extra = decode_flow(params, original)
-        bad = data.draw(st.sampled_from([INFINITY, rogue_point(params.group), GElem(0, 0),
+        bad = data.draw(st.sampled_from([INFINITY, ref.outside_point(params.group), GElem(0, 0),
                                          GElem(1, 1)]), label="point")
         if extra is not None and data.draw(st.booleans(), label="extra"):
             return encode_flow(params, role, sender, msg, bad)

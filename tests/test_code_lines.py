@@ -1,4 +1,4 @@
-"""tests/code_lines.py, the counter of src/'s code lines and code tokens,
+"""tests/code_lines.py, the counter of the code lines and code tokens of src/ and tests/,
 on a source whose counts are known."""
 
 import code_lines

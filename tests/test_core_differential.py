@@ -1,9 +1,10 @@
 """Differential tests: the bilinear core against textbook reference code.
 
-The references below are the plain algorithms the core replaced: affine
-double-and-add, a separate line evaluation and point update per Miller
-step, and the final exponentiation as one power by (p^2 - 1)/q.  They
-live here only, as the oracle.  On curves small enough to enumerate, the
+The references, in tests/reference.py, are the plain algorithms the core
+replaced: affine double-and-add, a separate line evaluation and point
+update per Miller step, the final exponentiation as one power by
+(p^2 - 1)/q, and the [q]-walk in place of the subgroup check's Tate
+pairing of order h.  On curves small enough to enumerate, the
 core must agree with them on every point, including the identity, the
 2-torsion point (0, 0) and points outside the order-q subgroup, with one
 exception: the pairing answers only for a left point in the subgroup, and
@@ -34,9 +35,7 @@ from idak.bilinear import (
     _fixed_pairing,
     _fp2_affine_add,
     _in_group,
-    _jac_mul,
     _line_table,
-    _naf_digits,
     fixed_base_exp,
     gt_exp,
     hash_to_group,
@@ -49,97 +48,7 @@ from idak.bilinear import (
 )
 from idak.errors import MalformedElementError, ParameterSearchError
 
-# ---------------------------------------------------------------------------
-# reference implementations
-# ---------------------------------------------------------------------------
-
-
-def ref_add(p, a, b):
-    if a.is_identity():
-        return b
-    if b.is_identity():
-        return a
-    if a.x == b.x:
-        if (a.y + b.y) % p == 0:
-            return INFINITY
-        lam = (3 * a.x * a.x + 1) * pow(2 * a.y, -1, p) % p
-    else:
-        lam = (b.y - a.y) * pow(b.x - a.x, -1, p) % p
-    x3 = (lam * lam - a.x - b.x) % p
-    y3 = (lam * (a.x - x3) - a.y) % p
-    return GElem(x3, y3)
-
-
-def ref_scalar_exp(params, point, n):
-    if n < 0:
-        point = GElem(point.x, (-point.y) % params.p) if not point.is_identity() else INFINITY
-        n = -n
-    result = INFINITY
-    acc = point
-    while n:
-        if n & 1:
-            result = ref_add(params.p, result, acc)
-        n >>= 1
-        if n:
-            acc = ref_add(params.p, acc, acc)
-    return result
-
-
-def ref_fp2_mul(p, a1, b1, a2, b2):
-    return (a1 * a2 - b1 * b2) % p, (a1 * b2 + a2 * b1) % p
-
-
-def ref_fp2_inv(p, a, b):
-    d = pow(a * a + b * b, -1, p)
-    return a * d % p, -b * d % p
-
-
-def ref_fp2_pow(p, a, b, e):
-    ra, rb = 1, 0
-    while e:
-        if e & 1:
-            ra, rb = ref_fp2_mul(p, ra, rb, a, b)
-        e >>= 1
-        if e:
-            a, b = ref_fp2_mul(p, a, b, a, b)
-    return ra, rb
-
-
-def ref_line_value(p, a, b, xq, yq):
-    """Line through a and b at (-xq, i*yq); vertical lines count as 1."""
-    if a.is_identity() or b.is_identity():
-        return 1, 0
-    if a.x == b.x:
-        if a is not b and (a.y + b.y) % p == 0:
-            return 1, 0
-        if a.y == 0:
-            return 1, 0
-        lam = (3 * a.x * a.x + 1) * pow(2 * a.y, -1, p) % p
-    else:
-        lam = (b.y - a.y) * pow(b.x - a.x, -1, p) % p
-    return (lam * (xq + a.x) - a.y) % p, yq
-
-
-def ref_pairing(params, left, right):
-    """Binary Miller loop, unfused, and the generic final power."""
-    p, q = params.p, params.q
-    if left.is_identity() or right.is_identity():
-        return GTElem(1, 0, p)
-    xq, yq = right.x, right.y
-    fa, fb = 1, 0
-    t = left
-    for bit in bin(q)[3:]:
-        la, lb = ref_line_value(p, t, t, xq, yq)
-        fa, fb = ref_fp2_mul(p, fa, fb, fa, fb)
-        fa, fb = ref_fp2_mul(p, fa, fb, la, lb)
-        t = ref_add(p, t, t)
-        if bit == "1":
-            la, lb = ref_line_value(p, t, left, xq, yq)
-            fa, fb = ref_fp2_mul(p, fa, fb, la, lb)
-            t = ref_add(p, t, left)
-    fa, fb = ref_fp2_pow(p, fa, fb, (p * p - 1) // q)
-    return GTElem(fa, fb, p)
-
+import reference as ref
 
 # ---------------------------------------------------------------------------
 # curves small enough to enumerate
@@ -161,52 +70,31 @@ DEGENERATE_STATES = {(3, 0): {IDENTITY, TANGENT}, (5, 0): {IDENTITY, TANGENT}}
 
 
 def naf_chain_states(params, left):
-    """The degenerate states of left's NAF chain, walked with the
-    reference group law."""
-    p = params.p
-    minus = INFINITY if left.is_identity() else GElem(left.x, -left.y % p)
+    """The degenerate states of left's NAF chain."""
+    minus = ref.negate(params.p, left)
     states = set()
-    t = left
-    for digit in _naf_digits(params.q):
+    for digit, t, doubled in ref.naf_chain(params, left):
         if t.is_identity():
             states.add(IDENTITY)
-        t = ref_add(p, t, t)
-        if digit:
-            added = left if digit > 0 else minus
-            if t == added and not t.is_identity():
-                states.add(TANGENT)
-            t = ref_add(p, t, added)
+        if digit and doubled == (left if digit > 0 else minus) and not doubled.is_identity():
+            states.add(TANGENT)
     return states
 
 
-def in_group(params, point):
-    return ref_scalar_exp(params, point, params.q).is_identity()
-
-
 def assert_pairing_matches_reference_or_refuses(params, left, right):
-    if in_group(params, left):
-        assert pairing(params, left, right) == ref_pairing(params, left, right), (left, right)
+    if ref.in_group(params, left):
+        assert pairing(params, left, right) == ref.pairing(params, left, right), (left, right)
     else:
         with pytest.raises(MalformedElementError):
             pairing(params, left, right)
 
 
-def all_points(params):
-    p = params.p
-    roots = {}
-    for y in range(p):
-        roots.setdefault(y * y % p, []).append(y)
-    points = [INFINITY]
-    for x in range(p):
-        points += [GElem(x, y) for y in roots.get((x * x * x + x) % p, [])]
-    assert len(points) == p + 1
-    return points
-
-
 @functools.cache
 def curve(k_bits, seed):
     params = instance_generate(k_bits, seed)
-    return params, all_points(params)
+    points = ref.curve_points(params.p)
+    assert len(points) == params.p + 1
+    return params, points
 
 
 def scalars(params):
@@ -228,7 +116,7 @@ def test_pairing_and_add_match_reference_on_every_pair(k_bits, seed):
     for left in points:
         for right in points:
             assert_pairing_matches_reference_or_refuses(params, left, right)
-            assert point_add(params, left, right) == ref_add(params.p, left, right)
+            assert point_add(params, left, right) == ref.add(params.p, left, right)
 
 
 def rights_for(k_bits, seed):
@@ -246,10 +134,10 @@ def test_pairing_matches_reference_for_every_left(k_bits, seed):
     for left in points:
         for right in rights_for(k_bits, seed):
             assert_pairing_matches_reference_or_refuses(params, left, right)
-    subgroup = [left for left in points if in_group(params, left)]
+    subgroup = [left for left in points if ref.in_group(params, left)]
     for left in random.Random(k_bits).sample(subgroup, 4):
         for right in points:
-            assert pairing(params, left, right) == ref_pairing(params, left, right)
+            assert pairing(params, left, right) == ref.pairing(params, left, right)
 
 
 @pytest.mark.parametrize("k_bits,seed", FULL_CURVES + WIDE_CURVES)
@@ -259,7 +147,7 @@ def test_scalar_exp_matches_reference_on_every_point(k_bits, seed, data):
     params, points = curve(k_bits, seed)
     n = data.draw(scalars(params))
     for point in points:
-        assert scalar_exp(params, point, n) == ref_scalar_exp(params, point, n), (point, n)
+        assert scalar_exp(params, point, n) == ref.multiply(params, point, n), (point, n)
 
 
 def window_scalars(params):
@@ -295,7 +183,7 @@ def test_checked_pairing_flags_the_left_subgroup_on_every_pair(k_bits, seed):
     params, points = curve(k_bits, seed)
     states = set()
     for left in points:
-        outside = not in_group(params, left)
+        outside = not ref.in_group(params, left)
         if outside:
             states |= naf_chain_states(params, left)
         for right in rights_for(k_bits, seed):
@@ -309,11 +197,11 @@ def test_fixed_pairing_matches_checked_pairing_on_every_pair(k_bits, seed):
     # subgroup included, and every received point of the subgroup, which
     # is all that _fixed_pairing takes: its callers check received
     params, points = curve(k_bits, seed)
-    members = [point for point in points if in_group(params, point)]
+    members = [point for point in points if ref.in_group(params, point)]
     for fixed in points:
         # a line table exists exactly for the subgroup's points but the identity
         has_table = _line_table(params, fixed) is not None
-        assert has_table == (in_group(params, fixed) and not fixed.is_identity()), fixed
+        assert has_table == (ref.in_group(params, fixed) and not fixed.is_identity()), fixed
         for received in members:
             assert (_fixed_pairing(params, received, fixed, 1)
                     == _checked_pairing(params, received, fixed)), (received, fixed)
@@ -325,7 +213,7 @@ def test_fixed_pairing_raised_to_n_matches_gt_exp_on_every_pair(k_bits, seed):
     # and on the fallback of a fixed point without a table (the identity)
     params, points = curve(k_bits, seed)
     q = params.q
-    members = [point for point in points if in_group(params, point)]
+    members = [point for point in points if ref.in_group(params, point)]
     rng = random.Random(k_bits)
     for fixed in members:
         for received in members:
@@ -357,7 +245,7 @@ def ladder_exponents(params, rng):
 
 def assert_ladder_matches_reference(params, a, b, n):
     p = params.p
-    expected = ref_fp2_pow(p, a, b, n) if n >= 0 else ref_fp2_inv(p, *ref_fp2_pow(p, a, b, -n))
+    expected = ref.fp2_pow(p, a, b, n) if n >= 0 else ref.fp2_inv(p, *ref.fp2_pow(p, a, b, -n))
     assert gt_exp(GTElem(a, b, p), n) == GTElem(*expected, p), (a, b, n)
 
 
@@ -369,7 +257,7 @@ def test_gt_exp_ladder_matches_reference_on_every_element(k_bits, seed):
     rng = random.Random(k_bits)
     in_gt = 0
     for a, b in norm_one_elements(params.p):
-        in_gt += ref_fp2_pow(params.p, a, b, params.q) == (1, 0)
+        in_gt += ref.fp2_pow(params.p, a, b, params.q) == (1, 0)
         for n in ladder_exponents(params, rng):
             assert_ladder_matches_reference(params, a, b, n)
     assert in_gt == params.q
@@ -388,10 +276,10 @@ def test_random_subgroup_pairs_match_reference(k_bits, pairs):
     for _ in range(pairs):
         a = scalar_exp(params, gen, random_scalar(params, rng))
         b = scalar_exp(params, gen, random_scalar(params, rng))
-        assert pairing(params, a, b) == ref_pairing(params, a, b)
+        assert pairing(params, a, b) == ref.pairing(params, a, b)
         for n in (random_scalar(params, rng), -random_scalar(params, rng),
                   params.q, 3 * params.q + 1, rng.getrandbits(2 * k_bits + 8)):
-            assert scalar_exp(params, a, n) == ref_scalar_exp(params, a, n)
+            assert scalar_exp(params, a, n) == ref.multiply(params, a, n)
 
 
 # A window walk recodes its exponent into signed 6-bit digits, and a digit
@@ -415,11 +303,11 @@ def test_fixed_base_exp_and_checked_pairing_at_protocol_sizes(k_bits):
         for n in (0, 1, q - 1, q, top - 1, top, -q, 32 * ones, 63 * ones,
                   random_scalar(params, rng), rng.getrandbits(k_bits // 2),
                   rng.getrandbits(2 * k_bits + 8)):
-            assert fixed_base_exp(params, a, n) == ref_scalar_exp(params, a, n), n
+            assert fixed_base_exp(params, a, n) == ref.multiply(params, a, n), n
             # a walk that starts at -[n]a cancels to the identity
-            minus = ref_scalar_exp(params, a, -n)
+            minus = ref.multiply(params, a, -n)
             assert _fixed_base_add(params, a, n, minus) == INFINITY, n
-        assert _checked_pairing(params, a, b) == ref_pairing(params, a, b)
+        assert _checked_pairing(params, a, b) == ref.pairing(params, a, b)
         # adding the 2-torsion point puts the left point outside the subgroup
         outside = point_add(params, a, GElem(0, 0))
         assert _checked_pairing(params, outside, b) is None
@@ -431,7 +319,7 @@ def test_fixed_pairing_and_gt_exp_ladder_at_protocol_sizes(k_bits):
     rng = random.Random(k_bits)
     members = [scalar_exp(params, gen, random_scalar(params, rng)) for _ in range(3)]
     outside = point_add(params, members[0], GElem(0, 0))
-    lifted = lift(params, rng.randrange(params.p), True)
+    lifted = ref.lift(params, rng.randrange(params.p), True)
     points = members + [INFINITY, GElem(0, 0), outside, lifted]
     raise_rng = random.Random(f"raise-{k_bits}")  # rng's later draws stay as they were
     for fixed in points:
@@ -442,7 +330,7 @@ def test_fixed_pairing_and_gt_exp_ladder_at_protocol_sizes(k_bits):
                 for n in (1, 2, params.q - 1, raise_rng.randrange(1, params.q)):
                     assert (_fixed_pairing(params, received, fixed, n)
                             == gt_exp(plain, n)), (received, fixed, n)
-    assert _fixed_pairing(params, members[1], members[2], 1) == ref_pairing(
+    assert _fixed_pairing(params, members[1], members[2], 1) == ref.pairing(
         params, members[1], members[2])
     for left, right in zip(members, members[1:] + members[:1]):
         z = pairing(params, left, right)
@@ -461,11 +349,11 @@ def test_final_exponentiation_matches_the_generic_power(k_bits):
     fs += [(1, 0), (p - 1, 0), (rng.randrange(1, p), 0), (0, rng.randrange(1, p))]
     exponent = (p * p - 1) // params.q
     for fa, fb in fs:
-        expected = ref_fp2_pow(p, fa, fb, exponent)
+        expected = ref.fp2_pow(p, fa, fb, exponent)
         assert _final_exponentiation(params, fa, fb, 1) == GTElem(*expected, p), (fa, fb)
         # the Lucas ladder over h * n, on which a raised _fixed_pairing ends
         for n in (0, 1, 2, params.q - 1, rng.randrange(1, params.q)):
-            expected = ref_fp2_pow(p, fa, fb, exponent * n)
+            expected = ref.fp2_pow(p, fa, fb, exponent * n)
             assert _final_exponentiation(params, fa, fb, n) == GTElem(*expected, p), (fa, fb, n)
 
 
@@ -479,23 +367,11 @@ def protocol_curve(k_bits):
     return curve_and_generator(k_bits, f"differential-{k_bits}")
 
 
-def lift(params, x, negate):
-    """The point of E(F_p) at the first x' >= x (mod p) whose x'^3 + x' is
-    a square, with y negated if asked."""
-    p = params.p
-    while True:
-        rhs = (x * x * x + x) % p
-        y = pow(rhs, (p + 1) // 4, p)
-        if y * y % p == rhs:
-            return GElem(x, -y % p if negate else y)
-        x = (x + 1) % p
-
-
 def curve_points(params):
     """Points of E(F_p) of any order but 1: the first x from a drawn one
     whose x^3 + x is a square, with a drawn sign for y."""
     return st.tuples(st.integers(0, params.p - 1), st.booleans()).map(
-        lambda drawn: lift(params, *drawn))
+        lambda drawn: ref.lift(params, *drawn))
 
 
 @pytest.mark.parametrize("k_bits", [16, 32, 128])
@@ -511,7 +387,7 @@ def test_checked_pairing_answers_for_a_subgroup_left_and_refuses_any_other(k_bit
         st.just(GElem(0, 0)),
         st.just(INFINITY),
     ), label="right")
-    assert _checked_pairing(params, left, right) == ref_pairing(params, left, right)
+    assert _checked_pairing(params, left, right) == ref.pairing(params, left, right)
     # [q]R has order dividing h, so g^a + [q]R is outside the subgroup
     # exactly when [q]R is not the identity
     torsion = scalar_exp(params, data.draw(curve_points(params), label="R"), q)
@@ -555,7 +431,7 @@ def point_of(params, gen, kind, u):
         return member
     if kind == "outside":  # q is odd, so adding the point of order 2 leaves the subgroup
         return point_add(params, member, GElem(0, 0))
-    return lift(params, u % params.p, u & 1)  # a curve point of any order
+    return ref.lift(params, u % params.p, u & 1)  # a curve point of any order
 
 
 def exponent_of(params, exponent):
@@ -595,17 +471,12 @@ def test_scalar_exp_walks_the_naf_to_the_reference_value(k_bits, seed, kind, u, 
     params, gen = curve_and_generator(k_bits, seed)
     point = point_of(params, gen, kind, u)
     n = exponent_of(params, exponent)
-    assert scalar_exp(params, point, n) == ref_scalar_exp(params, point, n), (point, n)
+    assert scalar_exp(params, point, n) == ref.multiply(params, point, n), (point, n)
 
 
 # ---------------------------------------------------------------------------
 # the subgroup check: a Tate pairing of order h against the [q]-walk
 # ---------------------------------------------------------------------------
-
-
-def walk_in_group(params, point):
-    """[q]point = O, by the Jacobian walk the check replaced."""
-    return point.is_identity() or _jac_mul(params.p, point.x, point.y, params.q)[2] == 0
 
 
 def prime_factors(n):
@@ -616,7 +487,7 @@ def generator_mod_subgroup(params):
     """A rational point whose class generates E(F_p)/G: [q]P has order h."""
     h = params.h
     for x in range(params.p):
-        point = lift(params, x, False)
+        point = ref.lift(params, x, False)
         torsion = scalar_exp(params, point, params.q)
         if all(not scalar_exp(params, torsion, h // r).is_identity() for r in prime_factors(h)):
             return point
@@ -631,7 +502,7 @@ PROTOCOL_CURVES = [(k, f"differential-{k}") for k in (16, 23, 24, 32, 128)]
 def test_in_group_matches_the_q_walk_on_every_point(k_bits, seed):
     params, points = curve(k_bits, seed)
     for point in points:
-        expected = walk_in_group(params, point)
+        expected = ref.in_group(params, point)
         assert in_subgroup(params, point) == expected, point
         if not point.is_identity():
             assert _in_group(params, point) == expected, point
@@ -645,19 +516,19 @@ def test_in_subgroup_matches_the_q_walk_at_protocol_sizes(k_bits):
     members = [scalar_exp(params, gen, random_scalar(params, rng)) for _ in range(4)]
     # [q]R of a rational R has an order dividing h; a G point plus one that
     # is not the identity lies outside G
-    torsion = [scalar_exp(params, lift(params, rng.randrange(p), False), q) for _ in range(8)]
+    torsion = [scalar_exp(params, ref.lift(params, rng.randrange(p), False), q) for _ in range(8)]
     torsion = [t for t in torsion if not t.is_identity()]
     assert torsion
     outside = [GElem(0, 0)]
     outside += [point_add(params, m, GElem(0, 0)) for m in members]
     outside += [point_add(params, m, t) for m, t in zip(members * 2, torsion)]
-    lifted = [lift(params, rng.randrange(p), rng.random() < 0.5) for _ in range(16)]
+    lifted = [ref.lift(params, rng.randrange(p), rng.random() < 0.5) for _ in range(16)]
     for point in members + [INFINITY]:
-        assert in_subgroup(params, point) and walk_in_group(params, point), point
+        assert in_subgroup(params, point) and ref.in_group(params, point), point
     for point in outside:
-        assert not in_subgroup(params, point) and not walk_in_group(params, point), point
+        assert not in_subgroup(params, point) and not ref.in_group(params, point), point
     for point in lifted:
-        assert in_subgroup(params, point) == walk_in_group(params, point), point
+        assert in_subgroup(params, point) == ref.in_group(params, point), point
     m = members[0]
     for off in (GElem(m.x, (m.y + 1) % p), GElem(0, 1), GElem(m.x, m.y + p), GElem(-m.x, m.y)):
         assert not bilinear.is_on_curve(params, off)
@@ -672,7 +543,7 @@ def test_in_subgroup_matches_the_q_walk_on_drawn_curves(k_bits, seed, data):
     params = instance_generate(k_bits, seed)
     gen = hash_to_group(params, "differential")
     if data is None:  # an explicit example: fixed draws
-        a, drawn = 1, lift(params, 1, False)
+        a, drawn = 1, ref.lift(params, 1, False)
     else:
         a = data.draw(st.integers(1, params.q - 1), label="a")
         drawn = data.draw(curve_points(params), label="R")
@@ -680,7 +551,7 @@ def test_in_subgroup_matches_the_q_walk_on_drawn_curves(k_bits, seed, data):
     torsion = scalar_exp(params, drawn, params.q)
     for point in (member, drawn, GElem(0, 0), point_add(params, member, torsion),
                   point_add(params, member, GElem(0, 0))):
-        assert in_subgroup(params, point) == walk_in_group(params, point), point
+        assert in_subgroup(params, point) == ref.in_group(params, point), point
 
 
 def assert_the_character_has_order_h(params, lines):
@@ -692,10 +563,10 @@ def assert_the_character_has_order_h(params, lines):
     a = v1 * pow(2, -1, p) % p
     b = pow(1 - a * a, (p + 1) // 4, p)  # u or conj(u): either has t's order
     assert (a * a + b * b) % p == 1
-    t = ref_fp2_pow(p, a, b, q)
-    assert ref_fp2_pow(p, *t, h) == (1, 0)
+    t = ref.fp2_pow(p, a, b, q)
+    assert ref.fp2_pow(p, *t, h) == (1, 0)
     for r in prime_factors(h):
-        assert ref_fp2_pow(p, *t, h // r) != (1, 0), r
+        assert ref.fp2_pow(p, *t, h // r) != (1, 0), r
 
 
 @pytest.mark.parametrize("k_bits,seed", CHECK_CURVES + PROTOCOL_CURVES)
@@ -783,53 +654,6 @@ def test_a_line_of_the_chain_that_vanishes_at_the_point_answers_false(monkeypatc
 # ---------------------------------------------------------------------------
 
 
-def ref_fp2_add(p, s, t):
-    """(slope, s + t) on E(F_{p^2}) by the textbook affine law, each point
-    ((xa, xb), (ya, yb)) or None for the identity; the slope is None where
-    the line is vertical or a point is the identity."""
-    if s is None:
-        return None, t
-    if t is None:
-        return None, s
-    (sx, sy), (tx, ty) = s, t
-    if sx == tx and ((sy[0] + ty[0]) % p, (sy[1] + ty[1]) % p) == (0, 0):
-        return None, None  # t = -s, or a point of order 2 doubled
-    if sx == tx:
-        xx = ref_fp2_mul(p, *sx, *sx)
-        lam = ref_fp2_mul(p, 3 * xx[0] + 1, 3 * xx[1], *ref_fp2_inv(p, 2 * sy[0], 2 * sy[1]))
-    else:
-        lam = ref_fp2_mul(p, ty[0] - sy[0], ty[1] - sy[1],
-                          *ref_fp2_inv(p, tx[0] - sx[0], tx[1] - sx[1]))
-    ll = ref_fp2_mul(p, *lam, *lam)
-    x3 = ((ll[0] - sx[0] - tx[0]) % p, (ll[1] - sx[1] - tx[1]) % p)
-    m = ref_fp2_mul(p, *lam, sx[0] - x3[0], sx[1] - x3[1])
-    return lam, (x3, ((m[0] - sy[0]) % p, (m[1] - sy[1]) % p))
-
-
-def ref_fp2_scalar(p, point, n):
-    """[n]point for n >= 0 by binary double-and-add over F_{p^2}."""
-    result, acc = None, point
-    while n:
-        if n & 1:
-            result = ref_fp2_add(p, result, acc)[1]
-        n >>= 1
-        if n:
-            acc = ref_fp2_add(p, acc, acc)[1]
-    return result
-
-
-def ref_fp2_neg(p, point):
-    return None if point is None else (point[0], (-point[1][0] % p, -point[1][1] % p))
-
-
-def on_curve_fp2(p, point):
-    if point is None:
-        return True
-    x, y = point
-    xx = ref_fp2_mul(p, *x, *x)
-    return ref_fp2_mul(p, *y, *y) == ref_fp2_mul(p, *x, xx[0] + 1, xx[1])
-
-
 @pytest.mark.parametrize("k_bits,seed", CHECK_CURVES)
 def test_fp_sqrt_roots_exactly_the_nonzero_squares(k_bits, seed):
     # every residue class, also as a negative and an unreduced value, as
@@ -852,13 +676,13 @@ def test_fp2_sqrt_roots_exactly_the_squares(k_bits, seed):
     # every a + b*i of the two smallest fields, against the squares of all
     # of F_{p^2}: a square with b != 0 always gets a root, and b = 0 none
     p = instance_generate(k_bits, seed).p
-    squares = {ref_fp2_mul(p, c, d, c, d) for c in range(p) for d in range(p)}
+    squares = {ref.fp2_mul(p, c, d, c, d) for c in range(p) for d in range(p)}
     for a in range(p):
         assert bilinear._fp2_sqrt(p, a, 0) is None, a
         for b in range(1, p):
             root = bilinear._fp2_sqrt(p, a, b)
             if (a, b) in squares:
-                assert root is not None and ref_fp2_mul(p, *root, *root) == (a, b), (a, b)
+                assert root is not None and ref.fp2_mul(p, *root, *root) == (a, b), (a, b)
             else:
                 assert root is None, (a, b)
 
@@ -871,11 +695,11 @@ def hashed_point(params, counter):
     x = (int.from_bytes(digest[:32], "big") % p, int.from_bytes(digest[32:], "big") % p)
     if pow(x[0] * x[0] + x[1] * x[1], (p - 1) // 2, p) != p - 1:  # x is 0 or a square
         return None
-    xx = ref_fp2_mul(p, *x, *x)
-    y = bilinear._fp2_sqrt(p, *ref_fp2_mul(p, *x, xx[0] + 1, xx[1]))
+    xx = ref.fp2_mul(p, *x, *x)
+    y = bilinear._fp2_sqrt(p, *ref.fp2_mul(p, *x, xx[0] + 1, xx[1]))
     if y is None:
         return None
-    assert on_curve_fp2(p, (x, y))
+    assert ref.fp2_on_curve(p, (x, y))
     return x, y
 
 
@@ -897,8 +721,8 @@ def test_cofactor_point_is_q_times_the_hashed_point(k_bits, seed):
             assert u is None, counter
             continue
         kept += 1
-        assert u == ref_fp2_scalar(p, r, params.q), counter
-        assert ref_fp2_scalar(p, u, params.h) is None, counter
+        assert u == ref.fp2_multiply(p, r, params.q), counter
+        assert ref.fp2_multiply(p, u, params.h) is None, counter
     assert kept
 
 
@@ -923,16 +747,16 @@ def test_fp2_affine_add_matches_the_textbook_law(k_bits):
     rng = random.Random(k_bits)
     bases = fp2_points(params)
     points = [None, *two_torsion(p), *bases]
-    points += [ref_fp2_scalar(p, r, rng.randrange(2, p)) for r in bases]
+    points += [ref.fp2_multiply(p, r, rng.randrange(2, p)) for r in bases]
     for s in points:
-        for t in points + [ref_fp2_neg(p, s)]:
+        for t in points + [ref.fp2_negate(p, s)]:
             lam, total = _fp2_affine_add(p, s, t)
-            assert (lam, total) == ref_fp2_add(p, s, t), (s, t)
-            assert on_curve_fp2(p, total), (s, t)
+            assert (lam, total) == ref.fp2_add(p, s, t), (s, t)
+            assert ref.fp2_on_curve(p, total), (s, t)
     s = bases[0]
     assert _fp2_affine_add(p, None, s) == _fp2_affine_add(p, s, None) == (None, s)
-    assert _fp2_affine_add(p, s, ref_fp2_neg(p, s)) == (None, None)
+    assert _fp2_affine_add(p, s, ref.fp2_negate(p, s)) == (None, None)
     assert _fp2_affine_add(p, s, s)[0] is not None
     for torsion in two_torsion(p):
-        assert on_curve_fp2(p, torsion)
+        assert ref.fp2_on_curve(p, torsion)
         assert _fp2_affine_add(p, torsion, torsion) == (None, None), torsion

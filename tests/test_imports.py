@@ -1,4 +1,5 @@
-"""Static check: no module in src/, tests/ or bench/ imports a name it never uses."""
+"""Static checks: no module in src/, tests/ or bench/ imports a name it never
+uses, and tests/reference.py takes only value types from idak."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,18 @@ def test_no_unused_imports_in_src_tests_or_bench():
         for name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+# the records and constants a reference may build and compare: none of them
+# computes anything the tests check against the reference
+VALUE_TYPES = {"GElem", "GTElem", "GroupParams", "INFINITY", "FlowMessage", "IdentityKey",
+               "PiVariant", "SessionKey", "SharedSecret", "SystemParams"}
+
+
+def test_the_reference_imports_only_value_types_from_idak():
+    # a name from `from idak... import`, or the module of `import idak...`
+    tree = ast.parse((ROOT / "tests" / "reference.py").read_text(encoding="utf-8"))
+    taken = {alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+             if (getattr(node, "module", None) or alias.name).split(".")[0] == "idak"}
+    assert taken and taken <= VALUE_TYPES

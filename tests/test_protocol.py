@@ -1,4 +1,4 @@
-"""Key agreement tests against exponent-arithmetic and dlog oracles."""
+"""Key agreement tests against the reference IDAK of tests/reference.py."""
 
 import dataclasses
 import random
@@ -58,37 +58,12 @@ from idak.protocol import (
 )
 from idak.selfreduction import CbdhInstance
 
+import reference as ref
+
 PARAMS, MSK = setup(4, "0")
 GP = PARAMS.group
 ALICE = extract(PARAMS, MSK, "alice")
 BOB = extract(PARAMS, MSK, "bob")
-
-
-def dlog(params, base, target):
-    """Brute-force discrete log over the tiny subgroup."""
-    acc = INFINITY
-    for exp in range(params.q):
-        if acc == target:
-            return exp
-        acc = point_add(params, acc, base)
-    raise AssertionError("dlog not found")
-
-
-def run_session(params, key_a, key_b, rng, strategy=DeriveStrategy(1, False)):
-    """One honest exchange, retried with fresh ephemerals if degenerate."""
-    while True:
-        try:
-            x, msg_a = initiate(params, key_a, rng)
-            y, msg_b = initiate(params, key_b, rng)
-            sk_a, _ = derive(
-                params, key_a, x, msg_a, key_b.identity, msg_b, "initiator", strategy
-            )
-            sk_b, _ = derive(
-                params, key_b, y, msg_b, key_a.identity, msg_a, "responder", strategy
-            )
-            return x, msg_a, y, msg_b, sk_a, sk_b
-        except DegenerateExponentError:
-            continue
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +129,6 @@ def test_value_types_are_immutable_records_equal_by_their_fields():
     # referenced; and SessionOracle, which World mutates as its run goes on
     assert dataclasses.replace(PARAMS, pi_variant=PiVariant.XOR_HALF).group is GP
     assert weakref.ref(ALICE)() is ALICE
-
-
-def test_extract_matches_repeated_addition():
-    # d_id must be alpha-fold addition of g_id
-    acc = INFINITY
-    for _ in range(MSK):
-        acc = point_add(GP, acc, ALICE.g_id)
-    assert acc == ALICE.d_id
 
 
 def test_extract_pairing_identity():
@@ -302,13 +269,6 @@ def test_pi_pair_is_pi_value_in_both_orders(variant, first, second):
 # ---------------------------------------------------------------------------
 
 
-def test_initiate_flow_dlog():
-    rng = random.Random(9)
-    x, msg = initiate(PARAMS, ALICE, rng)
-    assert in_subgroup(GP, msg.r)
-    assert dlog(GP, ALICE.g_id, msg.r) == x % GP.q
-
-
 def test_initiate_deterministic_under_seed():
     a = initiate(PARAMS, ALICE, random.Random(4))
     b = initiate(PARAMS, ALICE, random.Random(4))
@@ -318,32 +278,16 @@ def test_initiate_deterministic_under_seed():
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=DeriveStrategy.label)
 @pytest.mark.parametrize("pi", PiVariant, ids=lambda pi: pi.value)
 def test_derive_matches_exponent_arithmetic_oracle(pi, strategy):
+    # every cell of the grid, each time: 20 sessions at k = 4, where q = 11
+    # makes the reference session redraw a vanished exponent now and then
     params, msk = setup(4, "0", pi_variant=pi)
     alice = extract(params, msk, "alice")
     bob = extract(params, msk, "bob")
-    group = params.group
     rng = random.Random(1234)
     for _ in range(20):
-        x, msg_a, y, msg_b, sk_a, sk_b = run_session(params, alice, bob, rng, strategy)
-        # s_A = pi(R_A, R_B) and s_B = pi(R_B, R_A), as in the paper
-        s_a = pi_value(params, msg_a.r, msg_b.r)
-        s_b = pi_value(params, msg_b.r, msg_a.r)
-        exponent = (x + s_a) * (y + s_b) * msk % group.q
-        expected = gt_exp(pairing(group, alice.g_id, bob.g_id), exponent)
-        assert sk_a.value == sk_b.value == expected
-
-
-def test_all_strategies_bit_identical():
-    rng = random.Random(55)
-    for pi in PiVariant:
-        params, msk = setup(4, "0", pi_variant=pi)
-        a = extract(params, msk, "alice")
-        b = extract(params, msk, "bob")
-        x, msg_a, y, msg_b, base_sk, _ = run_session(params, a, b, rng)
-        for strategy in STRATEGIES:
-            sk_a, _ = derive(params, a, x, msg_a, "bob", msg_b, "initiator", strategy)
-            sk_b, _ = derive(params, b, y, msg_b, "alice", msg_a, "responder", strategy)
-            assert sk_a == sk_b == base_sk
+        x, msg_a, y, msg_b, sk = ref.session(params, msk, "alice", "bob", rng)
+        assert derive(params, alice, x, msg_a, "bob", msg_b, "initiator", strategy)[0] == sk
+        assert derive(params, bob, y, msg_b, "alice", msg_a, "responder", strategy)[0] == sk
 
 
 def test_operation_cost_table(monkeypatch):
@@ -356,7 +300,7 @@ def test_operation_cost_table(monkeypatch):
     }
 
     def both_sides(params, key_a, key_b, session, strategy):
-        x, msg_a, y, msg_b, _, _ = session
+        x, msg_a, y, msg_b, _ = session
         _, counts_a = derive(
             params, key_a, x, msg_a, key_b.identity, msg_b, "initiator", strategy
         )
@@ -365,7 +309,7 @@ def test_operation_cost_table(monkeypatch):
         )
         return counts_a, counts_b
 
-    session = run_session(PARAMS, ALICE, BOB, random.Random(3))
+    session = ref.session(PARAMS, MSK, "alice", "bob", random.Random(3))
     for strategy in STRATEGIES:
         row = expected[strategy.label()]
         assert both_sides(PARAMS, ALICE, BOB, session, strategy) == (row, row), strategy
@@ -421,8 +365,8 @@ def test_operation_cost_table(monkeypatch):
             alice, bob = extract(params, msk, "alice"), extract(params, msk, "bob")
             rng = random.Random(f"costs-{k_bits}-{pi.value}")
             for _ in range(10):
-                session = run_session(params, alice, bob, rng)
-                _, msg_a, _, msg_b, _, _ = session
+                session = ref.session(params, msk, "alice", "bob", rng)
+                _, msg_a, _, msg_b, _ = session
                 pis = {pi_value(params, msg_a.r, msg_b.r), pi_value(params, msg_b.r, msg_a.r)}
                 for strategy in STRATEGIES:
                     row = expected[strategy.label()]
@@ -439,8 +383,7 @@ def test_operation_cost_table(monkeypatch):
 
 
 def test_derive_rejects_bad_inputs():
-    rng = random.Random(6)
-    x, msg_a, y, msg_b, _, _ = run_session(PARAMS, ALICE, BOB, rng)
+    x, msg_a, _, msg_b, _ = ref.session(PARAMS, MSK, "alice", "bob", random.Random(6))
     with pytest.raises(InvalidEphemeralError):
         derive(PARAMS, ALICE, 0, msg_a, "bob", msg_b, "initiator")
     with pytest.raises(InvalidEphemeralError):
@@ -454,17 +397,7 @@ def test_derive_rejects_bad_inputs():
 
 
 def test_derive_rejects_out_of_subgroup_flow():
-    # find a curve point outside the q-subgroup
-    for x in range(GP.p):
-        t = (x * x * x + x) % GP.p
-        if t == 0 or pow(t, (GP.p - 1) // 2, GP.p) != 1:
-            continue
-        y = pow(t, (GP.p + 1) // 4, GP.p)
-        rogue = GElem(x, y)
-        if not scalar_exp(GP, rogue, GP.q).is_identity():
-            break
-    else:
-        pytest.fail("no rogue point found")
+    rogue = ref.outside_point(GP)
     with pytest.raises(InvalidFlowError):
         validate_flow_point(PARAMS, rogue)
     rng = random.Random(8)
@@ -505,18 +438,7 @@ BOB16 = extract(P16, MSK16, "bob")
 OUTSIDE = "flow point is outside the order-q subgroup"
 
 
-def rogue_point(group):
-    """The first curve point by x outside the order-q subgroup."""
-    for x in range(group.p):
-        t = (x * x * x + x) % group.p
-        if t and pow(t, (group.p - 1) // 2, group.p) == 1:
-            point = GElem(x, pow(t, (group.p + 1) // 4, group.p))
-            if not in_subgroup(group, point):
-                return point
-    raise AssertionError("no point outside the subgroup")
-
-
-ROGUE16 = rogue_point(G16)
+ROGUE16 = ref.outside_point(G16)
 OFF_CURVE16 = GElem(ROGUE16.x, (ROGUE16.y + 1) % G16.p)
 
 
@@ -655,8 +577,7 @@ def test_session_key_regression_pin():
 
 
 def test_session_key_binds_identities_and_flows():
-    rng = random.Random(31)
-    x, msg_a, y, msg_b, sk_a, _ = run_session(PARAMS, ALICE, BOB, rng)
+    _, msg_a, _, msg_b, sk_a = ref.session(PARAMS, MSK, "alice", "bob", random.Random(31))
     base = session_key(PARAMS, sk_a, "alice", "bob", msg_a, msg_b)
     assert len(base.key) == 32
     assert session_key(PARAMS, sk_a, "alicia", "bob", msg_a, msg_b) != base
@@ -668,31 +589,6 @@ def test_session_key_binds_identities_and_flows():
 # ---------------------------------------------------------------------------
 # forward-secrecy variant
 # ---------------------------------------------------------------------------
-
-
-def test_pfs_exchange_agrees():
-    params, msk = setup(8, "pfs")
-    a = extract(params, msk, "alice")
-    b = extract(params, msk, "bob")
-    rng = random.Random(12)
-    x, msg_a = initiate(params, a, rng)
-    y, msg_b, extra = pfs_respond(params, b, "alice", rng)
-    assert in_subgroup(params.group, extra)
-    assert pfs_verify_extra(params, a, "bob", msg_b, extra)
-    sk_a, _ = derive(params, a, x, msg_a, "bob", msg_b, "initiator")
-    sk_b, _ = derive(params, b, y, msg_b, "alice", msg_a, "responder")
-    dh_a = scalar_exp(params.group, extra, x)
-    dh_b = scalar_exp(params.group, msg_a.r, y)
-    assert dh_a == dh_b
-    assert pfs_session_key(params, sk_a, dh_a) == pfs_session_key(params, sk_b, dh_b)
-
-
-def test_pfs_extra_uses_same_ephemeral():
-    # dlog of extra base g_alice equals dlog of the flow base g_bob
-    rng = random.Random(13)
-    y, msg, extra = pfs_respond(PARAMS, BOB, "alice", rng)
-    assert dlog(GP, BOB.g_id, msg.r) == y % GP.q
-    assert dlog(GP, ALICE.g_id, extra) == y % GP.q
 
 
 def test_pfs_verify_rejects_mismatched_extra():
@@ -766,18 +662,97 @@ def test_pfs_verify_extra_reports_its_first_fault_in_check_order(r, extra, peer_
 
 def test_pfs_key_differs_from_base_key():
     params, msk = setup(8, "pfs2")
-    a = extract(params, msk, "alice")
-    b = extract(params, msk, "bob")
-    rng = random.Random(15)
-    x, msg_a = initiate(params, a, rng)
-    y, msg_b, extra = pfs_respond(params, b, "alice", rng)
-    sk_a, _ = derive(params, a, x, msg_a, "bob", msg_b, "initiator")
-    dh = scalar_exp(params.group, extra, x)
-    assert pfs_session_key(params, sk_a, dh) != session_key(
-        params, sk_a, "alice", "bob", msg_a, msg_b
-    )
+    x, msg_a, y, msg_b, sk = ref.session(params, msk, "alice", "bob", random.Random(15))
+    dh = ref.multiply(params.group, ref.pfs_extra(params, "alice", y), x)
+    assert pfs_session_key(params, sk, dh) != session_key(params, sk, "alice", "bob", msg_a, msg_b)
     with pytest.raises(InvalidFlowError, match="degenerate Diffie-Hellman point"):
-        pfs_session_key(params, sk_a, INFINITY)
+        pfs_session_key(params, sk, INFINITY)
+
+
+# ---------------------------------------------------------------------------
+# one exchange against the reference IDAK, end to end
+# ---------------------------------------------------------------------------
+
+# hostile received flows, built from the honest one, by the message that
+# refuses each ("flow point is ..."); R + (0, 0) has order 2q
+HOSTILE = {
+    "the identity": lambda group, r: INFINITY,
+    "not on the curve": lambda group, r: GElem(0, 1),
+    "outside the order-q subgroup": lambda group, r: ref.add(group.p, r, GElem(0, 0)),
+}
+
+
+@settings(deadline=None)  # the example count comes from the hypothesis profile
+@given(
+    k_bits=st.sampled_from([4, 8, 16, 24]),
+    seed=st.integers(0, 2**32),
+    pi=st.sampled_from(PiVariant),
+    strategy=st.sampled_from(STRATEGIES),
+    role=st.sampled_from(["initiator", "responder"]),
+    pfs=st.booleans(),
+    hostile=st.sampled_from(sorted(HOSTILE)),
+)
+# exchanges at q = 13 and q = 11 where the initiator's own exponent, then
+# the responder's, vanishes
+@example(k_bits=4, seed=6, pi=PiVariant.HASH_HALF, strategy=STRATEGIES[0], role="initiator",
+         pfs=False, hostile="the identity")
+@example(k_bits=4, seed=11, pi=PiVariant.XOR_HALF, strategy=STRATEGIES[3], role="responder",
+         pfs=True, hostile="outside the order-q subgroup")
+def test_an_exchange_matches_the_reference_byte_for_byte(
+    k_bits, seed, pi, strategy, role, pfs, hostile
+):
+    # keys, flows, the secret and the session key of one side of an exchange
+    # on a drawn group, and its --pfs extra point, check and key; derive
+    # refuses a hostile received flow with the documented message, and the
+    # honest one where the reference exponent vanishes
+    params, alpha = setup(k_bits, seed, pi_variant=pi)
+    group = params.group
+    alice, bob = extract(params, alpha, "alice"), extract(params, alpha, "bob")
+    assert (alice.g_id, alice.d_id) == ref.extract(group, alpha, "alice")
+    assert (bob.g_id, bob.d_id) == ref.extract(group, alpha, "bob")
+    rng = random.Random(seed)
+    x, msg_a = initiate(params, alice, rng)
+    if pfs:
+        y, msg_b, extra = pfs_respond(params, bob, "alice", rng)
+        assert extra == ref.pfs_extra(params, "alice", y)
+    else:
+        y, msg_b = initiate(params, bob, rng)
+    assert (msg_a.r, msg_b.r) == (ref.multiply(group, alice.g_id, x),
+                                  ref.multiply(group, bob.g_id, y))
+    if role == "initiator":
+        own, own_x, own_msg, peer_id, peer_msg = alice, x, msg_a, "bob", msg_b
+    else:
+        own, own_x, own_msg, peer_id, peer_msg = bob, y, msg_b, "alice", msg_a
+
+    def own_derive(received):
+        return derive(params, own, own_x, own_msg, peer_id, received, role, strategy)[0]
+
+    bad = FlowMessage(HOSTILE[hostile](group, peer_msg.r))
+    with pytest.raises(InvalidFlowError, match=f"^flow point is {hostile}$"):
+        own_derive(bad)
+    if pfs and role == "initiator":
+        with pytest.raises(InvalidFlowError, match=f"^flow point is {hostile}$"):
+            pfs_verify_extra(params, alice, "bob", bad, extra)
+    if not ref.exponent(params, alpha, x, msg_a.r, y, msg_b.r):
+        with pytest.raises(DegenerateExponentError):
+            own_derive(peer_msg)
+        return
+    sk = own_derive(peer_msg)
+    assert sk == ref.secret(params, alpha, "alice", "bob", x, msg_a.r, y, msg_b.r)
+    assert (session_key(params, sk, "alice", "bob", msg_a, msg_b)
+            == ref.session_key(params, sk, "alice", "bob", msg_a, msg_b))
+    if pfs:
+        if role == "initiator":
+            mismatched = ref.multiply(group, extra, 2)
+            for point in (extra, mismatched):
+                assert (pfs_verify_extra(params, alice, "bob", msg_b, point)
+                        == ref.pfs_check(params, "alice", "bob", msg_b, point)
+                        == (point == extra))
+            dh = scalar_exp(group, extra, x)
+        else:
+            dh = scalar_exp(group, msg_a.r, y)
+        assert dh == ref.multiply(group, alice.g_id, x * y)
+        assert pfs_session_key(params, sk, dh) == ref.pfs_key(params, sk, dh)
 
 
 # ---------------------------------------------------------------------------
@@ -792,16 +767,14 @@ def test_master_compromise_recovers_base_secret(pi):
     b = extract(params, msk, "bob")
     rng = random.Random(16)
     for _ in range(25):
-        x, msg_a, y, msg_b, sk_a, sk_b = run_session(params, a, b, rng)
-        recovered = master_compromise_compute(
-            params, msk, "alice", "bob", msg_a, msg_b
-        )
-        assert recovered == sk_a == sk_b
+        x, msg_a, y, msg_b, sk = ref.session(params, msk, "alice", "bob", rng)
+        assert derive(params, a, x, msg_a, "bob", msg_b, "initiator")[0] == sk
+        assert derive(params, b, y, msg_b, "alice", msg_a, "responder")[0] == sk
+        assert master_compromise_compute(params, msk, "alice", "bob", msg_a, msg_b) == sk
 
 
 def test_master_compromise_wrong_alpha_misses():
-    rng = random.Random(17)
-    x, msg_a, y, msg_b, sk_a, _ = run_session(PARAMS, ALICE, BOB, rng)
+    _, msg_a, _, msg_b, sk_a = ref.session(PARAMS, MSK, "alice", "bob", random.Random(17))
     wrong = MSK % (GP.q - 1) + 1
     if wrong == MSK:
         wrong = wrong % (GP.q - 1) + 1
@@ -814,15 +787,11 @@ def test_master_compromise_wrong_alpha_misses():
 
 def test_master_compromise_cannot_reach_pfs_key():
     params, msk = setup(8, "mk2")
-    a = extract(params, msk, "alice")
-    b = extract(params, msk, "bob")
-    rng = random.Random(18)
-    x, msg_a = initiate(params, a, rng)
-    y, msg_b, extra = pfs_respond(params, b, "alice", rng)
-    sk_a, _ = derive(params, a, x, msg_a, "bob", msg_b, "initiator")
-    real = pfs_session_key(params, sk_a, scalar_exp(params.group, extra, x))
+    x, msg_a, y, msg_b, sk = ref.session(params, msk, "alice", "bob", random.Random(18))
+    extra = ref.pfs_extra(params, "alice", y)
+    real = pfs_session_key(params, sk, scalar_exp(params.group, extra, x))
     recovered = master_compromise_compute(params, msk, "alice", "bob", msg_a, msg_b)
-    assert recovered == sk_a
+    assert recovered == sk
     # every Diffie-Hellman guess available from transcript plus alpha misses
     group = params.group
     candidates = [msg_a.r, msg_b.r, extra]

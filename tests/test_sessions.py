@@ -30,7 +30,8 @@ from idak.protocol import (
     initiator_first, session_key, setup, validate_flow_point,
 )
 from idak.sessions import SessionOracle, World, make_world, run_scenario
-from test_protocol import rogue_point
+
+import reference as ref
 
 SCENARIO_DIR = Path(idak.__file__).parent / "scenarios"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -123,7 +124,7 @@ def test_stale_oracle_rejections():
 
 REJECTED_FLOWS = {
     "malformed": lambda group: b"\xde\xad\xbe\xef",
-    "out-of-subgroup": lambda group: encode_point(group, rogue_point(group)),
+    "out-of-subgroup": lambda group: encode_point(group, ref.outside_point(group)),
     "identity": lambda group: b"\x00",
 }
 
@@ -573,7 +574,7 @@ DIFF_GROUP = DIFF_PARAMS.group
 BASE_GT = pairing(DIFF_GROUP, DIFF_PARAMS.g, DIFF_PARAMS.g)
 # every flow a World did not emit: REJECTED_FLOWS' bytes, the same faults
 # as messages, and a valid subgroup point no oracle drew, in both forms
-_ROGUE = rogue_point(DIFF_GROUP)
+_ROGUE = ref.outside_point(DIFF_GROUP)
 _FOREIGN = fixed_base_exp(DIFF_GROUP, DIFF_PARAMS.g, 12345)
 FOREIGN_FLOWS = {
     **{name: make(DIFF_GROUP) for name, make in REJECTED_FLOWS.items()},
