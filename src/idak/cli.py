@@ -151,6 +151,28 @@ def _write_flow(path, data):
             handle.truncate()
 
 
+def _remove_state(path, read):
+    """Unlink the state file that finalize consumed, so its ephemeral x
+    is gone once the session key is saved.
+
+    read is the path's lstat from before load_state.  A path that now
+    names another file (a newer state, or the session key written over
+    it) is left as it is.  One that is not a regular file, or an unlink
+    that fails, gets a warning: the key file is valid all the same.
+    """
+    try:
+        now = os.lstat(path)
+        if (now.st_dev, now.st_ino) != (read.st_dev, read.st_ino):
+            return
+        if stat.S_ISREG(now.st_mode):
+            os.unlink(path)
+            return
+        reason = f"{path!r} is not a regular file"
+    except OSError as exc:
+        reason = exc
+    print(f"warning: state file not removed: {reason}", file=sys.stderr)
+
+
 def _derive_key(args, params, own, role, secret, own_msg, peer_id, peer_msg, extra=None):
     """One side's session key and derive's counts, or a refusal.
 
@@ -259,6 +281,7 @@ def cmd_respond(args):
 def cmd_finalize(args):
     params = _system_params(args)
     own = keystore.load_identity(args.key, params.group)
+    read = os.lstat(args.state)
     peer_id, x, own_msg = keystore.load_state(args.state, params.group)
     sender_ident, peer_msg, extra = _read_flow(args, params, "responder")
     if sender_ident != peer_id:
@@ -272,6 +295,7 @@ def cmd_finalize(args):
         raise Refusal("invalid-flow", "flow carries an extra point; rerun with --pfs")
     key, counts = _derive_key(args, params, own, "initiator", x, own_msg, peer_id, peer_msg, extra)
     keystore.save_session(args.key_out, key)
+    _remove_state(args.state, read)
     _emit(args, {"key": args.key_out, "counts": counts._asdict()})
     return EXIT_OK
 
@@ -451,10 +475,10 @@ def build_parser():
 
     p = sub.add_parser(
         "finalize", parents=[common, with_params, with_pi, exchange],
-        help="absorb the reply and derive the key",
+        help="absorb the reply, derive the key and remove the state file",
     )
     p.add_argument("--key", required=True, help="own identity key file")
-    p.add_argument("--state", required=True, help="pending-session file from initiate")
+    p.add_argument("--state", required=True, help="state file from initiate, removed on success")
     p.add_argument("--flow-in", required=True, help="responder flow file")
     p.add_argument("--key-out", required=True, help="session key file to write")
 

@@ -81,7 +81,10 @@ def write_entry(path, kind, payload):
     replaces the target in one rename, so a write that fails midway leaves
     the old file as it was.  Every kind but params holds a secret or a
     session and is created with mode 0600; params files get the mode the
-    umask gives.
+    umask gives.  A write over an existing file pays for that safety: ext4
+    (with its default auto_da_alloc) flushes the new file at such a rename,
+    which read 77-204 us on a shared 2-core Xeon, where a rename onto a
+    free path read 5-16 us.
     """
     if kind not in KINDS:
         raise KeystoreError(f"unknown entry kind {kind!r}")

@@ -87,6 +87,10 @@ PASSIVE = ("                if not any(\n"
 NOBODY = '    if not ident:\n        raise KeystoreError("identity payload names nobody")\n'
 # the scenario runner's _fail, before which a mutant puts a public function with no caller
 FAIL = "def _fail(report: dict, record: dict, reason: str):\n"
+# finalize's save of the session key, then its removal of the state file it read
+SAVE_KEY, REMOVE_STATE = ("    keystore.save_session(args.key_out, key)\n",
+                          "    _remove_state(args.state, read)\n")
+CLI = "tests/test_cli.py::"
 
 MUTANTS = (
     (BILINEAR, "(params.q.bit_length() + 1)", "params.q.bit_length()", (SIZES + "[24]",),
@@ -402,6 +406,26 @@ MUTANTS = (
      ("tests/test_protocol.py::test_an_exchange_matches_the_reference_byte_for_byte",),
      "xor-half keeps ceil(|p| / 2) bits, so where |p| is odd both sides agree on a key "
      "that README's definition does not give"),
+    # finalize consumes its state file: after the save, and only the regular file it read
+    ("idak/cli.py", REMOVE_STATE, "",
+     (CLI + "test_a_successful_finalize_leaves_the_key_and_no_state_file",
+      CLI + "test_a_second_finalize_on_the_same_state_exits_1_and_writes_nothing"),
+     "finalize leaves its state file, so a completed session's ephemeral x stays on disk "
+     "and the same state finalizes again"),
+    ("idak/cli.py", SAVE_KEY + REMOVE_STATE, REMOVE_STATE + SAVE_KEY,
+     (CLI + "test_a_key_out_in_a_missing_directory_exits_1_and_keeps_the_state",),
+     "finalize removes the state before it saves the key, so a save that fails loses the "
+     "session and leaves nothing to retry"),
+    ("idak/cli.py",
+     "        if (now.st_dev, now.st_ino) != (read.st_dev, read.st_ino):\n            return\n",
+     "",
+     (CLI + "test_a_key_out_that_names_the_state_path_ends_with_a_session_key",),
+     "finalize removes whatever the state path names after the save, so a --key-out that "
+     "names that path loses the session key it has just written"),
+    ("idak/cli.py", "        if stat.S_ISREG(now.st_mode):\n", "        if True:\n",
+     (CLI + "test_a_state_reached_through_a_symlink_is_kept_with_a_warning",),
+     "finalize unlinks a symlinked state path without a word, and the file that holds x "
+     "stays where the link pointed"),
 )
 
 

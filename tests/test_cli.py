@@ -572,6 +572,99 @@ def test_finalize_checks_the_responder_identity(keyring, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# the state file lives from initiate to a successful finalize
+# ---------------------------------------------------------------------------
+
+
+def _open_and_answer(keyring, tmp_path, state):
+    """initiate with --state-out state, then respond; the reply flow's path."""
+    base = ["--params", keyring["params"], "--quiet"]
+    assert main(["initiate", *base, "--key", keyring["alice"], "--peer", "bob",
+                 "--flow-out", str(tmp_path / "a.flow"), "--state-out", str(state),
+                 "--seed", "life-a"]) == 0
+    assert main(["respond", *base, "--key", keyring["bob"], "--flow-in", str(tmp_path / "a.flow"),
+                 "--flow-out", str(tmp_path / "b.flow"), "--key-out", str(tmp_path / "b.session"),
+                 "--seed", "life-b"]) == 0
+    return str(tmp_path / "b.flow")
+
+
+def _finalize_state(keyring, state, flow, key_out):
+    return main(["finalize", "--params", keyring["params"], "--key", keyring["alice"],
+                 "--state", str(state), "--flow-in", flow, "--key-out", str(key_out),
+                 "--quiet"])
+
+
+def test_a_successful_finalize_leaves_the_key_and_no_state_file(keyring, tmp_path, capsys):
+    code, key_a, key_b = exchange(keyring, tmp_path)
+    assert code == 0
+    assert keystore.load_session(key_a) == keystore.load_session(key_b)
+    assert not (tmp_path / "a.state").exists()
+    assert capsys.readouterr().err == ""
+
+
+def test_a_second_finalize_on_the_same_state_exits_1_and_writes_nothing(keyring, tmp_path,
+                                                                        capsys):
+    state = tmp_path / "a.state"
+    flow = _open_and_answer(keyring, tmp_path, state)
+    assert _finalize_state(keyring, state, flow, tmp_path / "a.session") == 0
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert _finalize_state(keyring, state, flow, tmp_path / "again.session") == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_a_key_out_that_names_the_state_path_ends_with_a_session_key(keyring, tmp_path,
+                                                                      capsys):
+    # the state path ends empty, or holding the key when --key-out names it:
+    # the rename puts a new file there, which finalize then leaves alone
+    state = tmp_path / "a.state"
+    for key_out in ("a.session", "a.state"):
+        for path in tmp_path.iterdir():
+            path.unlink()
+        flow = _open_and_answer(keyring, tmp_path, state)
+        assert _finalize_state(keyring, state, flow, tmp_path / key_out) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            ["a.flow", "b.flow", "b.session", key_out]), key_out
+        assert (keystore.load_session(tmp_path / key_out)
+                == keystore.load_session(tmp_path / "b.session"))
+    assert capsys.readouterr().err == ""
+
+
+def test_a_state_reached_through_a_symlink_is_kept_with_a_warning(keyring, tmp_path, capsys):
+    target, link = tmp_path / "target.state", tmp_path / "link.state"
+    flow = _open_and_answer(keyring, tmp_path, target)
+    written = target.read_bytes()
+    link.symlink_to(target)
+    assert _finalize_state(keyring, link, flow, tmp_path / "a.session") == 0
+    assert capsys.readouterr().err == (
+        f"warning: state file not removed: {str(link)!r} is not a regular file\n"
+    )
+    assert link.is_symlink() and target.read_bytes() == written
+    keystore.load_session(tmp_path / "a.session")
+
+
+def test_a_failing_unlink_warns_exits_0_and_keeps_the_key(keyring, tmp_path, capsys,
+                                                          monkeypatch):
+    # the tests run as root, so a read-only directory would not stop the unlink
+    state = tmp_path / "a.state"
+    flow = _open_and_answer(keyring, tmp_path, state)
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    assert _finalize_state(keyring, state, flow, tmp_path / "a.session") == 0
+    monkeypatch.undo()
+    assert capsys.readouterr().err == (
+        f"warning: state file not removed: [Errno 13] Permission denied: {str(state)!r}\n"
+    )
+    assert state.exists()
+    assert (keystore.load_session(tmp_path / "a.session")
+            == keystore.load_session(tmp_path / "b.session"))
+
+
+# ---------------------------------------------------------------------------
 # hostile files
 # ---------------------------------------------------------------------------
 
@@ -643,9 +736,9 @@ def test_a_mutated_input_file_exits_0_or_1_and_writes_only_on_success(pfs_exchan
     params, files, other_params = pfs_exchange
     with tempfile.TemporaryDirectory() as scratch:  # hypothesis refuses tmp_path
         root = Path(scratch)
-        for name, content in files.items():
+        inputs = {**files, target: _mutated(data, params, target, files[target], other_params)}
+        for name, content in inputs.items():
             (root / name).write_bytes(content)
-        (root / target).write_bytes(_mutated(data, params, target, files[target], other_params))
         key_out, flow_out, state_out = root / "out.session", root / "out.flow", root / "out.state"
         ident_out = root / "out.key"
         argv = [command, "--params", str(root / "params.key"), "--quiet"]
@@ -678,6 +771,24 @@ def test_a_mutated_input_file_exits_0_or_1_and_writes_only_on_success(pfs_exchan
                 keystore.load_session(key_out)
         else:
             assert not any(path.exists() for path in (key_out, flow_out, state_out, ident_out))
+        # a refusal changes no input; a finalize that succeeds removes its state alone
+        if code == 0 and command == "finalize":
+            del inputs["a.state"]
+        assert {path.name: path.read_bytes() for path in root.iterdir()
+                if path.name in files} == inputs
+
+
+def test_a_key_out_in_a_missing_directory_exits_1_and_keeps_the_state(pfs_exchange, tmp_path,
+                                                                      capsys):
+    _, files, _ = pfs_exchange
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    assert main(["finalize", "--params", str(tmp_path / "params.key"), "--pfs", "--quiet",
+                 "--key", str(tmp_path / "alice.key"), "--state", str(tmp_path / "a.state"),
+                 "--flow-in", str(tmp_path / "b.flow"),
+                 "--key-out", str(tmp_path / "missing" / "a.session")]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
 
 
 # ---------------------------------------------------------------------------

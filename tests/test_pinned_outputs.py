@@ -100,11 +100,11 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _files_digest(root, names):
-    """One digest over each named file's name and bytes, in order."""
+def _files_digest(files):
+    """One digest over each file's name and bytes, in the mapping's order."""
     digest = hashlib.sha256()
-    for name in names:
-        digest.update(name.encode() + b"\0" + (root / name).read_bytes() + b"\0")
+    for name, data in files.items():
+        digest.update(name.encode() + b"\0" + data + b"\0")
     return digest.hexdigest()
 
 
@@ -168,7 +168,7 @@ def keys(tmp_path_factory):
 
 def test_walkthrough_key_files_are_byte_identical(keys):
     names = ("params.key", "master.key", "alice.key", "bob.key")
-    assert _files_digest(keys, names) == KEY_FILES_DIGEST
+    assert _files_digest({name: (keys / name).read_bytes() for name in names}) == KEY_FILES_DIGEST
 
 
 @pytest.mark.parametrize("pfs", [False, True], ids=["plain", "pfs"])
@@ -179,11 +179,15 @@ def test_walkthrough_files_are_byte_identical(keys, tmp_path, strategy, pfs):
     assert main(["initiate", *params, "--key", str(keys / "alice.key"), "--peer", "bob",
                  "--flow-out", str(tmp_path / "a.flow"),
                  "--state-out", str(tmp_path / "a.state"), "--seed", "a", "--quiet"]) == 0
+    state = (tmp_path / "a.state").read_bytes()  # as initiate wrote it; finalize removes it
     assert main(["respond", *params, *variant, "--key", str(keys / "bob.key"),
                  "--flow-in", str(tmp_path / "a.flow"), "--flow-out", str(tmp_path / "b.flow"),
                  "--key-out", str(tmp_path / "bob.session"), "--seed", "b", "--quiet"]) == 0
     assert main(["finalize", *params, *variant, "--key", str(keys / "alice.key"),
                  "--state", str(tmp_path / "a.state"), "--flow-in", str(tmp_path / "b.flow"),
                  "--key-out", str(tmp_path / "alice.session"), "--quiet"]) == 0
+    assert not (tmp_path / "a.state").exists()
     names = ("a.flow", "a.state", "b.flow", "bob.session", "alice.session")
-    assert _files_digest(tmp_path, names) == WALKTHROUGH_DIGESTS[strategy, pfs]
+    files = {name: state if name == "a.state" else (tmp_path / name).read_bytes()
+             for name in names}
+    assert _files_digest(files) == WALKTHROUGH_DIGESTS[strategy, pfs]
