@@ -9,8 +9,9 @@ step and the final exponentiation as one power by (p^2 - 1)/q, the
 curve point lifted from an x and the first one outside the subgroup, and
 the NAF chain that idak's Miller loop walks.  On top of them sits IDAK as README's "Definitions"
 states it: try-and-increment hashing onto the subgroup, extract, the
-three pi variants, the shared secret in closed form, the session KDF and
-the forward-secure extra point, its check and its key.
+three pi variants, the shared secret in closed form and from the flows
+alone, the session KDF and the forward-secure extra point, its check and
+its key.
 
 This module imports only value types from idak (tests/test_imports.py
 checks it), so no test can compare idak with itself through it.  Pytest
@@ -282,6 +283,12 @@ def encode_point(group, point):
     return b"\x04" + point.x.to_bytes(width, "big") + point.y.to_bytes(width, "big")
 
 
+def decode_point(group, data):
+    """The point that encode_point gave as data."""
+    width = (group.p.bit_length() + 7) // 8
+    return GElem(int.from_bytes(data[1:1 + width], "big"), int.from_bytes(data[1 + width:], "big"))
+
+
 def encode_gt(z):
     width = (z.p.bit_length() + 7) // 8
     return z.a.to_bytes(width, "big") + z.b.to_bytes(width, "big")
@@ -330,6 +337,24 @@ def session_key(params, sk, id_a, id_b, r_a, r_b):
     material = (b"idak-kdf-v1" + encode_gt(sk.value) + _bytes(id_a) + _bytes(id_b)
                 + encode_point(group, r_a.r) + encode_point(group, r_b.r))
     return SessionKey(hashlib.sha256(material).digest())
+
+
+@cache
+def flow_session_key(params, alpha, id_a, id_b, r_a, r_b):
+    """The session key of the exchange of points r_a and r_b, from alpha and
+    the flows alone, with no discrete log: the secret is
+    e(g_A^s_A R_A, g_B^s_B R_B)^alpha, which is
+    e(g_A, g_B)^((x + s_A)(y + s_B) alpha) for R_A = g_A^x and R_B = g_B^y.
+    None where that exponent vanishes, as a blend is then the identity."""
+    group, p = params.group, params.group.p
+    s_a, s_b = pi(params, r_a, r_b), pi(params, r_b, r_a)
+    blend_a = add(p, multiply(group, hash_to_group(group, id_a), s_a), r_a)
+    blend_b = add(p, multiply(group, hash_to_group(group, id_b), s_b), r_b)
+    if blend_a.is_identity() or blend_b.is_identity():
+        return None
+    z = pairing(group, blend_a, blend_b)
+    sk = SharedSecret(GTElem(*fp2_pow(p, z.a, z.b, alpha), p))
+    return session_key(params, sk, id_a, id_b, FlowMessage(r_a), FlowMessage(r_b))
 
 
 def pfs_extra(params, id_a, y):

@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from idak import bilinear, cli, keystore
@@ -694,13 +694,17 @@ def _mutated(data, params, name, original, other_params):
     byte.  A flow may instead have a point swapped for the identity, for a
     curve point outside the subgroup, for (0, 0) of order 2, which only
     derive's checks refuse, or for (1, 1), which is off the curve.  The
-    params file may instead be other_params, valid for another group."""
-    kinds = ["flip", "truncate", "append", "replace"]
+    params file may instead be other_params, valid for another group.  Or
+    original comes back unchanged, so that each command's success path is
+    drawn, not only a mutation that happens to be benign."""
+    kinds = ["unchanged", "flip", "truncate", "append", "replace"]
     if name.endswith(".flow"):
         kinds.append("point")
     if name == "params.key":
         kinds.append("group")
     kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "unchanged":
+        return original
     if kind == "group":
         return other_params
     if kind == "point":
@@ -765,6 +769,7 @@ def test_a_mutated_input_file_exits_0_or_1_and_writes_only_on_success(pfs_exchan
         with contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 1) and "Traceback" not in err.getvalue(), err.getvalue()
+        event(f"{command} exits {code}")
         if code == 0:
             assert all(path.exists() for path in outputs)
             if key_out in outputs:
