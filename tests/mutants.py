@@ -119,6 +119,10 @@ SWAPPED_VIEW = (
         "test_wpfs_corrupt_after_completion_keeps_fresh",
         "test_wpfs_corruption_after_an_active_attack_poisons",
         "test_a_world_schedule_matches_the_references",
+        "test_binding_partners_match_the_transcript_reference",
+        "test_a_world_that_trusts_its_emitted_flows_matches_one_that_checks_every_flow",
+        "test_a_world_keys_only_points_of_the_subgroup",
+        "test_a_world_relay_key_is_the_key_of_every_strategy",
         "test_the_reference_world_checks_the_flows_its_oracles_drew",
         "test_readme_scenario_example_passes", "test_bundled_scenarios",
         "test_every_assertion_is_compared_with_expect",
@@ -468,7 +472,8 @@ MUTANTS = (
       CLI + "test_bundled_scenario_is_read_as_utf8_not_in_the_locale_encoding",
       PINNED + "test_scenario_report_is_byte_identical",
       PINNED + "test_scenario_flags_win_over_the_config_line",
-      SESSIONS + "test_test_query_coins", SCHEDULES, SESSIONS + "test_bundled_scenarios"),
+      SESSIONS + "test_test_query_coins", SCHEDULES, SESSIONS + "test_bundled_scenarios",
+      SESSIONS + "test_a_world_that_trusts_its_emitted_flows_matches_one_that_checks_every_flow"),
      "World.test answers coin 0 with the real key in place of the key of a uniform GT "
      "element, so the test query hides nothing"),
 )

@@ -24,8 +24,8 @@ from idak.errors import (
     TestRefusedError,
 )
 from idak.protocol import (
-    FlowMessage, IdentityKey, PiVariant, SharedSecret, derive, initiate, initiator_first,
-    seeded_rng, session_key, setup, validate_flow_point,
+    STRATEGIES, FlowMessage, IdentityKey, PiVariant, SharedSecret, derive, initiate,
+    initiator_first, seeded_rng, session_key, setup, validate_flow_point,
 )
 from idak.sessions import SessionOracle, World, make_world, run_scenario
 
@@ -687,6 +687,69 @@ def _lockstep(k_bits, seed, mode, pi_variant, steps):
          steps=[("relay", "alice", "bob")] * 6 + [("corrupt", "alice")])
 def test_a_world_schedule_matches_the_references(k_bits, seed, mode, pi_variant, steps):
     _lockstep(k_bits, seed, mode, pi_variant, steps)
+
+
+# four narrower schedules of the same grammar, each run through the same
+# lockstep and references: partnering without hostile flows, flows without
+# corruption, one flow of each kind to a waiting oracle, and honest relays
+# under every pi
+
+
+def _only(*kinds):
+    """The steps of STEPS of the given kinds."""
+    return STEPS.filter(lambda step: step[0] in kinds)
+
+
+def _assert_every_strategy(world):
+    """Each completed oracle's key is the key that the public derive gives,
+    by every strategy, for its ephemeral and the flows of its binding."""
+    for oracle in world.oracles:
+        if oracle.completed:
+            peer_msg = oracle.binding[3 if oracle.role == "initiator" else 2]
+            for strategy in STRATEGIES:
+                shared, _ = derive(world.params, world.principals[oracle.owner], oracle.ephemeral,
+                                   oracle.own_msg, oracle.peer, peer_msg, oracle.role, strategy)
+                assert session_key(world.params, shared, *oracle.binding) == oracle.key, \
+                    strategy.label()
+
+
+@settings(max_examples=40, deadline=None)
+@given(k_bits=st.sampled_from([16, 4]), mode=st.sampled_from(["br", "wpfsbr"]),
+       steps=st.lists(_only("relay", "open", "deliver", "reveal", "corrupt", "extract"),
+                      max_size=14))
+def test_binding_partners_match_the_transcript_reference(k_bits, mode, steps):
+    _lockstep(k_bits, "partners", mode, PiVariant.HASH_HALF, steps)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       steps=st.lists(_only("relay", "open", "deliver", "foreign", "reveal", "test"),
+                      max_size=24))
+def test_a_world_that_trusts_its_emitted_flows_matches_one_that_checks_every_flow(seed, steps):
+    _lockstep(16, seed, "br", PiVariant.HASH_HALF, steps)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["br", "wpfsbr"]),
+       as_initiator=st.booleans(), kind=st.sampled_from(FOREIGN_KINDS + ("emitted",)),
+       as_bytes=st.booleans())
+def test_a_world_keys_only_points_of_the_subgroup(seed, mode, as_initiator, kind, as_bytes):
+    # bob's initiator emits a flow; alice's waiting initiator (oracle 1) or
+    # a new responder of hers receives a foreign flow or bob's
+    target = (1 if as_initiator else None, "alice", "bob")
+    last = (("deliver", target, as_bytes, 0) if kind == "emitted"
+            else ("foreign", target, as_bytes, kind))
+    steps = [("open", "bob", "alice")] + [("open", "alice", "bob")] * as_initiator + [last]
+    _assert_every_strategy(_lockstep(16, seed, mode, PiVariant.HASH_HALF, steps))
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pi_variant=st.sampled_from(PiVariant),
+       alice_first=st.lists(st.booleans(), min_size=1, max_size=3))
+def test_a_world_relay_key_is_the_key_of_every_strategy(seed, pi_variant, alice_first):
+    steps = [("relay", *(("alice", "bob") if first else ("bob", "alice")))
+             for first in alice_first]
+    _assert_every_strategy(_lockstep(16, seed, "br", pi_variant, steps))
 
 
 def test_the_reference_world_checks_the_flows_its_oracles_drew():
