@@ -75,10 +75,11 @@ class SessionOracle:
     """One party's view of one protocol run: oracle (owner, peer, index),
     with owner and peer as identity bytes.
 
-    own_msg is the flow the oracle drew.  An initiator emits it on
-    activation, a responder as it completes; a responder that aborts has
-    drawn it but emitted nothing.  binding, set at completion, is the
-    oracle's conversation, which matching, fresh and the session key read.
+    ephemeral and own_msg are the exponent and the flow the oracle sent,
+    set only as it sends them: an initiator on activation, a responder as
+    it completes.  A responder that aborts sent nothing and keeps nothing
+    it drew.  binding, set at completion, is the oracle's conversation,
+    which matching, fresh and the session key read.
     """
 
     owner: bytes
@@ -111,17 +112,20 @@ class World:
 
     The world checks a received flow only where it enters, and then
     derives past derive's checks (protocol._derive_trusted).  Each flow its
-    oracles draw, as initiator or responder, is g_id^x with 1 <= x < q: a
+    oracles send, as initiator or responder, is g_id^x with 1 <= x < q: a
     subgroup point other than the identity, whose check could never fail,
     so the world keeps those points and never checks them.  Any other
     flow, as bytes or as a FlowMessage, passes validate_flow_point before a
-    responder draws y (see _coerce_flow).  So every point that a relay
-    derives on lies in the subgroup and is not the identity, and a check
-    at each derive would only repeat the one at the boundary.
+    responder draws y (see _coerce_flow); so does the point of a responder
+    that drew y and aborted, as it was never sent.  So every point that a
+    relay derives on lies in the subgroup and is not the identity, and a
+    check at each derive would only repeat the one at the boundary.
 
-    _drawn maps each flow point the oracles drew to the oracles that drew
-    it, in draw order: at small k two oracles can draw one point, so each
-    point keeps a list.  fresh reads both partner rules from the drawers
+    _sent maps each flow point the oracles sent to the oracles that sent
+    it, in send order: at small k two oracles can send one point, so each
+    point keeps a list.  It is the one record of what was sent: the trust
+    boundary, fresh and a scenario's "@LABEL.out" all read it or the
+    own_msg beside it.  fresh reads both partner rules from the senders
     of the flow an oracle received: the peer's oracle that sent it, and
     any revealed matching oracle.
 
@@ -156,8 +160,8 @@ class World:
         self.corrupted_at: dict[bytes, int] = {}
         self.extracted: set[bytes] = set()
         self.clock = 0
-        # every flow point this world's oracles drew, with its drawers in order
-        self._drawn: dict[GElem, list[SessionOracle]] = {}
+        # every flow point this world's oracles sent, with its senders in order
+        self._sent: dict[GElem, list[SessionOracle]] = {}
 
     # -- state management ---------------------------------------------------
 
@@ -195,28 +199,27 @@ class World:
             if oracle.role is not None:
                 raise StaleOracleError(f"oracle {oracle.name()} was already activated")
             oracle.role = "initiator"
-            self._initiate(oracle, own_key)
-            return oracle.own_msg
+            return self._emit(oracle, *initiate(self.params, own_key, self.rng))
 
+        ephemeral, own_msg = oracle.ephemeral, oracle.own_msg
         try:
             msg_in = self._coerce_flow(flow)
             if oracle.role is None:
+                # a responder holds its y and flow until it sends them
                 oracle.role = "responder"
-                self._initiate(oracle, own_key)
+                ephemeral, own_msg = initiate(self.params, own_key, self.rng)
             shared = _derive_trusted(
-                self.params, own_key, oracle.ephemeral, oracle.own_msg.r,
+                self.params, own_key, ephemeral, own_msg.r,
                 self.principals[oracle.peer].g_id, msg_in.r, _RELAY_STRATEGY,
             )
         except (InvalidFlowError, DegenerateExponentError):
             oracle.aborted = True
             raise
-        oracle.binding = initiator_first(
-            oracle.owner, oracle.own_msg, oracle.peer, msg_in, oracle.role
-        )
+        oracle.binding = initiator_first(oracle.owner, own_msg, oracle.peer, msg_in, oracle.role)
         oracle.key = session_key(self.params, shared, *oracle.binding)
         oracle.completed_at = self.clock
-        # a responder answers as it completes; an initiator completes silently
-        return oracle.own_msg if oracle.role == "responder" else None
+        # a responder sends its flow as it completes; an initiator completes silently
+        return self._emit(oracle, ephemeral, own_msg) if oracle.role == "responder" else None
 
     def reveal(self, oracle: SessionOracle) -> SessionKey:
         self.clock += 1
@@ -255,9 +258,9 @@ class World:
         """Whether a test query on this oracle would be meaningful."""
         if not oracle.completed:
             raise NotTestableError(f"oracle {oracle.name()} has not completed")
-        # the oracles that drew the flow this one received: every matching
+        # the oracles that sent the flow this one received: every matching
         # oracle among them, as equal bindings hold each other's flows
-        drawers = self._drawn.get(oracle.binding[3 if oracle.role == "initiator" else 2].r, ())
+        senders = self._sent.get(oracle.binding[3 if oracle.role == "initiator" else 2].r, ())
         for identity in (oracle.owner, oracle.peer):
             if identity in self.extracted:
                 return False
@@ -269,12 +272,12 @@ class World:
                 # adversary was passive toward this oracle
                 if not any(
                     sender.owner == oracle.peer and sender.peer == oracle.owner
-                    and sender.role != oracle.role for sender in drawers
+                    and sender.role != oracle.role for sender in senders
                 ):
                     return False
         if oracle.revealed:
             return False
-        for other in drawers:
+        for other in senders:
             if other.revealed and self.matching(oracle, other):
                 return False
         return True
@@ -299,17 +302,18 @@ class World:
         """e(g, g), paired on the first coin-0 test and kept."""
         return pairing(self.params.group, self.params.g, self.params.g)
 
-    def _initiate(self, oracle: SessionOracle, own_key: IdentityKey) -> None:
-        """Draw the oracle's ephemeral and flow, and remember the flow."""
-        oracle.ephemeral, oracle.own_msg = initiate(self.params, own_key, self.rng)
-        self._drawn.setdefault(oracle.own_msg.r, []).append(oracle)
+    def _emit(self, oracle: SessionOracle, ephemeral: int, own_msg: FlowMessage) -> FlowMessage:
+        """Send the oracle's flow: keep its ephemeral and flow, and index it."""
+        oracle.ephemeral, oracle.own_msg = ephemeral, own_msg
+        self._sent.setdefault(own_msg.r, []).append(oracle)
+        return own_msg
 
     def _coerce_flow(self, flow) -> FlowMessage:
         """Decode and check a received flow before the responder draws y:
         the world's trust boundary, the one check between a flow and the
         key derived from it.
 
-        A point that this world's oracles drew passes unchecked: it is
+        A point that this world's oracles sent passes unchecked: it is
         g_id^x with 1 <= x < q, so its check could never fail.  Any other
         point, as bytes or as a FlowMessage, passes validate_flow_point
         here, as nothing after it checks the point again.  Either way the
@@ -322,7 +326,7 @@ class World:
                 flow = FlowMessage(r=decode_point(self.params.group, bytes(flow)))
             except MalformedElementError as exc:
                 raise InvalidFlowError(f"malformed flow point: {exc}") from exc
-        if flow.r not in self._drawn:
+        if flow.r not in self._sent:
             validate_flow_point(self.params, flow.r)
         return flow
 
@@ -499,10 +503,8 @@ def _resolve_flow(oracles: dict, raw):
             raise ScenarioError(f"unsupported back-reference {raw!r}")
         if label not in oracles:
             raise ScenarioError(f"back-reference to {label!r}, which no query has defined")
-        oracle = oracles[label]
-        # an initiator emits on activation, a responder as it completes
-        if oracle.role == "initiator" or oracle.completed:
-            return oracle.own_msg
+        if oracles[label].own_msg is not None:
+            return oracles[label].own_msg
         raise NoFlowError(f"oracle {label!r} has emitted no flow")
     if isinstance(raw, str):
         try:

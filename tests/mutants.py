@@ -70,20 +70,22 @@ IDENTITY = "tests/test_identity.py::test_every_use_refuses_what_the_rule_refuses
 IDENTITY_RULE = "not isinstance(ident, (bytes, bytearray)) or not 1 <= len(ident) <= 0xFFFF"
 # World.send's derive, by the core and by the public derive
 RELAY = ("            shared = _derive_trusted(\n"
-         "                self.params, own_key, oracle.ephemeral, oracle.own_msg.r,\n"
+         "                self.params, own_key, ephemeral, own_msg.r,\n"
          "                self.principals[oracle.peer].g_id, msg_in.r, _RELAY_STRATEGY,\n"
          "            )\n")
 PUBLIC_RELAY = ("            from .protocol import derive\n"
                 "            shared, _ = derive(\n"
-                "                self.params, own_key, oracle.ephemeral, oracle.own_msg,\n"
+                "                self.params, own_key, ephemeral, own_msg,\n"
                 "                oracle.peer, msg_in, oracle.role, _RELAY_STRATEGY,\n"
                 "            )\n")
+# a responder's draw of y, which it holds until it sends its flow
+DRAW_Y = "                ephemeral, own_msg = initiate(self.params, own_key, self.rng)\n"
 # _coerce_flow's decoding of bytes
 BYTES_ONLY = "        if isinstance(flow, (bytes, bytearray)):\n"
 # fresh's wpfsbr rule: the flow came from the peer's oracle, in the other role
 PASSIVE = ("                if not any(\n"
            "                    sender.owner == oracle.peer and sender.peer == oracle.owner\n"
-           "                    and sender.role != oracle.role for sender in drawers\n"
+           "                    and sender.role != oracle.role for sender in senders\n"
            "                ):\n"
            "                    return False\n")
 NOBODY = '    if not ident:\n        raise KeystoreError("identity payload names nobody")\n'
@@ -391,10 +393,10 @@ MUTANTS = (
      (SESSIONS + "test_wpfs_corrupt_before_completion_poisons",),
      "wpfsbr keeps an oracle fresh after a corruption before its completion, where the "
      "adversary holds the key while the oracle runs"),
-    ("idak/sessions.py", "self._drawn.setdefault(oracle.own_msg.r, []).append(oracle)",
-     "self._drawn[oracle.own_msg.r] = [oracle]",
+    ("idak/sessions.py", "self._sent.setdefault(own_msg.r, []).append(oracle)",
+     "self._sent[own_msg.r] = [oracle]",
      (SCHEDULES,),
-     "_drawn keeps only the last oracle to draw a point, so where two drew it, fresh misses "
+     "_sent keeps only the last oracle to send a point, so where two sent it, fresh misses "
      "the peer's oracle that sent the flow or a revealed matching oracle"),
     # the World of a scenario file with no query or assertion, and a public name with
     # no caller
@@ -416,13 +418,16 @@ MUTANTS = (
      (SESSIONS + "test_every_scenario_error_names_its_line",),
      "a scenario error leaves run_scenario without its line, so a faulty line of a long "
      "file cannot be found"),
-    # what an oracle has emitted, read off its role and completion, and the
+    # a responder's flow recorded as it is drawn, not as it is sent, and the
     # vanished exponent that derive refuses
-    ("idak/sessions.py", 'if oracle.role == "initiator" or oracle.completed:',
-     "if oracle.own_msg is not None:",
-     ("tests/test_cli.py::test_scenario_at_three_bits_reports_its_failed_lines",),
-     "a back-reference to a responder that drew y and then aborted sends y, which it "
-     "never emitted, where the query fails no-flow"),
+    ("idak/sessions.py", DRAW_Y,
+     DRAW_Y + "                self._emit(oracle, ephemeral, own_msg)\n",
+     ("tests/test_cli.py::test_scenario_at_three_bits_reports_its_failed_lines",
+      SESSIONS + "test_wpfs_corruption_after_a_flow_an_aborted_responder_drew_poisons",
+      SCHEDULES),
+     "a responder keeps y and its flow, and joins _sent, as it draws y, so one that then "
+     "aborts counts as the sender of a flow it never sent: a back-reference to it sends "
+     "that flow, and fresh counts it as the peer's flow after a corruption"),
     ("idak/sessions.py", "            if oracle.role is not None:\n",
      "            if oracle.completed:\n",
      (SESSIONS + "test_stale_oracle_rejections",),

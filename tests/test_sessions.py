@@ -375,6 +375,25 @@ def test_wpfs_corruption_after_a_rerouted_flow_poisons():
     assert not world.fresh(receiver)
 
 
+def test_wpfs_corruption_after_a_flow_an_aborted_responder_drew_poisons():
+    # at k = 4 bob's responder to alice's first flow aborts, as its exponent
+    # vanishes, and keeps nothing it drew; the point it drew and never sent,
+    # delivered to a new initiator of alice, is the adversary's flow
+    world = make_world(k_bits=4, seed="s66", mode="wpfsbr")
+    first = world.send(world.new_oracle("alice", "bob"), None)
+    responder = world.new_oracle("bob", "alice")
+    before = world.rng.getstate()
+    with pytest.raises(DegenerateExponentError):
+        world.send(responder, first)
+    initiator = world.new_oracle("alice", "bob")
+    world.send(initiator, None)
+    world.send(initiator, FlowMessage(reference_drawn(world, before, b"bob")))
+    assert initiator.completed
+    world.corrupt("bob")
+    assert not world.fresh(initiator)
+    assert responder.ephemeral is None and responder.own_msg is None
+
+
 def test_freshness_is_monotone():
     # once lost, freshness never comes back under further queries
     world = make_basic_world()
@@ -443,6 +462,26 @@ def record_sends(world):
     return sends
 
 
+def reference_sent(sends, oracle):
+    """The role the oracle took and the point it sent, (None, None) before
+    its first send returned, read off the record alone: an initiator's
+    first send delivers None and returns its flow, a responder's delivers
+    a flow and returns its own."""
+    if id(oracle) not in sends:
+        return None, None
+    delivered, sent = sends[id(oracle)][0]
+    return "initiator" if delivered is None else "responder", sent
+
+
+def reference_drawn(world, state, owner):
+    """The flow point g_owner^y that an oracle of owner draws from a rng in
+    state, recomputed by the reference."""
+    draw = random.Random()
+    draw.setstate(state)
+    group = world.params.group
+    return ref.multiply(group, ref.hash_to_group(group, owner), ref.ephemeral(group, draw))
+
+
 def reference_canonical(sends, oracle):
     """The oracle's conversation as the points it took and gave, in order.
     An initiator gives x on activation and takes y; a responder takes x
@@ -463,12 +502,13 @@ def reference_matching(sends, first, second):
 
 def reference_passive(world, sends, oracle):
     """Whether some oracle of the peer, addressed to the owner in the other
-    role, drew the flow that oracle received."""
+    role, sent the flow that oracle received."""
     received = next(point for point, _ in sends[id(oracle)] if point is not None)
+    role, _ = reference_sent(sends, oracle)
     return any(
         other.owner == oracle.peer and other.peer == oracle.owner
-        and other.role != oracle.role and other.own_msg.r == received
-        for other in world.oracles if other.own_msg is not None
+        and sent == received and other_role != role
+        for other in world.oracles for other_role, sent in [reference_sent(sends, other)]
     )
 
 
@@ -504,9 +544,9 @@ def reference_key(world, oracle, r_a, r_b):
 
 class _ChecksEveryFlow(World):
     """A World that decodes every received flow and runs validate_flow_point
-    on it, the points its own oracles drew included; fresh still reads the
-    _drawn that its oracles fill.  emitted_checks counts the checks of
-    drawn points."""
+    on it, the points its own oracles sent included; fresh still reads the
+    _sent that its oracles fill.  emitted_checks counts the checks of
+    sent points."""
 
     emitted_checks = 0
 
@@ -516,7 +556,7 @@ class _ChecksEveryFlow(World):
                 flow = FlowMessage(decode_point(self.params.group, bytes(flow)))
             except MalformedElementError as exc:
                 raise InvalidFlowError(str(exc)) from exc
-        self.emitted_checks += flow.r in self._drawn
+        self.emitted_checks += flow.r in self._sent
         validate_flow_point(self.params, flow.r)
         return flow
 
@@ -554,47 +594,57 @@ def _foreign_flow(params, kind, as_bytes):
     return encode_point(group, point) if as_bytes else FlowMessage(point)
 
 
-def _send(world, oracle, flow):
+def _send(world, record, oracle, flow):
     """world.send(oracle, flow), where a DegenerateExponentError must come
-    from flows whose exponent vanishes by the reference."""
+    from flows whose exponent vanishes by the reference.  record is the
+    pair (sends, unsent) of the test's own record: the flow of a responder
+    that aborts so, which it drew and never sent, goes on unsent."""
+    sends, unsent = record
+    before = world.rng.getstate()
     try:
         return world.send(oracle, flow)
     except DegenerateExponentError:
-        # both roles have drawn their flow by the time the derive refuses
-        flows = (oracle.own_msg.r, _point(world, flow))
-        assert reference_key(world, oracle, *(
-            flows if oracle.role == "initiator" else flows[::-1])) is None
+        role, own = reference_sent(sends, oracle)
+        if role is None:
+            # a responder: the reference draws its flow as the World drew it
+            own = reference_drawn(world, before, oracle.owner)
+            unsent.append(own)
+        flows = (own, _point(world, flow))
+        assert reference_key(world, oracle, *(flows if role else flows[::-1])) is None
         raise
 
 
-def _apply(world, step):
-    """Run one step on world; its result, or None where it has no target."""
+def _apply(world, record, step):
+    """Run one step on world, whose record is (sends, unsent); its result,
+    or None where it has no target."""
     oracles, kind = world.oracles, step[0]
     if kind in ("relay", "open"):
         initiator = world.new_oracle(step[1], step[2])
         if kind == "open":
             return world.send(initiator, None)
         responder = world.new_oracle(step[2], step[1])
-        _send(world, initiator, _send(world, responder, world.send(initiator, None)))
+        first = world.send(initiator, None)
+        _send(world, record, initiator, _send(world, record, responder, first))
         return initiator.key
     if kind in ("deliver", "foreign"):
         (pick, owner, peer), as_bytes, which = step[1:]
-        # an initiator emits its flow on activation, a responder as it completes
-        emitted = [oracle.own_msg for oracle in oracles
-                   if oracle.role == "initiator" or oracle.completed]
+        # each flow a send returned, and each that an aborted responder drew
+        sends, unsent = record
+        emitted = [sent for other in oracles for _, sent in [reference_sent(sends, other)]
+                   if sent is not None] + unsent
         if (kind == "deliver" and not emitted) or (pick is not None and not oracles):
             return None
         oracle = world.new_oracle(owner, peer) if pick is None else oracles[pick % len(oracles)]
         if kind == "deliver":
-            msg = emitted[which % len(emitted)]
-            flow = encode_point(world.params.group, msg.r) if as_bytes else msg
+            point = emitted[which % len(emitted)]
+            flow = encode_point(world.params.group, point) if as_bytes else FlowMessage(point)
         else:
             flow = _foreign_flow(world.params, which, as_bytes)
         stale = oracle.completed or oracle.aborted
         hostile = kind == "foreign" and which != "valid" and not stale
         rng_state = world.rng.getstate()
         try:
-            result = _send(world, oracle, flow)
+            result = _send(world, record, oracle, flow)
         except IdakError as exc:
             # a hostile flow aborts its oracle with no key and draws nothing
             assert isinstance(exc, InvalidFlowError) == hostile, exc
@@ -629,9 +679,9 @@ def _apply(world, step):
     return key
 
 
-def _outcome(world, step):
+def _outcome(world, record, step):
     try:
-        result = ("ok", _apply(world, step))
+        result = ("ok", _apply(world, record, step))
     except IdakError as exc:
         result = ("error", type(exc))
     states = [(o.role, o.completed, o.aborted, o.key) for o in world.oracles]
@@ -651,8 +701,9 @@ def _lockstep(k_bits, seed, mode, pi_variant, steps):
         world.add_principal(person)
         checker.add_principal(person)
     sends, stale = record_sends(world), set()
+    record, checks = (sends, []), (record_sends(checker), [])
     for step in steps:
-        assert _outcome(world, step) == _outcome(checker, step), step
+        assert _outcome(world, record, step) == _outcome(checker, checks, step), step
         for oracle in world.oracles:
             if oracle.completed:
                 fresh = world.fresh(oracle)
@@ -682,9 +733,16 @@ def _lockstep(k_bits, seed, mode, pi_variant, steps):
          steps=[("relay", "alice", "bob"), ("reveal", 1)])
 # at k = 4 (q = 13) oracles often draw one point: six relays draw a point
 # twice, and a corruption after them keeps fresh only the oracles whose
-# peer's oracle drew what they received
+# peer's oracle sent what they received
 @example(k_bits=4, seed="partners", mode="wpfsbr", pi_variant=PiVariant.HASH_HALF,
          steps=[("relay", "alice", "bob")] * 6 + [("corrupt", "alice")])
+# at k = 4 bob's responder aborts on alice's flow, and the point it drew
+# completes alice's second initiator, which bob's corruption poisons: no
+# oracle of bob sent that point
+@example(k_bits=4, seed="s66", mode="wpfsbr", pi_variant=PiVariant.HASH_HALF,
+         steps=[("open", "alice", "bob"), ("deliver", (None, "bob", "alice"), False, 0),
+                ("open", "alice", "bob"), ("deliver", (2, "alice", "bob"), False, 2),
+                ("corrupt", "bob")])
 def test_a_world_schedule_matches_the_references(k_bits, seed, mode, pi_variant, steps):
     _lockstep(k_bits, seed, mode, pi_variant, steps)
 
